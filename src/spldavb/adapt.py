@@ -69,6 +69,10 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.sampler_strategy not in ("best_sample", "average_accumulators"):
             raise ValueError(f"unknown sampler strategy {self.sampler_strategy!r}")
+        if self.sampler_k > 0 and self.variant == "bayes":
+            raise ValueError(
+                "sampler_k > 0 is only supported by the point variant "
+                "(the Bayesian variant has no M-step statistics to sample)")
 
 
 @dataclass
@@ -124,6 +128,7 @@ def sampled_statistics(resp, phi, k, seed=0, with_first_order=True):
 
     Returns ``(counts, fsums)`` with counts (k, M) and fsums (k, M, d) or
     None.  Every i-vector belongs to exactly one speaker per sample.
+    ``seed`` is anything ``np.random.default_rng`` accepts.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -146,37 +151,25 @@ def sampled_statistics(resp, phi, k, seed=0, with_first_order=True):
 def sample_elbos(counts, fsums, phi, model, tau0):
     """Point-variant lower bound of each hard sample (used by best_sample)."""
     s_global = phi.T @ phi
-    n = phi.shape[0]
+    # A hard assignment has zero q(theta) entropy, which a responsibility
+    # matrix without rows gives directly.
+    hard = Responsibilities(r=np.zeros((0, counts.shape[1])))
     elbos = np.empty(counts.shape[0])
     for j in range(counts.shape[0]):
         stats = center_stats(
             SuffStats(n=counts[j], f=fsums[j], s=s_global), model.mu)
         posts = vbpoint.update_q_y(stats, model)
         dirichlet = vbpoint.update_q_pi(counts[j], tau0)
-        # Hard assignment: q(theta) entropy is zero.
-        resp = _hard_resp_from_counts(counts[j], n)
         stats_d = center_stats(
             SuffStats(n=np.zeros(0), f=np.zeros((0, model.d)),
                       s=np.zeros((model.d, model.d))), model.mu)
         posts_d = SpeakerPosteriors(
             ybar=np.zeros((0, model.n_y)),
             prec=np.zeros((0, model.n_y, model.n_y)))
-        elbo, _ = vbpoint.elbo_point(stats, stats_d, posts, posts_d, resp,
+        elbo, _ = vbpoint.elbo_point(stats, stats_d, posts, posts_d, hard,
                                      dirichlet, model, Hyperparams(tau0=tau0))
         elbos[j] = elbo
     return elbos
-
-
-def _hard_resp_from_counts(counts, n):
-    # Entropy of a hard assignment is zero; the ELBO only needs that and the
-    # per-speaker counts, so any one-hot matrix with these column sums works.
-    m = counts.shape[0]
-    r = np.zeros((n, m))
-    idx = 0
-    for i, c in enumerate(np.round(counts).astype(int)):
-        r[idx:idx + c, i] = 1.0
-        idx += c
-    return Responsibilities(r=r)
 
 
 def _merge_pairs(r, threshold, tried):
@@ -369,6 +362,8 @@ def _run_point(dataset, model_init, hyper, config):
             s=np.zeros((dataset.d, dataset.d)))
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
+    # One independent, reproducible sampler stream per iteration.
+    sampler_seeds = np.random.SeedSequence(config.seed)
 
     for it in range(config.max_iter):
         engine = _PointState(dataset, model, hyper, stats_d_raw)
@@ -381,7 +376,8 @@ def _run_point(dataset, model_init, hyper, config):
             c_d, r_d = vbpoint.accumulators(state["stats_d"], state["posts_d"])
             if config.sampler_k > 0:
                 c, r = _sampler_accumulators(
-                    resp, phi, model, hyper, config, state, (c, r))
+                    resp, phi, model, hyper, config, state,
+                    sampler_seeds.spawn(1)[0])
             vtilde = vbpoint.mstep_V(c, r, c_d, r_d, hyper.eta)
             c_p = c + hyper.eta * c_d
             r_p = r + hyper.eta * r_d
@@ -444,9 +440,8 @@ def _run_point(dataset, model_init, hyper, config):
     return report
 
 
-def _sampler_accumulators(resp, phi, model, hyper, config, state, default):
-    counts, fsums = sampled_statistics(
-        resp, phi, config.sampler_k, seed=config.seed)
+def _sampler_accumulators(resp, phi, model, hyper, config, state, seed):
+    counts, fsums = sampled_statistics(resp, phi, config.sampler_k, seed=seed)
     if config.sampler_strategy == "best_sample":
         elbos = sample_elbos(counts, fsums, phi, model, hyper.tau0)
         j = int(np.argmax(elbos))

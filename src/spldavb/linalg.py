@@ -9,8 +9,8 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def sym(a):
-    """Symmetrize a square matrix."""
-    return 0.5 * (a + a.T)
+    """Symmetrize a square matrix, or each matrix of a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def chol_with_jitter(a):

@@ -44,14 +44,16 @@ __all__ = [
 class RowPosteriors:
     """Row-wise Gaussian posteriors over the augmented [V | mu].
 
-    mean : (d, n_y+1) posterior row means (assembled E[Vtilde])
-    cov  : (d, n_y+1, n_y+1) posterior row covariances
-    prec : optional (d, n_y+1, n_y+1) untempered precisions (for entropies)
+    mean   : (d, n_y+1) posterior row means (assembled E[Vtilde])
+    cov    : (d, n_y+1, n_y+1) posterior row covariances
+    prec   : optional (d, n_y+1, n_y+1) untempered precisions (for entropies)
+    logdet : optional (d,) log-determinants of ``prec``
     """
 
     mean: np.ndarray
     cov: np.ndarray
     prec: np.ndarray | None = None
+    logdet: np.ndarray | None = None
 
     @classmethod
     def point_mass(cls, vtilde):
@@ -86,6 +88,8 @@ class RowPosteriors:
         return self.cov[:, self.n_y, self.n_y]
 
     def logdet_prec(self):
+        if self.logdet is not None:
+            return self.logdet
         if self.prec is None:
             return -np.array([logdet_pd(c) for c in self.cov])
         return np.array([logdet_pd(p) for p in self.prec])
@@ -175,16 +179,6 @@ def e_vt_w_vt(rowpost, wpost):
     return sym(out)
 
 
-def e_v_w_v(rowpost, wpost):
-    """E[V^T W V] (top-left block of the augmented expectation)."""
-    return e_vt_w_vt(rowpost, wpost)[: rowpost.n_y, : rowpost.n_y]
-
-
-def e_v_w_mu(rowpost, wpost):
-    """E[V^T W mu] (last column of the augmented expectation)."""
-    return e_vt_w_vt(rowpost, wpost)[: rowpost.n_y, rowpost.n_y]
-
-
 def e_vt_r_vt(rowpost, r):
     """E[Vtilde R Vtilde^T] = Vtbar R Vtbar^T + diag(rho).
 
@@ -198,28 +192,28 @@ def update_q_y_bayes(stats, rowpost, wpost, kappa=1.0):
     """q(y_i) with expectations over the parameter posteriors.
 
     L_i = I + E[N_i] E[V^T W V];
-    ybar_i = L_i^-1 (E[V]^T E[W] E[F_i] - E[N_i] E[V^T W mu]).
+    ybar_i = L_i^-1 (E[V]^T E[W] E[F_i] - E[N_i] E[V^T W mu]),
+    with both expectations read off the blocks of E[Vtilde^T W Vtilde].
 
     ``stats`` carries the raw (uncentered) first-order sums.
     """
     n_y = rowpost.n_y
-    evv = e_v_w_v(rowpost, wpost)
-    evwmu = e_v_w_mu(rowpost, wpost)
-    prec = np.eye(n_y)[None, :, :] + stats.n[:, None, None] * evv[None, :, :]
-    rhs = stats.f @ (wpost.e_w @ rowpost.vbar) - np.outer(stats.n, evwmu)
-    ybar = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0]
-    return SpeakerPosteriors(ybar=ybar, prec=prec, kappa=kappa)
+    evtwvt = e_vt_w_vt(rowpost, wpost)
+    rhs = stats.f @ (wpost.e_w @ rowpost.vbar) - np.outer(stats.n, evtwvt[:n_y, n_y])
+    return SpeakerPosteriors.from_pair(evtwvt[:n_y, :n_y], stats.n, rhs, kappa)
 
 
 def update_q_theta_bayes(phi, posteriors, rowpost, wpost, dirichlet, kappa=1.0):
     """Responsibility update with expected parameters."""
-    d = rowpost.d
+    d, n_y = rowpost.d, rowpost.n_y
     wbar = wpost.e_w
     ytilde = posteriors.e_ytilde()  # (M, n_y+1)
-    quad_phi = np.einsum("jd,de,je->j", phi, wbar, phi)  # (N,)
+    quad_phi = np.sum((phi @ wbar) * phi, axis=1)  # (N,)
     cross = (phi @ (wbar @ rowpost.mean)) @ ytilde.T  # (N, M)
-    evtwvt = e_vt_w_vt(rowpost, wpost)
-    tr_term = np.einsum("ab,mba->m", evtwvt, posteriors.e_yy_tilde())  # (M,)
+    # tr(E[Vt^T W Vt] E[yt yt^T]) over the blocks of the augmented moments
+    h = e_vt_w_vt(rowpost, wpost)
+    tr_term = (posteriors.trace_e_yy(h[:n_y, :n_y])
+               + 2.0 * posteriors.ybar @ h[:n_y, n_y] + h[n_y, n_y])  # (M,)
     log_rho = (
         0.5 * wpost.e_ln_w
         - 0.5 * d * LOG2PI
@@ -237,33 +231,46 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
     c_p, r_p : eta-weighted accumulators C', R'
     Rows are updated in ascending order using the latest neighbor means;
     each row update is exact coordinate ascent with the others held fixed.
+    The row precisions diag(alpha_r) + wbar_rr R' do not depend on the
+    means, so the whole stack is factored once, before the sweep.
     """
     d = rowpost.d
     n_y = rowpost.n_y
     wbar = wpost.e_w
     beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
     mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
+    prec = np.diag(wbar)[:, None, None] * sym(r_p)
+    cols = np.arange(n_y)
+    prec[:, cols, cols] += alphapost.e_alpha
+    prec[:, n_y, n_y] += beta
+    chol = _cholesky_rows(prec)
+    chol_inv = np.linalg.inv(chol)
+    prec_inv = np.swapaxes(chol_inv, 1, 2) @ chol_inv
+    # sum_s wbar_rs (C_s^T - R' vbar_s) folded back to full sums; the part
+    # that does not involve the means is computed once.
+    rhs_fixed = wbar @ c_p  # (d, n_y+1)
+    rhs_fixed[:, n_y] += beta * mu0
     mean = rowpost.mean.copy()
-    cov = np.empty_like(rowpost.cov)
-    prec = np.empty_like(rowpost.cov)
     for r in range(d):
-        alpha_aug = np.append(alphapost.e_alpha, beta[r])
-        l_r = np.diag(alpha_aug) + wbar[r, r] * r_p
-        # sum_s wbar_rs (C_s^T - R' vbar_s) folded back to full sums:
-        c_w = c_p.T @ wbar[r]  # (n_y+1,)
-        v_w = mean.T @ wbar[r]
-        rhs = c_w - r_p @ v_w + wbar[r, r] * (r_p @ mean[r])
-        rhs[n_y] += beta[r] * mu0[r]
-        try:
-            np.linalg.cholesky(sym(l_r))
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                f"row {r} posterior precision is singular"
-            ) from None
-        mean[r] = np.linalg.solve(l_r, rhs)
-        cov[r] = np.linalg.inv(l_r) / kappa
-        prec[r] = sym(l_r)
-    return RowPosteriors(mean=mean, cov=np.array([sym(c) for c in cov]), prec=prec)
+        v_w = mean.T @ wbar[r] - wbar[r, r] * mean[r]
+        mean[r] = prec_inv[r] @ (rhs_fixed[r] - r_p @ v_w)
+    return RowPosteriors(
+        mean=mean, cov=sym(prec_inv / kappa), prec=prec,
+        logdet=2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
+
+
+def _cholesky_rows(prec):
+    """Batched lower Cholesky factors; a failure names the first bad row."""
+    try:
+        return np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError:
+        for r, p in enumerate(prec):
+            try:
+                np.linalg.cholesky(p)
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"row {r} posterior precision is singular") from None
+        raise
 
 
 def update_q_alpha(rowpost, hyper, kappa=1.0):

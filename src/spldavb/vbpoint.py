@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .linalg import inv_pd, logdet_pd, solve_pd, sym
-from .model import SpldaModel, SuffStats
+from .linalg import inv_pd, sym
+from .model import SpldaModel
 
 __all__ = [
     "Hyperparams",
@@ -57,17 +57,59 @@ class Hyperparams:
             raise ValueError("kappa must lie in (0, 1]")
 
 
-@dataclass
 class SpeakerPosteriors:
     """Gaussian speaker-factor posteriors q(y_i) for a block of speakers.
+
+    Every precision in the block has the form L_i = A + n_i G.  The q(Y)
+    updates give one shared pair with A = I (G = V^T W V, or E[V^T W V]
+    in the Bayesian variant); standardization maps it to (T^T A T, T^T G T).
+    A dense ``prec`` argument is held as per-speaker pairs A_i = L_i, G = 0.
+
+    The block is stored factored: ``basis`` P (shared (n_y, n_y), or per
+    speaker (M, n_y, n_y)) and eigenvalues lam diagonalize the pair,
+    P^T A P = I and P^T G P = diag(lam).  For a shared pair with A = I,
+    P and lam come from one eigendecomposition of G; for dense precisions
+    L_i = U_i diag(e_i) U_i^T (one batched eigendecomposition) P_i is
+    U_i diag(e_i)^-1/2 and lam is 0.  With ``s`` (M, n_y) holding
+    s_i = 1 + n_i lam,
+
+        P^T L_i P = diag(s_i),   L_i^-1 = P diag(1/s_i) P^T,
+        log|L_i| = -log|P P^T| + sum_k log s_ik.
+
+    With a shared pair every aggregate the updates need (summed second
+    moments, traces against a fixed matrix, log-determinants) then costs
+    O(M n_y) after one O(n_y^3) eigendecomposition.  The dense
+    (M, n_y, n_y) arrays ``prec``, ``cov()``, ``e_yy()`` and
+    ``e_yy_tilde()`` are built only when asked for.  Standardization
+    y' = T^-1 (y - mu_y) maps P to T^-1 P and leaves s unchanged.
 
     ``prec`` holds the untempered precisions L_i; with annealing the actual
     posterior covariance is ``(1/kappa) L_i^-1``.
     """
 
-    ybar: np.ndarray  # (M, n_y)
-    prec: np.ndarray  # (M, n_y, n_y)
-    kappa: float = 1.0
+    def __init__(self, ybar, prec, kappa=1.0):
+        """Posteriors with dense per-speaker precisions ``prec`` (M, n_y, n_y)."""
+        prec = np.asarray(prec, dtype=float)
+        n_y = prec.shape[-1]
+        eig, u = np.linalg.eigh(prec)
+        self._set(ybar, kappa, prec, np.zeros((n_y, n_y)), np.zeros(prec.shape[0]),
+                  u / np.sqrt(eig)[..., None, :], np.ones_like(eig))
+
+    @classmethod
+    def from_pair(cls, g, n, rhs, kappa=1.0):
+        """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i."""
+        lam, basis = np.linalg.eigh(g)
+        post = object.__new__(cls)
+        post._set(None, kappa, np.eye(len(g)), g, n, basis, 1.0 + n[:, None] * lam)
+        post.ybar = post._solve(rhs)
+        return post
+
+    def _set(self, ybar, kappa, a, g, n, basis, s):
+        self.ybar = ybar  # (M, n_y)
+        self.kappa = kappa
+        self._a, self._g, self._n = a, g, n
+        self.basis = basis
+        self.s = s  # (M, n_y)
 
     @property
     def m(self):
@@ -77,8 +119,19 @@ class SpeakerPosteriors:
     def n_y(self):
         return self.ybar.shape[1]
 
+    @property
+    def prec(self):
+        """(M, n_y, n_y) untempered precisions L_i = A + n_i G."""
+        return self._a + self._n[:, None, None] * self._g
+
+    def _solve(self, x):
+        """(M, n_y) rows L_i^-1 x_i (untempered)."""
+        coords = np.einsum("...ak,...a->...k", self.basis, x) / self.s
+        return np.einsum("...ak,...k->...a", self.basis, coords)
+
     def cov(self):
-        return np.linalg.inv(self.prec) / self.kappa
+        return (self.basis / self.s[:, None, :]) @ np.swapaxes(self.basis, -1, -2) \
+            / self.kappa
 
     def e_yy(self):
         """(M, n_y, n_y) second moments E[y y^T]."""
@@ -98,8 +151,33 @@ class SpeakerPosteriors:
         out[:, n_y, n_y] = 1.0
         return out
 
+    def sum_e_yy(self, w):
+        """sum_i w_i E[y_i y_i^T] for weights w (M,)."""
+        c = w[:, None] / self.s
+        # A shared basis takes the speaker sum before the basis products.
+        c = c.sum(axis=tuple(range(c.ndim - self.basis.ndim + 1)))
+        cov = (self.basis * c[..., None, :]) @ np.swapaxes(self.basis, -1, -2)
+        cov = cov.reshape(-1, self.n_y, self.n_y).sum(axis=0)
+        return cov / self.kappa + (self.ybar * w[:, None]).T @ self.ybar
+
+    def trace_e_yy(self, h):
+        """(M,) traces tr(H E[y_i y_i^T]) for an (n_y, n_y) matrix H."""
+        h_diag = np.sum((h @ self.basis) * self.basis, axis=-2)  # diag(P^T H P)
+        return (h_diag / self.s).sum(axis=1) / self.kappa \
+            + np.sum((self.ybar @ h) * self.ybar, axis=1)
+
     def logdet_prec(self):
-        return np.array([logdet_pd(p) for p in self.prec])
+        """(M,) log|L_i| (untempered)."""
+        return np.log(self.s).sum(axis=1) \
+            - 2.0 * np.linalg.slogdet(self.basis)[1]
+
+    def standardized(self, mu_y, t):
+        """The block in coordinates y' = T^-1 (y - mu_y); L_i' = T^T L_i T."""
+        t_inv = np.linalg.inv(t)
+        post = object.__new__(type(self))
+        post._set((self.ybar - mu_y) @ t_inv.T, self.kappa, t.T @ self._a @ t,
+                  t.T @ self._g @ t, self._n, t_inv @ self.basis, self.s)
+        return post
 
 
 @dataclass
@@ -143,13 +221,9 @@ def update_q_y(stats, model, kappa=1.0):
     """
     if stats.fbar is None:
         raise ValueError("stats must be centered (call center_stats first)")
-    n_y = model.n_y
     wv = model.w @ model.v  # (d, n_y)
     g = sym(model.v.T @ wv)  # (n_y, n_y)
-    prec = np.eye(n_y)[None, :, :] + stats.n[:, None, None] * g[None, :, :]
-    rhs = stats.fbar @ wv  # (M, n_y)
-    ybar = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0]
-    return SpeakerPosteriors(ybar=ybar, prec=prec, kappa=kappa)
+    return SpeakerPosteriors.from_pair(g, stats.n, stats.fbar @ wv, kappa)
 
 
 def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
@@ -157,9 +231,9 @@ def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
     delta = phi - model.mu  # (N, d)
     wv = model.w @ model.v
     g = sym(model.v.T @ wv)
-    quad = np.einsum("jd,de,je->j", delta, model.w, delta)  # (N,)
+    quad = np.sum((delta @ model.w) * delta, axis=1)  # (N,)
     cross = (delta @ wv) @ posteriors.ybar.T  # (N, M)
-    tr_term = np.einsum("ab,mba->m", g, posteriors.e_yy())  # (M,)
+    tr_term = posteriors.trace_e_yy(g)  # (M,)
     log_rho = (
         0.5 * (model.logdet_w() - model.d * LOG2PI)
         - 0.5 * quad[:, None]
@@ -207,9 +281,13 @@ def accumulators(stats, posteriors):
     C = sum_i E[F_i] E[ytilde_i]^T   (d, n_y+1)
     R = sum_i E[N_i] E[ytilde ytilde^T]   (n_y+1, n_y+1)
     """
+    n_y = posteriors.n_y
     ytilde = posteriors.e_ytilde()
     c = stats.f.T @ ytilde
-    r = np.einsum("m,mab->ab", stats.n, posteriors.e_yy_tilde())
+    r = np.empty((n_y + 1, n_y + 1))
+    r[:n_y, :n_y] = posteriors.sum_e_yy(stats.n)
+    r[:n_y, n_y] = r[n_y, :n_y] = stats.n @ posteriors.ybar
+    r[n_y, n_y] = stats.n.sum()
     return c, sym(r)
 
 
@@ -221,7 +299,7 @@ def _data_term(n_total, s_global, c, r, model):
 
 
 def _y_prior_term(posteriors):
-    rho = posteriors.e_yy().sum(axis=0)
+    rho = posteriors.sum_e_yy(np.ones(posteriors.m))
     return -0.5 * posteriors.m * posteriors.n_y * LOG2PI - 0.5 * np.trace(rho)
 
 
@@ -349,7 +427,7 @@ def min_divergence(posteriors, posteriors_d, model, eta, with_transform=False):
     m, m_d = posteriors.m, posteriors_d.m
     denom = m + eta * m_d
     mu_y = (posteriors.ybar.sum(axis=0) + eta * posteriors_d.ybar.sum(axis=0)) / denom
-    rho = posteriors.e_yy().sum(axis=0) + eta * posteriors_d.e_yy().sum(axis=0)
+    rho = posteriors.sum_e_yy(np.ones(m)) + eta * posteriors_d.sum_e_yy(np.ones(m_d))
     sigma_y = sym(rho / denom - np.outer(mu_y, mu_y))
     t = np.linalg.cholesky(sigma_y)  # raises if Sigma_y is not PD
     new = SpldaModel(mu=model.mu + model.v @ mu_y, v=model.v @ t, w=model.w)
@@ -364,7 +442,4 @@ def standardize_posteriors(posteriors, mu_y, t):
     y' = T^-1 (y - mu_y); precision transforms as L' = T^T L T, which keeps
     the data-dependent part of the bound invariant.
     """
-    t_inv = np.linalg.inv(t)
-    ybar = (posteriors.ybar - mu_y) @ t_inv.T
-    prec = np.einsum("ar,mab,bs->mrs", t, posteriors.prec, t)
-    return SpeakerPosteriors(ybar=ybar, prec=prec, kappa=posteriors.kappa)
+    return posteriors.standardized(mu_y, t)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spldavb import adapt
 from spldavb.adapt import (
     RunConfig,
     Responsibilities,
@@ -216,6 +217,41 @@ class TestRuns:
         b = run_adaptation(dataset, model, Hyperparams(), cfg)
         np.testing.assert_array_equal(a.elbo_trace, b.elbo_trace)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_row_shuffle_permutes_labels(self, variant):
+        dataset, _, model = easy_problem(seed=91, d=5)
+        perm = np.random.default_rng(1).permutation(dataset.phi.shape[0])
+        shuffled = Dataset(phi=dataset.phi[perm], phi_d=dataset.phi_d,
+                           labels_d=dataset.labels_d)
+        cfg = RunConfig(m_init=4, variant=variant, init_method="random_y",
+                        elbo_tol=0.0, max_iter=15, seed=5)
+        a = run_adaptation(dataset, model, Hyperparams(), cfg)
+        b = run_adaptation(shuffled, model, Hyperparams(), cfg)
+        np.testing.assert_array_equal(b.labels, a.labels[perm])
+        np.testing.assert_allclose(b.elbo_trace, a.elbo_trace, rtol=1e-9, atol=0)
+
+    def test_sampler_sweeps_draw_fresh_assignments(self, monkeypatch):
+        draws = []
+
+        def recording(*args, **kwargs):
+            counts, fsums = sampled_statistics(*args, **kwargs)
+            draws.append(fsums)
+            return counts, fsums
+
+        monkeypatch.setattr(adapt, "sampled_statistics", recording)
+        dataset, _, model = easy_problem(seed=17)
+        # Two identical clusters keep every responsibility at 1/2, so each
+        # sweep samples from the same distribution.
+        run_adaptation(dataset, model, Hyperparams(),
+                       RunConfig(m_init=2, init_method="uniform_pi",
+                                 sampler_k=2, elbo_tol=0.0, max_iter=2))
+        assert len(draws) == 2
+        assert not np.array_equal(draws[0], draws[1])
+
+    def test_sampler_rejected_for_bayes(self):
+        with pytest.raises(ValueError, match="sampler_k"):
+            RunConfig(variant="bayes", sampler_k=3)
 
     def test_dimension_mismatch_rejected(self):
         dataset, _, _ = easy_problem(d=6)

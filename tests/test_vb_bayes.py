@@ -230,6 +230,45 @@ class TestRowUpdates:
         np.testing.assert_allclose(rowpost.mubar, mu0, atol=1e-6)
 
 
+    def test_one_sweep_matches_row_loop_oracle(self):
+        rng = np.random.default_rng(39)
+        d, n_y = 4, 2
+        model, phi, stats = random_problem(rng, 25, 3, d, n_y)
+        posts = update_q_y(center_stats(stats, model.mu), model)
+        c_p, r_p = accumulators(stats, posts)
+        wpost = WishartPosterior.point_mass(model.w)
+        alphapost = AlphaPosterior(a_prime=1.5, b_prime=np.array([0.5, 2.0]))
+        hyper = self._hyper(rng, d)
+        start = RowPosteriors.point_mass(model.vtilde)
+        wbar = wpost.e_w
+        for kappa in (1.0, 0.4):
+            rowpost = update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper,
+                                           start, kappa)
+            mean = start.mean.copy()
+            for r in range(d):
+                l_r = np.diag(np.append(alphapost.e_alpha, 0.5)) \
+                    + wbar[r, r] * r_p
+                rhs = c_p.T @ wbar[r] - r_p @ (mean.T @ wbar[r]) \
+                    + wbar[r, r] * (r_p @ mean[r])
+                rhs[n_y] += 0.5 * hyper.mu0[r]
+                mean[r] = np.linalg.solve(l_r, rhs)
+                np.testing.assert_allclose(rowpost.prec[r], l_r, atol=1e-12)
+                np.testing.assert_allclose(rowpost.cov[r],
+                                           np.linalg.inv(l_r) / kappa, atol=1e-10)
+                assert rowpost.logdet_prec()[r] == pytest.approx(
+                    np.linalg.slogdet(l_r)[1], abs=1e-10)
+            np.testing.assert_allclose(rowpost.mean, mean, atol=1e-10)
+
+    def test_singular_row_is_named(self):
+        d, n_y = 3, 1
+        wpost = WishartPosterior.point_mass(np.diag([1e-3, 1e-3, 10.0]))
+        alphapost = AlphaPosterior(a_prime=1.0, b_prime=np.ones(n_y))
+        with pytest.raises(np.linalg.LinAlgError, match="row 2 "):
+            update_q_vtilde_rows(
+                np.zeros((d, n_y + 1)), -np.eye(n_y + 1), wpost, alphapost,
+                Hyperparams(beta=1.0), RowPosteriors.point_mass(np.zeros((d, n_y + 1))))
+
+
 class TestAlphaUpdate:
     def test_shape_parameter(self):
         d = 100

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma
 from scipy.stats import multivariate_normal
 
-from spldavb.linalg import inv_pd
+from spldavb.linalg import inv_pd, sym
 from spldavb.model import (
     SpldaModel,
     SuffStats,
@@ -30,6 +30,7 @@ from spldavb.vbpoint import (
     update_q_theta,
     update_q_y,
 )
+from spldavb.vbbayes import RowPosteriors, WishartPosterior, update_q_y_bayes
 
 
 def random_model(rng, d, n_y):
@@ -109,6 +110,88 @@ class TestUpdateQY:
         model = random_model(np.random.default_rng(1), 3, 1)
         with pytest.raises(ValueError, match="centered"):
             update_q_y(SuffStats(n=np.ones(1), f=np.ones((1, 3))), model)
+
+
+def assert_matches_dense(posts, prec, atol=1e-10):
+    """Factored posteriors against per-speaker inverses and log-determinants
+    of the dense precisions ``prec`` (M, n_y, n_y)."""
+    m, n_y = posts.ybar.shape
+    cov = np.stack([np.linalg.inv(p) for p in prec]) / posts.kappa
+    e_yy = cov + np.stack([np.outer(y, y) for y in posts.ybar])
+    e_yy_tilde = np.zeros((m, n_y + 1, n_y + 1))
+    for i in range(m):
+        yt = np.append(posts.ybar[i], 1.0)
+        e_yy_tilde[i] = np.outer(yt, yt)
+        e_yy_tilde[i, :n_y, :n_y] += cov[i]
+    np.testing.assert_allclose(posts.prec, prec, atol=atol)
+    np.testing.assert_allclose(posts.cov(), cov, atol=atol)
+    np.testing.assert_allclose(posts.e_yy(), e_yy, atol=atol)
+    np.testing.assert_allclose(posts.e_yy_tilde(), e_yy_tilde, atol=atol)
+    np.testing.assert_allclose(
+        posts.logdet_prec(), [np.linalg.slogdet(p)[1] for p in prec], atol=atol)
+    rng = np.random.default_rng(0)
+    w = rng.random(m)
+    h = sym(rng.standard_normal((n_y, n_y)))
+    np.testing.assert_allclose(
+        posts.sum_e_yy(w), sum(w[i] * e_yy[i] for i in range(m)), atol=atol)
+    np.testing.assert_allclose(
+        posts.trace_e_yy(h), [np.trace(h @ e_yy[i]) for i in range(m)],
+        atol=atol)
+
+
+class TestFactoredPosteriors:
+    def _stats(self, rng, model, n=30, m=6):
+        resp = rng.random((n, m))
+        resp /= resp.sum(axis=1, keepdims=True)
+        return accumulate_stats(resp, rng.standard_normal((n, model.d)))
+
+    def test_update_q_y(self):
+        rng = np.random.default_rng(100)
+        model = random_model(rng, 6, 3)
+        stats = center_stats(self._stats(rng, model), model.mu)
+        g = model.v.T @ model.w @ model.v
+        for kappa in (1.0, 0.3):
+            posts = update_q_y(stats, model, kappa)
+            assert_matches_dense(
+                posts, np.stack([np.eye(3) + n * g for n in stats.n]))
+
+    def test_update_q_y_bayes(self):
+        rng = np.random.default_rng(101)
+        d, n_y = 5, 3
+        model = random_model(rng, d, n_y)
+        stats = self._stats(rng, model)
+        cov = np.stack([sym(a @ a.T) / d
+                        for a in rng.standard_normal((d, n_y + 1, n_y + 1))])
+        rowpost = RowPosteriors(mean=model.vtilde, cov=cov)
+        wpost = WishartPosterior.from_update(inv_pd(model.w) * 20.0, 20.0)
+        wbar = wpost.e_w
+        e_vwv = model.v.T @ wbar @ model.v + sum(
+            wbar[r, r] * cov[r, :n_y, :n_y] for r in range(d))
+        for kappa in (1.0, 0.3):
+            posts = update_q_y_bayes(stats, rowpost, wpost, kappa)
+            assert_matches_dense(
+                posts, np.stack([np.eye(n_y) + n * e_vwv for n in stats.n]))
+
+    def test_standardize_posteriors(self):
+        rng = np.random.default_rng(102)
+        model = random_model(rng, 6, 3)
+        stats = center_stats(self._stats(rng, model), model.mu)
+        posts = update_q_y(stats, model, kappa=0.5)
+        mu_y = rng.standard_normal(3)
+        t = np.linalg.cholesky(sym(np.cov(rng.standard_normal((3, 10)))))
+        std = standardize_posteriors(posts, mu_y, t)
+        np.testing.assert_allclose(
+            std.ybar, np.linalg.solve(t, (posts.ybar - mu_y).T).T, atol=1e-10)
+        assert_matches_dense(std, np.stack([t.T @ p @ t for p in posts.prec]))
+
+    def test_dense_precisions(self):
+        rng = np.random.default_rng(103)
+        posts = random_posteriors(rng, 5, 3, kappa=0.7)
+        prec = posts.prec.copy()
+        assert_matches_dense(posts, prec)
+        t = np.linalg.cholesky(sym(np.cov(rng.standard_normal((3, 10)))))
+        std = standardize_posteriors(posts, np.zeros(3), t)
+        assert_matches_dense(std, np.stack([t.T @ p @ t for p in prec]))
 
 
 class TestUpdateQTheta:
