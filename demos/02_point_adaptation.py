@@ -30,9 +30,8 @@ print(f"labelled: {dataset.phi_d.shape[0]} i-vectors "
 
 init = train_supervised(dataset.phi_d, dataset.labels_d, n_y=4, seed=0).model
 
-config = RunConfig(m_init=m_unsup, init_method="ahc", eta=0.5,
-                   max_iter=200, seed=0)
-report = run_adaptation(dataset, init, Hyperparams(), config)
+config = RunConfig(m_init=m_unsup, init_method="ahc", max_iter=200, seed=0)
+report = run_adaptation(dataset, init, Hyperparams(eta=0.5), config)
 
 print(f"converged: {report.converged} after {len(report.elbo_trace)} "
       "iterations")

@@ -45,8 +45,6 @@ class RunConfig:
     prune_every: int = 5
     elbo_tol: float = 1e-7
     max_iter: int = 200
-    eta: float = 1.0
-    tau0: float = 1.0
     do_msteps: bool = True
     min_div: bool = True
     sampler_k: int = 0  # 0 = off
@@ -94,8 +92,10 @@ def _one_hot(labels, m):
     return r
 
 
-def init_responsibilities(dataset, model, config):
-    """Initial q(theta) for the unsupervised set, per the configured method."""
+def init_responsibilities(dataset, model, config, tau0=1.0):
+    """Initial q(theta) for the unsupervised set, per the configured method.
+
+    ``tau0`` is the Dirichlet concentration of the ``random_y`` init."""
     phi = dataset.phi
     n, m = phi.shape[0], config.m_init
     rng = np.random.default_rng(config.seed)
@@ -110,7 +110,7 @@ def init_responsibilities(dataset, model, config):
         ybar = rng.standard_normal((m, model.n_y))
         posts = SpeakerPosteriors(
             ybar=ybar, prec=np.broadcast_to(np.eye(model.n_y), (m, model.n_y, model.n_y)).copy())
-        dirichlet = vbpoint.update_q_pi(np.full(m, n / m), config.tau0)
+        dirichlet = vbpoint.update_q_pi(np.full(m, n / m), tau0)
         return vbpoint.update_q_theta(phi, posts, model, dirichlet)
     if config.init_method == "ahc":
         scores = pairwise_llr_matrix(model, phi)
@@ -273,28 +273,126 @@ def _closest_posterior_pairs(ybar, n_pairs=6):
     return [(i, j) for _, i, j in dists[:n_pairs]]
 
 
-class _PointState:
-    """One coordinate-ascent sweep of the point variant, from resp."""
+class _Variant:
+    """The parameter step of one inference variant.
 
-    def __init__(self, dataset, model, hyper, stats_d_raw):
-        self.dataset = dataset
-        self.model = model
+    ``sweep(params, resp, dirichlet, kappa)`` runs one coordinate-ascent
+    sweep and returns a state dict with at least ``params``, ``resp``,
+    ``dirichlet``, ``posts``, ``elbo`` and ``terms``; ``update(state)``
+    returns the params for the next sweep; ``finish(params, report)``
+    stores the adapted model in the report.
+    """
+
+    def __init__(self, dataset, hyper, config):
+        self.phi = dataset.phi
         self.hyper = hyper
-        self.stats_d_raw = stats_d_raw
+        self.config = config
+        self.stats_d_raw = accumulate_stats(
+            dataset.one_hot_labels(), dataset.phi_d) if dataset.phi_d.size \
+            else SuffStats(n=np.zeros(0), f=np.zeros((0, dataset.d)),
+                           s=np.zeros((dataset.d, dataset.d)))
 
-    def sweep(self, resp, dirichlet, kappa):
-        phi = self.dataset.phi
-        stats = center_stats(accumulate_stats(resp.r, phi), self.model.mu)
-        stats_d = center_stats(self.stats_d_raw, self.model.mu)
-        posts = vbpoint.update_q_y(stats, self.model, kappa)
-        posts_d = vbpoint.update_q_y(stats_d, self.model, kappa)
-        resp = vbpoint.update_q_theta(phi, posts, self.model, dirichlet, kappa)
-        dirichlet = vbpoint.update_q_pi(resp.counts, self.hyper.tau0, kappa)
-        stats = center_stats(accumulate_stats(resp.r, phi), self.model.mu)
+
+class _Point(_Variant):
+    """Point estimates: params are the ``SpldaModel``, re-estimated by
+    closed-form M-steps and minimum-divergence re-standardization."""
+
+    def __init__(self, dataset, hyper, config):
+        super().__init__(dataset, hyper, config)
+        # One independent, reproducible sampler stream per iteration.
+        self.sampler_seeds = np.random.SeedSequence(config.seed)
+
+    def sweep(self, model, resp, dirichlet, kappa):
+        phi, hyper = self.phi, self.hyper
+        stats = center_stats(accumulate_stats(resp.r, phi), model.mu)
+        stats_d = center_stats(self.stats_d_raw, model.mu)
+        posts = vbpoint.update_q_y(stats, model, kappa)
+        posts_d = vbpoint.update_q_y(stats_d, model, kappa)
+        resp = vbpoint.update_q_theta(phi, posts, model, dirichlet, kappa)
+        dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
+        stats = center_stats(accumulate_stats(resp.r, phi), model.mu)
         elbo, terms = vbpoint.elbo_point(
-            stats, stats_d, posts, posts_d, resp, dirichlet, self.model, self.hyper)
-        return dict(stats=stats, stats_d=stats_d, posts=posts, posts_d=posts_d,
-                    resp=resp, dirichlet=dirichlet, elbo=elbo, terms=terms)
+            stats, stats_d, posts, posts_d, resp, dirichlet, model, hyper)
+        return dict(params=model, stats=stats, stats_d=stats_d, posts=posts,
+                    posts_d=posts_d, resp=resp, dirichlet=dirichlet,
+                    elbo=elbo, terms=terms)
+
+    def update(self, state):
+        model, hyper, config = state["params"], self.hyper, self.config
+        if not config.do_msteps:
+            return model
+        stats, stats_d = state["stats"], state["stats_d"]
+        c, r = vbpoint.accumulators(stats, state["posts"])
+        c_d, r_d = vbpoint.accumulators(stats_d, state["posts_d"])
+        if config.sampler_k > 0:
+            c, r = _sampler_accumulators(
+                state["resp"], self.phi, model, hyper, config, stats.s,
+                self.sampler_seeds.spawn(1)[0])
+        vtilde = vbpoint.mstep_V(c, r, c_d, r_d, hyper.eta)
+        c_p = c + hyper.eta * c_d
+        r_p = r + hyper.eta * r_d
+        w = vbpoint.mstep_W(stats.s, stats_d.s, c_p, r_p, vtilde,
+                            stats.n_total, stats_d.n_total, hyper.eta)
+        model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
+        if config.min_div:
+            model, (mu_y, t) = vbpoint.min_divergence(
+                state["posts"], state["posts_d"], model, hyper.eta,
+                with_transform=True)
+            # Extra merge candidates are the closest standardized means.
+            state["posts"] = vbpoint.standardize_posteriors(
+                state["posts"], mu_y, t)
+        return model
+
+    def finish(self, model, report):
+        report.model = model
+
+
+class _Bayes(_Variant):
+    """Fully Bayesian: params are the posteriors ``(rowpost, wpost,
+    alphapost)`` over the rows of [V | mu], W and the relevance
+    precisions, updated inside every sweep."""
+
+    def sweep(self, params, resp, dirichlet, kappa):
+        rowpost, wpost, alphapost = params
+        phi, hyper, stats_d = self.phi, self.hyper, self.stats_d_raw
+        stats = accumulate_stats(resp.r, phi)
+        posts = vbbayes.update_q_y_bayes(stats, rowpost, wpost, kappa)
+        posts_d = vbbayes.update_q_y_bayes(stats_d, rowpost, wpost, kappa)
+        resp = vbbayes.update_q_theta_bayes(
+            phi, posts, rowpost, wpost, dirichlet, kappa)
+        dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
+        stats = accumulate_stats(resp.r, phi)
+        c, r = vbpoint.accumulators(stats, posts)
+        c_d, r_d = vbpoint.accumulators(stats_d, posts_d)
+        c_p, r_p = c + hyper.eta * c_d, r + hyper.eta * r_d
+        rowpost = vbbayes.update_q_vtilde_rows(
+            c_p, r_p, wpost, alphapost, hyper, rowpost, kappa)
+        alphapost = vbbayes.update_q_alpha(rowpost, hyper, kappa)
+        wpost = vbbayes.update_q_wishart(
+            stats.s, stats_d.s, c_p, r_p, rowpost,
+            stats.n_total, stats_d.n_total, hyper.eta, kappa)
+        elbo, terms = vbbayes.elbo_bayes(
+            stats, stats_d, posts, posts_d, resp, dirichlet,
+            rowpost, alphapost, wpost, hyper)
+        return dict(params=(rowpost, wpost, alphapost), resp=resp,
+                    dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
+
+    def update(self, state):
+        rowpost, _, alphapost = state["params"]
+        hyper = self.hyper
+        if self.config.hyper_opt_alpha:
+            hyper.a_alpha, hyper.b_alpha = vbbayes.optimize_hyper_alpha(
+                alphapost, hyper.a_alpha)
+        if self.config.hyper_opt_mu:
+            hyper.mu0, hyper.beta = vbbayes.optimize_hyper_mu(
+                rowpost, isotropic=np.isscalar(hyper.beta))
+        return state["params"]
+
+    def finish(self, params, report):
+        rowpost, wpost, alphapost = params
+        report.model = SpldaModel(mu=rowpost.mubar, v=rowpost.vbar, w=wpost.e_w)
+        report.bayes_state = dict(rowpost=rowpost, wpost=wpost,
+                                  alphapost=alphapost, hyper=self.hyper)
 
 
 def _default_bayes_hyper(hyper, dataset):
@@ -305,7 +403,6 @@ def _default_bayes_hyper(hyper, dataset):
         ref = dataset.phi_d if dataset.phi_d.size else dataset.phi
         tr_cov = float(np.trace(np.cov(ref.T))) if ref.shape[0] > 1 else 1.0
         hyper.beta = 1e-2 * ref.shape[1] / max(tr_cov, 1e-12)
-    return hyper
 
 
 def run_adaptation(dataset, model_init, hyper, config):
@@ -314,6 +411,8 @@ def run_adaptation(dataset, model_init, hyper, config):
     Executes: init -> loop { q updates at the current kappa; optional
     M-steps / hyperparameter optimization; ELBO; kappa growth; periodic
     prune/merge } until the relative ELBO change falls below ``elbo_tol``.
+    ``hyper`` is not modified; the Bayesian report carries the final
+    hyperparameters in ``bayes_state["hyper"]``.
     """
     if dataset.phi.shape[0] == 0:
         return train_supervised(
@@ -322,13 +421,16 @@ def run_adaptation(dataset, model_init, hyper, config):
     if dataset.d != model_init.d:
         raise ValueError(
             f"model dimension {model_init.d} does not match data {dataset.d}")
-    hyper = Hyperparams(tau0=config.tau0, eta=config.eta,
-                        mu0=hyper.mu0, beta=hyper.beta,
-                        a_alpha=hyper.a_alpha, b_alpha=hyper.b_alpha)
+    hyper = replace(hyper)
     if config.variant == "bayes":
-        hyper = _default_bayes_hyper(hyper, dataset)
-        return _run_bayes(dataset, model_init, hyper, config)
-    return _run_point(dataset, model_init, hyper, config)
+        _default_bayes_hyper(hyper, dataset)
+        rowpost = vbbayes.RowPosteriors.point_mass(model_init.vtilde)
+        params = (rowpost, vbbayes.WishartPosterior.point_mass(model_init.w),
+                  vbbayes.update_q_alpha(rowpost, hyper))
+        variant = _Bayes(dataset, hyper, config)
+    else:
+        params, variant = model_init, _Point(dataset, hyper, config)
+    return _adapt(dataset, model_init, hyper, config, variant, params)
 
 
 def sweep_m(dataset, model_init, hyper, config, m_values):
@@ -350,51 +452,21 @@ def sweep_m(dataset, model_init, hyper, config, m_values):
     return best, reports
 
 
-def _run_point(dataset, model_init, hyper, config):
-    phi = dataset.phi
+def _adapt(dataset, model_init, hyper, config, variant, params):
+    """The coordinate ascent both variants share: sweep, parameter step,
+    tau0 step, annealing, ELBO-gated prune/merge and the stopping rule."""
     report = RunReport()
-    model = model_init
-    resp = init_responsibilities(dataset, model, config)
+    resp = init_responsibilities(dataset, model_init, config, tau0=hyper.tau0)
     dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0)
-    stats_d_raw = accumulate_stats(dataset.one_hot_labels(), dataset.phi_d) \
-        if dataset.phi_d.size else SuffStats(
-            n=np.zeros(0), f=np.zeros((0, dataset.d)),
-            s=np.zeros((dataset.d, dataset.d)))
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
-    # One independent, reproducible sampler stream per iteration.
-    sampler_seeds = np.random.SeedSequence(config.seed)
 
     for it in range(config.max_iter):
-        engine = _PointState(dataset, model, hyper, stats_d_raw)
-        state = engine.sweep(resp, dirichlet, kappa)
-        resp, dirichlet = state["resp"], state["dirichlet"]
-        elbo = state["elbo"]
-
-        if config.do_msteps:
-            c, r = vbpoint.accumulators(state["stats"], state["posts"])
-            c_d, r_d = vbpoint.accumulators(state["stats_d"], state["posts_d"])
-            if config.sampler_k > 0:
-                c, r = _sampler_accumulators(
-                    resp, phi, model, hyper, config, state,
-                    sampler_seeds.spawn(1)[0])
-            vtilde = vbpoint.mstep_V(c, r, c_d, r_d, hyper.eta)
-            c_p = c + hyper.eta * c_d
-            r_p = r + hyper.eta * r_d
-            w = vbpoint.mstep_W(
-                state["stats"].s, state["stats_d"].s, c_p, r_p, vtilde,
-                state["stats"].n_total, state["stats_d"].n_total, hyper.eta)
-            model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
-            if config.min_div:
-                model, (mu_y, t) = vbpoint.min_divergence(
-                    state["posts"], state["posts_d"], model, hyper.eta,
-                    with_transform=True)
-                state["posts"] = vbpoint.standardize_posteriors(
-                    state["posts"], mu_y, t)
-                state["posts_d"] = vbpoint.standardize_posteriors(
-                    state["posts_d"], mu_y, t)
-            if config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
-                hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
+        state = variant.sweep(params, resp, dirichlet, kappa)
+        resp, dirichlet, elbo = state["resp"], state["dirichlet"], state["elbo"]
+        params = variant.update(state)
+        if config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
+            hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
 
         report.elbo_trace.append(elbo)
         report.m_trace.append(resp.r.shape[1])
@@ -406,142 +478,21 @@ def _run_point(dataset, model_init, hyper, config):
         restructured = False
         if (config.prune_merge and since_restructure >= config.prune_every
                 and kappa == 1.0):
-            engine = _PointState(dataset, model, hyper, stats_d_raw)
 
             def refresh(r_matrix):
                 resp_c = Responsibilities(r=r_matrix)
-                dir_c = vbpoint.update_q_pi(resp_c.counts, hyper.tau0)
-                st = engine.sweep(resp_c, dir_c, 1.0)
+                st = variant.sweep(
+                    params, resp_c,
+                    vbpoint.update_q_pi(resp_c.counts, hyper.tau0), 1.0)
                 return st["elbo"], st
 
-            resp2, elbo2, st2, restructured = prune_and_merge(
+            resp2, _, st2, restructured = prune_and_merge(
                 resp, config, refresh, elbo,
                 extra_pairs=_closest_posterior_pairs(state["posts"].ybar))
             if restructured:
                 report.diagnostics.append(
                     f"iter {it}: restructured M {resp.r.shape[1]} -> {resp2.r.shape[1]}")
-                resp, dirichlet = st2["resp"], st2["dirichlet"]
-                since_restructure = 0
-        if kappa == 1.0:
-            since_restructure += 1
-
-        if kappa < 1.0:
-            kappa = min(kappa * config.kappa_growth, 1.0)
-        elif (not restructured and len(report.elbo_trace) >= 2
-              and report.kappa_trace[-1] == 1.0):
-            prev = report.elbo_trace[-2]
-            if abs(elbo - prev) < config.elbo_tol * max(1.0, abs(prev)):
-                report.converged = True
-                break
-
-    report.labels = np.argmax(resp.r, axis=1)  # ties: lowest index wins
-    report.model = model
-    report.elbo_terms = state["terms"]
-    return report
-
-
-def _sampler_accumulators(resp, phi, model, hyper, config, state, seed):
-    counts, fsums = sampled_statistics(resp, phi, config.sampler_k, seed=seed)
-    if config.sampler_strategy == "best_sample":
-        elbos = sample_elbos(counts, fsums, phi, model, hyper.tau0)
-        j = int(np.argmax(elbos))
-        stats = center_stats(
-            SuffStats(n=counts[j], f=fsums[j], s=state["stats"].s), model.mu)
-        posts = vbpoint.update_q_y(stats, model)
-        return vbpoint.accumulators(stats, posts)
-    # average_accumulators: mean of per-sample (C, R)
-    c_acc = 0.0
-    r_acc = 0.0
-    for j in range(counts.shape[0]):
-        stats = center_stats(
-            SuffStats(n=counts[j], f=fsums[j], s=state["stats"].s), model.mu)
-        posts = vbpoint.update_q_y(stats, model)
-        c_j, r_j = vbpoint.accumulators(stats, posts)
-        c_acc += c_j
-        r_acc += r_j
-    return c_acc / counts.shape[0], r_acc / counts.shape[0]
-
-
-def _run_bayes(dataset, model_init, hyper, config):
-    phi = dataset.phi
-    report = RunReport()
-    resp = init_responsibilities(dataset, model_init, config)
-    dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0)
-    stats_d_raw = accumulate_stats(dataset.one_hot_labels(), dataset.phi_d) \
-        if dataset.phi_d.size else SuffStats(
-            n=np.zeros(0), f=np.zeros((0, dataset.d)),
-            s=np.zeros((dataset.d, dataset.d)))
-    rowpost = vbbayes.RowPosteriors.point_mass(model_init.vtilde)
-    wpost = vbbayes.WishartPosterior.point_mass(model_init.w)
-    alphapost = vbbayes.update_q_alpha(rowpost, hyper)
-    kappa = config.kappa0 if config.anneal else 1.0
-    since_restructure = 0
-
-    def sweep(resp, dirichlet, rowpost, wpost, alphapost, kappa):
-        stats = accumulate_stats(resp.r, phi)
-        posts = vbbayes.update_q_y_bayes(stats, rowpost, wpost, kappa)
-        posts_d = vbbayes.update_q_y_bayes(stats_d_raw, rowpost, wpost, kappa)
-        resp = vbbayes.update_q_theta_bayes(
-            phi, posts, rowpost, wpost, dirichlet, kappa)
-        dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
-        stats = accumulate_stats(resp.r, phi)
-        c, r = vbpoint.accumulators(stats, posts)
-        c_d, r_d = vbpoint.accumulators(stats_d_raw, posts_d)
-        c_p, r_p = c + hyper.eta * c_d, r + hyper.eta * r_d
-        rowpost = vbbayes.update_q_vtilde_rows(
-            c_p, r_p, wpost, alphapost, hyper, rowpost, kappa)
-        alphapost = vbbayes.update_q_alpha(rowpost, hyper, kappa)
-        wpost = vbbayes.update_q_wishart(
-            stats.s, stats_d_raw.s, c_p, r_p, rowpost,
-            stats.n_total, stats_d_raw.n_total, hyper.eta, kappa)
-        elbo, terms = vbbayes.elbo_bayes(
-            stats, stats_d_raw, posts, posts_d, resp, dirichlet,
-            rowpost, alphapost, wpost, hyper)
-        return dict(resp=resp, dirichlet=dirichlet, rowpost=rowpost,
-                    wpost=wpost, alphapost=alphapost, posts=posts,
-                    posts_d=posts_d, elbo=elbo, terms=terms)
-
-    state = None
-    for it in range(config.max_iter):
-        state = sweep(resp, dirichlet, rowpost, wpost, alphapost, kappa)
-        resp, dirichlet = state["resp"], state["dirichlet"]
-        rowpost, wpost, alphapost = (
-            state["rowpost"], state["wpost"], state["alphapost"])
-        elbo = state["elbo"]
-        if config.hyper_opt_alpha:
-            hyper.a_alpha, hyper.b_alpha = vbbayes.optimize_hyper_alpha(
-                alphapost, hyper.a_alpha)
-        if config.hyper_opt_mu:
-            hyper.mu0, hyper.beta = vbbayes.optimize_hyper_mu(
-                rowpost, isotropic=np.isscalar(hyper.beta))
-        if config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
-            hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
-
-        report.elbo_trace.append(elbo)
-        report.m_trace.append(resp.r.shape[1])
-        report.kappa_trace.append(kappa)
-        if not np.isfinite(elbo):
-            raise FloatingPointError(f"non-finite ELBO at iteration {it}")
-
-        restructured = False
-        if (config.prune_merge and since_restructure >= config.prune_every
-                and kappa == 1.0):
-
-            def refresh(r_matrix):
-                resp_c = Responsibilities(r=r_matrix)
-                dir_c = vbpoint.update_q_pi(resp_c.counts, hyper.tau0)
-                st = sweep(resp_c, dir_c, rowpost, wpost, alphapost, 1.0)
-                return st["elbo"], st
-
-            resp2, elbo2, st2, restructured = prune_and_merge(
-                resp, config, refresh, elbo,
-                extra_pairs=_closest_posterior_pairs(state["posts"].ybar))
-            if restructured:
-                report.diagnostics.append(
-                    f"iter {it}: restructured M {resp.r.shape[1]} -> {resp2.r.shape[1]}")
-                resp, dirichlet = st2["resp"], st2["dirichlet"]
-                rowpost, wpost, alphapost = (
-                    st2["rowpost"], st2["wpost"], st2["alphapost"])
+                resp, dirichlet, params = st2["resp"], st2["dirichlet"], st2["params"]
                 since_restructure = 0
         if kappa == 1.0:
             since_restructure += 1
@@ -554,13 +505,32 @@ def _run_bayes(dataset, model_init, hyper, config):
                 report.converged = True
                 break
 
-    report.labels = np.argmax(resp.r, axis=1)
-    report.model = SpldaModel(
-        mu=rowpost.mubar, v=rowpost.vbar, w=wpost.e_w)
+    report.labels = np.argmax(resp.r, axis=1)  # ties: lowest index wins
     report.elbo_terms = state["terms"]
-    report.bayes_state = dict(rowpost=rowpost, wpost=wpost,
-                              alphapost=alphapost, hyper=hyper)
+    variant.finish(params, report)
     return report
+
+
+def _sampler_accumulators(resp, phi, model, hyper, config, s_global, seed):
+    counts, fsums = sampled_statistics(resp, phi, config.sampler_k, seed=seed)
+    if config.sampler_strategy == "best_sample":
+        elbos = sample_elbos(counts, fsums, phi, model, hyper.tau0)
+        j = int(np.argmax(elbos))
+        stats = center_stats(
+            SuffStats(n=counts[j], f=fsums[j], s=s_global), model.mu)
+        posts = vbpoint.update_q_y(stats, model)
+        return vbpoint.accumulators(stats, posts)
+    # average_accumulators: mean of per-sample (C, R)
+    c_acc = 0.0
+    r_acc = 0.0
+    for j in range(counts.shape[0]):
+        stats = center_stats(
+            SuffStats(n=counts[j], f=fsums[j], s=s_global), model.mu)
+        posts = vbpoint.update_q_y(stats, model)
+        c_j, r_j = vbpoint.accumulators(stats, posts)
+        c_acc += c_j
+        r_acc += r_j
+    return c_acc / counts.shape[0], r_acc / counts.shape[0]
 
 
 def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,

@@ -29,9 +29,11 @@ _BOOL_KEYS = {"anneal", "prune_merge", "do_msteps", "min_div",
 _INT_KEYS = {"m_init", "prune_every", "max_iter", "sampler_k", "seed"}
 _FLOAT_KEYS = {"kappa0", "kappa_growth", "prune_threshold", "merge_threshold",
                "elbo_tol", "eta", "tau0"}
+_HYPER_KEYS = {"eta", "tau0"}  # Hyperparams fields; the rest are RunConfig
 
 
 def _config_from_file(path, overrides):
+    """``(RunConfig, Hyperparams)`` from a config file plus overrides."""
     raw = fileio.read_config(path, _CONFIG_KEYS) if path else {}
     raw.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
@@ -44,7 +46,8 @@ def _config_from_file(path, overrides):
             kwargs[key] = float(value)
         else:
             kwargs[key] = value
-    return RunConfig(**kwargs)
+    hyper = {key: kwargs.pop(key) for key in _HYPER_KEYS & kwargs.keys()}
+    return RunConfig(**kwargs), Hyperparams(**hyper)
 
 
 def cmd_synth(args):
@@ -88,8 +91,7 @@ def cmd_adapt(args):
     dataset = Dataset(phi=phi, phi_d=phi_d, labels_d=labels_d)
     overrides = {"eta": args.eta, "m_init": args.m_init,
                  "variant": args.variant, "seed": args.seed}
-    config = _config_from_file(args.config, overrides)
-    hyper = Hyperparams(tau0=config.tau0, eta=config.eta)
+    config, hyper = _config_from_file(args.config, overrides)
     report = run_adaptation(dataset, model, hyper, config)
     fileio.write_model(args.out_model, report.model,
                        bayes_state=report.bayes_state)
@@ -97,7 +99,7 @@ def cmd_adapt(args):
     if args.out_report:
         fileio.write_report(args.out_report, report, header={
             "command": "adapt", "variant": config.variant,
-            "eta": "%.17g" % config.eta, "m_init": config.m_init,
+            "eta": "%.17g" % hyper.eta, "m_init": config.m_init,
             "seed": config.seed, "converged": report.converged,
         })
     print(f"adapted model: M={report.m_trace[-1]}, "
@@ -125,11 +127,10 @@ def cmd_elbo_audit(args):
     phi_d = fileio.read_matrix(args.sup_ivectors)
     labels_d = fileio.read_labels(args.sup_labels)
     dataset = Dataset(phi=phi, phi_d=phi_d, labels_d=labels_d)
-    config = _config_from_file(args.config, {
+    config, hyper = _config_from_file(args.config, {
         "variant": args.variant, "m_init": args.m_init, "seed": args.seed,
     })
     config.max_iter = args.sweeps
-    hyper = Hyperparams(tau0=config.tau0, eta=config.eta)
     report = run_adaptation(dataset, model, hyper, config)
     total = 0.0
     for name, value in report.elbo_terms.items():

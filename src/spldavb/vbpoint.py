@@ -41,7 +41,6 @@ class Hyperparams:
 
     tau0: float = 1.0
     eta: float = 1.0
-    kappa: float = 1.0
     # Bayesian-variant parameters (unused by the point variant).
     mu0: np.ndarray | None = None
     beta: np.ndarray | float | None = None
@@ -53,8 +52,6 @@ class Hyperparams:
             raise ValueError("tau0 must be > 0")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
-        if not 0 < self.kappa <= 1:
-            raise ValueError("kappa must lie in (0, 1]")
 
 
 class SpeakerPosteriors:
