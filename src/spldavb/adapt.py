@@ -489,11 +489,11 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
             resp2, _, st2, restructured = prune_and_merge(
                 resp, config, refresh, elbo,
                 extra_pairs=_closest_posterior_pairs(state["posts"].ybar))
+            since_restructure = 0
             if restructured:
                 report.diagnostics.append(
                     f"iter {it}: restructured M {resp.r.shape[1]} -> {resp2.r.shape[1]}")
                 resp, dirichlet, params = st2["resp"], st2["dirichlet"], st2["params"]
-                since_restructure = 0
         if kappa == 1.0:
             since_restructure += 1
 

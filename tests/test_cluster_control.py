@@ -188,6 +188,23 @@ class TestRuns:
         assert report.m_trace[-1] == m_true_unsup
         assert clustering_metrics(report.labels, true_unsup).ari == 1.0
 
+    def test_prune_merge_attempts_come_prune_every_apart(self, monkeypatch):
+        calls = []
+
+        def rejecting(resp, config, refresh, current_elbo, extra_pairs=()):
+            calls.append(current_elbo)
+            return resp, current_elbo, None, False
+
+        monkeypatch.setattr(adapt, "prune_and_merge", rejecting)
+        dataset, _, model = easy_problem(seed=5)
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=4, init_method="ahc", prune_merge=True, prune_every=5,
+            elbo_tol=0.0, max_iter=16))
+        assert len(report.elbo_trace) == 16
+        # A rejected attempt waits prune_every iterations like an accepted
+        # one: attempts after iterations 5, 10 and 15 only.
+        assert len(calls) == 3
+
     def test_annealing_schedule_reaches_one(self):
         dataset, _, model = easy_problem(seed=61)
         report = run_adaptation(
