@@ -27,6 +27,17 @@ __all__ = [
 ]
 
 
+# Knobs that only one variant reads: knob -> (variant, default).
+_VARIANT_ONLY = {
+    "sampler_k": ("point", 0),
+    "sampler_strategy": ("point", "average_accumulators"),
+    "min_div": ("point", True),
+    "do_msteps": ("point", True),
+    "hyper_opt_alpha": ("bayes", False),
+    "hyper_opt_mu": ("bayes", False),
+}
+
+
 @dataclass
 class RunConfig:
     """Knobs of one adaptation run.  Defaults follow the library's policy
@@ -67,10 +78,11 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.sampler_strategy not in ("best_sample", "average_accumulators"):
             raise ValueError(f"unknown sampler strategy {self.sampler_strategy!r}")
-        if self.sampler_k > 0 and self.variant == "bayes":
-            raise ValueError(
-                "sampler_k > 0 is only supported by the point variant "
-                "(the Bayesian variant has no M-step statistics to sample)")
+        for knob, (variant, default) in _VARIANT_ONLY.items():
+            if self.variant != variant and getattr(self, knob) != default:
+                raise ValueError(
+                    f"{knob}={getattr(self, knob)!r} is only supported by "
+                    f"the {variant} variant")
 
 
 @dataclass
@@ -512,22 +524,17 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
 
 
 def _sampler_accumulators(resp, phi, model, hyper, config, s_global, seed):
+    """Mean of the per-sample (C, R) accumulators, or those of the sample
+    with the highest lower bound for ``best_sample``."""
     counts, fsums = sampled_statistics(resp, phi, config.sampler_k, seed=seed)
     if config.sampler_strategy == "best_sample":
-        elbos = sample_elbos(counts, fsums, phi, model, hyper.tau0)
-        j = int(np.argmax(elbos))
-        stats = center_stats(
-            SuffStats(n=counts[j], f=fsums[j], s=s_global), model.mu)
-        posts = vbpoint.update_q_y(stats, model)
-        return vbpoint.accumulators(stats, posts)
-    # average_accumulators: mean of per-sample (C, R)
+        j = int(np.argmax(sample_elbos(counts, fsums, phi, model, hyper.tau0)))
+        counts, fsums = counts[j:j + 1], fsums[j:j + 1]
     c_acc = 0.0
     r_acc = 0.0
-    for j in range(counts.shape[0]):
-        stats = center_stats(
-            SuffStats(n=counts[j], f=fsums[j], s=s_global), model.mu)
-        posts = vbpoint.update_q_y(stats, model)
-        c_j, r_j = vbpoint.accumulators(stats, posts)
+    for n, f in zip(counts, fsums):
+        stats = center_stats(SuffStats(n=n, f=f, s=s_global), model.mu)
+        c_j, r_j = vbpoint.accumulators(stats, vbpoint.update_q_y(stats, model))
         c_acc += c_j
         r_acc += r_j
     return c_acc / counts.shape[0], r_acc / counts.shape[0]

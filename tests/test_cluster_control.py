@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,17 @@ def easy_problem(seed=0, m_true=4, per_speaker=10, d=6, n_y=2):
         eigenvoice_scale=5.0, noise_scale=1.0, seed=seed))
     dataset = Dataset(phi=phi, phi_d=np.zeros((0, d)), labels_d=np.zeros(0, int))
     return dataset, labels, model
+
+
+def split_problem(seed=0, d=5, n_y=2):
+    """Half the speakers labelled, with a model trained on them."""
+    phi, labels, _ = generate(SynthSpec(
+        d=d, n_y=n_y, m_true=8, per_speaker=(4, 16), eigenvoice_scale=3.0,
+        seed=seed))
+    dataset, _ = split_dataset(phi, labels, 0.5, seed=seed)
+    model = train_supervised(dataset.phi_d, dataset.labels_d, n_y,
+                             seed=seed, max_iter=20).model
+    return dataset, model
 
 
 class TestInit:
@@ -248,6 +261,20 @@ class TestRuns:
         np.testing.assert_array_equal(b.labels, a.labels[perm])
         np.testing.assert_allclose(b.elbo_trace, a.elbo_trace, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_relabel_supervised_speakers_leaves_run_unchanged(self, variant):
+        dataset, model = split_problem(seed=7)
+        perm = np.random.default_rng(2).permutation(dataset.m_d)
+        relabelled = Dataset(phi=dataset.phi, phi_d=dataset.phi_d,
+                             labels_d=perm[dataset.labels_d])
+        cfg = RunConfig(m_init=4, variant=variant, init_method="random_y",
+                        elbo_tol=0.0, max_iter=15, seed=5)
+        a = run_adaptation(dataset, model, Hyperparams(), cfg)
+        b = run_adaptation(relabelled, model, Hyperparams(), cfg)
+        np.testing.assert_array_equal(b.labels, a.labels)
+        assert b.m_trace == a.m_trace
+        np.testing.assert_allclose(b.elbo_trace, a.elbo_trace, rtol=1e-9, atol=0)
+
     def test_sampler_sweeps_draw_fresh_assignments(self, monkeypatch):
         draws = []
 
@@ -266,15 +293,68 @@ class TestRuns:
         assert len(draws) == 2
         assert not np.array_equal(draws[0], draws[1])
 
-    def test_sampler_rejected_for_bayes(self):
-        with pytest.raises(ValueError, match="sampler_k"):
-            RunConfig(variant="bayes", sampler_k=3)
+    @pytest.mark.parametrize("knob, value, variant", [
+        ("sampler_k", 3, "bayes"),
+        ("sampler_strategy", "best_sample", "bayes"),
+        ("min_div", False, "bayes"),
+        ("do_msteps", False, "bayes"),
+        ("hyper_opt_alpha", True, "point"),
+        ("hyper_opt_mu", True, "point"),
+    ])
+    def test_variant_only_knob_rejected(self, knob, value, variant):
+        with pytest.raises(ValueError, match=knob):
+            RunConfig(variant=variant, **{knob: value})
 
     def test_dimension_mismatch_rejected(self):
         dataset, _, _ = easy_problem(d=6)
         _, _, wrong = generate(SynthSpec(d=5, n_y=2, m_true=2, per_speaker=3))
         with pytest.raises(ValueError, match="dimension"):
             run_adaptation(dataset, wrong, Hyperparams(), RunConfig(m_init=2))
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("variant, knob, field", [
+        ("point", "hyper_opt_tau0", "tau0"),
+        ("bayes", "hyper_opt_tau0", "tau0"),
+        ("bayes", "hyper_opt_alpha", "a_alpha"),
+        ("bayes", "hyper_opt_mu", "mu0"),
+    ])
+    def test_empirical_bayes_step(self, monkeypatch, variant, knob, field):
+        mstep_tau0 = adapt.vbpoint.mstep_tau0
+        tau0s = []
+
+        def recording(*args, **kwargs):
+            tau0s.append(mstep_tau0(*args, **kwargs))
+            return tau0s[-1]
+
+        monkeypatch.setattr(adapt.vbpoint, "mstep_tau0", recording)
+        dataset, model = split_problem(seed=4)
+        cfg = RunConfig(m_init=4, variant=variant, init_method="ahc",
+                        max_iter=30, seed=4)
+        off = run_adaptation(dataset, model, Hyperparams(), cfg)
+        on = run_adaptation(dataset, model, Hyperparams(),
+                            replace(cfg, **{knob: True}))
+        assert on.elbo_trace != off.elbo_trace
+        elbo = np.array(on.elbo_trace)
+        floor = -cfg.elbo_tol * np.maximum(1.0, np.abs(elbo[:-1]))
+        assert (np.diff(elbo) >= floor).all()
+        if variant == "point":  # the point report carries no hyperparameters
+            start, final = Hyperparams().tau0, tau0s[-1]
+        else:
+            start = getattr(off.bayes_state["hyper"], field)
+            final = getattr(on.bayes_state["hyper"], field)
+        assert not np.array_equal(final, start)
+
+    def test_caller_hyperparams_reach_run_unmodified(self):
+        dataset, model = split_problem(seed=4)
+        hyper = Hyperparams(eta=0.5, tau0=0.7)
+        report = run_adaptation(dataset, model, hyper, RunConfig(
+            m_init=4, variant="bayes", init_method="ahc", max_iter=10,
+            hyper_opt_alpha=True, hyper_opt_mu=True))
+        used = report.bayes_state["hyper"]
+        assert (used.eta, used.tau0) == (0.5, 0.7)
+        assert used.mu0 is not None and used.a_alpha != hyper.a_alpha
+        assert hyper == Hyperparams(eta=0.5, tau0=0.7)
 
 
 class TestTrainSupervised:

@@ -276,6 +276,23 @@ class TestCli:
                      if not l.startswith("#")][0]
         assert float(first_row.split()[3]) == 0.5
 
+    def test_config_and_flag_hyperparameters_reach_run(self, synth_files,
+                                                       tmp_path):
+        prefix = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau0 = 0.7\neta = 0.9\nmax_iter = 5\n")
+        out_model = str(tmp_path / "out.splda")
+        assert _run(["adapt", "--model", prefix + ".true_model",
+                     "--sup-ivectors", prefix + ".phi_d",
+                     "--sup-labels", prefix + ".labels_d",
+                     "--unsup-ivectors", prefix + ".phi",
+                     "--config", str(cfg), "--eta", "0.5",
+                     "--variant", "bayes", "--m-init", "3",
+                     "--out-model", out_model,
+                     "--out-labels", str(tmp_path / "out.labels")]) == 0
+        _, bayes = fileio.read_model(out_model)
+        assert (bayes["hyper"]["tau0"], bayes["hyper"]["eta"]) == (0.7, 0.5)
+
     def test_unknown_config_key_fails_cleanly(self, synth_files, tmp_path,
                                               capsys):
         prefix = synth_files
