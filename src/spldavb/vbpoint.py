@@ -375,13 +375,17 @@ def mstep_W(e_s, s_d, c_p, r_p, vtilde, e_n, n_d, eta):
     return inv_pd(w_inv)
 
 
-def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10, max_iter=2000):
+def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10, max_iter=100):
     """Newton update of tau0 in the log domain.
 
     Solves f(tau0) = psi(M tau0) - psi(tau0) + g = 0 with
-    g = mean(E[ln pi_i]); the step uses the damped denominator
-    tau0 (psi'(M tau0) - psi'(tau0)), which converges only linearly,
-    hence the large iteration budget.
+    g = mean(E[ln pi_i]), stepping in u = ln tau0 with the exact derivative
+    df/du = M tau0 psi'(M tau0) - tau0 psi'(tau0), which converges
+    quadratically; it stops when a step changes ln tau0 by less than ``tol``
+    or f is zero to within its rounding error.  f falls from +inf to
+    ln M + g, so a finite root exists only when ln M + g < 0; otherwise the
+    maximum-likelihood tau0 is unbounded, and a RuntimeWarning is raised and
+    ``tau0_init`` returned unchanged.
     """
     e_ln_pi = np.asarray(e_ln_pi, dtype=float)
     m = e_ln_pi.shape[0]
@@ -389,23 +393,29 @@ def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10, max_iter=2000):
         raise ValueError("tau0 update needs M >= 2")
     g = float(e_ln_pi.mean())
     tau0 = float(tau0_init)
+    if np.log(m) + g >= 0:
+        warnings.warn(
+            f"tau0 has no finite optimum: ln M + mean(E[ln pi]) = "
+            f"{np.log(m) + g:.3e} >= 0; keeping tau0 = {tau0:g}",
+            RuntimeWarning,
+        )
+        return tau0
     best = (np.inf, tau0)
-
-    def f(t):
-        return digamma(m * t) - digamma(t) + g
-
     for _ in range(max_iter):
-        ft = f(tau0)
+        psi_m, psi_1 = digamma(m * tau0), digamma(tau0)
+        ft = psi_m - psi_1 + g
         if abs(ft) < best[0]:
             best = (abs(ft), tau0)
-        if abs(ft) < tol:
-            return tau0
-        denom = tau0 * (polygamma(1, m * tau0) - polygamma(1, tau0))
-        step = -ft / denom
-        step = np.clip(step, -10.0, 10.0)  # log-domain safeguard
+        slope = m * tau0 * polygamma(1, m * tau0) - tau0 * polygamma(1, tau0)
+        step = float(np.clip(-ft / slope, -10.0, 10.0))  # log-domain safeguard
         tau0 = tau0 * np.exp(step)
+        # f can be resolved only to its rounding error, which limits the
+        # attainable step for very large roots
+        noise = 4 * np.finfo(float).eps * (abs(psi_m) + abs(psi_1) + abs(g))
+        if abs(step) < tol or abs(ft) <= noise:
+            return tau0
     warnings.warn(
-        f"tau0 Newton did not reach |f| < {tol:g} in {max_iter} iterations "
+        f"tau0 Newton did not converge in {max_iter} iterations "
         f"(best residual {best[0]:.3e})",
         RuntimeWarning,
     )

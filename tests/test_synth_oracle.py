@@ -127,6 +127,23 @@ class TestPairwiseLlr:
                 assert mat[a, b] == pytest.approx(
                     pairwise_llr(model, phi[a], phi[b]), abs=1e-8)
 
+    def test_closed_form_matrix_full_w(self):
+        # full non-isotropic W, nonzero mu and d > n_y, unlike generate()
+        rng = np.random.default_rng(11)
+        d, n_y, n = 7, 3, 32
+        a = rng.standard_normal((d, d))
+        model = SpldaModel(mu=3.0 * rng.standard_normal(d),
+                           v=2.0 * rng.standard_normal((d, n_y)),
+                           w=a @ a.T + 0.5 * np.eye(d))
+        phi = model.mu + rng.standard_normal((n, d)) @ np.diag(
+            np.linspace(0.5, 4.0, d))
+        mat = pairwise_llr_matrix(model, phi)
+        oracle = np.array([[pairwise_llr(model, phi[i], phi[j])
+                            for j in range(n)] for i in range(n)])
+        np.testing.assert_array_equal(mat, mat.T)
+        scale = np.abs(oracle).max()
+        np.testing.assert_allclose(mat, oracle, rtol=0, atol=1e-10 * scale)
+
 
 class TestClusteringMetrics:
     def test_perfect_match(self):

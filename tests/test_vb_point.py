@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -422,6 +424,21 @@ class TestMstepTau0:
     def test_requires_two_clusters(self):
         with pytest.raises(ValueError, match="M >= 2"):
             mstep_tau0(np.array([-0.5]))
+
+    @pytest.mark.parametrize("m, true", [(4, 240.0), (50, 1e4)])
+    def test_large_root_without_warning(self, m, true):
+        # f is nearly flat around large roots: a small |f| is not a close tau0
+        g = digamma(true) - digamma(m * true)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau0 = mstep_tau0(np.full(m, g))
+        assert tau0 == pytest.approx(true, rel=1e-8)
+
+    def test_no_finite_root_warns_and_keeps_init(self):
+        # f > ln M + g >= 0 everywhere, so the optimum is tau0 -> inf
+        with pytest.warns(RuntimeWarning, match="no finite optimum"):
+            tau0 = mstep_tau0(np.full(4, -np.log(4) + 1e-3), tau0_init=3.0)
+        assert tau0 == 3.0
 
 
 class TestMinDivergence:
