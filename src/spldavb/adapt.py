@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 
+_INIT_METHODS = ("ahc", "random_y", "oracle", "uniform_pi")
+
 # Knobs that only one variant reads: knob -> (variant, default).
 _VARIANT_ONLY = {
     "sampler_k": ("point", 0),
@@ -45,7 +47,7 @@ class RunConfig:
 
     m_init: int = 1
     variant: str = "point"  # "point" | "bayes"
-    init_method: str = "ahc"  # ahc | random_y | oracle | uniform_pi
+    init_method: str = "ahc"  # one of _INIT_METHODS
     oracle_labels: np.ndarray | None = None
     anneal: bool = False
     kappa0: float = 0.2
@@ -68,6 +70,15 @@ class RunConfig:
     def __post_init__(self):
         if self.m_init < 1:
             raise ValueError("m_init must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.prune_every < 1:
+            raise ValueError(f"prune_every must be >= 1, got {self.prune_every}")
+        if self.sampler_k < 0:
+            raise ValueError(f"sampler_k must be >= 0 (0 = off), got {self.sampler_k}")
+        if self.init_method not in _INIT_METHODS:
+            raise ValueError(f"unknown init_method {self.init_method!r}; "
+                             f"expected one of {', '.join(_INIT_METHODS)}")
         if not 0 < self.kappa0 <= 1:
             raise ValueError("kappa0 must lie in (0, 1]")
         if self.kappa_growth < 1:
@@ -184,19 +195,18 @@ def sample_elbos(counts, fsums, phi, model, tau0):
     return elbos
 
 
-def _merge_pairs(r, threshold, tried):
-    """Column pairs with cosine above ``threshold``, best first."""
+def _merge_pairs(r, threshold):
+    """Column pairs ``i < j`` with cosine above ``threshold``, in descending
+    order of ``(cos, i, j)``."""
     norms = np.linalg.norm(r, axis=0)
     norms = np.where(norms > 0, norms, 1.0)
     cos = (r.T @ r) / np.outer(norms, norms)
-    pairs = []
-    m = r.shape[1]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if cos[i, j] > threshold:
-                pairs.append((cos[i, j], i, j))
-    pairs.sort(reverse=True)
-    return [(i, j) for _, i, j in pairs if frozenset((i, j)) not in tried]
+    i, j = np.triu_indices(r.shape[1], 1)
+    cos = cos[i, j]
+    keep = cos > threshold
+    i, j, cos = i[keep], j[keep], cos[keep]
+    order = np.lexsort((j, i, cos))[::-1]
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
@@ -212,6 +222,11 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
     ``extra_pairs`` adds merge candidates beyond the column-cosine rule
     (column-index pairs, e.g. clusters with near-identical speaker
     posteriors); they pass through the same ELBO gate.
+
+    Returns ``(resp, elbo, state, changed)``.  With a restructure, ``state``
+    is the refreshed sweep of the new structure; without one, ``resp`` and
+    ``current_elbo`` come back unchanged and ``state`` is the refreshed
+    sweep of the current structure, or None if no candidate needed one.
     """
     r = resp.r
     counts = r.sum(axis=0)
@@ -220,7 +235,7 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
         raise ValueError("prune threshold removed every cluster; lower it")
     have_prune = bool((~keep).any())
     if not have_prune and not extra_pairs \
-            and not _merge_pairs(r, config.merge_threshold, set()):
+            and not _merge_pairs(r, config.merge_threshold):
         return resp, current_elbo, None, False
 
     cur = r
@@ -246,7 +261,7 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
     tried = set()
     while True:
         id_pairs = {frozenset((ids[i], ids[j])): (i, j)
-                    for i, j in _merge_pairs(cur, config.merge_threshold, set())}
+                    for i, j in _merge_pairs(cur, config.merge_threshold)}
         for a, b in extra_pairs:
             if a in ids and b in ids and a != b:
                 id_pairs.setdefault(
@@ -270,19 +285,19 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
             tried.add(key)
 
     if not changed:
-        return resp, current_elbo, None, False
+        return resp, current_elbo, cur_state, False
     return Responsibilities(r=cur), cur_elbo, cur_state, changed
 
 
 def _closest_posterior_pairs(ybar, n_pairs=6):
-    """Column-index pairs of the clusters with the closest posterior means."""
-    m = ybar.shape[0]
-    if m < 2:
-        return []
-    dists = [(float(np.linalg.norm(ybar[i] - ybar[j])), i, j)
-             for i in range(m) for j in range(i + 1, m)]
-    dists.sort()
-    return [(i, j) for _, i, j in dists[:n_pairs]]
+    """Column-index pairs ``i < j`` of the clusters with the closest
+    posterior means, in ascending order of ``(distance, i, j)``."""
+    i, j = np.triu_indices(ybar.shape[0], 1)
+    diff = ybar[i] - ybar[j]
+    # One dot product per pair, rounded as np.linalg.norm of a vector is.
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    order = np.lexsort((j, i, dist))[:n_pairs]
+    return list(zip(i[order].tolist(), j[order].tolist()))
 
 
 class _Variant:
@@ -299,10 +314,15 @@ class _Variant:
         self.phi = dataset.phi
         self.hyper = hyper
         self.config = config
+        self.s_phi = self.phi.T @ self.phi
         self.stats_d_raw = accumulate_stats(
             dataset.one_hot_labels(), dataset.phi_d) if dataset.phi_d.size \
             else SuffStats(n=np.zeros(0), f=np.zeros((0, dataset.d)),
                            s=np.zeros((dataset.d, dataset.d)))
+
+    def stats(self, r):
+        """Raw statistics of the unlabelled set under responsibilities r."""
+        return accumulate_stats(r, self.phi, s=self.s_phi)
 
 
 class _Point(_Variant):
@@ -316,26 +336,28 @@ class _Point(_Variant):
 
     def sweep(self, model, resp, dirichlet, kappa):
         phi, hyper = self.phi, self.hyper
-        stats = center_stats(accumulate_stats(resp.r, phi), model.mu)
+        stats = center_stats(self.stats(resp.r), model.mu)
         stats_d = center_stats(self.stats_d_raw, model.mu)
         posts = vbpoint.update_q_y(stats, model, kappa)
         posts_d = vbpoint.update_q_y(stats_d, model, kappa)
         resp = vbpoint.update_q_theta(phi, posts, model, dirichlet, kappa)
         dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
-        stats = center_stats(accumulate_stats(resp.r, phi), model.mu)
+        stats = center_stats(self.stats(resp.r), model.mu)
+        acc = vbpoint.accumulators(stats, posts)
+        acc_d = vbpoint.accumulators(stats_d, posts_d)
         elbo, terms = vbpoint.elbo_point(
-            stats, stats_d, posts, posts_d, resp, dirichlet, model, hyper)
+            stats, stats_d, posts, posts_d, resp, dirichlet, model, hyper,
+            acc=acc, acc_d=acc_d)
         return dict(params=model, stats=stats, stats_d=stats_d, posts=posts,
-                    posts_d=posts_d, resp=resp, dirichlet=dirichlet,
-                    elbo=elbo, terms=terms)
+                    posts_d=posts_d, acc=acc, acc_d=acc_d, resp=resp,
+                    dirichlet=dirichlet, elbo=elbo, terms=terms)
 
     def update(self, state):
         model, hyper, config = state["params"], self.hyper, self.config
         if not config.do_msteps:
             return model
         stats, stats_d = state["stats"], state["stats_d"]
-        c, r = vbpoint.accumulators(stats, state["posts"])
-        c_d, r_d = vbpoint.accumulators(stats_d, state["posts_d"])
+        (c, r), (c_d, r_d) = state["acc"], state["acc_d"]
         if config.sampler_k > 0:
             c, r = _sampler_accumulators(
                 state["resp"], self.phi, model, hyper, config, stats.s,
@@ -367,13 +389,16 @@ class _Bayes(_Variant):
     def sweep(self, params, resp, dirichlet, kappa):
         rowpost, wpost, alphapost = params
         phi, hyper, stats_d = self.phi, self.hyper, self.stats_d_raw
-        stats = accumulate_stats(resp.r, phi)
-        posts = vbbayes.update_q_y_bayes(stats, rowpost, wpost, kappa)
-        posts_d = vbbayes.update_q_y_bayes(stats_d, rowpost, wpost, kappa)
+        stats = self.stats(resp.r)
+        evtwvt = vbbayes.e_vt_w_vt(rowpost, wpost)
+        posts = vbbayes.update_q_y_bayes(
+            stats, rowpost, wpost, kappa, evtwvt=evtwvt)
+        posts_d = vbbayes.update_q_y_bayes(
+            stats_d, rowpost, wpost, kappa, evtwvt=evtwvt)
         resp = vbbayes.update_q_theta_bayes(
-            phi, posts, rowpost, wpost, dirichlet, kappa)
+            phi, posts, rowpost, wpost, dirichlet, kappa, evtwvt=evtwvt)
         dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
-        stats = accumulate_stats(resp.r, phi)
+        stats = self.stats(resp.r)
         c, r = vbpoint.accumulators(stats, posts)
         c_d, r_d = vbpoint.accumulators(stats_d, posts_d)
         c_p, r_p = c + hyper.eta * c_d, r + hyper.eta * r_d
@@ -385,7 +410,7 @@ class _Bayes(_Variant):
             stats.n_total, stats_d.n_total, hyper.eta, kappa)
         elbo, terms = vbbayes.elbo_bayes(
             stats, stats_d, posts, posts_d, resp, dirichlet,
-            rowpost, alphapost, wpost, hyper)
+            rowpost, alphapost, wpost, hyper, acc=(c, r), acc_d=(c_d, r_d))
         return dict(params=(rowpost, wpost, alphapost), resp=resp,
                     dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
 
@@ -472,9 +497,13 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
     dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0)
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
+    next_state = None
 
     for it in range(config.max_iter):
-        state = variant.sweep(params, resp, dirichlet, kappa)
+        if next_state is None:
+            state = variant.sweep(params, resp, dirichlet, kappa)
+        else:
+            state, next_state = next_state, None
         resp, dirichlet, elbo = state["resp"], state["dirichlet"], state["elbo"]
         params = variant.update(state)
         if config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
@@ -506,6 +535,12 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                 report.diagnostics.append(
                     f"iter {it}: restructured M {resp.r.shape[1]} -> {resp2.r.shape[1]}")
                 resp, dirichlet, params = st2["resp"], st2["dirichlet"], st2["params"]
+            elif st2 is not None and np.array_equal(
+                    vbpoint.update_q_pi(resp.counts, hyper.tau0).tau,
+                    dirichlet.tau):
+                # The baseline refresh swept from this resp under these
+                # params at kappa = 1 with this q(pi): it is the next sweep.
+                next_state = st2
         if kappa == 1.0:
             since_restructure += 1
 

@@ -129,8 +129,8 @@ def cmd_elbo_audit(args):
     dataset = Dataset(phi=phi, phi_d=phi_d, labels_d=labels_d)
     config, hyper = _config_from_file(args.config, {
         "variant": args.variant, "m_init": args.m_init, "seed": args.seed,
+        "max_iter": args.sweeps,
     })
-    config.max_iter = args.sweeps
     report = run_adaptation(dataset, model, hyper, config)
     total = 0.0
     for name, value in report.elbo_terms.items():

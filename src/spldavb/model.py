@@ -177,11 +177,13 @@ class SpeakerStatsEntry:
         return fbar, sbar
 
 
-def accumulate_stats(resp, phi, with_second_order=True):
+def accumulate_stats(resp, phi, with_second_order=True, *, s=None):
     """Accumulate soft-count sufficient statistics.
 
     resp : (N, M) responsibilities, rows summing to 1
     phi  : (N, d) i-vectors
+    s    : optional precomputed ``phi.T @ phi``; the global second order
+           does not depend on ``resp`` because its rows sum to 1
     """
     resp = np.asarray(resp, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -197,7 +199,10 @@ def accumulate_stats(resp, phi, with_second_order=True):
             raise ValueError("responsibility rows must sum to 1 within 1e-9")
     n = resp.sum(axis=0)
     f = resp.T @ phi
-    s = phi.T @ phi if with_second_order else None
+    if not with_second_order:
+        s = None
+    elif s is None:
+        s = phi.T @ phi
     return SuffStats(n=n, f=f, s=s)
 
 

@@ -9,9 +9,10 @@ posteriors, the column scales Gamma posteriors, and W a Wishart posterior.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import digamma, gammaln, multigammaln, polygamma
+from scipy.special import digamma, gammaln, polygamma
 
 from .linalg import inv_pd, logdet_pd, sym
 from .vbpoint import (
@@ -23,6 +24,7 @@ from .vbpoint import (
     _normalize_log_rho,
     _y_entropy_term,
     _y_prior_term,
+    accumulators,
 )
 
 __all__ = [
@@ -117,7 +119,8 @@ class AlphaPosterior:
 
 
 class WishartPosterior:
-    """q(W) = Wishart(scale, dof) with E[W] and E[ln|W|] cached.
+    """q(W) = Wishart(scale, dof) with E[W] and E[ln|W|] cached, and the
+    untempered K^-1 and ln B(K^-1, N') that the lower bound needs.
 
     Constructed either from an inverse-scale accumulator K (``from_update``)
     or as a point mass pinned at a given W (degenerate-reduction checks).
@@ -134,6 +137,7 @@ class WishartPosterior:
     def from_update(cls, k, dof, kappa=1.0):
         k = sym(np.asarray(k, dtype=float))
         d = k.shape[0]
+        k_inv = inv_pd(k)
         if kappa == 1.0:
             dof_eff = float(dof)
             if dof_eff <= d:
@@ -141,7 +145,7 @@ class WishartPosterior:
                     f"Wishart dof N' = {dof_eff:.3g} <= d = {d}; "
                     "more (weighted) data is needed for a valid q(W)"
                 )
-            scale = inv_pd(k)
+            scale = k_inv
         else:
             dof_eff = kappa * (dof - d - 1.0) + d + 1.0
             if kappa * (dof - d - 1.0) + 1.0 <= 0:
@@ -149,17 +153,31 @@ class WishartPosterior:
                     f"annealed Wishart dof condition violated "
                     f"(kappa={kappa:.3g}, N'={dof:.3g}, d={d}); raise kappa"
                 )
-            scale = inv_pd(k) / kappa
+            scale = k_inv / kappa
+        logdet_scale = logdet_pd(scale)
         e_w = dof_eff * scale
         e_ln_w = (
             digamma(0.5 * (dof_eff + 1.0 - np.arange(1, d + 1))).sum()
             + d * np.log(2.0)
-            + logdet_pd(scale)
+            + logdet_scale
         )
         self = cls(e_w=e_w, e_ln_w=e_ln_w, k=k, dof=float(dof), kappa=kappa)
         self._dof_eff = dof_eff
         self._scale = scale
+        self.k_inv = k_inv
+        if kappa == 1.0:  # the scale is K^-1, its log-determinant known
+            self.ln_b = _ln_wishart_b(k_inv, self.dof, logdet_scale)
         return self
+
+    @cached_property
+    def k_inv(self):
+        """Untempered scale K^-1."""
+        return inv_pd(self.k)
+
+    @cached_property
+    def ln_b(self):
+        """ln B(K^-1, N'), the normalizer of the untempered q(W)."""
+        return _ln_wishart_b(self.k_inv, self.dof)
 
     @classmethod
     def point_mass(cls, w):
@@ -188,30 +206,34 @@ def e_vt_r_vt(rowpost, r):
     return sym(rowpost.mean @ r @ rowpost.mean.T) + np.diag(rho)
 
 
-def update_q_y_bayes(stats, rowpost, wpost, kappa=1.0):
+def update_q_y_bayes(stats, rowpost, wpost, kappa=1.0, *, evtwvt=None):
     """q(y_i) with expectations over the parameter posteriors.
 
     L_i = I + E[N_i] E[V^T W V];
     ybar_i = L_i^-1 (E[V]^T E[W] E[F_i] - E[N_i] E[V^T W mu]),
     with both expectations read off the blocks of E[Vtilde^T W Vtilde].
 
-    ``stats`` carries the raw (uncentered) first-order sums.
+    ``stats`` carries the raw (uncentered) first-order sums.  ``evtwvt``
+    is ``e_vt_w_vt(rowpost, wpost)`` if the caller already has it.
     """
     n_y = rowpost.n_y
-    evtwvt = e_vt_w_vt(rowpost, wpost)
+    if evtwvt is None:
+        evtwvt = e_vt_w_vt(rowpost, wpost)
     rhs = stats.f @ (wpost.e_w @ rowpost.vbar) - np.outer(stats.n, evtwvt[:n_y, n_y])
     return SpeakerPosteriors.from_pair(evtwvt[:n_y, :n_y], stats.n, rhs, kappa)
 
 
-def update_q_theta_bayes(phi, posteriors, rowpost, wpost, dirichlet, kappa=1.0):
-    """Responsibility update with expected parameters."""
+def update_q_theta_bayes(phi, posteriors, rowpost, wpost, dirichlet, kappa=1.0,
+                         *, evtwvt=None):
+    """Responsibility update with expected parameters; ``evtwvt`` as in
+    ``update_q_y_bayes``."""
     d, n_y = rowpost.d, rowpost.n_y
     wbar = wpost.e_w
     ytilde = posteriors.e_ytilde()  # (M, n_y+1)
     quad_phi = np.sum((phi @ wbar) * phi, axis=1)  # (N,)
     cross = (phi @ (wbar @ rowpost.mean)) @ ytilde.T  # (N, M)
     # tr(E[Vt^T W Vt] E[yt yt^T]) over the blocks of the augmented moments
-    h = e_vt_w_vt(rowpost, wpost)
+    h = e_vt_w_vt(rowpost, wpost) if evtwvt is None else evtwvt
     tr_term = (posteriors.trace_e_yy(h[:n_y, :n_y])
                + 2.0 * posteriors.ybar @ h[:n_y, n_y] + h[n_y, n_y])  # (M,)
     log_rho = (
@@ -305,32 +327,43 @@ def _data_term_bayes(n_total, s_global, c, r, rowpost, wpost):
         - 0.5 * np.sum(wpost.e_w * inner)
 
 
-def _ln_wishart_b(scale, dof):
+def _ln_wishart_b(scale, dof, logdet_scale=None):
     """ln B(scale, dof), the Wishart normalizer."""
     d = scale.shape[0]
+    if logdet_scale is None:
+        logdet_scale = logdet_pd(scale)
     return float(
-        -0.5 * dof * logdet_pd(scale)
+        -0.5 * dof * logdet_scale
         - 0.5 * dof * d * np.log(2.0)
-        - multigammaln(0.5 * dof, d)
+        - _ln_multigamma(0.5 * dof, d)
     )
 
 
+def _ln_multigamma(a, d):
+    """ln Gamma_d(a); the value of ``scipy.special.multigammaln`` without
+    its Python loop over the d factors."""
+    if a <= 0.5 * (d - 1):
+        raise ValueError(f"condition a ({a}) > 0.5 * (d-1) ({0.5 * (d - 1)}) not met")
+    return (d * (d - 1) * 0.25) * np.log(np.pi) \
+        + np.sum(gammaln(a - (np.arange(1, d + 1) - 1.0) / 2))
+
+
 def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
-               rowpost, alphapost, wpost, hyper):
+               rowpost, alphapost, wpost, hyper, *, acc=None, acc_d=None):
     """Variational lower bound of the Bayesian variant, with breakdown.
 
     The supervised data and speaker-factor terms carry the weight eta; the
     improper-prior constant of P(W) is dropped (additive constant).
+    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two
+    blocks if the caller already has them.
     """
-    from .vbpoint import accumulators
-
     m = dirichlet.tau.shape[0]
     n_y = rowpost.n_y
     d = rowpost.d
     eta = hyper.eta
     e_ln_pi = dirichlet.e_ln_pi
-    c, r = accumulators(stats, posteriors)
-    c_d, r_d = accumulators(stats_d, posteriors_d)
+    c, r = accumulators(stats, posteriors) if acc is None else acc
+    c_d, r_d = accumulators(stats_d, posteriors_d) if acc_d is None else acc_d
     e_vv = rowpost.e_vq_vq()
     beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
     mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
@@ -340,7 +373,6 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
     if wpost.k is None or wpost.dof is None:
         raise ValueError("elbo_bayes needs a proper Wishart posterior (invalid dof)")
     dof = wpost.dof
-    scale = inv_pd(wpost.k)
 
     terms = {
         "lnP(Phi|Y,theta)": _data_term_bayes(
@@ -376,7 +408,7 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
             + np.log(alphapost.b_prime).sum()
         ),
         "-lnq(W)": -(
-            _ln_wishart_b(scale, dof)
+            wpost.ln_b
             + 0.5 * (dof - d - 1.0) * wpost.e_ln_w
             - 0.5 * dof * d
         ),

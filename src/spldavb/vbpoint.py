@@ -312,17 +312,19 @@ def _ln_dirichlet_c(tau):
 
 
 def elbo_point(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
-               model, hyper):
+               model, hyper, *, acc=None, acc_d=None):
     """Variational lower bound for the point-estimate model.
 
     Returns ``(total, breakdown)`` where ``breakdown`` maps term names to
     values.  Defined for the untempered (kappa = 1) objective; the supervised
     terms enter unweighted (eta affects only parameter estimation).
+    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two blocks
+    if the caller already has them.
     """
     m = dirichlet.tau.shape[0]
     e_ln_pi = dirichlet.e_ln_pi
-    c, r = accumulators(stats, posteriors)
-    c_d, r_d = accumulators(stats_d, posteriors_d)
+    c, r = accumulators(stats, posteriors) if acc is None else acc
+    c_d, r_d = accumulators(stats_d, posteriors_d) if acc_d is None else acc_d
     terms = {
         "lnP(Phi|Y,theta)": _data_term(stats.n_total, stats.s, c, r, model),
         "lnP(Y)": _y_prior_term(posteriors),

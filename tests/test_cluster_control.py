@@ -166,6 +166,104 @@ class TestPruneMerge:
         assert not changed
 
 
+def merge_pairs_oracle(r, threshold):
+    """Double-loop reference for ``adapt._merge_pairs``."""
+    norms = np.linalg.norm(r, axis=0)
+    norms = np.where(norms > 0, norms, 1.0)
+    cos = (r.T @ r) / np.outer(norms, norms)
+    pairs = []
+    m = r.shape[1]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if cos[i, j] > threshold:
+                pairs.append((cos[i, j], i, j))
+    pairs.sort(reverse=True)
+    return [(i, j) for _, i, j in pairs]
+
+
+def closest_pairs_oracle(ybar, n_pairs=6):
+    """Double-loop reference for ``adapt._closest_posterior_pairs``."""
+    m = ybar.shape[0]
+    dists = [(float(np.linalg.norm(ybar[i] - ybar[j])), i, j)
+             for i in range(m) for j in range(i + 1, m)]
+    dists.sort()
+    return [(i, j) for _, i, j in dists[:n_pairs]]
+
+
+class TestCandidatePairs:
+    def test_merge_pairs_match_oracle_on_random_input(self):
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 5, 30):
+            for _ in range(20):
+                r = rng.random((40, m)) ** 4
+                r /= r.sum(axis=1, keepdims=True)
+                for threshold in (0.0, 0.5, 0.95):
+                    assert adapt._merge_pairs(r, threshold) \
+                        == merge_pairs_oracle(r, threshold)
+
+    def test_merge_pairs_tie_order(self):
+        r = np.full((9, 5), 1.0 / 5)  # uniform_pi: every cosine is equal
+        pairs = adapt._merge_pairs(r, 0.95)
+        assert pairs == merge_pairs_oracle(r, 0.95)
+        assert pairs == sorted(((i, j) for i in range(5)
+                                for j in range(i + 1, 5)), reverse=True)
+
+    def test_closest_pairs_match_oracle_on_random_input(self):
+        rng = np.random.default_rng(12)
+        for m in (0, 1, 2, 7, 60):
+            for n_y in (1, 3, 12):
+                ybar = rng.standard_normal((m, n_y))
+                for n_pairs in (1, 6, 5000):
+                    assert adapt._closest_posterior_pairs(ybar, n_pairs) \
+                        == closest_pairs_oracle(ybar, n_pairs)
+
+    def test_closest_pairs_tie_order(self):
+        rng = np.random.default_rng(13)
+        ybar = rng.standard_normal((8, 3))
+        ybar[[2, 5, 7]] = ybar[0]  # four identical means, six zero distances
+        ybar[6] = ybar[1]
+        pairs = adapt._closest_posterior_pairs(ybar, 8)
+        assert pairs == closest_pairs_oracle(ybar, 8)
+        assert pairs[:7] == [(0, 2), (0, 5), (0, 7), (1, 6), (2, 5), (2, 7),
+                             (5, 7)]
+
+
+def runs_with_and_without_reuse(monkeypatch, dataset, model, cfg):
+    """Run ``cfg`` twice with the real prune/merge but every candidate
+    rejected (each attempt's first refresh is its baseline sweep; the rest
+    read -inf): first with the returned baseline state dropped, so the
+    next iteration sweeps again, then as is.  Returns ``(report, sweeps,
+    refreshes per attempt)`` for each run."""
+    variant = {"point": adapt._Point, "bayes": adapt._Bayes}[cfg.variant]
+    sweep, prune_and_merge = variant.sweep, adapt.prune_and_merge
+    runs = []
+    for reuse in (False, True):
+        sweeps, attempts = [], []
+
+        def counting(self, *args):
+            sweeps.append(args)
+            return sweep(self, *args)
+
+        def rejecting(resp, config, refresh, current_elbo, extra_pairs=()):
+            calls = []
+
+            def gate(r):
+                elbo, state = refresh(r)
+                calls.append(r)
+                return (elbo if len(calls) == 1 else -np.inf), state
+
+            out = prune_and_merge(resp, config, gate, current_elbo, extra_pairs)
+            attempts.append(len(calls))
+            return out if reuse else (*out[:2], None, out[3])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(variant, "sweep", counting)
+            patch.setattr(adapt, "prune_and_merge", rejecting)
+            report = run_adaptation(dataset, model, Hyperparams(), cfg)
+        runs.append((report, len(sweeps), attempts))
+    return runs
+
+
 class TestRuns:
     def test_point_run_is_deterministic(self):
         dataset, labels, model = easy_problem(seed=31)
@@ -217,6 +315,48 @@ class TestRuns:
         # A rejected attempt waits prune_every iterations like an accepted
         # one: attempts after iterations 5, 10 and 15 only.
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_rejected_attempt_reuses_its_baseline_sweep(self, monkeypatch,
+                                                        variant):
+        dataset, model = split_problem(seed=4)
+        (off, sweeps_off, attempts_off), (on, sweeps_on, attempts_on) = \
+            runs_with_and_without_reuse(monkeypatch, dataset, model, RunConfig(
+                m_init=5, variant=variant, init_method="ahc",
+                prune_merge=True, prune_every=3, elbo_tol=0.0, max_iter=17,
+                seed=4))
+        assert attempts_on == attempts_off
+        # Attempts after iterations 3, 6, 9, 12 and 15, each with a next one.
+        assert len(attempts_on) == 5 and min(attempts_on) >= 2
+        assert sweeps_off == 17 + sum(attempts_off)
+        assert sweeps_on == sweeps_off - len(attempts_on)
+        assert on.elbo_trace == off.elbo_trace
+        assert on.m_trace == off.m_trace
+        assert on.kappa_trace == off.kappa_trace
+        assert on.elbo_terms == off.elbo_terms
+        np.testing.assert_array_equal(on.labels, off.labels)
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_baseline_sweep_not_reused_after_tau0_step(self, monkeypatch,
+                                                       variant):
+        mstep_tau0 = adapt.vbpoint.mstep_tau0
+        steps = []
+
+        def recording(e_ln_pi, tau0_init):
+            steps.append((tau0_init, mstep_tau0(e_ln_pi, tau0_init)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(adapt.vbpoint, "mstep_tau0", recording)
+        dataset, model = split_problem(seed=4)
+        (off, sweeps_off, _), (on, sweeps_on, attempts) = \
+            runs_with_and_without_reuse(monkeypatch, dataset, model, RunConfig(
+                m_init=5, variant=variant, init_method="ahc",
+                prune_merge=True, prune_every=3, elbo_tol=0.0, max_iter=17,
+                hyper_opt_tau0=True, seed=4))
+        assert len(attempts) == 5
+        assert all(new != old for old, new in steps)  # tau0 moves each step
+        assert sweeps_on == sweeps_off == 17 + sum(attempts)
+        assert on.elbo_trace == off.elbo_trace
 
     def test_annealing_schedule_reaches_one(self):
         dataset, _, model = easy_problem(seed=61)
@@ -304,6 +444,17 @@ class TestRuns:
     def test_variant_only_knob_rejected(self, knob, value, variant):
         with pytest.raises(ValueError, match=knob):
             RunConfig(variant=variant, **{knob: value})
+
+    @pytest.mark.parametrize("knob, value", [
+        ("max_iter", 0),
+        ("prune_every", 0),
+        ("prune_every", -2),
+        ("sampler_k", -1),
+        ("init_method", "kmeans"),
+    ])
+    def test_invalid_knob_rejected(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            RunConfig(**{knob: value})
 
     def test_dimension_mismatch_rejected(self):
         dataset, _, _ = easy_problem(d=6)

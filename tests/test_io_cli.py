@@ -214,6 +214,20 @@ class TestCli:
         audit = capsys.readouterr().out
         assert "total" in audit
 
+    def test_elbo_audit_rejects_zero_sweeps(self, synth_files, tmp_path,
+                                            capsys):
+        prefix = synth_files
+        model_path = str(tmp_path / "sup.splda")
+        _run(["train", "--ivectors", prefix + ".phi_d",
+              "--labels", prefix + ".labels_d", "--ny", "2",
+              "--out-model", model_path])
+        assert _run(["elbo-audit", "--model", model_path,
+                     "--sup-ivectors", prefix + ".phi_d",
+                     "--sup-labels", prefix + ".labels_d",
+                     "--unsup-ivectors", prefix + ".phi",
+                     "--m-init", "3", "--sweeps", "0"]) == 1
+        assert "max_iter" in capsys.readouterr().err
+
     def test_bayes_variant_writes_posterior_section(self, synth_files,
                                                     tmp_path):
         prefix = synth_files

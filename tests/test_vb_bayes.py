@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import digamma
+from scipy.special import digamma, multigammaln
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import wishart
 
@@ -13,6 +13,8 @@ from spldavb.vbbayes import (
     AlphaPosterior,
     RowPosteriors,
     WishartPosterior,
+    _ln_multigamma,
+    _ln_wishart_b,
     e_vt_r_vt,
     e_vt_w_vt,
     elbo_bayes,
@@ -409,6 +411,66 @@ class TestElboBayes:
         vals = -frozen.logpdf(draws.transpose(1, 2, 0))
         se = vals.std(ddof=1) / np.sqrt(vals.shape[0])
         assert abs(vals.mean() - terms["-lnq(W)"]) < 3.0 * se
+
+
+class TestSharedQuantities:
+    """Precomputed inputs must give the recomputing path's bits."""
+
+    def _state(self, kappa):
+        rng = np.random.default_rng(47)
+        state = list(TestElboBayes()._full_state(rng, d=4, n_y=2))
+        stats, stats_d, posts, posts_d, resp, dirichlet, rowpost, alphapost, \
+            wpost, hyper = state
+        k = sym(wpost.k + np.diag(rng.random(4)))
+        state[8] = WishartPosterior.from_update(k, wpost.dof, kappa=kappa)
+        return state, rng.standard_normal((30, 4))
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.4])
+    def test_q_y_and_q_theta(self, kappa):
+        state, phi = self._state(kappa)
+        stats, _, _, _, _, dirichlet, rowpost, _, wpost, _ = state
+        h = e_vt_w_vt(rowpost, wpost)
+        a = update_q_y_bayes(stats, rowpost, wpost, kappa)
+        b = update_q_y_bayes(stats, rowpost, wpost, kappa, evtwvt=h)
+        for field in ("ybar", "s", "basis"):
+            assert (getattr(a, field) == getattr(b, field)).all()
+        ra = update_q_theta_bayes(phi, a, rowpost, wpost, dirichlet, kappa)
+        rb = update_q_theta_bayes(phi, a, rowpost, wpost, dirichlet, kappa,
+                                  evtwvt=h)
+        assert (ra.r == rb.r).all() and (ra.log_rho == rb.log_rho).all()
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.4])
+    def test_elbo_with_accumulators(self, kappa):
+        state, _ = self._state(kappa)
+        stats, stats_d, posts, posts_d = state[:4]
+        total_a, terms_a = elbo_bayes(*state)
+        total_b, terms_b = elbo_bayes(
+            *state, acc=accumulators(stats, posts),
+            acc_d=accumulators(stats_d, posts_d))
+        assert total_a == total_b
+        assert terms_a.keys() == terms_b.keys()
+        for name in terms_a:
+            assert terms_a[name] == terms_b[name], name
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.4])
+    def test_cached_wishart_normalizer(self, kappa):
+        state, _ = self._state(kappa)
+        wpost = state[8]
+        assert (wpost.k_inv == inv_pd(wpost.k)).all()
+        assert wpost.ln_b == _ln_wishart_b(inv_pd(wpost.k), wpost.dof)
+        if kappa == 1.0:
+            assert wpost.e_ln_w == digamma(
+                0.5 * (wpost.dof + 1.0 - np.arange(1, 5))).sum() \
+                + 4 * np.log(2.0) + logdet_pd(inv_pd(wpost.k))
+
+    def test_ln_multigamma_matches_scipy(self):
+        rng = np.random.default_rng(48)
+        for d in (1, 2, 7, 60, 200):
+            for a in 0.5 * (d - 1) + np.array([1e-3, 0.7, 12.5, 3e4]) \
+                    * rng.random(4):
+                assert _ln_multigamma(a, d) == multigammaln(a, d)
+        with pytest.raises(ValueError, match="condition"):
+            _ln_multigamma(1.0, 3)
 
 
 class TestHyperOpt:

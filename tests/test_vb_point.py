@@ -331,6 +331,24 @@ class TestElbo:
                                   model, Hyperparams())
         assert total == pytest.approx(sum(terms.values()), abs=1e-12)
 
+    def test_precomputed_inputs_give_same_bits(self):
+        rng = np.random.default_rng(17)
+        model = random_model(rng, 4, 2)
+        resp = Responsibilities(r=rng.dirichlet(np.ones(3), size=12))
+        phi = rng.standard_normal((12, 4))
+        stats = center_stats(accumulate_stats(resp.r, phi), model.mu)
+        stats_s = center_stats(
+            accumulate_stats(resp.r, phi, s=phi.T @ phi), model.mu)
+        assert (stats_s.s == stats.s).all() and (stats_s.sbar == stats.sbar).all()
+        stats_d = center_stats(accumulate_stats(
+            np.eye(2)[[0, 0, 1, 1, 1]], rng.standard_normal((5, 4))), model.mu)
+        posts, posts_d = update_q_y(stats, model), update_q_y(stats_d, model)
+        args = (stats, stats_d, posts, posts_d, resp,
+                update_q_pi(stats.n, tau0=1.0), model, Hyperparams())
+        assert elbo_point(*args, acc=accumulators(stats, posts),
+                          acc_d=accumulators(stats_d, posts_d)) \
+            == elbo_point(*args)
+
     def test_data_term_scales_with_duplication(self):
         rng = np.random.default_rng(16)
         d, n_y, m = 3, 2, 2
