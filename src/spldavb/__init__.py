@@ -16,10 +16,9 @@ from .model import (
     SuffStats,
     accumulate_stats,
     center_stats,
-    cond_loglik,
     marginal_params,
 )
-from .oracles import clustering_metrics, fd_gradient_check, mc_expectation_oracle
+from .oracles import clustering_metrics, mc_expectation_oracle
 from .synth import SynthSpec, generate, pairwise_llr
 from .vbpoint import (
     DirichletPosterior,

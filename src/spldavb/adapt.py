@@ -79,6 +79,11 @@ class RunConfig:
         if self.init_method not in _INIT_METHODS:
             raise ValueError(f"unknown init_method {self.init_method!r}; "
                              f"expected one of {', '.join(_INIT_METHODS)}")
+        if self.init_method == "oracle" and self.oracle_labels is None:
+            raise ValueError("init_method='oracle' requires oracle_labels")
+        if self.init_method != "oracle" and self.oracle_labels is not None:
+            raise ValueError(f"oracle_labels is only read by init_method='oracle', "
+                             f"not {self.init_method!r}")
         if not 0 < self.kappa0 <= 1:
             raise ValueError("kappa0 must lie in (0, 1]")
         if self.kappa_growth < 1:
@@ -125,14 +130,17 @@ def init_responsibilities(dataset, model, config, tau0=1.0):
     if config.init_method == "uniform_pi":
         return Responsibilities(r=np.full((n, m), 1.0 / m))
     if config.init_method == "oracle":
-        if config.oracle_labels is None:
-            raise ValueError("oracle init requested without oracle_labels")
         labels = np.asarray(config.oracle_labels, dtype=int)
+        if labels.shape != (n,):
+            raise ValueError(f"oracle_labels has shape {labels.shape}; expected "
+                             f"({n},), one label per unlabelled i-vector")
+        if (labels < 0).any():
+            raise ValueError("oracle_labels must be >= 0")
         return Responsibilities(r=_one_hot(labels, max(m, labels.max() + 1)))
     if config.init_method == "random_y":
         ybar = rng.standard_normal((m, model.n_y))
-        posts = SpeakerPosteriors(
-            ybar=ybar, prec=np.broadcast_to(np.eye(model.n_y), (m, model.n_y, model.n_y)).copy())
+        posts = SpeakerPosteriors.from_pair(
+            np.zeros((model.n_y, model.n_y)), np.zeros(m), ybar)
         dirichlet = vbpoint.update_q_pi(np.full(m, n / m), tau0)
         return vbpoint.update_q_theta(phi, posts, model, dirichlet)
     if config.init_method == "ahc":
@@ -146,11 +154,11 @@ def init_responsibilities(dataset, model, config, tau0=1.0):
     raise ValueError(f"unknown init method {config.init_method!r}")
 
 
-def sampled_statistics(resp, phi, k, seed=0, with_first_order=True):
+def sampled_statistics(resp, phi, k, seed=0):
     """Draw ``k`` hard assignments from q(theta) and accumulate hard stats.
 
-    Returns ``(counts, fsums)`` with counts (k, M) and fsums (k, M, d) or
-    None.  Every i-vector belongs to exactly one speaker per sample.
+    Returns ``(counts, fsums)`` with counts (k, M) and fsums (k, M, d).
+    Every i-vector belongs to exactly one speaker per sample.
     ``seed`` is anything ``np.random.default_rng`` accepts.
     """
     if k < 1:
@@ -163,11 +171,10 @@ def sampled_statistics(resp, phi, k, seed=0, with_first_order=True):
     u = rng.random((k, n))
     assign = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
     counts = np.zeros((k, m))
-    fsums = np.zeros((k, m, phi.shape[1])) if with_first_order else None
+    fsums = np.zeros((k, m, phi.shape[1]))
     for j in range(k):
         counts[j] = np.bincount(assign[j], minlength=m)
-        if with_first_order:
-            np.add.at(fsums[j], assign[j], phi)
+        np.add.at(fsums[j], assign[j], phi)
     return counts, fsums
 
 
@@ -186,9 +193,9 @@ def sample_elbos(counts, fsums, phi, model, tau0):
         stats_d = center_stats(
             SuffStats(n=np.zeros(0), f=np.zeros((0, model.d)),
                       s=np.zeros((model.d, model.d))), model.mu)
-        posts_d = SpeakerPosteriors(
-            ybar=np.zeros((0, model.n_y)),
-            prec=np.zeros((0, model.n_y, model.n_y)))
+        posts_d = SpeakerPosteriors.from_pair(
+            np.zeros((model.n_y, model.n_y)), np.zeros(0),
+            np.zeros((0, model.n_y)))
         elbo, _ = vbpoint.elbo_point(stats, stats_d, posts, posts_d, hard,
                                      dirichlet, model, Hyperparams(tau0=tau0))
         elbos[j] = elbo
@@ -370,8 +377,7 @@ class _Point(_Variant):
         model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
         if config.min_div:
             model, (mu_y, t) = vbpoint.min_divergence(
-                state["posts"], state["posts_d"], model, hyper.eta,
-                with_transform=True)
+                state["posts"], state["posts_d"], model, hyper.eta)
             # Extra merge candidates are the closest standardized means.
             state["posts"] = vbpoint.standardize_posteriors(
                 state["posts"], mu_y, t)
@@ -603,8 +609,8 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         model = model_init
 
     report = RunReport()
-    empty_posts = SpeakerPosteriors(
-        ybar=np.zeros((0, n_y)), prec=np.zeros((0, n_y, n_y)))
+    empty_posts = SpeakerPosteriors.from_pair(
+        np.zeros((n_y, n_y)), np.zeros(0), np.zeros((0, n_y)))
     empty_stats = SuffStats(n=np.zeros(0), f=np.zeros((0, d)),
                             s=np.zeros((d, d)))
     for it in range(max_iter):
@@ -622,8 +628,7 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         w = vbpoint.mstep_W(np.zeros((d, d)), stats.s, c_d, r_d, vtilde,
                             0.0, stats.n_total, 1.0)
         model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
-        model, (mu_y, t) = vbpoint.min_divergence(
-            empty_posts, posts, model, 1.0, with_transform=True)
+        model, _ = vbpoint.min_divergence(empty_posts, posts, model, 1.0)
         if len(report.elbo_trace) >= 2:
             prev = report.elbo_trace[-2]
             if abs(elbo - prev) < elbo_tol * max(1.0, abs(prev)):

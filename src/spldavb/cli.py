@@ -16,19 +16,23 @@ from .oracles import clustering_metrics
 from .synth import SynthSpec, generate, split_dataset
 from .vbpoint import Hyperparams
 
-_CONFIG_KEYS = {
-    "variant", "m_init", "init_method", "anneal", "kappa0", "kappa_growth",
-    "prune_merge", "prune_threshold", "merge_threshold", "prune_every",
-    "elbo_tol", "max_iter", "eta", "tau0", "do_msteps", "min_div",
-    "sampler_k", "sampler_strategy", "hyper_opt_tau0", "hyper_opt_alpha",
-    "hyper_opt_mu", "seed",
-}
+_BOOL_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}
 
-_BOOL_KEYS = {"anneal", "prune_merge", "do_msteps", "min_div",
-              "hyper_opt_tau0", "hyper_opt_alpha", "hyper_opt_mu"}
-_INT_KEYS = {"m_init", "prune_every", "max_iter", "sampler_k", "seed"}
-_FLOAT_KEYS = {"kappa0", "kappa_growth", "prune_threshold", "merge_threshold",
-               "elbo_tol", "eta", "tau0"}
+
+def _bool(value):
+    return _BOOL_VALUES[str(value).lower()]
+
+
+# Value parser of each typed config key.
+_PARSERS = {
+    **dict.fromkeys(("anneal", "prune_merge", "do_msteps", "min_div",
+                     "hyper_opt_tau0", "hyper_opt_alpha", "hyper_opt_mu"), _bool),
+    **dict.fromkeys(("m_init", "prune_every", "max_iter", "sampler_k", "seed"), int),
+    **dict.fromkeys(("kappa0", "kappa_growth", "prune_threshold",
+                     "merge_threshold", "elbo_tol", "eta", "tau0"), float),
+}
+_CONFIG_KEYS = {"variant", "init_method", "sampler_strategy", *_PARSERS}
 _HYPER_KEYS = {"eta", "tau0"}  # Hyperparams fields; the rest are RunConfig
 
 
@@ -38,14 +42,13 @@ def _config_from_file(path, overrides):
     raw.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
     for key, value in raw.items():
-        if key in _BOOL_KEYS:
-            kwargs[key] = str(value).lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        parse = _PARSERS.get(key)
+        try:
+            kwargs[key] = value if parse is None else parse(value)
+        except (KeyError, ValueError):
+            expected = "/".join(_BOOL_VALUES) if parse is _bool else parse.__name__
+            raise ValueError(f"config key {key}: cannot read {value!r} "
+                             f"as {expected}") from None
     hyper = {key: kwargs.pop(key) for key in _HYPER_KEYS & kwargs.keys()}
     return RunConfig(**kwargs), Hyperparams(**hyper)
 

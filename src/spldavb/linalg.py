@@ -43,10 +43,3 @@ def inv_pd(a):
     identity = np.eye(a.shape[0])
     x = scipy.linalg.solve_triangular(l, identity, lower=True)
     return sym(scipy.linalg.solve_triangular(l.T, x, lower=False))
-
-
-def solve_pd(a, b):
-    """Solve ``a x = b`` for symmetric positive-definite ``a``."""
-    l = chol_with_jitter(a)
-    x = scipy.linalg.solve_triangular(l, b, lower=True)
-    return scipy.linalg.solve_triangular(l.T, x, lower=False)

@@ -1,4 +1,4 @@
-"""SPLDA generative model, sufficient statistics and likelihood evaluations.
+"""SPLDA generative model, sufficient statistics and the i-vector marginal.
 
 The model is ``phi_j = mu + V y_i + eps_j`` with ``y_i ~ N(0, I)`` and
 ``eps_j ~ N(0, W^-1)``.  Everything downstream (both inference variants)
@@ -9,18 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NotPositiveDefiniteError, chol_with_jitter, inv_pd, logdet_pd, sym
+from .linalg import chol_with_jitter, inv_pd, logdet_pd, sym
 
 __all__ = [
     "SpldaModel",
     "Dataset",
     "SuffStats",
-    "SpeakerStatsEntry",
     "accumulate_stats",
     "center_stats",
-    "per_speaker_second_order",
-    "cond_loglik",
-    "cond_loglik_augmented",
     "marginal_params",
 ]
 
@@ -126,9 +122,9 @@ class Dataset:
 class SuffStats:
     """Per-speaker zeroth/first-order statistics plus the global second order.
 
-    The global ``S = sum_j phi_j phi_j^T`` is stored once; per-speaker second
-    order matrices are derived on demand (every update needs only the global
-    sum and centered variants).
+    The global ``S = sum_j phi_j phi_j^T`` is stored once; every update
+    needs only this global sum and its centered variant, never per-speaker
+    second-order matrices.
     """
 
     n: np.ndarray  # (M,) soft counts
@@ -154,30 +150,8 @@ class SuffStats:
     def f_total(self):
         return self.f.sum(axis=0)
 
-    def entry(self, i, s_i=None):
-        """Per-speaker view; ``s_i`` must be supplied for second-order use."""
-        return SpeakerStatsEntry(n=float(self.n[i]), f=self.f[i].copy(), s=s_i)
 
-
-@dataclass
-class SpeakerStatsEntry:
-    """Statistics of a single speaker (second order optional)."""
-
-    n: float
-    f: np.ndarray
-    s: np.ndarray | None = None
-
-    def centered(self, mu):
-        """Return (fbar, sbar) centered around ``mu``."""
-        fbar = self.f - self.n * mu
-        sbar = None
-        if self.s is not None:
-            sbar = self.s - np.outer(mu, self.f) - np.outer(self.f, mu) \
-                + self.n * np.outer(mu, mu)
-        return fbar, sbar
-
-
-def accumulate_stats(resp, phi, with_second_order=True, *, s=None):
+def accumulate_stats(resp, phi, *, s=None):
     """Accumulate soft-count sufficient statistics.
 
     resp : (N, M) responsibilities, rows summing to 1
@@ -199,9 +173,7 @@ def accumulate_stats(resp, phi, with_second_order=True, *, s=None):
             raise ValueError("responsibility rows must sum to 1 within 1e-9")
     n = resp.sum(axis=0)
     f = resp.T @ phi
-    if not with_second_order:
-        s = None
-    elif s is None:
+    if s is None:
         s = phi.T @ phi
     return SuffStats(n=n, f=f, s=s)
 
@@ -222,46 +194,6 @@ def center_stats(stats, mu):
         sbar = stats.s - np.outer(mu, f_tot) - np.outer(f_tot, mu) \
             + stats.n_total * np.outer(mu, mu)
     return SuffStats(n=stats.n, f=stats.f, s=stats.s, mu=mu, fbar=fbar, sbar=sbar)
-
-
-def per_speaker_second_order(resp, phi):
-    """(M, d, d) per-speaker second-order matrices (on-demand, O(M d^2))."""
-    resp = np.asarray(resp, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return np.einsum("jm,ja,jb->mab", resp, phi, phi)
-
-
-def cond_loglik(entry, y, model):
-    """ln P(Phi_i | y_i, theta) for one speaker from its statistics.
-
-    ``entry.s`` (per-speaker second order) is required.
-    """
-    if entry.s is None:
-        raise ValueError("cond_loglik needs the per-speaker second-order statistic")
-    y = np.asarray(y, dtype=float)
-    fbar, sbar = entry.centered(model.mu)
-    wv = model.w @ model.v
-    d = model.d
-    out = 0.5 * entry.n * (model.logdet_w() - d * np.log(2.0 * np.pi))
-    out -= 0.5 * np.sum(model.w * sbar)
-    out += y @ (wv.T @ fbar)
-    out -= 0.5 * entry.n * (y @ (model.v.T @ wv) @ y)
-    return float(out)
-
-
-def cond_loglik_augmented(entry, y, model):
-    """Same likelihood through the augmented [V|mu], [y;1] form."""
-    if entry.s is None:
-        raise ValueError("cond_loglik needs the per-speaker second-order statistic")
-    y = np.asarray(y, dtype=float)
-    ytilde = np.append(y, 1.0)
-    vt = model.vtilde
-    d = model.d
-    vy = vt @ ytilde
-    inner = entry.s - 2.0 * np.outer(entry.f, vy) + entry.n * np.outer(vy, vy)
-    out = 0.5 * entry.n * (model.logdet_w() - d * np.log(2.0 * np.pi))
-    out -= 0.5 * np.sum(model.w * inner)
-    return float(out)
 
 
 def marginal_params(model):

@@ -1,5 +1,5 @@
-"""Implementation-independent checks: finite differences, Monte-Carlo
-expectation estimates and clustering metrics.
+"""Implementation-independent checks: Monte-Carlo expectation estimates and
+clustering metrics.
 
 These deliberately avoid the matrix-expectation code paths of the inference
 modules so they can serve as oracles in the verification suite.
@@ -13,8 +13,6 @@ from scipy.stats import wishart
 __all__ = [
     "MetricReport",
     "clustering_metrics",
-    "fd_gradient",
-    "fd_gradient_check",
     "mc_expectation_oracle",
 ]
 
@@ -56,27 +54,6 @@ def clustering_metrics(pred_labels, true_labels):
         ari = (sum_cells - expected) / (max_index - expected)
     purity = contingency.max(axis=1).sum() / pred.size
     return MetricReport(ari=float(ari), purity=float(purity), confusion=contingency)
-
-
-def fd_gradient(objective, params, step=1e-5):
-    """Central-difference gradient of a scalar objective over a flat vector."""
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        up = params.copy()
-        dn = params.copy()
-        up[i] += step
-        dn[i] -= step
-        f_up, f_dn = objective(up), objective(dn)
-        if not (np.isfinite(f_up) and np.isfinite(f_dn)):
-            raise ValueError("objective non-finite while probing the gradient")
-        grad[i] = (f_up - f_dn) / (2.0 * step)
-    return grad
-
-
-def fd_gradient_check(objective, params, step=1e-5):
-    """Max-abs central-difference gradient (stationarity residual)."""
-    return float(np.abs(fd_gradient(objective, params, step)).max())
 
 
 def mc_expectation_oracle(dist, integrand, n_draws, seed=0):

@@ -170,11 +170,6 @@ class WishartPosterior:
         return self
 
     @cached_property
-    def k_inv(self):
-        """Untempered scale K^-1."""
-        return inv_pd(self.k)
-
-    @cached_property
     def ln_b(self):
         """ln B(K^-1, N'), the normalizer of the untempered q(W)."""
         return _ln_wishart_b(self.k_inv, self.dof)

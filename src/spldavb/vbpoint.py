@@ -52,61 +52,58 @@ class Hyperparams:
             raise ValueError("tau0 must be > 0")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
+        for name in ("a_alpha", "b_alpha"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if self.beta is not None and not (np.asarray(self.beta) > 0).all():
+            raise ValueError(f"beta must be > 0, got {self.beta!r}")
 
 
 class SpeakerPosteriors:
     """Gaussian speaker-factor posteriors q(y_i) for a block of speakers.
 
-    Every precision in the block has the form L_i = A + n_i G.  The q(Y)
-    updates give one shared pair with A = I (G = V^T W V, or E[V^T W V]
-    in the Bayesian variant); standardization maps it to (T^T A T, T^T G T).
-    A dense ``prec`` argument is held as per-speaker pairs A_i = L_i, G = 0.
+    Every precision in the block has the form L_i = A + n_i G with one
+    shared pair (A, G).  The q(Y) updates give A = I (G = V^T W V, or
+    E[V^T W V] in the Bayesian variant); standardization maps the pair to
+    (T^T A T, T^T G T).
 
-    The block is stored factored: ``basis`` P (shared (n_y, n_y), or per
-    speaker (M, n_y, n_y)) and eigenvalues lam diagonalize the pair,
-    P^T A P = I and P^T G P = diag(lam).  For a shared pair with A = I,
-    P and lam come from one eigendecomposition of G; for dense precisions
-    L_i = U_i diag(e_i) U_i^T (one batched eigendecomposition) P_i is
-    U_i diag(e_i)^-1/2 and lam is 0.  With ``s`` (M, n_y) holding
-    s_i = 1 + n_i lam,
+    The block is stored factored: a shared ``basis`` P (n_y, n_y) and
+    eigenvalues lam diagonalize the pair, P^T A P = I and
+    P^T G P = diag(lam); at A = I both come from one eigendecomposition of
+    G.  With ``s`` (M, n_y) holding s_i = 1 + n_i lam,
 
         P^T L_i P = diag(s_i),   L_i^-1 = P diag(1/s_i) P^T,
         log|L_i| = -log|P P^T| + sum_k log s_ik.
 
-    With a shared pair every aggregate the updates need (summed second
-    moments, traces against a fixed matrix, log-determinants) then costs
-    O(M n_y) after one O(n_y^3) eigendecomposition.  The dense
-    (M, n_y, n_y) arrays ``prec``, ``cov()``, ``e_yy()`` and
-    ``e_yy_tilde()`` are built only when asked for.  Standardization
-    y' = T^-1 (y - mu_y) maps P to T^-1 P and leaves s unchanged.
+    Every aggregate the updates need (summed second moments, traces against
+    a fixed matrix, log-determinants) then costs O(M n_y) after one
+    O(n_y^3) eigendecomposition.  The dense (M, n_y, n_y) arrays ``prec``,
+    ``cov()`` and ``e_yy()`` are built only when asked for.
+    Standardization y' = T^-1 (y - mu_y) maps P to T^-1 P and leaves s
+    unchanged.
 
     ``prec`` holds the untempered precisions L_i; with annealing the actual
-    posterior covariance is ``(1/kappa) L_i^-1``.
+    posterior covariance is ``(1/kappa) L_i^-1``.  Build a block with
+    :meth:`from_pair`.
     """
 
-    def __init__(self, ybar, prec, kappa=1.0):
-        """Posteriors with dense per-speaker precisions ``prec`` (M, n_y, n_y)."""
-        prec = np.asarray(prec, dtype=float)
-        n_y = prec.shape[-1]
-        eig, u = np.linalg.eigh(prec)
-        self._set(ybar, kappa, prec, np.zeros((n_y, n_y)), np.zeros(prec.shape[0]),
-                  u / np.sqrt(eig)[..., None, :], np.ones_like(eig))
+    def __init__(self, ybar, kappa, a, g, n, basis, s):
+        """The factored fields above; the pair is (``a``, ``g``) with
+        per-speaker counts ``n``."""
+        self.ybar = ybar  # (M, n_y)
+        self.kappa = kappa
+        self._a, self._g, self._n = a, g, n
+        self.basis = basis  # (n_y, n_y)
+        self.s = s  # (M, n_y)
 
     @classmethod
     def from_pair(cls, g, n, rhs, kappa=1.0):
         """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i."""
         lam, basis = np.linalg.eigh(g)
-        post = object.__new__(cls)
-        post._set(None, kappa, np.eye(len(g)), g, n, basis, 1.0 + n[:, None] * lam)
+        post = cls(None, kappa, np.eye(len(g)), g, n, basis,
+                   1.0 + n[:, None] * lam)
         post.ybar = post._solve(rhs)
         return post
-
-    def _set(self, ybar, kappa, a, g, n, basis, s):
-        self.ybar = ybar  # (M, n_y)
-        self.kappa = kappa
-        self._a, self._g, self._n = a, g, n
-        self.basis = basis
-        self.s = s  # (M, n_y)
 
     @property
     def m(self):
@@ -123,12 +120,11 @@ class SpeakerPosteriors:
 
     def _solve(self, x):
         """(M, n_y) rows L_i^-1 x_i (untempered)."""
-        coords = np.einsum("...ak,...a->...k", self.basis, x) / self.s
-        return np.einsum("...ak,...k->...a", self.basis, coords)
+        coords = np.einsum("ak,ma->mk", self.basis, x) / self.s
+        return np.einsum("ak,mk->ma", self.basis, coords)
 
     def cov(self):
-        return (self.basis / self.s[:, None, :]) @ np.swapaxes(self.basis, -1, -2) \
-            / self.kappa
+        return (self.basis / self.s[:, None, :]) @ self.basis.T / self.kappa
 
     def e_yy(self):
         """(M, n_y, n_y) second moments E[y y^T]."""
@@ -138,28 +134,15 @@ class SpeakerPosteriors:
         """(M, n_y + 1) augmented means [ybar; 1]."""
         return np.hstack([self.ybar, np.ones((self.m, 1))])
 
-    def e_yy_tilde(self):
-        """(M, n_y+1, n_y+1) augmented second moments."""
-        m, n_y = self.m, self.n_y
-        out = np.empty((m, n_y + 1, n_y + 1))
-        out[:, :n_y, :n_y] = self.e_yy()
-        out[:, :n_y, n_y] = self.ybar
-        out[:, n_y, :n_y] = self.ybar
-        out[:, n_y, n_y] = 1.0
-        return out
-
     def sum_e_yy(self, w):
         """sum_i w_i E[y_i y_i^T] for weights w (M,)."""
-        c = w[:, None] / self.s
-        # A shared basis takes the speaker sum before the basis products.
-        c = c.sum(axis=tuple(range(c.ndim - self.basis.ndim + 1)))
-        cov = (self.basis * c[..., None, :]) @ np.swapaxes(self.basis, -1, -2)
-        cov = cov.reshape(-1, self.n_y, self.n_y).sum(axis=0)
+        c = (w[:, None] / self.s).sum(axis=0)
+        cov = (self.basis * c) @ self.basis.T
         return cov / self.kappa + (self.ybar * w[:, None]).T @ self.ybar
 
     def trace_e_yy(self, h):
         """(M,) traces tr(H E[y_i y_i^T]) for an (n_y, n_y) matrix H."""
-        h_diag = np.sum((h @ self.basis) * self.basis, axis=-2)  # diag(P^T H P)
+        h_diag = np.sum((h @ self.basis) * self.basis, axis=0)  # diag(P^T H P)
         return (h_diag / self.s).sum(axis=1) / self.kappa \
             + np.sum((self.ybar @ h) * self.ybar, axis=1)
 
@@ -171,10 +154,9 @@ class SpeakerPosteriors:
     def standardized(self, mu_y, t):
         """The block in coordinates y' = T^-1 (y - mu_y); L_i' = T^T L_i T."""
         t_inv = np.linalg.inv(t)
-        post = object.__new__(type(self))
-        post._set((self.ybar - mu_y) @ t_inv.T, self.kappa, t.T @ self._a @ t,
-                  t.T @ self._g @ t, self._n, t_inv @ self.basis, self.s)
-        return post
+        return type(self)((self.ybar - mu_y) @ t_inv.T, self.kappa,
+                          t.T @ self._a @ t, t.T @ self._g @ t, self._n,
+                          t_inv @ self.basis, self.s)
 
 
 @dataclass
@@ -424,14 +406,14 @@ def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10, max_iter=100):
     return best[1]
 
 
-def min_divergence(posteriors, posteriors_d, model, eta, with_transform=False):
+def min_divergence(posteriors, posteriors_d, model, eta):
     """Minimum-divergence re-standardization of the latent prior.
 
     Absorbs the aggregate posterior mean/covariance of the speaker factors
     into (mu, V) so that the prior stays N(0, I).  The i-vector marginal is
-    left invariant.  With ``with_transform=True`` also returns ``(mu_y, t)``
-    where ``t`` is the lower Cholesky factor of Sigma_y (used to transform
-    the speaker posteriors in step).
+    left invariant.  Returns ``(model, (mu_y, t))`` where ``t`` is the lower
+    Cholesky factor of Sigma_y (used to transform the speaker posteriors in
+    step).
     """
     m, m_d = posteriors.m, posteriors_d.m
     denom = m + eta * m_d
@@ -440,9 +422,7 @@ def min_divergence(posteriors, posteriors_d, model, eta, with_transform=False):
     sigma_y = sym(rho / denom - np.outer(mu_y, mu_y))
     t = np.linalg.cholesky(sigma_y)  # raises if Sigma_y is not PD
     new = SpldaModel(mu=model.mu + model.v @ mu_y, v=model.v @ t, w=model.w)
-    if with_transform:
-        return new, (mu_y, t)
-    return new
+    return new, (mu_y, t)
 
 
 def standardize_posteriors(posteriors, mu_y, t):

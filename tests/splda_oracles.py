@@ -1,0 +1,107 @@
+"""Reference computations the test suite checks the library against.
+
+Per-speaker likelihoods from explicit second-order statistics, dense
+augmented second moments of speaker posteriors and central finite
+differences.  None of this is needed to run an adaptation; each function
+follows its formula directly rather than the library's aggregate forms.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass
+class SpeakerStatsEntry:
+    """Statistics of a single speaker (second order optional)."""
+
+    n: float
+    f: np.ndarray
+    s: np.ndarray | None = None
+
+    def centered(self, mu):
+        """Return (fbar, sbar) centered around ``mu``."""
+        fbar = self.f - self.n * mu
+        sbar = None
+        if self.s is not None:
+            sbar = self.s - np.outer(mu, self.f) - np.outer(self.f, mu) \
+                + self.n * np.outer(mu, mu)
+        return fbar, sbar
+
+
+def stats_entry(stats, i, s_i=None):
+    """Speaker ``i`` of ``stats``; ``s_i`` must be supplied for second-order use."""
+    return SpeakerStatsEntry(n=float(stats.n[i]), f=stats.f[i].copy(), s=s_i)
+
+
+def per_speaker_second_order(resp, phi):
+    """(M, d, d) per-speaker second-order matrices (on-demand, O(M d^2))."""
+    resp = np.asarray(resp, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    return np.einsum("jm,ja,jb->mab", resp, phi, phi)
+
+
+def cond_loglik(entry, y, model):
+    """ln P(Phi_i | y_i, theta) for one speaker from its statistics.
+
+    ``entry.s`` (per-speaker second order) is required.
+    """
+    if entry.s is None:
+        raise ValueError("cond_loglik needs the per-speaker second-order statistic")
+    y = np.asarray(y, dtype=float)
+    fbar, sbar = entry.centered(model.mu)
+    wv = model.w @ model.v
+    d = model.d
+    out = 0.5 * entry.n * (model.logdet_w() - d * np.log(2.0 * np.pi))
+    out -= 0.5 * np.sum(model.w * sbar)
+    out += y @ (wv.T @ fbar)
+    out -= 0.5 * entry.n * (y @ (model.v.T @ wv) @ y)
+    return float(out)
+
+
+def cond_loglik_augmented(entry, y, model):
+    """Same likelihood through the augmented [V|mu], [y;1] form."""
+    if entry.s is None:
+        raise ValueError("cond_loglik needs the per-speaker second-order statistic")
+    y = np.asarray(y, dtype=float)
+    ytilde = np.append(y, 1.0)
+    vt = model.vtilde
+    d = model.d
+    vy = vt @ ytilde
+    inner = entry.s - 2.0 * np.outer(entry.f, vy) + entry.n * np.outer(vy, vy)
+    out = 0.5 * entry.n * (model.logdet_w() - d * np.log(2.0 * np.pi))
+    out -= 0.5 * np.sum(model.w * inner)
+    return float(out)
+
+
+def e_yy_tilde(posts):
+    """(M, n_y+1, n_y+1) augmented second moments E[ytilde ytilde^T] of a
+    ``SpeakerPosteriors`` block, ytilde = [y; 1]."""
+    m, n_y = posts.m, posts.n_y
+    out = np.empty((m, n_y + 1, n_y + 1))
+    out[:, :n_y, :n_y] = posts.e_yy()
+    out[:, :n_y, n_y] = posts.ybar
+    out[:, n_y, :n_y] = posts.ybar
+    out[:, n_y, n_y] = 1.0
+    return out
+
+
+def fd_gradient(objective, params, step=1e-5):
+    """Central-difference gradient of a scalar objective over a flat vector."""
+    params = np.asarray(params, dtype=float)
+    grad = np.empty_like(params)
+    for i in range(params.size):
+        up = params.copy()
+        dn = params.copy()
+        up[i] += step
+        dn[i] -= step
+        f_up, f_dn = objective(up), objective(dn)
+        if not (np.isfinite(f_up) and np.isfinite(f_dn)):
+            raise ValueError("objective non-finite while probing the gradient")
+        grad[i] = (f_up - f_dn) / (2.0 * step)
+    return grad
+
+
+def fd_gradient_check(objective, params, step=1e-5):
+    """Max-abs central-difference gradient (stationarity residual)."""
+    return float(np.abs(fd_gradient(objective, params, step)).max())

@@ -60,6 +60,21 @@ class TestInit:
             init_responsibilities(dataset, model,
                                   RunConfig(m_init=4, init_method="oracle"))
 
+    @pytest.mark.parametrize("init_method", ["ahc", "random_y", "uniform_pi"])
+    def test_oracle_labels_need_oracle_init(self, init_method):
+        with pytest.raises(ValueError, match="oracle_labels"):
+            RunConfig(init_method=init_method, oracle_labels=np.zeros(3, int))
+
+    @pytest.mark.parametrize("edit", ["negative", "short", "long"])
+    def test_oracle_labels_checked_against_data(self, edit):
+        dataset, labels, model = easy_problem()
+        labels = {"negative": np.where(labels == 3, -1, labels),
+                  "short": labels[:-1],
+                  "long": np.append(labels, 0)}[edit]
+        with pytest.raises(ValueError, match="oracle_labels"):
+            init_responsibilities(dataset, model, RunConfig(
+                m_init=4, init_method="oracle", oracle_labels=labels))
+
     def test_random_y_is_seeded_and_stochastic(self):
         dataset, _, model = easy_problem()
         cfg = RunConfig(m_init=6, init_method="random_y", seed=11)
@@ -495,6 +510,19 @@ class TestHyperparams:
             start = getattr(off.bayes_state["hyper"], field)
             final = getattr(on.bayes_state["hyper"], field)
         assert not np.array_equal(final, start)
+
+    @pytest.mark.parametrize("field, value", [
+        ("a_alpha", 0.0),
+        ("a_alpha", -1.0),
+        ("b_alpha", 0.0),
+        ("b_alpha", -1.0),
+        ("beta", 0.0),
+        ("beta", -1.0),
+        ("beta", np.array([1.0, 0.0, 2.0])),
+    ])
+    def test_nonpositive_prior_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyperparams(**{field: value})
 
     def test_caller_hyperparams_reach_run_unmodified(self):
         dataset, model = split_problem(seed=4)

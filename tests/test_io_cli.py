@@ -149,6 +149,33 @@ class TestConfigIO:
             fileio.read_config(path, {"m_init"})
 
 
+class TestConfigValues:
+    def _read(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        return cli._config_from_file(str(cfg), {})
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, text, value):
+        config, _ = self._read(tmp_path, f"anneal = {text}\n")
+        assert config.anneal is value
+
+    @pytest.mark.parametrize("line, key", [
+        ("anneal = ture", "anneal"),
+        ("prune_merge = 2", "prune_merge"),
+        ("max_iter = 3.5", "max_iter"),
+        ("seed = x", "seed"),
+        ("kappa0 = half", "kappa0"),
+        ("tau0 = ", "tau0"),
+    ])
+    def test_unparsable_value_names_key(self, tmp_path, line, key):
+        with pytest.raises(ValueError, match=f"config key {key}: "):
+            self._read(tmp_path, line + "\n")
+
+
 class TestReportIO:
     def test_trace_rows_and_header(self, tmp_path):
         phi, labels, model = generate(SynthSpec(

@@ -4,12 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from spldavb.model import SpldaModel
-from spldavb.oracles import (
-    clustering_metrics,
-    fd_gradient,
-    fd_gradient_check,
-    mc_expectation_oracle,
-)
+from spldavb.oracles import clustering_metrics, mc_expectation_oracle
 from spldavb.synth import (
     SynthSpec,
     generate,
@@ -17,6 +12,7 @@ from spldavb.synth import (
     pairwise_llr_matrix,
     split_dataset,
 )
+from splda_oracles import fd_gradient, fd_gradient_check
 
 
 class TestGenerate:
