@@ -29,6 +29,9 @@ __all__ = [
 
 _INIT_METHODS = ("ahc", "random_y", "oracle", "uniform_pi")
 
+# Hyperparams fields that only the Bayesian variant reads.
+_BAYES_ONLY_HYPER = ("mu0", "beta", "a_alpha", "b_alpha")
+
 # Knobs that only one variant reads: knob -> (variant, default).
 _VARIANT_ONLY = {
     "sampler_k": ("point", 0),
@@ -99,6 +102,16 @@ class RunConfig:
                 raise ValueError(
                     f"{knob}={getattr(self, knob)!r} is only supported by "
                     f"the {variant} variant")
+        if self.anneal and self.kappa0 < 1 and self.kappa_growth == 1:
+            raise ValueError(
+                f"kappa_growth=1 keeps kappa at kappa0={self.kappa0!r} < 1, so "
+                "prune/merge and the stopping rule never run")
+        if self.sampler_k > 0 and not self.do_msteps:
+            raise ValueError("sampler_k > 0 only feeds the M-steps, which "
+                             "do_msteps=False turns off")
+        if self.sampler_strategy != "average_accumulators" and self.sampler_k == 0:
+            raise ValueError(f"sampler_strategy={self.sampler_strategy!r} "
+                             "needs sampler_k > 0")
 
 
 @dataclass
@@ -190,9 +203,8 @@ def sample_elbos(counts, fsums, phi, model, tau0):
             SuffStats(n=counts[j], f=fsums[j], s=s_global), model.mu)
         posts = vbpoint.update_q_y(stats, model)
         dirichlet = vbpoint.update_q_pi(counts[j], tau0)
-        stats_d = center_stats(
-            SuffStats(n=np.zeros(0), f=np.zeros((0, model.d)),
-                      s=np.zeros((model.d, model.d))), model.mu)
+        stats_d = SuffStats(n=np.zeros(0), f=np.zeros((0, model.d)),
+                            s=np.zeros((model.d, model.d)))
         posts_d = SpeakerPosteriors.from_pair(
             np.zeros((model.n_y, model.n_y)), np.zeros(0),
             np.zeros((0, model.n_y)))
@@ -349,7 +361,7 @@ class _Point(_Variant):
         posts_d = vbpoint.update_q_y(stats_d, model, kappa)
         resp = vbpoint.update_q_theta(phi, posts, model, dirichlet, kappa)
         dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
-        stats = center_stats(self.stats(resp.r), model.mu)
+        stats = self.stats(resp.r)
         acc = vbpoint.accumulators(stats, posts)
         acc_d = vbpoint.accumulators(stats_d, posts_d)
         elbo, terms = vbpoint.elbo_point(
@@ -457,6 +469,13 @@ def run_adaptation(dataset, model_init, hyper, config):
     ``hyper`` is not modified; the Bayesian report carries the final
     hyperparameters in ``bayes_state["hyper"]``.
     """
+    if config.variant == "point":
+        default = Hyperparams()
+        for name in _BAYES_ONLY_HYPER:
+            value = getattr(hyper, name)
+            if not np.array_equal(value, getattr(default, name)):
+                raise ValueError(f"Hyperparams.{name}={value!r} is only "
+                                 "read by the bayes variant")
     if dataset.phi.shape[0] == 0:
         return train_supervised(
             dataset.phi_d, dataset.labels_d, model_init.n_y, model_init=model_init,
@@ -611,8 +630,6 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     report = RunReport()
     empty_posts = SpeakerPosteriors.from_pair(
         np.zeros((n_y, n_y)), np.zeros(0), np.zeros((0, n_y)))
-    empty_stats = SuffStats(n=np.zeros(0), f=np.zeros((0, d)),
-                            s=np.zeros((d, d)))
     for it in range(max_iter):
         stats = center_stats(stats_raw, model.mu)
         posts = vbpoint.update_q_y(stats, model)

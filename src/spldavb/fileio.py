@@ -88,8 +88,7 @@ def write_model(path, model, bayes_state=None):
             for row in rowpost.mean:
                 fh.write(_format_row(row) + "\n")
             fh.write("VT_PREC\n")
-            for block in (rowpost.prec if rowpost.prec is not None
-                          else np.linalg.inv(rowpost.cov)):
+            for block in rowpost.prec:
                 for row in block:
                     fh.write(_format_row(row) + "\n")
             fh.write("ALPHA\n")

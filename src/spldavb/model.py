@@ -123,20 +123,15 @@ class SuffStats:
     """Per-speaker zeroth/first-order statistics plus the global second order.
 
     The global ``S = sum_j phi_j phi_j^T`` is stored once; every update
-    needs only this global sum and its centered variant, never per-speaker
-    second-order matrices.
+    needs only this global sum, never per-speaker second-order matrices.
+    ``fbar`` holds the first-order sums centered on the model mean once
+    ``center_stats`` has filled it; only the point q(Y) update reads it.
     """
 
     n: np.ndarray  # (M,) soft counts
     f: np.ndarray  # (M, d) first-order sums
     s: np.ndarray | None = None  # (d, d) global second order
-    mu: np.ndarray | None = None  # centering mean, None if raw
     fbar: np.ndarray | None = field(default=None, repr=False)  # (M, d)
-    sbar: np.ndarray | None = field(default=None, repr=False)  # (d, d) global
-
-    @property
-    def m(self):
-        return self.n.shape[0]
 
     @property
     def d(self):
@@ -145,10 +140,6 @@ class SuffStats:
     @property
     def n_total(self):
         return float(self.n.sum())
-
-    @property
-    def f_total(self):
-        return self.f.sum(axis=0)
 
 
 def accumulate_stats(resp, phi, *, s=None):
@@ -179,21 +170,16 @@ def accumulate_stats(resp, phi, *, s=None):
 
 
 def center_stats(stats, mu):
-    """Fill the centered statistics of ``stats`` for mean ``mu``.
+    """``stats`` with the first-order sums centered on ``mu`` in ``fbar``.
 
-    Idempotent for a fixed ``mu``: centered fields are always recomputed from
-    the raw ones.
+    Idempotent for a fixed ``mu``: ``fbar`` is always recomputed from the
+    raw sums.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (stats.d,):
         raise ValueError(f"mu shape {mu.shape} does not match d={stats.d}")
-    fbar = stats.f - np.outer(stats.n, mu)
-    sbar = None
-    if stats.s is not None:
-        f_tot = stats.f_total
-        sbar = stats.s - np.outer(mu, f_tot) - np.outer(f_tot, mu) \
-            + stats.n_total * np.outer(mu, mu)
-    return SuffStats(n=stats.n, f=stats.f, s=stats.s, mu=mu, fbar=fbar, sbar=sbar)
+    return SuffStats(n=stats.n, f=stats.f, s=stats.s,
+                     fbar=stats.f - np.outer(stats.n, mu))
 
 
 def marginal_params(model):

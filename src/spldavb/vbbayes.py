@@ -48,8 +48,8 @@ class RowPosteriors:
 
     mean   : (d, n_y+1) posterior row means (assembled E[Vtilde])
     cov    : (d, n_y+1, n_y+1) posterior row covariances
-    prec   : optional (d, n_y+1, n_y+1) untempered precisions (for entropies)
-    logdet : optional (d,) log-determinants of ``prec``
+    prec   : (d, n_y+1, n_y+1) untempered precisions (None for a point mass)
+    logdet : (d,) log-determinants of ``prec`` (None for a point mass)
     """
 
     mean: np.ndarray
@@ -90,11 +90,7 @@ class RowPosteriors:
         return self.cov[:, self.n_y, self.n_y]
 
     def logdet_prec(self):
-        if self.logdet is not None:
-            return self.logdet
-        if self.prec is None:
-            return -np.array([logdet_pd(c) for c in self.cov])
-        return np.array([logdet_pd(p) for p in self.prec])
+        return self.logdet
 
 
 @dataclass
@@ -413,8 +409,15 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
     return total, terms
 
 
-def optimize_hyper_alpha(alphapost, a_init=1.0, tol=1e-10, max_iter=100,
-                         a_min=1e-6, a_max=1e6):
+# Newton iteration limits of optimize_hyper_alpha: residual tolerance,
+# iteration cap and the clamp interval of the shape a.
+_ALPHA_TOL, _ALPHA_MAX_ITER = 1e-10, 100
+_A_MIN, _A_MAX = 1e-6, 1e6
+# Upper bound on the precision beta that optimize_hyper_mu returns.
+_BETA_MAX = 1e8
+
+
+def optimize_hyper_alpha(alphapost, a_init=1.0):
     """Empirical-Bayes update of the Gamma hyperparameters (a, b).
 
     Moment-matching Newton iteration in the log domain:
@@ -424,23 +427,23 @@ def optimize_hyper_alpha(alphapost, a_init=1.0, tol=1e-10, max_iter=100,
     c = float(alphapost.e_ln_alpha.mean())
     d_mom = float(alphapost.e_alpha.mean())
     gap = np.log(d_mom) - c
-    a = float(np.clip(a_init, a_min, a_max))
+    a = float(np.clip(a_init, _A_MIN, _A_MAX))
     if gap <= 0:
         # Degenerate moment pair (zero-variance limit): a -> infinity.
         warnings.warn(
             "E[ln alpha] >= ln E[alpha]: clamping shape at a_max", RuntimeWarning)
-        return a_max, a_max / d_mom
+        return _A_MAX, _A_MAX / d_mom
     best = (np.inf, a)
-    for _ in range(max_iter):
+    for _ in range(_ALPHA_MAX_ITER):
         fa = digamma(a) - np.log(a) + gap
         if abs(fa) < best[0]:
             best = (abs(fa), a)
-        if abs(fa) < tol:
+        if abs(fa) < _ALPHA_TOL:
             return a, a / d_mom
         denom = polygamma(1, a) * a - 1.0
         step = np.clip(-fa / denom, -10.0, 10.0)
-        a = float(np.clip(a * np.exp(step), a_min, a_max))
-        if a in (a_min, a_max):
+        a = float(np.clip(a * np.exp(step), _A_MIN, _A_MAX))
+        if a in (_A_MIN, _A_MAX):
             warnings.warn("hyper-alpha Newton hit the clamp boundary", RuntimeWarning)
             return a, a / d_mom
     warnings.warn(
@@ -450,20 +453,17 @@ def optimize_hyper_alpha(alphapost, a_init=1.0, tol=1e-10, max_iter=100,
     return best[1], best[1] / d_mom
 
 
-def optimize_hyper_mu(rowpost, mu0=None, isotropic=False, beta_max=1e8):
+def optimize_hyper_mu(rowpost, isotropic=False):
     """Empirical-Bayes update of (mu0, beta) for the mean prior.
 
-    mu0 defaults to the posterior mean; with that substitution
+    mu0 is set to the posterior mean; with that substitution
     beta_r^-1 = Sigma_mu_r.  Isotropic mode averages the inverse over rows.
     """
     mubar = rowpost.mubar
-    if mu0 is None:
-        mu0 = mubar.copy()
-    else:
-        mu0 = np.asarray(mu0, dtype=float)
+    mu0 = mubar.copy()
     beta_inv = rowpost.sigma_mu() + mubar ** 2 - 2.0 * mu0 * mubar + mu0 ** 2
     if isotropic:
-        beta = min(1.0 / max(float(beta_inv.mean()), 1.0 / beta_max), beta_max)
+        beta = min(1.0 / max(float(beta_inv.mean()), 1.0 / _BETA_MAX), _BETA_MAX)
         return mu0, float(beta)
-    beta = 1.0 / np.maximum(beta_inv, 1.0 / beta_max)
+    beta = 1.0 / np.maximum(beta_inv, 1.0 / _BETA_MAX)
     return mu0, beta

@@ -62,37 +62,29 @@ class Hyperparams:
 class SpeakerPosteriors:
     """Gaussian speaker-factor posteriors q(y_i) for a block of speakers.
 
-    Every precision in the block has the form L_i = A + n_i G with one
-    shared pair (A, G).  The q(Y) updates give A = I (G = V^T W V, or
-    E[V^T W V] in the Bayesian variant); standardization maps the pair to
-    (T^T A T, T^T G T).
-
-    The block is stored factored: a shared ``basis`` P (n_y, n_y) and
-    eigenvalues lam diagonalize the pair, P^T A P = I and
-    P^T G P = diag(lam); at A = I both come from one eigendecomposition of
-    G.  With ``s`` (M, n_y) holding s_i = 1 + n_i lam,
+    Every precision in the block has the form L_i = I + n_i G with one
+    shared G (V^T W V, or E[V^T W V] in the Bayesian variant).  The block
+    is stored factored: a shared ``basis`` P (n_y, n_y) and ``s`` (M, n_y)
+    with
 
         P^T L_i P = diag(s_i),   L_i^-1 = P diag(1/s_i) P^T,
         log|L_i| = -log|P P^T| + sum_k log s_ik.
 
-    Every aggregate the updates need (summed second moments, traces against
-    a fixed matrix, log-determinants) then costs O(M n_y) after one
-    O(n_y^3) eigendecomposition.  The dense (M, n_y, n_y) arrays ``prec``,
-    ``cov()`` and ``e_yy()`` are built only when asked for.
-    Standardization y' = T^-1 (y - mu_y) maps P to T^-1 P and leaves s
-    unchanged.
+    From the q(Y) updates, P is the eigenbasis of G and s_i = 1 + n_i lam
+    for its eigenvalues lam.  Standardization y' = T^-1 (y - mu_y) maps
+    the precisions to T^T L_i T, that is P to T^-1 P, and leaves s
+    unchanged.  Every aggregate the updates need (summed second moments,
+    traces against a fixed matrix, log-determinants) costs O(M n_y) after
+    one O(n_y^3) eigendecomposition; no dense per-speaker matrix is built.
 
-    ``prec`` holds the untempered precisions L_i; with annealing the actual
-    posterior covariance is ``(1/kappa) L_i^-1``.  Build a block with
+    The precisions are untempered; with annealing the actual posterior
+    covariance is ``(1/kappa) L_i^-1``.  Build a block with
     :meth:`from_pair`.
     """
 
-    def __init__(self, ybar, kappa, a, g, n, basis, s):
-        """The factored fields above; the pair is (``a``, ``g``) with
-        per-speaker counts ``n``."""
+    def __init__(self, ybar, kappa, basis, s):
         self.ybar = ybar  # (M, n_y)
         self.kappa = kappa
-        self._a, self._g, self._n = a, g, n
         self.basis = basis  # (n_y, n_y)
         self.s = s  # (M, n_y)
 
@@ -100,8 +92,7 @@ class SpeakerPosteriors:
     def from_pair(cls, g, n, rhs, kappa=1.0):
         """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i."""
         lam, basis = np.linalg.eigh(g)
-        post = cls(None, kappa, np.eye(len(g)), g, n, basis,
-                   1.0 + n[:, None] * lam)
+        post = cls(None, kappa, basis, 1.0 + n[:, None] * lam)
         post.ybar = post._solve(rhs)
         return post
 
@@ -113,22 +104,10 @@ class SpeakerPosteriors:
     def n_y(self):
         return self.ybar.shape[1]
 
-    @property
-    def prec(self):
-        """(M, n_y, n_y) untempered precisions L_i = A + n_i G."""
-        return self._a + self._n[:, None, None] * self._g
-
     def _solve(self, x):
         """(M, n_y) rows L_i^-1 x_i (untempered)."""
         coords = np.einsum("ak,ma->mk", self.basis, x) / self.s
         return np.einsum("ak,mk->ma", self.basis, coords)
-
-    def cov(self):
-        return (self.basis / self.s[:, None, :]) @ self.basis.T / self.kappa
-
-    def e_yy(self):
-        """(M, n_y, n_y) second moments E[y y^T]."""
-        return self.cov() + np.einsum("ma,mb->mab", self.ybar, self.ybar)
 
     def e_ytilde(self):
         """(M, n_y + 1) augmented means [ybar; 1]."""
@@ -155,7 +134,6 @@ class SpeakerPosteriors:
         """The block in coordinates y' = T^-1 (y - mu_y); L_i' = T^T L_i T."""
         t_inv = np.linalg.inv(t)
         return type(self)((self.ybar - mu_y) @ t_inv.T, self.kappa,
-                          t.T @ self._a @ t, t.T @ self._g @ t, self._n,
                           t_inv @ self.basis, self.s)
 
 
@@ -359,7 +337,11 @@ def mstep_W(e_s, s_d, c_p, r_p, vtilde, e_n, n_d, eta):
     return inv_pd(w_inv)
 
 
-def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10, max_iter=100):
+# Iteration cap of the tau0 Newton solver.
+_TAU0_MAX_ITER = 100
+
+
+def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10):
     """Newton update of tau0 in the log domain.
 
     Solves f(tau0) = psi(M tau0) - psi(tau0) + g = 0 with
@@ -385,7 +367,7 @@ def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10, max_iter=100):
         )
         return tau0
     best = (np.inf, tau0)
-    for _ in range(max_iter):
+    for _ in range(_TAU0_MAX_ITER):
         psi_m, psi_1 = digamma(m * tau0), digamma(tau0)
         ft = psi_m - psi_1 + g
         if abs(ft) < best[0]:
@@ -399,7 +381,7 @@ def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10, max_iter=100):
         if abs(step) < tol or abs(ft) <= noise:
             return tau0
     warnings.warn(
-        f"tau0 Newton did not converge in {max_iter} iterations "
+        f"tau0 Newton did not converge in {_TAU0_MAX_ITER} iterations "
         f"(best residual {best[0]:.3e})",
         RuntimeWarning,
     )

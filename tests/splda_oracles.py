@@ -1,7 +1,7 @@
 """Reference computations the test suite checks the library against.
 
 Per-speaker likelihoods from explicit second-order statistics, dense
-augmented second moments of speaker posteriors and central finite
+per-speaker views of factored speaker posteriors and central finite
 differences.  None of this is needed to run an adaptation; each function
 follows its formula directly rather than the library's aggregate forms.
 """
@@ -74,12 +74,29 @@ def cond_loglik_augmented(entry, y, model):
     return float(out)
 
 
+def dense_prec(posts):
+    """(M, n_y, n_y) untempered precisions P^-T diag(s_i) P^-1 of a
+    ``SpeakerPosteriors`` block."""
+    p_inv = np.linalg.inv(posts.basis)
+    return (p_inv.T * posts.s[:, None, :]) @ p_inv
+
+
+def dense_cov(posts):
+    """(M, n_y, n_y) covariances P diag(1/s_i) P^T / kappa."""
+    return (posts.basis / posts.s[:, None, :]) @ posts.basis.T / posts.kappa
+
+
+def dense_e_yy(posts):
+    """(M, n_y, n_y) second moments E[y y^T]."""
+    return dense_cov(posts) + np.einsum("ma,mb->mab", posts.ybar, posts.ybar)
+
+
 def e_yy_tilde(posts):
     """(M, n_y+1, n_y+1) augmented second moments E[ytilde ytilde^T] of a
     ``SpeakerPosteriors`` block, ytilde = [y; 1]."""
     m, n_y = posts.m, posts.n_y
     out = np.empty((m, n_y + 1, n_y + 1))
-    out[:, :n_y, :n_y] = posts.e_yy()
+    out[:, :n_y, :n_y] = dense_e_yy(posts)
     out[:, :n_y, n_y] = posts.ybar
     out[:, n_y, :n_y] = posts.ybar
     out[:, n_y, n_y] = 1.0

@@ -40,7 +40,7 @@ from spldavb.vbbayes import (
     update_q_y_bayes,
 )
 from spldavb.vbpoint import Hyperparams
-from splda_oracles import fd_gradient
+from splda_oracles import dense_prec, fd_gradient
 
 
 def _verdict(name, ok):
@@ -106,7 +106,7 @@ class TestAcceptance:
             posts_b = update_q_y_bayes(raw, rowpost, wpost, 1.0)
             worst = max(worst,
                         np.abs(posts_p.ybar - posts_b.ybar).max(),
-                        np.abs(posts_p.prec - posts_b.prec).max())
+                        np.abs(dense_prec(posts_p) - dense_prec(posts_b)).max())
             dirichlet = vbpoint.update_q_pi(stats.n, 1.0)
             r_p = vbpoint.update_q_theta(phi, posts_p, model, dirichlet)
             r_b = update_q_theta_bayes(phi, posts_b, rowpost, wpost,

@@ -471,6 +471,22 @@ class TestRuns:
         with pytest.raises(ValueError, match=knob):
             RunConfig(**{knob: value})
 
+    @pytest.mark.parametrize("knob, settings", [
+        # kappa would stay at 0.5 and never reach 1
+        ("kappa_growth", dict(anneal=True, kappa0=0.5, kappa_growth=1.0)),
+        # the sampler feeds only the M-steps
+        ("sampler_k", dict(sampler_k=3, do_msteps=False)),
+        ("sampler_strategy", dict(sampler_strategy="best_sample")),
+    ])
+    def test_knob_without_effect_rejected(self, knob, settings):
+        with pytest.raises(ValueError, match=knob):
+            RunConfig(**settings)
+
+    def test_knob_neighbours_of_rejected_settings_accepted(self):
+        RunConfig(anneal=True, kappa0=1.0, kappa_growth=1.0)
+        RunConfig(sampler_k=3, sampler_strategy="best_sample")
+        RunConfig(sampler_k=0, do_msteps=False)
+
     def test_dimension_mismatch_rejected(self):
         dataset, _, _ = easy_problem(d=6)
         _, _, wrong = generate(SynthSpec(d=5, n_y=2, m_true=2, per_speaker=3))
@@ -523,6 +539,23 @@ class TestHyperparams:
     def test_nonpositive_prior_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             Hyperparams(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu0", np.ones(5)),
+        ("beta", 2.0),
+        ("a_alpha", 5.0),
+        ("b_alpha", 7.0),
+    ])
+    def test_point_variant_rejects_bayes_hyperparams(self, field, value):
+        dataset, model = split_problem(seed=4)
+        hyper = Hyperparams(**{field: value})
+        labelled_only = Dataset(phi=np.zeros((0, 5)), phi_d=dataset.phi_d,
+                                labels_d=dataset.labels_d)
+        for data in (dataset, labelled_only):
+            with pytest.raises(ValueError, match=field):
+                run_adaptation(data, model, hyper, RunConfig(m_init=2))
+        run_adaptation(dataset, model, hyper,
+                       RunConfig(m_init=2, variant="bayes", max_iter=1))
 
     def test_caller_hyperparams_reach_run_unmodified(self):
         dataset, model = split_problem(seed=4)

@@ -86,14 +86,12 @@ class TestCenter:
         stats = accumulate_stats(random_resp(rng, 10, 2), rng.standard_normal((10, 3)))
         c = center_stats(stats, np.zeros(3))
         np.testing.assert_array_equal(c.fbar, stats.f)
-        np.testing.assert_array_equal(c.sbar, stats.s)
 
     def test_single_point_at_mean(self):
         phi = np.array([[1.0, -2.0]])
         stats = accumulate_stats(np.array([[1.0]]), phi)
         c = center_stats(stats, phi[0])
         np.testing.assert_allclose(c.fbar, 0.0, atol=1e-15)
-        np.testing.assert_allclose(c.sbar, 0.0, atol=1e-15)
 
     def test_matches_direct_centered_oracle(self):
         rng = np.random.default_rng(11)
@@ -102,12 +100,6 @@ class TestCenter:
         phi = rng.standard_normal((n, d))
         mu = rng.standard_normal(d)
         stats = center_stats(accumulate_stats(resp, phi), mu)
-        # direct per-speaker centered accumulation (global sum)
-        sbar_or = np.zeros((d, d))
-        for j in range(n):
-            diff = phi[j] - mu
-            sbar_or += np.outer(diff, diff)  # sum_i r_ji = 1
-        np.testing.assert_allclose(stats.sbar, sbar_or, atol=1e-10)
         np.testing.assert_allclose(
             stats.fbar, resp.T @ (phi - mu), atol=1e-10)
 
@@ -118,7 +110,6 @@ class TestCenter:
         once = center_stats(stats, mu)
         twice = center_stats(once, mu)
         np.testing.assert_array_equal(once.fbar, twice.fbar)
-        np.testing.assert_array_equal(once.sbar, twice.sbar)
 
 
 class TestCondLoglik:
