@@ -191,27 +191,37 @@ def sampled_statistics(resp, phi, k, seed=0):
     return counts, fsums
 
 
-def sample_elbos(counts, fsums, phi, model, tau0):
-    """Point-variant lower bound of each hard sample (used by best_sample)."""
-    s_global = phi.T @ phi
+def _sample_accumulators(counts, fsums, s_global, model):
+    """Centred statistics, q(Y) and accumulators (C, R) of each hard sample;
+    ``s_global`` is ``phi.T @ phi``."""
+    for n, f in zip(counts, fsums):
+        stats = center_stats(SuffStats(n=n, f=f, s=s_global), model.mu)
+        posts = vbpoint.update_q_y(stats, model)
+        yield stats, posts, vbpoint.accumulators(stats, posts)
+
+
+def _hard_elbo(sample, model, tau0):
+    """Point-variant lower bound of one ``_sample_accumulators`` sample."""
+    stats, posts, acc = sample
     # A hard assignment has zero q(theta) entropy, which a responsibility
     # matrix without rows gives directly.
-    hard = Responsibilities(r=np.zeros((0, counts.shape[1])))
-    elbos = np.empty(counts.shape[0])
-    for j in range(counts.shape[0]):
-        stats = center_stats(
-            SuffStats(n=counts[j], f=fsums[j], s=s_global), model.mu)
-        posts = vbpoint.update_q_y(stats, model)
-        dirichlet = vbpoint.update_q_pi(counts[j], tau0)
-        stats_d = SuffStats(n=np.zeros(0), f=np.zeros((0, model.d)),
-                            s=np.zeros((model.d, model.d)))
-        posts_d = SpeakerPosteriors.from_pair(
-            np.zeros((model.n_y, model.n_y)), np.zeros(0),
-            np.zeros((0, model.n_y)))
-        elbo, _ = vbpoint.elbo_point(stats, stats_d, posts, posts_d, hard,
-                                     dirichlet, model, Hyperparams(tau0=tau0))
-        elbos[j] = elbo
-    return elbos
+    hard = Responsibilities(r=np.zeros((0, stats.n.shape[0])))
+    stats_d = SuffStats(n=np.zeros(0), f=np.zeros((0, model.d)),
+                        s=np.zeros((model.d, model.d)))
+    posts_d = SpeakerPosteriors.from_pair(
+        np.zeros((model.n_y, model.n_y)), np.zeros(0), np.zeros((0, model.n_y)))
+    elbo, _ = vbpoint.elbo_point(
+        stats, stats_d, posts, posts_d, hard, vbpoint.update_q_pi(stats.n, tau0),
+        model, Hyperparams(tau0=tau0), acc,
+        vbpoint.accumulators(stats_d, posts_d))
+    return elbo
+
+
+def sample_elbos(counts, fsums, s_global, model, tau0):
+    """Point-variant lower bound of each hard sample (used by best_sample);
+    ``s_global`` is ``phi.T @ phi``."""
+    return np.array([_hard_elbo(sample, model, tau0) for sample
+                     in _sample_accumulators(counts, fsums, s_global, model)])
 
 
 def _merge_pairs(r, threshold):
@@ -366,7 +376,7 @@ class _Point(_Variant):
         acc_d = vbpoint.accumulators(stats_d, posts_d)
         elbo, terms = vbpoint.elbo_point(
             stats, stats_d, posts, posts_d, resp, dirichlet, model, hyper,
-            acc=acc, acc_d=acc_d)
+            acc, acc_d)
         return dict(params=model, stats=stats, stats_d=stats_d, posts=posts,
                     posts_d=posts_d, acc=acc, acc_d=acc_d, resp=resp,
                     dirichlet=dirichlet, elbo=elbo, terms=terms)
@@ -408,13 +418,10 @@ class _Bayes(_Variant):
         rowpost, wpost, alphapost = params
         phi, hyper, stats_d = self.phi, self.hyper, self.stats_d_raw
         stats = self.stats(resp.r)
-        evtwvt = vbbayes.e_vt_w_vt(rowpost, wpost)
-        posts = vbbayes.update_q_y_bayes(
-            stats, rowpost, wpost, kappa, evtwvt=evtwvt)
-        posts_d = vbbayes.update_q_y_bayes(
-            stats_d, rowpost, wpost, kappa, evtwvt=evtwvt)
-        resp = vbbayes.update_q_theta_bayes(
-            phi, posts, rowpost, wpost, dirichlet, kappa, evtwvt=evtwvt)
+        expected = rowpost.expected(wpost)
+        posts = vbbayes.update_q_y_bayes(stats, expected, kappa)
+        posts_d = vbbayes.update_q_y_bayes(stats_d, expected, kappa)
+        resp = vbbayes.update_q_theta_bayes(phi, posts, expected, dirichlet, kappa)
         dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
         stats = self.stats(resp.r)
         c, r = vbpoint.accumulators(stats, posts)
@@ -428,7 +435,7 @@ class _Bayes(_Variant):
             stats.n_total, stats_d.n_total, hyper.eta, kappa)
         elbo, terms = vbbayes.elbo_bayes(
             stats, stats_d, posts, posts_d, resp, dirichlet,
-            rowpost, alphapost, wpost, hyper, acc=(c, r), acc_d=(c_d, r_d))
+            rowpost, alphapost, wpost, hyper, (c, r), (c_d, r_d))
         return dict(params=(rowpost, wpost, alphapost), resp=resp,
                     dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
 
@@ -587,17 +594,13 @@ def _sampler_accumulators(resp, phi, model, hyper, config, s_global, seed):
     """Mean of the per-sample (C, R) accumulators, or those of the sample
     with the highest lower bound for ``best_sample``."""
     counts, fsums = sampled_statistics(resp, phi, config.sampler_k, seed=seed)
+    samples = _sample_accumulators(counts, fsums, s_global, model)
     if config.sampler_strategy == "best_sample":
-        j = int(np.argmax(sample_elbos(counts, fsums, phi, model, hyper.tau0)))
-        counts, fsums = counts[j:j + 1], fsums[j:j + 1]
-    c_acc = 0.0
-    r_acc = 0.0
-    for n, f in zip(counts, fsums):
-        stats = center_stats(SuffStats(n=n, f=f, s=s_global), model.mu)
-        c_j, r_j = vbpoint.accumulators(stats, vbpoint.update_q_y(stats, model))
-        c_acc += c_j
-        r_acc += r_j
-    return c_acc / counts.shape[0], r_acc / counts.shape[0]
+        # max keeps the first of tied samples, as argmax does
+        samples = [max(samples, key=lambda smp: _hard_elbo(smp, model, hyper.tau0))]
+    accs = [acc for *_, acc in samples]
+    return (sum(c for c, _ in accs) / len(accs),
+            sum(r for _, r in accs) / len(accs))
 
 
 def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
@@ -634,7 +637,8 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         stats = center_stats(stats_raw, model.mu)
         posts = vbpoint.update_q_y(stats, model)
         c_d, r_d = vbpoint.accumulators(stats, posts)
-        elbo = (vbpoint._data_term(stats.n_total, stats.s, c_d, r_d, model)
+        elbo = (vbpoint._data_term(stats, (c_d, r_d), model.vtilde, model.w,
+                                   model.logdet_w())
                 + vbpoint._y_prior_term(posts)
                 - vbpoint._y_entropy_term(posts))
         report.elbo_trace.append(float(elbo))

@@ -38,7 +38,7 @@ def _parse_matrix_body(lines, rows, cols, what="matrix"):
         if len(vals) != cols:
             raise ValueError(
                 f"{what}: row {i} has {len(vals)} values, expected {cols}")
-        body[i] = [float(v) for v in vals]
+        body[i] = vals  # numpy parses the strings, correctly rounded
     return body
 
 

@@ -15,16 +15,14 @@ import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
 from .linalg import inv_pd, logdet_pd, sym
+from .model import SpldaModel, center_stats
 from .vbpoint import (
     LOG2PI,
-    DirichletPosterior,
-    Responsibilities,
-    SpeakerPosteriors,
-    _ln_dirichlet_c,
-    _normalize_log_rho,
-    _y_entropy_term,
-    _y_prior_term,
-    accumulators,
+    _bound_terms,
+    _data_term,
+    _scatter,
+    update_q_theta,
+    update_q_y,
 )
 
 __all__ = [
@@ -84,6 +82,24 @@ class RowPosteriors:
         n_y = self.n_y
         diag_cov = np.einsum("rqq->rq", self.cov[:, :n_y, :n_y])
         return diag_cov.sum(axis=0) + (self.vbar ** 2).sum(axis=0)
+
+    def u(self, wbar):
+        """sum_r wbar_rr Sigma_r, what the row covariances add to
+        E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u."""
+        return np.einsum("r,rab->ab", np.diag(wbar), self.cov)
+
+    def rho(self, r):
+        """(d,) tr(R Sigma_r), what the row covariances add to the diagonal
+        of E[Vt R Vt^T] = Vtbar R Vtbar^T + diag(rho)."""
+        return np.einsum("ab,rab->r", r, self.cov)
+
+    def expected(self, wpost):
+        """The parameter expectations the shared E-step reads under
+        q(Vtilde) q(W): ``(means, E[ln|W|], u)``, the means as an
+        ``SpldaModel``."""
+        wbar = wpost.e_w
+        return (SpldaModel(mu=self.mubar, v=self.vbar, w=wbar), wpost.e_ln_w,
+                self.u(wbar))
 
     def sigma_mu(self):
         """(d,) posterior variances of the mean components."""
@@ -180,62 +196,18 @@ class WishartPosterior:
         return self.e_w.shape[0]
 
 
-def e_vt_w_vt(rowpost, wpost):
-    """E[Vtilde^T W Vtilde] = sum_r wbar_rr Sigma_r + Vtbar^T Wbar Vtbar."""
-    wbar = wpost.e_w
-    out = np.einsum("r,rab->ab", np.diag(wbar), rowpost.cov)
-    out += rowpost.mean.T @ wbar @ rowpost.mean
-    return sym(out)
+def update_q_y_bayes(stats, expected, kappa=1.0):
+    """``update_q_y`` under ``expected`` = ``rowpost.expected(wpost)``, from
+    raw (uncentered) statistics."""
+    mean, _, u = expected
+    return update_q_y(center_stats(stats, mean.mu), mean, kappa, u=u)
 
 
-def e_vt_r_vt(rowpost, r):
-    """E[Vtilde R Vtilde^T] = Vtbar R Vtbar^T + diag(rho).
-
-    rho_r collects the Hadamard contraction of R with row r's covariance.
-    """
-    rho = np.einsum("ab,rab->r", r, rowpost.cov)
-    return sym(rowpost.mean @ r @ rowpost.mean.T) + np.diag(rho)
-
-
-def update_q_y_bayes(stats, rowpost, wpost, kappa=1.0, *, evtwvt=None):
-    """q(y_i) with expectations over the parameter posteriors.
-
-    L_i = I + E[N_i] E[V^T W V];
-    ybar_i = L_i^-1 (E[V]^T E[W] E[F_i] - E[N_i] E[V^T W mu]),
-    with both expectations read off the blocks of E[Vtilde^T W Vtilde].
-
-    ``stats`` carries the raw (uncentered) first-order sums.  ``evtwvt``
-    is ``e_vt_w_vt(rowpost, wpost)`` if the caller already has it.
-    """
-    n_y = rowpost.n_y
-    if evtwvt is None:
-        evtwvt = e_vt_w_vt(rowpost, wpost)
-    rhs = stats.f @ (wpost.e_w @ rowpost.vbar) - np.outer(stats.n, evtwvt[:n_y, n_y])
-    return SpeakerPosteriors.from_pair(evtwvt[:n_y, :n_y], stats.n, rhs, kappa)
-
-
-def update_q_theta_bayes(phi, posteriors, rowpost, wpost, dirichlet, kappa=1.0,
-                         *, evtwvt=None):
-    """Responsibility update with expected parameters; ``evtwvt`` as in
-    ``update_q_y_bayes``."""
-    d, n_y = rowpost.d, rowpost.n_y
-    wbar = wpost.e_w
-    ytilde = posteriors.e_ytilde()  # (M, n_y+1)
-    quad_phi = np.sum((phi @ wbar) * phi, axis=1)  # (N,)
-    cross = (phi @ (wbar @ rowpost.mean)) @ ytilde.T  # (N, M)
-    # tr(E[Vt^T W Vt] E[yt yt^T]) over the blocks of the augmented moments
-    h = e_vt_w_vt(rowpost, wpost) if evtwvt is None else evtwvt
-    tr_term = (posteriors.trace_e_yy(h[:n_y, :n_y])
-               + 2.0 * posteriors.ybar @ h[:n_y, n_y] + h[n_y, n_y])  # (M,)
-    log_rho = (
-        0.5 * wpost.e_ln_w
-        - 0.5 * d * LOG2PI
-        - 0.5 * quad_phi[:, None]
-        + cross
-        - 0.5 * tr_term[None, :]
-        + dirichlet.e_ln_pi[None, :]
-    )
-    return _normalize_log_rho(log_rho, kappa)
+def update_q_theta_bayes(phi, posteriors, expected, dirichlet, kappa=1.0):
+    """``update_q_theta`` under ``expected`` = ``rowpost.expected(wpost)``."""
+    mean, ln_w, u = expected
+    return update_q_theta(phi, posteriors, mean, dirichlet, kappa,
+                          ln_w=ln_w, u=u)
 
 
 def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
@@ -305,17 +277,9 @@ def update_q_alpha(rowpost, hyper, kappa=1.0):
 
 def update_q_wishart(e_s, s_d, c_p, r_p, rowpost, e_n, n_d, eta, kappa=1.0):
     """Wishart posterior over W from the eta-weighted accumulators."""
-    vtbar = rowpost.mean
-    k = e_s + eta * s_d - c_p @ vtbar.T - vtbar @ c_p.T + e_vt_r_vt(rowpost, r_p)
+    k = _scatter(e_s + eta * s_d, c_p, r_p, rowpost.mean, rowpost.rho(r_p))
     dof = e_n + eta * n_d
     return WishartPosterior.from_update(sym(k), dof, kappa=kappa)
-
-
-def _data_term_bayes(n_total, s_global, c, r, rowpost, wpost):
-    d = rowpost.d
-    inner = s_global - 2.0 * c @ rowpost.mean.T + e_vt_r_vt(rowpost, r)
-    return 0.5 * n_total * (wpost.e_ln_w - d * LOG2PI) \
-        - 0.5 * np.sum(wpost.e_w * inner)
 
 
 def _ln_wishart_b(scale, dof, logdet_scale=None):
@@ -340,21 +304,15 @@ def _ln_multigamma(a, d):
 
 
 def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
-               rowpost, alphapost, wpost, hyper, *, acc=None, acc_d=None):
+               rowpost, alphapost, wpost, hyper, acc, acc_d):
     """Variational lower bound of the Bayesian variant, with breakdown.
 
     The supervised data and speaker-factor terms carry the weight eta; the
     improper-prior constant of P(W) is dropped (additive constant).
-    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two
-    blocks if the caller already has them.
+    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two blocks.
     """
-    m = dirichlet.tau.shape[0]
     n_y = rowpost.n_y
     d = rowpost.d
-    eta = hyper.eta
-    e_ln_pi = dirichlet.e_ln_pi
-    c, r = accumulators(stats, posteriors) if acc is None else acc
-    c_d, r_d = accumulators(stats_d, posteriors_d) if acc_d is None else acc_d
     e_vv = rowpost.e_vq_vq()
     beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
     mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
@@ -364,14 +322,13 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
     if wpost.k is None or wpost.dof is None:
         raise ValueError("elbo_bayes needs a proper Wishart posterior (invalid dof)")
     dof = wpost.dof
+    vtbar, wbar, ln_w = rowpost.mean, wpost.e_w, wpost.e_ln_w
 
-    terms = {
-        "lnP(Phi|Y,theta)": _data_term_bayes(
-            stats.n_total, stats.s, c, r, rowpost, wpost),
-        "lnP(Y)": _y_prior_term(posteriors),
-        "lnP(theta|pi)": float(stats.n @ e_ln_pi),
-        "lnP(pi)": _ln_dirichlet_c(np.full(m, hyper.tau0))
-        + (hyper.tau0 - 1.0) * e_ln_pi.sum(),
+    terms = _bound_terms(
+        stats, posteriors, posteriors_d, resp, dirichlet, hyper,
+        _data_term(stats, acc, vtbar, wbar, ln_w, rowpost.rho(acc[1])),
+        _data_term(stats_d, acc_d, vtbar, wbar, ln_w, rowpost.rho(acc_d[1])))
+    terms.update({
         "lnP(V|alpha)": -0.5 * n_y * d * LOG2PI
         + 0.5 * d * alphapost.e_ln_alpha.sum()
         - 0.5 * float(alphapost.e_alpha @ e_vv),
@@ -381,16 +338,7 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
         - hyper.b_alpha * alphapost.e_alpha.sum(),
         "lnP(mu)": -0.5 * d * LOG2PI + 0.5 * np.log(beta).sum()
         - 0.5 * float(beta @ mu_quad),
-        "lnP(W)": -0.5 * (d + 1.0) * wpost.e_ln_w,
-        "eta*lnP(Phi_d|Y_d)": eta * _data_term_bayes(
-            stats_d.n_total, stats_d.s, c_d, r_d, rowpost, wpost),
-        "eta*lnP(Y_d)": eta * _y_prior_term(posteriors_d),
-        "-lnq(Y)": -_y_entropy_term(posteriors),
-        "-lnq(theta)": resp.entropy(),
-        "-lnq(pi)": -(
-            _ln_dirichlet_c(dirichlet.tau)
-            + float((dirichlet.tau - 1.0) @ e_ln_pi)
-        ),
+        "lnP(W)": -0.5 * (d + 1.0) * ln_w,
         "-lnq(Vtilde)": 0.5 * d * (n_y + 1.0) * (LOG2PI + 1.0)
         - 0.5 * rowpost.logdet_prec().sum(),
         "-lnq(alpha)": -(
@@ -400,11 +348,10 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
         ),
         "-lnq(W)": -(
             wpost.ln_b
-            + 0.5 * (dof - d - 1.0) * wpost.e_ln_w
+            + 0.5 * (dof - d - 1.0) * ln_w
             - 0.5 * dof * d
         ),
-        "-eta*lnq(Y_d)": -eta * _y_entropy_term(posteriors_d),
-    }
+    })
     total = float(sum(terms.values()))
     return total, terms
 

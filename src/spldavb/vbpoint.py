@@ -5,6 +5,8 @@ lower bound with a per-term breakdown, the closed-form M-steps for [V|mu]
 and W, the Newton solver for the Dirichlet parameter tau0, the minimum
 divergence re-standardization and the deterministic-annealing (kappa)
 variants of every update.
+A point model is the Bayesian one with zero row covariances, so the
+Bayesian variant reuses these E-step and bound formulas.
 """
 
 import warnings
@@ -171,28 +173,45 @@ class DirichletPosterior:
         return digamma(self.tau) - digamma(self.tau.sum())
 
 
-def update_q_y(stats, model, kappa=1.0):
+def update_q_y(stats, model, kappa=1.0, *, u=None):
     """q(y_i) updates from (expected or hard) centered statistics.
 
-    L_i = I + E[N_i] V^T W V,  ybar_i = L_i^-1 V^T W E[Fbar_i].
+    L_i = I + E[N_i] E[V^T W V],
+    ybar_i = L_i^-1 (E[V]^T E[W] E[Fbar_i] - E[N_i] u_{y mu}),
+    with ``model`` holding the parameter means and Fbar centred on E[mu].
+    ``u`` = sum_r wbar_rr Sigma_r is what the row covariances Sigma_r of
+    [V | mu] add to E[Vt^T W Vt]; a point model has u = 0, the default.
     """
     if stats.fbar is None:
         raise ValueError("stats must be centered (call center_stats first)")
+    n_y = model.n_y
+    u = np.zeros((n_y + 1, n_y + 1)) if u is None else u
     wv = model.w @ model.v  # (d, n_y)
-    g = sym(model.v.T @ wv)  # (n_y, n_y)
-    return SpeakerPosteriors.from_pair(g, stats.n, stats.fbar @ wv, kappa)
+    g = sym(model.v.T @ wv) + u[:n_y, :n_y]  # (n_y, n_y)
+    rhs = stats.fbar @ wv - np.outer(stats.n, u[:n_y, n_y])
+    return SpeakerPosteriors.from_pair(g, stats.n, rhs, kappa)
 
 
-def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
-    """Responsibility update; computed in log space, kappa-tempered."""
+def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0, *,
+                   ln_w=None, u=None):
+    """Responsibility update; computed in log space, kappa-tempered.
+
+    ``model`` holds the parameter means, ``ln_w`` is E[ln|W|] (ln|W| of a
+    point model, the default) and ``u`` is as in ``update_q_y``.
+    """
+    n_y = model.n_y
+    ln_w = model.logdet_w() if ln_w is None else ln_w
+    u = np.zeros((n_y + 1, n_y + 1)) if u is None else u
     delta = phi - model.mu  # (N, d)
     wv = model.w @ model.v
-    g = sym(model.v.T @ wv)
+    g = sym(model.v.T @ wv) + u[:n_y, :n_y]
     quad = np.sum((delta @ model.w) * delta, axis=1)  # (N,)
     cross = (delta @ wv) @ posteriors.ybar.T  # (N, M)
-    tr_term = posteriors.trace_e_yy(g)  # (M,)
+    # tr(E[Vc^T W Vc] E[yt yt^T]) for the centred Vc = [V | mu - E[mu]]
+    tr_term = posteriors.trace_e_yy(g) \
+        + (2.0 * posteriors.ybar @ u[:n_y, n_y] + u[n_y, n_y])  # (M,)
     log_rho = (
-        0.5 * (model.logdet_w() - model.d * LOG2PI)
+        0.5 * (ln_w - model.d * LOG2PI)
         - 0.5 * quad[:, None]
         + cross
         - 0.5 * tr_term[None, :]
@@ -202,10 +221,13 @@ def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
 
 
 def _normalize_log_rho(log_rho, kappa):
-    if not np.isfinite(log_rho.max(axis=1)).all():
+    # fl(kappa x) is monotone in x, so kappa times the row max is the row
+    # max of the tempered weights.
+    row_max = log_rho.max(axis=1, keepdims=True)
+    if not np.isfinite(row_max).all():
         raise ValueError("degenerate model: a responsibility row is all -inf")
     z = log_rho if kappa == 1.0 else kappa * log_rho
-    z_shift = z - z.max(axis=1, keepdims=True)
+    z_shift = z - kappa * row_max
     log_norm = np.log(np.exp(z_shift).sum(axis=1, keepdims=True))
     r = np.exp(z_shift - log_norm)
     return Responsibilities(r=r, log_rho=log_rho)
@@ -248,11 +270,21 @@ def accumulators(stats, posteriors):
     return c, sym(r)
 
 
-def _data_term(n_total, s_global, c, r, model):
-    vt = model.vtilde
-    inner = s_global - 2.0 * c @ vt.T + vt @ r @ vt.T
-    return 0.5 * n_total * (model.logdet_w() - model.d * LOG2PI) \
-        - 0.5 * np.sum(model.w * inner)
+def _scatter(s_global, c, r, vtilde, rho=0.0):
+    """Residual scatter S - 2 C E[Vt]^T + E[Vt R Vt^T] from the accumulators
+    (C, R); the row covariances add rho_r = tr(R Sigma_r) to the diagonal."""
+    k = s_global - 2.0 * c @ vtilde.T + vtilde @ r @ vtilde.T
+    k.flat[::k.shape[0] + 1] += rho
+    return k
+
+
+def _data_term(stats, acc, vtilde, w, ln_w, rho=0.0):
+    """E[ln P(Phi | Y, theta)] of one block with accumulators ``acc``, under
+    parameter means ``vtilde``, ``w`` and E[ln|W|] = ``ln_w``."""
+    c, r = acc
+    inner = _scatter(stats.s, c, r, vtilde, rho)
+    return 0.5 * stats.n_total * (ln_w - w.shape[0] * LOG2PI) \
+        - 0.5 * np.sum(w * inner)
 
 
 def _y_prior_term(posteriors):
@@ -271,36 +303,47 @@ def _ln_dirichlet_c(tau):
     return float(gammaln(tau.sum()) - gammaln(tau).sum())
 
 
-def elbo_point(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
-               model, hyper, *, acc=None, acc_d=None):
-    """Variational lower bound for the point-estimate model.
-
-    Returns ``(total, breakdown)`` where ``breakdown`` maps term names to
-    values.  Defined for the untempered (kappa = 1) objective; the supervised
-    terms enter unweighted (eta affects only parameter estimation).
-    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two blocks
-    if the caller already has them.
-    """
+def _bound_terms(stats, posteriors, posteriors_d, resp, dirichlet, hyper,
+                 loglik, loglik_d):
+    """The lower-bound terms both variants share, given the expected block
+    log-likelihoods of the unlabelled and labelled blocks; the labelled
+    block enters with the weight eta."""
     m = dirichlet.tau.shape[0]
+    eta = hyper.eta
     e_ln_pi = dirichlet.e_ln_pi
-    c, r = accumulators(stats, posteriors) if acc is None else acc
-    c_d, r_d = accumulators(stats_d, posteriors_d) if acc_d is None else acc_d
-    terms = {
-        "lnP(Phi|Y,theta)": _data_term(stats.n_total, stats.s, c, r, model),
+    return {
+        "lnP(Phi|Y,theta)": loglik,
         "lnP(Y)": _y_prior_term(posteriors),
         "lnP(theta|pi)": float(stats.n @ e_ln_pi),
         "lnP(pi)": _ln_dirichlet_c(np.full(m, hyper.tau0))
         + (hyper.tau0 - 1.0) * e_ln_pi.sum(),
-        "lnP(Phi_d|Y_d)": _data_term(stats_d.n_total, stats_d.s, c_d, r_d, model),
-        "lnP(Y_d)": _y_prior_term(posteriors_d),
+        "eta*lnP(Phi_d|Y_d)": eta * loglik_d,
+        "eta*lnP(Y_d)": eta * _y_prior_term(posteriors_d),
         "-lnq(Y)": -_y_entropy_term(posteriors),
         "-lnq(theta)": resp.entropy(),
         "-lnq(pi)": -(
             _ln_dirichlet_c(dirichlet.tau)
             + float((dirichlet.tau - 1.0) @ e_ln_pi)
         ),
-        "-lnq(Y_d)": -_y_entropy_term(posteriors_d),
+        "-eta*lnq(Y_d)": -eta * _y_entropy_term(posteriors_d),
     }
+
+
+def elbo_point(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
+               model, hyper, acc, acc_d):
+    """Variational lower bound for the point-estimate model.
+
+    Returns ``(total, breakdown)`` where ``breakdown`` maps term names to
+    values.  Defined for the untempered (kappa = 1) objective.  The
+    labelled block's terms carry the weight eta, so this is the objective
+    the M-steps maximise and it does not fall at kappa = 1 for any eta.
+    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two blocks.
+    """
+    vtilde, ln_w = model.vtilde, model.logdet_w()
+    terms = _bound_terms(
+        stats, posteriors, posteriors_d, resp, dirichlet, hyper,
+        _data_term(stats, acc, vtilde, model.w, ln_w),
+        _data_term(stats_d, acc_d, vtilde, model.w, ln_w))
     total = float(sum(terms.values()))
     return total, terms
 
@@ -332,7 +375,7 @@ def mstep_W(e_s, s_d, c_p, r_p, vtilde, e_n, n_d, eta):
         raise ValueError(
             f"E[N] + eta*N_d = {denom:.3g} <= d = {d}: W would be degenerate"
         )
-    k = e_s + eta * s_d - 2.0 * c_p @ vtilde.T + vtilde @ r_p @ vtilde.T
+    k = _scatter(e_s + eta * s_d, c_p, r_p, vtilde)
     w_inv = sym(k) / denom
     return inv_pd(w_inv)
 

@@ -1,8 +1,8 @@
 """Reference computations the test suite checks the library against.
 
 Per-speaker likelihoods from explicit second-order statistics, dense
-per-speaker views of factored speaker posteriors and central finite
-differences.  None of this is needed to run an adaptation; each function
+per-speaker views of factored speaker posteriors, the parameter moments
+E[Vt^T W Vt] and E[Vt R Vt^T] and central finite differences.  None of this is needed to run an adaptation; each function
 follows its formula directly rather than the library's aggregate forms.
 """
 
@@ -101,6 +101,19 @@ def e_yy_tilde(posts):
     out[:, n_y, :n_y] = posts.ybar
     out[:, n_y, n_y] = 1.0
     return out
+
+
+def e_vt_w_vt(rowpost, wpost):
+    """E[Vtilde^T W Vtilde] = Vtbar^T Wbar Vtbar + u, with the package's
+    u = sum_r wbar_rr Sigma_r."""
+    wbar = wpost.e_w
+    return rowpost.mean.T @ wbar @ rowpost.mean + rowpost.u(wbar)
+
+
+def e_vt_r_vt(rowpost, r):
+    """E[Vtilde R Vtilde^T] = Vtbar R Vtbar^T + diag(rho), with the
+    package's rho_r = tr(R Sigma_r)."""
+    return rowpost.mean @ r @ rowpost.mean.T + np.diag(rowpost.rho(r))
 
 
 def fd_gradient(objective, params, step=1e-5):

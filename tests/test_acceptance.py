@@ -33,14 +33,12 @@ from spldavb.synth import SynthSpec, generate, random_model, split_dataset
 from spldavb.vbbayes import (
     AlphaPosterior,
     WishartPosterior,
-    e_vt_r_vt,
-    e_vt_w_vt,
     optimize_hyper_alpha,
     update_q_theta_bayes,
     update_q_y_bayes,
 )
 from spldavb.vbpoint import Hyperparams
-from splda_oracles import dense_prec, fd_gradient
+from splda_oracles import dense_prec, e_vt_r_vt, e_vt_w_vt, fd_gradient
 
 
 def _verdict(name, ok):
@@ -103,13 +101,13 @@ class TestAcceptance:
             wpost = WishartPosterior.point_mass(model.w)
             posts_p = vbpoint.update_q_y(stats, model)
             raw = accumulate_stats(resp, phi)
-            posts_b = update_q_y_bayes(raw, rowpost, wpost, 1.0)
+            posts_b = update_q_y_bayes(raw, rowpost.expected(wpost), 1.0)
             worst = max(worst,
                         np.abs(posts_p.ybar - posts_b.ybar).max(),
                         np.abs(dense_prec(posts_p) - dense_prec(posts_b)).max())
             dirichlet = vbpoint.update_q_pi(stats.n, 1.0)
             r_p = vbpoint.update_q_theta(phi, posts_p, model, dirichlet)
-            r_b = update_q_theta_bayes(phi, posts_b, rowpost, wpost,
+            r_b = update_q_theta_bayes(phi, posts_b, rowpost.expected(wpost),
                                        dirichlet, 1.0)
             worst = max(worst, np.abs(r_p.r - r_b.r).max())
         _verdict(f"03 point-mass Bayesian updates match point variant "
@@ -152,8 +150,9 @@ class TestAcceptance:
             cand = SpldaModel(mu=vt[:, -1], v=vt[:, :-1],
                               w=unpack_w(params[d * n_aug:]))
             _, terms = vbpoint.elbo_point(stats, stats_d, posts, posts_d,
-                                          resp_obj, dirichlet, cand, hyper)
-            return terms["lnP(Phi|Y,theta)"] + eta * terms["lnP(Phi_d|Y_d)"]
+                                          resp_obj, dirichlet, cand, hyper,
+                                          (c, r), (c_d, r_d))
+            return terms["lnP(Phi|Y,theta)"] + terms["eta*lnP(Phi_d|Y_d)"]
 
         params0 = np.concatenate([vtilde.ravel(), w[iu]])
         g0 = fd_gradient(objective, params0, step=1e-6)
@@ -349,7 +348,8 @@ class TestAcceptance:
         se = np.sqrt((resp.r * (1.0 - resp.r)).sum(axis=0) / k)
         gap = np.abs(counts.mean(axis=0) - resp.counts)
         counts_ok = (gap <= 3.0 * np.maximum(se, 1e-12)).all()
-        elbos = sample_elbos(counts[:200], fsums[:200], phi, model, tau0=1.0)
+        elbos = sample_elbos(counts[:200], fsums[:200], phi.T @ phi, model,
+                             tau0=1.0)
         best_ok = elbos.max() >= np.median(elbos)
         ok = counts_ok and best_ok
         _verdict(f"10 sampled counts within 3 SE of expectations "

@@ -130,7 +130,8 @@ class TestSampledStatistics:
         r[np.arange(15), labels] = 1.0
         counts, fsums = sampled_statistics(
             Responsibilities(r=r), dataset.phi, k=4, seed=5)
-        elbos = sample_elbos(counts, fsums, dataset.phi, model, tau0=1.0)
+        elbos = sample_elbos(counts, fsums, dataset.phi.T @ dataset.phi, model,
+                             tau0=1.0)
         assert np.ptp(elbos) < 1e-9 * abs(elbos[0])
 
 
@@ -313,6 +314,29 @@ class TestRuns:
         assert report.m_trace[0] == 2 * m_true_unsup
         assert report.m_trace[-1] == m_true_unsup
         assert clustering_metrics(report.labels, true_unsup).ari == 1.0
+
+    @pytest.mark.parametrize("prune_merge", [False, True])
+    @pytest.mark.parametrize("anneal", [False, True])
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_bound_does_not_fall_at_kappa_one(self, variant, eta, anneal,
+                                               prune_merge):
+        # Every step of a sweep and every parameter step maximises the
+        # reported bound, so it can fall only after a restructure.
+        dataset, model = split_problem(seed=6)
+        cfg = RunConfig(m_init=6, variant=variant, init_method="ahc",
+                        anneal=anneal, prune_merge=prune_merge, prune_every=3,
+                        max_iter=40, seed=6)
+        report = run_adaptation(dataset, model, Hyperparams(eta=eta), cfg)
+        restructured = {int(note.split()[1].rstrip(":"))
+                        for note in report.diagnostics if "restructured" in note}
+        assert not prune_merge or restructured
+        elbo, kappa = report.elbo_trace, report.kappa_trace
+        for it in range(1, len(elbo)):
+            if kappa[it - 1] < 1.0 or it - 1 in restructured:
+                continue
+            drop = (elbo[it - 1] - elbo[it]) / max(1.0, abs(elbo[it - 1]))
+            assert drop <= cfg.elbo_tol, f"bound fell by {drop:.3g} at {it}"
 
     def test_prune_merge_attempts_come_prune_every_apart(self, monkeypatch):
         calls = []

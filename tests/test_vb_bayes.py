@@ -15,8 +15,6 @@ from spldavb.vbbayes import (
     WishartPosterior,
     _ln_multigamma,
     _ln_wishart_b,
-    e_vt_r_vt,
-    e_vt_w_vt,
     elbo_bayes,
     optimize_hyper_alpha,
     optimize_hyper_mu,
@@ -36,7 +34,7 @@ from spldavb.vbpoint import (
     update_q_theta,
     update_q_y,
 )
-from splda_oracles import dense_prec
+from splda_oracles import dense_prec, e_vt_r_vt, e_vt_w_vt
 
 
 def random_model(rng, d, n_y):
@@ -61,6 +59,12 @@ def random_rowpost(rng, d, n_y):
                          logdet=np.array([logdet_pd(p) for p in prec]))
 
 
+def block_accumulators(state):
+    """The accumulators (C, R) of both blocks of an ``elbo_bayes`` state."""
+    stats, stats_d, posts, posts_d = state[:4]
+    return accumulators(stats, posts), accumulators(stats_d, posts_d)
+
+
 def random_problem(rng, n, m, d, n_y):
     model = random_model(rng, d, n_y)
     resp = rng.random((n, m))
@@ -76,7 +80,7 @@ class TestDegenerateReduction:
         model, phi, stats = random_problem(rng, 25, 4, 5, 2)
         rowpost = RowPosteriors.point_mass(model.vtilde)
         wpost = WishartPosterior.point_mass(model.w)
-        bayes = update_q_y_bayes(stats, rowpost, wpost)
+        bayes = update_q_y_bayes(stats, rowpost.expected(wpost))
         point = update_q_y(center_stats(stats, model.mu), model)
         np.testing.assert_allclose(bayes.ybar, point.ybar, atol=1e-12)
         np.testing.assert_allclose(dense_prec(bayes), dense_prec(point),
@@ -89,7 +93,8 @@ class TestDegenerateReduction:
         dirichlet = update_q_pi(stats.n, tau0=1.0)
         rowpost = RowPosteriors.point_mass(model.vtilde)
         wpost = WishartPosterior.point_mass(model.w)
-        bayes = update_q_theta_bayes(phi, posts, rowpost, wpost, dirichlet)
+        bayes = update_q_theta_bayes(phi, posts, rowpost.expected(wpost),
+                                     dirichlet)
         point = update_q_theta(phi, posts, model, dirichlet)
         np.testing.assert_allclose(bayes.r, point.r, atol=1e-12)
         np.testing.assert_allclose(bayes.log_rho, point.log_rho, atol=1e-10)
@@ -365,17 +370,18 @@ class TestElboBayes:
                 @ rng.standard_normal((d, d)).T * 0.0 + (n + 4) * np.eye(d)),
             float(n))
         alphapost = update_q_alpha(rowpost, hyper)
-        posts = update_q_y_bayes(stats, rowpost, wpost)
-        posts_d = update_q_y_bayes(stats_d, rowpost, wpost)
+        expected = rowpost.expected(wpost)
+        posts = update_q_y_bayes(stats, expected)
+        posts_d = update_q_y_bayes(stats_d, expected)
         dirichlet = update_q_pi(stats.n, tau0=1.0)
-        resp = update_q_theta_bayes(phi, posts, rowpost, wpost, dirichlet)
+        resp = update_q_theta_bayes(phi, posts, expected, dirichlet)
         return (stats, stats_d, posts, posts_d, resp, dirichlet, rowpost,
                 alphapost, wpost, hyper)
 
     def test_terms_sum_and_count(self):
         rng = np.random.default_rng(43)
         state = self._full_state(rng)
-        total, terms = elbo_bayes(*state)
+        total, terms = elbo_bayes(*state, *block_accumulators(state))
         assert len(terms) == 17
         assert total == pytest.approx(sum(terms.values()), abs=1e-10)
 
@@ -383,7 +389,7 @@ class TestElboBayes:
         rng = np.random.default_rng(44)
         state = self._full_state(rng, n_y=1)
         alphapost = state[7]
-        _, terms = elbo_bayes(*state)
+        _, terms = elbo_bayes(*state, *block_accumulators(state))
         a, b = alphapost.a_prime, float(alphapost.b_prime[0])
         pdf = gamma_dist(a, scale=1.0 / b).pdf
 
@@ -398,7 +404,7 @@ class TestElboBayes:
         rng = np.random.default_rng(45)
         state = self._full_state(rng)
         rowpost = state[6]
-        _, terms = elbo_bayes(*state)
+        _, terms = elbo_bayes(*state, *block_accumulators(state))
         k = rowpost.n_y + 1
         oracle = sum(0.5 * (k * (np.log(2 * np.pi) + 1.0) + logdet_pd(c))
                      for c in rowpost.cov)
@@ -408,7 +414,7 @@ class TestElboBayes:
         rng = np.random.default_rng(46)
         state = list(self._full_state(rng))
         wpost = state[8]
-        _, terms = elbo_bayes(*state)
+        _, terms = elbo_bayes(*state, *block_accumulators(state))
         frozen = wishart(df=wpost.dof, scale=inv_pd(wpost.k))
         draws = frozen.rvs(size=30_000, random_state=rng)
         vals = -frozen.logpdf(draws.transpose(1, 2, 0))
@@ -427,33 +433,6 @@ class TestSharedQuantities:
         k = sym(wpost.k + np.diag(rng.random(4)))
         state[8] = WishartPosterior.from_update(k, wpost.dof, kappa=kappa)
         return state, rng.standard_normal((30, 4))
-
-    @pytest.mark.parametrize("kappa", [1.0, 0.4])
-    def test_q_y_and_q_theta(self, kappa):
-        state, phi = self._state(kappa)
-        stats, _, _, _, _, dirichlet, rowpost, _, wpost, _ = state
-        h = e_vt_w_vt(rowpost, wpost)
-        a = update_q_y_bayes(stats, rowpost, wpost, kappa)
-        b = update_q_y_bayes(stats, rowpost, wpost, kappa, evtwvt=h)
-        for field in ("ybar", "s", "basis"):
-            assert (getattr(a, field) == getattr(b, field)).all()
-        ra = update_q_theta_bayes(phi, a, rowpost, wpost, dirichlet, kappa)
-        rb = update_q_theta_bayes(phi, a, rowpost, wpost, dirichlet, kappa,
-                                  evtwvt=h)
-        assert (ra.r == rb.r).all() and (ra.log_rho == rb.log_rho).all()
-
-    @pytest.mark.parametrize("kappa", [1.0, 0.4])
-    def test_elbo_with_accumulators(self, kappa):
-        state, _ = self._state(kappa)
-        stats, stats_d, posts, posts_d = state[:4]
-        total_a, terms_a = elbo_bayes(*state)
-        total_b, terms_b = elbo_bayes(
-            *state, acc=accumulators(stats, posts),
-            acc_d=accumulators(stats_d, posts_d))
-        assert total_a == total_b
-        assert terms_a.keys() == terms_b.keys()
-        for name in terms_a:
-            assert terms_a[name] == terms_b[name], name
 
     @pytest.mark.parametrize("kappa", [1.0, 0.4])
     def test_cached_wishart_normalizer(self, kappa):
