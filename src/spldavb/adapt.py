@@ -21,7 +21,6 @@ __all__ = [
     "prune_and_merge",
     "run_adaptation",
     "sampled_statistics",
-    "sample_elbos",
     "sweep_m",
     "train_supervised",
 ]
@@ -32,15 +31,23 @@ _INIT_METHODS = ("ahc", "random_y", "oracle", "uniform_pi")
 # Hyperparams fields that only the Bayesian variant reads.
 _BAYES_ONLY_HYPER = ("mu0", "beta", "a_alpha", "b_alpha")
 
-# Knobs that only one variant reads: knob -> (variant, default).
-_VARIANT_ONLY = {
-    "sampler_k": ("point", 0),
-    "sampler_strategy": ("point", "average_accumulators"),
-    "min_div": ("point", True),
-    "do_msteps": ("point", True),
-    "hyper_opt_alpha": ("bayes", False),
-    "hyper_opt_mu": ("bayes", False),
-}
+# Knobs that are not read under some setting: (knob, setting, value of the
+# setting that leaves the knob unread).
+_UNREAD_UNDER = (
+    ("sampler_k", "variant", "bayes"),
+    ("sampler_strategy", "variant", "bayes"),
+    ("min_div", "variant", "bayes"),
+    ("do_msteps", "variant", "bayes"),
+    ("hyper_opt_alpha", "variant", "point"),
+    ("hyper_opt_mu", "variant", "point"),
+    ("sampler_k", "do_msteps", False),  # the sampler only feeds the M-steps
+    ("sampler_strategy", "sampler_k", 0),
+    ("kappa0", "anneal", False),
+    ("kappa_growth", "anneal", False),
+    ("prune_threshold", "prune_merge", False),
+    ("merge_threshold", "prune_merge", False),
+    ("prune_every", "prune_merge", False),
+)
 
 
 @dataclass
@@ -97,21 +104,16 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.sampler_strategy not in ("best_sample", "average_accumulators"):
             raise ValueError(f"unknown sampler strategy {self.sampler_strategy!r}")
-        for knob, (variant, default) in _VARIANT_ONLY.items():
-            if self.variant != variant and getattr(self, knob) != default:
-                raise ValueError(
-                    f"{knob}={getattr(self, knob)!r} is only supported by "
-                    f"the {variant} variant")
+        for knob, setting, off in _UNREAD_UNDER:
+            value = getattr(self, knob)
+            # A field's class attribute is its default.
+            if getattr(self, setting) == off and value != getattr(RunConfig, knob):
+                raise ValueError(f"{knob}={value!r} has no effect with "
+                                 f"{setting}={off!r}")
         if self.anneal and self.kappa0 < 1 and self.kappa_growth == 1:
             raise ValueError(
                 f"kappa_growth=1 keeps kappa at kappa0={self.kappa0!r} < 1, so "
                 "prune/merge and the stopping rule never run")
-        if self.sampler_k > 0 and not self.do_msteps:
-            raise ValueError("sampler_k > 0 only feeds the M-steps, which "
-                             "do_msteps=False turns off")
-        if self.sampler_strategy != "average_accumulators" and self.sampler_k == 0:
-            raise ValueError(f"sampler_strategy={self.sampler_strategy!r} "
-                             "needs sampler_k > 0")
 
 
 @dataclass
@@ -215,13 +217,6 @@ def _hard_elbo(sample, model, tau0):
         model, Hyperparams(tau0=tau0), acc,
         vbpoint.accumulators(stats_d, posts_d))
     return elbo
-
-
-def sample_elbos(counts, fsums, s_global, model, tau0):
-    """Point-variant lower bound of each hard sample (used by best_sample);
-    ``s_global`` is ``phi.T @ phi``."""
-    return np.array([_hard_elbo(sample, model, tau0) for sample
-                     in _sample_accumulators(counts, fsums, s_global, model)])
 
 
 def _merge_pairs(r, threshold):

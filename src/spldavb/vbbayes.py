@@ -9,7 +9,6 @@ posteriors, the column scales Gamma posteriors, and W a Wishart posterior.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
@@ -132,59 +131,45 @@ class AlphaPosterior:
 
 class WishartPosterior:
     """q(W) = Wishart(scale, dof) with E[W] and E[ln|W|] cached, and the
-    untempered K^-1 and ln B(K^-1, N') that the lower bound needs.
+    ln B(K^-1, N') of the untempered q(W) that the lower bound needs.
 
     Constructed either from an inverse-scale accumulator K (``from_update``)
     or as a point mass pinned at a given W (degenerate-reduction checks).
     """
 
-    def __init__(self, e_w, e_ln_w, k=None, dof=None, kappa=1.0):
+    def __init__(self, e_w, e_ln_w, k=None, dof=None, ln_b=None):
         self.e_w = sym(np.asarray(e_w, dtype=float))
         self.e_ln_w = float(e_ln_w)
         self.k = k
         self.dof = dof
-        self.kappa = kappa
+        self.ln_b = ln_b
 
     @classmethod
     def from_update(cls, k, dof, kappa=1.0):
+        """q(W) from K and N', annealed: scale K^-1 / kappa and dof
+        N' - (1 - kappa)(N' - d - 1), both exact at kappa = 1."""
         k = sym(np.asarray(k, dtype=float))
         d = k.shape[0]
+        dof = float(dof)
+        dof_eff = dof - (1.0 - kappa) * (dof - d - 1.0)
+        if dof_eff <= d:
+            raise ValueError(
+                f"Wishart dof {dof_eff:.3g} <= d = {d} (N' = {dof:.3g}, "
+                f"kappa = {kappa:.3g}); more (weighted) data or a larger "
+                "kappa is needed for a valid q(W)")
         k_inv = inv_pd(k)
-        if kappa == 1.0:
-            dof_eff = float(dof)
-            if dof_eff <= d:
-                raise ValueError(
-                    f"Wishart dof N' = {dof_eff:.3g} <= d = {d}; "
-                    "more (weighted) data is needed for a valid q(W)"
-                )
-            scale = k_inv
-        else:
-            dof_eff = kappa * (dof - d - 1.0) + d + 1.0
-            if kappa * (dof - d - 1.0) + 1.0 <= 0:
-                raise ValueError(
-                    f"annealed Wishart dof condition violated "
-                    f"(kappa={kappa:.3g}, N'={dof:.3g}, d={d}); raise kappa"
-                )
-            scale = k_inv / kappa
-        logdet_scale = logdet_pd(scale)
-        e_w = dof_eff * scale
+        logdet_k_inv = logdet_pd(k_inv)
+        scale = k_inv / kappa
         e_ln_w = (
             digamma(0.5 * (dof_eff + 1.0 - np.arange(1, d + 1))).sum()
             + d * np.log(2.0)
-            + logdet_scale
+            + logdet_k_inv - d * np.log(kappa)
         )
-        self = cls(e_w=e_w, e_ln_w=e_ln_w, k=k, dof=float(dof), kappa=kappa)
+        self = cls(e_w=dof_eff * scale, e_ln_w=e_ln_w, k=k, dof=dof,
+                   ln_b=_ln_wishart_b(k_inv, dof, logdet_k_inv))
         self._dof_eff = dof_eff
         self._scale = scale
-        self.k_inv = k_inv
-        if kappa == 1.0:  # the scale is K^-1, its log-determinant known
-            self.ln_b = _ln_wishart_b(k_inv, self.dof, logdet_scale)
         return self
-
-    @cached_property
-    def ln_b(self):
-        """ln B(K^-1, N'), the normalizer of the untempered q(W)."""
-        return _ln_wishart_b(self.k_inv, self.dof)
 
     @classmethod
     def point_mass(cls, w):
@@ -222,8 +207,7 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
     d = rowpost.d
     n_y = rowpost.n_y
     wbar = wpost.e_w
-    beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
-    mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
+    mu0, beta = _mean_prior(hyper, d)
     prec = np.diag(wbar)[:, None, None] * sym(r_p)
     cols = np.arange(n_y)
     prec[:, cols, cols] += alphapost.e_alpha
@@ -244,6 +228,17 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
         logdet=2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
 
 
+def _mean_prior(hyper, d):
+    """``(mu0, beta)`` of the prior N(mu0, diag(beta)^-1) over mu as (d,)
+    arrays; mu0 defaults to zero, beta has no default."""
+    if hyper.beta is None:
+        raise ValueError("Hyperparams.beta is unset; the mean prior needs a "
+                         "precision (run_adaptation sets it from the data)")
+    beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
+    mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
+    return mu0, beta
+
+
 def _cholesky_rows(prec):
     """Batched lower Cholesky factors; a failure names the first bad row."""
     try:
@@ -261,18 +256,14 @@ def _cholesky_rows(prec):
 def update_q_alpha(rowpost, hyper, kappa=1.0):
     """Gamma posterior per eigenvoice column.
 
-    a' = a + d/2, b'_q = b + E[v_q^T v_q]/2 (kappa-annealed variants keep the
-    kappa == 1 path bit-identical).
+    a' = a + d/2, b'_q = b + E[v_q^T v_q]/2, annealed by scaling the natural
+    parameters (a' - 1, b') by kappa: a' - (1 - kappa)(a' - 1) and
+    kappa b'_q, both exact at kappa = 1.
     """
-    d = rowpost.d
-    e_vv = rowpost.e_vq_vq()
-    if kappa == 1.0:
-        a_prime = hyper.a_alpha + 0.5 * d
-        b_prime = hyper.b_alpha + 0.5 * e_vv
-    else:
-        a_prime = kappa * (hyper.a_alpha + 0.5 * d - 1.0) + 1.0
-        b_prime = kappa * (hyper.b_alpha + 0.5 * e_vv)
-    return AlphaPosterior(a_prime=a_prime, b_prime=b_prime)
+    a_prime = hyper.a_alpha + 0.5 * rowpost.d
+    return AlphaPosterior(
+        a_prime=a_prime - (1.0 - kappa) * (a_prime - 1.0),
+        b_prime=kappa * (hyper.b_alpha + 0.5 * rowpost.e_vq_vq()))
 
 
 def update_q_wishart(e_s, s_d, c_p, r_p, rowpost, e_n, n_d, eta, kappa=1.0):
@@ -314,8 +305,7 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
     n_y = rowpost.n_y
     d = rowpost.d
     e_vv = rowpost.e_vq_vq()
-    beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
-    mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
+    mu0, beta = _mean_prior(hyper, d)
     mubar = rowpost.mubar
     mu_quad = rowpost.sigma_mu() + mubar ** 2 - 2.0 * mu0 * mubar + mu0 ** 2
 

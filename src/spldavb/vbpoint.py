@@ -2,9 +2,9 @@
 
 Coordinate-ascent updates for q(Y), q(theta), q(pi), the full variational
 lower bound with a per-term breakdown, the closed-form M-steps for [V|mu]
-and W, the Newton solver for the Dirichlet parameter tau0, the minimum
-divergence re-standardization and the deterministic-annealing (kappa)
-variants of every update.
+and W, the Newton solver for the Dirichlet parameter tau0 and the minimum
+divergence re-standardization.  Every variational update takes the
+deterministic-annealing temperature kappa (exact untempered update at 1).
 A point model is the Bayesian one with zero row covariances, so the
 Bayesian variant reuses these E-step and bound formulas.
 """
@@ -234,24 +234,17 @@ def _normalize_log_rho(log_rho, kappa):
 
 
 def update_q_pi(expected_counts, tau0, kappa=1.0):
-    """Dirichlet update tau_i = E[N_i] + tau0 (kappa-annealed variant below).
+    """Dirichlet update tau_i = E[N_i] + tau0, annealed.
 
-    With annealing, tau_i = kappa (E[N_i] + tau0 - 1) + 1.  The kappa == 1
-    branch is kept separate so the annealed code path is bit-identical to the
-    standard one.
+    Tempering scales the natural parameters tau - 1 by kappa:
+    tau_i = x - (1 - kappa)(x - 1) with x = E[N_i] + tau0, which is x
+    exactly at kappa = 1 and positive for any tau0 > 0, 0 < kappa <= 1.
     """
     counts = np.asarray(expected_counts, dtype=float)
     if (counts < 0).any():
         raise ValueError("expected counts must be nonnegative")
-    if kappa == 1.0:
-        tau = counts + tau0
-    else:
-        tau = kappa * (counts + tau0 - 1.0) + 1.0
-        if (tau <= 0).any():
-            raise ValueError(
-                "annealed tau non-positive; raise kappa or tau0"
-            )
-    return DirichletPosterior(tau=tau)
+    tau = counts + tau0
+    return DirichletPosterior(tau=tau - (1.0 - kappa) * (tau - 1.0))
 
 
 def accumulators(stats, posteriors):

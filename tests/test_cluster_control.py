@@ -10,7 +10,6 @@ from spldavb.adapt import (
     init_responsibilities,
     prune_and_merge,
     run_adaptation,
-    sample_elbos,
     sampled_statistics,
     sweep_m,
     train_supervised,
@@ -130,8 +129,9 @@ class TestSampledStatistics:
         r[np.arange(15), labels] = 1.0
         counts, fsums = sampled_statistics(
             Responsibilities(r=r), dataset.phi, k=4, seed=5)
-        elbos = sample_elbos(counts, fsums, dataset.phi.T @ dataset.phi, model,
-                             tau0=1.0)
+        elbos = [adapt._hard_elbo(smp, model, 1.0) for smp in
+                 adapt._sample_accumulators(counts, fsums,
+                                            dataset.phi.T @ dataset.phi, model)]
         assert np.ptp(elbos) < 1e-9 * abs(elbos[0])
 
 
@@ -325,7 +325,8 @@ class TestRuns:
         # reported bound, so it can fall only after a restructure.
         dataset, model = split_problem(seed=6)
         cfg = RunConfig(m_init=6, variant=variant, init_method="ahc",
-                        anneal=anneal, prune_merge=prune_merge, prune_every=3,
+                        anneal=anneal, prune_merge=prune_merge,
+                        **(dict(prune_every=3) if prune_merge else {}),
                         max_iter=40, seed=6)
         report = run_adaptation(dataset, model, Hyperparams(eta=eta), cfg)
         restructured = {int(note.split()[1].rstrip(":"))
@@ -501,6 +502,13 @@ class TestRuns:
         # the sampler feeds only the M-steps
         ("sampler_k", dict(sampler_k=3, do_msteps=False)),
         ("sampler_strategy", dict(sampler_strategy="best_sample")),
+        # the schedule is read only when annealing
+        ("kappa0", dict(kappa0=0.5)),
+        ("kappa_growth", dict(kappa_growth=2.0)),
+        # the thresholds and the period are read only by prune/merge
+        ("prune_threshold", dict(prune_threshold=1.0)),
+        ("merge_threshold", dict(merge_threshold=0.5)),
+        ("prune_every", dict(prune_every=2)),
     ])
     def test_knob_without_effect_rejected(self, knob, settings):
         with pytest.raises(ValueError, match=knob):
@@ -510,6 +518,9 @@ class TestRuns:
         RunConfig(anneal=True, kappa0=1.0, kappa_growth=1.0)
         RunConfig(sampler_k=3, sampler_strategy="best_sample")
         RunConfig(sampler_k=0, do_msteps=False)
+        RunConfig(anneal=True, kappa0=0.5, kappa_growth=2.0)
+        RunConfig(prune_merge=True, prune_threshold=1.0, merge_threshold=0.5,
+                  prune_every=2)
 
     def test_dimension_mismatch_rejected(self):
         dataset, _, _ = easy_problem(d=6)
