@@ -3,7 +3,7 @@ heuristics (pruning/merging), the VB+sampling hybrid and supervised
 maximum-likelihood training of the initial model.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 import scipy.cluster.hierarchy
@@ -44,6 +44,7 @@ _UNREAD_UNDER = (
     ("sampler_strategy", "sampler_k", 0),
     ("kappa0", "anneal", False),
     ("kappa_growth", "anneal", False),
+    ("kappa_growth", "kappa0", 1.0),  # kappa starts at 1 and never grows
     ("prune_threshold", "prune_merge", False),
     ("merge_threshold", "prune_merge", False),
     ("prune_every", "prune_merge", False),
@@ -324,11 +325,30 @@ def _closest_posterior_pairs(ybar, n_pairs=6):
     return list(zip(i[order].tolist(), j[order].tolist()))
 
 
+@dataclass(frozen=True)
+class _Reduced:
+    """Responsibilities and the raw statistics of the unlabelled set under
+    them, reduced once by ``accumulate_stats``.  The statistics are
+    computed here, ``r`` is made read-only and neither field can be
+    reassigned, so the pair cannot go stale."""
+
+    resp: Responsibilities
+    phi: InitVar[np.ndarray]
+    s_phi: InitVar[np.ndarray]
+    stats: SuffStats = field(init=False)
+
+    def __post_init__(self, phi, s_phi):
+        self.resp.r.flags.writeable = False
+        object.__setattr__(self, "stats",
+                           accumulate_stats(self.resp.r, phi, s=s_phi))
+
+
 class _Variant:
     """The parameter step of one inference variant.
 
-    ``sweep(params, resp, dirichlet, kappa)`` runs one coordinate-ascent
-    sweep and returns a state dict with at least ``params``, ``resp``,
+    ``sweep(params, reduced, dirichlet, kappa)`` runs one coordinate-ascent
+    sweep from the ``_Reduced`` responsibilities and returns a state dict
+    with at least ``params``, ``reduced`` (the new responsibilities),
     ``dirichlet``, ``posts``, ``elbo`` and ``terms``; ``update(state)``
     returns the params for the next sweep; ``finish(params, report)``
     stores the adapted model in the report.
@@ -344,9 +364,9 @@ class _Variant:
             else SuffStats(n=np.zeros(0), f=np.zeros((0, dataset.d)),
                            s=np.zeros((dataset.d, dataset.d)))
 
-    def stats(self, r):
-        """Raw statistics of the unlabelled set under responsibilities r."""
-        return accumulate_stats(r, self.phi, s=self.s_phi)
+    def reduce(self, resp):
+        """``resp`` with the raw statistics of the unlabelled set under it."""
+        return _Reduced(resp, self.phi, self.s_phi)
 
 
 class _Point(_Variant):
@@ -358,33 +378,35 @@ class _Point(_Variant):
         # One independent, reproducible sampler stream per iteration.
         self.sampler_seeds = np.random.SeedSequence(config.seed)
 
-    def sweep(self, model, resp, dirichlet, kappa):
+    def sweep(self, model, reduced, dirichlet, kappa):
         phi, hyper = self.phi, self.hyper
-        stats = center_stats(self.stats(resp.r), model.mu)
+        stats = center_stats(reduced.stats, model.mu)
         stats_d = center_stats(self.stats_d_raw, model.mu)
         posts = vbpoint.update_q_y(stats, model, kappa)
         posts_d = vbpoint.update_q_y(stats_d, model, kappa)
-        resp = vbpoint.update_q_theta(phi, posts, model, dirichlet, kappa)
-        dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
-        stats = self.stats(resp.r)
+        reduced = self.reduce(
+            vbpoint.update_q_theta(phi, posts, model, dirichlet, kappa))
+        stats = reduced.stats
+        dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0, kappa)
         acc = vbpoint.accumulators(stats, posts)
         acc_d = vbpoint.accumulators(stats_d, posts_d)
         elbo, terms = vbpoint.elbo_point(
-            stats, stats_d, posts, posts_d, resp, dirichlet, model, hyper,
-            acc, acc_d)
-        return dict(params=model, stats=stats, stats_d=stats_d, posts=posts,
-                    posts_d=posts_d, acc=acc, acc_d=acc_d, resp=resp,
+            stats, stats_d, posts, posts_d, reduced.resp, dirichlet, model,
+            hyper, acc, acc_d)
+        return dict(params=model, stats_d=stats_d, posts=posts,
+                    posts_d=posts_d, acc=acc, acc_d=acc_d, reduced=reduced,
                     dirichlet=dirichlet, elbo=elbo, terms=terms)
 
     def update(self, state):
         model, hyper, config = state["params"], self.hyper, self.config
         if not config.do_msteps:
             return model
-        stats, stats_d = state["stats"], state["stats_d"]
+        reduced, stats_d = state["reduced"], state["stats_d"]
+        stats = reduced.stats
         (c, r), (c_d, r_d) = state["acc"], state["acc_d"]
         if config.sampler_k > 0:
             c, r = _sampler_accumulators(
-                state["resp"], self.phi, model, hyper, config, stats.s,
+                reduced.resp, self.phi, model, hyper, config, stats.s,
                 self.sampler_seeds.spawn(1)[0])
         vtilde = vbpoint.mstep_V(c, r, c_d, r_d, hyper.eta)
         c_p = c + hyper.eta * c_d
@@ -409,16 +431,16 @@ class _Bayes(_Variant):
     alphapost)`` over the rows of [V | mu], W and the relevance
     precisions, updated inside every sweep."""
 
-    def sweep(self, params, resp, dirichlet, kappa):
+    def sweep(self, params, reduced, dirichlet, kappa):
         rowpost, wpost, alphapost = params
         phi, hyper, stats_d = self.phi, self.hyper, self.stats_d_raw
-        stats = self.stats(resp.r)
         expected = rowpost.expected(wpost)
-        posts = vbbayes.update_q_y_bayes(stats, expected, kappa)
+        posts = vbbayes.update_q_y_bayes(reduced.stats, expected, kappa)
         posts_d = vbbayes.update_q_y_bayes(stats_d, expected, kappa)
-        resp = vbbayes.update_q_theta_bayes(phi, posts, expected, dirichlet, kappa)
-        dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0, kappa)
-        stats = self.stats(resp.r)
+        reduced = self.reduce(vbbayes.update_q_theta_bayes(
+            phi, posts, expected, dirichlet, kappa))
+        stats = reduced.stats
+        dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0, kappa)
         c, r = vbpoint.accumulators(stats, posts)
         c_d, r_d = vbpoint.accumulators(stats_d, posts_d)
         c_p, r_p = c + hyper.eta * c_d, r + hyper.eta * r_d
@@ -429,9 +451,9 @@ class _Bayes(_Variant):
             stats.s, stats_d.s, c_p, r_p, rowpost,
             stats.n_total, stats_d.n_total, hyper.eta, kappa)
         elbo, terms = vbbayes.elbo_bayes(
-            stats, stats_d, posts, posts_d, resp, dirichlet,
+            stats, stats_d, posts, posts_d, reduced.resp, dirichlet,
             rowpost, alphapost, wpost, hyper, (c, r), (c_d, r_d))
-        return dict(params=(rowpost, wpost, alphapost), resp=resp,
+        return dict(params=(rowpost, wpost, alphapost), reduced=reduced,
                     dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
 
     def update(self, state):
@@ -520,24 +542,26 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
     """The coordinate ascent both variants share: sweep, parameter step,
     tau0 step, annealing, ELBO-gated prune/merge and the stopping rule."""
     report = RunReport()
-    resp = init_responsibilities(dataset, model_init, config, tau0=hyper.tau0)
-    dirichlet = vbpoint.update_q_pi(resp.counts, hyper.tau0)
+    reduced = variant.reduce(
+        init_responsibilities(dataset, model_init, config, tau0=hyper.tau0))
+    dirichlet = vbpoint.update_q_pi(reduced.stats.n, hyper.tau0)
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
     next_state = None
 
     for it in range(config.max_iter):
         if next_state is None:
-            state = variant.sweep(params, resp, dirichlet, kappa)
+            state = variant.sweep(params, reduced, dirichlet, kappa)
         else:
             state, next_state = next_state, None
-        resp, dirichlet, elbo = state["resp"], state["dirichlet"], state["elbo"]
+        reduced, dirichlet, elbo = \
+            state["reduced"], state["dirichlet"], state["elbo"]
         params = variant.update(state)
         if config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
             hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
 
         report.elbo_trace.append(elbo)
-        report.m_trace.append(resp.r.shape[1])
+        report.m_trace.append(reduced.resp.r.shape[1])
         report.kappa_trace.append(kappa)
         if not np.isfinite(elbo):
             raise FloatingPointError(
@@ -548,22 +572,26 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                 and kappa == 1.0):
 
             def refresh(r_matrix):
-                resp_c = Responsibilities(r=r_matrix)
+                # The baseline candidate is the current, reduced matrix.
+                red = reduced if r_matrix is reduced.resp.r \
+                    else variant.reduce(Responsibilities(r=r_matrix))
                 st = variant.sweep(
-                    params, resp_c,
-                    vbpoint.update_q_pi(resp_c.counts, hyper.tau0), 1.0)
+                    params, red, vbpoint.update_q_pi(red.stats.n, hyper.tau0),
+                    1.0)
                 return st["elbo"], st
 
             resp2, _, st2, restructured = prune_and_merge(
-                resp, config, refresh, elbo,
+                reduced.resp, config, refresh, elbo,
                 extra_pairs=_closest_posterior_pairs(state["posts"].ybar))
             since_restructure = 0
             if restructured:
                 report.diagnostics.append(
-                    f"iter {it}: restructured M {resp.r.shape[1]} -> {resp2.r.shape[1]}")
-                resp, dirichlet, params = st2["resp"], st2["dirichlet"], st2["params"]
+                    f"iter {it}: restructured M {reduced.resp.r.shape[1]} -> "
+                    f"{resp2.r.shape[1]}")
+                reduced, dirichlet, params = \
+                    st2["reduced"], st2["dirichlet"], st2["params"]
             elif st2 is not None and np.array_equal(
-                    vbpoint.update_q_pi(resp.counts, hyper.tau0).tau,
+                    vbpoint.update_q_pi(reduced.stats.n, hyper.tau0).tau,
                     dirichlet.tau):
                 # The baseline refresh swept from this resp under these
                 # params at kappa = 1 with this q(pi): it is the next sweep.
@@ -579,7 +607,7 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                 report.converged = True
                 break
 
-    report.labels = np.argmax(resp.r, axis=1)  # ties: lowest index wins
+    report.labels = np.argmax(reduced.resp.r, axis=1)  # ties: lowest index wins
     report.elbo_terms = state["terms"]
     variant.finish(params, report)
     return report

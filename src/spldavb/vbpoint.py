@@ -139,7 +139,7 @@ class SpeakerPosteriors:
                           t_inv @ self.basis, self.s)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Responsibilities:
     """Row-stochastic cluster responsibilities plus the raw log weights."""
 
@@ -154,7 +154,11 @@ class Responsibilities:
     def entropy(self):
         """-sum_ji r_ji ln r_ji, with 0 ln 0 = 0."""
         r = self.r
-        return float(-np.sum(np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.log(r)
+            terms *= r  # 0 * -inf is nan where r == 0
+        terms[r == 0] = 0.0
+        return float(-np.sum(terms))
 
 
 @dataclass
@@ -210,26 +214,41 @@ def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0, *,
     # tr(E[Vc^T W Vc] E[yt yt^T]) for the centred Vc = [V | mu - E[mu]]
     tr_term = posteriors.trace_e_yy(g) \
         + (2.0 * posteriors.ybar @ u[:n_y, n_y] + u[n_y, n_y])  # (M,)
-    log_rho = (
-        0.5 * (ln_w - model.d * LOG2PI)
-        - 0.5 * quad[:, None]
-        + cross
-        - 0.5 * tr_term[None, :]
-        + dirichlet.e_ln_pi[None, :]
-    )
+    # Built in place in ``cross``, adding in the order
+    # (const - quad/2) + cross - tr/2 + E[ln pi], which fixes the rounding.
+    log_rho = cross
+    log_rho += 0.5 * (ln_w - model.d * LOG2PI) - 0.5 * quad[:, None]
+    log_rho -= 0.5 * tr_term
+    log_rho += dirichlet.e_ln_pi
     return _normalize_log_rho(log_rho, kappa)
 
 
+# exp(x) is subnormal or zero for every x below this and a normal double
+# from it up.
+_LN_TINY = np.log(np.finfo(float).tiny)
+
+
 def _normalize_log_rho(log_rho, kappa):
+    """Tempered softmax of each row, with no subnormal responsibility.
+
+    Shifted weights below ln(tiny) become -inf, so their exp is an exact 0
+    instead of a subnormal (which exp and the BLAS handle far more slowly).
+    Every responsibility >= tiny keeps the bits of the untruncated softmax,
+    and so does each row's normaliser: the dropped terms are below tiny
+    while the row sum is at least 1.
+    """
     # fl(kappa x) is monotone in x, so kappa times the row max is the row
-    # max of the tempered weights.
+    # max of the tempered weights; at kappa = 1 both products are exact.
     row_max = log_rho.max(axis=1, keepdims=True)
     if not np.isfinite(row_max).all():
         raise ValueError("degenerate model: a responsibility row is all -inf")
-    z = log_rho if kappa == 1.0 else kappa * log_rho
-    z_shift = z - kappa * row_max
-    log_norm = np.log(np.exp(z_shift).sum(axis=1, keepdims=True))
-    r = np.exp(z_shift - log_norm)
+    z = kappa * log_rho
+    z -= kappa * row_max
+    z[z < _LN_TINY] = -np.inf
+    r = np.exp(z)
+    z -= np.log(r.sum(axis=1, keepdims=True))
+    z[z < _LN_TINY] = -np.inf
+    np.exp(z, out=r)
     return Responsibilities(r=r, log_rho=log_rho)
 
 

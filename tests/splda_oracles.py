@@ -2,8 +2,10 @@
 
 Per-speaker likelihoods from explicit second-order statistics, dense
 per-speaker views of factored speaker posteriors, the parameter moments
-E[Vt^T W Vt] and E[Vt R Vt^T] and central finite differences.  None of this is needed to run an adaptation; each function
-follows its formula directly rather than the library's aggregate forms.
+E[Vt^T W Vt] and E[Vt R Vt^T], the responsibility softmax and entropy in
+their direct forms and central finite differences.  None of this is
+needed to run an adaptation; each function follows its formula directly
+rather than the library's aggregate forms.
 """
 
 from dataclasses import dataclass
@@ -114,6 +116,22 @@ def e_vt_r_vt(rowpost, r):
     """E[Vtilde R Vtilde^T] = Vtbar R Vtbar^T + diag(rho), with the
     package's rho_r = tr(R Sigma_r)."""
     return rowpost.mean @ r @ rowpost.mean.T + np.diag(rowpost.rho(r))
+
+
+def softmax_untruncated(log_rho, kappa):
+    """Tempered row softmax of log weights with every exp kept, subnormal
+    results included: the library's normaliser before it truncated below
+    the smallest normal double."""
+    row_max = log_rho.max(axis=1, keepdims=True)
+    z = log_rho if kappa == 1.0 else kappa * log_rho
+    z_shift = z - kappa * row_max
+    log_norm = np.log(np.exp(z_shift).sum(axis=1, keepdims=True))
+    return np.exp(z_shift - log_norm)
+
+
+def entropy_nested_where(r):
+    """-sum_ji r_ji ln r_ji with 0 ln 0 = 0, masking before the log."""
+    return float(-np.sum(np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)))
 
 
 def fd_gradient(objective, params, step=1e-5):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -280,6 +280,63 @@ def runs_with_and_without_reuse(monkeypatch, dataset, model, cfg):
     return runs
 
 
+class TestSingleReduction:
+    """Each responsibility matrix is reduced to statistics exactly once."""
+
+    @staticmethod
+    def counting(monkeypatch, events):
+        """Record each reduction and each q(theta) update in ``events``."""
+        for module, name, event in (
+                (adapt, "accumulate_stats", "stats"),
+                (adapt.vbpoint, "update_q_theta", "q_theta"),
+                (adapt.vbbayes, "update_q_theta_bayes", "q_theta")):
+
+            def recording(*args, _f=getattr(module, name), _e=event, **kwargs):
+                events.append(_e)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+
+    def test_point_sweep_reduces_only_its_new_responsibilities(
+            self, monkeypatch):
+        dataset, model = split_problem(seed=5)
+        hyper = Hyperparams()
+        config = RunConfig(m_init=4, init_method="random_y", seed=5)
+        variant = adapt._Point(dataset, hyper, config)
+        reduced = variant.reduce(
+            init_responsibilities(dataset, model, config, tau0=hyper.tau0))
+        dirichlet = adapt.vbpoint.update_q_pi(reduced.stats.n, hyper.tau0)
+        fresh_stats = adapt.accumulate_stats
+        events = []
+        self.counting(monkeypatch, events)
+        state = variant.sweep(model, reduced, dirichlet, 1.0)
+        assert events == ["q_theta", "stats"]
+        carried = state["reduced"]
+        fresh = fresh_stats(carried.resp.r, dataset.phi)
+        for name in ("n", "f", "s"):
+            np.testing.assert_array_equal(getattr(carried.stats, name),
+                                          getattr(fresh, name))
+        # Neither half of the pair can change without the other.
+        with pytest.raises(ValueError, match="read-only"):
+            carried.resp.r[0, 0] = 0.5
+        with pytest.raises(FrozenInstanceError):
+            carried.resp.r = fresh.n
+        with pytest.raises(FrozenInstanceError):
+            carried.stats = fresh
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_run_reduces_once_per_sweep(self, monkeypatch, variant):
+        dataset, model = split_problem(seed=6)
+        events = []
+        self.counting(monkeypatch, events)
+        run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=4, variant=variant, init_method="ahc", elbo_tol=0.0,
+            max_iter=6))
+        # The labelled block, the initial responsibilities, then one
+        # reduction right after each sweep's q(theta).
+        assert events == ["stats", "stats"] + ["q_theta", "stats"] * 6
+
+
 class TestRuns:
     def test_point_run_is_deterministic(self):
         dataset, labels, model = easy_problem(seed=31)
@@ -509,13 +566,15 @@ class TestRuns:
         ("prune_threshold", dict(prune_threshold=1.0)),
         ("merge_threshold", dict(merge_threshold=0.5)),
         ("prune_every", dict(prune_every=2)),
+        # kappa starts at 1, so the growth factor is never applied
+        ("kappa_growth", dict(anneal=True, kappa0=1.0, kappa_growth=2.0)),
     ])
     def test_knob_without_effect_rejected(self, knob, settings):
         with pytest.raises(ValueError, match=knob):
             RunConfig(**settings)
 
     def test_knob_neighbours_of_rejected_settings_accepted(self):
-        RunConfig(anneal=True, kappa0=1.0, kappa_growth=1.0)
+        RunConfig(anneal=True, kappa0=1.0)
         RunConfig(sampler_k=3, sampler_strategy="best_sample")
         RunConfig(sampler_k=0, do_msteps=False)
         RunConfig(anneal=True, kappa0=0.5, kappa_growth=2.0)

@@ -32,8 +32,16 @@ from spldavb.vbpoint import (
     update_q_theta,
     update_q_y,
 )
+from spldavb.vbpoint import _normalize_log_rho
 from spldavb.vbbayes import RowPosteriors, WishartPosterior, update_q_y_bayes
-from splda_oracles import dense_cov, dense_e_yy, dense_prec, e_yy_tilde
+from splda_oracles import (
+    dense_cov,
+    dense_e_yy,
+    dense_prec,
+    e_yy_tilde,
+    entropy_nested_where,
+    softmax_untruncated,
+)
 
 
 def random_model(rng, d, n_y):
@@ -524,3 +532,56 @@ def test_entropy_nonnegative(seed):
     r = rng.random((6, 3))
     r /= r.sum(axis=1, keepdims=True)
     assert Responsibilities(r=r).entropy() >= 0.0
+
+
+TINY = np.finfo(float).tiny
+
+
+# Tempered, shifted log weights: near the row max (they set the row's
+# normaliser), around ln(tiny) ~ -708.4 either side of the truncation, and
+# anywhere down to where exp underflows to zero.
+_weights = st.one_of(st.floats(min_value=-4.0, max_value=0.0),
+                     st.floats(min_value=-712.0, max_value=-704.0),
+                     st.floats(min_value=-2000.0, max_value=0.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.just(1.0), st.floats(min_value=1e-6, max_value=1.0)),
+       st.lists(st.lists(_weights, min_size=1, max_size=8),
+                min_size=1, max_size=5),
+       st.floats(min_value=-1e3, max_value=1e3))
+def test_normalizer_has_no_subnormals_and_keeps_normal_bits(
+        kappa, weights, base):
+    m = max(len(row) for row in weights)
+    rows = [[0.0] + row + [-1e4] * (m - len(row)) for row in weights]
+    log_rho = base + np.array(rows) / kappa
+    r = _normalize_log_rho(log_rho, kappa).r
+    oracle = softmax_untruncated(log_rho, kappa)
+    assert ((r == 0) | (r >= TINY)).all()
+    np.testing.assert_array_equal(r, np.where(oracle >= TINY, oracle, 0.0))
+    assert np.abs(r.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_normalizer_truncates_at_smallest_normal():
+    # Shifted weights just either side of ln(tiny): the one whose exp is
+    # normal keeps its bits, the subnormal one becomes an exact 0.
+    ln_tiny = np.log(TINY)
+    log_rho = np.array([[0.0, ln_tiny, np.nextafter(ln_tiny, -np.inf), -720.0]])
+    r = _normalize_log_rho(log_rho, 1.0).r
+    oracle = softmax_untruncated(log_rho, 1.0)
+    assert 0 < oracle[0, 2] < TINY and 0 < oracle[0, 3] < TINY
+    np.testing.assert_array_equal(r, [[1.0, oracle[0, 1], 0.0, 0.0]])
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.floats(min_value=0.0, max_value=0.9))
+def test_entropy_matches_nested_where_with_exact_zeros(seed, zero_share):
+    rng = np.random.default_rng(seed)
+    r = rng.dirichlet(np.ones(5), size=9)
+    r[rng.random(r.shape) < zero_share] = 0.0
+    r[np.arange(9), rng.integers(0, 5, 9)] += 1e-3  # no all-zero row
+    r[0, :2] = [TINY, 0.0]
+    r /= r.sum(axis=1, keepdims=True)
+    assert (r == 0).any()
+    assert Responsibilities(r=r).entropy() == entropy_nested_where(r)
