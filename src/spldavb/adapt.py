@@ -10,7 +10,7 @@ import scipy.cluster.hierarchy
 import scipy.spatial.distance
 
 from . import vbbayes, vbpoint
-from .model import SpldaModel, SuffStats, accumulate_stats, center_stats
+from .model import SpldaModel, SuffStats, accumulate_stats
 from .synth import pairwise_llr_matrix
 from .vbpoint import Hyperparams, Responsibilities, SpeakerPosteriors
 
@@ -195,10 +195,10 @@ def sampled_statistics(resp, phi, k, seed=0):
 
 
 def _sample_accumulators(counts, fsums, s_global, model):
-    """Centred statistics, q(Y) and accumulators (C, R) of each hard sample;
+    """Statistics, q(Y) and accumulators (C, R) of each hard sample;
     ``s_global`` is ``phi.T @ phi``."""
     for n, f in zip(counts, fsums):
-        stats = center_stats(SuffStats(n=n, f=f, s=s_global), model.mu)
+        stats = SuffStats(n=n, f=f, s=s_global)
         posts = vbpoint.update_q_y(stats, model)
         yield stats, posts, vbpoint.accumulators(stats, posts)
 
@@ -359,7 +359,7 @@ class _Variant:
         self.hyper = hyper
         self.config = config
         self.s_phi = self.phi.T @ self.phi
-        self.stats_d_raw = accumulate_stats(
+        self.stats_d = accumulate_stats(
             dataset.one_hot_labels(), dataset.phi_d) if dataset.phi_d.size \
             else SuffStats(n=np.zeros(0), f=np.zeros((0, dataset.d)),
                            s=np.zeros((dataset.d, dataset.d)))
@@ -379,10 +379,8 @@ class _Point(_Variant):
         self.sampler_seeds = np.random.SeedSequence(config.seed)
 
     def sweep(self, model, reduced, dirichlet, kappa):
-        phi, hyper = self.phi, self.hyper
-        stats = center_stats(reduced.stats, model.mu)
-        stats_d = center_stats(self.stats_d_raw, model.mu)
-        posts = vbpoint.update_q_y(stats, model, kappa)
+        phi, hyper, stats_d = self.phi, self.hyper, self.stats_d
+        posts = vbpoint.update_q_y(reduced.stats, model, kappa)
         posts_d = vbpoint.update_q_y(stats_d, model, kappa)
         reduced = self.reduce(
             vbpoint.update_q_theta(phi, posts, model, dirichlet, kappa))
@@ -393,15 +391,15 @@ class _Point(_Variant):
         elbo, terms = vbpoint.elbo_point(
             stats, stats_d, posts, posts_d, reduced.resp, dirichlet, model,
             hyper, acc, acc_d)
-        return dict(params=model, stats_d=stats_d, posts=posts,
-                    posts_d=posts_d, acc=acc, acc_d=acc_d, reduced=reduced,
-                    dirichlet=dirichlet, elbo=elbo, terms=terms)
+        return dict(params=model, posts=posts, posts_d=posts_d, acc=acc,
+                    acc_d=acc_d, reduced=reduced, dirichlet=dirichlet,
+                    elbo=elbo, terms=terms)
 
     def update(self, state):
         model, hyper, config = state["params"], self.hyper, self.config
         if not config.do_msteps:
             return model
-        reduced, stats_d = state["reduced"], state["stats_d"]
+        reduced, stats_d = state["reduced"], self.stats_d
         stats = reduced.stats
         (c, r), (c_d, r_d) = state["acc"], state["acc_d"]
         if config.sampler_k > 0:
@@ -433,7 +431,7 @@ class _Bayes(_Variant):
 
     def sweep(self, params, reduced, dirichlet, kappa):
         rowpost, wpost, alphapost = params
-        phi, hyper, stats_d = self.phi, self.hyper, self.stats_d_raw
+        phi, hyper, stats_d = self.phi, self.hyper, self.stats_d
         expected = rowpost.expected(wpost)
         posts = vbbayes.update_q_y_bayes(reduced.stats, expected, kappa)
         posts_d = vbbayes.update_q_y_bayes(stats_d, expected, kappa)
@@ -484,6 +482,13 @@ def _default_bayes_hyper(hyper, dataset):
         hyper.beta = 1e-2 * ref.shape[1] / max(tr_cov, 1e-12)
 
 
+def _set_fields(obj, names):
+    """``name=value`` of each dataclass field in ``names`` that ``obj`` has
+    away from its default (the field's class attribute)."""
+    return [f"{name}={getattr(obj, name)!r}" for name in names
+            if not np.array_equal(getattr(obj, name), getattr(type(obj), name))]
+
+
 def run_adaptation(dataset, model_init, hyper, config):
     """Adapt an SPLDA model on a mixed labelled/unlabelled dataset.
 
@@ -492,18 +497,28 @@ def run_adaptation(dataset, model_init, hyper, config):
     prune/merge } until the relative ELBO change falls below ``elbo_tol``.
     ``hyper`` is not modified; the Bayesian report carries the final
     hyperparameters in ``bayes_state["hyper"]``.
+
+    Without unlabelled i-vectors the run is ``train_supervised`` from
+    ``model_init`` on the labelled set, which reads only ``max_iter`` and
+    ``elbo_tol``: any other setting away from its default, including
+    ``variant="bayes"``, ``eta`` and ``tau0``, raises a ``ValueError``.
     """
-    if config.variant == "point":
-        default = Hyperparams()
-        for name in _BAYES_ONLY_HYPER:
-            value = getattr(hyper, name)
-            if not np.array_equal(value, getattr(default, name)):
-                raise ValueError(f"Hyperparams.{name}={value!r} is only "
-                                 "read by the bayes variant")
+    bayes_only = _set_fields(hyper, _BAYES_ONLY_HYPER)
+    if config.variant == "point" and bayes_only:
+        raise ValueError(f"Hyperparams.{bayes_only[0]} is only read by the "
+                         "bayes variant")
     if dataset.phi.shape[0] == 0:
+        others = [name for name in RunConfig.__dataclass_fields__
+                  if name not in ("variant", "max_iter", "elbo_tol")]
+        unread = _set_fields(config, ("variant",)) \
+            + ["Hyperparams." + s for s in _set_fields(hyper, ("eta", "tau0"))] \
+            + _set_fields(config, others)
+        if unread:
+            raise ValueError(f"{unread[0]} has no effect without unlabelled "
+                             "i-vectors")
         return train_supervised(
             dataset.phi_d, dataset.labels_d, model_init.n_y, model_init=model_init,
-            max_iter=config.max_iter, elbo_tol=config.elbo_tol, seed=config.seed)
+            max_iter=config.max_iter, elbo_tol=config.elbo_tol)
     if dataset.d != model_init.d:
         raise ValueError(
             f"model dimension {model_init.d} does not match data {dataset.d}")
@@ -641,7 +656,7 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         raise ValueError(f"need N_d > d for a valid W (N_d={n_d}, d={d})")
     m_d = labels_d.max() + 1
     resp = _one_hot(labels_d, m_d)
-    stats_raw = accumulate_stats(resp, phi_d)
+    stats = accumulate_stats(resp, phi_d)
     if model_init is None:
         rng = np.random.default_rng(seed)
         mu = phi_d.mean(axis=0)
@@ -657,7 +672,6 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     empty_posts = SpeakerPosteriors.from_pair(
         np.zeros((n_y, n_y)), np.zeros(0), np.zeros((0, n_y)))
     for it in range(max_iter):
-        stats = center_stats(stats_raw, model.mu)
         posts = vbpoint.update_q_y(stats, model)
         c_d, r_d = vbpoint.accumulators(stats, posts)
         elbo = (vbpoint._data_term(stats, (c_d, r_d), model.vtilde, model.w,

@@ -90,8 +90,9 @@ class Dataset:
         object.__setattr__(self, "labels_d", labels)
         if phi.size and phi_d.size and phi.shape[1] != phi_d.shape[1]:
             raise ValueError("phi and phi_d dimension mismatch")
-        if labels.shape[0] != phi_d.shape[0] and phi_d.size:
-            raise ValueError("labels_d length does not match phi_d rows")
+        n_d = phi_d.shape[0] if phi_d.size else 0  # atleast_2d([]) is (1, 0)
+        if labels.shape != (n_d,):
+            raise ValueError(f"labels_d has shape {labels.shape}, not ({n_d},)")
         if phi_d.size:
             m_d = labels.max() + 1
             if labels.min() < 0:
@@ -124,8 +125,8 @@ class SuffStats:
 
     The global ``S = sum_j phi_j phi_j^T`` is stored once; every update
     needs only this global sum, never per-speaker second-order matrices.
-    ``fbar`` holds the first-order sums centered on the model mean once
-    ``center_stats`` has filled it; only the point q(Y) update reads it.
+    ``fbar`` holds the first-order sums centered on a mean once the public
+    helper ``center_stats`` has filled it; every update reads the raw sums.
     """
 
     n: np.ndarray  # (M,) soft counts

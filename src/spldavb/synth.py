@@ -82,35 +82,18 @@ def split_dataset(phi, labels, sup_fraction, seed=0):
     return dataset, labels[~sup_mask]
 
 
-def _gauss_logpdf(x, mean, cov):
-    diff = np.atleast_2d(x - mean)
-    k = diff.shape[1]
-    chol = np.linalg.cholesky(sym(cov))
-    z = np.linalg.solve(chol, diff.T)
-    out = -0.5 * (z ** 2).sum(axis=0) - 0.5 * k * np.log(2 * np.pi) \
-        - np.log(np.diag(chol)).sum()
-    return out if out.size > 1 else float(out[0])
-
-
 def pairwise_llr(model, phi_a, phi_b):
     """Same-speaker vs independent-speakers log-likelihood ratio.
 
     ln p(a, b | same) - ln p(a) p(b); the two-cover verification score of
-    the point model.
+    the point model, by the closed form of :func:`pairwise_llr_matrix`.
     """
-    vv = model.v @ model.v.T
-    w_inv = inv_pd(model.w)
-    cov1 = vv + w_inv
-    d = model.d
-    joint_cov = np.block([[cov1, vv], [vv, cov1]])
-    joint_mean = np.concatenate([model.mu, model.mu])
-    same = _gauss_logpdf(np.concatenate([phi_a, phi_b]), joint_mean, joint_cov)
-    lone = _gauss_logpdf(phi_a, model.mu, cov1) + _gauss_logpdf(phi_b, model.mu, cov1)
-    return float(same - lone)
+    return float(pairwise_llr_matrix(model, np.stack([phi_a, phi_b]))[0, 1])
 
 
 def pairwise_llr_matrix(model, phi):
-    """(N, N) matrix of :func:`pairwise_llr` for every pair of rows of ``phi``.
+    """(N, N) same-speaker vs independent-speakers log-likelihood ratios
+    ln p(a, b | same) - ln p(a) p(b) of every pair of rows of ``phi``.
 
     Two-covariance closed form (Ioffe 2006): with B = V V^T, T = B + W^-1,
     Q1 = (T - B T^-1 B)^-1 and P = T^-1 B Q1, the score of centred rows

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
 from .linalg import inv_pd, logdet_pd, sym
-from .model import SpldaModel, center_stats
+from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
     _bound_terms,
@@ -182,10 +182,9 @@ class WishartPosterior:
 
 
 def update_q_y_bayes(stats, expected, kappa=1.0):
-    """``update_q_y`` under ``expected`` = ``rowpost.expected(wpost)``, from
-    raw (uncentered) statistics."""
+    """``update_q_y`` under ``expected`` = ``rowpost.expected(wpost)``."""
     mean, _, u = expected
-    return update_q_y(center_stats(stats, mean.mu), mean, kappa, u=u)
+    return update_q_y(stats, mean, kappa, u=u)
 
 
 def update_q_theta_bayes(phi, posteriors, expected, dirichlet, kappa=1.0):

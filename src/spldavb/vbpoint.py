@@ -10,7 +10,7 @@ Bayesian variant reuses these E-step and bound formulas.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
@@ -141,10 +141,9 @@ class SpeakerPosteriors:
 
 @dataclass(frozen=True)
 class Responsibilities:
-    """Row-stochastic cluster responsibilities plus the raw log weights."""
+    """Row-stochastic cluster responsibilities."""
 
     r: np.ndarray  # (N, M)
-    log_rho: np.ndarray = field(repr=False, default=None)  # (N, M), unnormalized
 
     @property
     def counts(self):
@@ -178,21 +177,21 @@ class DirichletPosterior:
 
 
 def update_q_y(stats, model, kappa=1.0, *, u=None):
-    """q(y_i) updates from (expected or hard) centered statistics.
+    """q(y_i) updates from (expected or hard) raw statistics.
 
     L_i = I + E[N_i] E[V^T W V],
     ybar_i = L_i^-1 (E[V]^T E[W] E[Fbar_i] - E[N_i] u_{y mu}),
-    with ``model`` holding the parameter means and Fbar centred on E[mu].
-    ``u`` = sum_r wbar_rr Sigma_r is what the row covariances Sigma_r of
-    [V | mu] add to E[Vt^T W Vt]; a point model has u = 0, the default.
+    with ``model`` holding the parameter means and Fbar_i = F_i - N_i E[mu]
+    the first-order sums centred here.  ``u`` = sum_r wbar_rr Sigma_r is
+    what the row covariances Sigma_r of [V | mu] add to E[Vt^T W Vt]; a
+    point model has u = 0, the default.
     """
-    if stats.fbar is None:
-        raise ValueError("stats must be centered (call center_stats first)")
     n_y = model.n_y
     u = np.zeros((n_y + 1, n_y + 1)) if u is None else u
     wv = model.w @ model.v  # (d, n_y)
     g = sym(model.v.T @ wv) + u[:n_y, :n_y]  # (n_y, n_y)
-    rhs = stats.fbar @ wv - np.outer(stats.n, u[:n_y, n_y])
+    rhs = (stats.f - np.outer(stats.n, model.mu)) @ wv \
+        - np.outer(stats.n, u[:n_y, n_y])
     return SpeakerPosteriors.from_pair(g, stats.n, rhs, kappa)
 
 
@@ -231,8 +230,9 @@ _LN_TINY = np.log(np.finfo(float).tiny)
 def _normalize_log_rho(log_rho, kappa):
     """Tempered softmax of each row, with no subnormal responsibility.
 
-    Shifted weights below ln(tiny) become -inf, so their exp is an exact 0
-    instead of a subnormal (which exp and the BLAS handle far more slowly).
+    Overwrites ``log_rho``, in which it works.  Shifted weights below
+    ln(tiny) become -inf, so their exp is an exact 0 instead of a
+    subnormal (which exp and the BLAS handle far more slowly).
     Every responsibility >= tiny keeps the bits of the untruncated softmax,
     and so does each row's normaliser: the dropped terms are below tiny
     while the row sum is at least 1.
@@ -242,14 +242,15 @@ def _normalize_log_rho(log_rho, kappa):
     row_max = log_rho.max(axis=1, keepdims=True)
     if not np.isfinite(row_max).all():
         raise ValueError("degenerate model: a responsibility row is all -inf")
-    z = kappa * log_rho
+    z = log_rho
+    z *= kappa
     z -= kappa * row_max
     z[z < _LN_TINY] = -np.inf
     r = np.exp(z)
     z -= np.log(r.sum(axis=1, keepdims=True))
     z[z < _LN_TINY] = -np.inf
     np.exp(z, out=r)
-    return Responsibilities(r=r, log_rho=log_rho)
+    return Responsibilities(r=r)
 
 
 def update_q_pi(expected_counts, tau0, kappa=1.0):

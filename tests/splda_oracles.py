@@ -2,8 +2,9 @@
 
 Per-speaker likelihoods from explicit second-order statistics, dense
 per-speaker views of factored speaker posteriors, the parameter moments
-E[Vt^T W Vt] and E[Vt R Vt^T], the responsibility softmax and entropy in
-their direct forms and central finite differences.  None of this is
+E[Vt^T W Vt] and E[Vt R Vt^T], the responsibility log weights, softmax and
+entropy in their direct forms, the pair score as a ratio of joint-Gaussian
+densities and central finite differences.  None of this is
 needed to run an adaptation; each function follows its formula directly
 rather than the library's aggregate forms.
 """
@@ -118,6 +119,29 @@ def e_vt_r_vt(rowpost, r):
     return rowpost.mean @ r @ rowpost.mean.T + np.diag(rowpost.rho(r))
 
 
+def log_weights(phi, posts, model, dirichlet, ln_w=None, u=None):
+    """(N, M) untempered q(theta) log weights
+    E[ln N(phi_j | Vt ytilde_i, W^-1)] + E[ln pi_i], one vector and one
+    speaker at a time, in the uncentred augmented form with the dense
+    second moments E[ytilde ytilde^T].  ``model`` holds the parameter
+    means, ``ln_w`` is E[ln|W|] (default ln|W|) and ``u`` what the row
+    covariances add to E[Vt^T W Vt] (default 0)."""
+    vt, w = model.vtilde, model.w
+    ln_w = np.linalg.slogdet(w)[1] if ln_w is None else ln_w
+    e_vwv = vt.T @ w @ vt + (0.0 if u is None else u)
+    e_yy = e_yy_tilde(posts)
+    yt = posts.e_ytilde()
+    e_ln_pi = dirichlet.e_ln_pi
+    out = np.empty((phi.shape[0], posts.m))
+    for j, x in enumerate(phi):
+        for i in range(posts.m):
+            quad = x @ w @ x - 2.0 * x @ w @ vt @ yt[i] \
+                + np.sum(e_vwv * e_yy[i])
+            out[j, i] = 0.5 * (ln_w - model.d * np.log(2.0 * np.pi)) \
+                - 0.5 * quad + e_ln_pi[i]
+    return out
+
+
 def softmax_untruncated(log_rho, kappa):
     """Tempered row softmax of log weights with every exp kept, subnormal
     results included: the library's normaliser before it truncated below
@@ -132,6 +156,29 @@ def softmax_untruncated(log_rho, kappa):
 def entropy_nested_where(r):
     """-sum_ji r_ji ln r_ji with 0 ln 0 = 0, masking before the log."""
     return float(-np.sum(np.where(r > 0, r * np.log(np.where(r > 0, r, 1.0)), 0.0)))
+
+
+def gauss_logpdf(x, mean, cov):
+    """ln N(x | mean, cov) of one vector, through a Cholesky factor."""
+    diff = np.atleast_1d(x - mean)
+    chol = np.linalg.cholesky((cov + cov.T) / 2.0)
+    z = np.linalg.solve(chol, diff)
+    return float(-0.5 * z @ z - 0.5 * diff.size * np.log(2.0 * np.pi)
+                 - np.log(np.diag(chol)).sum())
+
+
+def pairwise_llr_joint(model, phi_a, phi_b):
+    """ln p(a, b | same) - ln p(a) p(b) from the 2d-dimensional joint
+    Gaussian of a same-speaker pair, covariance [[T, B], [B, T]] with
+    B = V V^T and T = B + W^-1, against the product of the marginals."""
+    between = model.v @ model.v.T
+    total = between + np.linalg.inv(model.w)
+    joint_cov = np.block([[total, between], [between, total]])
+    same = gauss_logpdf(np.concatenate([phi_a, phi_b]),
+                        np.concatenate([model.mu, model.mu]), joint_cov)
+    lone = gauss_logpdf(phi_a, model.mu, total) \
+        + gauss_logpdf(phi_b, model.mu, total)
+    return same - lone
 
 
 def fd_gradient(objective, params, step=1e-5):

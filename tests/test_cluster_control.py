@@ -476,6 +476,34 @@ class TestRuns:
         diffs = np.diff(report.elbo_trace)
         assert (diffs >= -1e-8 * np.abs(report.elbo_trace[:-1])).all()
 
+    @pytest.mark.parametrize("hyper, settings, name", [
+        ({}, dict(variant="bayes"), "variant"),
+        ({}, dict(variant="bayes", m_init=7), "variant"),
+        ({"eta": 0.3}, {}, "eta"),
+        ({"tau0": 5.0}, {}, "tau0"),
+        ({"tau0": 5.0}, dict(m_init=7), "tau0"),
+        ({}, dict(m_init=7), "m_init"),
+        ({}, dict(anneal=True), "anneal"),
+        ({}, dict(min_div=False), "min_div"),
+        ({}, dict(do_msteps=False), "do_msteps"),
+        ({}, dict(seed=9), "seed"),
+        ({}, dict(init_method="random_y"), "init_method"),
+        ({}, dict(prune_merge=True), "prune_merge"),
+        ({}, dict(anneal=True, min_div=False, do_msteps=False, m_init=7,
+                  seed=9, init_method="random_y"), "m_init"),
+    ])
+    def test_empty_unsupervised_rejects_unread_settings(self, hyper,
+                                                         settings, name):
+        # The supervised fallback reads only max_iter and elbo_tol.
+        phi, labels, model = generate(SynthSpec(
+            d=4, n_y=2, m_true=6, per_speaker=8, seed=71))
+        dataset = Dataset(phi=np.zeros((0, 4)), phi_d=phi, labels_d=labels)
+        with pytest.raises(ValueError, match=rf"\b{name}=.*no effect"):
+            run_adaptation(dataset, model, Hyperparams(**hyper),
+                           RunConfig(**settings))
+        run_adaptation(dataset, model, Hyperparams(),
+                       RunConfig(max_iter=3, elbo_tol=0.0))
+
     def test_bayes_run_is_deterministic(self):
         dataset, labels, model = easy_problem(seed=81, d=5)
         cfg = RunConfig(m_init=4, variant="bayes", init_method="ahc",

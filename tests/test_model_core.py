@@ -207,6 +207,14 @@ class TestDataset:
         with pytest.raises(ValueError, match="NaN"):
             Dataset(phi=bad, phi_d=np.ones((1, 2)), labels_d=np.array([0]))
 
+    def test_rejects_labels_without_vectors(self):
+        for phi_d in (np.zeros((0, 3)), np.array([])):
+            with pytest.raises(ValueError, match="labels_d"):
+                Dataset(phi=np.ones((5, 3)), phi_d=phi_d, labels_d=[0, 1, 2])
+        ds = Dataset(phi=np.ones((5, 3)), phi_d=np.zeros((0, 3)),
+                     labels_d=np.zeros(0, int))
+        assert ds.m_d == 0
+
     def test_one_hot(self):
         ds = Dataset(phi=np.zeros((0, 2)), phi_d=np.ones((3, 2)),
                      labels_d=np.array([0, 1, 0]))

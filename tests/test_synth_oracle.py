@@ -12,7 +12,7 @@ from spldavb.synth import (
     pairwise_llr_matrix,
     split_dataset,
 )
-from splda_oracles import fd_gradient, fd_gradient_check
+from splda_oracles import fd_gradient, fd_gradient_check, pairwise_llr_joint
 
 
 class TestGenerate:
@@ -121,7 +121,15 @@ class TestPairwiseLlr:
         for a in range(phi.shape[0]):
             for b in range(phi.shape[0]):
                 assert mat[a, b] == pytest.approx(
-                    pairwise_llr(model, phi[a], phi[b]), abs=1e-8)
+                    pairwise_llr_joint(model, phi[a], phi[b]), abs=1e-8)
+
+    def test_pair_score_matches_joint_oracle(self):
+        phi, _, model = generate(SynthSpec(
+            d=5, n_y=2, m_true=3, per_speaker=2, eigenvoice_scale=3.0, seed=6))
+        for a in range(phi.shape[0]):
+            for b in range(phi.shape[0]):
+                assert pairwise_llr(model, phi[a], phi[b]) == pytest.approx(
+                    pairwise_llr_joint(model, phi[a], phi[b]), abs=1e-8)
 
     def test_closed_form_matrix_full_w(self):
         # full non-isotropic W, nonzero mu and d > n_y, unlike generate()
@@ -134,7 +142,7 @@ class TestPairwiseLlr:
         phi = model.mu + rng.standard_normal((n, d)) @ np.diag(
             np.linspace(0.5, 4.0, d))
         mat = pairwise_llr_matrix(model, phi)
-        oracle = np.array([[pairwise_llr(model, phi[i], phi[j])
+        oracle = np.array([[pairwise_llr_joint(model, phi[i], phi[j])
                             for j in range(n)] for i in range(n)])
         np.testing.assert_array_equal(mat, mat.T)
         scale = np.abs(oracle).max()

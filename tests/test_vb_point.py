@@ -40,6 +40,7 @@ from splda_oracles import (
     dense_prec,
     e_yy_tilde,
     entropy_nested_where,
+    log_weights,
     softmax_untruncated,
 )
 
@@ -116,10 +117,36 @@ class TestUpdateQY:
         np.testing.assert_allclose(dense_cov(half), 2.0 * dense_cov(full),
                                    rtol=1e-12)
 
-    def test_requires_centered_stats(self):
-        model = random_model(np.random.default_rng(1), 3, 1)
-        with pytest.raises(ValueError, match="centered"):
-            update_q_y(SuffStats(n=np.ones(1), f=np.ones((1, 3))), model)
+
+def q_y_from_centred(stats, model, kappa, u):
+    """q(Y) the way the update ran before it read raw statistics: the
+    first-order sums centred by ``center_stats`` first."""
+    n_y = model.n_y
+    wv = model.w @ model.v
+    g = sym(model.v.T @ wv) + u[:n_y, :n_y]
+    rhs = center_stats(stats, model.mu).fbar @ wv \
+        - np.outer(stats.n, u[:n_y, n_y])
+    return SpeakerPosteriors.from_pair(g, stats.n, rhs, kappa)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from([1.0, 0.4]), st.booleans())
+def test_q_y_from_raw_stats_equals_centred_route(seed, kappa, with_u):
+    rng = np.random.default_rng(seed)
+    d, n_y, m = 5, 3, 4
+    model = random_model(rng, d, n_y)
+    resp = rng.dirichlet(np.ones(m), size=12)
+    stats = accumulate_stats(resp, 3.0 + rng.standard_normal((12, d)))
+    u = np.zeros((n_y + 1, n_y + 1))
+    if with_u:
+        a = rng.standard_normal((n_y + 1, n_y + 1))
+        u = a @ a.T
+    got = update_q_y(stats, model, kappa, u=None if not with_u else u)
+    want = q_y_from_centred(stats, model, kappa, u)
+    for name in ("ybar", "basis", "s"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.kappa == want.kappa
 
 
 def assert_matches_dense(posts, prec, atol=1e-10):
@@ -223,7 +250,7 @@ class TestUpdateQTheta:
         phi = rng.standard_normal((11, 4))
         for kappa in (1.0, 0.4):
             resp = update_q_theta(phi, posts, model, dirichlet, kappa=kappa)
-            z = kappa * resp.log_rho
+            z = kappa * log_weights(phi, posts, model, dirichlet)
             oracle = np.exp(z - z.max(axis=1, keepdims=True))
             oracle /= oracle.sum(axis=1, keepdims=True)
             np.testing.assert_allclose(resp.r, oracle, rtol=1e-13, atol=1e-15)
@@ -555,7 +582,7 @@ def test_normalizer_has_no_subnormals_and_keeps_normal_bits(
     m = max(len(row) for row in weights)
     rows = [[0.0] + row + [-1e4] * (m - len(row)) for row in weights]
     log_rho = base + np.array(rows) / kappa
-    r = _normalize_log_rho(log_rho, kappa).r
+    r = _normalize_log_rho(log_rho.copy(), kappa).r
     oracle = softmax_untruncated(log_rho, kappa)
     assert ((r == 0) | (r >= TINY)).all()
     np.testing.assert_array_equal(r, np.where(oracle >= TINY, oracle, 0.0))
@@ -567,7 +594,7 @@ def test_normalizer_truncates_at_smallest_normal():
     # normal keeps its bits, the subnormal one becomes an exact 0.
     ln_tiny = np.log(TINY)
     log_rho = np.array([[0.0, ln_tiny, np.nextafter(ln_tiny, -np.inf), -720.0]])
-    r = _normalize_log_rho(log_rho, 1.0).r
+    r = _normalize_log_rho(log_rho.copy(), 1.0).r
     oracle = softmax_untruncated(log_rho, 1.0)
     assert 0 < oracle[0, 2] < TINY and 0 < oracle[0, 3] < TINY
     np.testing.assert_array_equal(r, [[1.0, oracle[0, 1], 0.0, 0.0]])
