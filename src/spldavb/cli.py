@@ -140,7 +140,11 @@ def cmd_elbo_audit(args):
         print(f"{name:24s} {value:.12f}")
         total += value
     print(f"{'total':24s} {total:.12f}")
-    assert abs(total - report.elbo_trace[-1]) < 1e-12 * max(1.0, abs(total))
+    final = report.elbo_trace[-1]
+    if not abs(total - final) < 1e-12 * max(1.0, abs(total)):
+        print(f"error: the terms sum to {total!r}, the final ELBO is "
+              f"{final!r}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -39,7 +39,5 @@ def logdet_pd(a):
 
 def inv_pd(a):
     """Inverse of a symmetric positive-definite matrix, via Cholesky."""
-    l = chol_with_jitter(a)
-    identity = np.eye(a.shape[0])
-    x = scipy.linalg.solve_triangular(l, identity, lower=True)
-    return sym(scipy.linalg.solve_triangular(l.T, x, lower=False))
+    return sym(scipy.linalg.cho_solve((chol_with_jitter(a), True),
+                                      np.eye(a.shape[0])))

@@ -43,22 +43,41 @@ __all__ = [
 class RowPosteriors:
     """Row-wise Gaussian posteriors over the augmented [V | mu].
 
-    mean   : (d, n_y+1) posterior row means (assembled E[Vtilde])
-    cov    : (d, n_y+1, n_y+1) posterior row covariances
-    prec   : (d, n_y+1, n_y+1) untempered precisions (None for a point mass)
-    logdet : (d,) log-determinants of ``prec`` (None for a point mass)
+    Every row precision has the form L_r = wbar_rr R' + D_g, with one
+    shared R' and one diagonal D_g = diag(E[alpha], beta_g) per group g of
+    rows with equal beta (a single group for a scalar beta).  The rows are
+    stored factored, with k = n_y + 1: a shared basis P_g (k, k) per
+    group and per-row scales s_r (k,) with
+
+        P_g^T L_r P_g = diag(s_r),   L_r^-1 = P_g diag(1/s_r) P_g^T,
+        log|L_r| = sum_k log s_rk - 2 log|det P_g|.
+
+    From the row update, P_g = D_g^-1/2 U for the eigenvectors U of
+    D_g^-1/2 R' D_g^-1/2 and s_r = 1 + wbar_rr lam for its eigenvalues
+    lam.  The precisions are untempered; with annealing the posterior
+    covariance is Sigma_r = L_r^-1 / kappa.  A point mass has P = I and
+    s = inf, so every covariance is zero.  The aggregates the updates read
+    cost O(dk + Gk^3); ``cov`` and ``prec`` build the dense (d, k, k)
+    stacks on demand, for the model file and the tests.
+
+    mean  : (d, k) posterior row means (assembled E[Vtilde])
+    basis : (G, k, k) shared bases P_g
+    group : (d,) group index of each row
+    s     : (d, k) per-row scales
     """
 
     mean: np.ndarray
-    cov: np.ndarray
-    prec: np.ndarray | None = None
-    logdet: np.ndarray | None = None
+    basis: np.ndarray
+    group: np.ndarray
+    s: np.ndarray
+    kappa: float = 1.0
 
     @classmethod
     def point_mass(cls, vtilde):
         vtilde = np.asarray(vtilde, dtype=float)
         d, k = vtilde.shape
-        return cls(mean=vtilde.copy(), cov=np.zeros((d, k, k)))
+        return cls(mean=vtilde.copy(), basis=np.eye(k)[None],
+                   group=np.zeros(d, dtype=int), s=np.full((d, k), np.inf))
 
     @property
     def d(self):
@@ -76,21 +95,49 @@ class RowPosteriors:
     def mubar(self):
         return self.mean[:, self.n_y]
 
+    @property
+    def cov(self):
+        """(d, k, k) posterior row covariances Sigma_r."""
+        p = self.basis[self.group]
+        return (p / self.s[:, None, :]) @ np.swapaxes(p, 1, 2) / self.kappa
+
+    @property
+    def prec(self):
+        """(d, k, k) untempered row precisions P^-T diag(s_r) P^-1."""
+        p_inv = np.linalg.inv(self.basis)[self.group]
+        return (np.swapaxes(p_inv, 1, 2) * self.s[:, None, :]) @ p_inv
+
+    def _flat_basis(self):
+        """(k, G k) the bases side by side, [P_1 ... P_G]."""
+        return np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1)
+
+    def _group_sums(self, weights):
+        """(G k,) sums of weights_r / s_r over the rows r of each group, in
+        the column order of ``_flat_basis``."""
+        onehot = self.group == np.arange(len(self.basis))[:, None]
+        return (onehot * weights).dot(1.0 / self.s).ravel()
+
     def e_vq_vq(self):
         """(n_y,) expectations E[v_q^T v_q] per eigenvoice column."""
-        n_y = self.n_y
-        diag_cov = np.einsum("rqq->rq", self.cov[:, :n_y, :n_y])
-        return diag_cov.sum(axis=0) + (self.vbar ** 2).sum(axis=0)
+        c = self._group_sums(1.0 / self.kappa)
+        vbar = self.vbar
+        return (self._flat_basis() ** 2).dot(c)[: self.n_y] \
+            + np.einsum("rq,rq->q", vbar, vbar)
 
     def u(self, wbar):
         """sum_r wbar_rr Sigma_r, what the row covariances add to
         E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u."""
-        return np.einsum("r,rab->ab", np.diag(wbar), self.cov)
+        c = self._group_sums(wbar.diagonal() / self.kappa)
+        p = self._flat_basis()
+        return (p * c).dot(p.T)
 
     def rho(self, r):
         """(d,) tr(R Sigma_r), what the row covariances add to the diagonal
         of E[Vt R Vt^T] = Vtbar R Vtbar^T + diag(rho)."""
-        return np.einsum("ab,rab->r", r, self.cov)
+        p = self._flat_basis()
+        # h_g = diag(P_g^T R P_g) / kappa
+        h = (r.dot(p) * p).sum(axis=0).reshape(-1, p.shape[0]) / self.kappa
+        return (h[self.group] / self.s).sum(axis=1)
 
     def expected(self, wpost):
         """The parameter expectations the shared E-step reads under
@@ -102,10 +149,13 @@ class RowPosteriors:
 
     def sigma_mu(self):
         """(d,) posterior variances of the mean components."""
-        return self.cov[:, self.n_y, self.n_y]
+        p_mu = self.basis[:, self.n_y, :] ** 2 / self.kappa
+        return (p_mu[self.group] / self.s).sum(axis=1)
 
     def logdet_prec(self):
-        return self.logdet
+        """(d,) log|L_r| (untempered)."""
+        return np.log(self.s).sum(axis=1) \
+            - 2.0 * np.linalg.slogdet(self.basis)[1][self.group]
 
 
 @dataclass
@@ -200,31 +250,48 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
     c_p, r_p : eta-weighted accumulators C', R'
     Rows are updated in ascending order using the latest neighbor means;
     each row update is exact coordinate ascent with the others held fixed.
-    The row precisions diag(alpha_r) + wbar_rr R' do not depend on the
-    means, so the whole stack is factored once, before the sweep.
+    The row precisions wbar_rr R' + D_g do not depend on the means, so
+    they are factored once, before the sweep, with one eigh of
+    D_g^-1/2 R' D_g^-1/2 per distinct beta (see ``RowPosteriors``).
     """
     d = rowpost.d
     n_y = rowpost.n_y
     wbar = wpost.e_w
     mu0, beta = _mean_prior(hyper, d)
-    prec = np.diag(wbar)[:, None, None] * sym(r_p)
-    cols = np.arange(n_y)
-    prec[:, cols, cols] += alphapost.e_alpha
-    prec[:, n_y, n_y] += beta
-    chol = _cholesky_rows(prec)
-    chol_inv = np.linalg.inv(chol)
-    prec_inv = np.swapaxes(chol_inv, 1, 2) @ chol_inv
+    betas, group = np.unique(beta, return_inverse=True)
+    prior_diag = np.empty((betas.size, n_y + 1))  # D_g
+    prior_diag[:, :n_y] = alphapost.e_alpha
+    prior_diag[:, n_y] = betas
+    d_inv_sqrt = prior_diag ** -0.5
+    lam, u = np.linalg.eigh(
+        d_inv_sqrt[:, :, None] * sym(r_p) * d_inv_sqrt[:, None, :])
+    basis = d_inv_sqrt[:, :, None] * u
+    s = 1.0 + wbar.diagonal()[:, None] * lam[group]
+    if not (s > 0).all():
+        row = np.flatnonzero(~(s > 0).all(axis=1))[0]
+        raise np.linalg.LinAlgError(f"row {row} posterior precision is singular")
     # sum_s wbar_rs (C_s^T - R' vbar_s) folded back to full sums; the part
-    # that does not involve the means is computed once.
-    rhs_fixed = wbar @ c_p  # (d, n_y+1)
-    rhs_fixed[:, n_y] += beta * mu0
+    # that does not involve the means is computed once, as the
+    # coordinates c_r = P_g^T rhs_r / s_r.
+    rhs = wbar @ c_p  # (d, n_y+1)
+    rhs[:, n_y] += beta * mu0
+    coords = np.empty_like(rhs)
+    for g, p in enumerate(basis):
+        rows = group == g
+        coords[rows] = rhs[rows] @ p
+    coords /= s
+    # Row r: mean_r = P_g (c_r - (P_g^T R' v_r) / s_r) with the latest
+    # neighbour sum v_r = sum_{s != r} wbar_rs mean_s.
+    bases, p_t_rs = list(basis), list(np.swapaxes(basis, 1, 2) @ r_p)
+    w_off = wbar.copy()
+    w_off.flat[:: d + 1] = 0.0
     mean = rowpost.mean.copy()
-    for r in range(d):
-        v_w = mean.T @ wbar[r] - wbar[r, r] * mean[r]
-        mean[r] = prec_inv[r] @ (rhs_fixed[r] - r_p @ v_w)
-    return RowPosteriors(
-        mean=mean, cov=sym(prec_inv / kappa), prec=prec,
-        logdet=2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))
+    # ndarray.dot has about half the call overhead of @ on operands this
+    # small, and the loop is d calls deep.
+    for r, (g, c_r, s_inv, w_r) in enumerate(
+            zip(group.tolist(), coords, 1.0 / s, w_off)):
+        mean[r] = bases[g].dot(c_r - p_t_rs[g].dot(w_r.dot(mean)) * s_inv)
+    return RowPosteriors(mean=mean, basis=basis, group=group, s=s, kappa=kappa)
 
 
 def _mean_prior(hyper, d):
@@ -236,20 +303,6 @@ def _mean_prior(hyper, d):
     beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
     mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
     return mu0, beta
-
-
-def _cholesky_rows(prec):
-    """Batched lower Cholesky factors; a failure names the first bad row."""
-    try:
-        return np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
-        for r, p in enumerate(prec):
-            try:
-                np.linalg.cholesky(p)
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError(
-                    f"row {r} posterior precision is singular") from None
-        raise
 
 
 def update_q_alpha(rowpost, hyper, kappa=1.0):

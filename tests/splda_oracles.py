@@ -2,9 +2,12 @@
 
 Per-speaker likelihoods from explicit second-order statistics, dense
 per-speaker views of factored speaker posteriors, the parameter moments
-E[Vt^T W Vt] and E[Vt R Vt^T], the responsibility log weights, softmax and
-entropy in their direct forms, the pair score as a ratio of joint-Gaussian
-densities and central finite differences.  None of this is
+E[Vt^T W Vt] and E[Vt R Vt^T], row posteriors of [V | mu] from dense
+covariances and their update through a batched Cholesky of the dense
+precision stack, the inverse through two triangular solves, the
+responsibility log weights, softmax and entropy in their direct forms, the
+pair score as a ratio of joint-Gaussian densities and central finite
+differences.  None of this is
 needed to run an adaptation; each function follows its formula directly
 rather than the library's aggregate forms.
 """
@@ -12,6 +15,10 @@ rather than the library's aggregate forms.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+
+from spldavb.linalg import chol_with_jitter, sym
+from spldavb.vbbayes import RowPosteriors, _mean_prior
 
 
 @dataclass
@@ -117,6 +124,52 @@ def e_vt_r_vt(rowpost, r):
     """E[Vtilde R Vtilde^T] = Vtbar R Vtbar^T + diag(rho), with the
     package's rho_r = tr(R Sigma_r)."""
     return rowpost.mean @ r @ rowpost.mean.T + np.diag(rowpost.rho(r))
+
+
+def rowpost_from_cov(mean, cov):
+    """``RowPosteriors`` with row means ``mean`` (d, k) and covariances
+    ``cov`` (d, k, k), factored row by row (one group per row): the basis
+    of row r holds the eigenvectors of cov_r and s_r the reciprocals of its
+    eigenvalues, inf where an eigenvalue is 0 (a point-mass direction)."""
+    e, basis = np.linalg.eigh(cov)
+    s = np.full_like(e, np.inf)
+    np.divide(1.0, e, out=s, where=e > 0)
+    return RowPosteriors(mean=np.asarray(mean, dtype=float), basis=basis,
+                         group=np.arange(e.shape[0]), s=s)
+
+
+def update_q_vtilde_rows_batched(c_p, r_p, wpost, alphapost, hyper, rowpost,
+                                 kappa=1.0):
+    """``update_q_vtilde_rows`` through the dense (d, k, k) precision stack
+    diag(E[alpha], beta_r) + wbar_rr R': one batched Cholesky, its batched
+    inverse and the Gauss-Seidel sweep over rows in ascending order.
+    Returns ``(mean, cov, prec, logdet)``."""
+    d, n_y = rowpost.d, rowpost.n_y
+    wbar = wpost.e_w
+    mu0, beta = _mean_prior(hyper, d)
+    prec = np.diag(wbar)[:, None, None] * sym(r_p)
+    cols = np.arange(n_y)
+    prec[:, cols, cols] += alphapost.e_alpha
+    prec[:, n_y, n_y] += beta
+    chol = np.linalg.cholesky(prec)
+    chol_inv = np.linalg.inv(chol)
+    prec_inv = np.swapaxes(chol_inv, 1, 2) @ chol_inv
+    rhs_fixed = wbar @ c_p
+    rhs_fixed[:, n_y] += beta * mu0
+    mean = rowpost.mean.copy()
+    for r in range(d):
+        v_w = mean.T @ wbar[r] - wbar[r, r] * mean[r]
+        mean[r] = prec_inv[r] @ (rhs_fixed[r] - r_p @ v_w)
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    return mean, sym(prec_inv / kappa), prec, logdet
+
+
+def inv_pd_two_solves(a):
+    """Inverse of a symmetric positive-definite matrix through the jittered
+    Cholesky factor L and two triangular solves, L^-T (L^-1 I)."""
+    l = chol_with_jitter(a)
+    x = scipy.linalg.solve_triangular(l, np.eye(a.shape[0]), lower=True)
+    return sym(scipy.linalg.solve_triangular(l.T, x, lower=False))
 
 
 def log_weights(phi, posts, model, dirichlet, ln_w=None, u=None):

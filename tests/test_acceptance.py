@@ -37,7 +37,13 @@ from spldavb.vbbayes import (
     update_q_y_bayes,
 )
 from spldavb.vbpoint import Hyperparams
-from splda_oracles import dense_prec, e_vt_r_vt, e_vt_w_vt, fd_gradient
+from splda_oracles import (
+    dense_prec,
+    e_vt_r_vt,
+    e_vt_w_vt,
+    fd_gradient,
+    rowpost_from_cov,
+)
 
 
 def _verdict(name, ok):
@@ -168,9 +174,8 @@ class TestAcceptance:
         n_draws = 100_000
         prec = np.stack([np.eye(n_y + 1) + 0.3 * np.outer(v, v)
                          for v in rng.standard_normal((d, n_y + 1))])
-        rowpost = vbbayes.RowPosteriors(
-            mean=rng.standard_normal((d, n_y + 1)),
-            cov=np.linalg.inv(prec), prec=prec)
+        rowpost = rowpost_from_cov(rng.standard_normal((d, n_y + 1)),
+                                   np.linalg.inv(prec))
         k = np.eye(d) * 0.5 + 0.1
         wpost = WishartPosterior.from_update(k, 12.0, 1.0)
         failures = []

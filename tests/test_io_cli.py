@@ -11,8 +11,9 @@ from spldavb import cli, fileio
 from spldavb.adapt import RunConfig, run_adaptation
 from spldavb.model import Dataset, SpldaModel
 from spldavb.synth import SynthSpec, generate, split_dataset
-from spldavb.vbbayes import AlphaPosterior, RowPosteriors, WishartPosterior
+from spldavb.vbbayes import AlphaPosterior, WishartPosterior
 from spldavb.vbpoint import Hyperparams
+from splda_oracles import rowpost_from_cov
 
 
 class TestMatrixIO:
@@ -86,8 +87,8 @@ class TestModelIO:
         rng = np.random.default_rng(5)
         model = _random_model(d, n_y, seed=5)
         prec = np.stack([np.eye(n_y + 1) * (r + 1) for r in range(d)])
-        rowpost = RowPosteriors(mean=rng.standard_normal((d, n_y + 1)),
-                                cov=np.linalg.inv(prec), prec=prec)
+        rowpost = rowpost_from_cov(rng.standard_normal((d, n_y + 1)),
+                                   np.linalg.inv(prec))
         alphapost = AlphaPosterior(a_prime=2.5,
                                    b_prime=rng.uniform(1, 3, size=n_y))
         wpost = WishartPosterior.from_update(np.eye(d) * 0.3, 9.0, 1.0)
@@ -99,7 +100,7 @@ class TestModelIO:
         loaded, bayes = fileio.read_model(path)
         assert (loaded.v == model.v).all()
         assert (bayes["vt_mean"] == rowpost.mean).all()
-        assert (bayes["vt_prec"] == prec).all()
+        assert (bayes["vt_prec"] == rowpost.prec).all()
         assert bayes["a_prime"] == alphapost.a_prime
         assert (bayes["b_prime"] == alphapost.b_prime).all()
         assert bayes["wishart_dof"] == wpost.dof
@@ -254,6 +255,28 @@ class TestCli:
                      "--unsup-ivectors", prefix + ".phi",
                      "--m-init", "3", "--sweeps", "0"]) == 1
         assert "max_iter" in capsys.readouterr().err
+
+    def test_elbo_audit_fails_when_terms_miss_the_bound(
+            self, synth_files, tmp_path, capsys, monkeypatch):
+        # The check must hold under python -O as well, so it is no assert.
+        prefix = synth_files
+        model_path = str(tmp_path / "sup.splda")
+        _run(["train", "--ivectors", prefix + ".phi_d",
+              "--labels", prefix + ".labels_d", "--ny", "2",
+              "--out-model", model_path])
+
+        def skewed(*args, **kwargs):
+            report = run_adaptation(*args, **kwargs)
+            report.elbo_terms["lnP(Y)"] += 1.0
+            return report
+
+        monkeypatch.setattr(cli, "run_adaptation", skewed)
+        assert _run(["elbo-audit", "--model", model_path,
+                     "--sup-ivectors", prefix + ".phi_d",
+                     "--sup-labels", prefix + ".labels_d",
+                     "--unsup-ivectors", prefix + ".phi",
+                     "--m-init", "3", "--sweeps", "2"]) == 1
+        assert "final ELBO" in capsys.readouterr().err
 
     def test_bayes_variant_writes_posterior_section(self, synth_files,
                                                     tmp_path):

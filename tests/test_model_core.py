@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spldavb.linalg import inv_pd
 from spldavb.model import (
@@ -13,6 +15,7 @@ from splda_oracles import (
     SpeakerStatsEntry,
     cond_loglik,
     cond_loglik_augmented,
+    inv_pd_two_solves,
     per_speaker_second_order,
     stats_entry,
 )
@@ -193,6 +196,23 @@ class TestMarginal:
         emp = np.cov(phi.T)
         rel = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
         assert rel < 0.03
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 80), st.integers(0, 4), st.floats(0.0, 1.0),
+       st.integers(0, 2**31 - 1))
+def test_inv_pd_equals_two_triangular_solves(d, extra, ridge, seed):
+    # One LAPACK solve against the Cholesky factor gives the bits of the
+    # two separate triangular solves; a 1 x 1 solve may round its last bit
+    # differently.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d + extra))
+    a = a @ a.T + ridge * np.eye(d)
+    expected = inv_pd_two_solves(a)
+    if d == 1:
+        assert np.abs(inv_pd(a) - expected) <= np.spacing(expected)
+    else:
+        assert (inv_pd(a) == expected).all()
 
 
 class TestDataset:

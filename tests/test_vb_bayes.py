@@ -9,8 +9,10 @@ from scipy.special import digamma, multigammaln
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import wishart
 
+from spldavb.adapt import RunConfig, run_adaptation, train_supervised
 from spldavb.linalg import inv_pd, logdet_pd, sym
 from spldavb.model import SpldaModel, accumulate_stats, center_stats
+from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import (
     AlphaPosterior,
     RowPosteriors,
@@ -36,7 +38,14 @@ from spldavb.vbpoint import (
     update_q_theta,
     update_q_y,
 )
-from splda_oracles import dense_prec, e_vt_r_vt, e_vt_w_vt, log_weights
+from splda_oracles import (
+    dense_prec,
+    e_vt_r_vt,
+    e_vt_w_vt,
+    log_weights,
+    rowpost_from_cov,
+    update_q_vtilde_rows_batched,
+)
 
 
 def random_model(rng, d, n_y):
@@ -52,13 +61,10 @@ def random_rowpost(rng, d, n_y):
     k = n_y + 1
     mean = rng.standard_normal((d, k))
     cov = np.empty((d, k, k))
-    prec = np.empty((d, k, k))
     for r in range(d):
         a = rng.standard_normal((k, k))
         cov[r] = sym(a @ a.T / k + np.eye(k))
-        prec[r] = inv_pd(cov[r])
-    return RowPosteriors(mean=mean, cov=cov, prec=prec,
-                         logdet=np.array([logdet_pd(p) for p in prec]))
+    return rowpost_from_cov(mean, cov)
 
 
 def block_accumulators(state):
@@ -283,6 +289,27 @@ class TestRowUpdates:
                 np.zeros((d, n_y + 1)), -np.eye(n_y + 1), wpost, alphapost,
                 Hyperparams(beta=1.0), RowPosteriors.point_mass(np.zeros((d, n_y + 1))))
 
+    def test_run_builds_no_dense_row_stack(self, monkeypatch):
+        # Every sweep reads the rows through their factors; reading the
+        # dense (d, k, k) covariances or precisions would raise here.
+        def dense(self):
+            raise AssertionError("a sweep read a dense row stack")
+
+        monkeypatch.setattr(RowPosteriors, "cov", property(dense))
+        monkeypatch.setattr(RowPosteriors, "prec", property(dense))
+        phi, labels, _ = generate(SynthSpec(d=6, n_y=2, m_true=4,
+                                            per_speaker=10,
+                                            eigenvoice_scale=3.0, seed=5))
+        dataset, _ = split_dataset(phi, labels, 0.5, seed=5)
+        model = train_supervised(dataset.phi_d, dataset.labels_d, 2,
+                                 seed=5).model
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=6, variant="bayes", init_method="random_y", anneal=True,
+            prune_merge=True, prune_every=3, max_iter=20,
+            hyper_opt_alpha=True, hyper_opt_mu=True, seed=5))
+        assert len(report.elbo_trace) > 1
+        assert np.isfinite(report.elbo_trace).all()
+
     def test_unset_beta_is_named(self):
         # An unset beta used to become NaN means and log-determinants.
         rng = np.random.default_rng(37)
@@ -294,6 +321,47 @@ class TestRowUpdates:
             update_q_vtilde_rows(c, r, wpost, alphapost, state[9], rowpost)
         with pytest.raises(ValueError, match="beta"):
             elbo_bayes(*state, *block_accumulators(state))
+
+
+def _rel_check(actual, oracle):
+    np.testing.assert_allclose(actual, oracle, rtol=1e-10,
+                               atol=1e-10 * np.abs(oracle).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 8), st.integers(1, 5),
+       st.sampled_from(["scalar", "two-valued", "distinct"]),
+       st.sampled_from([1.0, 0.4]), st.integers(0, 2**31 - 1))
+def test_factored_rows_match_batched_oracle(d, n_y, beta_kind, kappa, seed):
+    rng = np.random.default_rng(seed)
+    k = n_y + 1
+    a = rng.standard_normal((d, d))
+    wpost = WishartPosterior.point_mass(
+        a @ a.T + rng.uniform(0.1, 2.0) * np.eye(d))
+    b = rng.standard_normal((k, k + 2))
+    r_p = b @ b.T * rng.uniform(0.1, 10.0)
+    c_p = rng.standard_normal((d, k))
+    alphapost = AlphaPosterior(a_prime=rng.uniform(0.5, 3.0),
+                               b_prime=rng.uniform(0.2, 5.0, n_y))
+    beta = {"scalar": rng.uniform(0.1, 2.0),
+            "two-valued": rng.uniform(0.1, 2.0, 2)[np.arange(d) % 2],
+            "distinct": rng.uniform(0.1, 2.0, d)}[beta_kind]
+    hyper = Hyperparams(mu0=rng.standard_normal(d), beta=beta)
+    start = RowPosteriors.point_mass(rng.standard_normal((d, k)))
+    rowpost = update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, start,
+                                   kappa)
+    mean, cov, prec, logdet = update_q_vtilde_rows_batched(
+        c_p, r_p, wpost, alphapost, hyper, start, kappa)
+    wbar = wpost.e_w
+    _rel_check(rowpost.mean, mean)
+    _rel_check(rowpost.cov, cov)
+    _rel_check(rowpost.prec, prec)
+    _rel_check(rowpost.logdet_prec(), logdet)
+    _rel_check(rowpost.u(wbar), np.einsum("r,rab->ab", np.diag(wbar), cov))
+    _rel_check(rowpost.rho(r_p), np.einsum("ab,rab->r", r_p, cov))
+    _rel_check(rowpost.e_vq_vq(), np.einsum("rqq->q", cov[:, :n_y, :n_y])
+               + (mean[:, :n_y] ** 2).sum(axis=0))
+    _rel_check(rowpost.sigma_mu(), cov[:, n_y, n_y])
 
 
 class TestAlphaUpdate:
@@ -538,8 +606,8 @@ class TestHyperOpt:
         d = 4
         cov = np.zeros((d, 3, 3))
         cov[:, 2, 2] = 1.0
-        rowpost = RowPosteriors(mean=np.arange(d * 3, dtype=float).reshape(d, 3),
-                                cov=cov)
+        rowpost = rowpost_from_cov(np.arange(d * 3, dtype=float).reshape(d, 3),
+                                   cov)
         mu0, beta = optimize_hyper_mu(rowpost)
         np.testing.assert_allclose(mu0, rowpost.mubar)
         np.testing.assert_allclose(beta, 1.0)
@@ -548,7 +616,7 @@ class TestHyperOpt:
         cov = np.zeros((2, 2, 2))
         cov[0, 1, 1] = 1.0
         cov[1, 1, 1] = 3.0
-        rowpost = RowPosteriors(mean=np.zeros((2, 2)), cov=cov)
+        rowpost = rowpost_from_cov(np.zeros((2, 2)), cov)
         _, beta = optimize_hyper_mu(rowpost, isotropic=True)
         assert beta == pytest.approx(0.5)
 

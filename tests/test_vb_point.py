@@ -33,7 +33,7 @@ from spldavb.vbpoint import (
     update_q_y,
 )
 from spldavb.vbpoint import _normalize_log_rho
-from spldavb.vbbayes import RowPosteriors, WishartPosterior, update_q_y_bayes
+from spldavb.vbbayes import WishartPosterior, update_q_y_bayes
 from splda_oracles import (
     dense_cov,
     dense_e_yy,
@@ -41,6 +41,7 @@ from splda_oracles import (
     e_yy_tilde,
     entropy_nested_where,
     log_weights,
+    rowpost_from_cov,
     softmax_untruncated,
 )
 
@@ -199,7 +200,7 @@ class TestFactoredPosteriors:
         stats = self._stats(rng, model)
         cov = np.stack([sym(a @ a.T) / d
                         for a in rng.standard_normal((d, n_y + 1, n_y + 1))])
-        rowpost = RowPosteriors(mean=model.vtilde, cov=cov)
+        rowpost = rowpost_from_cov(model.vtilde, cov)
         wpost = WishartPosterior.from_update(inv_pd(model.w) * 20.0, 20.0)
         wbar = wpost.e_w
         e_vwv = model.v.T @ wbar @ model.v + sum(
