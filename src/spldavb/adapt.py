@@ -8,11 +8,13 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 import scipy.cluster.hierarchy
 import scipy.spatial.distance
+from scipy.special import entr
 
 from . import vbbayes, vbpoint
+from .linalg import sym
 from .model import SpldaModel, SuffStats, accumulate_stats
 from .synth import pairwise_llr_matrix
-from .vbpoint import Hyperparams, Responsibilities, SpeakerPosteriors
+from .vbpoint import LOG2PI, Hyperparams, Responsibilities, SpeakerPosteriors
 
 __all__ = [
     "RunConfig",
@@ -234,7 +236,8 @@ def _merge_pairs(r, threshold):
     return list(zip(i[order].tolist(), j[order].tolist()))
 
 
-def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
+def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(),
+                    score=None):
     """Speaker-count heuristics: drop empty clusters, merge duplicates.
 
     ``refresh(r)`` must run one VB sweep from responsibilities ``r`` and
@@ -244,9 +247,19 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
     (both sweeps run under the same model, so the comparison is fair even
     right after an M-step).
 
+    ``score`` is a cheap first gate in front of the refresh: ``score(r)``
+    must return the bound at responsibilities ``r`` with the parameters
+    held, and ``score(r, (i, j))`` the same for ``r`` with its columns
+    ``i < j`` merged into column ``i``.  A candidate whose score drops more
+    than ``elbo_tol`` relative to the current structure's score is rejected
+    without a sweep.  The baseline refresh of the current structure runs
+    just before the first candidate refresh, so a call in which no candidate
+    passes its score runs no sweep.  Without ``score`` every candidate is
+    refreshed.
+
     ``extra_pairs`` adds merge candidates beyond the column-cosine rule
     (column-index pairs, e.g. clusters with near-identical speaker
-    posteriors); they pass through the same ELBO gate.
+    posteriors); they pass through the same gates.
 
     Returns ``(resp, elbo, state, changed)``.  With a restructure, ``state``
     is the refreshed sweep of the new structure; without one, ``resp`` and
@@ -263,28 +276,50 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
             and not _merge_pairs(r, config.merge_threshold):
         return resp, current_elbo, None, False
 
-    cur = r
-    cur_elbo, cur_state = refresh(cur)
-    changed = False
+    def holds(new, old):
+        return new >= old - config.elbo_tol * max(1.0, abs(old))
 
+    cur = r
+    cur_score = None if score is None else score(cur)
+    cur_elbo = cur_state = None  # the baseline refresh, run lazily
+
+    def admits(cand_score):
+        """The first gate: the candidate's score holds."""
+        return score is None or holds(cand_score, cur_score)
+
+    def accept(cand, cand_score):
+        """The second gate: refresh ``cand`` and make it current if its
+        refreshed bound holds."""
+        nonlocal cur, cur_score, cur_elbo, cur_state
+        if cur_elbo is None:
+            cur_elbo, cur_state = refresh(cur)
+        elbo2, state2 = refresh(cand)
+        if not holds(elbo2, cur_elbo):
+            return False
+        cur, cur_score, cur_elbo, cur_state = cand, cand_score, elbo2, state2
+        return True
+
+    changed = False
     if have_prune:
         cand = cur[:, keep]
         cand = cand / cand.sum(axis=1, keepdims=True)
-        elbo2, state2 = refresh(cand)
-        if elbo2 >= cur_elbo - config.elbo_tol * max(1.0, abs(cur_elbo)):
-            cur, cur_elbo, cur_state = cand, elbo2, state2
-            changed = True
+        cand_score = None if score is None else score(cand)
+        changed = admits(cand_score) and accept(cand, cand_score)
 
     # Greedy pairwise merging; column ids survive index shifts so a
     # rejected pair is not retried within this call.  Ids equal the original
     # column indices until a merge mints a fresh id, so ``extra_pairs``
-    # stays valid as long as both of its columns are unmerged.
+    # stays valid as long as both of its columns are unmerged.  The pairs
+    # are listed afresh only after a merge, since a rejection leaves
+    # ``cur`` as it was.
     ids = list(range(r.shape[1]))
     if have_prune and changed:
         ids = [i for i, k in enumerate(keep) if k]
     next_id = r.shape[1]
     tried = set()
-    while True:
+    merged = True
+    while merged:
+        merged = False
         id_pairs = {frozenset((ids[i], ids[j])): (i, j)
                     for i, j in _merge_pairs(cur, config.merge_threshold)}
         for a, b in extra_pairs:
@@ -292,21 +327,20 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=()):
                 id_pairs.setdefault(
                     frozenset((a, b)), (min(ids.index(a), ids.index(b)),
                                         max(ids.index(a), ids.index(b))))
-        candidates = [(key, ij) for key, ij in id_pairs.items()
-                      if key not in tried]
-        if not candidates:
-            break
-        key, (i, j) = candidates[0]
-        cand = np.delete(cur, j, axis=1)
-        cand[:, i] = cur[:, i] + cur[:, j]
-        elbo2, state2 = refresh(cand)
-        if elbo2 >= cur_elbo - config.elbo_tol * max(1.0, abs(cur_elbo)):
-            cur, cur_elbo, cur_state = cand, elbo2, state2
-            ids = ids[:j] + ids[j + 1:]
-            ids[i] = next_id
-            next_id += 1
-            changed = True
-        else:
+        for key, (i, j) in id_pairs.items():
+            if key in tried:
+                continue
+            cand_score = None if score is None else score(cur, (i, j))
+            if admits(cand_score):
+                cand = np.delete(cur, j, axis=1)
+                cand[:, i] = cur[:, i] + cur[:, j]
+                merged = accept(cand, cand_score)
+                if merged:
+                    ids = ids[:j] + ids[j + 1:]
+                    ids[i] = next_id
+                    next_id += 1
+                    changed = True
+                    break
             tried.add(key)
 
     if not changed:
@@ -343,6 +377,92 @@ class _Reduced:
                            accumulate_stats(self.resp.r, phi, s=s_phi))
 
 
+class _FixedBound:
+    """The prune/merge score: the bound terms of the unlabelled block that
+    depend on its responsibilities r, at r, with the parameters held and
+    q(Y), q(pi) refit at kappa = 1.
+
+    The terms are the data term, lnP(Y), -lnq(Y), lnP(theta|pi), lnP(pi),
+    -lnq(pi) and -lnq(theta).  With A = E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u
+    and the refit q(y_i) (L_i = I + n_i A_yy, ybar_i = L_i^-1 b_i with
+    b_i = Vbar^T Wbar f_i - n_i A_ymu), the data term's
+    tr(Vt^T W C) - 1/2 tr(A R) and the q(Y) terms of cluster i add up to
+
+        c_i = 1/2 b_i^T L_i^-1 b_i - 1/2 ln|L_i| + f_i^T Wbar mubar
+              - 1/2 n_i A_mumu,
+
+    and the three Dirichlet terms at q(pi) = Dir(n + tau0) to
+    ln C(tau0 1_M) - ln C(n + tau0).  So
+
+        score(r) = 1/2 N (E[ln|W|] - d ln 2pi) - 1/2 tr(Wbar S)
+                   + sum_i c_i + ln C(tau0 1_M) - ln C(n + tau0) + H(r).
+
+    ``score(r)`` evaluates this from the statistics of ``r``;
+    ``score(r, (i, j))`` scores ``r`` with columns i < j merged from the
+    statistics of ``r`` alone: the merged n and f are column sums, c of the
+    merged column is one q(y) row on the shared eigenbasis of A_yy, the
+    Dirichlet terms cost O(M) and the merged column's entropy O(N).
+    Everything that depends only on the parameters is built once, here.
+
+    ``reduce(r)`` reduces each matrix once, whether the score or a refresh
+    sweep asks first.
+    """
+
+    def __init__(self, variant, params, reduced):
+        mean, ln_w, u = variant.expected(params)
+        n_y, w = mean.n_y, mean.w
+        wvt = w @ mean.vtilde  # (d, k)
+        a = mean.vtilde.T @ wvt + u  # E[Vt^T W Vt]
+        self.lam, self.basis = np.linalg.eigh(sym(a[:n_y, :n_y]))
+        self.wv, self.w_mu = wvt[:, :n_y], wvt[:, n_y]
+        self.a_ymu, self.a_mumu = a[:n_y, n_y], a[n_y, n_y]
+        self.tau0 = variant.hyper.tau0
+        self.const = 0.5 * variant.phi.shape[0] * (ln_w - mean.d * LOG2PI) \
+            - 0.5 * np.sum(w * variant.s_phi)
+        self.variant = variant
+        # id(r) -> reduction and per-column terms.  The reduction holds r,
+        # so no id is reused while it is stored.
+        self._reduced = {id(reduced.resp.r): reduced}
+        self._terms = {}
+
+    def reduce(self, r):
+        red = self._reduced.get(id(r))
+        if red is None:
+            red = self._reduced[id(r)] = self.variant.reduce(Responsibilities(r=r))
+        return red
+
+    def _clusters(self, n, f):
+        """(M,) the terms c_i of clusters with counts n and sums f."""
+        b = f @ self.wv - np.outer(n, self.a_ymu)
+        s = 1.0 + np.outer(n, self.lam)
+        z = b @ self.basis  # P^T b_i, with L_i = P diag(s_i) P^T
+        return 0.5 * (z * z / s).sum(axis=1) - 0.5 * np.log(s).sum(axis=1) \
+            + f @ self.w_mu - 0.5 * self.a_mumu * n
+
+    def _dirichlet(self, n):
+        return vbpoint._ln_dirichlet_c(np.full(n.shape[0], self.tau0)) \
+            - vbpoint._ln_dirichlet_c(n + self.tau0)
+
+    def __call__(self, r, merge=None):
+        stats = self.reduce(r).stats
+        terms = self._terms.get(id(r))
+        if terms is None:
+            c, h = self._clusters(stats.n, stats.f), entr(r).sum(axis=0)
+            dirichlet = self._dirichlet(stats.n)
+            total = self.const + c.sum() + dirichlet + h.sum()
+            terms = self._terms[id(r)] = (c, h, dirichlet, total)
+        c, h, dirichlet, total = terms
+        if merge is None:
+            return total
+        i, j = merge
+        n = np.delete(stats.n, j)
+        n[i] = stats.n[i] + stats.n[j]
+        c_ij = self._clusters(n[i:i + 1], (stats.f[i] + stats.f[j])[None])[0]
+        h_ij = entr(r[:, i] + r[:, j]).sum()
+        return total + (c_ij - c[i] - c[j]) + (h_ij - h[i] - h[j]) \
+            + (self._dirichlet(n) - dirichlet)
+
+
 class _Variant:
     """The parameter step of one inference variant.
 
@@ -350,8 +470,10 @@ class _Variant:
     sweep from the ``_Reduced`` responsibilities and returns a state dict
     with at least ``params``, ``reduced`` (the new responsibilities),
     ``dirichlet``, ``posts``, ``elbo`` and ``terms``; ``update(state)``
-    returns the params for the next sweep; ``finish(params, report)``
-    stores the adapted model in the report.
+    returns the params for the next sweep; ``expected(params)`` returns
+    the parameter expectations the shared E-step reads, ``(means,
+    E[ln|W|], u)`` as in ``vbbayes.RowPosteriors.expected``;
+    ``finish(params, report)`` stores the adapted model in the report.
     """
 
     def __init__(self, dataset, hyper, config):
@@ -420,6 +542,11 @@ class _Point(_Variant):
                 state["posts"], mu_y, t)
         return model
 
+    @staticmethod
+    def expected(model):
+        k = model.n_y + 1
+        return model, model.logdet_w(), np.zeros((k, k))
+
     def finish(self, model, report):
         report.model = model
 
@@ -453,6 +580,11 @@ class _Bayes(_Variant):
             rowpost, alphapost, wpost, hyper, (c, r), (c_d, r_d))
         return dict(params=(rowpost, wpost, alphapost), reduced=reduced,
                     dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
+
+    @staticmethod
+    def expected(params):
+        rowpost, wpost, _ = params
+        return rowpost.expected(wpost)
 
     def update(self, state):
         rowpost, _, alphapost = state["params"]
@@ -586,10 +718,10 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
         if (config.prune_merge and since_restructure >= config.prune_every
                 and kappa == 1.0):
 
+            bound = _FixedBound(variant, params, reduced)
+
             def refresh(r_matrix):
-                # The baseline candidate is the current, reduced matrix.
-                red = reduced if r_matrix is reduced.resp.r \
-                    else variant.reduce(Responsibilities(r=r_matrix))
+                red = bound.reduce(r_matrix)
                 st = variant.sweep(
                     params, red, vbpoint.update_q_pi(red.stats.n, hyper.tau0),
                     1.0)
@@ -597,7 +729,8 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
 
             resp2, _, st2, restructured = prune_and_merge(
                 reduced.resp, config, refresh, elbo,
-                extra_pairs=_closest_posterior_pairs(state["posts"].ybar))
+                extra_pairs=_closest_posterior_pairs(state["posts"].ybar),
+                score=bound)
             since_restructure = 0
             if restructured:
                 report.diagnostics.append(

@@ -8,7 +8,7 @@ posteriors, the column scales Gamma posteriors, and W a Wishart posterior.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RowPosteriors:
     """Row-wise Gaussian posteriors over the augmented [V | mu].
 
@@ -64,6 +64,10 @@ class RowPosteriors:
     basis : (G, k, k) shared bases P_g
     group : (d,) group index of each row
     s     : (d, k) per-row scales
+
+    1/s, the (G, d) group one-hot and log|det P_g| are derived once, on
+    construction; the fields cannot be reassigned and ``basis``, ``group``
+    and ``s`` are made read-only, so they cannot go stale.
     """
 
     mean: np.ndarray
@@ -71,6 +75,18 @@ class RowPosteriors:
     group: np.ndarray
     s: np.ndarray
     kappa: float = 1.0
+    _s_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _onehot: np.ndarray = field(init=False, repr=False, compare=False)
+    _logdet_basis: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in (self.basis, self.group, self.s):
+            a.flags.writeable = False
+        object.__setattr__(self, "_s_inv", 1.0 / self.s)
+        object.__setattr__(self, "_onehot",
+                           self.group == np.arange(len(self.basis))[:, None])
+        object.__setattr__(self, "_logdet_basis",
+                           np.linalg.slogdet(self.basis)[1])
 
     @classmethod
     def point_mass(cls, vtilde):
@@ -103,9 +119,15 @@ class RowPosteriors:
 
     @property
     def prec(self):
-        """(d, k, k) untempered row precisions P^-T diag(s_r) P^-1."""
+        """(d, k, k) untempered row precisions P^-T diag(s_r) P^-1.  A row
+        with an infinite scale is a point mass: +inf on the diagonal, 0 off
+        it."""
         p_inv = np.linalg.inv(self.basis)[self.group]
-        return (np.swapaxes(p_inv, 1, 2) * self.s[:, None, :]) @ p_inv
+        finite = np.isfinite(self.s).all(axis=1)
+        s = np.where(finite[:, None], self.s, 0.0)  # no 0 * inf below
+        prec = (np.swapaxes(p_inv, 1, 2) * s[:, None, :]) @ p_inv
+        prec[~finite] = np.where(np.eye(self.n_y + 1, dtype=bool), np.inf, 0.0)
+        return prec
 
     def _flat_basis(self):
         """(k, G k) the bases side by side, [P_1 ... P_G]."""
@@ -114,8 +136,7 @@ class RowPosteriors:
     def _group_sums(self, weights):
         """(G k,) sums of weights_r / s_r over the rows r of each group, in
         the column order of ``_flat_basis``."""
-        onehot = self.group == np.arange(len(self.basis))[:, None]
-        return (onehot * weights).dot(1.0 / self.s).ravel()
+        return (self._onehot * weights).dot(self._s_inv).ravel()
 
     def e_vq_vq(self):
         """(n_y,) expectations E[v_q^T v_q] per eigenvoice column."""
@@ -155,7 +176,7 @@ class RowPosteriors:
     def logdet_prec(self):
         """(d,) log|L_r| (untempered)."""
         return np.log(self.s).sum(axis=1) \
-            - 2.0 * np.linalg.slogdet(self.basis)[1][self.group]
+            - 2.0 * self._logdet_basis[self.group]
 
 
 @dataclass

@@ -6,9 +6,9 @@ E[Vt^T W Vt] and E[Vt R Vt^T], row posteriors of [V | mu] from dense
 covariances and their update through a batched Cholesky of the dense
 precision stack, the inverse through two triangular solves, the
 responsibility log weights, softmax and entropy in their direct forms, the
-pair score as a ratio of joint-Gaussian densities and central finite
-differences.  None of this is
-needed to run an adaptation; each function follows its formula directly
+pair score as a ratio of joint-Gaussian densities, central finite
+differences and the whole lower bound at given responsibilities with the
+parameters held.  None of this is needed to run an adaptation; each function follows its formula directly
 rather than the library's aggregate forms.
 """
 
@@ -18,7 +18,20 @@ import numpy as np
 import scipy.linalg
 
 from spldavb.linalg import chol_with_jitter, sym
-from spldavb.vbbayes import RowPosteriors, _mean_prior
+from spldavb.model import accumulate_stats
+from spldavb.vbbayes import (
+    RowPosteriors,
+    _mean_prior,
+    elbo_bayes,
+    update_q_y_bayes,
+)
+from spldavb.vbpoint import (
+    Responsibilities,
+    accumulators,
+    elbo_point,
+    update_q_pi,
+    update_q_y,
+)
 
 
 @dataclass
@@ -253,3 +266,27 @@ def fd_gradient(objective, params, step=1e-5):
 def fd_gradient_check(objective, params, step=1e-5):
     """Max-abs central-difference gradient (stationarity residual)."""
     return float(np.abs(fd_gradient(objective, params, step)).max())
+
+
+def fixed_param_elbo(variant, params, r):
+    """The whole lower bound of ``variant`` (an ``adapt._Point`` or
+    ``adapt._Bayes``) at responsibilities ``r`` with the parameters
+    ``params`` held and q(Y), q(pi) refit at kappa = 1, through
+    ``elbo_point`` or ``elbo_bayes``."""
+    hyper, stats_d = variant.hyper, variant.stats_d
+    stats = accumulate_stats(r, variant.phi)
+    dirichlet = update_q_pi(stats.n, hyper.tau0)
+    resp = Responsibilities(r=r)
+    if isinstance(params, tuple):
+        rowpost, wpost, alphapost = params
+        expected = rowpost.expected(wpost)
+        posts = update_q_y_bayes(stats, expected)
+        posts_d = update_q_y_bayes(stats_d, expected)
+        return elbo_bayes(stats, stats_d, posts, posts_d, resp, dirichlet,
+                          rowpost, alphapost, wpost, hyper,
+                          accumulators(stats, posts),
+                          accumulators(stats_d, posts_d))[0]
+    posts, posts_d = update_q_y(stats, params), update_q_y(stats_d, params)
+    return elbo_point(stats, stats_d, posts, posts_d, resp, dirichlet, params,
+                      hyper, accumulators(stats, posts),
+                      accumulators(stats_d, posts_d))[0]

@@ -2,6 +2,8 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spldavb import adapt
 from spldavb.adapt import (
@@ -18,6 +20,7 @@ from spldavb.model import Dataset
 from spldavb.oracles import clustering_metrics
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbpoint import Hyperparams
+from splda_oracles import fixed_param_elbo
 
 
 def easy_problem(seed=0, m_true=4, per_speaker=10, d=6, n_y=2):
@@ -182,6 +185,95 @@ class TestPruneMerge:
         assert not changed
 
 
+class TestScoreGate:
+    """The first prune/merge gate: a candidate is refreshed only if its
+    fixed-parameter score holds against the current structure's."""
+
+    @staticmethod
+    def _config():
+        return RunConfig(m_init=3, prune_merge=True)
+
+    def test_failing_scores_run_no_sweep(self):
+        r = np.zeros((6, 3))
+        r[:3, 0] = 1.0
+        r[3:, 2] = 1.0
+        resp = Responsibilities(r=r)
+        refreshed, scored = [], []
+
+        def score(m, merge=None):
+            scored.append((m.shape[1], merge))
+            return 0.0 if m is r and merge is None else -1.0
+
+        out = prune_and_merge(
+            resp, self._config(),
+            lambda m: refreshed.append(m) or (1.0, "state"),
+            current_elbo=-5.0, extra_pairs=[(0, 2)], score=score)
+        assert out == (resp, -5.0, None, False)
+        assert refreshed == []
+        # The baseline, the prune and the extra merge were each scored.
+        assert scored == [(3, None), (2, None), (3, (0, 2))]
+
+    def test_baseline_refresh_runs_just_before_the_first_candidate(self):
+        r = np.zeros((6, 3))
+        r[:3, 0] = 1.0
+        r[3:, 2] = 1.0
+        refreshed = []
+        resp, elbo, state, changed = prune_and_merge(
+            Responsibilities(r=r), self._config(),
+            lambda m: refreshed.append(m) or (0.0, len(refreshed)),
+            current_elbo=-5.0, extra_pairs=[(0, 2)],
+            score=lambda m, merge=None: 0.0 if merge else -1.0 * (m is not r))
+        # The prune fails its score; the merge passes it and its refresh.
+        assert changed and resp.r.shape == (6, 2)
+        assert [m.shape[1] for m in refreshed] == [3, 2]
+        assert refreshed[0] is r
+        assert (elbo, state) == (0.0, 2)
+
+    @settings(deadline=None, max_examples=30)
+    @given(variant=st.sampled_from(["point", "bayes"]),
+           eta=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_scores_match_fixed_parameter_bound(self, variant, eta, seed,
+                                                data):
+        dataset, model = split_problem(seed=seed % 8)
+        report = run_adaptation(dataset, model, Hyperparams(eta=eta), RunConfig(
+            m_init=5, variant=variant, init_method="random_y", max_iter=3,
+            seed=seed))
+        if variant == "bayes":
+            state = report.bayes_state
+            hyper = state["hyper"]
+            params = (state["rowpost"], state["wpost"], state["alphapost"])
+            var = adapt._Bayes(dataset, hyper, RunConfig(variant="bayes"))
+        else:
+            hyper, params = Hyperparams(eta=eta), report.model
+            var = adapt._Point(dataset, hyper, RunConfig())
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(2, 7), label="M")
+        i, j = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=2,
+                                         max_size=2, unique=True), label="i, j"))
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=m,
+                                           max_size=m), label="keep"))
+        keep[rng.integers(m)] = True
+        n = dataset.phi.shape[0]
+        r = rng.random((n, m)) ** 4
+        r[r < 0.02] = 0.0  # exact zeros, as responsibilities have
+        # Every row keeps some mass after the prune.
+        r[np.arange(n), rng.choice(np.flatnonzero(keep), n)] += 0.1
+        r /= r.sum(axis=1, keepdims=True)
+        pruned = r[:, keep] / r[:, keep].sum(axis=1, keepdims=True)
+        merged = np.delete(r, j, axis=1)
+        merged[:, i] = r[:, i] + r[:, j]
+
+        bound = adapt._FixedBound(var, params,
+                                 var.reduce(Responsibilities(r=r)))
+        base = fixed_param_elbo(var, params, r)
+        for delta, cand in ((bound(r, (i, j)) - bound(r), merged),
+                            (bound(pruned) - bound(r), pruned)):
+            oracle = fixed_param_elbo(var, params, cand) - base
+            np.testing.assert_allclose(delta, oracle, rtol=1e-9,
+                                       atol=1e-12 * abs(base))
+
+
 def merge_pairs_oracle(r, threshold):
     """Double-loop reference for ``adapt._merge_pairs``."""
     norms = np.linalg.norm(r, axis=0)
@@ -260,7 +352,8 @@ def runs_with_and_without_reuse(monkeypatch, dataset, model, cfg):
             sweeps.append(args)
             return sweep(self, *args)
 
-        def rejecting(resp, config, refresh, current_elbo, extra_pairs=()):
+        def rejecting(resp, config, refresh, current_elbo, extra_pairs=(),
+                      score=None):
             calls = []
 
             def gate(r):
@@ -268,7 +361,8 @@ def runs_with_and_without_reuse(monkeypatch, dataset, model, cfg):
                 calls.append(r)
                 return (elbo if len(calls) == 1 else -np.inf), state
 
-            out = prune_and_merge(resp, config, gate, current_elbo, extra_pairs)
+            out = prune_and_merge(resp, config, gate, current_elbo, extra_pairs,
+                                  score=lambda r, merge=None: 0.0)
             attempts.append(len(calls))
             return out if reuse else (*out[:2], None, out[3])
 
@@ -399,7 +493,8 @@ class TestRuns:
     def test_prune_merge_attempts_come_prune_every_apart(self, monkeypatch):
         calls = []
 
-        def rejecting(resp, config, refresh, current_elbo, extra_pairs=()):
+        def rejecting(resp, config, refresh, current_elbo, extra_pairs=(),
+                      score=None):
             calls.append(current_elbo)
             return resp, current_elbo, None, False
 

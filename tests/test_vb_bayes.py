@@ -1,4 +1,5 @@
 import types
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -174,6 +175,30 @@ class TestExpectationIdentities:
             oracle[q] = sum(rowpost.cov[r, q, q] + rowpost.mean[r, q] ** 2
                             for r in range(5))
         np.testing.assert_allclose(rowpost.e_vq_vq(), oracle, rtol=1e-12)
+
+
+class TestRowPosteriorStorage:
+    def test_point_mass_precision_is_infinite_on_the_diagonal(self):
+        # A 0 * inf product would raise under the suite's
+        # error::RuntimeWarning filter.
+        prec = RowPosteriors.point_mass(np.ones((3, 2))).prec
+        np.testing.assert_array_equal(
+            prec, np.broadcast_to([[np.inf, 0.0], [0.0, np.inf]], (3, 2, 2)))
+
+    def test_frozen_and_read_only(self):
+        rng = np.random.default_rng(37)
+        rowpost = random_rowpost(rng, 4, 2)
+        for name in ("mean", "basis", "group", "s", "kappa"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(rowpost, name, getattr(rowpost, name))
+        for name in ("basis", "group", "s"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rowpost, name)[0] = 0
+        # The log-determinants read the cached log|det P_g|.
+        np.testing.assert_array_equal(
+            rowpost.logdet_prec(),
+            np.log(rowpost.s).sum(axis=1)
+            - 2.0 * np.linalg.slogdet(rowpost.basis)[1][rowpost.group])
 
 
 class TestRowUpdates:
