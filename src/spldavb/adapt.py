@@ -471,8 +471,8 @@ class _Variant:
     with at least ``params``, ``reduced`` (the new responsibilities),
     ``dirichlet``, ``posts``, ``elbo`` and ``terms``; ``update(state)``
     returns the params for the next sweep; ``expected(params)`` returns
-    the parameter expectations the shared E-step reads, ``(means,
-    E[ln|W|], u)`` as in ``vbbayes.RowPosteriors.expected``;
+    the ``vbpoint.ExpectedParams`` the shared E-step reads, which one
+    sweep builds once for its two q(Y) blocks and q(theta);
     ``finish(params, report)`` stores the adapted model in the report.
     """
 
@@ -502,10 +502,11 @@ class _Point(_Variant):
 
     def sweep(self, model, reduced, dirichlet, kappa):
         phi, hyper, stats_d = self.phi, self.hyper, self.stats_d
-        posts = vbpoint.update_q_y(reduced.stats, model, kappa)
-        posts_d = vbpoint.update_q_y(stats_d, model, kappa)
+        expected = self.expected(model)
+        posts = vbpoint.update_q_y(reduced.stats, expected, kappa)
+        posts_d = vbpoint.update_q_y(stats_d, expected, kappa)
         reduced = self.reduce(
-            vbpoint.update_q_theta(phi, posts, model, dirichlet, kappa))
+            vbpoint.update_q_theta(phi, posts, expected, dirichlet, kappa))
         stats = reduced.stats
         dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0, kappa)
         acc = vbpoint.accumulators(stats, posts)
@@ -544,8 +545,7 @@ class _Point(_Variant):
 
     @staticmethod
     def expected(model):
-        k = model.n_y + 1
-        return model, model.logdet_w(), np.zeros((k, k))
+        return vbpoint.ExpectedParams(model)
 
     def finish(self, model, report):
         report.model = model
@@ -738,6 +738,12 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                     f"{resp2.r.shape[1]}")
                 reduced, dirichlet, params = \
                     st2["reduced"], st2["dirichlet"], st2["params"]
+                if it == config.max_iter - 1:
+                    # No later sweep will record the new structure, so its
+                    # refresh sweep becomes this iteration's record.
+                    state = st2
+                    report.elbo_trace[-1] = st2["elbo"]
+                    report.m_trace[-1] = resp2.r.shape[1]
             elif st2 is not None and np.array_equal(
                     vbpoint.update_q_pi(reduced.stats.n, hyper.tau0).tau,
                     dirichlet.tau):

@@ -42,6 +42,14 @@ def _parse_matrix_body(lines, rows, cols, what="matrix"):
     return body
 
 
+def _check_tail(path, lines, pos):
+    """Reject any non-blank line from index ``pos`` on: a reader stops
+    there, so the line would be dropped unread."""
+    for i in range(pos, len(lines)):
+        if lines[i].strip():
+            raise ValueError(f"{path}:{i + 1}: unexpected line {lines[i]!r}")
+
+
 def read_matrix(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -51,7 +59,9 @@ def read_matrix(path):
     rows, cols = int(rows), int(cols)
     if len(lines) - 1 < rows:
         raise ValueError(f"{path}: declared {rows} rows, found {len(lines) - 1}")
-    return _parse_matrix_body(lines[1:], rows, cols, what=path)
+    body = _parse_matrix_body(lines[1:], rows, cols, what=path)
+    _check_tail(path, lines, rows + 1)
+    return body
 
 
 def write_labels(path, labels):
@@ -109,7 +119,8 @@ def write_model(path, model, bayes_state=None):
 
 
 def read_model(path):
-    """Read a model file; returns ``(model, bayes_dict_or_None)``."""
+    """Read a model file; returns ``(model, bayes_dict_or_None)``.  Only
+    blank lines may follow the last section."""
     import warnings
 
     with open(path) as fh:
@@ -165,6 +176,7 @@ def read_model(path):
             pos += 1
         bayes = dict(vt_mean=vt_mean, vt_prec=prec, a_prime=a_prime,
                      b_prime=b_prime, wishart_dof=dof, wishart_k=k, hyper=hyper)
+    _check_tail(path, lines, pos)
     return model, bayes
 
 

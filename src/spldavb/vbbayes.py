@@ -17,6 +17,7 @@ from .linalg import inv_pd, logdet_pd, sym
 from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
+    ExpectedParams,
     _bound_terms,
     _data_term,
     _scatter,
@@ -162,11 +163,11 @@ class RowPosteriors:
 
     def expected(self, wpost):
         """The parameter expectations the shared E-step reads under
-        q(Vtilde) q(W): ``(means, E[ln|W|], u)``, the means as an
-        ``SpldaModel``."""
+        q(Vtilde) q(W), as ``ExpectedParams``: the means as an
+        ``SpldaModel``, E[ln|W|] and u."""
         wbar = wpost.e_w
-        return (SpldaModel(mu=self.mubar, v=self.vbar, w=wbar), wpost.e_ln_w,
-                self.u(wbar))
+        return ExpectedParams(SpldaModel(mu=self.mubar, v=self.vbar, w=wbar),
+                              wpost.e_ln_w, self.u(wbar))
 
     def sigma_mu(self):
         """(d,) posterior variances of the mean components."""
@@ -254,15 +255,13 @@ class WishartPosterior:
 
 def update_q_y_bayes(stats, expected, kappa=1.0):
     """``update_q_y`` under ``expected`` = ``rowpost.expected(wpost)``."""
-    mean, _, u = expected
-    return update_q_y(stats, mean, kappa, u=u)
+    return update_q_y(stats, expected, kappa)
 
 
 def update_q_theta_bayes(phi, posteriors, expected, dirichlet, kappa=1.0):
-    """``update_q_theta`` under ``expected`` = ``rowpost.expected(wpost)``."""
-    mean, ln_w, u = expected
-    return update_q_theta(phi, posteriors, mean, dirichlet, kappa,
-                          ln_w=ln_w, u=u)
+    """``update_q_theta`` under ``expected`` = ``rowpost.expected(wpost)``;
+    E[ln|W|] is constant along each row, so only the bound reads it."""
+    return update_q_theta(phi, posteriors, expected, dirichlet, kappa)
 
 
 def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):

@@ -11,6 +11,7 @@ Bayesian variant reuses these E-step and bound formulas.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
@@ -20,6 +21,7 @@ from .model import SpldaModel
 
 __all__ = [
     "Hyperparams",
+    "ExpectedParams",
     "SpeakerPosteriors",
     "Responsibilities",
     "DirichletPosterior",
@@ -91,9 +93,10 @@ class SpeakerPosteriors:
         self.s = s  # (M, n_y)
 
     @classmethod
-    def from_pair(cls, g, n, rhs, kappa=1.0):
-        """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i."""
-        lam, basis = np.linalg.eigh(g)
+    def from_pair(cls, g, n, rhs, kappa=1.0, eig=None):
+        """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i;
+        ``eig`` is ``np.linalg.eigh(g)`` when the caller already has it."""
+        lam, basis = np.linalg.eigh(g) if eig is None else eig
         post = cls(None, kappa, basis, 1.0 + n[:, None] * lam)
         post.ybar = post._solve(rhs)
         return post
@@ -141,9 +144,15 @@ class SpeakerPosteriors:
 
 @dataclass(frozen=True)
 class Responsibilities:
-    """Row-stochastic cluster responsibilities."""
+    """Row-stochastic cluster responsibilities.
+
+    ``h`` is the entropy -sum_ji r_ji ln r_ji when the q(theta) softmax
+    that built ``r`` handed it back (it had every ln r_ji in hand), else
+    None; ``entropy()`` then computes it from ``r``.
+    """
 
     r: np.ndarray  # (N, M)
+    h: float | None = None
 
     @property
     def counts(self):
@@ -151,7 +160,10 @@ class Responsibilities:
         return self.r.sum(axis=0)
 
     def entropy(self):
-        """-sum_ji r_ji ln r_ji, with 0 ln 0 = 0."""
+        """-sum_ji r_ji ln r_ji, with 0 ln 0 = 0: the carried ``h`` if
+        there is one, else computed from ``r``."""
+        if self.h is not None:
+            return self.h
         r = self.r
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.log(r)
@@ -176,49 +188,100 @@ class DirichletPosterior:
         return digamma(self.tau) - digamma(self.tau.sum())
 
 
+class ExpectedParams:
+    """The parameter expectations the shared E-step reads.
+
+    ``model`` holds the parameter means, ``ln_w`` is E[ln|W|] and ``u`` =
+    sum_r wbar_rr Sigma_r is what the row covariances Sigma_r of [V | mu]
+    add to E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u.  A point model has
+    u = 0 and E[ln|W|] = ln|W|, the defaults.  Unpacks as
+    ``(model, ln_w, u)``.
+
+    ``wv`` = Wbar Vbar, ``g`` = E[V^T W V] and its eigendecomposition
+    ``eig_g`` are derived on first use and kept, so the two q(Y) blocks
+    and q(theta) of one sweep share one W V, one G and one ``eigh``.
+    """
+
+    def __init__(self, model, ln_w=None, u=None):
+        k = model.n_y + 1
+        self.model = model
+        self.u = np.zeros((k, k)) if u is None else u
+        if ln_w is not None:
+            self.ln_w = ln_w  # else derived on first use
+
+    def __iter__(self):
+        return iter((self.model, self.ln_w, self.u))
+
+    @cached_property
+    def ln_w(self):
+        return self.model.logdet_w()
+
+    @cached_property
+    def wv(self):
+        """(d, n_y) W V."""
+        return self.model.w @ self.model.v
+
+    @cached_property
+    def g(self):
+        """(n_y, n_y) E[V^T W V] = V^T W V + u_yy."""
+        n_y = self.model.n_y
+        return sym(self.model.v.T @ self.wv) + self.u[:n_y, :n_y]
+
+    @cached_property
+    def eig_g(self):
+        """``np.linalg.eigh(g)``, the shared basis of every q(y_i)."""
+        return np.linalg.eigh(self.g)
+
+
+def _expected(model, u):
+    """``model`` and ``u`` as ``ExpectedParams``; an ``ExpectedParams``
+    passes through."""
+    if not isinstance(model, ExpectedParams):
+        return ExpectedParams(model, u=u)
+    if u is not None:
+        raise ValueError("u is part of the ExpectedParams passed as model")
+    return model
+
+
 def update_q_y(stats, model, kappa=1.0, *, u=None):
     """q(y_i) updates from (expected or hard) raw statistics.
 
     L_i = I + E[N_i] E[V^T W V],
     ybar_i = L_i^-1 (E[V]^T E[W] E[Fbar_i] - E[N_i] u_{y mu}),
-    with ``model`` holding the parameter means and Fbar_i = F_i - N_i E[mu]
-    the first-order sums centred here.  ``u`` = sum_r wbar_rr Sigma_r is
-    what the row covariances Sigma_r of [V | mu] add to E[Vt^T W Vt]; a
-    point model has u = 0, the default.
+    with Fbar_i = F_i - N_i E[mu] the first-order sums centred here.
+    ``model`` is an ``SpldaModel`` of parameter means with ``u`` as in
+    ``ExpectedParams`` (default 0, a point model), or an
+    ``ExpectedParams``, whose W V and G the call reuses.
     """
-    n_y = model.n_y
-    u = np.zeros((n_y + 1, n_y + 1)) if u is None else u
-    wv = model.w @ model.v  # (d, n_y)
-    g = sym(model.v.T @ wv) + u[:n_y, :n_y]  # (n_y, n_y)
-    rhs = (stats.f - np.outer(stats.n, model.mu)) @ wv \
-        - np.outer(stats.n, u[:n_y, n_y])
-    return SpeakerPosteriors.from_pair(g, stats.n, rhs, kappa)
+    ex = _expected(model, u)
+    n_y = ex.model.n_y
+    rhs = (stats.f - np.outer(stats.n, ex.model.mu)) @ ex.wv \
+        - np.outer(stats.n, ex.u[:n_y, n_y])
+    return SpeakerPosteriors.from_pair(ex.g, stats.n, rhs, kappa, ex.eig_g)
 
 
-def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0, *,
-                   ln_w=None, u=None):
+def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0, *, u=None):
     """Responsibility update; computed in log space, kappa-tempered.
 
-    ``model`` holds the parameter means, ``ln_w`` is E[ln|W|] (ln|W| of a
-    point model, the default) and ``u`` is as in ``update_q_y``.
+    ``model`` and ``u`` are as in ``update_q_y``.  The log weight of
+    vector j and cluster i, E[ln N(phi_j | Vt ytilde_i, W^-1)] + E[ln pi_i],
+    is kept only up to terms that are the same in every cluster, which the
+    softmax over i cancels exactly: 1/2 (E[ln|W|] - d ln 2pi), the
+    quadratic (phi_j - mu)^T W (phi_j - mu) and u_mumu.  What is left is
+
+        ln rho_ji = (phi_j - mu)^T W V ybar_i + c_i,
+        c_i = -1/2 tr(G E[y_i y_i^T]) - ybar_i^T u_{y mu} + E[ln pi_i],
+
+    with G = E[V^T W V].  The centring phi_j - mu stays in the N x d
+    product: folding mu into c_i would cancel badly when |mu| is large
+    against the spread of phi.  The returned ``Responsibilities`` carry
+    their entropy, -lnq(theta) of the bound.
     """
-    n_y = model.n_y
-    ln_w = model.logdet_w() if ln_w is None else ln_w
-    u = np.zeros((n_y + 1, n_y + 1)) if u is None else u
-    delta = phi - model.mu  # (N, d)
-    wv = model.w @ model.v
-    g = sym(model.v.T @ wv) + u[:n_y, :n_y]
-    quad = np.sum((delta @ model.w) * delta, axis=1)  # (N,)
-    cross = (delta @ wv) @ posteriors.ybar.T  # (N, M)
-    # tr(E[Vc^T W Vc] E[yt yt^T]) for the centred Vc = [V | mu - E[mu]]
-    tr_term = posteriors.trace_e_yy(g) \
-        + (2.0 * posteriors.ybar @ u[:n_y, n_y] + u[n_y, n_y])  # (M,)
-    # Built in place in ``cross``, adding in the order
-    # (const - quad/2) + cross - tr/2 + E[ln pi], which fixes the rounding.
-    log_rho = cross
-    log_rho += 0.5 * (ln_w - model.d * LOG2PI) - 0.5 * quad[:, None]
-    log_rho -= 0.5 * tr_term
-    log_rho += dirichlet.e_ln_pi
+    ex = _expected(model, u)
+    n_y = ex.model.n_y
+    log_rho = ((phi - ex.model.mu) @ ex.wv) @ posteriors.ybar.T  # (N, M)
+    log_rho += -0.5 * posteriors.trace_e_yy(ex.g) \
+        - posteriors.ybar @ ex.u[:n_y, n_y] + dirichlet.e_ln_pi
     return _normalize_log_rho(log_rho, kappa)
 
 
@@ -228,14 +291,17 @@ _LN_TINY = np.log(np.finfo(float).tiny)
 
 
 def _normalize_log_rho(log_rho, kappa):
-    """Tempered softmax of each row, with no subnormal responsibility.
+    """Tempered softmax of each row, with no subnormal responsibility,
+    and its entropy.
 
     Overwrites ``log_rho``, in which it works.  Shifted weights below
     ln(tiny) become -inf, so their exp is an exact 0 instead of a
     subnormal (which exp and the BLAS handle far more slowly).
     Every responsibility >= tiny keeps the bits of the untruncated softmax,
     and so does each row's normaliser: the dropped terms are below tiny
-    while the row sum is at least 1.
+    while the row sum is at least 1.  The last buffer holds ln r, so the
+    entropy -sum r ln r is one dot product, carried as
+    ``Responsibilities.h``.
     """
     # fl(kappa x) is monotone in x, so kappa times the row max is the row
     # max of the tempered weights; at kappa = 1 both products are exact.
@@ -245,12 +311,14 @@ def _normalize_log_rho(log_rho, kappa):
     z = log_rho
     z *= kappa
     z -= kappa * row_max
-    z[z < _LN_TINY] = -np.inf
+    np.copyto(z, -np.inf, where=z < _LN_TINY)
     r = np.exp(z)
     z -= np.log(r.sum(axis=1, keepdims=True))
-    z[z < _LN_TINY] = -np.inf
+    dropped = z < _LN_TINY
+    np.copyto(z, -np.inf, where=dropped)
     np.exp(z, out=r)
-    return Responsibilities(r=r)
+    np.copyto(z, 0.0, where=dropped)  # 0 ln 0 = 0 where r is an exact 0
+    return Responsibilities(r=r, h=-float(np.vdot(r, z)))
 
 
 def update_q_pi(expected_counts, tau0, kappa=1.0):

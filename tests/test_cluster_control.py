@@ -490,6 +490,28 @@ class TestRuns:
             drop = (elbo[it - 1] - elbo[it]) / max(1.0, abs(elbo[it - 1]))
             assert drop <= cfg.elbo_tol, f"bound fell by {drop:.3g} at {it}"
 
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_restructure_on_last_iteration_is_what_the_report_holds(
+            self, variant):
+        # With prune_every=3 this problem restructures M 6 -> 5 after
+        # iteration 3, here the last one.  Every field of the report must
+        # describe the restructured state, the traces' last entry included.
+        dataset, model = split_problem(seed=0)
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=6, variant=variant, init_method="ahc", prune_merge=True,
+            prune_every=3, elbo_tol=0.0, max_iter=4, seed=0))
+        assert report.diagnostics == ["iter 3: restructured M 6 -> 5"]
+        assert len(report.elbo_trace) == 4
+        assert report.m_trace[-1] == 5
+        assert report.labels.max() < 5
+        assert sum(report.elbo_terms.values()) == pytest.approx(
+            report.elbo_trace[-1], rel=1e-12)
+        longer = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=6, variant=variant, init_method="ahc", prune_merge=True,
+            prune_every=3, elbo_tol=0.0, max_iter=5, seed=0))
+        assert longer.elbo_trace[:3] == report.elbo_trace[:3]
+        assert longer.m_trace[3:] == [6, 5]
+
     def test_prune_merge_attempts_come_prune_every_apart(self, monkeypatch):
         calls = []
 

@@ -4,6 +4,8 @@ Round trips must be bit-exact for finite doubles; CLI commands are
 exercised through ``cli.main`` so exit codes and outputs are covered.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,19 @@ class TestMatrixIO:
         path.write_text("IVEC 2 3\n1 2 3\n4 5\n")
         with pytest.raises(ValueError, match="expected 3"):
             fileio.read_matrix(path)
+
+    def test_rows_beyond_the_declared_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.ivec"
+        path.write_text("IVEC 2 2\n1 2\n3 4\n5 6\n7 8\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:4: unexpected line '5 6'")):
+            fileio.read_matrix(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "m.ivec"
+        path.write_text("IVEC 2 2\n1 2\n3 4\n\n  \n")
+        np.testing.assert_array_equal(fileio.read_matrix(path),
+                                      [[1.0, 2.0], [3.0, 4.0]])
 
     def test_labels_round_trip(self, tmp_path):
         labels = np.array([3, 0, 0, 7, 2])
@@ -122,6 +137,39 @@ class TestModelIO:
         with pytest.warns(UserWarning, match="asymmetry"):
             loaded, _ = fileio.read_model(path)
         assert (loaded.w == loaded.w.T).all()
+
+    def test_misspelled_bayes_section_rejected(self, tmp_path):
+        path = tmp_path / "m.splda"
+        fileio.write_model(path, _random_model(2, 1, seed=3))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + ["BAYS", "VT_MEAN"]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{len(lines) + 1}: unexpected line 'BAYS'")):
+            fileio.read_model(path)
+
+    @pytest.mark.parametrize("bayes", [False, True])
+    def test_trailing_lines(self, tmp_path, bayes):
+        # Blank lines may follow the last section; anything else is an error.
+        d, n_y = 3, 1
+        rng = np.random.default_rng(8)
+        state = None
+        if bayes:
+            state = dict(
+                rowpost=rowpost_from_cov(rng.standard_normal((d, n_y + 1)),
+                                         np.stack([np.eye(n_y + 1)] * d)),
+                alphapost=AlphaPosterior(a_prime=2.0, b_prime=np.ones(n_y)),
+                wpost=WishartPosterior.from_update(np.eye(d), 9.0),
+                hyper=Hyperparams(mu0=np.zeros(d), beta=1.0))
+        path = tmp_path / "m.splda"
+        fileio.write_model(path, _random_model(d, n_y, seed=8), state)
+        text = path.read_text()
+        path.write_text(text + "\n \n")
+        assert (fileio.read_model(path)[1] is None) == (not bayes)
+        path.write_text(text + "\nextra 1\n")
+        n_lines = len(text.splitlines())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{n_lines + 2}: unexpected line")):
+            fileio.read_model(path)
 
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "m.splda"
