@@ -121,6 +121,16 @@ class RunConfig:
 
 @dataclass
 class RunReport:
+    """What ``run_adaptation`` returns.
+
+    Entry ``it`` of ``elbo_trace``, ``m_trace`` and ``kappa_trace`` records
+    the sweep of iteration ``it``, except that when a prune/merge attempt
+    on the last iteration restructures, the last ``elbo_trace`` and
+    ``m_trace`` entries are its refresh sweep of the new structure, so
+    the traces end on the state that ``labels``, ``model``, ``elbo_terms``
+    and ``bayes_state`` describe.
+    """
+
     elbo_trace: list = field(default_factory=list)
     m_trace: list = field(default_factory=list)
     kappa_trace: list = field(default_factory=list)

@@ -260,10 +260,11 @@ def update_q_y(stats, model, kappa=1.0, *, u=None):
     return SpeakerPosteriors.from_pair(ex.g, stats.n, rhs, kappa, ex.eig_g)
 
 
-def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0, *, u=None):
+def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
     """Responsibility update; computed in log space, kappa-tempered.
 
-    ``model`` and ``u`` are as in ``update_q_y``.  The log weight of
+    ``model`` is an ``SpldaModel`` (a point model) or an
+    ``ExpectedParams``, whose W V and G the call reuses.  The log weight of
     vector j and cluster i, E[ln N(phi_j | Vt ytilde_i, W^-1)] + E[ln pi_i],
     is kept only up to terms that are the same in every cluster, which the
     softmax over i cancels exactly: 1/2 (E[ln|W|] - d ln 2pi), the
@@ -277,7 +278,7 @@ def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0, *, u=None):
     against the spread of phi.  The returned ``Responsibilities`` carry
     their entropy, -lnq(theta) of the bound.
     """
-    ex = _expected(model, u)
+    ex = _expected(model, None)
     n_y = ex.model.n_y
     log_rho = ((phi - ex.model.mu) @ ex.wv) @ posteriors.ybar.T  # (N, M)
     log_rho += -0.5 * posteriors.trace_e_yy(ex.g) \
