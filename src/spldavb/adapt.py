@@ -246,8 +246,8 @@ def _merge_pairs(r, threshold):
     return list(zip(i[order].tolist(), j[order].tolist()))
 
 
-def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(),
-                    score=None):
+def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
+                    score):
     """Speaker-count heuristics: drop empty clusters, merge duplicates.
 
     ``refresh(r)`` must run one VB sweep from responsibilities ``r`` and
@@ -264,8 +264,7 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(),
     than ``elbo_tol`` relative to the current structure's score is rejected
     without a sweep.  The baseline refresh of the current structure runs
     just before the first candidate refresh, so a call in which no candidate
-    passes its score runs no sweep.  Without ``score`` every candidate is
-    refreshed.
+    passes its score runs no sweep.
 
     ``extra_pairs`` adds merge candidates beyond the column-cosine rule
     (column-index pairs, e.g. clusters with near-identical speaker
@@ -290,12 +289,8 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(),
         return new >= old - config.elbo_tol * max(1.0, abs(old))
 
     cur = r
-    cur_score = None if score is None else score(cur)
+    cur_score = score(cur)
     cur_elbo = cur_state = None  # the baseline refresh, run lazily
-
-    def admits(cand_score):
-        """The first gate: the candidate's score holds."""
-        return score is None or holds(cand_score, cur_score)
 
     def accept(cand, cand_score):
         """The second gate: refresh ``cand`` and make it current if its
@@ -313,8 +308,8 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(),
     if have_prune:
         cand = cur[:, keep]
         cand = cand / cand.sum(axis=1, keepdims=True)
-        cand_score = None if score is None else score(cand)
-        changed = admits(cand_score) and accept(cand, cand_score)
+        cand_score = score(cand)
+        changed = holds(cand_score, cur_score) and accept(cand, cand_score)
 
     # Greedy pairwise merging; column ids survive index shifts so a
     # rejected pair is not retried within this call.  Ids equal the original
@@ -340,8 +335,8 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(),
         for key, (i, j) in id_pairs.items():
             if key in tried:
                 continue
-            cand_score = None if score is None else score(cur, (i, j))
-            if admits(cand_score):
+            cand_score = score(cur, (i, j))
+            if holds(cand_score, cur_score):
                 cand = np.delete(cur, j, axis=1)
                 cand[:, i] = cur[:, i] + cur[:, j]
                 merged = accept(cand, cand_score)
@@ -484,6 +479,10 @@ class _Variant:
     the ``vbpoint.ExpectedParams`` the shared E-step reads, which one
     sweep builds once for its two q(Y) blocks and q(theta);
     ``finish(params, report)`` stores the adapted model in the report.
+
+    The parameter steps read the labelled block only through the pooled
+    statistics S' = Phi^T Phi + eta S_d (``s_p``, fixed over the run) and
+    C' = C + eta C_d, R' = R + eta R_d, N' = E[N] + eta N_d (``pooled``).
     """
 
     def __init__(self, dataset, hyper, config):
@@ -495,10 +494,18 @@ class _Variant:
             dataset.one_hot_labels(), dataset.phi_d) if dataset.phi_d.size \
             else SuffStats(n=np.zeros(0), f=np.zeros((0, dataset.d)),
                            s=np.zeros((dataset.d, dataset.d)))
+        self.s_p = self.s_phi + hyper.eta * self.stats_d.s
+        self.eta_n_d = hyper.eta * self.stats_d.n_total
 
     def reduce(self, resp):
         """``resp`` with the raw statistics of the unlabelled set under it."""
         return _Reduced(resp, self.phi, self.s_phi)
+
+    def pooled(self, stats, acc, acc_d):
+        """``(C', R', N')`` of a sweep's ``stats``, ``acc`` and ``acc_d``."""
+        (c, r), (c_d, r_d) = acc, acc_d
+        eta = self.hyper.eta
+        return c + eta * c_d, r + eta * r_d, stats.n_total + self.eta_n_d
 
 
 class _Point(_Variant):
@@ -532,18 +539,14 @@ class _Point(_Variant):
         model, hyper, config = state["params"], self.hyper, self.config
         if not config.do_msteps:
             return model
-        reduced, stats_d = state["reduced"], self.stats_d
-        stats = reduced.stats
-        (c, r), (c_d, r_d) = state["acc"], state["acc_d"]
+        reduced, acc = state["reduced"], state["acc"]
         if config.sampler_k > 0:
-            c, r = _sampler_accumulators(
-                reduced.resp, self.phi, model, hyper, config, stats.s,
+            acc = _sampler_accumulators(
+                reduced.resp, self.phi, model, hyper, config, self.s_phi,
                 self.sampler_seeds.spawn(1)[0])
-        vtilde = vbpoint.mstep_V(c, r, c_d, r_d, hyper.eta)
-        c_p = c + hyper.eta * c_d
-        r_p = r + hyper.eta * r_d
-        w = vbpoint.mstep_W(stats.s, stats_d.s, c_p, r_p, vtilde,
-                            stats.n_total, stats_d.n_total, hyper.eta)
+        c_p, r_p, n_p = self.pooled(reduced.stats, acc, state["acc_d"])
+        vtilde = vbpoint.mstep_V(c_p, r_p)
+        w = vbpoint.mstep_W(self.s_p, c_p, r_p, vtilde, n_p)
         model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
         if config.min_div:
             model, (mu_y, t) = vbpoint.min_divergence(
@@ -576,18 +579,17 @@ class _Bayes(_Variant):
             phi, posts, expected, dirichlet, kappa))
         stats = reduced.stats
         dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0, kappa)
-        c, r = vbpoint.accumulators(stats, posts)
-        c_d, r_d = vbpoint.accumulators(stats_d, posts_d)
-        c_p, r_p = c + hyper.eta * c_d, r + hyper.eta * r_d
+        acc = vbpoint.accumulators(stats, posts)
+        acc_d = vbpoint.accumulators(stats_d, posts_d)
+        c_p, r_p, n_p = self.pooled(stats, acc, acc_d)
         rowpost = vbbayes.update_q_vtilde_rows(
             c_p, r_p, wpost, alphapost, hyper, rowpost, kappa)
         alphapost = vbbayes.update_q_alpha(rowpost, hyper, kappa)
         wpost = vbbayes.update_q_wishart(
-            stats.s, stats_d.s, c_p, r_p, rowpost,
-            stats.n_total, stats_d.n_total, hyper.eta, kappa)
+            self.s_p, c_p, r_p, rowpost, n_p, kappa)
         elbo, terms = vbbayes.elbo_bayes(
             stats, stats_d, posts, posts_d, reduced.resp, dirichlet,
-            rowpost, alphapost, wpost, hyper, (c, r), (c_d, r_d))
+            rowpost, alphapost, wpost, hyper, acc, acc_d)
         return dict(params=(rowpost, wpost, alphapost), reduced=reduced,
                     dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
 
@@ -830,10 +832,8 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         report.elbo_trace.append(float(elbo))
         report.m_trace.append(int(m_d))
         report.kappa_trace.append(1.0)
-        vtilde = vbpoint.mstep_V(np.zeros_like(c_d), np.zeros_like(r_d),
-                                 c_d, r_d, 1.0)
-        w = vbpoint.mstep_W(np.zeros((d, d)), stats.s, c_d, r_d, vtilde,
-                            0.0, stats.n_total, 1.0)
+        vtilde = vbpoint.mstep_V(c_d, r_d)
+        w = vbpoint.mstep_W(stats.s, c_d, r_d, vtilde, stats.n_total)
         model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
         model, _ = vbpoint.min_divergence(empty_posts, posts, model, 1.0)
         if len(report.elbo_trace) >= 2:

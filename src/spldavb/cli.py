@@ -86,16 +86,22 @@ def cmd_train(args):
     return 0
 
 
-def cmd_adapt(args):
+def _adapt(args, **overrides):
+    """``run_adaptation`` on the model and data named by the shared input
+    options, with ``overrides`` added to their config overrides; returns
+    ``(report, config, hyper)``."""
     model, _ = fileio.read_model(args.model)
-    phi = fileio.read_matrix(args.unsup_ivectors)
-    phi_d = fileio.read_matrix(args.sup_ivectors)
-    labels_d = fileio.read_labels(args.sup_labels)
-    dataset = Dataset(phi=phi, phi_d=phi_d, labels_d=labels_d)
-    overrides = {"eta": args.eta, "m_init": args.m_init,
-                 "variant": args.variant, "seed": args.seed}
-    config, hyper = _config_from_file(args.config, overrides)
-    report = run_adaptation(dataset, model, hyper, config)
+    dataset = Dataset(phi=fileio.read_matrix(args.unsup_ivectors),
+                      phi_d=fileio.read_matrix(args.sup_ivectors),
+                      labels_d=fileio.read_labels(args.sup_labels))
+    config, hyper = _config_from_file(args.config, {
+        "m_init": args.m_init, "variant": args.variant, "seed": args.seed,
+        **overrides})
+    return run_adaptation(dataset, model, hyper, config), config, hyper
+
+
+def cmd_adapt(args):
+    report, config, hyper = _adapt(args, eta=args.eta)
     fileio.write_model(args.out_model, report.model,
                        bayes_state=report.bayes_state)
     fileio.write_labels(args.out_labels, report.labels)
@@ -125,16 +131,7 @@ def cmd_eval(args):
 
 
 def cmd_elbo_audit(args):
-    model, _ = fileio.read_model(args.model)
-    phi = fileio.read_matrix(args.unsup_ivectors)
-    phi_d = fileio.read_matrix(args.sup_ivectors)
-    labels_d = fileio.read_labels(args.sup_labels)
-    dataset = Dataset(phi=phi, phi_d=phi_d, labels_d=labels_d)
-    config, hyper = _config_from_file(args.config, {
-        "variant": args.variant, "m_init": args.m_init, "seed": args.seed,
-        "max_iter": args.sweeps,
-    })
-    report = run_adaptation(dataset, model, hyper, config)
+    report, _, _ = _adapt(args, max_iter=args.sweeps)
     total = 0.0
     for name, value in report.elbo_terms.items():
         print(f"{name:24s} {value:.12f}")
@@ -153,6 +150,17 @@ def build_parser():
         prog="splda",
         description="Semi-supervised variational Bayes adaptation of SPLDA")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # The options of `adapt` and `elbo-audit` that name the adaptation's inputs.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--model", required=True)
+    inputs.add_argument("--sup-ivectors", required=True)
+    inputs.add_argument("--sup-labels", required=True)
+    inputs.add_argument("--unsup-ivectors", required=True)
+    inputs.add_argument("--config")
+    inputs.add_argument("--variant", choices=["point", "bayes"])
+    inputs.add_argument("--m-init", type=int)
+    inputs.add_argument("--seed", type=int)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--d", type=int, required=True)
@@ -175,16 +183,9 @@ def build_parser():
     p.add_argument("--trace")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("adapt", help="adapt a model on unlabelled data")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sup-ivectors", required=True)
-    p.add_argument("--sup-labels", required=True)
-    p.add_argument("--unsup-ivectors", required=True)
-    p.add_argument("--config")
-    p.add_argument("--variant", choices=["point", "bayes"])
-    p.add_argument("--m-init", type=int)
+    p = sub.add_parser("adapt", parents=[inputs],
+                       help="adapt a model on unlabelled data")
     p.add_argument("--eta", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-labels", required=True)
     p.add_argument("--out-report")
@@ -195,16 +196,9 @@ def build_parser():
     p.add_argument("--true-labels", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("elbo-audit", help="per-term lower-bound table")
-    p.add_argument("--model", required=True)
-    p.add_argument("--sup-ivectors", required=True)
-    p.add_argument("--sup-labels", required=True)
-    p.add_argument("--unsup-ivectors", required=True)
-    p.add_argument("--config")
-    p.add_argument("--variant", choices=["point", "bayes"])
-    p.add_argument("--m-init", type=int)
+    p = sub.add_parser("elbo-audit", parents=[inputs],
+                       help="per-term lower-bound table")
     p.add_argument("--sweeps", type=int, default=1)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_elbo_audit)
     return parser
 

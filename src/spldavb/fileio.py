@@ -71,8 +71,17 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
+    """One integer label per line; blank lines may follow the last label."""
     with open(path) as fh:
-        return np.array([int(line) for line in fh.read().split()], dtype=int)
+        lines = fh.read().rstrip().splitlines()
+    labels = []
+    for i, line in enumerate(lines):
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}:{i + 1}: expected one integer label, "
+                             f"got {line!r}") from None
+    return np.array(labels, dtype=int)
 
 
 def write_model(path, model, bayes_state=None):

@@ -267,7 +267,7 @@ def update_q_theta_bayes(phi, posteriors, expected, dirichlet, kappa=1.0):
 def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
     """One Gauss-Seidel sweep over the row posteriors of [V | mu].
 
-    c_p, r_p : eta-weighted accumulators C', R'
+    c_p, r_p : pooled accumulators C' = C + eta C_d, R' = R + eta R_d
     Rows are updated in ascending order using the latest neighbor means;
     each row update is exact coordinate ascent with the others held fixed.
     The row precisions wbar_rr R' + D_g do not depend on the means, so
@@ -338,11 +338,11 @@ def update_q_alpha(rowpost, hyper, kappa=1.0):
         b_prime=kappa * (hyper.b_alpha + 0.5 * rowpost.e_vq_vq()))
 
 
-def update_q_wishart(e_s, s_d, c_p, r_p, rowpost, e_n, n_d, eta, kappa=1.0):
-    """Wishart posterior over W from the eta-weighted accumulators."""
-    k = _scatter(e_s + eta * s_d, c_p, r_p, rowpost.mean, rowpost.rho(r_p))
-    dof = e_n + eta * n_d
-    return WishartPosterior.from_update(sym(k), dof, kappa=kappa)
+def update_q_wishart(s_p, c_p, r_p, rowpost, n_p, kappa=1.0):
+    """Wishart posterior over W from the pooled statistics S' = S + eta S_d,
+    C' = C + eta C_d, R' = R + eta R_d and N' = E[N] + eta N_d."""
+    k = _scatter(s_p, c_p, r_p, rowpost.mean, rowpost.rho(r_p))
+    return WishartPosterior.from_update(sym(k), n_p, kappa=kappa)
 
 
 def _ln_wishart_b(scale, dof, logdet_scale=None):

@@ -233,27 +233,23 @@ class ExpectedParams:
         return np.linalg.eigh(self.g)
 
 
-def _expected(model, u):
-    """``model`` and ``u`` as ``ExpectedParams``; an ``ExpectedParams``
-    passes through."""
-    if not isinstance(model, ExpectedParams):
-        return ExpectedParams(model, u=u)
-    if u is not None:
-        raise ValueError("u is part of the ExpectedParams passed as model")
-    return model
+def _expected(model):
+    """``model`` as ``ExpectedParams``; an ``ExpectedParams`` passes
+    through."""
+    return model if isinstance(model, ExpectedParams) else ExpectedParams(model)
 
 
-def update_q_y(stats, model, kappa=1.0, *, u=None):
+def update_q_y(stats, model, kappa=1.0):
     """q(y_i) updates from (expected or hard) raw statistics.
 
     L_i = I + E[N_i] E[V^T W V],
     ybar_i = L_i^-1 (E[V]^T E[W] E[Fbar_i] - E[N_i] u_{y mu}),
-    with Fbar_i = F_i - N_i E[mu] the first-order sums centred here.
-    ``model`` is an ``SpldaModel`` of parameter means with ``u`` as in
-    ``ExpectedParams`` (default 0, a point model), or an
-    ``ExpectedParams``, whose W V and G the call reuses.
+    with Fbar_i = F_i - N_i E[mu] the first-order sums centred here and
+    ``u`` as in ``ExpectedParams``.  ``model`` is an ``SpldaModel`` (a
+    point model, u = 0) or an ``ExpectedParams``, whose W V and G the call
+    reuses.
     """
-    ex = _expected(model, u)
+    ex = _expected(model)
     n_y = ex.model.n_y
     rhs = (stats.f - np.outer(stats.n, ex.model.mu)) @ ex.wv \
         - np.outer(stats.n, ex.u[:n_y, n_y])
@@ -278,7 +274,7 @@ def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
     against the spread of phi.  The returned ``Responsibilities`` carry
     their entropy, -lnq(theta) of the bound.
     """
-    ex = _expected(model, None)
+    ex = _expected(model)
     n_y = ex.model.n_y
     log_rho = ((phi - ex.model.mu) @ ex.wv) @ posteriors.ybar.T  # (N, M)
     log_rho += -0.5 * posteriors.trace_e_yy(ex.g) \
@@ -430,13 +426,13 @@ def elbo_point(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
     return total, terms
 
 
-def mstep_V(c, r, c_d, r_d, eta):
+def mstep_V(c_p, r_p):
     """Closed-form update of the augmented [V | mu].
 
-    Solves Vtilde (R + eta R_d) = (C + eta C_d) by a linear system.
+    Solves Vtilde R' = C' by a linear system, from the pooled accumulators
+    C' = C + eta C_d and R' = R + eta R_d.
     """
-    c_p = c + eta * c_d
-    r_p = sym(r + eta * r_d)
+    r_p = sym(r_p)
     cond = np.linalg.cond(r_p)
     if not np.isfinite(cond) or cond > 1e14:
         raise np.linalg.LinAlgError(
@@ -445,21 +441,19 @@ def mstep_V(c, r, c_d, r_d, eta):
     return np.linalg.solve(r_p, c_p.T).T
 
 
-def mstep_W(e_s, s_d, c_p, r_p, vtilde, e_n, n_d, eta):
+def mstep_W(s_p, c_p, r_p, vtilde, n_p):
     """Closed-form update of the within-class precision W.
 
-    W^-1 = (K + K^T) / 2 / (E[N] + eta N_d) with
-    K = E[S] + eta S_d - 2 C' Vtilde^T + Vtilde R' Vtilde^T.
+    W^-1 = (K + K^T) / 2 / N' with K = S' - 2 C' Vtilde^T + Vtilde R' Vtilde^T,
+    from the pooled statistics S' = S + eta S_d, C' = C + eta C_d,
+    R' = R + eta R_d and N' = E[N] + eta N_d.
     """
-    d = e_s.shape[0]
-    denom = e_n + eta * n_d
-    if denom <= d:
+    d = s_p.shape[0]
+    if n_p <= d:
         raise ValueError(
-            f"E[N] + eta*N_d = {denom:.3g} <= d = {d}: W would be degenerate"
+            f"E[N] + eta*N_d = {n_p:.3g} <= d = {d}: W would be degenerate"
         )
-    k = _scatter(e_s + eta * s_d, c_p, r_p, vtilde)
-    w_inv = sym(k) / denom
-    return inv_pd(w_inv)
+    return inv_pd(sym(_scatter(s_p, c_p, r_p, vtilde)) / n_p)
 
 
 # Iteration cap of the tau0 Newton solver.

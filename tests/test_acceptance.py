@@ -137,10 +137,10 @@ class TestAcceptance:
         hyper = Hyperparams(eta=eta)
         c, r = vbpoint.accumulators(stats, posts)
         c_d, r_d = vbpoint.accumulators(stats_d, posts_d)
-        vtilde = vbpoint.mstep_V(c, r, c_d, r_d, eta)
-        w = vbpoint.mstep_W(stats.s, stats_d.s, c + eta * c_d,
-                            r + eta * r_d, vtilde,
-                            stats.n_total, stats_d.n_total, eta)
+        c_p, r_p = c + eta * c_d, r + eta * r_d
+        vtilde = vbpoint.mstep_V(c_p, r_p)
+        w = vbpoint.mstep_W(stats.s + eta * stats_d.s, c_p, r_p, vtilde,
+                            stats.n_total + eta * stats_d.n_total)
         d = 4
         n_aug = 3
         iu = np.triu_indices(d)

@@ -148,7 +148,8 @@ class TestPruneMerge:
         r[3:, 2] = 1.0
         resp, elbo, state, changed = prune_and_merge(
             Responsibilities(r=r), self._config(),
-            lambda m: (1.0, "state"), current_elbo=0.0)
+            lambda m: (1.0, "state"), current_elbo=0.0,
+            score=lambda r, merge=None: 0.0)
         assert changed
         assert resp.r.shape[1] == 2
 
@@ -158,7 +159,8 @@ class TestPruneMerge:
         r = np.column_stack([col / 2, col / 2, 1.0 - col])
         resp, elbo, state, changed = prune_and_merge(
             Responsibilities(r=r), self._config(),
-            lambda m: (2.0, "state"), current_elbo=0.0)
+            lambda m: (2.0, "state"), current_elbo=0.0,
+            score=lambda r, merge=None: 0.0)
         assert changed
         assert resp.r.shape[1] == 2
         np.testing.assert_allclose(resp.r.sum(axis=1), 1.0, atol=1e-12)
@@ -170,7 +172,7 @@ class TestPruneMerge:
         resp, elbo, state, changed = prune_and_merge(
             Responsibilities(r=r), self._config(),
             lambda m: (-100.0 if m.shape[1] < 3 else 0.0, "state"),
-            current_elbo=0.0)
+            current_elbo=0.0, score=lambda r, merge=None: 0.0)
         assert not changed
         assert resp.r.shape[1] == 3
         assert elbo == 0.0
@@ -181,7 +183,8 @@ class TestPruneMerge:
         r = 0.8 * r + 0.2 / 3
         _, _, _, changed = prune_and_merge(
             Responsibilities(r=r), self._config(),
-            lambda m: (0.0, None), current_elbo=0.0)
+            lambda m: (0.0, None), current_elbo=0.0,
+            score=lambda r, merge=None: 0.0)
         assert not changed
 
 
@@ -489,6 +492,40 @@ class TestRuns:
                 continue
             drop = (elbo[it - 1] - elbo[it]) / max(1.0, abs(elbo[it - 1]))
             assert drop <= cfg.elbo_tol, f"bound fell by {drop:.3g} at {it}"
+
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2**16),
+           variant=st.sampled_from(["point", "bayes"]),
+           schedule=st.sampled_from(["plain", "anneal", "prune_merge"]),
+           init_method=st.sampled_from(["ahc", "random_y"]))
+    def test_doubled_labelled_speakers_at_half_eta_match_eta_one(
+            self, seed, variant, schedule, init_method):
+        # Each labelled speaker entered twice, as two speakers, doubles every
+        # labelled sum, and eta = 0.5 halves it again: the pooled statistics,
+        # q(W), the bound and min_divergence all see what the original run
+        # sees at eta = 1, so both maximise the same objective.
+        dataset, model = split_problem(seed=seed)
+        m_d = dataset.labels_d.max() + 1
+        doubled = Dataset(
+            phi=dataset.phi, phi_d=np.vstack([dataset.phi_d, dataset.phi_d]),
+            labels_d=np.concatenate([dataset.labels_d, dataset.labels_d + m_d]))
+        cfg = RunConfig(m_init=6, variant=variant, init_method=init_method,
+                        anneal=schedule != "plain",
+                        prune_merge=schedule == "prune_merge",
+                        **(dict(prune_every=3) if schedule == "prune_merge"
+                           else {}),
+                        max_iter=30, seed=seed)
+        # The default mean prior of the bayes variant is read from the
+        # labelled i-vectors, so both runs get the same explicit one.
+        prior = dict(mu0=dataset.phi_d.mean(axis=0), beta=0.1) \
+            if variant == "bayes" else {}
+        once = run_adaptation(dataset, model, Hyperparams(**prior), cfg)
+        twice = run_adaptation(doubled, model, Hyperparams(eta=0.5, **prior),
+                               cfg)
+        assert twice.m_trace == once.m_trace
+        np.testing.assert_array_equal(twice.labels, once.labels)
+        np.testing.assert_allclose(twice.elbo_trace, once.elbo_trace,
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("variant", ["point", "bayes"])
     def test_restructure_on_last_iteration_is_what_the_report_holds(

@@ -77,6 +77,24 @@ class TestMatrixIO:
         fileio.write_labels(path, labels)
         np.testing.assert_array_equal(fileio.read_labels(path), labels)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1 2\n3\n", 1),  # two labels on one line
+        ("0\n1\nx\n", 3),  # not an integer
+        ("0\n\n1\n", 2),  # a blank line before the last label
+    ])
+    def test_labels_one_integer_per_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.labels"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            fileio.read_labels(path)
+
+    def test_labels_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "l.labels"
+        path.write_text("4\n 0 \n\n  \n")
+        labels = fileio.read_labels(path)
+        np.testing.assert_array_equal(labels, [4, 0])
+        assert labels.dtype == int
+
 
 def _random_model(d, n_y, seed):
     rng = np.random.default_rng(seed)

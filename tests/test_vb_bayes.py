@@ -117,10 +117,8 @@ class TestDegenerateReduction:
         posts = update_q_y(center_stats(stats, model.mu), model)
         c, r = accumulators(stats, posts)
         rowpost = RowPosteriors.point_mass(model.vtilde)
-        wpost = update_q_wishart(stats.s, np.zeros((4, 4)), c, r, rowpost,
-                                 stats.n_total, 0.0, 1.0)
-        w_point = mstep_W(stats.s, np.zeros((4, 4)), c, r, model.vtilde,
-                          stats.n_total, 0.0, 1.0)
+        wpost = update_q_wishart(stats.s, c, r, rowpost, stats.n_total)
+        w_point = mstep_W(stats.s, c, r, model.vtilde, stats.n_total)
         np.testing.assert_allclose(
             wpost.e_w / stats.n_total * stats.n_total, wpost.e_w)
         np.testing.assert_allclose(wpost.e_w, w_point, rtol=1e-10)

@@ -18,6 +18,7 @@ from spldavb.model import (
 )
 from spldavb.vbpoint import (
     DirichletPosterior,
+    ExpectedParams,
     Hyperparams,
     Responsibilities,
     SpeakerPosteriors,
@@ -147,7 +148,7 @@ def test_q_y_from_raw_stats_equals_centred_route(seed, kappa, with_u):
     if with_u:
         a = rng.standard_normal((n_y + 1, n_y + 1))
         u = a @ a.T
-    got = update_q_y(stats, model, kappa, u=None if not with_u else u)
+    got = update_q_y(stats, ExpectedParams(model, u=u), kappa)
     want = q_y_from_centred(stats, model, kappa, u)
     for name in ("ybar", "basis", "s"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -408,14 +409,13 @@ class TestMsteps:
         b = rng.standard_normal((n_y + 1, n_y + 1))
         r_d = b @ b.T + np.eye(n_y + 1)
         eta = 0.6
-        vt = mstep_V(c, r, c_d, r_d, eta)
+        vt = mstep_V(c + eta * c_d, r + eta * r_d)
         np.testing.assert_allclose(vt @ (r + eta * r_d), c + eta * c_d,
                                    atol=1e-10)
 
     def test_mstep_v_rejects_singular(self):
         with pytest.raises(np.linalg.LinAlgError, match="condition"):
-            mstep_V(np.zeros((3, 2)), np.zeros((2, 2)),
-                    np.zeros((3, 2)), np.zeros((2, 2)), 1.0)
+            mstep_V(np.zeros((3, 2)), np.zeros((2, 2)))
 
     def test_mstep_w_recovers_sample_covariance(self):
         # With V = 0, one cluster and hard counts the update reduces to the
@@ -429,18 +429,15 @@ class TestMsteps:
         stats = center_stats(accumulate_stats(resp, phi), mu)
         posts = update_q_y(stats, model)
         c, r = accumulators(stats, posts)
-        zero_c = np.zeros_like(c)
-        zero_r = np.zeros_like(r)
-        w = mstep_W(stats.s, np.zeros((d, d)), c + zero_c, r + zero_r,
-                    model.vtilde, stats.n_total, 0.0, 1.0)
+        w = mstep_W(stats.s, c, r, model.vtilde, stats.n_total)
         cov = (phi - mu).T @ (phi - mu) / n
         np.testing.assert_allclose(w, inv_pd(cov), rtol=1e-9)
 
     def test_mstep_w_rejects_low_count(self):
         d = 4
         with pytest.raises(ValueError, match="degenerate"):
-            mstep_W(np.eye(d), np.zeros((d, d)), np.zeros((d, 2)),
-                    np.eye(2), np.zeros((d, 2)), 3.0, 0.0, 1.0)
+            mstep_W(np.eye(d), np.zeros((d, 2)), np.eye(2),
+                    np.zeros((d, 2)), 3.0)
 
 
 class TestMstepTau0:
