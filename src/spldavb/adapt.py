@@ -550,7 +550,7 @@ class _Point(_Variant):
         model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
         if config.min_div:
             model, (mu_y, t) = vbpoint.min_divergence(
-                state["posts"], state["posts_d"], model, hyper.eta)
+                [(state["posts"], 1.0), (state["posts_d"], hyper.eta)], model)
             # Extra merge candidates are the closest standardized means.
             state["posts"] = vbpoint.standardize_posteriors(
                 state["posts"], mu_y, t)
@@ -820,8 +820,6 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         model = model_init
 
     report = RunReport()
-    empty_posts = SpeakerPosteriors.from_pair(
-        np.zeros((n_y, n_y)), np.zeros(0), np.zeros((0, n_y)))
     for it in range(max_iter):
         posts = vbpoint.update_q_y(stats, model)
         c_d, r_d = vbpoint.accumulators(stats, posts)
@@ -835,7 +833,7 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         vtilde = vbpoint.mstep_V(c_d, r_d)
         w = vbpoint.mstep_W(stats.s, c_d, r_d, vtilde, stats.n_total)
         model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
-        model, _ = vbpoint.min_divergence(empty_posts, posts, model, 1.0)
+        model, _ = vbpoint.min_divergence([(posts, 1.0)], model)
         if len(report.elbo_trace) >= 2:
             prev = report.elbo_trace[-2]
             if abs(elbo - prev) < elbo_tol * max(1.0, abs(prev)):

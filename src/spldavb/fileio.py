@@ -16,10 +16,26 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+# The HYPER lines of a Bayesian model file, in order; a reader needs all.
+_HYPER_KEYS = ("tau0", "eta", "a_alpha", "b_alpha", "mu0", "beta")
+
+
+def _row_format(cols):
+    """One ``%`` template for a row of ``cols`` values: a whole row in one
+    ``%`` is cheaper than one ``%`` per value and gives the same text."""
+    return " ".join([_FMT] * cols)
 
 
 def _format_row(row):
-    return " ".join(_FMT % x for x in np.atleast_1d(row))
+    vals = np.atleast_1d(row).tolist()
+    return _row_format(len(vals)) % tuple(vals)
+
+
+def _write_rows(fh, x):
+    """Write a 2-D array one line per row, all rows through one template."""
+    fmt = _row_format(x.shape[1]) + "\n"
+    for row in x:
+        fh.write(fmt % tuple(row.tolist()))
 
 
 def write_matrix(path, x):
@@ -27,18 +43,57 @@ def write_matrix(path, x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     with open(path, "w") as fh:
         fh.write(f"IVEC {x.shape[0]} {x.shape[1]}\n")
-        for row in x:
-            fh.write(_format_row(row) + "\n")
+        _write_rows(fh, x)
 
 
-def _parse_matrix_body(lines, rows, cols, what="matrix"):
+def _read_header(path, lines, tag, fields):
+    """The two non-negative integers of line 1, ``tag a b``."""
+    if not lines or not lines[0].startswith(tag + " "):
+        raise ValueError(f"{path}: missing {tag} header")
+    try:
+        a, b = (int(v) for v in lines[0].split()[1:])
+    except ValueError:
+        a = b = -1
+    if a < 0 or b < 0:
+        raise ValueError(f"{path}:1: expected '{tag} {fields}' with two "
+                         f"non-negative integers, got {lines[0]!r}")
+    return a, b
+
+
+def _parse_matrix_body(path, lines, start, rows, cols, what):
+    """Parse ``lines[start:start + rows]`` as a ``rows x cols`` block.
+
+    numpy's C ``loadtxt`` parses a well-formed block.  It skips blank lines
+    (and warns if that leaves no data, hence the first-line check) and
+    rejects some tokens ``float()`` takes, such as ``1_0``, so on an error
+    or a wrong shape the row-wise loop parses the block again.  That loop
+    is the one error path: it decides what the readers accept.
+    """
+    end = start + rows
+    if rows and cols and end <= len(lines) and lines[start].strip():
+        try:
+            body = np.loadtxt(lines[start:end], dtype=float, comments=None,
+                              ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if body.shape == (rows, cols):
+                return body
     body = np.empty((rows, cols))
     for i in range(rows):
-        vals = lines[i].split()
+        where = f"{path}:{start + i + 1}"
+        if start + i >= len(lines):
+            raise ValueError(
+                f"{where}: file ends in {what}, after {i} of {rows} rows")
+        vals = lines[start + i].split()
         if len(vals) != cols:
             raise ValueError(
-                f"{what}: row {i} has {len(vals)} values, expected {cols}")
-        body[i] = vals  # numpy parses the strings, correctly rounded
+                f"{where}: {what} row {i} has {len(vals)} values, "
+                f"expected {cols}")
+        try:
+            body[i] = vals  # numpy parses the strings, correctly rounded
+        except ValueError as exc:
+            raise ValueError(f"{where}: {what} row {i}: {exc}") from None
     return body
 
 
@@ -53,21 +108,18 @@ def _check_tail(path, lines, pos):
 def read_matrix(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("IVEC "):
-        raise ValueError(f"{path}: missing IVEC header")
-    _, rows, cols = lines[0].split()
-    rows, cols = int(rows), int(cols)
+    rows, cols = _read_header(path, lines, "IVEC", "rows cols")
     if len(lines) - 1 < rows:
         raise ValueError(f"{path}: declared {rows} rows, found {len(lines) - 1}")
-    body = _parse_matrix_body(lines[1:], rows, cols, what=path)
+    body = _parse_matrix_body(path, lines, 1, rows, cols, "matrix")
     _check_tail(path, lines, rows + 1)
     return body
 
 
 def write_labels(path, labels):
+    labels = np.asarray(labels, dtype=int).tolist()
     with open(path, "w") as fh:
-        for l in np.asarray(labels, dtype=int):
-            fh.write(f"{l}\n")
+        fh.write("".join([f"{l}\n" for l in labels]))
 
 
 def read_labels(path):
@@ -92,11 +144,9 @@ def write_model(path, model, bayes_state=None):
         fh.write(f"SPLDA {d} {n_y}\n")
         fh.write("MU\n" + _format_row(model.mu) + "\n")
         fh.write("V\n")
-        for row in model.v:
-            fh.write(_format_row(row) + "\n")
+        _write_rows(fh, model.v)
         fh.write("W\n")
-        for row in model.w:
-            fh.write(_format_row(row) + "\n")
+        _write_rows(fh, model.w)
         if bayes_state is not None:
             rowpost = bayes_state["rowpost"]
             wpost = bayes_state["wpost"]
@@ -104,27 +154,19 @@ def write_model(path, model, bayes_state=None):
             hyper = bayes_state["hyper"]
             fh.write("BAYES\n")
             fh.write("VT_MEAN\n")
-            for row in rowpost.mean:
-                fh.write(_format_row(row) + "\n")
+            _write_rows(fh, rowpost.mean)
             fh.write("VT_PREC\n")
-            for block in rowpost.prec:
-                for row in block:
-                    fh.write(_format_row(row) + "\n")
+            _write_rows(fh, rowpost.prec.reshape(d * (n_y + 1), n_y + 1))
             fh.write("ALPHA\n")
             fh.write(_FMT % alphapost.a_prime + "\n")
             fh.write(_format_row(alphapost.b_prime) + "\n")
             fh.write("WISHART\n")
             fh.write(_FMT % wpost.dof + "\n")
-            for row in wpost.k:
-                fh.write(_format_row(row) + "\n")
+            _write_rows(fh, wpost.k)
             fh.write("HYPER\n")
-            beta = np.atleast_1d(np.asarray(hyper.beta, dtype=float))
-            fh.write(f"tau0 {_FMT % hyper.tau0}\n")
-            fh.write(f"eta {_FMT % hyper.eta}\n")
-            fh.write(f"a_alpha {_FMT % hyper.a_alpha}\n")
-            fh.write(f"b_alpha {_FMT % hyper.b_alpha}\n")
-            fh.write("mu0 " + _format_row(hyper.mu0) + "\n")
-            fh.write("beta " + _format_row(beta) + "\n")
+            for key in _HYPER_KEYS:
+                value = np.asarray(getattr(hyper, key), dtype=float)
+                fh.write(f"{key} {_format_row(value)}\n")
 
 
 def read_model(path):
@@ -134,10 +176,7 @@ def read_model(path):
 
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("SPLDA "):
-        raise ValueError(f"{path}: missing SPLDA header")
-    _, d, n_y = lines[0].split()
-    d, n_y = int(d), int(n_y)
+    d, n_y = _read_header(path, lines, "SPLDA", "d n_y")
     pos = 1
 
     def expect(tag):
@@ -148,7 +187,7 @@ def read_model(path):
 
     def block(rows, cols, what):
         nonlocal pos
-        out = _parse_matrix_body(lines[pos:pos + rows], rows, cols, what=what)
+        out = _parse_matrix_body(path, lines, pos, rows, cols, what)
         pos += rows
         return out
 
@@ -169,20 +208,30 @@ def read_model(path):
         expect("VT_MEAN")
         vt_mean = block(d, n_y + 1, "VT_MEAN")
         expect("VT_PREC")
-        prec = np.stack([block(n_y + 1, n_y + 1, "VT_PREC") for _ in range(d)])
+        prec = block(d * (n_y + 1), n_y + 1, "VT_PREC").reshape(
+            d, n_y + 1, n_y + 1)
         expect("ALPHA")
-        a_prime = float(lines[pos]); pos += 1
+        a_prime = float(block(1, 1, "ALPHA")[0, 0])
         b_prime = block(1, n_y, "ALPHA_B")[0]
         expect("WISHART")
-        dof = float(lines[pos]); pos += 1
+        dof = float(block(1, 1, "WISHART")[0, 0])
         k = block(d, d, "WISHART_K")
         expect("HYPER")
         hyper = {}
         while pos < len(lines) and lines[pos].strip():
             key, *vals = lines[pos].split()
-            hyper[key] = np.array([float(v) for v in vals]) if len(vals) > 1 \
-                else float(vals[0])
+            try:
+                vals = [float(v) for v in vals]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{pos + 1}: HYPER {key}: {exc}") from None
+            if not vals:
+                raise ValueError(f"{path}:{pos + 1}: HYPER {key} has no value")
+            hyper[key] = np.array(vals) if len(vals) > 1 else vals[0]
             pos += 1
+        missing = [key for key in _HYPER_KEYS if key not in hyper]
+        if missing:
+            raise ValueError(f"{path}:{pos + 1}: HYPER lacks "
+                             f"{' '.join(missing)}")
         bayes = dict(vt_mean=vt_mean, vt_prec=prec, a_prime=a_prime,
                      b_prime=b_prime, wishart_dof=dof, wishart_k=k, hyper=hyper)
     _check_tail(path, lines, pos)

@@ -507,19 +507,19 @@ def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10):
     return best[1]
 
 
-def min_divergence(posteriors, posteriors_d, model, eta):
+def min_divergence(blocks, model):
     """Minimum-divergence re-standardization of the latent prior.
 
     Absorbs the aggregate posterior mean/covariance of the speaker factors
     into (mu, V) so that the prior stays N(0, I).  The i-vector marginal is
-    left invariant.  Returns ``(model, (mu_y, t))`` where ``t`` is the lower
-    Cholesky factor of Sigma_y (used to transform the speaker posteriors in
-    step).
+    left invariant.  ``blocks`` are ``(posteriors, weight)`` pairs; each
+    speaker counts ``weight`` times in the aggregate.  Returns ``(model,
+    (mu_y, t))`` where ``t`` is the lower Cholesky factor of Sigma_y (used
+    to transform the speaker posteriors in step).
     """
-    m, m_d = posteriors.m, posteriors_d.m
-    denom = m + eta * m_d
-    mu_y = (posteriors.ybar.sum(axis=0) + eta * posteriors_d.ybar.sum(axis=0)) / denom
-    rho = posteriors.sum_e_yy(np.ones(m)) + eta * posteriors_d.sum_e_yy(np.ones(m_d))
+    denom = sum(w * p.m for p, w in blocks)
+    mu_y = sum(w * p.ybar.sum(axis=0) for p, w in blocks) / denom
+    rho = sum(w * p.sum_e_yy(np.ones(p.m)) for p, w in blocks)
     sigma_y = sym(rho / denom - np.outer(mu_y, mu_y))
     t = np.linalg.cholesky(sigma_y)  # raises if Sigma_y is not PD
     new = SpldaModel(mu=model.mu + model.v @ mu_y, v=model.v @ t, w=model.w)

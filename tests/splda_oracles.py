@@ -7,8 +7,9 @@ covariances and their update through a batched Cholesky of the dense
 precision stack, the inverse through two triangular solves, the
 responsibility log weights, softmax and entropy in their direct forms, the
 pair score as a ratio of joint-Gaussian densities, central finite
-differences and the whole lower bound at given responsibilities with the
-parameters held.  None of this is needed to run an adaptation; each function follows its formula directly
+differences, the whole lower bound at given responsibilities with the
+parameters held, and the text formats written one value at a time and
+parsed one row at a time.  None of this is needed to run an adaptation; each function follows its formula directly
 rather than the library's aggregate forms.
 """
 
@@ -290,3 +291,53 @@ def fixed_param_elbo(variant, params, r):
     return elbo_point(stats, stats_d, posts, posts_d, resp, dirichlet, params,
                       hyper, accumulators(stats, posts),
                       accumulators(stats_d, posts_d))[0]
+
+
+def format_row_per_value(row):
+    """One line of a text file, one ``%.17g`` per value."""
+    return " ".join("%.17g" % x for x in np.atleast_1d(row))
+
+
+def _rows_text(x):
+    return "".join(format_row_per_value(row) + "\n" for row in x)
+
+
+def matrix_text(x):
+    """The bytes of an ``IVEC`` file holding ``x``."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return f"IVEC {x.shape[0]} {x.shape[1]}\n" + _rows_text(x)
+
+
+def labels_text(labels):
+    return "".join(f"{l}\n" for l in np.asarray(labels, dtype=int))
+
+
+def model_text(model, bayes_state=None):
+    """The bytes of a model file, section by section."""
+    f = format_row_per_value
+    out = [f"SPLDA {model.d} {model.n_y}\n", "MU\n", f(model.mu) + "\n",
+           "V\n", _rows_text(model.v), "W\n", _rows_text(model.w)]
+    if bayes_state is not None:
+        rowpost, wpost = bayes_state["rowpost"], bayes_state["wpost"]
+        alphapost, hyper = bayes_state["alphapost"], bayes_state["hyper"]
+        out += ["BAYES\n", "VT_MEAN\n", _rows_text(rowpost.mean), "VT_PREC\n"]
+        out += [_rows_text(block) for block in rowpost.prec]
+        out += ["ALPHA\n", f(alphapost.a_prime) + "\n",
+                f(alphapost.b_prime) + "\n",
+                "WISHART\n", f(wpost.dof) + "\n", _rows_text(wpost.k),
+                "HYPER\n"]
+        out += [f"{key} {f(getattr(hyper, key))}\n"
+                for key in ("tau0", "eta", "a_alpha", "b_alpha", "mu0", "beta")]
+    return "".join(out)
+
+
+def parse_matrix_rows(path):
+    """An ``IVEC`` file parsed one row at a time by numpy's conversion of a
+    list of strings."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    rows, cols = (int(v) for v in lines[0].split()[1:])
+    body = np.empty((rows, cols))
+    for i in range(rows):
+        body[i] = lines[i + 1].split()
+    return body

@@ -258,7 +258,7 @@ class TestAcceptance:
             model.mu)
         posts_d = vbpoint.update_q_y(stats_d, model)
         model2, (mu_y, t) = vbpoint.min_divergence(
-            posts, posts_d, model, eta=0.5)
+            [(posts, 1.0), (posts_d, 0.5)], model)
         # The transform absorbs the aggregate posterior N(mu_y, T T') into
         # (mu, V); the standard marginal of the new model must equal the old
         # model's marginal under that absorbed prior.

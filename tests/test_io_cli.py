@@ -5,9 +5,13 @@ exercised through ``cli.main`` so exit codes and outputs are covered.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spldavb import cli, fileio
 from spldavb.adapt import RunConfig, run_adaptation
@@ -15,7 +19,13 @@ from spldavb.model import Dataset, SpldaModel
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import AlphaPosterior, WishartPosterior
 from spldavb.vbpoint import Hyperparams
-from splda_oracles import rowpost_from_cov
+from splda_oracles import (
+    labels_text,
+    matrix_text,
+    model_text,
+    parse_matrix_rows,
+    rowpost_from_cov,
+)
 
 
 class TestMatrixIO:
@@ -104,6 +114,31 @@ def _random_model(d, n_y, seed):
                       w=a @ a.T + d * np.eye(d))
 
 
+# Signed zero, the smallest subnormal and the largest finite doubles.
+_EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _bayes_state(d, n_y, seed):
+    rng = np.random.default_rng(seed)
+    prec = np.stack([np.eye(n_y + 1) * (r + 1) for r in range(d)])
+    return dict(
+        rowpost=rowpost_from_cov(rng.standard_normal((d, n_y + 1)),
+                                 np.linalg.inv(prec)),
+        alphapost=AlphaPosterior(a_prime=2.5,
+                                 b_prime=rng.uniform(1, 3, size=n_y)),
+        wpost=WishartPosterior.from_update(np.eye(d) * 0.3, 9.0, 1.0),
+        hyper=Hyperparams(tau0=0.7, eta=0.5, mu0=rng.standard_normal(d),
+                          beta=2.0))
+
+
+def _model_lines(tmp_path, bayes):
+    """A written d=4, n_y=2 model file and its lines."""
+    path = tmp_path / "m.splda"
+    fileio.write_model(path, _random_model(4, 2, seed=4),
+                       _bayes_state(4, 2, seed=4) if bayes else None)
+    return path, path.read_text().splitlines(keepends=True)
+
+
 class TestModelIO:
     def test_round_trip_bit_exact(self, tmp_path):
         model = _random_model(5, 3, seed=11)
@@ -117,19 +152,12 @@ class TestModelIO:
 
     def test_bayes_section_round_trip(self, tmp_path):
         d, n_y = 4, 2
-        rng = np.random.default_rng(5)
         model = _random_model(d, n_y, seed=5)
-        prec = np.stack([np.eye(n_y + 1) * (r + 1) for r in range(d)])
-        rowpost = rowpost_from_cov(rng.standard_normal((d, n_y + 1)),
-                                   np.linalg.inv(prec))
-        alphapost = AlphaPosterior(a_prime=2.5,
-                                   b_prime=rng.uniform(1, 3, size=n_y))
-        wpost = WishartPosterior.from_update(np.eye(d) * 0.3, 9.0, 1.0)
-        hyper = Hyperparams(tau0=0.7, eta=0.5, mu0=rng.standard_normal(d),
-                            beta=2.0)
+        state = _bayes_state(d, n_y, seed=5)
+        rowpost, alphapost = state["rowpost"], state["alphapost"]
+        wpost, hyper = state["wpost"], state["hyper"]
         path = tmp_path / "m.splda"
-        fileio.write_model(path, model, bayes_state=dict(
-            rowpost=rowpost, alphapost=alphapost, wpost=wpost, hyper=hyper))
+        fileio.write_model(path, model, bayes_state=state)
         loaded, bayes = fileio.read_model(path)
         assert (loaded.v == model.v).all()
         assert (bayes["vt_mean"] == rowpost.mean).all()
@@ -194,6 +222,164 @@ class TestModelIO:
         path.write_text("SPLDA 2 1\nMU\n0 0\nW\n1 0\n0 1\n")
         with pytest.raises(ValueError, match="'V'"):
             fileio.read_model(path)
+
+
+class TestWriterBytes:
+    """Each writer's bytes equal the file written one value at a time."""
+
+    @pytest.mark.parametrize("x", [
+        np.array([_EXTREMES + [1 / 3, np.pi, np.inf, -np.inf, np.nan]]),
+        np.array([[2.5]]),
+        np.array([[1.0], [-0.0], [5e-324]]),
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+        np.arange(4.0),
+        np.random.default_rng(3).standard_normal((7, 5))
+        * np.logspace(-300, 300, 5),
+    ], ids=["extremes", "1x1", "one-column", "0-row", "0-column", "vector",
+            "wide-range"])
+    def test_matrix(self, tmp_path, x):
+        path = tmp_path / "m.ivec"
+        fileio.write_matrix(path, x)
+        assert path.read_bytes() == matrix_text(x).encode()
+
+    @pytest.mark.parametrize("bayes", [False, True])
+    @pytest.mark.parametrize("n_y", [1, 3])
+    def test_model(self, tmp_path, bayes, n_y):
+        d = 4
+        base = _random_model(d, n_y, seed=9)
+        model = SpldaModel(mu=_EXTREMES, v=base.v, w=base.w)
+        state = _bayes_state(d, n_y, seed=9) if bayes else None
+        path = tmp_path / "m.splda"
+        fileio.write_model(path, model, state)
+        assert path.read_bytes() == model_text(model, state).encode()
+
+    @pytest.mark.parametrize("labels", [[3, 0, 0, 7, 2], [5], []])
+    def test_labels(self, tmp_path, labels):
+        path = tmp_path / "l.labels"
+        fileio.write_labels(path, np.array(labels, dtype=int))
+        assert path.read_bytes() == labels_text(labels).encode()
+
+
+class TestReaderStrictness:
+    """Malformed files raise ValueError naming the file, and the command
+    line turns that into exit status 1 with an ``error:`` line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(
+        min_dims=2, max_dims=2, min_side=0, max_side=6),
+        elements=st.floats(allow_subnormal=True)))
+    def test_read_matrix_matches_row_parse(self, tmp_path_factory, x):
+        path = tmp_path_factory.mktemp("ivec") / "m.ivec"
+        fileio.write_matrix(path, x)
+        y = fileio.read_matrix(path)
+        rows = parse_matrix_rows(path)
+        assert y.shape == rows.shape == x.shape
+        assert y.tobytes() == rows.tobytes()
+        finite = ~np.isnan(x)
+        assert (y.view(np.int64)[finite] == x.view(np.int64)[finite]).all()
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_matrix_reads_without_warning(self, tmp_path, shape):
+        path = tmp_path / "m.ivec"
+        fileio.write_matrix(path, np.zeros(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fileio.read_matrix(path).shape == shape
+
+    def test_underscore_digits_still_read(self, tmp_path):
+        # float() and numpy's string conversion take "1_0"; loadtxt does not.
+        path = tmp_path / "m.ivec"
+        path.write_text("IVEC 2 2\n1_0 2\n3 4\n")
+        np.testing.assert_array_equal(fileio.read_matrix(path),
+                                      [[10.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text, line", [
+        ("IVEC 3 2\n1 2\n\n3 4\n", 3),  # a blank line inside the body
+        ("IVEC 2 2\n1 2\n# 4\n", 3),  # a comment token
+        ("IVEC 2 3\n1 2 3\n4 5\n", 3),  # a ragged row
+        ("IVEC 2 2\n1 2\n3 x\n", 3),  # a non-numeric token
+        ("IVEC 1 1\n\n", 2),  # a blank first row
+    ], ids=["blank", "comment", "ragged", "non-numeric", "blank-first"])
+    def test_matrix_body_defects(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.ivec"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            fileio.read_matrix(path)
+        assert _run(["train", "--ivectors", str(path),
+                     "--labels", str(tmp_path / "l.labels"), "--ny", "1",
+                     "--out-model", str(tmp_path / "o.splda")]) == 1
+        assert f"error: {path}:{line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        "IVEC 3", "IVEC a b", "IVEC -1 3", "IVEC 1 2 3"])
+    def test_matrix_header_defects(self, tmp_path, header):
+        path = tmp_path / "bad.ivec"
+        path.write_text(header + "\n1 2 3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")):
+            fileio.read_matrix(path)
+
+    def test_matrix_cut_after_every_line(self, tmp_path):
+        path = tmp_path / "m.ivec"
+        fileio.write_matrix(path, np.arange(6.0).reshape(3, 2))
+        lines = path.read_text().splitlines(keepends=True)
+        for n in range(len(lines)):
+            path.write_text("".join(lines[:n]))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                fileio.read_matrix(path)
+
+    @pytest.mark.parametrize("header", ["SPLDA 4", "SPLDA a 2", "SPLDA 2 -1"])
+    def test_model_header_defects(self, tmp_path, header):
+        path, lines = _model_lines(tmp_path, bayes=False)
+        path.write_text("".join([header + "\n"] + lines[1:]))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")):
+            fileio.read_model(path)
+
+    @pytest.mark.parametrize("bayes", [False, True])
+    def test_model_cut_after_every_line(self, tmp_path, capsys, bayes):
+        path, lines = _model_lines(tmp_path, bayes)
+        # A Bayesian file cut just before BAYES is a whole point model.
+        whole = {len(lines)} | {i for i, l in enumerate(lines)
+                                if l == "BAYES\n"}
+        for n in sorted(set(range(len(lines))) - whole):
+            path.write_text("".join(lines[:n]))
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                fileio.read_model(path)
+        path.write_text("".join(lines[:lines.index("W\n")]))
+        assert _run(["adapt", "--model", str(path),
+                     "--sup-ivectors", str(tmp_path / "s.ivec"),
+                     "--sup-labels", str(tmp_path / "s.labels"),
+                     "--unsup-ivectors", str(tmp_path / "u.ivec"),
+                     "--out-model", str(tmp_path / "o.splda"),
+                     "--out-labels", str(tmp_path / "o.labels")]) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", [
+        "MU", "V", "W", "VT_MEAN", "VT_PREC", "ALPHA", "WISHART", "HYPER"])
+    @pytest.mark.parametrize("defect", [
+        "blank", "comment", "ragged", "non-numeric"])
+    def test_model_body_defects(self, tmp_path, capsys, section, defect):
+        path, lines = _model_lines(tmp_path, bayes=True)
+        at = lines.index(section + "\n") + 1
+        key, *vals = lines[at].split()
+        if section != "HYPER":
+            key, vals = "", [key] + vals
+        if defect == "blank":
+            lines.insert(at, "\n")
+        else:
+            vals = {"comment": ["#"] + vals[1:], "ragged": vals[1:],
+                    "non-numeric": ["x"] + vals[1:]}[defect]
+            lines[at] = " ".join(([key] if key else []) + vals) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:")):
+            fileio.read_model(path)
+        assert _run(["adapt", "--model", str(path),
+                     "--sup-ivectors", str(tmp_path / "s.ivec"),
+                     "--sup-labels", str(tmp_path / "s.labels"),
+                     "--unsup-ivectors", str(tmp_path / "u.ivec"),
+                     "--out-model", str(tmp_path / "o.splda"),
+                     "--out-labels", str(tmp_path / "o.labels")]) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
 
 
 class TestConfigIO:

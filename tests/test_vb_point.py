@@ -492,7 +492,7 @@ class TestMinDivergence:
             np.zeros((2, 2)), np.zeros(5), np.zeros((5, 2)))
         posts_d = SpeakerPosteriors.from_pair(
             np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
-        new, _ = min_divergence(posts, posts_d, model, eta=1.0)
+        new, _ = min_divergence([(posts, 1.0), (posts_d, 1.0)], model)
         np.testing.assert_array_equal(new.mu, model.mu)
         np.testing.assert_array_equal(new.v, model.v)
         np.testing.assert_array_equal(new.w, model.w)
@@ -505,7 +505,7 @@ class TestMinDivergence:
             np.zeros((2, 2)), np.zeros(6), np.tile(shift, (6, 1)))
         posts_d = SpeakerPosteriors.from_pair(
             np.zeros((2, 2)), np.zeros(0), np.zeros((0, 2)))
-        new, _ = min_divergence(posts, posts_d, model, eta=1.0)
+        new, _ = min_divergence([(posts, 1.0), (posts_d, 1.0)], model)
         np.testing.assert_allclose(new.mu, model.mu + model.v @ shift, atol=1e-12)
         np.testing.assert_allclose(new.v, model.v, atol=1e-12)
 
@@ -516,7 +516,7 @@ class TestMinDivergence:
         posts = random_posteriors(rng, 7, n_y)
         posts_d = random_posteriors(rng, 3, n_y)
         eta = 0.5
-        new, (mu_y, t) = min_divergence(posts, posts_d, model, eta)
+        new, (mu_y, t) = min_divergence([(posts, 1.0), (posts_d, eta)], model)
         sigma_y = t @ t.T
         # marginal of old model under the generalized prior N(mu_y, Sigma_y)
         old_mean = model.mu + model.v @ mu_y
@@ -531,7 +531,7 @@ class TestMinDivergence:
         posts = random_posteriors(rng, 20, n_y)
         posts_d = random_posteriors(rng, 0, n_y)
         model = random_model(rng, 4, n_y)
-        _, (mu_y, t) = min_divergence(posts, posts_d, model, eta=1.0)
+        _, (mu_y, t) = min_divergence([(posts, 1.0), (posts_d, 1.0)], model)
         std = standardize_posteriors(posts, mu_y, t)
         # aggregate posterior becomes zero-mean with identity second moment
         np.testing.assert_allclose(std.ybar.mean(axis=0), 0.0, atol=1e-12)
