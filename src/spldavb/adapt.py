@@ -12,9 +12,9 @@ from scipy.special import entr
 
 from . import vbbayes, vbpoint
 from .linalg import sym
-from .model import SpldaModel, SuffStats, accumulate_stats
+from .model import Dataset, SpldaModel, SuffStats, accumulate_stats
 from .synth import pairwise_llr_matrix
-from .vbpoint import LOG2PI, Hyperparams, Responsibilities, SpeakerPosteriors
+from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
 
 __all__ = [
     "RunConfig",
@@ -216,20 +216,13 @@ def _sample_accumulators(counts, fsums, s_global, model):
 
 
 def _hard_elbo(sample, model, tau0):
-    """Point-variant lower bound of one ``_sample_accumulators`` sample."""
-    stats, posts, acc = sample
-    # A hard assignment has zero q(theta) entropy, which a responsibility
-    # matrix without rows gives directly.
-    hard = Responsibilities(r=np.zeros((0, stats.n.shape[0])))
-    stats_d = SuffStats(n=np.zeros(0), f=np.zeros((0, model.d)),
-                        s=np.zeros((model.d, model.d)))
-    posts_d = SpeakerPosteriors.from_pair(
-        np.zeros((model.n_y, model.n_y)), np.zeros(0), np.zeros((0, model.n_y)))
-    elbo, _ = vbpoint.elbo_point(
-        stats, stats_d, posts, posts_d, hard, vbpoint.update_q_pi(stats.n, tau0),
-        model, Hyperparams(tau0=tau0), acc,
-        vbpoint.accumulators(stats_d, posts_d))
-    return elbo
+    """Point-variant lower bound of one ``_sample_accumulators`` sample: the
+    sample's block and the cluster terms of a hard assignment, whose
+    q(theta) entropy is zero."""
+    n = sample[0].n
+    return vbpoint._bound(
+        vbpoint._block_terms(sample, model.vtilde, model.w, model.logdet_w()),
+        vbpoint._cluster_terms(n, 0.0, vbpoint.update_q_pi(n, tau0), tau0))[0]
 
 
 def _merge_pairs(r, threshold):
@@ -529,8 +522,8 @@ class _Point(_Variant):
         acc = vbpoint.accumulators(stats, posts)
         acc_d = vbpoint.accumulators(stats_d, posts_d)
         elbo, terms = vbpoint.elbo_point(
-            stats, stats_d, posts, posts_d, reduced.resp, dirichlet, model,
-            hyper, acc, acc_d)
+            (stats, posts, acc), reduced.resp, dirichlet, model, hyper,
+            (stats_d, posts_d, acc_d))
         return dict(params=model, posts=posts, posts_d=posts_d, acc=acc,
                     acc_d=acc_d, reduced=reduced, dirichlet=dirichlet,
                     elbo=elbo, terms=terms)
@@ -588,8 +581,8 @@ class _Bayes(_Variant):
         wpost = vbbayes.update_q_wishart(
             self.s_p, c_p, r_p, rowpost, n_p, kappa)
         elbo, terms = vbbayes.elbo_bayes(
-            stats, stats_d, posts, posts_d, reduced.resp, dirichlet,
-            rowpost, alphapost, wpost, hyper, acc, acc_d)
+            (stats, posts, acc), reduced.resp, dirichlet, rowpost, alphapost,
+            wpost, hyper, (stats_d, posts_d, acc_d))
         return dict(params=(rowpost, wpost, alphapost), reduced=reduced,
                     dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
 
@@ -799,15 +792,13 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     Used to build the initial model before adaptation; requires N_d > d.
     """
     phi_d = np.asarray(phi_d, dtype=float)
-    labels_d = np.asarray(labels_d, dtype=int)
     n_d, d = phi_d.shape
     if n_y < 1:
         raise ValueError("n_y must be >= 1")
     if n_d <= d:
         raise ValueError(f"need N_d > d for a valid W (N_d={n_d}, d={d})")
-    m_d = labels_d.max() + 1
-    resp = _one_hot(labels_d, m_d)
-    stats = accumulate_stats(resp, phi_d)
+    data = Dataset(phi=np.zeros((0, d)), phi_d=phi_d, labels_d=labels_d)
+    stats = accumulate_stats(data.one_hot_labels(), data.phi_d)
     if model_init is None:
         rng = np.random.default_rng(seed)
         mu = phi_d.mean(axis=0)
@@ -822,13 +813,11 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     report = RunReport()
     for it in range(max_iter):
         posts = vbpoint.update_q_y(stats, model)
-        c_d, r_d = vbpoint.accumulators(stats, posts)
-        elbo = (vbpoint._data_term(stats, (c_d, r_d), model.vtilde, model.w,
-                                   model.logdet_w())
-                + vbpoint._y_prior_term(posts)
-                - vbpoint._y_entropy_term(posts))
+        c_d, r_d = acc = vbpoint.accumulators(stats, posts)
+        elbo = sum(vbpoint._block_terms(
+            (stats, posts, acc), model.vtilde, model.w, model.logdet_w()))
         report.elbo_trace.append(float(elbo))
-        report.m_trace.append(int(m_d))
+        report.m_trace.append(data.m_d)
         report.kappa_trace.append(1.0)
         vtilde = vbpoint.mstep_V(c_d, r_d)
         w = vbpoint.mstep_W(stats.s, c_d, r_d, vtilde, stats.n_total)
@@ -839,6 +828,6 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
             if abs(elbo - prev) < elbo_tol * max(1.0, abs(prev)):
                 report.converged = True
                 break
-    report.labels = labels_d.copy()
+    report.labels = data.labels_d.copy()
     report.model = model
     return report

@@ -16,7 +16,8 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
-# The HYPER lines of a Bayesian model file, in order; a reader needs all.
+# The HYPER lines of a Bayesian model file, in order; a reader needs each
+# exactly once: mu0 with d values, beta with 1 or d, the others with 1.
 _HYPER_KEYS = ("tau0", "eta", "a_alpha", "b_alpha", "mu0", "beta")
 
 
@@ -219,13 +220,20 @@ def read_model(path):
         expect("HYPER")
         hyper = {}
         while pos < len(lines) and lines[pos].strip():
+            where = f"{path}:{pos + 1}: HYPER"
             key, *vals = lines[pos].split()
+            if key not in _HYPER_KEYS:
+                raise ValueError(f"{where} has unknown key {key!r}")
+            if key in hyper:
+                raise ValueError(f"{where} repeats {key}")
             try:
                 vals = [float(v) for v in vals]
             except ValueError as exc:
-                raise ValueError(f"{path}:{pos + 1}: HYPER {key}: {exc}") from None
-            if not vals:
-                raise ValueError(f"{path}:{pos + 1}: HYPER {key} has no value")
+                raise ValueError(f"{where} {key}: {exc}") from None
+            sizes = {"mu0": [d], "beta": sorted({1, d})}.get(key, [1])
+            if len(vals) not in sizes:
+                raise ValueError(f"{where} {key} has {len(vals)} values, expected "
+                                 + " or ".join(map(str, sizes)))
             hyper[key] = np.array(vals) if len(vals) > 1 else vals[0]
             pos += 1
         missing = [key for key in _HYPER_KEYS if key not in hyper]

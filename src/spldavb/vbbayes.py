@@ -18,8 +18,9 @@ from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
     ExpectedParams,
-    _bound_terms,
-    _data_term,
+    _block_terms,
+    _bound,
+    _cluster_terms,
     _scatter,
     update_q_theta,
     update_q_y,
@@ -366,13 +367,12 @@ def _ln_multigamma(a, d):
         + np.sum(gammaln(a - (np.arange(1, d + 1) - 1.0) / 2))
 
 
-def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
-               rowpost, alphapost, wpost, hyper, acc, acc_d):
+def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
+               block_d=None):
     """Variational lower bound of the Bayesian variant, with breakdown.
 
-    The supervised data and speaker-factor terms carry the weight eta; the
+    The blocks are those of ``elbo_point``, whose terms this adds to; the
     improper-prior constant of P(W) is dropped (additive constant).
-    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two blocks.
     """
     n_y = rowpost.n_y
     d = rowpost.d
@@ -386,11 +386,7 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
     dof = wpost.dof
     vtbar, wbar, ln_w = rowpost.mean, wpost.e_w, wpost.e_ln_w
 
-    terms = _bound_terms(
-        stats, posteriors, posteriors_d, resp, dirichlet, hyper,
-        _data_term(stats, acc, vtbar, wbar, ln_w, rowpost.rho(acc[1])),
-        _data_term(stats_d, acc_d, vtbar, wbar, ln_w, rowpost.rho(acc_d[1])))
-    terms.update({
+    extra = {
         "lnP(V|alpha)": -0.5 * n_y * d * LOG2PI
         + 0.5 * d * alphapost.e_ln_alpha.sum()
         - 0.5 * float(alphapost.e_alpha @ e_vv),
@@ -413,9 +409,15 @@ def elbo_bayes(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
             + 0.5 * (dof - d - 1.0) * ln_w
             - 0.5 * dof * d
         ),
-    })
-    total = float(sum(terms.values()))
-    return total, terms
+    }
+
+    def block_terms(blk):
+        return _block_terms(blk, vtbar, wbar, ln_w, rowpost.rho(blk[2][1]))
+
+    return _bound(
+        block_terms(block),
+        _cluster_terms(block[0].n, resp.entropy(), dirichlet, hyper.tau0),
+        hyper.eta, None if block_d is None else block_terms(block_d), extra)
 
 
 # Newton iteration limits of optimize_hyper_alpha: residual tolerance,

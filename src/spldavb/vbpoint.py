@@ -356,24 +356,19 @@ def _scatter(s_global, c, r, vtilde, rho=0.0):
     return k
 
 
-def _data_term(stats, acc, vtilde, w, ln_w, rho=0.0):
-    """E[ln P(Phi | Y, theta)] of one block with accumulators ``acc``, under
-    parameter means ``vtilde``, ``w`` and E[ln|W|] = ``ln_w``."""
-    c, r = acc
-    inner = _scatter(stats.s, c, r, vtilde, rho)
-    return 0.5 * stats.n_total * (ln_w - w.shape[0] * LOG2PI) \
-        - 0.5 * np.sum(w * inner)
-
-
-def _y_prior_term(posteriors):
-    rho = posteriors.sum_e_yy(np.ones(posteriors.m))
-    return -0.5 * posteriors.m * posteriors.n_y * LOG2PI - 0.5 * np.trace(rho)
-
-
-def _y_entropy_term(posteriors):
-    # E[ln q(Y)] (enters the bound with a minus sign)
-    return -0.5 * posteriors.m * posteriors.n_y * (LOG2PI + 1.0) \
-        + 0.5 * posteriors.logdet_prec().sum()
+def _block_terms(block, vtilde, w, ln_w, rho=0.0):
+    """E[lnP(Phi|Y,theta)], lnP(Y) and -lnq(Y) of a block ``(stats,
+    posteriors, acc)`` with accumulators ``acc`` = (C, R), under parameter
+    means ``vtilde``, ``w`` and E[ln|W|] = ``ln_w``; Bayesian row
+    covariances add ``rho`` = tr(R Sigma_r) to the scatter's diagonal."""
+    stats, posts, (c, r) = block
+    m_ny = posts.m * posts.n_y
+    # -lnq(Y) is the negated E[ln q(Y)], as written, so that an empty
+    # block's term keeps its sign of zero.
+    return (0.5 * stats.n_total * (ln_w - w.shape[0] * LOG2PI)
+            - 0.5 * np.sum(w * _scatter(stats.s, c, r, vtilde, rho)),
+            -0.5 * m_ny * LOG2PI - 0.5 * np.trace(posts.sum_e_yy(np.ones(posts.m))),
+            -(-0.5 * m_ny * (LOG2PI + 1.0) + 0.5 * posts.logdet_prec().sum()))
 
 
 def _ln_dirichlet_c(tau):
@@ -381,49 +376,50 @@ def _ln_dirichlet_c(tau):
     return float(gammaln(tau.sum()) - gammaln(tau).sum())
 
 
-def _bound_terms(stats, posteriors, posteriors_d, resp, dirichlet, hyper,
-                 loglik, loglik_d):
-    """The lower-bound terms both variants share, given the expected block
-    log-likelihoods of the unlabelled and labelled blocks; the labelled
-    block enters with the weight eta."""
-    m = dirichlet.tau.shape[0]
-    eta = hyper.eta
-    e_ln_pi = dirichlet.e_ln_pi
-    return {
-        "lnP(Phi|Y,theta)": loglik,
-        "lnP(Y)": _y_prior_term(posteriors),
-        "lnP(theta|pi)": float(stats.n @ e_ln_pi),
-        "lnP(pi)": _ln_dirichlet_c(np.full(m, hyper.tau0))
-        + (hyper.tau0 - 1.0) * e_ln_pi.sum(),
-        "eta*lnP(Phi_d|Y_d)": eta * loglik_d,
-        "eta*lnP(Y_d)": eta * _y_prior_term(posteriors_d),
-        "-lnq(Y)": -_y_entropy_term(posteriors),
-        "-lnq(theta)": resp.entropy(),
-        "-lnq(pi)": -(
-            _ln_dirichlet_c(dirichlet.tau)
-            + float((dirichlet.tau - 1.0) @ e_ln_pi)
-        ),
-        "-eta*lnq(Y_d)": -eta * _y_entropy_term(posteriors_d),
-    }
+def _cluster_terms(n, entropy, dirichlet, tau0):
+    """lnP(theta|pi), lnP(pi), -lnq(theta) and -lnq(pi) of responsibilities
+    with counts ``n`` and entropy ``entropy``, q(pi) = ``dirichlet``."""
+    e_ln_pi, tau = dirichlet.e_ln_pi, dirichlet.tau
+    return (float(n @ e_ln_pi),
+            _ln_dirichlet_c(np.full(tau.shape[0], tau0)) + (tau0 - 1.0) * e_ln_pi.sum(),
+            entropy,
+            -(_ln_dirichlet_c(tau) + float((tau - 1.0) @ e_ln_pi)))
 
 
-def elbo_point(stats, stats_d, posteriors, posteriors_d, resp, dirichlet,
-               model, hyper, acc, acc_d):
+def _bound(block, clusters, eta=1.0, block_d=None, extra=None):
+    """``(total, terms)`` from the unlabelled block's ``_block_terms``, the
+    ``_cluster_terms``, eta times the labelled block's ``block_d`` if there
+    is one, and ``extra``; the dict's order is the order of summation."""
+    (data, y, q_y), (theta, pi, q_theta, q_pi) = block, clusters
+    terms = {"lnP(Phi|Y,theta)": data, "lnP(Y)": y,
+             "lnP(theta|pi)": theta, "lnP(pi)": pi}
+    if block_d is not None:
+        terms["eta*lnP(Phi_d|Y_d)"] = eta * block_d[0]
+        terms["eta*lnP(Y_d)"] = eta * block_d[1]
+    terms.update({"-lnq(Y)": q_y, "-lnq(theta)": q_theta, "-lnq(pi)": q_pi})
+    if block_d is not None:
+        terms["-eta*lnq(Y_d)"] = eta * block_d[2]
+    terms.update(extra or {})
+    return float(sum(terms.values())), terms
+
+
+def elbo_point(block, resp, dirichlet, model, hyper, block_d=None):
     """Variational lower bound for the point-estimate model.
 
     Returns ``(total, breakdown)`` where ``breakdown`` maps term names to
-    values.  Defined for the untempered (kappa = 1) objective.  The
-    labelled block's terms carry the weight eta, so this is the objective
-    the M-steps maximise and it does not fall at kappa = 1 for any eta.
-    ``acc`` and ``acc_d`` are the accumulators ``(C, R)`` of the two blocks.
+    values.  Defined for the untempered (kappa = 1) objective.  ``block``
+    and ``block_d`` are the unlabelled and labelled ``(stats, posteriors,
+    acc)``.  The labelled block's terms carry the weight eta, so this is
+    the objective the M-steps maximise and it does not fall at kappa = 1
+    for any eta.  A labelled block passed in yields its three terms, even
+    when empty; an absent one (None) yields none.
     """
-    vtilde, ln_w = model.vtilde, model.logdet_w()
-    terms = _bound_terms(
-        stats, posteriors, posteriors_d, resp, dirichlet, hyper,
-        _data_term(stats, acc, vtilde, model.w, ln_w),
-        _data_term(stats_d, acc_d, vtilde, model.w, ln_w))
-    total = float(sum(terms.values()))
-    return total, terms
+    vtilde, w, ln_w = model.vtilde, model.w, model.logdet_w()
+    return _bound(
+        _block_terms(block, vtilde, w, ln_w),
+        _cluster_terms(block[0].n, resp.entropy(), dirichlet, hyper.tau0),
+        hyper.eta,
+        None if block_d is None else _block_terms(block_d, vtilde, w, ln_w))
 
 
 def mstep_V(c_p, r_p):

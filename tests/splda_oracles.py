@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from spldavb.linalg import chol_with_jitter, sym
-from spldavb.model import accumulate_stats
+from spldavb.model import SuffStats, accumulate_stats
 from spldavb.vbbayes import (
     RowPosteriors,
     _mean_prior,
@@ -27,7 +27,9 @@ from spldavb.vbbayes import (
     update_q_y_bayes,
 )
 from spldavb.vbpoint import (
+    Hyperparams,
     Responsibilities,
+    SpeakerPosteriors,
     accumulators,
     elbo_point,
     update_q_pi,
@@ -283,14 +285,31 @@ def fixed_param_elbo(variant, params, r):
         expected = rowpost.expected(wpost)
         posts = update_q_y_bayes(stats, expected)
         posts_d = update_q_y_bayes(stats_d, expected)
-        return elbo_bayes(stats, stats_d, posts, posts_d, resp, dirichlet,
-                          rowpost, alphapost, wpost, hyper,
-                          accumulators(stats, posts),
-                          accumulators(stats_d, posts_d))[0]
+        return elbo_bayes((stats, posts, accumulators(stats, posts)), resp,
+                          dirichlet, rowpost, alphapost, wpost, hyper,
+                          (stats_d, posts_d, accumulators(stats_d, posts_d)))[0]
     posts, posts_d = update_q_y(stats, params), update_q_y(stats_d, params)
-    return elbo_point(stats, stats_d, posts, posts_d, resp, dirichlet, params,
-                      hyper, accumulators(stats, posts),
-                      accumulators(stats_d, posts_d))[0]
+    return elbo_point((stats, posts, accumulators(stats, posts)), resp,
+                      dirichlet, params, hyper,
+                      (stats_d, posts_d, accumulators(stats_d, posts_d)))[0]
+
+
+def empty_block(d, n_y):
+    """A block ``(stats, posteriors, acc)`` of no speakers."""
+    stats = SuffStats(n=np.zeros(0), f=np.zeros((0, d)), s=np.zeros((d, d)))
+    posts = SpeakerPosteriors.from_pair(
+        np.zeros((n_y, n_y)), np.zeros(0), np.zeros((0, n_y)))
+    return stats, posts, accumulators(stats, posts)
+
+
+def padded_hard_elbo(sample, model, tau0):
+    """The bound of one hard sampler draw through ``elbo_point``, with an
+    empty labelled block and a responsibility matrix without rows (zero
+    entropy): what ``adapt._hard_elbo`` must equal."""
+    n = sample[0].n
+    return elbo_point(sample, Responsibilities(r=np.zeros((0, n.shape[0]))),
+                      update_q_pi(n, tau0), model, Hyperparams(tau0=tau0),
+                      empty_block(model.d, model.n_y))[0]
 
 
 def format_row_per_value(row):

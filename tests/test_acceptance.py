@@ -154,9 +154,9 @@ class TestAcceptance:
             vt = params[:d * n_aug].reshape(d, n_aug)
             cand = SpldaModel(mu=vt[:, -1], v=vt[:, :-1],
                               w=unpack_w(params[d * n_aug:]))
-            _, terms = vbpoint.elbo_point(stats, stats_d, posts, posts_d,
-                                          resp_obj, dirichlet, cand, hyper,
-                                          (c, r), (c_d, r_d))
+            _, terms = vbpoint.elbo_point((stats, posts, (c, r)), resp_obj,
+                                          dirichlet, cand, hyper,
+                                          (stats_d, posts_d, (c_d, r_d)))
             return terms["lnP(Phi|Y,theta)"] + terms["eta*lnP(Phi_d|Y_d)"]
 
         params0 = np.concatenate([vtilde.ravel(), w[iu]])

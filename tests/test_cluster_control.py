@@ -20,7 +20,7 @@ from spldavb.model import Dataset
 from spldavb.oracles import clustering_metrics
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbpoint import Hyperparams
-from splda_oracles import fixed_param_elbo
+from splda_oracles import fixed_param_elbo, padded_hard_elbo
 
 
 def easy_problem(seed=0, m_true=4, per_speaker=10, d=6, n_y=2):
@@ -136,6 +136,18 @@ class TestSampledStatistics:
                  adapt._sample_accumulators(counts, fsums,
                                             dataset.phi.T @ dataset.phi, model)]
         assert np.ptp(elbos) < 1e-9 * abs(elbos[0])
+
+    def test_hard_elbo_equals_padded_bound(self):
+        # _hard_elbo sums one block and the cluster terms; an empty labelled
+        # block passed to elbo_point adds only exact zeros.
+        dataset, _, model = easy_problem(m_true=3, per_speaker=5)
+        r = np.random.default_rng(6).dirichlet(np.ones(4), size=15)
+        counts, fsums = sampled_statistics(
+            Responsibilities(r=r), dataset.phi, k=8, seed=7)
+        for smp in adapt._sample_accumulators(
+                counts, fsums, dataset.phi.T @ dataset.phi, model):
+            assert adapt._hard_elbo(smp, model, 0.7) == \
+                padded_hard_elbo(smp, model, 0.7)
 
 
 class TestPruneMerge:
@@ -849,6 +861,23 @@ class TestTrainSupervised:
     def test_requires_enough_data(self):
         with pytest.raises(ValueError, match="N_d"):
             train_supervised(np.zeros((3, 5)), np.array([0, 1, 2]), n_y=1)
+
+    @pytest.mark.parametrize("defect, message", [
+        ("negative", "negative speaker label"),
+        ("gap", "every supervised speaker index needs >= 1 i-vector"),
+        ("nan", "phi_d contains NaN/Inf"),
+    ])
+    def test_rejects_invalid_input(self, defect, message):
+        phi, labels, _ = generate(SynthSpec(
+            d=3, n_y=1, m_true=4, per_speaker=5, seed=92))
+        if defect == "negative":
+            labels[-1] = -1
+        elif defect == "gap":
+            labels[labels == 3] = 4
+        else:
+            phi[2, 1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            train_supervised(phi, labels, n_y=1)
 
     def test_monotone_and_converges(self):
         phi, labels, _ = generate(SynthSpec(

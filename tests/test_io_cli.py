@@ -381,6 +381,36 @@ class TestReaderStrictness:
                      "--out-labels", str(tmp_path / "o.labels")]) == 1
         assert f"error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, line, message", [
+        ("mu0", "mu0 1 2 3", "mu0 has 3 values, expected 4"),
+        ("mu0", "mu0 1", "mu0 has 1 values, expected 4"),
+        ("beta", "beta 1 2", "beta has 2 values, expected 1 or 4"),
+        ("tau0", "tau0 3 1", "tau0 has 2 values, expected 1"),
+        ("eta", "eta 0.5 0.5 0.5 0.5", "eta has 4 values, expected 1"),
+        ("a_alpha", "a_alpha 1 1", "a_alpha has 2 values, expected 1"),
+        ("b_alpha", "b_alpha", "b_alpha has 0 values, expected 1"),
+        (None, "foo 1", "has unknown key 'foo'"),
+        (None, "tau0 7", "repeats tau0"),
+    ])
+    def test_model_hyper_line_defects(self, tmp_path, capsys, key, line,
+                                      message):
+        # ``key`` names the HYPER line to replace; None appends ``line``.
+        path, lines = _model_lines(tmp_path, bayes=True)
+        at = len(lines) if key is None else next(
+            i for i, l in enumerate(lines) if l.startswith(key + " "))
+        lines[at:at + (key is not None)] = [line + "\n"]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{at + 1}: HYPER {message}")):
+            fileio.read_model(path)
+        assert _run(["adapt", "--model", str(path),
+                     "--sup-ivectors", str(tmp_path / "s.ivec"),
+                     "--sup-labels", str(tmp_path / "s.labels"),
+                     "--unsup-ivectors", str(tmp_path / "u.ivec"),
+                     "--out-model", str(tmp_path / "o.splda"),
+                     "--out-labels", str(tmp_path / "o.labels")]) == 1
+        assert f"error: {path}:{at + 1}: HYPER" in capsys.readouterr().err
+
 
 class TestConfigIO:
     def test_parses_comments_and_blanks(self, tmp_path):
@@ -493,6 +523,17 @@ class TestCli:
                      "--m-init", "3", "--seed", "0", "--sweeps", "2"]) == 0
         audit = capsys.readouterr().out
         assert "total" in audit
+
+    def test_train_rejects_negative_label(self, synth_files, tmp_path,
+                                          capsys):
+        labels = fileio.read_labels(synth_files + ".labels_d")
+        labels[-1] = -1
+        labels_path = str(tmp_path / "bad.labels")
+        fileio.write_labels(labels_path, labels)
+        assert _run(["train", "--ivectors", synth_files + ".phi_d",
+                     "--labels", labels_path, "--ny", "2",
+                     "--out-model", str(tmp_path / "sup.splda")]) == 1
+        assert "negative speaker label" in capsys.readouterr().err
 
     def test_elbo_audit_rejects_zero_sweeps(self, synth_files, tmp_path,
                                             capsys):

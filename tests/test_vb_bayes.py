@@ -43,6 +43,7 @@ from splda_oracles import (
     dense_prec,
     e_vt_r_vt,
     e_vt_w_vt,
+    empty_block,
     log_weights,
     rowpost_from_cov,
     update_q_vtilde_rows_batched,
@@ -72,6 +73,13 @@ def block_accumulators(state):
     """The accumulators (C, R) of both blocks of an ``elbo_bayes`` state."""
     stats, stats_d, posts, posts_d = state[:4]
     return accumulators(stats, posts), accumulators(stats_d, posts_d)
+
+
+def state_elbo(state):
+    """``elbo_bayes`` of an ``elbo_bayes`` state, with both blocks."""
+    stats, stats_d, posts, posts_d, *rest = state
+    acc, acc_d = block_accumulators(state)
+    return elbo_bayes((stats, posts, acc), *rest, (stats_d, posts_d, acc_d))
 
 
 def random_problem(rng, n, m, d, n_y):
@@ -343,7 +351,7 @@ class TestRowUpdates:
         with pytest.raises(ValueError, match="beta"):
             update_q_vtilde_rows(c, r, wpost, alphapost, state[9], rowpost)
         with pytest.raises(ValueError, match="beta"):
-            elbo_bayes(*state, *block_accumulators(state))
+            state_elbo(state)
 
 
 def _rel_check(actual, oracle):
@@ -531,15 +539,25 @@ class TestElboBayes:
     def test_terms_sum_and_count(self):
         rng = np.random.default_rng(43)
         state = self._full_state(rng)
-        total, terms = elbo_bayes(*state, *block_accumulators(state))
+        total, terms = state_elbo(state)
         assert len(terms) == 17
         assert total == pytest.approx(sum(terms.values()), abs=1e-10)
+
+    def test_absent_labelled_block_equals_empty_one(self):
+        rng = np.random.default_rng(47)
+        stats, _, posts, _, *rest = self._full_state(rng)
+        block = (stats, posts, accumulators(stats, posts))
+        absent, absent_terms = elbo_bayes(block, *rest)
+        empty, empty_terms = elbo_bayes(block, *rest, empty_block(3, 2))
+        assert absent == empty
+        assert len(absent_terms) == 14 and len(empty_terms) == 17
+        assert {k: empty_terms[k] for k in absent_terms} == absent_terms
 
     def test_gamma_entropy_matches_quadrature(self):
         rng = np.random.default_rng(44)
         state = self._full_state(rng, n_y=1)
         alphapost = state[7]
-        _, terms = elbo_bayes(*state, *block_accumulators(state))
+        _, terms = state_elbo(state)
         a, b = alphapost.a_prime, float(alphapost.b_prime[0])
         pdf = gamma_dist(a, scale=1.0 / b).pdf
 
@@ -554,7 +572,7 @@ class TestElboBayes:
         rng = np.random.default_rng(45)
         state = self._full_state(rng)
         rowpost = state[6]
-        _, terms = elbo_bayes(*state, *block_accumulators(state))
+        _, terms = state_elbo(state)
         k = rowpost.n_y + 1
         oracle = sum(0.5 * (k * (np.log(2 * np.pi) + 1.0) + logdet_pd(c))
                      for c in rowpost.cov)
@@ -564,7 +582,7 @@ class TestElboBayes:
         rng = np.random.default_rng(46)
         state = list(self._full_state(rng))
         wpost = state[8]
-        _, terms = elbo_bayes(*state, *block_accumulators(state))
+        _, terms = state_elbo(state)
         frozen = wishart(df=wpost.dof, scale=inv_pd(wpost.k))
         draws = frozen.rvs(size=30_000, random_state=rng)
         vals = -frozen.logpdf(draws.transpose(1, 2, 0))

@@ -44,6 +44,7 @@ from splda_oracles import (
     dense_e_yy,
     dense_prec,
     e_yy_tilde,
+    empty_block,
     entropy_nested_where,
     log_weights,
     rowpost_from_cov,
@@ -64,15 +65,6 @@ def random_posteriors(rng, m, n_y, kappa=1.0):
     a = rng.standard_normal((n_y, n_y))
     return SpeakerPosteriors.from_pair(
         a @ a.T, 5.0 * rng.random(m), rng.standard_normal((m, n_y)), kappa)
-
-
-def empty_stats_and_posteriors(d, n_y):
-    stats = center_stats(
-        SuffStats(n=np.zeros(0), f=np.zeros((0, d)), s=np.zeros((d, d))),
-        np.zeros(d))
-    posts = SpeakerPosteriors.from_pair(
-        np.zeros((n_y, n_y)), np.zeros(0), np.zeros((0, n_y)))
-    return stats, posts
 
 
 class TestUpdateQY:
@@ -334,12 +326,10 @@ class TestElbo:
         resp = Responsibilities(r=np.ones((8, 1)))
         stats = center_stats(accumulate_stats(resp.r, phi), mu)
         posts = update_q_y(stats, model)
-        stats_d, posts_d = empty_stats_and_posteriors(d, 2)
         dirichlet = update_q_pi(stats.n, tau0=1.0)
-        total, terms = elbo_point(stats, stats_d, posts, posts_d, resp,
-                                  dirichlet, model, Hyperparams(),
-                                  accumulators(stats, posts),
-                                  accumulators(stats_d, posts_d))
+        total, terms = elbo_point((stats, posts, accumulators(stats, posts)),
+                                  resp, dirichlet, model, Hyperparams(),
+                                  empty_block(d, 2))
         oracle = multivariate_normal(mean=mu, cov=inv_pd(w)).logpdf(phi).sum()
         assert total == pytest.approx(oracle, rel=1e-10)
         assert len(terms) == 10
@@ -360,12 +350,28 @@ class TestElbo:
         stats_d = center_stats(accumulate_stats(r_d, phi_d), model.mu)
         posts_d = update_q_y(stats_d, model)
         dirichlet = update_q_pi(stats.n, tau0=1.0)
-        total, terms = elbo_point(stats, stats_d, posts, posts_d,
+        total, terms = elbo_point((stats, posts, accumulators(stats, posts)),
                                   Responsibilities(r=resp_r), dirichlet,
                                   model, Hyperparams(),
-                                  accumulators(stats, posts),
-                                  accumulators(stats_d, posts_d))
+                                  (stats_d, posts_d,
+                                   accumulators(stats_d, posts_d)))
         assert total == pytest.approx(sum(terms.values()), abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_absent_labelled_block_equals_empty_one(self, eta):
+        rng = np.random.default_rng(18)
+        model = random_model(rng, 4, 2)
+        resp = Responsibilities(r=rng.dirichlet(np.ones(3), size=12))
+        stats = accumulate_stats(resp.r, rng.standard_normal((12, 4)))
+        posts = update_q_y(stats, model)
+        block = (stats, posts, accumulators(stats, posts))
+        args = (resp, update_q_pi(stats.n, tau0=0.7), model,
+                Hyperparams(tau0=0.7, eta=eta))
+        absent, absent_terms = elbo_point(block, *args)
+        empty, empty_terms = elbo_point(block, *args, empty_block(4, 2))
+        assert absent == empty
+        assert len(absent_terms) == 7 and len(empty_terms) == 10
+        assert {k: empty_terms[k] for k in absent_terms} == absent_terms
 
     def test_precomputed_inputs_give_same_bits(self):
         rng = np.random.default_rng(17)
@@ -389,9 +395,9 @@ class TestElbo:
         def data_term(resp_, phi_):
             stats = accumulate_stats(resp_, phi_)
             c, r = accumulators(stats, posts)
-            from spldavb.vbpoint import _data_term
-            return _data_term(stats, (c, r), model.vtilde, model.w,
-                              model.logdet_w())
+            from spldavb.vbpoint import _block_terms
+            return _block_terms((stats, posts, (c, r)), model.vtilde, model.w,
+                                model.logdet_w())[0]
 
         single = data_term(resp, phi)
         double = data_term(np.vstack([resp, resp]), np.vstack([phi, phi]))
