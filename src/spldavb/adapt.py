@@ -411,7 +411,7 @@ class _FixedBound:
         n_y, w = mean.n_y, mean.w
         wvt = w @ mean.vtilde  # (d, k)
         a = mean.vtilde.T @ wvt + u  # E[Vt^T W Vt]
-        self.lam, self.basis = np.linalg.eigh(sym(a[:n_y, :n_y]))
+        self.eig = np.linalg.eigh(sym(a[:n_y, :n_y]))
         self.wv, self.w_mu = wvt[:, :n_y], wvt[:, n_y]
         self.a_ymu, self.a_mumu = a[:n_y, n_y], a[n_y, n_y]
         self.tau0 = variant.hyper.tau0
@@ -432,9 +432,8 @@ class _FixedBound:
     def _clusters(self, n, f):
         """(M,) the terms c_i of clusters with counts n and sums f."""
         b = f @ self.wv - np.outer(n, self.a_ymu)
-        s = 1.0 + np.outer(n, self.lam)
-        z = b @ self.basis  # P^T b_i, with L_i = P diag(s_i) P^T
-        return 0.5 * (z * z / s).sum(axis=1) - 0.5 * np.log(s).sum(axis=1) \
+        posts = SpeakerPosteriors.from_pair(None, n, b, eig=self.eig)
+        return 0.5 * (b * posts.ybar).sum(axis=1) - 0.5 * posts.logdet_prec() \
             + f @ self.w_mu - 0.5 * self.a_mumu * n
 
     def _dirichlet(self, n):
@@ -615,7 +614,8 @@ def _default_bayes_hyper(hyper, dataset):
             else dataset.phi.mean(axis=0)
     if hyper.beta is None:
         ref = dataset.phi_d if dataset.phi_d.size else dataset.phi
-        tr_cov = float(np.trace(np.cov(ref.T))) if ref.shape[0] > 1 else 1.0
+        tr_cov = float(np.trace(np.atleast_2d(np.cov(ref.T)))) \
+            if ref.shape[0] > 1 else 1.0
         hyper.beta = 1e-2 * ref.shape[1] / max(tr_cov, 1e-12)
 
 
@@ -644,6 +644,9 @@ def run_adaptation(dataset, model_init, hyper, config):
     if config.variant == "point" and bayes_only:
         raise ValueError(f"Hyperparams.{bayes_only[0]} is only read by the "
                          "bayes variant")
+    if dataset.d != model_init.d:
+        raise ValueError(
+            f"model dimension {model_init.d} does not match data {dataset.d}")
     if dataset.phi.shape[0] == 0:
         others = [name for name in RunConfig.__dataclass_fields__
                   if name not in ("variant", "max_iter", "elbo_tol")]
@@ -656,9 +659,6 @@ def run_adaptation(dataset, model_init, hyper, config):
         return train_supervised(
             dataset.phi_d, dataset.labels_d, model_init.n_y, model_init=model_init,
             max_iter=config.max_iter, elbo_tol=config.elbo_tol)
-    if dataset.d != model_init.d:
-        raise ValueError(
-            f"model dimension {model_init.d} does not match data {dataset.d}")
     hyper = replace(hyper)
     if config.variant == "bayes":
         _default_bayes_hyper(hyper, dataset)
@@ -807,6 +807,9 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         model = SpldaModel(
             mu=mu, v=scale * rng.standard_normal((d, n_y)) / np.sqrt(n_y),
             w=np.linalg.inv(cov))
+    elif (model_init.d, model_init.n_y) != (d, n_y):
+        raise ValueError(f"model_init has d={model_init.d}, n_y={model_init.n_y}; "
+                         f"expected d={d} (the data), n_y={n_y}")
     else:
         model = model_init
 

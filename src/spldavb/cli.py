@@ -5,7 +5,9 @@ corresponding library call.
 """
 
 import argparse
+import functools
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,27 +26,25 @@ def _bool(value):
     return _BOOL_VALUES[str(value).lower()]
 
 
-# Value parser of each typed config key.
-_PARSERS = {
-    **dict.fromkeys(("anneal", "prune_merge", "do_msteps", "min_div",
-                     "hyper_opt_tau0", "hyper_opt_alpha", "hyper_opt_mu"), _bool),
-    **dict.fromkeys(("m_init", "prune_every", "max_iter", "sampler_k", "seed"), int),
-    **dict.fromkeys(("kappa0", "kappa_growth", "prune_threshold",
-                     "merge_threshold", "elbo_tol", "eta", "tau0"), float),
-}
-_CONFIG_KEYS = {"variant", "init_method", "sampler_strategy", *_PARSERS}
 _HYPER_KEYS = {"eta", "tau0"}  # Hyperparams fields; the rest are RunConfig
+# The config keys with their value parsers: every RunConfig field of a
+# scalar type, and the Hyperparams fields in _HYPER_KEYS.
+_PARSERS = {
+    **{f.name: _bool if f.type is bool else f.type for f in fields(RunConfig)
+       if f.type in (bool, int, float, str)},
+    **dict.fromkeys(_HYPER_KEYS, float),
+}
 
 
 def _config_from_file(path, overrides):
     """``(RunConfig, Hyperparams)`` from a config file plus overrides."""
-    raw = fileio.read_config(path, _CONFIG_KEYS) if path else {}
+    raw = fileio.read_config(path, _PARSERS) if path else {}
     raw.update({k: v for k, v in overrides.items() if v is not None})
     kwargs = {}
     for key, value in raw.items():
-        parse = _PARSERS.get(key)
+        parse = _PARSERS[key]
         try:
-            kwargs[key] = value if parse is None else parse(value)
+            kwargs[key] = parse(value)
         except (KeyError, ValueError):
             expected = "/".join(_BOOL_VALUES) if parse is _bool else parse.__name__
             raise ValueError(f"config key {key}: cannot read {value!r} "
@@ -203,8 +203,13 @@ def build_parser():
     return parser
 
 
+# The parser is built once per process: building it costs far more than a
+# parse, and each tree it builds is cyclic garbage.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:

@@ -8,7 +8,7 @@ posteriors, the column scales Gamma posteriors, and W a Wishart posterior.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
@@ -18,6 +18,7 @@ from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
     ExpectedParams,
+    GaussianRows,
     _block_terms,
     _bound,
     _cluster_terms,
@@ -41,54 +42,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RowPosteriors:
-    """Row-wise Gaussian posteriors over the augmented [V | mu].
-
-    Every row precision has the form L_r = wbar_rr R' + D_g, with one
-    shared R' and one diagonal D_g = diag(E[alpha], beta_g) per group g of
-    rows with equal beta (a single group for a scalar beta).  The rows are
-    stored factored, with k = n_y + 1: a shared basis P_g (k, k) per
-    group and per-row scales s_r (k,) with
-
-        P_g^T L_r P_g = diag(s_r),   L_r^-1 = P_g diag(1/s_r) P_g^T,
-        log|L_r| = sum_k log s_rk - 2 log|det P_g|.
-
-    From the row update, P_g = D_g^-1/2 U for the eigenvectors U of
-    D_g^-1/2 R' D_g^-1/2 and s_r = 1 + wbar_rr lam for its eigenvalues
-    lam.  The precisions are untempered; with annealing the posterior
-    covariance is Sigma_r = L_r^-1 / kappa.  A point mass has P = I and
-    s = inf, so every covariance is zero.  The aggregates the updates read
-    cost O(dk + Gk^3); ``cov`` and ``prec`` build the dense (d, k, k)
-    stacks on demand, for the model file and the tests.
-
-    mean  : (d, k) posterior row means (assembled E[Vtilde])
-    basis : (G, k, k) shared bases P_g
-    group : (d,) group index of each row
-    s     : (d, k) per-row scales
-
-    1/s, the (G, d) group one-hot and log|det P_g| are derived once, on
-    construction; the fields cannot be reassigned and ``basis``, ``group``
-    and ``s`` are made read-only, so they cannot go stale.
+class RowPosteriors(GaussianRows):
+    """Row-wise Gaussian posteriors over the augmented [V | mu]:
+    ``GaussianRows`` with k = n_y + 1 and row precisions
+    L_r = wbar_rr R' + D_g, with one shared R' and one diagonal
+    D_g = diag(E[alpha], beta_g) per group g of rows with equal beta.  The
+    row update sets P_g = D_g^-1/2 U for the eigenvectors U of
+    D_g^-1/2 R' D_g^-1/2 and s_r = 1 + wbar_rr lam for its eigenvalues lam.
+    A point mass has P = I and s = inf.
     """
-
-    mean: np.ndarray
-    basis: np.ndarray
-    group: np.ndarray
-    s: np.ndarray
-    kappa: float = 1.0
-    _s_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    _onehot: np.ndarray = field(init=False, repr=False, compare=False)
-    _logdet_basis: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for a in (self.basis, self.group, self.s):
-            a.flags.writeable = False
-        object.__setattr__(self, "_s_inv", 1.0 / self.s)
-        object.__setattr__(self, "_onehot",
-                           self.group == np.arange(len(self.basis))[:, None])
-        object.__setattr__(self, "_logdet_basis",
-                           np.linalg.slogdet(self.basis)[1])
 
     @classmethod
     def point_mass(cls, vtilde):
@@ -113,72 +75,23 @@ class RowPosteriors:
     def mubar(self):
         return self.mean[:, self.n_y]
 
-    @property
-    def cov(self):
-        """(d, k, k) posterior row covariances Sigma_r."""
-        p = self.basis[self.group]
-        return (p / self.s[:, None, :]) @ np.swapaxes(p, 1, 2) / self.kappa
-
-    @property
-    def prec(self):
-        """(d, k, k) untempered row precisions P^-T diag(s_r) P^-1.  A row
-        with an infinite scale is a point mass: +inf on the diagonal, 0 off
-        it."""
-        p_inv = np.linalg.inv(self.basis)[self.group]
-        finite = np.isfinite(self.s).all(axis=1)
-        s = np.where(finite[:, None], self.s, 0.0)  # no 0 * inf below
-        prec = (np.swapaxes(p_inv, 1, 2) * s[:, None, :]) @ p_inv
-        prec[~finite] = np.where(np.eye(self.n_y + 1, dtype=bool), np.inf, 0.0)
-        return prec
-
-    def _flat_basis(self):
-        """(k, G k) the bases side by side, [P_1 ... P_G]."""
-        return np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1)
-
-    def _group_sums(self, weights):
-        """(G k,) sums of weights_r / s_r over the rows r of each group, in
-        the column order of ``_flat_basis``."""
-        return (self._onehot * weights).dot(self._s_inv).ravel()
-
     def e_vq_vq(self):
         """(n_y,) expectations E[v_q^T v_q] per eigenvoice column."""
-        c = self._group_sums(1.0 / self.kappa)
-        vbar = self.vbar
-        return (self._flat_basis() ** 2).dot(c)[: self.n_y] \
-            + np.einsum("rq,rq->q", vbar, vbar)
-
-    def u(self, wbar):
-        """sum_r wbar_rr Sigma_r, what the row covariances add to
-        E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u."""
-        c = self._group_sums(wbar.diagonal() / self.kappa)
-        p = self._flat_basis()
-        return (p * c).dot(p.T)
-
-    def rho(self, r):
-        """(d,) tr(R Sigma_r), what the row covariances add to the diagonal
-        of E[Vt R Vt^T] = Vtbar R Vtbar^T + diag(rho)."""
-        p = self._flat_basis()
-        # h_g = diag(P_g^T R P_g) / kappa
-        h = (r.dot(p) * p).sum(axis=0).reshape(-1, p.shape[0]) / self.kappa
-        return (h[self.group] / self.s).sum(axis=1)
+        return self.sum_cov(np.ones(self.d)).diagonal()[: self.n_y] \
+            + np.einsum("rq,rq->q", self.vbar, self.vbar)
 
     def expected(self, wpost):
         """The parameter expectations the shared E-step reads under
         q(Vtilde) q(W), as ``ExpectedParams``: the means as an
-        ``SpldaModel``, E[ln|W|] and u."""
+        ``SpldaModel``, E[ln|W|] and u = sum_r wbar_rr Sigma_r."""
         wbar = wpost.e_w
         return ExpectedParams(SpldaModel(mu=self.mubar, v=self.vbar, w=wbar),
-                              wpost.e_ln_w, self.u(wbar))
+                              wpost.e_ln_w, self.sum_cov(wbar.diagonal()))
 
     def sigma_mu(self):
-        """(d,) posterior variances of the mean components."""
-        p_mu = self.basis[:, self.n_y, :] ** 2 / self.kappa
-        return (p_mu[self.group] / self.s).sum(axis=1)
-
-    def logdet_prec(self):
-        """(d,) log|L_r| (untempered)."""
-        return np.log(self.s).sum(axis=1) \
-            - 2.0 * self._logdet_basis[self.group]
+        """(d,) posterior variances of the mean components,
+        tr(e e^T Sigma_r) for the unit vector e of the mu coordinate."""
+        return self.trace_cov(np.diag(np.eye(self.n_y + 1)[self.n_y]))
 
 
 @dataclass
@@ -342,7 +255,7 @@ def update_q_alpha(rowpost, hyper, kappa=1.0):
 def update_q_wishart(s_p, c_p, r_p, rowpost, n_p, kappa=1.0):
     """Wishart posterior over W from the pooled statistics S' = S + eta S_d,
     C' = C + eta C_d, R' = R + eta R_d and N' = E[N] + eta N_d."""
-    k = _scatter(s_p, c_p, r_p, rowpost.mean, rowpost.rho(r_p))
+    k = _scatter(s_p, c_p, r_p, rowpost.mean, rowpost.trace_cov(r_p))
     return WishartPosterior.from_update(sym(k), n_p, kappa=kappa)
 
 
@@ -412,7 +325,7 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
     }
 
     def block_terms(blk):
-        return _block_terms(blk, vtbar, wbar, ln_w, rowpost.rho(blk[2][1]))
+        return _block_terms(blk, vtbar, wbar, ln_w, rowpost.trace_cov(blk[2][1]))
 
     return _bound(
         block_terms(block),

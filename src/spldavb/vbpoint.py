@@ -10,7 +10,7 @@ Bayesian variant reuses these E-step and bound formulas.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +22,7 @@ from .model import SpldaModel
 __all__ = [
     "Hyperparams",
     "ExpectedParams",
+    "GaussianRows",
     "SpeakerPosteriors",
     "Responsibilities",
     "DirichletPosterior",
@@ -63,56 +64,121 @@ class Hyperparams:
             raise ValueError(f"beta must be > 0, got {self.beta!r}")
 
 
-class SpeakerPosteriors:
-    """Gaussian speaker-factor posteriors q(y_i) for a block of speakers.
+@dataclass(frozen=True)
+class GaussianRows:
+    """Independent Gaussian rows x_r with untempered precisions L_r that
+    share bases: one basis P_g per group g of rows, a scale vector s_r per
+    row, and for g = group[r]
 
-    Every precision in the block has the form L_i = I + n_i G with one
-    shared G (V^T W V, or E[V^T W V] in the Bayesian variant).  The block
-    is stored factored: a shared ``basis`` P (n_y, n_y) and ``s`` (M, n_y)
-    with
+        P_g^T L_r P_g = diag(s_r),   L_r^-1 = P_g diag(1/s_r) P_g^T,
+        log|L_r| = sum_k log s_rk - 2 log|det P_g|.
 
-        P^T L_i P = diag(s_i),   L_i^-1 = P diag(1/s_i) P^T,
-        log|L_i| = -log|P P^T| + sum_k log s_ik.
+    Cov(x_r) = L_r^-1 / kappa.  A point mass has s = inf: its covariance is
+    zero and the aggregates read 0 without a floating-point warning.  The
+    aggregates cost O(G R k + G k^3); the dense (R, k, k) ``cov`` and
+    ``prec`` are built on demand, for the model file and the tests.
 
-    From the q(Y) updates, P is the eigenbasis of G and s_i = 1 + n_i lam
-    for its eigenvalues lam.  Standardization y' = T^-1 (y - mu_y) maps
-    the precisions to T^T L_i T, that is P to T^-1 P, and leaves s
-    unchanged.  Every aggregate the updates need (summed second moments,
-    traces against a fixed matrix, log-determinants) costs O(M n_y) after
-    one O(n_y^3) eigendecomposition; no dense per-speaker matrix is built.
+    mean  : (R, k) row means
+    basis : (G, k, k) shared bases P_g
+    group : (R,) group index of each row
+    s     : (R, k) per-row scales
 
-    The precisions are untempered; with annealing the actual posterior
-    covariance is ``(1/kappa) L_i^-1``.  Build a block with
-    :meth:`from_pair`.
+    1/s, the (G, R) group one-hot and log|det P_g| are derived once, on
+    construction; the fields cannot be reassigned and ``basis``, ``group``
+    and ``s`` are read-only, so they cannot go stale.
     """
 
-    def __init__(self, ybar, kappa, basis, s):
-        self.ybar = ybar  # (M, n_y)
-        self.kappa = kappa
-        self.basis = basis  # (n_y, n_y)
-        self.s = s  # (M, n_y)
+    mean: np.ndarray
+    basis: np.ndarray
+    group: np.ndarray
+    s: np.ndarray
+    kappa: float = 1.0
+
+    def __post_init__(self):
+        for a in (self.basis, self.group, self.s):
+            a.flags.writeable = False
+        # the derived values, set past the frozen __setattr__
+        self.__dict__.update(_s_inv=1.0 / self.s,
+                             _onehot=self.group == np.arange(len(self.basis))[:, None],
+                             _logdet_basis=np.linalg.slogdet(self.basis)[1])
+
+    def _flat_basis(self):
+        """(k, G k) the bases side by side, [P_1 ... P_G]."""
+        return np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1)
+
+    @property
+    def cov(self):
+        """(R, k, k) covariances Cov(x_r)."""
+        p = self.basis[self.group]
+        return (p / self.s[:, None, :]) @ np.swapaxes(p, 1, 2) / self.kappa
+
+    @property
+    def prec(self):
+        """(R, k, k) untempered precisions P^-T diag(s_r) P^-1.  A row with
+        an infinite scale is a point mass: +inf on the diagonal, 0 off it."""
+        p_inv = np.linalg.inv(self.basis)[self.group]
+        finite = np.isfinite(self.s).all(axis=1)
+        s = np.where(finite[:, None], self.s, 0.0)  # no 0 * inf below
+        prec = (np.swapaxes(p_inv, 1, 2) * s[:, None, :]) @ p_inv
+        prec[~finite] = np.where(np.eye(self.s.shape[1], dtype=bool), np.inf, 0.0)
+        return prec
+
+    def sum_cov(self, w):
+        """sum_r w_r Cov(x_r) for weights w (R,)."""
+        # sum_g P_g diag(c_g) P_g^T with c_g = sum_{r in g} w_r / s_r
+        c = (self._onehot * w).dot(self._s_inv).ravel() / self.kappa
+        p = self._flat_basis()
+        return (p * c).dot(p.T)
+
+    def trace_cov(self, h):
+        """(R,) traces tr(H Cov(x_r)) for a (k, k) matrix H."""
+        p = self._flat_basis()
+        # row g: diag(P_g^T H P_g)
+        h_diag = (h.dot(p) * p).sum(axis=0).reshape(-1, p.shape[0])
+        # (R, G) tr(H P_g diag(1/s_r) P_g^T) for every g; row r reads its own
+        traces = self._s_inv.dot(h_diag.T)
+        return traces[np.arange(len(self.group)), self.group] / self.kappa
+
+    def logdet_prec(self):
+        """(R,) log|L_r| (untempered)."""
+        return np.log(self.s).sum(axis=1) - 2.0 * self._logdet_basis[self.group]
+
+    def mapped(self, a, b=0.0):
+        """The rows of x' = A x + b: means A m_r + b, precisions
+        A^-T L_r A^-1, that is bases A P_g with the same s."""
+        return replace(self, mean=self.mean @ a.T + b, basis=a @ self.basis)
+
+
+class SpeakerPosteriors(GaussianRows):
+    """Gaussian speaker-factor posteriors q(y_i) for a block of M speakers.
+
+    Every precision in the block is L_i = I + n_i G with one shared G
+    (V^T W V, or E[V^T W V] in the Bayesian variant), so a block is
+    ``GaussianRows`` with one group: P is the eigenbasis of G and
+    s_i = 1 + n_i lam for its eigenvalues lam.  Build a block with
+    :meth:`from_pair`.
+    """
 
     @classmethod
     def from_pair(cls, g, n, rhs, kappa=1.0, eig=None):
         """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i;
         ``eig`` is ``np.linalg.eigh(g)`` when the caller already has it."""
         lam, basis = np.linalg.eigh(g) if eig is None else eig
-        post = cls(None, kappa, basis, 1.0 + n[:, None] * lam)
-        post.ybar = post._solve(rhs)
-        return post
+        s = 1.0 + n[:, None] * lam
+        ybar = (rhs.dot(basis) / s).dot(basis.T)
+        return cls(ybar, basis[None], np.zeros(len(n), dtype=int), s, kappa)
+
+    @property
+    def ybar(self):
+        return self.mean
 
     @property
     def m(self):
-        return self.ybar.shape[0]
+        return self.mean.shape[0]
 
     @property
     def n_y(self):
-        return self.ybar.shape[1]
-
-    def _solve(self, x):
-        """(M, n_y) rows L_i^-1 x_i (untempered)."""
-        coords = np.einsum("ak,ma->mk", self.basis, x) / self.s
-        return np.einsum("ak,mk->ma", self.basis, coords)
+        return self.mean.shape[1]
 
     def e_ytilde(self):
         """(M, n_y + 1) augmented means [ybar; 1]."""
@@ -120,26 +186,11 @@ class SpeakerPosteriors:
 
     def sum_e_yy(self, w):
         """sum_i w_i E[y_i y_i^T] for weights w (M,)."""
-        c = (w[:, None] / self.s).sum(axis=0)
-        cov = (self.basis * c) @ self.basis.T
-        return cov / self.kappa + (self.ybar * w[:, None]).T @ self.ybar
+        return self.sum_cov(w) + (self.ybar * w[:, None]).T @ self.ybar
 
     def trace_e_yy(self, h):
         """(M,) traces tr(H E[y_i y_i^T]) for an (n_y, n_y) matrix H."""
-        h_diag = np.sum((h @ self.basis) * self.basis, axis=0)  # diag(P^T H P)
-        return (h_diag / self.s).sum(axis=1) / self.kappa \
-            + np.sum((self.ybar @ h) * self.ybar, axis=1)
-
-    def logdet_prec(self):
-        """(M,) log|L_i| (untempered)."""
-        return np.log(self.s).sum(axis=1) \
-            - 2.0 * np.linalg.slogdet(self.basis)[1]
-
-    def standardized(self, mu_y, t):
-        """The block in coordinates y' = T^-1 (y - mu_y); L_i' = T^T L_i T."""
-        t_inv = np.linalg.inv(t)
-        return type(self)((self.ybar - mu_y) @ t_inv.T, self.kappa,
-                          t_inv @ self.basis, self.s)
+        return self.trace_cov(h) + np.sum((self.ybar @ h) * self.ybar, axis=1)
 
 
 @dataclass(frozen=True)
@@ -528,4 +579,5 @@ def standardize_posteriors(posteriors, mu_y, t):
     y' = T^-1 (y - mu_y); precision transforms as L' = T^T L T, which keeps
     the data-dependent part of the bound invariant.
     """
-    return posteriors.standardized(mu_y, t)
+    t_inv = np.linalg.inv(t)
+    return posteriors.mapped(t_inv, -t_inv @ mu_y)

@@ -103,13 +103,13 @@ def cond_loglik_augmented(entry, y, model):
 def dense_prec(posts):
     """(M, n_y, n_y) untempered precisions P^-T diag(s_i) P^-1 of a
     ``SpeakerPosteriors`` block."""
-    p_inv = np.linalg.inv(posts.basis)
+    p_inv = np.linalg.inv(posts.basis[0])
     return (p_inv.T * posts.s[:, None, :]) @ p_inv
 
 
 def dense_cov(posts):
     """(M, n_y, n_y) covariances P diag(1/s_i) P^T / kappa."""
-    return (posts.basis / posts.s[:, None, :]) @ posts.basis.T / posts.kappa
+    return (posts.basis[0] / posts.s[:, None, :]) @ posts.basis[0].T / posts.kappa
 
 
 def dense_e_yy(posts):
@@ -133,13 +133,13 @@ def e_vt_w_vt(rowpost, wpost):
     """E[Vtilde^T W Vtilde] = Vtbar^T Wbar Vtbar + u, with the package's
     u = sum_r wbar_rr Sigma_r."""
     wbar = wpost.e_w
-    return rowpost.mean.T @ wbar @ rowpost.mean + rowpost.u(wbar)
+    return rowpost.mean.T @ wbar @ rowpost.mean + rowpost.sum_cov(wbar.diagonal())
 
 
 def e_vt_r_vt(rowpost, r):
     """E[Vtilde R Vtilde^T] = Vtbar R Vtbar^T + diag(rho), with the
     package's rho_r = tr(R Sigma_r)."""
-    return rowpost.mean @ r @ rowpost.mean.T + np.diag(rowpost.rho(r))
+    return rowpost.mean @ r @ rowpost.mean.T + np.diag(rowpost.trace_cov(r))
 
 
 def rowpost_from_cov(mean, cov):

@@ -781,6 +781,26 @@ class TestRuns:
         with pytest.raises(ValueError, match="dimension"):
             run_adaptation(dataset, wrong, Hyperparams(), RunConfig(m_init=2))
 
+    def test_dimension_mismatch_rejected_without_unlabelled(self):
+        # The check runs before the supervised fallback, which used to fail
+        # with a numpy broadcasting error.
+        phi, labels, _ = generate(SynthSpec(d=6, n_y=2, m_true=4,
+                                            per_speaker=8, seed=72))
+        dataset = Dataset(phi=np.zeros((0, 6)), phi_d=phi, labels_d=labels)
+        _, _, wrong = generate(SynthSpec(d=5, n_y=2, m_true=2, per_speaker=3))
+        with pytest.raises(ValueError, match="model dimension 5 does not "
+                                             "match data 6"):
+            run_adaptation(dataset, wrong, Hyperparams(), RunConfig())
+
+    def test_bayes_run_in_one_dimension(self):
+        # np.cov of one-dimensional data is 0-d; the default beta reads it.
+        dataset, model = split_problem(seed=3, d=1, n_y=1)
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            variant="bayes", m_init=3, init_method="random_y", max_iter=10))
+        assert np.isfinite(report.elbo_trace).all()
+        assert report.model.d == 1 and report.model.n_y == 1
+        assert np.isfinite(report.bayes_state["hyper"].beta)
+
 
 class TestHyperparams:
     @pytest.mark.parametrize("variant, knob, field", [
@@ -878,6 +898,16 @@ class TestTrainSupervised:
             phi[2, 1] = np.nan
         with pytest.raises(ValueError, match=message):
             train_supervised(phi, labels, n_y=1)
+
+    @pytest.mark.parametrize("d, n_y", [(4, 2), (5, 3)])
+    def test_rejects_mismatched_model_init(self, d, n_y):
+        phi, labels, _ = generate(SynthSpec(
+            d=5, n_y=2, m_true=10, per_speaker=6, seed=91))
+        _, _, init = generate(SynthSpec(d=d, n_y=n_y, m_true=2,
+                                        per_speaker=3))
+        with pytest.raises(ValueError, match=rf"model_init has d={d}, "
+                                             rf"n_y={n_y}; expected d=5 .*n_y=2"):
+            train_supervised(phi, labels, n_y=2, model_init=init)
 
     def test_monotone_and_converges(self):
         phi, labels, _ = generate(SynthSpec(

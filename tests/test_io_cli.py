@@ -590,6 +590,25 @@ class TestCli:
         assert bayes is not None
         assert bayes["vt_mean"].shape == (6, 3)
 
+    def test_adapt_rejects_model_of_wrong_dimension(self, synth_files,
+                                                    tmp_path, capsys):
+        # No unlabelled i-vectors: the run would fall back to supervised
+        # training, which must not see the d=5 model on d=6 data.
+        prefix = synth_files
+        _, _, model = generate(SynthSpec(d=5, n_y=2, m_true=2, per_speaker=3))
+        model_path = str(tmp_path / "d5.splda")
+        fileio.write_model(model_path, model)
+        unsup = tmp_path / "none.ivec"
+        unsup.write_text("IVEC 0 6\n")
+        assert _run(["adapt", "--model", model_path,
+                     "--sup-ivectors", prefix + ".phi_d",
+                     "--sup-labels", prefix + ".labels_d",
+                     "--unsup-ivectors", str(unsup),
+                     "--out-model", str(tmp_path / "adapted.splda"),
+                     "--out-labels", str(tmp_path / "p.labels")]) == 1
+        assert "model dimension 5 does not match data 6" \
+            in capsys.readouterr().err
+
     def test_adapt_is_deterministic(self, synth_files, tmp_path):
         prefix = synth_files
         model_path = str(tmp_path / "sup.splda")

@@ -388,11 +388,63 @@ def test_factored_rows_match_batched_oracle(d, n_y, beta_kind, kappa, seed):
     _rel_check(rowpost.cov, cov)
     _rel_check(rowpost.prec, prec)
     _rel_check(rowpost.logdet_prec(), logdet)
-    _rel_check(rowpost.u(wbar), np.einsum("r,rab->ab", np.diag(wbar), cov))
-    _rel_check(rowpost.rho(r_p), np.einsum("ab,rab->r", r_p, cov))
+    _rel_check(rowpost.sum_cov(wbar.diagonal()), np.einsum("r,rab->ab", np.diag(wbar), cov))
+    _rel_check(rowpost.trace_cov(r_p), np.einsum("ab,rab->r", r_p, cov))
     _rel_check(rowpost.e_vq_vq(), np.einsum("rqq->q", cov[:, :n_y, :n_y])
                + (mean[:, :n_y] ** 2).sum(axis=0))
     _rel_check(rowpost.sigma_mu(), cov[:, n_y, n_y])
+    # The same checks on a single-group q(Y) block of d speakers from the
+    # same draw: L_i = I + n_i G with G = R'_yy and n_i = wbar_ii.
+    n, g = np.diag(wbar), r_p[:n_y, :n_y]
+    posts = SpeakerPosteriors.from_pair(g, n, c_p[:, :n_y], kappa)
+    prec_y = np.eye(n_y) + n[:, None, None] * g
+    cov_y = np.linalg.inv(prec_y) / kappa
+    ybar = np.linalg.solve(prec_y, c_p[:, :n_y, None])[:, :, 0]
+    _rel_check(posts.ybar, ybar)
+    _rel_check(posts.cov, cov_y)
+    _rel_check(posts.prec, prec_y)
+    _rel_check(posts.logdet_prec(), np.linalg.slogdet(prec_y)[1])
+    _rel_check(posts.sum_cov(n), np.einsum("r,rab->ab", n, cov_y))
+    _rel_check(posts.trace_cov(g), np.einsum("ab,rab->r", g, cov_y))
+    _rel_check(posts.sum_e_yy(n), np.einsum("r,rab->ab", n, cov_y)
+               + (ybar * n[:, None]).T @ ybar)
+    _rel_check(posts.trace_e_yy(g), np.einsum("ab,rab->r", g, cov_y)
+               + np.einsum("ra,ab,rb->r", ybar, g, ybar))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["single", "multi"]), st.integers(1, 8),
+       st.integers(1, 5), st.sampled_from([1.0, 0.4]),
+       st.integers(0, 2**31 - 1))
+def test_mapped_rows_are_the_affine_image(kind, rows, k, kappa, seed):
+    # x' = A x + b maps the means to A m + b, the covariances to
+    # A Sigma A^T and log|L| by -2 ln|det A|: the rotation that q(Y) and
+    # the rows of q([V | mu]) share.
+    rng = np.random.default_rng(seed)
+    if kind == "single":
+        a = rng.standard_normal((k, k + 2))
+        block = SpeakerPosteriors.from_pair(
+            a @ a.T, rng.uniform(0.0, 20.0, rows),
+            rng.standard_normal((rows, k)), kappa)
+    else:
+        n_groups = rng.integers(1, 4)
+        s = rng.uniform(0.1, 10.0, (rows, k))
+        s[1:][rng.random(rows - 1) < 0.3] = np.inf  # point masses
+        block = RowPosteriors(
+            mean=rng.standard_normal((rows, k)),
+            basis=np.eye(k) + 0.4 * rng.standard_normal((n_groups, k, k)),
+            group=rng.integers(0, n_groups, rows), s=s, kappa=kappa)
+    a = np.eye(k) + 0.4 * rng.standard_normal((k, k))
+    b = rng.standard_normal(k)
+    mapped = block.mapped(a, b)
+    assert type(mapped) is type(block)
+    np.testing.assert_array_equal(mapped.s, block.s)
+    _rel_check(mapped.mean, np.einsum("ab,rb->ra", a, block.mean) + b)
+    _rel_check(mapped.cov, a @ block.cov @ a.T)
+    finite = np.isfinite(block.s).all(axis=1)
+    _rel_check(mapped.logdet_prec()[finite], block.logdet_prec()[finite]
+               - 2.0 * np.linalg.slogdet(a)[1])
+    assert np.isposinf(mapped.logdet_prec()[~finite]).all()
 
 
 class TestAlphaUpdate:
