@@ -411,7 +411,7 @@ class _FixedBound:
         n_y, w = mean.n_y, mean.w
         wvt = w @ mean.vtilde  # (d, k)
         a = mean.vtilde.T @ wvt + u  # E[Vt^T W Vt]
-        self.eig = np.linalg.eigh(sym(a[:n_y, :n_y]))
+        self.eig = SpeakerPosteriors.eigh(sym(a[:n_y, :n_y]))
         self.wv, self.w_mu = wvt[:, :n_y], wvt[:, n_y]
         self.a_ymu, self.a_mumu = a[:n_y, n_y], a[n_y, n_y]
         self.tau0 = variant.hyper.tau0

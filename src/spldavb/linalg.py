@@ -1,7 +1,12 @@
-"""Small shared linear-algebra helpers (Cholesky-based, with a jitter policy)."""
+"""Small shared linear-algebra helpers (Cholesky-based, with a jitter policy).
+
+Each ``*_pd`` helper factors its matrix once; a caller that needs both
+the inverse and the log-determinant takes them from one factor with
+:func:`inv_logdet_pd`.
+"""
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -32,12 +37,34 @@ def chol_with_jitter(a):
         ) from None
 
 
+def logdet_chol(chol):
+    """log|a| from the lower Cholesky factor of ``a``."""
+    return 2.0 * np.sum(np.log(np.diag(chol)))
+
+
+def _inv_chol(chol):
+    """a^-1 from the lower Cholesky factor of ``a``: one LAPACK ``potrs``
+    solve against the identity, the routine ``scipy.linalg.cho_solve``
+    wraps, called directly; like ``cho_solve``, it rejects a factor that
+    is not finite (an infinite diagonal of ``a`` factors without error)."""
+    if not chol.size:  # potrs rejects a 0 x 0 system
+        return np.zeros((0, 0))
+    if not np.isfinite(chol).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return sym(scipy.linalg.lapack.dpotrs(chol, np.eye(chol.shape[0]), lower=1)[0])
+
+
 def logdet_pd(a):
     """log|a| for a symmetric positive-definite matrix, via Cholesky."""
-    return 2.0 * np.sum(np.log(np.diag(chol_with_jitter(a))))
+    return logdet_chol(chol_with_jitter(a))
 
 
 def inv_pd(a):
     """Inverse of a symmetric positive-definite matrix, via Cholesky."""
-    return sym(scipy.linalg.cho_solve((chol_with_jitter(a), True),
-                                      np.eye(a.shape[0])))
+    return _inv_chol(chol_with_jitter(a))
+
+
+def inv_logdet_pd(a):
+    """``(inv_pd(a), logdet_pd(a))`` from one Cholesky factorization."""
+    chol = chol_with_jitter(a)
+    return _inv_chol(chol), logdet_chol(chol)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import chol_with_jitter, inv_pd, logdet_pd, sym
+from .linalg import chol_with_jitter, inv_pd, logdet_chol, sym
 
 __all__ = [
     "SpldaModel",
@@ -35,12 +35,16 @@ class SpldaModel:
     w: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", sym(w))
+        self.__dict__.update(mu=np.asarray(self.mu, dtype=float),
+                             v=np.asarray(self.v, dtype=float),
+                             w=sym(np.asarray(self.w, dtype=float)))
+        self._check_shapes()
+        # Fails (with jitter) if W is not positive definite.  Only log|W|
+        # is kept from the factor, for ``logdet_w``.
+        self.__dict__["_logdet_w"] = logdet_chol(chol_with_jitter(self.w))
+
+    def _check_shapes(self):
+        mu, v, w = self.mu, self.v, self.w
         d = mu.shape[0]
         if v.shape[0] != d or w.shape != (d, d):
             raise ValueError(
@@ -48,8 +52,16 @@ class SpldaModel:
             )
         if v.shape[1] > d:
             raise ValueError(f"n_y={v.shape[1]} exceeds d={d}")
-        # Fails (with jitter) if W is not positive definite.
-        chol_with_jitter(self.w)
+
+    def _with_mu_v(self, mu, v):
+        """A model with new ``mu`` and ``V`` that shares this model's W
+        array and log|W|, so W is neither symmetrized nor factored again."""
+        new = object.__new__(type(self))
+        new.__dict__.update(mu=np.asarray(mu, dtype=float),
+                            v=np.asarray(v, dtype=float), w=self.w,
+                            _logdet_w=self._logdet_w)
+        new._check_shapes()
+        return new
 
     @property
     def d(self):
@@ -65,7 +77,8 @@ class SpldaModel:
         return np.hstack([self.v, self.mu[:, None]])
 
     def logdet_w(self):
-        return logdet_pd(self.w)
+        """log|W|, from the factor that validated W."""
+        return self._logdet_w
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import inv_pd, logdet_pd, sym
+from .linalg import inv_logdet_pd, inv_pd, sym
 from .model import Dataset, SpldaModel
 
 __all__ = ["SynthSpec", "generate", "random_model", "pairwise_llr", "pairwise_llr_matrix"]
@@ -99,15 +99,16 @@ def pairwise_llr_matrix(model, phi):
     Q1 = (T - B T^-1 B)^-1 and P = T^-1 B Q1, the score of centred rows
     (a, b) is c + q(a) + q(b) + a^T P b, where
     c = (ln|T| - ln|T - B T^-1 B|) / 2 and q(x) = x^T (T^-1 - Q1) x / 2.
-    All pairs cost one GEMM plus a per-row quadratic form.
+    All pairs cost one GEMM plus a per-row quadratic form; T and the Schur
+    complement are each factored once, for both the inverse and ln|.|.
     """
     between = model.v @ model.v.T
     total = between + inv_pd(model.w)
-    total_inv = inv_pd(total)
+    total_inv, logdet_total = inv_logdet_pd(total)
     schur = sym(total - between @ total_inv @ between)
-    q1 = inv_pd(schur)
+    q1, logdet_schur = inv_logdet_pd(schur)
     cross = sym(total_inv @ between @ q1)
-    const = 0.5 * (logdet_pd(total) - logdet_pd(schur))
+    const = 0.5 * (logdet_total - logdet_schur)
     x = phi - model.mu
     q = 0.5 * ((x @ (total_inv - q1)) * x).sum(axis=1)
     return sym(const + q[:, None] + q[None, :] + x @ cross @ x.T)

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
 from .linalg import inv_pd, sym
-from .model import SpldaModel
 
 __all__ = [
     "Hyperparams",
@@ -83,9 +82,10 @@ class GaussianRows:
     group : (R,) group index of each row
     s     : (R, k) per-row scales
 
-    1/s, the (G, R) group one-hot and log|det P_g| are derived once, on
-    construction; the fields cannot be reassigned and ``basis``, ``group``
-    and ``s`` are read-only, so they cannot go stale.
+    1/s, the (G, R) group one-hot and log|det P_g| are derived on first
+    use and kept (``from_pair`` hands a block the log-determinant with its
+    basis); the fields cannot be reassigned and ``basis``, ``group`` and
+    ``s`` are read-only, so the derived values cannot go stale.
     """
 
     mean: np.ndarray
@@ -97,10 +97,19 @@ class GaussianRows:
     def __post_init__(self):
         for a in (self.basis, self.group, self.s):
             a.flags.writeable = False
-        # the derived values, set past the frozen __setattr__
-        self.__dict__.update(_s_inv=1.0 / self.s,
-                             _onehot=self.group == np.arange(len(self.basis))[:, None],
-                             _logdet_basis=np.linalg.slogdet(self.basis)[1])
+
+    @cached_property
+    def _s_inv(self):
+        return 1.0 / self.s
+
+    @cached_property
+    def _onehot(self):
+        return self.group == np.arange(len(self.basis))[:, None]
+
+    @cached_property
+    def _logdet_basis(self):
+        """(G,) log|det P_g|."""
+        return np.linalg.slogdet(self.basis)[1]
 
     def _flat_basis(self):
         """(k, G k) the bases side by side, [P_1 ... P_G]."""
@@ -159,14 +168,26 @@ class SpeakerPosteriors(GaussianRows):
     :meth:`from_pair`.
     """
 
+    @staticmethod
+    def eigh(g):
+        """``(lam, P, log|det P|)`` with ``(lam, P) = np.linalg.eigh(g)``:
+        the basis :meth:`from_pair` builds a block on and the (1,)
+        log-determinant its ``logdet_prec`` reads.  A caller that builds
+        several blocks on one g computes it once and passes it to each."""
+        lam, basis = np.linalg.eigh(g)
+        return lam, basis, np.linalg.slogdet(basis[None])[1]
+
     @classmethod
     def from_pair(cls, g, n, rhs, kappa=1.0, eig=None):
         """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i;
-        ``eig`` is ``np.linalg.eigh(g)`` when the caller already has it."""
-        lam, basis = np.linalg.eigh(g) if eig is None else eig
+        ``eig`` is ``SpeakerPosteriors.eigh(g)`` when the caller already
+        has it."""
+        lam, basis, logdet_basis = cls.eigh(g) if eig is None else eig
         s = 1.0 + n[:, None] * lam
         ybar = (rhs.dot(basis) / s).dot(basis.T)
-        return cls(ybar, basis[None], np.zeros(len(n), dtype=int), s, kappa)
+        posts = cls(ybar, basis[None], np.zeros(len(n), dtype=int), s, kappa)
+        posts.__dict__["_logdet_basis"] = logdet_basis
+        return posts
 
     @property
     def ybar(self):
@@ -187,6 +208,14 @@ class SpeakerPosteriors(GaussianRows):
     def sum_e_yy(self, w):
         """sum_i w_i E[y_i y_i^T] for weights w (M,)."""
         return self.sum_cov(w) + (self.ybar * w[:, None]).T @ self.ybar
+
+    @cached_property
+    def e_yy_total(self):
+        """sum_i E[y_i y_i^T], built once per block: the bound's lnP(Y)
+        and ``min_divergence`` both read it.  Read-only, as it is shared."""
+        total = self.sum_e_yy(np.ones(self.m))
+        total.flags.writeable = False
+        return total
 
     def trace_e_yy(self, h):
         """(M,) traces tr(H E[y_i y_i^T]) for an (n_y, n_y) matrix H."""
@@ -250,7 +279,8 @@ class ExpectedParams:
 
     ``wv`` = Wbar Vbar, ``g`` = E[V^T W V] and its eigendecomposition
     ``eig_g`` are derived on first use and kept, so the two q(Y) blocks
-    and q(theta) of one sweep share one W V, one G and one ``eigh``.
+    and q(theta) of one sweep share one W V, one G, one ``eigh`` and one
+    log|det| of its basis.
     """
 
     def __init__(self, model, ln_w=None, u=None):
@@ -280,8 +310,8 @@ class ExpectedParams:
 
     @cached_property
     def eig_g(self):
-        """``np.linalg.eigh(g)``, the shared basis of every q(y_i)."""
-        return np.linalg.eigh(self.g)
+        """``SpeakerPosteriors.eigh(g)``, the shared basis of every q(y_i)."""
+        return SpeakerPosteriors.eigh(self.g)
 
 
 def _expected(model):
@@ -414,12 +444,12 @@ def _block_terms(block, vtilde, w, ln_w, rho=0.0):
     covariances add ``rho`` = tr(R Sigma_r) to the scatter's diagonal."""
     stats, posts, (c, r) = block
     m_ny = posts.m * posts.n_y
-    # -lnq(Y) is the negated E[ln q(Y)], as written, so that an empty
-    # block's term keeps its sign of zero.
-    return (0.5 * stats.n_total * (ln_w - w.shape[0] * LOG2PI)
-            - 0.5 * np.sum(w * _scatter(stats.s, c, r, vtilde, rho)),
-            -0.5 * m_ny * LOG2PI - 0.5 * np.trace(posts.sum_e_yy(np.ones(posts.m))),
-            -(-0.5 * m_ny * (LOG2PI + 1.0) + 0.5 * posts.logdet_prec().sum()))
+    terms = (0.5 * stats.n_total * (ln_w - w.shape[0] * LOG2PI)
+             - 0.5 * np.sum(w * _scatter(stats.s, c, r, vtilde, rho)),
+             -0.5 * m_ny * LOG2PI - 0.5 * np.trace(posts.e_yy_total),
+             -(-0.5 * m_ny * (LOG2PI + 1.0) + 0.5 * posts.logdet_prec().sum()))
+    # x + 0.0 is x for every x but -0.0: an empty block's terms read +0.0.
+    return tuple(t + 0.0 for t in terms)
 
 
 def _ln_dirichlet_c(tau):
@@ -480,7 +510,10 @@ def mstep_V(c_p, r_p):
     C' = C + eta C_d and R' = R + eta R_d.
     """
     r_p = sym(r_p)
-    cond = np.linalg.cond(r_p)
+    # The 2-norm condition number of a symmetric matrix, max|lam| / min|lam|,
+    # from its eigenvalues (an SVD would give the same number).
+    lam = np.abs(np.linalg.eigvalsh(r_p))
+    cond = lam.max() / lam.min() if lam.min() > 0 else np.inf
     if not np.isfinite(cond) or cond > 1e14:
         raise np.linalg.LinAlgError(
             f"weighted accumulator R' is singular (condition number {cond:.3e})"
@@ -566,11 +599,11 @@ def min_divergence(blocks, model):
     """
     denom = sum(w * p.m for p, w in blocks)
     mu_y = sum(w * p.ybar.sum(axis=0) for p, w in blocks) / denom
-    rho = sum(w * p.sum_e_yy(np.ones(p.m)) for p, w in blocks)
+    rho = sum(w * p.e_yy_total for p, w in blocks)
     sigma_y = sym(rho / denom - np.outer(mu_y, mu_y))
     t = np.linalg.cholesky(sigma_y)  # raises if Sigma_y is not PD
-    new = SpldaModel(mu=model.mu + model.v @ mu_y, v=model.v @ t, w=model.w)
-    return new, (mu_y, t)
+    # W is unchanged, so the new model shares it and its log-determinant.
+    return model._with_mu_v(model.mu + model.v @ mu_y, model.v @ t), (mu_y, t)
 
 
 def standardize_posteriors(posteriors, mu_y, t):

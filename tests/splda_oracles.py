@@ -5,7 +5,8 @@ per-speaker views of factored speaker posteriors, the parameter moments
 E[Vt^T W Vt] and E[Vt R Vt^T], row posteriors of [V | mu] from dense
 covariances and their update through a batched Cholesky of the dense
 precision stack, the inverse through two triangular solves, the
-responsibility log weights, softmax and entropy in their direct forms, the
+closed-form pair scores with every inverse and log-determinant from its
+own factorization, the responsibility log weights, softmax and entropy in their direct forms, the
 pair score as a ratio of joint-Gaussian densities, central finite
 differences, the whole lower bound at given responsibilities with the
 parameters held, and the text formats written one value at a time and
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from spldavb.linalg import chol_with_jitter, sym
+from spldavb.linalg import chol_with_jitter, inv_pd, logdet_pd, sym
 from spldavb.model import SuffStats, accumulate_stats
 from spldavb.vbbayes import (
     RowPosteriors,
@@ -186,6 +187,21 @@ def inv_pd_two_solves(a):
     l = chol_with_jitter(a)
     x = scipy.linalg.solve_triangular(l, np.eye(a.shape[0]), lower=True)
     return sym(scipy.linalg.solve_triangular(l.T, x, lower=False))
+
+
+def pairwise_llr_matrix_separate(model, phi):
+    """``synth.pairwise_llr_matrix`` with T and the Schur complement each
+    factored twice, once by ``inv_pd`` and once by ``logdet_pd``."""
+    between = model.v @ model.v.T
+    total = between + inv_pd(model.w)
+    total_inv = inv_pd(total)
+    schur = sym(total - between @ total_inv @ between)
+    q1 = inv_pd(schur)
+    cross = sym(total_inv @ between @ q1)
+    const = 0.5 * (logdet_pd(total) - logdet_pd(schur))
+    x = phi - model.mu
+    q = 0.5 * ((x @ (total_inv - q1)) * x).sum(axis=1)
+    return sym(const + q[:, None] + q[None, :] + x @ cross @ x.T)
 
 
 def log_weights(phi, posts, model, dirichlet, ln_w=None, u=None):

@@ -446,6 +446,79 @@ class TestSingleReduction:
         assert events == ["stats", "stats"] + ["q_theta", "stats"] * 6
 
 
+class TestFactorizationBudget:
+    """Each positive-definite matrix is factored once per iteration, no
+    SVD tests R', and each shared eigenbasis gets one log-determinant."""
+
+    @staticmethod
+    def counting(monkeypatch, events):
+        """Record each call of the counted numpy.linalg routines."""
+        for name in ("cholesky", "svd", "cond", "slogdet"):
+
+            def recording(*args, _f=getattr(np.linalg, name), _e=name, **kwargs):
+                events.append(_e)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+
+    def test_train_supervised_iteration(self, monkeypatch):
+        dataset, model = split_problem(seed=7)
+        events = []
+        self.counting(monkeypatch, events)
+        train_supervised(dataset.phi_d, dataset.labels_d, model.n_y,
+                         model_init=model, max_iter=4, elbo_tol=0.0)
+        # Per iteration: the new W's scatter (inverted by mstep_W), the new
+        # W and Sigma_y; q(Y) gets one log|det| of its basis.
+        assert events.count("cholesky") == 3 * 4
+        assert events.count("slogdet") == 4
+        assert "svd" not in events and "cond" not in events  # R' by eigvalsh
+
+    def test_point_sweep_and_update(self, monkeypatch):
+        dataset, model = split_problem(seed=5)
+        hyper = Hyperparams()
+        config = RunConfig(m_init=4, init_method="random_y", seed=5)
+        variant = adapt._Point(dataset, hyper, config)
+        reduced = variant.reduce(
+            init_responsibilities(dataset, model, config, tau0=hyper.tau0))
+        dirichlet = adapt.vbpoint.update_q_pi(reduced.stats.n, hyper.tau0)
+        events = []
+        self.counting(monkeypatch, events)
+        state = variant.sweep(model, reduced, dirichlet, 1.0)
+        # Both q(Y) blocks are built on one eigenbasis; the bound reads
+        # log|W| from the model.
+        assert events == ["slogdet"]
+        events.clear()
+        variant.update(state)
+        # mstep_W's scatter, the new W and Sigma_y; min_divergence keeps W,
+        # and mstep_V takes no SVD.
+        assert events == ["cholesky"] * 3
+
+    def test_merge_score(self, monkeypatch):
+        dataset, model = split_problem(seed=5)
+        hyper = Hyperparams()
+        config = RunConfig(m_init=4, init_method="random_y", seed=5)
+        variant = adapt._Point(dataset, hyper, config)
+        reduced = variant.reduce(
+            init_responsibilities(dataset, model, config, tau0=hyper.tau0))
+        events = []
+        self.counting(monkeypatch, events)
+        score = adapt._FixedBound(variant, model, reduced)
+        assert events == ["slogdet"]
+        for pair in ((0, 1), (0, 3), (2, 3)):
+            score(reduced.resp.r, pair)
+        assert events == ["slogdet"]
+
+
+@pytest.mark.parametrize("variant", ["point", "bayes"])
+def test_empty_labelled_block_terms_are_positive_zeros(variant):
+    dataset, _, model = easy_problem(seed=1)
+    report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+        m_init=4, variant=variant, init_method="ahc", max_iter=5))
+    for name in ("eta*lnP(Phi_d|Y_d)", "eta*lnP(Y_d)", "-eta*lnq(Y_d)"):
+        value = report.elbo_terms[name]
+        assert value == 0.0 and not np.signbit(value), name
+
+
 class TestRuns:
     def test_point_run_is_deterministic(self):
         dataset, labels, model = easy_problem(seed=31)

@@ -549,6 +549,26 @@ class TestCli:
                      "--m-init", "3", "--sweeps", "0"]) == 1
         assert "max_iter" in capsys.readouterr().err
 
+    def test_elbo_audit_prints_positive_zeros_for_no_labelled_data(
+            self, synth_files, tmp_path, capsys):
+        prefix = synth_files
+        model_path = str(tmp_path / "sup.splda")
+        _run(["train", "--ivectors", prefix + ".phi_d",
+              "--labels", prefix + ".labels_d", "--ny", "2",
+              "--out-model", model_path])
+        fileio.write_matrix(tmp_path / "none.ivec", np.zeros((0, 6)))
+        fileio.write_labels(tmp_path / "none.labels", [])
+        capsys.readouterr()
+        assert _run(["elbo-audit", "--model", model_path,
+                     "--sup-ivectors", str(tmp_path / "none.ivec"),
+                     "--sup-labels", str(tmp_path / "none.labels"),
+                     "--unsup-ivectors", prefix + ".phi",
+                     "--m-init", "3", "--sweeps", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        labelled = [l.split() for l in lines if "Y_d)" in l]
+        assert len(labelled) == 3
+        assert all(value == "0.000000000000" for _, value in labelled)
+
     def test_elbo_audit_fails_when_terms_miss_the_bound(
             self, synth_files, tmp_path, capsys, monkeypatch):
         # The check must hold under python -O as well, so it is no assert.

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spldavb.linalg import inv_pd
+from spldavb.linalg import inv_logdet_pd, inv_pd, logdet_pd
 from spldavb.model import (
     Dataset,
     SpldaModel,
@@ -213,6 +213,43 @@ def test_inv_pd_equals_two_triangular_solves(d, extra, ridge, seed):
         assert np.abs(inv_pd(a) - expected) <= np.spacing(expected)
     else:
         assert (inv_pd(a) == expected).all()
+
+
+class TestFactorReuse:
+    """The model keeps log|W| from the factor that validates W."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_logdet_w_equals_logdet_pd(self, seed):
+        model = random_model(np.random.default_rng(seed), 6, 2)
+        assert model.logdet_w() == logdet_pd(model.w)
+
+    def test_logdet_w_of_a_w_that_needs_the_jitter(self):
+        a = np.random.default_rng(3).standard_normal((4, 4))
+        a[2] = 0.0  # a zero row and column: singular, PD after the jitter
+        w = a @ a.T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(w)
+        model = SpldaModel(mu=np.zeros(4), v=np.zeros((4, 1)), w=w)
+        assert np.isfinite(model.logdet_w())
+        assert model.logdet_w() == logdet_pd(w)
+
+    @pytest.mark.parametrize("d", [1, 5, 30])
+    def test_inv_logdet_pd_equals_separate_calls(self, d):
+        a = np.random.default_rng(d).standard_normal((d, d + 2))
+        a = a @ a.T
+        inv, logdet = inv_logdet_pd(a)
+        assert (inv == inv_pd(a)).all()
+        assert logdet == logdet_pd(a)
+
+    def test_infinite_matrix_is_rejected(self):
+        a = np.diag([np.inf, 1.0])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            inv_pd(a)
+
+    def test_empty_matrix(self):
+        inv, logdet = inv_logdet_pd(np.zeros((0, 0)))
+        assert inv.shape == inv_pd(np.zeros((0, 0))).shape == (0, 0)
+        assert logdet == 0.0
 
 
 class TestDataset:

@@ -12,7 +12,12 @@ from spldavb.synth import (
     pairwise_llr_matrix,
     split_dataset,
 )
-from splda_oracles import fd_gradient, fd_gradient_check, pairwise_llr_joint
+from splda_oracles import (
+    fd_gradient,
+    fd_gradient_check,
+    pairwise_llr_joint,
+    pairwise_llr_matrix_separate,
+)
 
 
 class TestGenerate:
@@ -147,6 +152,20 @@ class TestPairwiseLlr:
         np.testing.assert_array_equal(mat, mat.T)
         scale = np.abs(oracle).max()
         np.testing.assert_allclose(mat, oracle, rtol=0, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_factor_per_matrix_keeps_the_bits(self, seed):
+        # The inverse and log-determinant of T and of its Schur complement
+        # come from one factorization each, with the bits of two.
+        rng = np.random.default_rng(seed)
+        d, n_y = 9, 4
+        a = rng.standard_normal((d, d))
+        model = SpldaModel(mu=rng.standard_normal(d),
+                           v=rng.standard_normal((d, n_y)),
+                           w=a @ a.T + 0.1 * np.eye(d))
+        phi = rng.standard_normal((25, d))
+        assert (pairwise_llr_matrix(model, phi)
+                == pairwise_llr_matrix_separate(model, phi)).all()
 
 
 class TestClusteringMetrics:

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma
 from scipy.stats import multivariate_normal
 
-from spldavb.linalg import inv_pd, sym
+from spldavb.linalg import inv_pd, logdet_pd, sym
 from spldavb.model import (
     SpldaModel,
     SuffStats,
@@ -423,6 +423,32 @@ class TestMsteps:
         with pytest.raises(np.linalg.LinAlgError, match="condition"):
             mstep_V(np.zeros((3, 2)), np.zeros((2, 2)))
 
+    @staticmethod
+    def _rejects(r_p):
+        try:
+            mstep_V(np.ones((2, r_p.shape[0])), r_p)
+        except np.linalg.LinAlgError as err:
+            assert "condition number" in str(err)
+            return True
+        return False
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mstep_v_condition_check_matches_svd(self, seed):
+        # max|lam| / min|lam| of a symmetric matrix is the 2-norm condition
+        # number np.linalg.cond takes from an SVD: random SPD matrices and
+        # near-singular ones on both sides of the 1e14 limit get the same
+        # verdict.
+        rng = np.random.default_rng(seed)
+        k = 5
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        a = rng.standard_normal((k, k))
+        cases = [a @ a.T + 0.1 * np.eye(k)]
+        for cond in (1e12, 3e13, 4e14, 1e16):
+            cases.append(sym((q * np.geomspace(1.0, 1.0 / cond, k)) @ q.T))
+        verdicts = [self._rejects(r_p) for r_p in cases]
+        assert verdicts == [np.linalg.cond(r_p) > 1e14 for r_p in cases]
+        assert verdicts == [False, False, False, True, True]
+
     def test_mstep_w_recovers_sample_covariance(self):
         # With V = 0, one cluster and hard counts the update reduces to the
         # inverse of the biased sample covariance around mu.
@@ -530,6 +556,26 @@ class TestMinDivergence:
         new_mean, new_cov = marginal_params(new)
         np.testing.assert_allclose(new_mean, old_mean, atol=1e-10)
         np.testing.assert_allclose(new_cov, old_cov, atol=1e-10)
+
+    def test_model_keeps_w_and_its_logdet(self):
+        rng = np.random.default_rng(26)
+        model = random_model(rng, 5, 2)
+        posts = random_posteriors(rng, 8, 2)
+        new, _ = min_divergence([(posts, 1.0)], model)
+        assert new.w is model.w
+        assert new.logdet_w() == model.logdet_w() == logdet_pd(new.w)
+        assert new.d == 5 and new.n_y == 2
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            model._with_mu_v(model.mu[:-1], model.v)
+        with pytest.raises(ValueError, match="exceeds"):
+            model._with_mu_v(model.mu, np.zeros((5, 6)))
+
+    def test_reads_the_blocks_cached_second_moment(self):
+        rng = np.random.default_rng(27)
+        posts = random_posteriors(rng, 6, 3)
+        total = posts.e_yy_total
+        assert posts.e_yy_total is total and not total.flags.writeable
+        assert (total == posts.sum_e_yy(np.ones(6))).all()
 
     def test_posterior_standardization(self):
         rng = np.random.default_rng(25)
