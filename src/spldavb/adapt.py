@@ -11,7 +11,6 @@ import scipy.spatial.distance
 from scipy.special import entr
 
 from . import vbbayes, vbpoint
-from .linalg import sym
 from .model import Dataset, SpldaModel, SuffStats, accumulate_stats
 from .synth import pairwise_llr_matrix
 from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
@@ -207,11 +206,12 @@ def sampled_statistics(resp, phi, k, seed=0):
 
 
 def _sample_accumulators(counts, fsums, s_global, model):
-    """Statistics, q(Y) and accumulators (C, R) of each hard sample;
-    ``s_global`` is ``phi.T @ phi``."""
+    """Statistics, q(Y) and accumulators (C, R) of each hard sample, whose
+    q(Y) share one ``ExpectedParams``; ``s_global`` is ``phi.T @ phi``."""
+    expected = vbpoint.ExpectedParams(model)
     for n, f in zip(counts, fsums):
         stats = SuffStats(n=n, f=f, s=s_global)
-        posts = vbpoint.update_q_y(stats, model)
+        posts = vbpoint.update_q_y(stats, expected)
         yield stats, posts, vbpoint.accumulators(stats, posts)
 
 
@@ -243,34 +243,29 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
                     score):
     """Speaker-count heuristics: drop empty clusters, merge duplicates.
 
+    Candidate restructures are gated one at a time by ``score``:
+    ``score(r)`` must return the bound at responsibilities ``r`` with the
+    parameters held, and ``score(r, (i, j))`` the same for ``r`` with its
+    columns ``i < j`` merged into column ``i``.  A candidate is kept if its
+    score does not drop more than ``elbo_tol`` relative to the current
+    structure's score.  ``extra_pairs`` adds merge candidates beyond the
+    column-cosine rule (column-index pairs, e.g. clusters with
+    near-identical speaker posteriors).
+
     ``refresh(r)`` must run one VB sweep from responsibilities ``r`` and
-    return ``(elbo, state)``.  Candidate restructures are gated one at a
-    time: each is kept only if its refreshed bound does not drop more than
-    ``elbo_tol`` relative to the refreshed bound of the current structure
-    (both sweeps run under the same model, so the comparison is fair even
-    right after an M-step).
+    return ``(elbo, state)``; it runs once, on the final structure, if a
+    candidate was kept.  The sweep starts from the state the score scores
+    (q(Y) and q(pi) refit under the held parameters) and then only ascends,
+    so its bound is at least the score plus terms that do not depend on
+    ``r``: a kept restructure never ends below the current structure's
+    score, less ``elbo_tol``.
 
-    ``score`` is a cheap first gate in front of the refresh: ``score(r)``
-    must return the bound at responsibilities ``r`` with the parameters
-    held, and ``score(r, (i, j))`` the same for ``r`` with its columns
-    ``i < j`` merged into column ``i``.  A candidate whose score drops more
-    than ``elbo_tol`` relative to the current structure's score is rejected
-    without a sweep.  The baseline refresh of the current structure runs
-    just before the first candidate refresh, so a call in which no candidate
-    passes its score runs no sweep.
-
-    ``extra_pairs`` adds merge candidates beyond the column-cosine rule
-    (column-index pairs, e.g. clusters with near-identical speaker
-    posteriors); they pass through the same gates.
-
-    Returns ``(resp, elbo, state, changed)``.  With a restructure, ``state``
-    is the refreshed sweep of the new structure; without one, ``resp`` and
-    ``current_elbo`` come back unchanged and ``state`` is the refreshed
-    sweep of the current structure, or None if no candidate needed one.
+    Returns ``(resp, elbo, state, changed)``: the new structure with its
+    refresh sweep's bound and state, or ``(resp, current_elbo, None,
+    False)``.
     """
     r = resp.r
-    counts = r.sum(axis=0)
-    keep = counts >= config.prune_threshold
+    keep = r.sum(axis=0) >= config.prune_threshold
     if not keep.any():
         raise ValueError("prune threshold removed every cluster; lower it")
     have_prune = bool((~keep).any())
@@ -281,43 +276,25 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     def holds(new, old):
         return new >= old - config.elbo_tol * max(1.0, abs(old))
 
-    cur = r
-    cur_score = score(cur)
-    cur_elbo = cur_state = None  # the baseline refresh, run lazily
-
-    def accept(cand, cand_score):
-        """The second gate: refresh ``cand`` and make it current if its
-        refreshed bound holds."""
-        nonlocal cur, cur_score, cur_elbo, cur_state
-        if cur_elbo is None:
-            cur_elbo, cur_state = refresh(cur)
-        elbo2, state2 = refresh(cand)
-        if not holds(elbo2, cur_elbo):
-            return False
-        cur, cur_score, cur_elbo, cur_state = cand, cand_score, elbo2, state2
-        return True
-
-    changed = False
+    cur, cur_score = r, score(r)
+    # Column ids survive index shifts so a rejected pair is not retried
+    # within this call.  Ids equal the original column indices until a
+    # merge mints a fresh id, so ``extra_pairs`` stays valid as long as both
+    # of its columns are unmerged.
+    ids = list(range(r.shape[1]))
     if have_prune:
         cand = cur[:, keep]
         cand = cand / cand.sum(axis=1, keepdims=True)
         cand_score = score(cand)
-        changed = holds(cand_score, cur_score) and accept(cand, cand_score)
+        if holds(cand_score, cur_score):
+            cur, cur_score = cand, cand_score
+            ids = [i for i, k in enumerate(keep) if k]
 
-    # Greedy pairwise merging; column ids survive index shifts so a
-    # rejected pair is not retried within this call.  Ids equal the original
-    # column indices until a merge mints a fresh id, so ``extra_pairs``
-    # stays valid as long as both of its columns are unmerged.  The pairs
-    # are listed afresh only after a merge, since a rejection leaves
-    # ``cur`` as it was.
-    ids = list(range(r.shape[1]))
-    if have_prune and changed:
-        ids = [i for i, k in enumerate(keep) if k]
+    # Greedy pairwise merging.  The pairs are listed afresh only after a
+    # merge, since a rejection leaves ``cur`` as it was.
     next_id = r.shape[1]
     tried = set()
-    merged = True
-    while merged:
-        merged = False
+    while True:
         id_pairs = {frozenset((ids[i], ids[j])): (i, j)
                     for i, j in _merge_pairs(cur, config.merge_threshold)}
         for a, b in extra_pairs:
@@ -332,18 +309,19 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
             if holds(cand_score, cur_score):
                 cand = np.delete(cur, j, axis=1)
                 cand[:, i] = cur[:, i] + cur[:, j]
-                merged = accept(cand, cand_score)
-                if merged:
-                    ids = ids[:j] + ids[j + 1:]
-                    ids[i] = next_id
-                    next_id += 1
-                    changed = True
-                    break
+                cur, cur_score = cand, cand_score
+                ids = ids[:j] + ids[j + 1:]
+                ids[i] = next_id
+                next_id += 1
+                break
             tried.add(key)
+        else:  # no pair merged
+            break
 
-    if not changed:
-        return resp, current_elbo, cur_state, False
-    return Responsibilities(r=cur), cur_elbo, cur_state, changed
+    if cur is r:
+        return resp, current_elbo, None, False
+    elbo, state = refresh(cur)
+    return Responsibilities(r=cur), elbo, state, True
 
 
 def _closest_posterior_pairs(ybar, n_pairs=6):
@@ -383,8 +361,9 @@ class _FixedBound:
     The terms are the data term, lnP(Y), -lnq(Y), lnP(theta|pi), lnP(pi),
     -lnq(pi) and -lnq(theta).  With A = E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u
     and the refit q(y_i) (L_i = I + n_i A_yy, ybar_i = L_i^-1 b_i with
-    b_i = Vbar^T Wbar f_i - n_i A_ymu), the data term's
-    tr(Vt^T W C) - 1/2 tr(A R) and the q(Y) terms of cluster i add up to
+    b_i = Vbar^T Wbar (f_i - n_i mubar) - n_i u_ymu, the right-hand side of
+    ``vbpoint.update_q_y``), the data term's tr(Vt^T W C) - 1/2 tr(A R) and
+    the q(Y) terms of cluster i add up to
 
         c_i = 1/2 b_i^T L_i^-1 b_i - 1/2 ln|L_i| + f_i^T Wbar mubar
               - 1/2 n_i A_mumu,
@@ -400,23 +379,24 @@ class _FixedBound:
     statistics of ``r`` alone: the merged n and f are column sums, c of the
     merged column is one q(y) row on the shared eigenbasis of A_yy, the
     Dirichlet terms cost O(M) and the merged column's entropy O(N).
-    Everything that depends only on the parameters is built once, here.
+    W V, A_yy = G and the eigenbasis of G are those of the variant's
+    ``ExpectedParams``, as in a sweep's q(Y) step.
 
     ``reduce(r)`` reduces each matrix once, whether the score or a refresh
     sweep asks first.
     """
 
     def __init__(self, variant, params, reduced):
-        mean, ln_w, u = variant.expected(params)
-        n_y, w = mean.n_y, mean.w
-        wvt = w @ mean.vtilde  # (d, k)
-        a = mean.vtilde.T @ wvt + u  # E[Vt^T W Vt]
-        self.eig = SpeakerPosteriors.eigh(sym(a[:n_y, :n_y]))
-        self.wv, self.w_mu = wvt[:, :n_y], wvt[:, n_y]
-        self.a_ymu, self.a_mumu = a[:n_y, n_y], a[n_y, n_y]
+        ex = variant.expected(params)
+        mean, ln_w, u = ex
+        n_y = mean.n_y
+        self.mu, self.wv, self.eig = mean.mu, ex.wv, ex.eig_g
+        self.w_mu = mean.w @ mean.mu
+        self.u_ymu = u[:n_y, n_y]
+        self.a_mumu = mean.mu @ self.w_mu + u[n_y, n_y]
         self.tau0 = variant.hyper.tau0
         self.const = 0.5 * variant.phi.shape[0] * (ln_w - mean.d * LOG2PI) \
-            - 0.5 * np.sum(w * variant.s_phi)
+            - 0.5 * np.sum(mean.w * variant.s_phi)
         self.variant = variant
         # id(r) -> reduction and per-column terms.  The reduction holds r,
         # so no id is reused while it is stored.
@@ -431,7 +411,7 @@ class _FixedBound:
 
     def _clusters(self, n, f):
         """(M,) the terms c_i of clusters with counts n and sums f."""
-        b = f @ self.wv - np.outer(n, self.a_ymu)
+        b = (f - np.outer(n, self.mu)) @ self.wv - np.outer(n, self.u_ymu)
         posts = SpeakerPosteriors.from_pair(None, n, b, eig=self.eig)
         return 0.5 * (b * posts.ybar).sum(axis=1) - 0.5 * posts.logdet_prec() \
             + f @ self.w_mu - 0.5 * self.a_mumu * n
@@ -482,10 +462,8 @@ class _Variant:
         self.hyper = hyper
         self.config = config
         self.s_phi = self.phi.T @ self.phi
-        self.stats_d = accumulate_stats(
-            dataset.one_hot_labels(), dataset.phi_d) if dataset.phi_d.size \
-            else SuffStats(n=np.zeros(0), f=np.zeros((0, dataset.d)),
-                           s=np.zeros((dataset.d, dataset.d)))
+        self.stats_d = accumulate_stats(dataset.one_hot_labels(),
+                                        dataset.phi_d)
         self.s_p = self.s_phi + hyper.eta * self.stats_d.s
         self.eta_n_d = hyper.eta * self.stats_d.n_total
 
@@ -609,11 +587,10 @@ class _Bayes(_Variant):
 
 
 def _default_bayes_hyper(hyper, dataset):
+    ref = dataset.phi_d if dataset.phi_d.shape[0] else dataset.phi
     if hyper.mu0 is None:
-        hyper.mu0 = dataset.phi_d.mean(axis=0) if dataset.phi_d.size \
-            else dataset.phi.mean(axis=0)
+        hyper.mu0 = ref.mean(axis=0)
     if hyper.beta is None:
-        ref = dataset.phi_d if dataset.phi_d.size else dataset.phi
         tr_cov = float(np.trace(np.atleast_2d(np.cov(ref.T)))) \
             if ref.shape[0] > 1 else 1.0
         hyper.beta = 1e-2 * ref.shape[1] / max(tr_cov, 1e-12)
@@ -692,20 +669,16 @@ def sweep_m(dataset, model_init, hyper, config, m_values):
 
 def _adapt(dataset, model_init, hyper, config, variant, params):
     """The coordinate ascent both variants share: sweep, parameter step,
-    tau0 step, annealing, ELBO-gated prune/merge and the stopping rule."""
+    tau0 step, annealing, score-gated prune/merge and the stopping rule."""
     report = RunReport()
     reduced = variant.reduce(
         init_responsibilities(dataset, model_init, config, tau0=hyper.tau0))
     dirichlet = vbpoint.update_q_pi(reduced.stats.n, hyper.tau0)
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
-    next_state = None
 
     for it in range(config.max_iter):
-        if next_state is None:
-            state = variant.sweep(params, reduced, dirichlet, kappa)
-        else:
-            state, next_state = next_state, None
+        state = variant.sweep(params, reduced, dirichlet, kappa)
         reduced, dirichlet, elbo = \
             state["reduced"], state["dirichlet"], state["elbo"]
         params = variant.update(state)
@@ -749,12 +722,6 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                     state = st2
                     report.elbo_trace[-1] = st2["elbo"]
                     report.m_trace[-1] = resp2.r.shape[1]
-            elif st2 is not None and np.array_equal(
-                    vbpoint.update_q_pi(reduced.stats.n, hyper.tau0).tau,
-                    dirichlet.tau):
-                # The baseline refresh swept from this resp under these
-                # params at kappa = 1 with this q(pi): it is the next sweep.
-                next_state = st2
         if kappa == 1.0:
             since_restructure += 1
 
@@ -790,11 +757,15 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     """Supervised maximum-likelihood SPLDA (EM on hard labels).
 
     Used to build the initial model before adaptation; requires N_d > d.
+    ``seed`` draws the random initial model, so it is rejected away from
+    its default when ``model_init`` is given.
     """
     phi_d = np.asarray(phi_d, dtype=float)
     n_d, d = phi_d.shape
     if n_y < 1:
         raise ValueError("n_y must be >= 1")
+    if model_init is not None and seed != 0:
+        raise ValueError(f"seed={seed!r} has no effect with model_init")
     if n_d <= d:
         raise ValueError(f"need N_d > d for a valid W (N_d={n_d}, d={d})")
     data = Dataset(phi=np.zeros((0, d)), phi_d=phi_d, labels_d=labels_d)

@@ -88,6 +88,9 @@ class Dataset:
     phi      : (N, d) unsupervised i-vectors (may be empty)
     phi_d    : (N_d, d) supervised i-vectors (may be empty)
     labels_d : (N_d,) integer speaker index per supervised i-vector
+
+    An empty set is stored as (0, d), d from the other set, whatever shape
+    it is given in; at least one set must hold i-vectors.
     """
 
     phi: np.ndarray
@@ -95,31 +98,31 @@ class Dataset:
     labels_d: np.ndarray
 
     def __post_init__(self):
-        phi = np.atleast_2d(np.asarray(self.phi, dtype=float))
-        phi_d = np.atleast_2d(np.asarray(self.phi_d, dtype=float))
+        phi, phi_d = (np.atleast_2d(np.asarray(arr, dtype=float))
+                      for arr in (self.phi, self.phi_d))
+        if not phi.size and not phi_d.size:
+            raise ValueError("phi and phi_d are both empty")
+        d = (phi if phi.size else phi_d).shape[1]
+        phi, phi_d = (arr if arr.size else np.zeros((0, d))
+                      for arr in (phi, phi_d))
         labels = np.asarray(self.labels_d, dtype=int)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "phi_d", phi_d)
-        object.__setattr__(self, "labels_d", labels)
-        if phi.size and phi_d.size and phi.shape[1] != phi_d.shape[1]:
+        self.__dict__.update(phi=phi, phi_d=phi_d, labels_d=labels)
+        if phi.shape[1] != phi_d.shape[1]:
             raise ValueError("phi and phi_d dimension mismatch")
-        n_d = phi_d.shape[0] if phi_d.size else 0  # atleast_2d([]) is (1, 0)
-        if labels.shape != (n_d,):
-            raise ValueError(f"labels_d has shape {labels.shape}, not ({n_d},)")
-        if phi_d.size:
-            m_d = labels.max() + 1
-            if labels.min() < 0:
-                raise ValueError("negative speaker label")
-            counts = np.bincount(labels, minlength=m_d)
-            if (counts == 0).any():
-                raise ValueError("every supervised speaker index needs >= 1 i-vector")
+        if labels.shape != (phi_d.shape[0],):
+            raise ValueError(f"labels_d has shape {labels.shape}, "
+                             f"not ({phi_d.shape[0]},)")
+        if labels.size and labels.min() < 0:
+            raise ValueError("negative speaker label")
+        if (np.bincount(labels) == 0).any():
+            raise ValueError("every supervised speaker index needs >= 1 i-vector")
         for name, arr in (("phi", phi), ("phi_d", phi_d)):
-            if arr.size and not np.isfinite(arr).all():
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains NaN/Inf")
 
     @property
     def d(self):
-        return self.phi.shape[1] if self.phi.size else self.phi_d.shape[1]
+        return self.phi.shape[1]
 
     @property
     def m_d(self):

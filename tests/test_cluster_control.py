@@ -181,13 +181,17 @@ class TestPruneMerge:
         r = np.zeros((6, 3))
         r[:3, 0] = 1.0
         r[3:, 2] = 1.0
+        refreshed = []
         resp, elbo, state, changed = prune_and_merge(
             Responsibilities(r=r), self._config(),
-            lambda m: (-100.0 if m.shape[1] < 3 else 0.0, "state"),
-            current_elbo=0.0, score=lambda r, merge=None: 0.0)
+            lambda m: refreshed.append(m) or (0.0, "state"),
+            current_elbo=0.0, extra_pairs=[(0, 2)],
+            score=lambda m, merge=None:
+                -100.0 if merge or m.shape[1] < 3 else 0.0)
         assert not changed
         assert resp.r.shape[1] == 3
         assert elbo == 0.0
+        assert refreshed == []
 
     def test_no_change_is_reported(self):
         rng = np.random.default_rng(7)
@@ -201,8 +205,9 @@ class TestPruneMerge:
 
 
 class TestScoreGate:
-    """The first prune/merge gate: a candidate is refreshed only if its
-    fixed-parameter score holds against the current structure's."""
+    """The prune/merge gate: a candidate is kept only if its fixed-parameter
+    score holds against the current structure's, and one refresh sweep of
+    the final structure follows."""
 
     @staticmethod
     def _config():
@@ -228,21 +233,46 @@ class TestScoreGate:
         # The baseline, the prune and the extra merge were each scored.
         assert scored == [(3, None), (2, None), (3, (0, 2))]
 
-    def test_baseline_refresh_runs_just_before_the_first_candidate(self):
-        r = np.zeros((6, 3))
-        r[:3, 0] = 1.0
-        r[3:, 2] = 1.0
+    def test_one_refresh_of_the_final_structure(self):
+        r = np.zeros((6, 4))
+        r[:3, :2] = 0.5  # columns 0 and 1 duplicate each other
+        r[3:, 3] = 1.0  # column 2 is empty
         refreshed = []
         resp, elbo, state, changed = prune_and_merge(
             Responsibilities(r=r), self._config(),
-            lambda m: refreshed.append(m) or (0.0, len(refreshed)),
-            current_elbo=-5.0, extra_pairs=[(0, 2)],
-            score=lambda m, merge=None: 0.0 if merge else -1.0 * (m is not r))
-        # The prune fails its score; the merge passes it and its refresh.
-        assert changed and resp.r.shape == (6, 2)
-        assert [m.shape[1] for m in refreshed] == [3, 2]
-        assert refreshed[0] is r
-        assert (elbo, state) == (0.0, 2)
+            lambda m: refreshed.append(m) or (-2.0, "refreshed"),
+            current_elbo=-5.0, score=lambda m, merge=None: 0.0)
+        # The prune and then the merge pass their scores; only the final
+        # structure is swept.
+        assert changed
+        assert len(refreshed) == 1 and refreshed[0] is resp.r
+        np.testing.assert_array_equal(resp.r, np.eye(2)[[0, 0, 0, 1, 1, 1]])
+        assert (elbo, state) == (-2.0, "refreshed")
+
+    @staticmethod
+    def _held_params(variant, eta, seed):
+        """A split problem, a variant over it and parameters after three
+        iterations of a run."""
+        dataset, model = split_problem(seed=seed % 8)
+        report = run_adaptation(dataset, model, Hyperparams(eta=eta), RunConfig(
+            m_init=5, variant=variant, init_method="random_y", max_iter=3,
+            seed=seed))
+        if variant == "bayes":
+            state = report.bayes_state
+            params = (state["rowpost"], state["wpost"], state["alphapost"])
+            return adapt._Bayes(dataset, state["hyper"],
+                                RunConfig(variant="bayes")), params
+        return adapt._Point(dataset, Hyperparams(eta=eta), RunConfig()), \
+            report.model
+
+    @staticmethod
+    def _random_resp(rng, n, keep):
+        """(n, len(keep)) responsibilities with exact zeros, as q(theta)
+        gives, in which every row keeps mass on the ``keep`` columns."""
+        r = rng.random((n, keep.shape[0])) ** 4
+        r[r < 0.02] = 0.0
+        r[np.arange(n), rng.choice(np.flatnonzero(keep), n)] += 0.1
+        return r / r.sum(axis=1, keepdims=True)
 
     @settings(deadline=None, max_examples=30)
     @given(variant=st.sampled_from(["point", "bayes"]),
@@ -250,18 +280,7 @@ class TestScoreGate:
            data=st.data())
     def test_scores_match_fixed_parameter_bound(self, variant, eta, seed,
                                                 data):
-        dataset, model = split_problem(seed=seed % 8)
-        report = run_adaptation(dataset, model, Hyperparams(eta=eta), RunConfig(
-            m_init=5, variant=variant, init_method="random_y", max_iter=3,
-            seed=seed))
-        if variant == "bayes":
-            state = report.bayes_state
-            hyper = state["hyper"]
-            params = (state["rowpost"], state["wpost"], state["alphapost"])
-            var = adapt._Bayes(dataset, hyper, RunConfig(variant="bayes"))
-        else:
-            hyper, params = Hyperparams(eta=eta), report.model
-            var = adapt._Point(dataset, hyper, RunConfig())
+        var, params = self._held_params(variant, eta, seed)
         rng = np.random.default_rng(seed)
         m = data.draw(st.integers(2, 7), label="M")
         i, j = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=2,
@@ -269,12 +288,7 @@ class TestScoreGate:
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=m,
                                            max_size=m), label="keep"))
         keep[rng.integers(m)] = True
-        n = dataset.phi.shape[0]
-        r = rng.random((n, m)) ** 4
-        r[r < 0.02] = 0.0  # exact zeros, as responsibilities have
-        # Every row keeps some mass after the prune.
-        r[np.arange(n), rng.choice(np.flatnonzero(keep), n)] += 0.1
-        r /= r.sum(axis=1, keepdims=True)
+        r = self._random_resp(rng, var.phi.shape[0], keep)
         pruned = r[:, keep] / r[:, keep].sum(axis=1, keepdims=True)
         merged = np.delete(r, j, axis=1)
         merged[:, i] = r[:, i] + r[:, j]
@@ -287,6 +301,25 @@ class TestScoreGate:
             oracle = fixed_param_elbo(var, params, cand) - base
             np.testing.assert_allclose(delta, oracle, rtol=1e-9,
                                        atol=1e-12 * abs(base))
+
+    @settings(deadline=None, max_examples=30)
+    @given(variant=st.sampled_from(["point", "bayes"]),
+           eta=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 2**16),
+           m=st.integers(1, 7))
+    def test_refresh_sweep_ends_above_fixed_parameter_bound(self, variant, eta,
+                                                            seed, m):
+        # The one gate keeps a restructure on its score alone.  That holds
+        # the refreshed bound up because a refresh sweep starts from the
+        # state the score scores, q(Y) and q(pi) refit under the held
+        # parameters, and every later step of the sweep ascends.
+        var, params = self._held_params(variant, eta, seed)
+        r = self._random_resp(np.random.default_rng(seed), var.phi.shape[0],
+                              np.ones(m, dtype=bool))
+        reduced = var.reduce(Responsibilities(r=r))
+        refreshed = var.sweep(params, reduced, adapt.vbpoint.update_q_pi(
+            reduced.stats.n, var.hyper.tau0), 1.0)["elbo"]
+        fixed = fixed_param_elbo(var, params, r)
+        assert refreshed >= fixed - 1e-9 * abs(fixed)
 
 
 def merge_pairs_oracle(r, threshold):
@@ -349,44 +382,6 @@ class TestCandidatePairs:
         assert pairs == closest_pairs_oracle(ybar, 8)
         assert pairs[:7] == [(0, 2), (0, 5), (0, 7), (1, 6), (2, 5), (2, 7),
                              (5, 7)]
-
-
-def runs_with_and_without_reuse(monkeypatch, dataset, model, cfg):
-    """Run ``cfg`` twice with the real prune/merge but every candidate
-    rejected (each attempt's first refresh is its baseline sweep; the rest
-    read -inf): first with the returned baseline state dropped, so the
-    next iteration sweeps again, then as is.  Returns ``(report, sweeps,
-    refreshes per attempt)`` for each run."""
-    variant = {"point": adapt._Point, "bayes": adapt._Bayes}[cfg.variant]
-    sweep, prune_and_merge = variant.sweep, adapt.prune_and_merge
-    runs = []
-    for reuse in (False, True):
-        sweeps, attempts = [], []
-
-        def counting(self, *args):
-            sweeps.append(args)
-            return sweep(self, *args)
-
-        def rejecting(resp, config, refresh, current_elbo, extra_pairs=(),
-                      score=None):
-            calls = []
-
-            def gate(r):
-                elbo, state = refresh(r)
-                calls.append(r)
-                return (elbo if len(calls) == 1 else -np.inf), state
-
-            out = prune_and_merge(resp, config, gate, current_elbo, extra_pairs,
-                                  score=lambda r, merge=None: 0.0)
-            attempts.append(len(calls))
-            return out if reuse else (*out[:2], None, out[3])
-
-        with monkeypatch.context() as patch:
-            patch.setattr(variant, "sweep", counting)
-            patch.setattr(adapt, "prune_and_merge", rejecting)
-            report = run_adaptation(dataset, model, Hyperparams(), cfg)
-        runs.append((report, len(sweeps), attempts))
-    return runs
 
 
 class TestSingleReduction:
@@ -492,6 +487,25 @@ class TestFactorizationBudget:
         # mstep_W's scatter, the new W and Sigma_y; min_divergence keeps W,
         # and mstep_V takes no SVD.
         assert events == ["cholesky"] * 3
+
+    @pytest.mark.parametrize("strategy", ["average_accumulators",
+                                          "best_sample"])
+    def test_point_update_with_sampler(self, monkeypatch, strategy):
+        dataset, model = split_problem(seed=5)
+        hyper = Hyperparams()
+        config = RunConfig(m_init=4, init_method="random_y", seed=5,
+                           sampler_k=8, sampler_strategy=strategy)
+        variant = adapt._Point(dataset, hyper, config)
+        reduced = variant.reduce(
+            init_responsibilities(dataset, model, config, tau0=hyper.tau0))
+        state = variant.sweep(model, reduced, adapt.vbpoint.update_q_pi(
+            reduced.stats.n, hyper.tau0), 1.0)
+        events = []
+        self.counting(monkeypatch, events)
+        variant.update(state)
+        # The eight draws' q(Y) share one eigenbasis of G; then the M-steps
+        # factor as without the sampler.
+        assert events == ["slogdet"] + ["cholesky"] * 3
 
     def test_merge_score(self, monkeypatch):
         dataset, model = split_problem(seed=5)
@@ -652,48 +666,6 @@ class TestRuns:
         # one: attempts after iterations 5, 10 and 15 only.
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("variant", ["point", "bayes"])
-    def test_rejected_attempt_reuses_its_baseline_sweep(self, monkeypatch,
-                                                        variant):
-        dataset, model = split_problem(seed=4)
-        (off, sweeps_off, attempts_off), (on, sweeps_on, attempts_on) = \
-            runs_with_and_without_reuse(monkeypatch, dataset, model, RunConfig(
-                m_init=5, variant=variant, init_method="ahc",
-                prune_merge=True, prune_every=3, elbo_tol=0.0, max_iter=17,
-                seed=4))
-        assert attempts_on == attempts_off
-        # Attempts after iterations 3, 6, 9, 12 and 15, each with a next one.
-        assert len(attempts_on) == 5 and min(attempts_on) >= 2
-        assert sweeps_off == 17 + sum(attempts_off)
-        assert sweeps_on == sweeps_off - len(attempts_on)
-        assert on.elbo_trace == off.elbo_trace
-        assert on.m_trace == off.m_trace
-        assert on.kappa_trace == off.kappa_trace
-        assert on.elbo_terms == off.elbo_terms
-        np.testing.assert_array_equal(on.labels, off.labels)
-
-    @pytest.mark.parametrize("variant", ["point", "bayes"])
-    def test_baseline_sweep_not_reused_after_tau0_step(self, monkeypatch,
-                                                       variant):
-        mstep_tau0 = adapt.vbpoint.mstep_tau0
-        steps = []
-
-        def recording(e_ln_pi, tau0_init):
-            steps.append((tau0_init, mstep_tau0(e_ln_pi, tau0_init)))
-            return steps[-1][1]
-
-        monkeypatch.setattr(adapt.vbpoint, "mstep_tau0", recording)
-        dataset, model = split_problem(seed=4)
-        (off, sweeps_off, _), (on, sweeps_on, attempts) = \
-            runs_with_and_without_reuse(monkeypatch, dataset, model, RunConfig(
-                m_init=5, variant=variant, init_method="ahc",
-                prune_merge=True, prune_every=3, elbo_tol=0.0, max_iter=17,
-                hyper_opt_tau0=True, seed=4))
-        assert len(attempts) == 5
-        assert all(new != old for old, new in steps)  # tau0 moves each step
-        assert sweeps_on == sweeps_off == 17 + sum(attempts)
-        assert on.elbo_trace == off.elbo_trace
-
     def test_annealing_schedule_reaches_one(self):
         dataset, _, model = easy_problem(seed=61)
         report = run_adaptation(
@@ -848,6 +820,28 @@ class TestRuns:
         RunConfig(prune_merge=True, prune_threshold=1.0, merge_threshold=0.5,
                   prune_every=2)
 
+    @pytest.mark.parametrize("side", ["phi", "phi_d"])
+    def test_empty_list_runs_as_zero_rows(self, side):
+        # np.atleast_2d([]) is (1, 0); a run must see an empty set, and the
+        # supervised fallback when it is the unlabelled one, either way.
+        dataset, model = split_problem(seed=2)
+        reports = []
+        for empty in ([], np.zeros((0, dataset.d))):
+            if side == "phi":
+                data = Dataset(phi=empty, phi_d=dataset.phi_d,
+                               labels_d=dataset.labels_d)
+                cfg = RunConfig(max_iter=10)
+            else:
+                data = Dataset(phi=dataset.phi, phi_d=empty, labels_d=[])
+                cfg = RunConfig(m_init=3, max_iter=10)
+            rep = run_adaptation(data, model, Hyperparams(), cfg)
+            reports.append((rep.elbo_trace, rep.m_trace, rep.kappa_trace,
+                            rep.labels.tolist(), rep.model.mu.tolist(),
+                            rep.model.v.tolist(), rep.model.w.tolist(),
+                            rep.elbo_terms, rep.diagnostics, rep.converged,
+                            rep.bayes_state))
+        assert reports[0] == reports[1]
+
     def test_dimension_mismatch_rejected(self):
         dataset, _, _ = easy_problem(d=6)
         _, _, wrong = generate(SynthSpec(d=5, n_y=2, m_true=2, per_speaker=3))
@@ -981,6 +975,15 @@ class TestTrainSupervised:
         with pytest.raises(ValueError, match=rf"model_init has d={d}, "
                                              rf"n_y={n_y}; expected d=5 .*n_y=2"):
             train_supervised(phi, labels, n_y=2, model_init=init)
+
+    def test_seed_rejected_with_model_init(self):
+        # The seed only draws the random initial model.
+        phi, labels, init = generate(SynthSpec(
+            d=5, n_y=2, m_true=10, per_speaker=6, seed=91))
+        with pytest.raises(ValueError, match="seed=12345 has no effect"):
+            train_supervised(phi, labels, n_y=2, model_init=init, seed=12345)
+        train_supervised(phi, labels, n_y=2, model_init=init, max_iter=2)
+        train_supervised(phi, labels, n_y=2, seed=12345, max_iter=2)
 
     def test_monotone_and_converges(self):
         phi, labels, _ = generate(SynthSpec(

@@ -272,6 +272,15 @@ class TestDataset:
                      labels_d=np.zeros(0, int))
         assert ds.m_d == 0
 
+    def test_empty_set_takes_the_other_sets_dimension(self):
+        for empty in ([], np.zeros((0, 3)), np.zeros((0, 0))):
+            ds = Dataset(phi=empty, phi_d=np.ones((2, 3)), labels_d=[0, 1])
+            assert ds.phi.shape == (0, 3) and ds.d == 3
+            ds = Dataset(phi=np.ones((2, 3)), phi_d=empty, labels_d=[])
+            assert ds.phi_d.shape == (0, 3) and ds.m_d == 0
+        with pytest.raises(ValueError, match="both empty"):
+            Dataset(phi=np.zeros((0, 3)), phi_d=[], labels_d=[])
+
     def test_one_hot(self):
         ds = Dataset(phi=np.zeros((0, 2)), phi_d=np.ones((3, 2)),
                      labels_d=np.array([0, 1, 0]))
