@@ -11,7 +11,7 @@ import scipy.spatial.distance
 from scipy.special import entr
 
 from . import vbbayes, vbpoint
-from .model import Dataset, SpldaModel, SuffStats, accumulate_stats
+from .model import Dataset, SpldaModel, SuffStats, _one_hot, accumulate_stats
 from .synth import pairwise_llr_matrix
 from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
 
@@ -141,10 +141,10 @@ class RunReport:
     bayes_state: dict | None = None
 
 
-def _one_hot(labels, m):
-    r = np.zeros((labels.shape[0], m))
-    r[np.arange(labels.shape[0]), labels] = 1.0
-    return r
+def _converged(trace, tol):
+    """The stopping rule: a change below ``tol`` (relative) in ``trace``."""
+    return len(trace) >= 2 and \
+        abs(trace[-1] - trace[-2]) < tol * max(1.0, abs(trace[-2]))
 
 
 def init_responsibilities(dataset, model, config, tau0=1.0):
@@ -379,21 +379,19 @@ class _FixedBound:
     statistics of ``r`` alone: the merged n and f are column sums, c of the
     merged column is one q(y) row on the shared eigenbasis of A_yy, the
     Dirichlet terms cost O(M) and the merged column's entropy O(N).
-    W V, A_yy = G and the eigenbasis of G are those of the variant's
-    ``ExpectedParams``, as in a sweep's q(Y) step.
+    b_i, A_yy = G and the eigenbasis of G are those of the variant's
+    ``ExpectedParams``, ``expected``, which the refresh sweep reuses.
 
     ``reduce(r)`` reduces each matrix once, whether the score or a refresh
     sweep asks first.
     """
 
     def __init__(self, variant, params, reduced):
-        ex = variant.expected(params)
+        self.expected = ex = variant.expected(params)
         mean, ln_w, u = ex
-        n_y = mean.n_y
-        self.mu, self.wv, self.eig = mean.mu, ex.wv, ex.eig_g
+        self.eig = ex.eig_g
         self.w_mu = mean.w @ mean.mu
-        self.u_ymu = u[:n_y, n_y]
-        self.a_mumu = mean.mu @ self.w_mu + u[n_y, n_y]
+        self.a_mumu = mean.mu @ self.w_mu + u[-1, -1]
         self.tau0 = variant.hyper.tau0
         self.const = 0.5 * variant.phi.shape[0] * (ln_w - mean.d * LOG2PI) \
             - 0.5 * np.sum(mean.w * variant.s_phi)
@@ -411,7 +409,7 @@ class _FixedBound:
 
     def _clusters(self, n, f):
         """(M,) the terms c_i of clusters with counts n and sums f."""
-        b = (f - np.outer(n, self.mu)) @ self.wv - np.outer(n, self.u_ymu)
+        b = self.expected.rhs(n, f)
         posts = SpeakerPosteriors.from_pair(None, n, b, eig=self.eig)
         return 0.5 * (b * posts.ybar).sum(axis=1) - 0.5 * posts.logdet_prec() \
             + f @ self.w_mu - 0.5 * self.a_mumu * n
@@ -441,15 +439,17 @@ class _FixedBound:
 
 
 class _Variant:
-    """The parameter step of one inference variant.
+    """The sweep both inference variants share, around the step of each.
 
-    ``sweep(params, reduced, dirichlet, kappa)`` runs one coordinate-ascent
-    sweep from the ``_Reduced`` responsibilities and returns a state dict
-    with at least ``params``, ``reduced`` (the new responsibilities),
-    ``dirichlet``, ``posts``, ``elbo`` and ``terms``; ``update(state)``
-    returns the params for the next sweep; ``expected(params)`` returns
-    the ``vbpoint.ExpectedParams`` the shared E-step reads, which one
-    sweep builds once for its two q(Y) blocks and q(theta);
+    ``sweep(params, reduced, dirichlet, kappa, expected=None)`` runs the
+    shared E-step from the ``_Reduced`` responsibilities (both q(Y) blocks,
+    q(theta), q(pi), the accumulators) on ``expected``, the
+    ``vbpoint.ExpectedParams`` of ``params`` built here unless passed; then
+    ``step(params, block, block_d, resp, dirichlet, kappa)`` returns the
+    params and ``(elbo, terms)``.  The state dict it returns holds
+    ``params``, ``reduced`` (the new responsibilities), ``dirichlet``,
+    ``posts``, ``posts_d``, ``acc``, ``acc_d``, ``elbo`` and ``terms``.
+    ``update(state)`` returns the params for the next sweep;
     ``finish(params, report)`` stores the adapted model in the report.
 
     The parameter steps read the labelled block only through the pooled
@@ -477,6 +477,23 @@ class _Variant:
         eta = self.hyper.eta
         return c + eta * c_d, r + eta * r_d, stats.n_total + self.eta_n_d
 
+    def sweep(self, params, reduced, dirichlet, kappa, expected=None):
+        if expected is None:
+            expected = self.expected(params)
+        posts = vbpoint.update_q_y(reduced.stats, expected, kappa)
+        posts_d = vbpoint.update_q_y(self.stats_d, expected, kappa)
+        reduced = self.reduce(vbpoint.update_q_theta(
+            self.phi, posts, expected, dirichlet, kappa))
+        dirichlet = vbpoint.update_q_pi(reduced.stats.n, self.hyper.tau0, kappa)
+        acc = vbpoint.accumulators(reduced.stats, posts)
+        acc_d = vbpoint.accumulators(self.stats_d, posts_d)
+        params, (elbo, terms) = self.step(
+            params, (reduced.stats, posts, acc), (self.stats_d, posts_d, acc_d),
+            reduced.resp, dirichlet, kappa)
+        return dict(params=params, reduced=reduced, dirichlet=dirichlet,
+                    posts=posts, posts_d=posts_d, acc=acc, acc_d=acc_d,
+                    elbo=elbo, terms=terms)
+
 
 class _Point(_Variant):
     """Point estimates: params are the ``SpldaModel``, re-estimated by
@@ -487,23 +504,9 @@ class _Point(_Variant):
         # One independent, reproducible sampler stream per iteration.
         self.sampler_seeds = np.random.SeedSequence(config.seed)
 
-    def sweep(self, model, reduced, dirichlet, kappa):
-        phi, hyper, stats_d = self.phi, self.hyper, self.stats_d
-        expected = self.expected(model)
-        posts = vbpoint.update_q_y(reduced.stats, expected, kappa)
-        posts_d = vbpoint.update_q_y(stats_d, expected, kappa)
-        reduced = self.reduce(
-            vbpoint.update_q_theta(phi, posts, expected, dirichlet, kappa))
-        stats = reduced.stats
-        dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0, kappa)
-        acc = vbpoint.accumulators(stats, posts)
-        acc_d = vbpoint.accumulators(stats_d, posts_d)
-        elbo, terms = vbpoint.elbo_point(
-            (stats, posts, acc), reduced.resp, dirichlet, model, hyper,
-            (stats_d, posts_d, acc_d))
-        return dict(params=model, posts=posts, posts_d=posts_d, acc=acc,
-                    acc_d=acc_d, reduced=reduced, dirichlet=dirichlet,
-                    elbo=elbo, terms=terms)
+    def step(self, model, block, block_d, resp, dirichlet, kappa):
+        return model, vbpoint.elbo_point(block, resp, dirichlet, model,
+                                         self.hyper, block_d)
 
     def update(self, state):
         model, hyper, config = state["params"], self.hyper, self.config
@@ -514,10 +517,8 @@ class _Point(_Variant):
             acc = _sampler_accumulators(
                 reduced.resp, self.phi, model, hyper, config, self.s_phi,
                 self.sampler_seeds.spawn(1)[0])
-        c_p, r_p, n_p = self.pooled(reduced.stats, acc, state["acc_d"])
-        vtilde = vbpoint.mstep_V(c_p, r_p)
-        w = vbpoint.mstep_W(self.s_p, c_p, r_p, vtilde, n_p)
-        model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
+        model = _mstep(self.s_p,
+                       *self.pooled(reduced.stats, acc, state["acc_d"]))
         if config.min_div:
             model, (mu_y, t) = vbpoint.min_divergence(
                 [(state["posts"], 1.0), (state["posts_d"], hyper.eta)], model)
@@ -526,9 +527,7 @@ class _Point(_Variant):
                 state["posts"], mu_y, t)
         return model
 
-    @staticmethod
-    def expected(model):
-        return vbpoint.ExpectedParams(model)
+    expected = staticmethod(vbpoint.ExpectedParams)
 
     def finish(self, model, report):
         report.model = model
@@ -539,29 +538,17 @@ class _Bayes(_Variant):
     alphapost)`` over the rows of [V | mu], W and the relevance
     precisions, updated inside every sweep."""
 
-    def sweep(self, params, reduced, dirichlet, kappa):
+    def step(self, params, block, block_d, resp, dirichlet, kappa):
         rowpost, wpost, alphapost = params
-        phi, hyper, stats_d = self.phi, self.hyper, self.stats_d
-        expected = rowpost.expected(wpost)
-        posts = vbbayes.update_q_y_bayes(reduced.stats, expected, kappa)
-        posts_d = vbbayes.update_q_y_bayes(stats_d, expected, kappa)
-        reduced = self.reduce(vbbayes.update_q_theta_bayes(
-            phi, posts, expected, dirichlet, kappa))
-        stats = reduced.stats
-        dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0, kappa)
-        acc = vbpoint.accumulators(stats, posts)
-        acc_d = vbpoint.accumulators(stats_d, posts_d)
-        c_p, r_p, n_p = self.pooled(stats, acc, acc_d)
+        hyper = self.hyper
+        c_p, r_p, n_p = self.pooled(block[0], block[2], block_d[2])
         rowpost = vbbayes.update_q_vtilde_rows(
             c_p, r_p, wpost, alphapost, hyper, rowpost, kappa)
         alphapost = vbbayes.update_q_alpha(rowpost, hyper, kappa)
         wpost = vbbayes.update_q_wishart(
             self.s_p, c_p, r_p, rowpost, n_p, kappa)
-        elbo, terms = vbbayes.elbo_bayes(
-            (stats, posts, acc), reduced.resp, dirichlet, rowpost, alphapost,
-            wpost, hyper, (stats_d, posts_d, acc_d))
-        return dict(params=(rowpost, wpost, alphapost), reduced=reduced,
-                    dirichlet=dirichlet, posts=posts, elbo=elbo, terms=terms)
+        return (rowpost, wpost, alphapost), vbbayes.elbo_bayes(
+            block, resp, dirichlet, rowpost, alphapost, wpost, hyper, block_d)
 
     @staticmethod
     def expected(params):
@@ -702,7 +689,7 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                 red = bound.reduce(r_matrix)
                 st = variant.sweep(
                     params, red, vbpoint.update_q_pi(red.stats.n, hyper.tau0),
-                    1.0)
+                    1.0, bound.expected)
                 return st["elbo"], st
 
             resp2, _, st2, restructured = prune_and_merge(
@@ -727,11 +714,10 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
 
         if kappa < 1.0:
             kappa = min(kappa * config.kappa_growth, 1.0)
-        elif not restructured and len(report.elbo_trace) >= 2:
-            prev = report.elbo_trace[-2]
-            if abs(elbo - prev) < config.elbo_tol * max(1.0, abs(prev)):
-                report.converged = True
-                break
+        elif not restructured and _converged(report.elbo_trace,
+                                             config.elbo_tol):
+            report.converged = True
+            break
 
     report.labels = np.argmax(reduced.resp.r, axis=1)  # ties: lowest index wins
     report.elbo_terms = state["terms"]
@@ -750,6 +736,13 @@ def _sampler_accumulators(resp, phi, model, hyper, config, s_global, seed):
     accs = [acc for *_, acc in samples]
     return (sum(c for c, _ in accs) / len(accs),
             sum(r for _, r in accs) / len(accs))
+
+
+def _mstep(s_p, c_p, r_p, n_p):
+    """The point M-steps from pooled statistics: [V | mu], then W."""
+    vtilde = vbpoint.mstep_V(c_p, r_p)
+    return SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1],
+                      w=vbpoint.mstep_W(s_p, c_p, r_p, vtilde, n_p))
 
 
 def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
@@ -793,15 +786,11 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         report.elbo_trace.append(float(elbo))
         report.m_trace.append(data.m_d)
         report.kappa_trace.append(1.0)
-        vtilde = vbpoint.mstep_V(c_d, r_d)
-        w = vbpoint.mstep_W(stats.s, c_d, r_d, vtilde, stats.n_total)
-        model = SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1], w=w)
+        model = _mstep(stats.s, c_d, r_d, stats.n_total)
         model, _ = vbpoint.min_divergence([(posts, 1.0)], model)
-        if len(report.elbo_trace) >= 2:
-            prev = report.elbo_trace[-2]
-            if abs(elbo - prev) < elbo_tol * max(1.0, abs(prev)):
-                report.converged = True
-                break
+        if _converged(report.elbo_trace, elbo_tol):
+            report.converged = True
+            break
     report.labels = data.labels_d.copy()
     report.model = model
     return report

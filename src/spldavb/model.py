@@ -130,9 +130,14 @@ class Dataset:
 
     def one_hot_labels(self):
         """(N_d, M_d) one-hot responsibility matrix for the supervised set."""
-        r = np.zeros((self.phi_d.shape[0], self.m_d))
-        r[np.arange(self.phi_d.shape[0]), self.labels_d] = 1.0
-        return r
+        return _one_hot(self.labels_d, self.m_d)
+
+
+def _one_hot(labels, m):
+    """(N, m) hard responsibilities: row j is 1 in column ``labels[j]``."""
+    r = np.zeros((labels.shape[0], m))
+    r[np.arange(labels.shape[0]), labels] = 1.0
+    return r
 
 
 @dataclass

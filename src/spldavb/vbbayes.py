@@ -168,7 +168,8 @@ class WishartPosterior:
 
 
 def update_q_y_bayes(stats, expected, kappa=1.0):
-    """``update_q_y`` under ``expected`` = ``rowpost.expected(wpost)``."""
+    """``update_q_y`` under ``expected`` = ``rowpost.expected(wpost)``.  The
+    adaptation sweep calls ``vbpoint`` directly, as in the point variant."""
     return update_q_y(stats, expected, kappa)
 
 

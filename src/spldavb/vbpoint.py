@@ -313,6 +313,12 @@ class ExpectedParams:
         """``SpeakerPosteriors.eigh(g)``, the shared basis of every q(y_i)."""
         return SpeakerPosteriors.eigh(self.g)
 
+    def rhs(self, n, f):
+        """(M, n_y) b_i = (f_i - n_i mu)^T W V - n_i u_{y mu}, with which
+        q(y_i) of counts ``n`` and sums ``f`` has mean L_i^-1 b_i."""
+        return (f - np.outer(n, self.model.mu)) @ self.wv \
+            - np.outer(n, self.u[:-1, -1])
+
 
 def _expected(model):
     """``model`` as ``ExpectedParams``; an ``ExpectedParams`` passes
@@ -331,10 +337,8 @@ def update_q_y(stats, model, kappa=1.0):
     reuses.
     """
     ex = _expected(model)
-    n_y = ex.model.n_y
-    rhs = (stats.f - np.outer(stats.n, ex.model.mu)) @ ex.wv \
-        - np.outer(stats.n, ex.u[:n_y, n_y])
-    return SpeakerPosteriors.from_pair(ex.g, stats.n, rhs, kappa, ex.eig_g)
+    return SpeakerPosteriors.from_pair(
+        ex.g, stats.n, ex.rhs(stats.n, stats.f), kappa, ex.eig_g)
 
 
 def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
