@@ -11,7 +11,8 @@ import scipy.spatial.distance
 from scipy.special import entr
 
 from . import vbbayes, vbpoint
-from .model import Dataset, SpldaModel, SuffStats, _one_hot, accumulate_stats
+from .model import (Dataset, SpldaModel, SuffStats, _int_labels, _one_hot,
+                    accumulate_stats)
 from .synth import pairwise_llr_matrix
 from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
 
@@ -80,14 +81,14 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m_init < 1:
-            raise ValueError("m_init must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.prune_every < 1:
-            raise ValueError(f"prune_every must be >= 1, got {self.prune_every}")
-        if self.sampler_k < 0:
-            raise ValueError(f"sampler_k must be >= 0 (0 = off), got {self.sampler_k}")
+        # Lower bounds, written so that NaN fails them.
+        for knob, low in (("m_init", 1), ("max_iter", 1), ("prune_every", 1),
+                          ("sampler_k", 0), ("kappa_growth", 1),
+                          ("prune_threshold", 0), ("merge_threshold", 0),
+                          ("elbo_tol", 0)):
+            value = getattr(self, knob)
+            if not value >= low:
+                raise ValueError(f"{knob} must be >= {low}, got {value}")
         if self.init_method not in _INIT_METHODS:
             raise ValueError(f"unknown init_method {self.init_method!r}; "
                              f"expected one of {', '.join(_INIT_METHODS)}")
@@ -97,11 +98,7 @@ class RunConfig:
             raise ValueError(f"oracle_labels is only read by init_method='oracle', "
                              f"not {self.init_method!r}")
         if not 0 < self.kappa0 <= 1:
-            raise ValueError("kappa0 must lie in (0, 1]")
-        if self.kappa_growth < 1:
-            raise ValueError("kappa growth factor must be >= 1")
-        if self.prune_threshold < 0 or self.merge_threshold < 0:
-            raise ValueError("thresholds must be >= 0")
+            raise ValueError(f"kappa0 must lie in (0, 1], got {self.kappa0}")
         if self.variant not in ("point", "bayes"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.sampler_strategy not in ("best_sample", "average_accumulators"):
@@ -123,11 +120,11 @@ class RunReport:
     """What ``run_adaptation`` returns.
 
     Entry ``it`` of ``elbo_trace``, ``m_trace`` and ``kappa_trace`` records
-    the sweep of iteration ``it``, except that when a prune/merge attempt
-    on the last iteration restructures, the last ``elbo_trace`` and
-    ``m_trace`` entries are its refresh sweep of the new structure, so
-    the traces end on the state that ``labels``, ``model``, ``elbo_terms``
-    and ``bayes_state`` describe.
+    the sweep of iteration ``it``; ``labels`` and ``elbo_terms`` describe
+    the last recorded sweep.  No prune/merge attempt runs on the last
+    iteration, so no sweep runs past the traces.  The point ``model`` is
+    one parameter update past the last recorded bound; for the Bayesian
+    variant, ``bayes_state["hyper"]`` is one hyperparameter step past it.
     """
 
     elbo_trace: list = field(default_factory=list)
@@ -157,12 +154,10 @@ def init_responsibilities(dataset, model, config, tau0=1.0):
     if config.init_method == "uniform_pi":
         return Responsibilities(r=np.full((n, m), 1.0 / m))
     if config.init_method == "oracle":
-        labels = np.asarray(config.oracle_labels, dtype=int)
+        labels = _int_labels(config.oracle_labels, "oracle_labels")
         if labels.shape != (n,):
             raise ValueError(f"oracle_labels has shape {labels.shape}; expected "
                              f"({n},), one label per unlabelled i-vector")
-        if (labels < 0).any():
-            raise ValueError("oracle_labels must be >= 0")
         return Responsibilities(r=_one_hot(labels, max(m, labels.max() + 1)))
     if config.init_method == "random_y":
         ybar = rng.standard_normal((m, model.n_y))
@@ -650,8 +645,7 @@ def sweep_m(dataset, model_init, hyper, config, m_values):
     for m in m_values:
         cfg = replace(config, m_init=m)
         reports.append(run_adaptation(dataset, model_init, hyper, cfg))
-    best = max(reports, key=lambda rep: rep.elbo_trace[-1])
-    return best, reports
+    return max(reports, key=lambda rep: rep.elbo_trace[-1]), reports
 
 
 def _adapt(dataset, model_init, hyper, config, variant, params):
@@ -680,8 +674,9 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                 f"non-finite ELBO at iteration {it}: {elbo!r}")
 
         restructured = False
+        # An attempt needs a later iteration to sweep the new structure.
         if (config.prune_merge and since_restructure >= config.prune_every
-                and kappa == 1.0):
+                and kappa == 1.0 and it + 1 < config.max_iter):
 
             bound = _FixedBound(variant, params, reduced)
 
@@ -703,14 +698,6 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                     f"{resp2.r.shape[1]}")
                 reduced, dirichlet, params = \
                     st2["reduced"], st2["dirichlet"], st2["params"]
-                if it == config.max_iter - 1:
-                    # No later sweep will record the new structure, so its
-                    # refresh sweep becomes this iteration's record.
-                    state = st2
-                    report.elbo_trace[-1] = st2["elbo"]
-                    report.m_trace[-1] = resp2.r.shape[1]
-        if kappa == 1.0:
-            since_restructure += 1
 
         if kappa < 1.0:
             kappa = min(kappa * config.kappa_growth, 1.0)
@@ -718,6 +705,8 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                                              config.elbo_tol):
             report.converged = True
             break
+        else:  # count the iterations at kappa = 1
+            since_restructure += 1
 
     report.labels = np.argmax(reduced.resp.r, axis=1)  # ties: lowest index wins
     report.elbo_terms = state["terms"]
@@ -757,6 +746,8 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     n_d, d = phi_d.shape
     if n_y < 1:
         raise ValueError("n_y must be >= 1")
+    if not elbo_tol >= 0:  # NaN fails too
+        raise ValueError(f"elbo_tol must be >= 0, got {elbo_tol}")
     if model_init is not None and seed != 0:
         raise ValueError(f"seed={seed!r} has no effect with model_init")
     if n_d <= d:

@@ -105,15 +105,13 @@ class Dataset:
         d = (phi if phi.size else phi_d).shape[1]
         phi, phi_d = (arr if arr.size else np.zeros((0, d))
                       for arr in (phi, phi_d))
-        labels = np.asarray(self.labels_d, dtype=int)
+        labels = _int_labels(self.labels_d, "labels_d")
         self.__dict__.update(phi=phi, phi_d=phi_d, labels_d=labels)
         if phi.shape[1] != phi_d.shape[1]:
             raise ValueError("phi and phi_d dimension mismatch")
         if labels.shape != (phi_d.shape[0],):
             raise ValueError(f"labels_d has shape {labels.shape}, "
                              f"not ({phi_d.shape[0]},)")
-        if labels.size and labels.min() < 0:
-            raise ValueError("negative speaker label")
         if (np.bincount(labels) == 0).any():
             raise ValueError("every supervised speaker index needs >= 1 i-vector")
         for name, arr in (("phi", phi), ("phi_d", phi_d)):
@@ -131,6 +129,18 @@ class Dataset:
     def one_hot_labels(self):
         """(N_d, M_d) one-hot responsibility matrix for the supervised set."""
         return _one_hot(self.labels_d, self.m_d)
+
+
+def _int_labels(labels, name):
+    """``labels`` as an int array, checked to hold integers >= 0."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+        ints = labels.astype(int)
+    if not np.array_equal(ints, labels):
+        raise ValueError(f"{name} must be integers, got {labels[ints != labels][0]}")
+    if (ints < 0).any():
+        raise ValueError(f"{name} has a negative speaker label")
+    return ints
 
 
 def _one_hot(labels, m):

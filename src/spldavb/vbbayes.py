@@ -88,6 +88,10 @@ class RowPosteriors(GaussianRows):
         return ExpectedParams(SpldaModel(mu=self.mubar, v=self.vbar, w=wbar),
                               wpost.e_ln_w, self.sum_cov(wbar.diagonal()))
 
+    def e_mu_quad(self, mu0):
+        """(d,) E[(mu_r - mu0_r)^2] under the row posteriors."""
+        return self.sigma_mu() + self.mubar ** 2 - 2.0 * mu0 * self.mubar + mu0 ** 2
+
     def sigma_mu(self):
         """(d,) posterior variances of the mean components,
         tr(e e^T Sigma_r) for the unit vector e of the mu coordinate."""
@@ -145,17 +149,13 @@ class WishartPosterior:
                 "kappa is needed for a valid q(W)")
         k_inv = inv_pd(k)
         logdet_k_inv = logdet_pd(k_inv)
-        scale = k_inv / kappa
         e_ln_w = (
             digamma(0.5 * (dof_eff + 1.0 - np.arange(1, d + 1))).sum()
             + d * np.log(2.0)
             + logdet_k_inv - d * np.log(kappa)
         )
-        self = cls(e_w=dof_eff * scale, e_ln_w=e_ln_w, k=k, dof=dof,
+        return cls(e_w=dof_eff * (k_inv / kappa), e_ln_w=e_ln_w, k=k, dof=dof,
                    ln_b=_ln_wishart_b(k_inv, dof, logdet_k_inv))
-        self._dof_eff = dof_eff
-        self._scale = scale
-        return self
 
     @classmethod
     def point_mass(cls, w):
@@ -292,8 +292,7 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
     d = rowpost.d
     e_vv = rowpost.e_vq_vq()
     mu0, beta = _mean_prior(hyper, d)
-    mubar = rowpost.mubar
-    mu_quad = rowpost.sigma_mu() + mubar ** 2 - 2.0 * mu0 * mubar + mu0 ** 2
+    mu_quad = rowpost.e_mu_quad(mu0)
 
     if wpost.k is None or wpost.dof is None:
         raise ValueError("elbo_bayes needs a proper Wishart posterior (invalid dof)")
@@ -384,9 +383,8 @@ def optimize_hyper_mu(rowpost, isotropic=False):
     mu0 is set to the posterior mean; with that substitution
     beta_r^-1 = Sigma_mu_r.  Isotropic mode averages the inverse over rows.
     """
-    mubar = rowpost.mubar
-    mu0 = mubar.copy()
-    beta_inv = rowpost.sigma_mu() + mubar ** 2 - 2.0 * mu0 * mubar + mu0 ** 2
+    mu0 = rowpost.mubar.copy()
+    beta_inv = rowpost.e_mu_quad(mu0)
     if isotropic:
         beta = min(1.0 / max(float(beta_inv.mean()), 1.0 / _BETA_MAX), _BETA_MAX)
         return mu0, float(beta)

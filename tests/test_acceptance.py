@@ -21,6 +21,7 @@ from spldavb.adapt import (
     sampled_statistics,
     train_supervised,
 )
+from spldavb.linalg import inv_pd
 from spldavb.model import (
     SpldaModel,
     accumulate_stats,
@@ -177,7 +178,8 @@ class TestAcceptance:
         rowpost = rowpost_from_cov(rng.standard_normal((d, n_y + 1)),
                                    np.linalg.inv(prec))
         k = np.eye(d) * 0.5 + 0.1
-        wpost = WishartPosterior.from_update(k, 12.0, 1.0)
+        dof = 12.0
+        wpost = WishartPosterior.from_update(k, dof, 1.0)
         failures = []
 
         def gate(name, analytic, dist, integrand, draws=n_draws):
@@ -186,7 +188,8 @@ class TestAcceptance:
             if not (gap <= 3.0 * np.maximum(se, 1e-12)).all():
                 failures.append(name)
 
-        w_dist = dict(kind="wishart", dof=wpost._dof_eff, scale=wpost._scale)
+        # At kappa = 1, q(W) has dof N' and scale K^-1.
+        w_dist = dict(kind="wishart", dof=dof, scale=inv_pd(k))
         rows_dist = dict(kind="gaussian_rows", means=rowpost.mean,
                          covs=rowpost.cov)
 

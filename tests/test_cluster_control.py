@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,14 @@ from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import RowPosteriors, WishartPosterior, update_q_alpha
 from spldavb.vbpoint import Hyperparams, update_q_pi
 from splda_oracles import fixed_param_elbo, padded_hard_elbo
+
+
+# Settings under which RunConfig reads each gated knob, so that a bad value
+# meets the knob's range check and not the rule against unread knobs.
+READ_WITH = dict(kappa0=dict(anneal=True), kappa_growth=dict(anneal=True),
+                 prune_threshold=dict(prune_merge=True),
+                 merge_threshold=dict(prune_merge=True),
+                 prune_every=dict(prune_merge=True))
 
 
 def easy_problem(seed=0, m_true=4, per_speaker=10, d=6, n_y=2):
@@ -89,10 +97,12 @@ class TestInit:
         with pytest.raises(ValueError, match="oracle_labels"):
             RunConfig(init_method=init_method, oracle_labels=np.zeros(3, int))
 
-    @pytest.mark.parametrize("edit", ["negative", "short", "long"])
+    @pytest.mark.parametrize("edit", ["negative", "short", "long",
+                                      "fractional"])
     def test_oracle_labels_checked_against_data(self, edit):
         dataset, labels, model = easy_problem()
         labels = {"negative": np.where(labels == 3, -1, labels),
+                  "fractional": np.where(labels == 0, 0.6, labels),
                   "short": labels[:-1],
                   "long": np.append(labels, 0)}[edit]
         with pytest.raises(ValueError, match="oracle_labels"):
@@ -539,10 +549,10 @@ class TestFactorizationBudget:
 
     @pytest.mark.parametrize("variant", ["point", "bayes"])
     def test_score_and_refresh_share_one_eigh(self, monkeypatch, variant):
-        # The problem of test_restructure_on_last_iteration_is_what_the_
-        # report_holds: one prune/merge attempt, which restructures.  Its
-        # score and refresh sweep share one ExpectedParams, so one eigh of
-        # G; the Bayesian refresh adds the eigh of its row update.
+        # One prune/merge attempt, after iteration 3 of 0-4, which
+        # restructures M 6 -> 5.  Its score and refresh sweep share one
+        # ExpectedParams, so one eigh of G; the Bayesian refresh adds the
+        # eigh of its row update.
         dataset, model = split_problem(seed=0)
         events, attempts = [], []
         self.counting(monkeypatch, events, names=("eigh",))
@@ -561,7 +571,7 @@ class TestFactorizationBudget:
         monkeypatch.setattr(adapt, "prune_and_merge", counted)
         run_adaptation(dataset, model, Hyperparams(), RunConfig(
             m_init=6, variant=variant, init_method="ahc", prune_merge=True,
-            prune_every=3, elbo_tol=0.0, max_iter=4, seed=0))
+            prune_every=3, elbo_tol=0.0, max_iter=5, seed=0))
         assert attempts == [(True, 1 if variant == "point" else 2)]
 
 
@@ -697,27 +707,39 @@ class TestRuns:
         rows = np.flatnonzero(~clear)
         assert (r[rows, twice.labels[rows]] >= top[rows, -1] - 1e-9).all()
 
+    @pytest.mark.parametrize("prune_every", [1, 2, 3])
     @pytest.mark.parametrize("variant", ["point", "bayes"])
-    def test_restructure_on_last_iteration_is_what_the_report_holds(
-            self, variant):
-        # With prune_every=3 this problem restructures M 6 -> 5 after
-        # iteration 3, here the last one.  Every field of the report must
-        # describe the restructured state, the traces' last entry included.
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, variant,
+                                                     prune_every):
+        # Entry it of each trace is iteration it's sweep, and no prune/merge
+        # attempt runs on the last iteration, so a run with max_iter=n is
+        # the first n iterations of a run with max_iter=n+1: the traces,
+        # and the notes of every attempt but the longer run's last one.
         dataset, model = split_problem(seed=0)
-        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
-            m_init=6, variant=variant, init_method="ahc", prune_merge=True,
-            prune_every=3, elbo_tol=0.0, max_iter=4, seed=0))
-        assert report.diagnostics == ["iter 3: restructured M 6 -> 5"]
-        assert len(report.elbo_trace) == 4
-        assert report.m_trace[-1] == 5
-        assert report.labels.max() < 5
-        assert sum(report.elbo_terms.values()) == pytest.approx(
-            report.elbo_trace[-1], rel=1e-12)
-        longer = run_adaptation(dataset, model, Hyperparams(), RunConfig(
-            m_init=6, variant=variant, init_method="ahc", prune_merge=True,
-            prune_every=3, elbo_tol=0.0, max_iter=5, seed=0))
-        assert longer.elbo_trace[:3] == report.elbo_trace[:3]
-        assert longer.m_trace[3:] == [6, 5]
+
+        def run(max_iter):
+            return run_adaptation(dataset, model, Hyperparams(), RunConfig(
+                m_init=6, variant=variant, init_method="ahc",
+                prune_merge=True, prune_every=prune_every, elbo_tol=0.0,
+                max_iter=max_iter, seed=0))
+
+        def attempt_iteration(note):
+            return int(note.split()[1].rstrip(":"))
+
+        short = run(2)
+        for n in range(2, 9):
+            longer = run(n + 1)
+            for name in ("elbo_trace", "m_trace", "kappa_trace"):
+                assert getattr(short, name) == getattr(longer, name)[:n], \
+                    (name, n)
+            assert short.diagnostics == [
+                note for note in longer.diagnostics
+                if attempt_iteration(note) < n - 1], n
+            # The breakdown is that of the last recorded sweep.
+            assert sum(short.elbo_terms.values()) == pytest.approx(
+                short.elbo_trace[-1], rel=1e-12)
+            short = longer
+        assert short.m_trace[-1] < 6  # the runs restructure
 
     def test_prune_merge_attempts_come_prune_every_apart(self, monkeypatch):
         calls = []
@@ -734,8 +756,9 @@ class TestRuns:
             elbo_tol=0.0, max_iter=16))
         assert len(report.elbo_trace) == 16
         # A rejected attempt waits prune_every iterations like an accepted
-        # one: attempts after iterations 5, 10 and 15 only.
-        assert len(calls) == 3
+        # one: attempts after iterations 5 and 10 only.  None runs after
+        # iteration 15, the last, which no later sweep would record.
+        assert len(calls) == 2
 
     def test_annealing_schedule_reaches_one(self):
         dataset, _, model = easy_problem(seed=61)
@@ -858,10 +881,22 @@ class TestRuns:
         ("prune_every", -2),
         ("sampler_k", -1),
         ("init_method", "kmeans"),
+        ("elbo_tol", -1.0),
+        ("elbo_tol", float("nan")),
+        ("prune_threshold", float("nan")),
+        ("merge_threshold", float("nan")),
+        ("kappa_growth", float("nan")),
     ])
     def test_invalid_knob_rejected(self, knob, value):
         with pytest.raises(ValueError, match=knob):
-            RunConfig(**{knob: value})
+            RunConfig(**READ_WITH.get(knob, {}), **{knob: value})
+
+    @pytest.mark.parametrize(
+        "knob", [f.name for f in fields(RunConfig) if f.type is float])
+    def test_nan_float_knob_rejected(self, knob):
+        # Every range check fails NaN, a float knob added later included.
+        with pytest.raises(ValueError, match=rf"^{knob} must"):
+            RunConfig(**READ_WITH.get(knob, {}), **{knob: float("nan")})
 
     @pytest.mark.parametrize("knob, settings", [
         # kappa would stay at 0.5 and never reach 1
@@ -1024,18 +1059,25 @@ class TestTrainSupervised:
         ("negative", "negative speaker label"),
         ("gap", "every supervised speaker index needs >= 1 i-vector"),
         ("nan", "phi_d contains NaN/Inf"),
+        ("fractional", "labels_d must be integers, got 0.5"),
+        ("elbo_tol", "elbo_tol must be >= 0"),
     ])
     def test_rejects_invalid_input(self, defect, message):
         phi, labels, _ = generate(SynthSpec(
             d=3, n_y=1, m_true=4, per_speaker=5, seed=92))
+        elbo_tol = 1e-7
         if defect == "negative":
             labels[-1] = -1
         elif defect == "gap":
             labels[labels == 3] = 4
+        elif defect == "fractional":  # not truncated to the same labels
+            labels = labels + 0.5
+        elif defect == "elbo_tol":  # would run every iteration
+            elbo_tol = -1.0
         else:
             phi[2, 1] = np.nan
         with pytest.raises(ValueError, match=message):
-            train_supervised(phi, labels, n_y=1)
+            train_supervised(phi, labels, n_y=1, elbo_tol=elbo_tol)
 
     @pytest.mark.parametrize("d, n_y", [(4, 2), (5, 3)])
     def test_rejects_mismatched_model_init(self, d, n_y):

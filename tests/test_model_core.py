@@ -258,6 +258,18 @@ class TestDataset:
             Dataset(phi=np.zeros((0, 2)), phi_d=np.ones((2, 2)),
                     labels_d=np.array([0, 2]))
 
+    def test_rejects_fractional_labels(self):
+        # A label is checked, not truncated: [0.5, 1.7, 1.2] is not [0, 1, 1].
+        for labels, shown in (([0.5, 1.7, 1.2], "0.5"), ([0, np.nan, 1], "nan")):
+            with pytest.raises(ValueError,
+                               match=f"labels_d must be integers, got {shown}"):
+                Dataset(phi=np.zeros((0, 2)), phi_d=np.ones((3, 2)),
+                        labels_d=labels)
+        ds = Dataset(phi=np.zeros((0, 2)), phi_d=np.ones((3, 2)),
+                     labels_d=[0.0, 1.0, 1.0])
+        assert ds.labels_d.dtype.kind == "i"
+        np.testing.assert_array_equal(ds.labels_d, [0, 1, 1])
+
     def test_rejects_nan(self):
         bad = np.ones((2, 2))
         bad[0, 0] = np.nan

@@ -140,12 +140,14 @@ class TestExpectationIdentities:
         a = rng.standard_normal((d, d))
         scale = sym(a @ a.T / d + np.eye(d))
         dof = d + 4.0
-        wpost = WishartPosterior.from_update(inv_pd(scale * dof) * dof, dof)
+        k = inv_pd(scale * dof) * dof
+        wpost = WishartPosterior.from_update(k, dof)
         analytic = e_vt_w_vt(rowpost, wpost)
         n_draws = 60_000
         chols = np.linalg.cholesky(rowpost.cov)
         acc = np.zeros_like(analytic)
-        ws = wishart(df=dof, scale=wpost._scale).rvs(
+        # At kappa = 1, q(W) has dof N' and scale K^-1.
+        ws = wishart(df=dof, scale=inv_pd(sym(k))).rvs(
             size=n_draws, random_state=rng)
         for t in range(n_draws):
             vt = rowpost.mean + np.einsum(
@@ -510,8 +512,14 @@ class TestWishartPosterior:
     def test_annealed_dof(self):
         d = 2
         post = WishartPosterior.from_update(np.eye(d), 10.0, kappa=0.5)
-        assert post._dof_eff == pytest.approx(0.5 * (10.0 - d - 1.0) + d + 1.0)
-        np.testing.assert_allclose(post._scale, 2.0 * np.eye(d), atol=1e-12)
+        # dof N' - (1 - kappa)(N' - d - 1) and scale K^-1 / kappa = 2 I:
+        # E[W] = dof 2 I and E[ln|W|] = sum_i psi((dof + 1 - i) / 2)
+        # + d ln 2 + ln|2 I|.
+        dof = 0.5 * (10.0 - d - 1.0) + d + 1.0
+        np.testing.assert_allclose(post.e_w, dof * 2.0 * np.eye(d), atol=1e-12)
+        assert post.e_ln_w == pytest.approx(
+            digamma(0.5 * (dof + 1.0 - np.arange(1, d + 1))).sum()
+            + d * np.log(2.0) + d * np.log(2.0))
 
     def test_kappa_one_bit_identical(self):
         k = np.diag([2.0, 3.0])
