@@ -6,8 +6,9 @@ Two experiments on the same data:
    against one with an annealed temperature schedule.  Annealing flattens
    the responsibilities early and often escapes poor local optima.
 2. Over-provisioned clustering (twice as many initial clusters as
-   speakers): periodic prune/merge steps, each gated by a refreshed
-   lower bound, shrink the model back to the true speaker count.
+   speakers): periodic prune/merge steps shrink the model back to the
+   true speaker count.  Each candidate is kept on its lower bound with
+   the parameters held, and the kept structure gets one refresh sweep.
 """
 
 import numpy as np

@@ -40,6 +40,7 @@ _UNREAD_UNDER = (
     ("sampler_strategy", "variant", "bayes"),
     ("min_div", "variant", "bayes"),
     ("do_msteps", "variant", "bayes"),
+    ("min_div", "do_msteps", False),  # it re-standardizes after the M-steps
     ("hyper_opt_alpha", "variant", "point"),
     ("hyper_opt_mu", "variant", "point"),
     ("sampler_k", "do_msteps", False),  # the sampler only feeds the M-steps
@@ -51,6 +52,20 @@ _UNREAD_UNDER = (
     ("merge_threshold", "prune_merge", False),
     ("prune_every", "prune_merge", False),
 )
+
+# Lower bounds of the numeric knobs, shared by RunConfig and train_supervised.
+_LOWER_BOUNDS = {"m_init": 1, "max_iter": 1, "prune_every": 1, "sampler_k": 0,
+                 "kappa_growth": 1, "prune_threshold": 0, "merge_threshold": 0,
+                 "elbo_tol": 0}
+
+
+def _check_lower_bounds(values):
+    """Raise a ValueError for the first ``knob: value`` below its bound in
+    ``_LOWER_BOUNDS``; the test is written so that NaN fails it."""
+    for knob, value in values.items():
+        low = _LOWER_BOUNDS[knob]
+        if not value >= low:
+            raise ValueError(f"{knob} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -81,14 +96,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Lower bounds, written so that NaN fails them.
-        for knob, low in (("m_init", 1), ("max_iter", 1), ("prune_every", 1),
-                          ("sampler_k", 0), ("kappa_growth", 1),
-                          ("prune_threshold", 0), ("merge_threshold", 0),
-                          ("elbo_tol", 0)):
-            value = getattr(self, knob)
-            if not value >= low:
-                raise ValueError(f"{knob} must be >= {low}, got {value}")
+        _check_lower_bounds({k: getattr(self, k) for k in _LOWER_BOUNDS})
         if self.init_method not in _INIT_METHODS:
             raise ValueError(f"unknown init_method {self.init_method!r}; "
                              f"expected one of {', '.join(_INIT_METHODS)}")
@@ -598,6 +606,8 @@ def run_adaptation(dataset, model_init, hyper, config):
     ``model_init`` on the labelled set, which reads only ``max_iter`` and
     ``elbo_tol``: any other setting away from its default, including
     ``variant="bayes"``, ``eta`` and ``tau0``, raises a ``ValueError``.
+    Without labelled i-vectors ``eta`` weights nothing, so an ``eta`` away
+    from its default raises one too.
     """
     bayes_only = _set_fields(hyper, _BAYES_ONLY_HYPER)
     if config.variant == "point" and bayes_only:
@@ -618,6 +628,9 @@ def run_adaptation(dataset, model_init, hyper, config):
         return train_supervised(
             dataset.phi_d, dataset.labels_d, model_init.n_y, model_init=model_init,
             max_iter=config.max_iter, elbo_tol=config.elbo_tol)
+    if dataset.phi_d.shape[0] == 0 and hyper.eta != type(hyper).eta:
+        raise ValueError(f"Hyperparams.eta={hyper.eta!r} has no effect "
+                         "without labelled i-vectors")
     hyper = replace(hyper)
     if config.variant == "bayes":
         _default_bayes_hyper(hyper, dataset)
@@ -746,8 +759,7 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     n_d, d = phi_d.shape
     if n_y < 1:
         raise ValueError("n_y must be >= 1")
-    if not elbo_tol >= 0:  # NaN fails too
-        raise ValueError(f"elbo_tol must be >= 0, got {elbo_tol}")
+    _check_lower_bounds({"max_iter": max_iter, "elbo_tol": elbo_tol})
     if model_init is not None and seed != 0:
         raise ValueError(f"seed={seed!r} has no effect with model_init")
     if n_d <= d:

@@ -22,6 +22,7 @@ from .vbpoint import (
     _block_terms,
     _bound,
     _cluster_terms,
+    _log_newton,
     _scatter,
     update_q_theta,
     update_q_y,
@@ -333,9 +334,7 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
         hyper.eta, None if block_d is None else block_terms(block_d), extra)
 
 
-# Newton iteration limits of optimize_hyper_alpha: residual tolerance,
-# iteration cap and the clamp interval of the shape a.
-_ALPHA_TOL, _ALPHA_MAX_ITER = 1e-10, 100
+# Clamp interval of the shape a that optimize_hyper_alpha returns.
 _A_MIN, _A_MAX = 1e-6, 1e6
 # Upper bound on the precision beta that optimize_hyper_mu returns.
 _BETA_MAX = 1e8
@@ -344,37 +343,28 @@ _BETA_MAX = 1e8
 def optimize_hyper_alpha(alphapost, a_init=1.0):
     """Empirical-Bayes update of the Gamma hyperparameters (a, b).
 
-    Moment-matching Newton iteration in the log domain:
-    f(a) = psi(a) - ln a + ln(mean E[alpha]) - mean E[ln alpha] = 0,
-    then b = a / mean E[alpha].
+    Moment matching: solves
+    f(a) = psi(a) - ln a + ln(mean E[alpha]) - mean E[ln alpha] = 0 by
+    ``vbpoint._log_newton`` on [_A_MIN, _A_MAX], with
+    df/du = a psi'(a) - 1 for u = ln a, then sets b = a / mean E[alpha].
     """
     c = float(alphapost.e_ln_alpha.mean())
     d_mom = float(alphapost.e_alpha.mean())
     gap = np.log(d_mom) - c
-    a = float(np.clip(a_init, _A_MIN, _A_MAX))
     if gap <= 0:
         # Degenerate moment pair (zero-variance limit): a -> infinity.
         warnings.warn(
             "E[ln alpha] >= ln E[alpha]: clamping shape at a_max", RuntimeWarning)
         return _A_MAX, _A_MAX / d_mom
-    best = (np.inf, a)
-    for _ in range(_ALPHA_MAX_ITER):
-        fa = digamma(a) - np.log(a) + gap
-        if abs(fa) < best[0]:
-            best = (abs(fa), a)
-        if abs(fa) < _ALPHA_TOL:
-            return a, a / d_mom
-        denom = polygamma(1, a) * a - 1.0
-        step = np.clip(-fa / denom, -10.0, 10.0)
-        a = float(np.clip(a * np.exp(step), _A_MIN, _A_MAX))
-        if a in (_A_MIN, _A_MAX):
-            warnings.warn("hyper-alpha Newton hit the clamp boundary", RuntimeWarning)
-            return a, a / d_mom
-    warnings.warn(
-        f"hyper-alpha Newton did not converge (best residual {best[0]:.3e})",
-        RuntimeWarning,
-    )
-    return best[1], best[1] / d_mom
+
+    def fun(a):
+        psi, ln_a = digamma(a), np.log(a)
+        return (psi - ln_a + gap, a * polygamma(1, a) - 1.0,
+                4 * np.finfo(float).eps * (abs(psi) + abs(ln_a) + abs(gap)))
+
+    a = _log_newton(fun, float(np.clip(a_init, _A_MIN, _A_MAX)), "hyper-alpha",
+                    lo=_A_MIN, hi=_A_MAX)
+    return a, a / d_mom
 
 
 def optimize_hyper_mu(rowpost, isotropic=False):

@@ -2,10 +2,11 @@
 
 Coordinate-ascent updates for q(Y), q(theta), q(pi), the full variational
 lower bound with a per-term breakdown, the closed-form M-steps for [V|mu]
-and W, the Newton solver for the Dirichlet parameter tau0 and the minimum
-divergence re-standardization.  Every variational update takes the
-deterministic-annealing temperature kappa (exact untempered update at 1).
-A point model is the Bayesian one with zero row covariances, so the
+and W, the log-domain Newton solver that both empirical-Bayes steps share
+(the Dirichlet parameter tau0 here, the Gamma shape in ``vbbayes``) and
+the minimum divergence re-standardization.  Every variational update takes
+the deterministic-annealing temperature kappa (exact untempered update at
+1).  A point model is the Bayesian one with zero row covariances, so the
 Bayesian variant reuses these E-step and bound formulas.
 """
 
@@ -540,21 +541,47 @@ def mstep_W(s_p, c_p, r_p, vtilde, n_p):
     return inv_pd(sym(_scatter(s_p, c_p, r_p, vtilde)) / n_p)
 
 
-# Iteration cap of the tau0 Newton solver.
-_TAU0_MAX_ITER = 100
+def _log_newton(fun, x, what, lo=0.0, hi=np.inf, tol=1e-10):
+    """Safeguarded Newton root finder for a positive scalar x, stepping in
+    u = ln x.
+
+    ``fun(x)`` returns ``(f, df/du, floor)``, where ``floor`` is the
+    rounding error of f.  Each step is clipped to +-10 in u and x to
+    [lo, hi].  The loop stops when a step moves ln x by less than ``tol``
+    or when |f| <= floor: f can be resolved only to its rounding error,
+    which limits the attainable step for very large roots.  A
+    RuntimeWarning naming ``what`` is raised when x reaches a bound, which
+    is returned, or after 100 iterations, when the x with the smallest |f|
+    is returned.
+    """
+    best = (np.inf, x)
+    for _ in range(100):
+        f, slope, floor = fun(x)
+        if abs(f) < best[0]:
+            best = (abs(f), x)
+        step = float(np.clip(-f / slope, -10.0, 10.0))
+        x = float(np.clip(x * np.exp(step), lo, hi))
+        if x in (lo, hi):
+            warnings.warn(f"{what} Newton hit the clamp boundary",
+                          RuntimeWarning)
+            return x
+        if abs(step) < tol or abs(f) <= floor:
+            return x
+    warnings.warn(f"{what} Newton did not converge in 100 iterations "
+                  f"(best residual {best[0]:.3e})", RuntimeWarning)
+    return best[1]
 
 
 def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10):
     """Newton update of tau0 in the log domain.
 
     Solves f(tau0) = psi(M tau0) - psi(tau0) + g = 0 with
-    g = mean(E[ln pi_i]), stepping in u = ln tau0 with the exact derivative
+    g = mean(E[ln pi_i]) by ``_log_newton``, with the exact derivative
     df/du = M tau0 psi'(M tau0) - tau0 psi'(tau0), which converges
-    quadratically; it stops when a step changes ln tau0 by less than ``tol``
-    or f is zero to within its rounding error.  f falls from +inf to
-    ln M + g, so a finite root exists only when ln M + g < 0; otherwise the
-    maximum-likelihood tau0 is unbounded, and a RuntimeWarning is raised and
-    ``tau0_init`` returned unchanged.
+    quadratically; ``tol`` is its step tolerance in ln tau0.  f falls from
+    +inf to ln M + g, so a finite root exists only when ln M + g < 0;
+    otherwise the maximum-likelihood tau0 is unbounded, and a
+    RuntimeWarning is raised and ``tau0_init`` returned unchanged.
     """
     e_ln_pi = np.asarray(e_ln_pi, dtype=float)
     m = e_ln_pi.shape[0]
@@ -569,26 +596,14 @@ def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10):
             RuntimeWarning,
         )
         return tau0
-    best = (np.inf, tau0)
-    for _ in range(_TAU0_MAX_ITER):
-        psi_m, psi_1 = digamma(m * tau0), digamma(tau0)
-        ft = psi_m - psi_1 + g
-        if abs(ft) < best[0]:
-            best = (abs(ft), tau0)
-        slope = m * tau0 * polygamma(1, m * tau0) - tau0 * polygamma(1, tau0)
-        step = float(np.clip(-ft / slope, -10.0, 10.0))  # log-domain safeguard
-        tau0 = tau0 * np.exp(step)
-        # f can be resolved only to its rounding error, which limits the
-        # attainable step for very large roots
-        noise = 4 * np.finfo(float).eps * (abs(psi_m) + abs(psi_1) + abs(g))
-        if abs(step) < tol or abs(ft) <= noise:
-            return tau0
-    warnings.warn(
-        f"tau0 Newton did not converge in {_TAU0_MAX_ITER} iterations "
-        f"(best residual {best[0]:.3e})",
-        RuntimeWarning,
-    )
-    return best[1]
+
+    def fun(t):
+        psi_m, psi_1 = digamma(m * t), digamma(t)
+        return (psi_m - psi_1 + g,
+                m * t * polygamma(1, m * t) - t * polygamma(1, t),
+                4 * np.finfo(float).eps * (abs(psi_m) + abs(psi_1) + abs(g)))
+
+    return _log_newton(fun, tau0, "tau0", tol=tol)
 
 
 def min_divergence(blocks, model):

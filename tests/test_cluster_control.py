@@ -794,8 +794,8 @@ class TestRuns:
         ({}, dict(seed=9), "seed"),
         ({}, dict(init_method="random_y"), "init_method"),
         ({}, dict(prune_merge=True), "prune_merge"),
-        ({}, dict(anneal=True, min_div=False, do_msteps=False, m_init=7,
-                  seed=9, init_method="random_y"), "m_init"),
+        ({}, dict(anneal=True, do_msteps=False, m_init=7, seed=9,
+                  init_method="random_y"), "m_init"),
     ])
     def test_empty_unsupervised_rejects_unread_settings(self, hyper,
                                                          settings, name):
@@ -913,6 +913,8 @@ class TestRuns:
         ("prune_every", dict(prune_every=2)),
         # kappa starts at 1, so the growth factor is never applied
         ("kappa_growth", dict(anneal=True, kappa0=1.0, kappa_growth=2.0)),
+        # the re-standardization runs only after the M-steps
+        ("min_div", dict(min_div=False, do_msteps=False)),
     ])
     def test_knob_without_effect_rejected(self, knob, settings):
         with pytest.raises(ValueError, match=knob):
@@ -947,6 +949,18 @@ class TestRuns:
                             rep.elbo_terms, rep.diagnostics, rep.converged,
                             rep.bayes_state))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_eta_without_labelled_rejected(self, variant):
+        # eta weights only the labelled block, which is empty here.
+        dataset, model = split_problem(seed=2)
+        data = Dataset(phi=dataset.phi, phi_d=np.zeros((0, dataset.d)),
+                       labels_d=[])
+        cfg = RunConfig(m_init=3, variant=variant, max_iter=3)
+        with pytest.raises(ValueError, match=r"^Hyperparams\.eta=0\.3 has no "
+                                             r"effect without labelled"):
+            run_adaptation(data, model, Hyperparams(eta=0.3), cfg)
+        run_adaptation(data, model, Hyperparams(), cfg)
 
     def test_dimension_mismatch_rejected(self):
         dataset, _, _ = easy_problem(d=6)
@@ -1061,11 +1075,12 @@ class TestTrainSupervised:
         ("nan", "phi_d contains NaN/Inf"),
         ("fractional", "labels_d must be integers, got 0.5"),
         ("elbo_tol", "elbo_tol must be >= 0"),
+        ("max_iter", "max_iter must be >= 1"),  # would return the init
     ])
     def test_rejects_invalid_input(self, defect, message):
         phi, labels, _ = generate(SynthSpec(
             d=3, n_y=1, m_true=4, per_speaker=5, seed=92))
-        elbo_tol = 1e-7
+        elbo_tol, max_iter = 1e-7, 200
         if defect == "negative":
             labels[-1] = -1
         elif defect == "gap":
@@ -1074,10 +1089,13 @@ class TestTrainSupervised:
             labels = labels + 0.5
         elif defect == "elbo_tol":  # would run every iteration
             elbo_tol = -1.0
+        elif defect == "max_iter":
+            max_iter = 0
         else:
             phi[2, 1] = np.nan
         with pytest.raises(ValueError, match=message):
-            train_supervised(phi, labels, n_y=1, elbo_tol=elbo_tol)
+            train_supervised(phi, labels, n_y=1, max_iter=max_iter,
+                             elbo_tol=elbo_tol)
 
     @pytest.mark.parametrize("d, n_y", [(4, 2), (5, 3)])
     def test_rejects_mismatched_model_init(self, d, n_y):

@@ -1,4 +1,5 @@
 import types
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -695,6 +696,27 @@ class TestHyperOpt:
         with pytest.warns(RuntimeWarning, match="clamping"):
             a, b = optimize_hyper_alpha(fake)
         assert a == 1e6
+
+    @staticmethod
+    def moments_with_root(a):
+        # mean E[alpha] = 1 and mean E[ln alpha] = psi(a) - ln a, so f has
+        # its root at a
+        return types.SimpleNamespace(e_alpha=np.array([1.0]),
+                                     e_ln_alpha=np.array([digamma(a)
+                                                          - np.log(a)]))
+
+    @pytest.mark.parametrize("true", [1e4, 1e5])
+    def test_large_root_without_warning(self, true):
+        # f is nearly flat around large roots: a small |f| is not a close a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, _ = optimize_hyper_alpha(self.moments_with_root(true))
+        assert a == pytest.approx(true, rel=1e-8)
+
+    def test_root_above_clamp_warns(self):
+        with pytest.warns(RuntimeWarning, match="clamp boundary"):
+            a, b = optimize_hyper_alpha(self.moments_with_root(1e7))
+        assert (a, b) == (1e6, 1e6)
 
     def test_extreme_inits_agree(self):
         post = AlphaPosterior(a_prime=0.7, b_prime=np.array([5.0, 0.3, 1.1]))

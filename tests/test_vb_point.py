@@ -33,7 +33,7 @@ from spldavb.vbpoint import (
     update_q_theta,
     update_q_y,
 )
-from spldavb.vbpoint import _normalize_log_rho
+from spldavb.vbpoint import _log_newton, _normalize_log_rho
 from spldavb.vbbayes import (
     WishartPosterior,
     update_q_theta_bayes,
@@ -514,6 +514,20 @@ class TestMstepTau0:
         with pytest.warns(RuntimeWarning, match="no finite optimum"):
             tau0 = mstep_tau0(np.full(4, -np.log(4) + 1e-3), tau0_init=3.0)
         assert tau0 == 3.0
+
+
+class TestLogNewton:
+    def test_no_convergence_warns_and_returns_best(self):
+        # f = cbrt(u), u = ln x: a Newton step maps u to -2u, and once the
+        # step clip binds the iterates cycle between u = 4 and u = -6
+        def fun(x):
+            u = np.log(x)
+            return np.cbrt(u), np.cbrt(u) ** -2 / 3, 0.0
+
+        with pytest.warns(RuntimeWarning,
+                          match="cbrt Newton did not converge in 100 iter"):
+            x = _log_newton(fun, np.e, "cbrt")
+        assert x == np.e  # u = 1 has the smallest |f|
 
 
 class TestMinDivergence:
