@@ -177,7 +177,7 @@ class SuffStats:
 def accumulate_stats(resp, phi, *, s=None):
     """Accumulate soft-count sufficient statistics.
 
-    resp : (N, M) responsibilities, rows summing to 1
+    resp : (N, M) finite, nonnegative responsibilities, rows summing to 1
     phi  : (N, d) i-vectors
     s    : optional precomputed ``phi.T @ phi``; the global second order
            does not depend on ``resp`` because its rows sum to 1
@@ -188,10 +188,14 @@ def accumulate_stats(resp, phi, *, s=None):
         raise ValueError(
             f"shape mismatch: resp {resp.shape} vs phi {phi.shape} (rows must agree)"
         )
-    if (resp < 0).any():
-        raise ValueError("negative responsibility")
     if resp.shape[0]:
-        row_sums = resp.sum(axis=1)
+        # Neither check makes an N x M temporary; NaN or inf reaches the
+        # row sums of the one gemv.
+        row_sums = resp @ np.ones(resp.shape[1])
+        if not np.isfinite(row_sums).all():
+            raise ValueError("non-finite responsibility")
+        if resp.min(initial=0.0) < 0:
+            raise ValueError("negative responsibility")
         if np.abs(row_sums - 1.0).max() > 1e-9:
             raise ValueError("responsibility rows must sum to 1 within 1e-9")
     n = resp.sum(axis=0)

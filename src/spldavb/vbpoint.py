@@ -287,6 +287,7 @@ class ExpectedParams:
     def __init__(self, model, ln_w=None, u=None):
         k = model.n_y + 1
         self.model = model
+        self.has_u = u is not None  # else the E-step skips its u terms
         self.u = np.zeros((k, k)) if u is None else u
         if ln_w is not None:
             self.ln_w = ln_w  # else derived on first use
@@ -317,8 +318,10 @@ class ExpectedParams:
     def rhs(self, n, f):
         """(M, n_y) b_i = (f_i - n_i mu)^T W V - n_i u_{y mu}, with which
         q(y_i) of counts ``n`` and sums ``f`` has mean L_i^-1 b_i."""
-        return (f - np.outer(n, self.model.mu)) @ self.wv \
-            - np.outer(n, self.u[:-1, -1])
+        b = (f - np.outer(n, self.model.mu)) @ self.wv
+        if self.has_u:
+            b -= np.outer(n, self.u[:-1, -1])
+        return b
 
 
 def _expected(model):
@@ -362,9 +365,12 @@ def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
     """
     ex = _expected(model)
     n_y = ex.model.n_y
+    c = -0.5 * posteriors.trace_e_yy(ex.g)
+    if ex.has_u:
+        c -= posteriors.ybar @ ex.u[:n_y, n_y]
+    c += dirichlet.e_ln_pi
     log_rho = ((phi - ex.model.mu) @ ex.wv) @ posteriors.ybar.T  # (N, M)
-    log_rho += -0.5 * posteriors.trace_e_yy(ex.g) \
-        - posteriors.ybar @ ex.u[:n_y, n_y] + dirichlet.e_ln_pi
+    log_rho += c
     return _normalize_log_rho(log_rho, kappa)
 
 
@@ -378,29 +384,43 @@ def _normalize_log_rho(log_rho, kappa):
     and its entropy.
 
     Overwrites ``log_rho``, in which it works.  Shifted weights below
-    ln(tiny) become -inf, so their exp is an exact 0 instead of a
-    subnormal (which exp and the BLAS handle far more slowly).
+    ln(tiny) are dropped: their responsibility is an exact 0 instead of a
+    subnormal (which exp and the BLAS handle far more slowly).  Their mask
+    is built only when some weight falls below ln(tiny), and kappa = 1
+    skips the tempering products, which are exact there.
     Every responsibility >= tiny keeps the bits of the untruncated softmax,
     and so does each row's normaliser: the dropped terms are below tiny
-    while the row sum is at least 1.  The last buffer holds ln r, so the
-    entropy -sum r ln r is one dot product, carried as
-    ``Responsibilities.h``.
+    while the row sum is at least 1.  The last buffer holds ln r, and 0
+    where r is 0, so the entropy -sum r ln r is one dot product, carried
+    as ``Responsibilities.h``.
     """
-    # fl(kappa x) is monotone in x, so kappa times the row max is the row
-    # max of the tempered weights; at kappa = 1 both products are exact.
     row_max = log_rho.max(axis=1, keepdims=True)
     if not np.isfinite(row_max).all():
-        raise ValueError("degenerate model: a responsibility row is all -inf")
+        raise ValueError("degenerate model: a responsibility row is all -inf "
+                         "or holds NaN or +inf")
     z = log_rho
-    z *= kappa
-    z -= kappa * row_max
-    np.copyto(z, -np.inf, where=z < _LN_TINY)
+    if kappa != 1.0:
+        # fl(kappa x) is monotone in x, so kappa times the row max is the
+        # row max of the tempered weights.
+        z *= kappa
+        row_max = kappa * row_max
+    z -= row_max
+    low = z.min(initial=0.0)  # every z <= 0 now
+    if low < _LN_TINY:
+        np.copyto(z, -np.inf, where=z < _LN_TINY)
     r = np.exp(z)
-    z -= np.log(r.sum(axis=1, keepdims=True))
-    dropped = z < _LN_TINY
-    np.copyto(z, -np.inf, where=dropped)
-    np.exp(z, out=r)
-    np.copyto(z, 0.0, where=dropped)  # 0 ln 0 = 0 where r is an exact 0
+    ln_norm = np.log(r.sum(axis=1, keepdims=True))
+    z -= ln_norm
+    # fl(x - c) is monotone in x and in c, so no z falls below ln(tiny)
+    # now unless low less the largest ln normaliser does; that holds too
+    # when the first pass dropped an entry, which is still -inf here.
+    if low - ln_norm.max(initial=0.0) < _LN_TINY:
+        dropped = z < _LN_TINY
+        np.copyto(z, -np.inf, where=dropped)
+        np.exp(z, out=r)
+        np.copyto(z, 0.0, where=dropped)  # 0 ln 0 = 0 where r is an exact 0
+    else:
+        np.exp(z, out=r)
     return Responsibilities(r=r, h=-float(np.vdot(r, z)))
 
 

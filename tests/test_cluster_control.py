@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spldavb import adapt
+from spldavb import adapt, vbpoint
 from spldavb.adapt import (
     RunConfig,
     Responsibilities,
@@ -16,7 +17,7 @@ from spldavb.adapt import (
     sweep_m,
     train_supervised,
 )
-from spldavb.model import Dataset
+from spldavb.model import Dataset, accumulate_stats
 from spldavb.oracles import clustering_metrics
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import RowPosteriors, WishartPosterior, update_q_alpha
@@ -573,6 +574,37 @@ class TestFactorizationBudget:
             m_init=6, variant=variant, init_method="ahc", prune_merge=True,
             prune_every=3, elbo_tol=0.0, max_iter=5, seed=0))
         assert attempts == [(True, 1 if variant == "point" else 2)]
+
+
+class TestAllocationBudget:
+    """The q(theta)-to-statistics path makes no N x M temporary beyond r.
+
+    At N = 1000, M = 500 an N x M boolean mask holds N M bytes, far more
+    than numpy's 64 KB ufunc buffer, so tracemalloc's peak shows it."""
+
+    N, M = 1000, 500
+
+    @staticmethod
+    def peak_bytes(f, *args):
+        """Peak traced allocation of ``f(*args)``, its result included."""
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_accumulate_stats(self):
+        rng = np.random.default_rng(0)
+        r = rng.dirichlet(np.ones(self.M), size=self.N)
+        phi = rng.standard_normal((self.N, 4))
+        assert self.peak_bytes(accumulate_stats, r, phi) < self.N * self.M
+
+    def test_softmax_with_nothing_dropped(self):
+        log_rho = np.random.default_rng(1).standard_normal((self.N, self.M))
+        r_bytes = log_rho.nbytes
+        assert self.peak_bytes(vbpoint._normalize_log_rho, log_rho, 1.0) \
+            < r_bytes + self.N * self.M / 2
 
 
 @pytest.mark.parametrize("variant", ["point", "bayes"])

@@ -82,6 +82,13 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="negative"):
             accumulate_stats(np.array([[1.5, -0.5]]), np.ones((1, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN fails every comparison, so a sign or row-sum check written as
+        # "reject if r < 0" or "reject if |sum - 1| > tol" lets it through.
+        with pytest.raises(ValueError, match="non-finite responsibility"):
+            accumulate_stats(np.array([[0.5, bad], [1.0, 0.0]]), np.ones((2, 3)))
+
 
 class TestCenter:
     def test_zero_mean_identity(self):

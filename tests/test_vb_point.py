@@ -668,6 +668,73 @@ def test_normalizer_truncates_at_smallest_normal():
     np.testing.assert_array_equal(r, [[1.0, oracle[0, 1], 0.0, 0.0]])
 
 
+LN_TINY = np.log(TINY)
+
+
+def _shifted(log_rho, kappa):
+    """The tempered weights less their row max, as the softmax's first
+    pass sees them."""
+    z = kappa * log_rho
+    return z - z.max(axis=1, keepdims=True)
+
+
+_SOFTMAX_CASES = {
+    "kappa 1, nothing dropped": (
+        1.0, [[0.0, -1.0, -30.0, -700.0], [3.0, 2.5, -100.0, 0.1]]),
+    # Row 0: ln(tiny) + 0.5 is kept by the first pass and falls below
+    # ln(tiny) once the row's ln normaliser ln 3 is taken off.  Row 1:
+    # ln(tiny) + 2 stays above it, its ln normaliser being about 0.41.
+    "dropped by the second pass only": (
+        1.0, [[0.0, 0.0, 0.0, LN_TINY + 0.5], [0.0, LN_TINY + 2.0, -1.0, -2.0]]),
+    "dropped by the first pass, kappa 0.3": (
+        0.3, [[0.0, -800.0, -2.0, -1e4], [-5.0, 0.0, LN_TINY - 1.0, -3.0]]),
+    # Row 0's normaliser is exactly 1, so the second pass must still see
+    # the entries the first pass dropped.
+    "dropped by the first pass, two of them -inf": (
+        1.0, [[0.0, -np.inf, -1e4, -800.0], [-1.0, 0.0, -1e4, -np.inf]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_SOFTMAX_CASES))
+def test_softmax_branches_keep_the_untruncated_bits(case):
+    kappa, rows = _SOFTMAX_CASES[case]
+    log_rho = 17.25 + np.array(rows) / kappa
+    shifted = _shifted(log_rho, kappa)
+    assert (shifted < LN_TINY).any() == ("first pass" in case)
+    oracle = softmax_untruncated(log_rho, kappa)
+    if case == "dropped by the second pass only":
+        assert 0 < oracle[0, 3] < TINY <= oracle[1, 1]
+    resp = _normalize_log_rho(log_rho.copy(), kappa)
+    np.testing.assert_array_equal(resp.r, np.where(oracle >= TINY, oracle, 0.0))
+    assert resp.entropy() == resp.h
+    want = entropy_nested_where(resp.r)
+    assert abs(resp.h - want) <= 1e-12 * want + resp.r.size * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_softmax_names_a_nan_or_inf_row(bad):
+    with pytest.raises(ValueError, match="NaN or \\+inf"):
+        _normalize_log_rho(np.array([[0.0, -1.0], [bad, 0.0]]), 1.0)
+
+
+def test_point_params_skip_the_zero_u_terms_bit_for_bit():
+    # A point model has u = 0; leaving out its terms must not move a bit.
+    rng = np.random.default_rng(5)
+    model = random_model(rng, 5, 3)
+    posts = random_posteriors(rng, 4, 3)
+    dirichlet = DirichletPosterior(rng.random(4) + 0.5)
+    phi = rng.standard_normal((9, 5))
+    stats = accumulate_stats(rng.dirichlet(np.ones(4), size=9), phi)
+    point, zero_u = ExpectedParams(model), ExpectedParams(model, u=np.zeros((4, 4)))
+    assert not point.has_u and zero_u.has_u
+    np.testing.assert_array_equal(point.rhs(stats.n, stats.f),
+                                  zero_u.rhs(stats.n, stats.f))
+    a = update_q_theta(phi, posts, point, dirichlet)
+    b = update_q_theta(phi, posts, zero_u, dirichlet)
+    np.testing.assert_array_equal(a.r, b.r)
+    assert a.h == b.h
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.floats(min_value=0.0, max_value=0.9))
