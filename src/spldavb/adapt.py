@@ -11,8 +11,8 @@ import scipy.spatial.distance
 from scipy.special import entr
 
 from . import vbbayes, vbpoint
-from .model import (Dataset, SpldaModel, SuffStats, _int_labels, _one_hot,
-                    accumulate_stats)
+from .model import (Dataset, SpldaModel, SuffStats, _hard_stats, _int_labels,
+                    _one_hot, accumulate_stats)
 from .synth import pairwise_llr_matrix
 from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
 
@@ -53,16 +53,24 @@ _UNREAD_UNDER = (
     ("prune_every", "prune_merge", False),
 )
 
-# Lower bounds of the numeric knobs, shared by RunConfig and train_supervised.
+# Lower bounds of the numeric knobs, shared by RunConfig and train_supervised
+# (n_y is train_supervised's alone), and the knobs that must be integers.
 _LOWER_BOUNDS = {"m_init": 1, "max_iter": 1, "prune_every": 1, "sampler_k": 0,
-                 "kappa_growth": 1, "prune_threshold": 0, "merge_threshold": 0,
-                 "elbo_tol": 0}
+                 "seed": 0, "kappa_growth": 1, "prune_threshold": 0,
+                 "merge_threshold": 0, "elbo_tol": 0, "n_y": 1}
+_INTEGER_KNOBS = ("m_init", "max_iter", "prune_every", "sampler_k", "seed",
+                  "n_y")
 
 
-def _check_lower_bounds(values):
-    """Raise a ValueError for the first ``knob: value`` below its bound in
+def _check_knobs(values):
+    """Raise a ValueError for the first ``knob: value`` that is not an
+    integer (a numpy integer will do, a bool will not) where
+    ``_INTEGER_KNOBS`` asks for one, or is below its bound in
     ``_LOWER_BOUNDS``; the test is written so that NaN fails it."""
     for knob, value in values.items():
+        # Python's bool is an int, but its dtype is not integral.
+        if knob in _INTEGER_KNOBS and not np.issubdtype(type(value), np.integer):
+            raise ValueError(f"{knob} must be an integer, got {value!r}")
         low = _LOWER_BOUNDS[knob]
         if not value >= low:
             raise ValueError(f"{knob} must be >= {low}, got {value}")
@@ -96,7 +104,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_lower_bounds({k: getattr(self, k) for k in _LOWER_BOUNDS})
+        _check_knobs({k: getattr(self, k) for k in _LOWER_BOUNDS
+                      if k != "n_y"})
         if self.init_method not in _INIT_METHODS:
             raise ValueError(f"unknown init_method {self.init_method!r}; "
                              f"expected one of {', '.join(_INIT_METHODS)}")
@@ -199,12 +208,9 @@ def sampled_statistics(resp, phi, k, seed=0):
     cum = np.cumsum(r, axis=1)
     cum[:, -1] = 1.0  # guard against accumulation shortfall
     u = rng.random((k, n))
-    assign = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
-    counts = np.zeros((k, m))
-    fsums = np.zeros((k, m, phi.shape[1]))
-    for j in range(k):
-        counts[j] = np.bincount(assign[j], minlength=m)
-        np.add.at(fsums[j], assign[j], phi)
+    draws = [_hard_stats((u_j[:, None] > cum).sum(axis=1), phi, m)
+             for u_j in u]  # one (N, M) comparison at a time
+    counts, fsums = map(np.array, zip(*draws))
     return counts, fsums
 
 
@@ -465,8 +471,9 @@ class _Variant:
         self.hyper = hyper
         self.config = config
         self.s_phi = self.phi.T @ self.phi
-        self.stats_d = accumulate_stats(dataset.one_hot_labels(),
-                                        dataset.phi_d)
+        self.stats_d = SuffStats(
+            *_hard_stats(dataset.labels_d, dataset.phi_d, dataset.m_d),
+            s=dataset.phi_d.T @ dataset.phi_d)
         self.s_p = self.s_phi + hyper.eta * self.stats_d.s
         self.eta_n_d = hyper.eta * self.stats_d.n_total
 
@@ -651,13 +658,11 @@ def sweep_m(dataset, model_init, hyper, config, m_values):
     lower bound.  Every run uses the same seed and settings apart from
     ``m_init``.
     """
-    m_values = [int(m) for m in m_values]
-    if not m_values:
+    configs = [replace(config, m_init=m) for m in m_values]  # checks each m
+    if not configs:
         raise ValueError("m_values must be non-empty")
-    reports = []
-    for m in m_values:
-        cfg = replace(config, m_init=m)
-        reports.append(run_adaptation(dataset, model_init, hyper, cfg))
+    reports = [run_adaptation(dataset, model_init, hyper, cfg)
+               for cfg in configs]
     return max(reports, key=lambda rep: rep.elbo_trace[-1]), reports
 
 
@@ -757,15 +762,15 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     """
     phi_d = np.asarray(phi_d, dtype=float)
     n_d, d = phi_d.shape
-    if n_y < 1:
-        raise ValueError("n_y must be >= 1")
-    _check_lower_bounds({"max_iter": max_iter, "elbo_tol": elbo_tol})
+    _check_knobs({"n_y": n_y, "max_iter": max_iter, "elbo_tol": elbo_tol,
+                  "seed": seed})
     if model_init is not None and seed != 0:
         raise ValueError(f"seed={seed!r} has no effect with model_init")
     if n_d <= d:
         raise ValueError(f"need N_d > d for a valid W (N_d={n_d}, d={d})")
     data = Dataset(phi=np.zeros((0, d)), phi_d=phi_d, labels_d=labels_d)
-    stats = accumulate_stats(data.one_hot_labels(), data.phi_d)
+    stats = SuffStats(*_hard_stats(data.labels_d, data.phi_d, data.m_d),
+                      s=data.phi_d.T @ data.phi_d)
     if model_init is None:
         rng = np.random.default_rng(seed)
         mu = phi_d.mean(axis=0)

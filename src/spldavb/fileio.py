@@ -4,6 +4,8 @@ All numeric payloads are written with 17 significant digits so finite
 doubles round-trip bit-exactly; formats are line-oriented for diff-ability.
 """
 
+import warnings
+
 import numpy as np
 
 from .model import SpldaModel
@@ -173,8 +175,6 @@ def write_model(path, model, bayes_state=None):
 def read_model(path):
     """Read a model file; returns ``(model, bayes_dict_or_None)``.  Only
     blank lines may follow the last section."""
-    import warnings
-
     with open(path) as fh:
         lines = fh.read().splitlines()
     d, n_y = _read_header(path, lines, "SPLDA", "d n_y")
@@ -201,8 +201,7 @@ def read_model(path):
     asym = np.abs(w - w.T).max()
     if asym > 1e-12:
         warnings.warn(f"{path}: W asymmetry {asym:.3e} > 1e-12; re-symmetrizing")
-    w = 0.5 * (w + w.T)
-    model = SpldaModel(mu=mu, v=v, w=w)
+    model = SpldaModel(mu=mu, v=v, w=w)  # which symmetrizes W
     bayes = None
     if pos < len(lines) and lines[pos] == "BAYES":
         pos += 1

@@ -126,10 +126,6 @@ class Dataset:
     def m_d(self):
         return int(self.labels_d.max()) + 1 if self.labels_d.size else 0
 
-    def one_hot_labels(self):
-        """(N_d, M_d) one-hot responsibility matrix for the supervised set."""
-        return _one_hot(self.labels_d, self.m_d)
-
 
 def _int_labels(labels, name):
     """``labels`` as an int array, checked to hold integers >= 0."""
@@ -148,6 +144,20 @@ def _one_hot(labels, m):
     r = np.zeros((labels.shape[0], m))
     r[np.arange(labels.shape[0]), labels] = 1.0
     return r
+
+
+def _hard_stats(labels, phi, m):
+    """Counts ``n`` (m,) and first-order sums ``f`` (m, d) of the hard
+    assignment of row j of ``phi`` to cluster ``labels[j] < m``.
+
+    One weighted bincount over the flat index ``label * d + column`` adds
+    each cluster's rows in row order, so no (N, m) one-hot is built.
+    """
+    d = phi.shape[1]
+    n = np.bincount(labels, minlength=m).astype(float)
+    cells = (labels[:, None] * d + np.arange(d)).ravel()
+    f = np.bincount(cells, weights=phi.ravel(), minlength=m * d).reshape(m, d)
+    return n, f
 
 
 @dataclass

@@ -73,11 +73,8 @@ def split_dataset(phi, labels, sup_fraction, seed=0):
     rng = np.random.default_rng(seed)
     speakers = np.unique(labels)
     n_sup = max(1, int(round(sup_fraction * speakers.size)))
-    sup_spk = set(rng.choice(speakers, size=n_sup, replace=False).tolist())
-    sup_mask = np.array([l in sup_spk for l in labels])
-    sup_labels_raw = labels[sup_mask]
-    remap = {s: i for i, s in enumerate(np.unique(sup_labels_raw))}
-    labels_d = np.array([remap[l] for l in sup_labels_raw], dtype=int)
+    sup_mask = np.isin(labels, rng.choice(speakers, size=n_sup, replace=False))
+    labels_d = np.unique(labels[sup_mask], return_inverse=True)[1]
     dataset = Dataset(phi=phi[~sup_mask], phi_d=phi[sup_mask], labels_d=labels_d)
     return dataset, labels[~sup_mask]
 

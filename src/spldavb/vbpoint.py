@@ -75,8 +75,8 @@ class GaussianRows:
 
     Cov(x_r) = L_r^-1 / kappa.  A point mass has s = inf: its covariance is
     zero and the aggregates read 0 without a floating-point warning.  The
-    aggregates cost O(G R k + G k^3); the dense (R, k, k) ``cov`` and
-    ``prec`` are built on demand, for the model file and the tests.
+    aggregates cost O(G R k + G k^3); the dense (R, k, k) ``prec`` is
+    built on demand, for the model file.
 
     mean  : (R, k) row means
     basis : (G, k, k) shared bases P_g
@@ -115,12 +115,6 @@ class GaussianRows:
     def _flat_basis(self):
         """(k, G k) the bases side by side, [P_1 ... P_G]."""
         return np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1)
-
-    @property
-    def cov(self):
-        """(R, k, k) covariances Cov(x_r)."""
-        p = self.basis[self.group]
-        return (p / self.s[:, None, :]) @ np.swapaxes(p, 1, 2) / self.kappa
 
     @property
     def prec(self):

@@ -5,6 +5,7 @@ per-speaker views of factored speaker posteriors, the parameter moments
 E[Vt^T W Vt] and E[Vt R Vt^T], row posteriors of [V | mu] from dense
 covariances and their update through a batched Cholesky of the dense
 precision stack, the inverse through two triangular solves, the
+synthetic supervised/unsupervised split by a loop over the i-vectors, the
 closed-form pair scores with every inverse and log-determinant from its
 own factorization, the responsibility log weights, softmax and entropy in their direct forms, the
 pair score as a ratio of joint-Gaussian densities, central finite
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from spldavb.linalg import chol_with_jitter, inv_pd, logdet_pd, sym
-from spldavb.model import SuffStats, accumulate_stats
+from spldavb.model import Dataset, SuffStats, accumulate_stats
 from spldavb.vbbayes import (
     RowPosteriors,
     _mean_prior,
@@ -108,9 +109,11 @@ def dense_prec(posts):
     return (p_inv.T * posts.s[:, None, :]) @ p_inv
 
 
-def dense_cov(posts):
-    """(M, n_y, n_y) covariances P diag(1/s_i) P^T / kappa."""
-    return (posts.basis[0] / posts.s[:, None, :]) @ posts.basis[0].T / posts.kappa
+def dense_cov(rows):
+    """(R, k, k) covariances P_g diag(1/s_r) P_g^T / kappa of a
+    ``GaussianRows`` block, g the group of row r."""
+    p = rows.basis[rows.group]
+    return (p / rows.s[:, None, :]) @ np.swapaxes(p, 1, 2) / rows.kappa
 
 
 def dense_e_yy(posts):
@@ -187,6 +190,21 @@ def inv_pd_two_solves(a):
     l = chol_with_jitter(a)
     x = scipy.linalg.solve_triangular(l, np.eye(a.shape[0]), lower=True)
     return sym(scipy.linalg.solve_triangular(l.T, x, lower=False))
+
+
+def split_dataset_loops(phi, labels, sup_fraction, seed=0):
+    """``synth.split_dataset`` with the supervised mask and the label remap
+    each built by a Python loop over the i-vectors."""
+    rng = np.random.default_rng(seed)
+    speakers = np.unique(labels)
+    n_sup = max(1, int(round(sup_fraction * speakers.size)))
+    sup_spk = set(rng.choice(speakers, size=n_sup, replace=False).tolist())
+    sup_mask = np.array([l in sup_spk for l in labels])
+    sup_labels_raw = labels[sup_mask]
+    remap = {s: i for i, s in enumerate(np.unique(sup_labels_raw))}
+    labels_d = np.array([remap[l] for l in sup_labels_raw], dtype=int)
+    dataset = Dataset(phi=phi[~sup_mask], phi_d=phi[sup_mask], labels_d=labels_d)
+    return dataset, labels[~sup_mask]
 
 
 def pairwise_llr_matrix_separate(model, phi):

@@ -39,6 +39,7 @@ from spldavb.vbbayes import (
 )
 from spldavb.vbpoint import Hyperparams
 from splda_oracles import (
+    dense_cov,
     dense_prec,
     e_vt_r_vt,
     e_vt_w_vt,
@@ -191,7 +192,7 @@ class TestAcceptance:
         # At kappa = 1, q(W) has dof N' and scale K^-1.
         w_dist = dict(kind="wishart", dof=dof, scale=inv_pd(k))
         rows_dist = dict(kind="gaussian_rows", means=rowpost.mean,
-                         covs=rowpost.cov)
+                         covs=dense_cov(rowpost))
 
         # E[Vt' W Vt]; the rows of Vt and W are independent under the
         # factorized posterior, so E over W can be applied inside.

@@ -437,9 +437,11 @@ class TestSingleReduction:
 
     @staticmethod
     def counting(monkeypatch, events):
-        """Record each reduction and each q(theta) update in ``events``."""
+        """Record each reduction, soft or hard, and each q(theta) update in
+        ``events``."""
         for module, name, event in (
                 (adapt, "accumulate_stats", "stats"),
+                (adapt, "_hard_stats", "stats"),
                 (adapt.vbpoint, "update_q_theta", "q_theta")):
 
             def recording(*args, _f=getattr(module, name), _e=event, **kwargs):
@@ -577,7 +579,8 @@ class TestFactorizationBudget:
 
 
 class TestAllocationBudget:
-    """The q(theta)-to-statistics path makes no N x M temporary beyond r.
+    """The q(theta)-to-statistics path makes no N x M temporary beyond r,
+    and a hard assignment is reduced without one.
 
     At N = 1000, M = 500 an N x M boolean mask holds N M bytes, far more
     than numpy's 64 KB ufunc buffer, so tracemalloc's peak shows it."""
@@ -605,6 +608,25 @@ class TestAllocationBudget:
         r_bytes = log_rho.nbytes
         assert self.peak_bytes(vbpoint._normalize_log_rho, log_rho, 1.0) \
             < r_bytes + self.N * self.M / 2
+
+    def test_labelled_block(self):
+        # N labelled i-vectors of M speakers, reduced by _hard_stats.
+        rng = np.random.default_rng(2)
+        dataset = Dataset(phi=rng.standard_normal((3, 4)),
+                          phi_d=rng.standard_normal((self.N, 4)),
+                          labels_d=np.arange(self.N) % self.M)
+        assert self.peak_bytes(adapt._Variant, dataset, Hyperparams(),
+                               RunConfig()) < self.N * self.M
+
+    def test_sampled_statistics(self):
+        # Beside the N x M cumulative sums, one draw's N x M boolean
+        # comparison at a time: room for three, not for all k.
+        k = 16
+        rng = np.random.default_rng(3)
+        resp = Responsibilities(r=rng.dirichlet(np.ones(self.M), size=self.N))
+        phi = rng.standard_normal((self.N, 4))
+        assert self.peak_bytes(sampled_statistics, resp, phi, k) \
+            < resp.r.nbytes + 3 * self.N * self.M
 
 
 @pytest.mark.parametrize("variant", ["point", "bayes"])
@@ -918,10 +940,25 @@ class TestRuns:
         ("prune_threshold", float("nan")),
         ("merge_threshold", float("nan")),
         ("kappa_growth", float("nan")),
+        # integer knobs are neither rounded nor left to fail mid-run
+        ("m_init", 2.5),
+        ("m_init", True),
+        ("max_iter", 2.5),
+        ("prune_every", 2.5),
+        ("sampler_k", 1.5),
+        ("seed", 2.0),
+        ("seed", -1),
     ])
     def test_invalid_knob_rejected(self, knob, value):
         with pytest.raises(ValueError, match=knob):
             RunConfig(**READ_WITH.get(knob, {}), **{knob: value})
+
+    def test_numpy_integer_knobs_accepted(self):
+        cfg = RunConfig(m_init=np.int64(3), max_iter=np.int32(4),
+                        prune_merge=True, prune_every=np.uint8(2),
+                        sampler_k=np.int16(2), seed=np.uint32(7))
+        assert (cfg.m_init, cfg.max_iter, cfg.prune_every, cfg.sampler_k,
+                cfg.seed) == (3, 4, 2, 2, 7)
 
     @pytest.mark.parametrize(
         "knob", [f.name for f in fields(RunConfig) if f.type is float])
@@ -1108,11 +1145,14 @@ class TestTrainSupervised:
         ("fractional", "labels_d must be integers, got 0.5"),
         ("elbo_tol", "elbo_tol must be >= 0"),
         ("max_iter", "max_iter must be >= 1"),  # would return the init
+        ("fractional max_iter", "max_iter must be an integer, got 2.5"),
+        ("fractional n_y", "n_y must be an integer, got 1.5"),
+        ("negative seed", "seed must be >= 0, got -1"),
     ])
     def test_rejects_invalid_input(self, defect, message):
         phi, labels, _ = generate(SynthSpec(
             d=3, n_y=1, m_true=4, per_speaker=5, seed=92))
-        elbo_tol, max_iter = 1e-7, 200
+        elbo_tol, max_iter, n_y, seed = 1e-7, 200, 1, 0
         if defect == "negative":
             labels[-1] = -1
         elif defect == "gap":
@@ -1123,11 +1163,17 @@ class TestTrainSupervised:
             elbo_tol = -1.0
         elif defect == "max_iter":
             max_iter = 0
+        elif defect == "fractional max_iter":
+            max_iter = 2.5
+        elif defect == "fractional n_y":
+            n_y = 1.5
+        elif defect == "negative seed":
+            seed = -1
         else:
             phi[2, 1] = np.nan
         with pytest.raises(ValueError, match=message):
-            train_supervised(phi, labels, n_y=1, max_iter=max_iter,
-                             elbo_tol=elbo_tol)
+            train_supervised(phi, labels, n_y=n_y, max_iter=max_iter,
+                             elbo_tol=elbo_tol, seed=seed)
 
     @pytest.mark.parametrize("d, n_y", [(4, 2), (5, 3)])
     def test_rejects_mismatched_model_init(self, d, n_y):
@@ -1190,3 +1236,11 @@ class TestSweepM:
         with pytest.raises(ValueError, match="non-empty"):
             sweep_m(dataset, model, Hyperparams(),
                     RunConfig(m_init=1), m_values=[])
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_value_rejected(self, value):
+        # Neither is rounded to a cluster count.
+        dataset, _, model = easy_problem(seed=9)
+        with pytest.raises(ValueError, match="m_init must be an integer"):
+            sweep_m(dataset, model, Hyperparams(), RunConfig(m_init=1),
+                    m_values=[3, value])

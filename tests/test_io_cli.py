@@ -535,6 +535,25 @@ class TestCli:
                      "--out-model", str(tmp_path / "sup.splda")]) == 1
         assert "negative speaker label" in capsys.readouterr().err
 
+    def test_negative_seed_is_named(self, synth_files, tmp_path, capsys):
+        prefix = synth_files
+        model_path = str(tmp_path / "sup.splda")
+        assert _run(["train", "--ivectors", prefix + ".phi_d",
+                     "--labels", prefix + ".labels_d", "--ny", "2",
+                     "--seed", "-1", "--out-model", model_path]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        _run(["train", "--ivectors", prefix + ".phi_d",
+              "--labels", prefix + ".labels_d", "--ny", "2",
+              "--out-model", model_path])
+        assert _run(["adapt", "--model", model_path,
+                     "--sup-ivectors", prefix + ".phi_d",
+                     "--sup-labels", prefix + ".labels_d",
+                     "--unsup-ivectors", prefix + ".phi",
+                     "--m-init", "3", "--seed", "-1",
+                     "--out-model", str(tmp_path / "adapted.splda"),
+                     "--out-labels", str(tmp_path / "pred.labels")]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_elbo_audit_rejects_zero_sweeps(self, synth_files, tmp_path,
                                             capsys):
         prefix = synth_files

@@ -7,6 +7,7 @@ from spldavb.linalg import inv_logdet_pd, inv_pd, logdet_pd
 from spldavb.model import (
     Dataset,
     SpldaModel,
+    _hard_stats,
     accumulate_stats,
     center_stats,
     marginal_params,
@@ -300,8 +301,25 @@ class TestDataset:
         with pytest.raises(ValueError, match="both empty"):
             Dataset(phi=np.zeros((0, 3)), phi_d=[], labels_d=[])
 
-    def test_one_hot(self):
-        ds = Dataset(phi=np.zeros((0, 2)), phi_d=np.ones((3, 2)),
-                     labels_d=np.array([0, 1, 0]))
-        r = ds.one_hot_labels()
-        np.testing.assert_array_equal(r, [[1, 0], [0, 1], [1, 0]])
+
+class TestHardStats:
+    def test_counts_and_row_order_sums(self):
+        # At this size pairwise sums, and the one-hot GEMM of OpenBLAS,
+        # round apart from the sequential sums in hundreds of entries.
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 39, size=600)
+        labels[labels == 4] = 5  # cluster 4 has no rows, nor has cluster 39
+        phi = rng.standard_normal((600, 60)) + 1.0 / 3.0
+        n, f = _hard_stats(labels, phi, 40)
+        assert n.dtype == float
+        np.testing.assert_array_equal(n, np.bincount(labels, minlength=40))
+        sequential = np.zeros((40, 60))
+        for label, row in zip(labels, phi):
+            sequential[label] += row
+        np.testing.assert_array_equal(f, sequential)
+        assert n[4] == n[39] == 0 and (f[[4, 39]] == 0).all()
+
+    def test_empty_labelled_set(self):
+        ds = Dataset(phi=np.ones((5, 3)), phi_d=[], labels_d=[])
+        n, f = _hard_stats(ds.labels_d, ds.phi_d, ds.m_d)
+        assert n.shape == (0,) and f.shape == (0, 3)

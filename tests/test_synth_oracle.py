@@ -17,6 +17,7 @@ from splda_oracles import (
     fd_gradient_check,
     pairwise_llr_joint,
     pairwise_llr_matrix_separate,
+    split_dataset_loops,
 )
 
 
@@ -82,6 +83,25 @@ class TestSplit:
         # every supervised speaker keeps all its vectors together
         np.testing.assert_array_equal(np.bincount(dataset.labels_d),
                                       np.full(dataset.m_d, 5))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_permuted_sparse_labels_match_the_loop_split(self, seed):
+        # Speaker ids far from 0..M-1, rows in random order.
+        rng = np.random.default_rng(seed)
+        phi, labels, _ = generate(SynthSpec(
+            d=3, n_y=1, m_true=9, per_speaker=(1, 6), seed=seed))
+        ids = rng.choice(1000, size=9, replace=False) - 300
+        order = rng.permutation(labels.size)
+        phi, labels = phi[order], ids[labels[order]]
+        for fraction in (0.0, 0.3, 0.5, 1.0):
+            got = split_dataset(phi, labels, fraction, seed=seed)
+            want = split_dataset_loops(phi, labels, fraction, seed=seed)
+            for a, b in ((got[0].phi, want[0].phi),
+                         (got[0].phi_d, want[0].phi_d),
+                         (got[0].labels_d, want[0].labels_d),
+                         (got[1], want[1])):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
 
 
 class TestPairwiseLlr:

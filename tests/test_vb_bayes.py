@@ -41,6 +41,7 @@ from spldavb.vbpoint import (
     update_q_y,
 )
 from splda_oracles import (
+    dense_cov,
     dense_prec,
     e_vt_r_vt,
     e_vt_w_vt,
@@ -145,7 +146,7 @@ class TestExpectationIdentities:
         wpost = WishartPosterior.from_update(k, dof)
         analytic = e_vt_w_vt(rowpost, wpost)
         n_draws = 60_000
-        chols = np.linalg.cholesky(rowpost.cov)
+        chols = np.linalg.cholesky(dense_cov(rowpost))
         acc = np.zeros_like(analytic)
         # At kappa = 1, q(W) has dof N' and scale K^-1.
         ws = wishart(df=dof, scale=inv_pd(sym(k))).rvs(
@@ -166,7 +167,7 @@ class TestExpectationIdentities:
         r = sym(a @ a.T + np.eye(n_y + 1))
         analytic = e_vt_r_vt(rowpost, r)
         n_draws = 60_000
-        chols = np.linalg.cholesky(rowpost.cov)
+        chols = np.linalg.cholesky(dense_cov(rowpost))
         acc = np.zeros((d, d))
         for _ in range(n_draws):
             vt = rowpost.mean + np.einsum(
@@ -179,9 +180,9 @@ class TestExpectationIdentities:
     def test_e_vq_vq_from_moments(self):
         rng = np.random.default_rng(35)
         rowpost = random_rowpost(rng, 5, 2)
-        oracle = np.zeros(2)
+        oracle, cov = np.zeros(2), dense_cov(rowpost)
         for q in range(2):
-            oracle[q] = sum(rowpost.cov[r, q, q] + rowpost.mean[r, q] ** 2
+            oracle[q] = sum(cov[r, q, q] + rowpost.mean[r, q] ** 2
                             for r in range(5))
         np.testing.assert_allclose(rowpost.e_vq_vq(), oracle, rtol=1e-12)
 
@@ -308,7 +309,7 @@ class TestRowUpdates:
                 rhs[n_y] += 0.5 * hyper.mu0[r]
                 mean[r] = np.linalg.solve(l_r, rhs)
                 np.testing.assert_allclose(rowpost.prec[r], l_r, atol=1e-12)
-                np.testing.assert_allclose(rowpost.cov[r],
+                np.testing.assert_allclose(dense_cov(rowpost)[r],
                                            np.linalg.inv(l_r) / kappa, atol=1e-10)
                 assert rowpost.logdet_prec()[r] == pytest.approx(
                     np.linalg.slogdet(l_r)[1], abs=1e-10)
@@ -324,12 +325,13 @@ class TestRowUpdates:
                 Hyperparams(beta=1.0), RowPosteriors.point_mass(np.zeros((d, n_y + 1))))
 
     def test_run_builds_no_dense_row_stack(self, monkeypatch):
-        # Every sweep reads the rows through their factors; reading the
-        # dense (d, k, k) covariances or precisions would raise here.
+        # Every sweep reads the rows through their factors: the package has
+        # no dense (d, k, k) covariances, and reading the dense precisions
+        # would raise here.
         def dense(self):
             raise AssertionError("a sweep read a dense row stack")
 
-        monkeypatch.setattr(RowPosteriors, "cov", property(dense))
+        assert not hasattr(RowPosteriors, "cov")
         monkeypatch.setattr(RowPosteriors, "prec", property(dense))
         phi, labels, _ = generate(SynthSpec(d=6, n_y=2, m_true=4,
                                             per_speaker=10,
@@ -388,7 +390,7 @@ def test_factored_rows_match_batched_oracle(d, n_y, beta_kind, kappa, seed):
         c_p, r_p, wpost, alphapost, hyper, start, kappa)
     wbar = wpost.e_w
     _rel_check(rowpost.mean, mean)
-    _rel_check(rowpost.cov, cov)
+    _rel_check(dense_cov(rowpost), cov)
     _rel_check(rowpost.prec, prec)
     _rel_check(rowpost.logdet_prec(), logdet)
     _rel_check(rowpost.sum_cov(wbar.diagonal()), np.einsum("r,rab->ab", np.diag(wbar), cov))
@@ -404,7 +406,7 @@ def test_factored_rows_match_batched_oracle(d, n_y, beta_kind, kappa, seed):
     cov_y = np.linalg.inv(prec_y) / kappa
     ybar = np.linalg.solve(prec_y, c_p[:, :n_y, None])[:, :, 0]
     _rel_check(posts.ybar, ybar)
-    _rel_check(posts.cov, cov_y)
+    _rel_check(dense_cov(posts), cov_y)
     _rel_check(posts.prec, prec_y)
     _rel_check(posts.logdet_prec(), np.linalg.slogdet(prec_y)[1])
     _rel_check(posts.sum_cov(n), np.einsum("r,rab->ab", n, cov_y))
@@ -443,7 +445,7 @@ def test_mapped_rows_are_the_affine_image(kind, rows, k, kappa, seed):
     assert type(mapped) is type(block)
     np.testing.assert_array_equal(mapped.s, block.s)
     _rel_check(mapped.mean, np.einsum("ab,rb->ra", a, block.mean) + b)
-    _rel_check(mapped.cov, a @ block.cov @ a.T)
+    _rel_check(dense_cov(mapped), a @ dense_cov(block) @ a.T)
     finite = np.isfinite(block.s).all(axis=1)
     _rel_check(mapped.logdet_prec()[finite], block.logdet_prec()[finite]
                - 2.0 * np.linalg.slogdet(a)[1])
@@ -636,7 +638,7 @@ class TestElboBayes:
         _, terms = state_elbo(state)
         k = rowpost.n_y + 1
         oracle = sum(0.5 * (k * (np.log(2 * np.pi) + 1.0) + logdet_pd(c))
-                     for c in rowpost.cov)
+                     for c in dense_cov(rowpost))
         assert terms["-lnq(Vtilde)"] == pytest.approx(oracle, rel=1e-10)
 
     def test_wishart_entropy_monte_carlo(self):
