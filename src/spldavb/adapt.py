@@ -424,7 +424,7 @@ class _FixedBound:
             + f @ self.w_mu - 0.5 * self.a_mumu * n
 
     def _dirichlet(self, n):
-        return vbpoint._ln_dirichlet_c(np.full(n.shape[0], self.tau0)) \
+        return vbpoint._ln_dirichlet_prior(n.shape[0], float(self.tau0)) \
             - vbpoint._ln_dirichlet_c(n + self.tau0)
 
     def __call__(self, r, merge=None):
@@ -675,9 +675,11 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
     dirichlet = vbpoint.update_q_pi(reduced.stats.n, hyper.tau0)
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
+    expected = None  # the ExpectedParams of params, when already built
 
     for it in range(config.max_iter):
-        state = variant.sweep(params, reduced, dirichlet, kappa)
+        state = variant.sweep(params, reduced, dirichlet, kappa, expected)
+        expected = None
         reduced, dirichlet, elbo = \
             state["reduced"], state["dirichlet"], state["elbo"]
         params = variant.update(state)
@@ -716,6 +718,8 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                     f"{resp2.r.shape[1]}")
                 reduced, dirichlet, params = \
                     st2["reduced"], st2["dirichlet"], st2["params"]
+            else:  # params are unchanged: the next sweep reuses their moments
+                expected = bound.expected
 
         if kappa < 1.0:
             kappa = min(kappa * config.kappa_growth, 1.0)

@@ -15,7 +15,7 @@ class NotPositiveDefiniteError(ValueError):
 
 def sym(a):
     """Symmetrize a square matrix, or each matrix of a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def chol_with_jitter(a):
@@ -39,7 +39,7 @@ def chol_with_jitter(a):
 
 def logdet_chol(chol):
     """log|a| from the lower Cholesky factor of ``a``."""
-    return 2.0 * np.sum(np.log(np.diag(chol)))
+    return 2.0 * np.log(chol.diagonal()).sum()
 
 
 def _inv_chol(chol):

@@ -9,6 +9,7 @@ posteriors, the column scales Gamma posteriors, and W a Wishart posterior.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
@@ -51,6 +52,10 @@ class RowPosteriors(GaussianRows):
     row update sets P_g = D_g^-1/2 U for the eigenvectors U of
     D_g^-1/2 R' D_g^-1/2 and s_r = 1 + wbar_rr lam for its eigenvalues lam.
     A point mass has P = I and s = inf.
+
+    ``e_vq_vq()`` and ``sigma_mu()`` are computed once per posterior and
+    returned read-only: the q(alpha) update and the bound share one
+    E[v_q^T v_q], the bound and the mean-prior update one Sigma_mu.
     """
 
     @classmethod
@@ -78,8 +83,14 @@ class RowPosteriors(GaussianRows):
 
     def e_vq_vq(self):
         """(n_y,) expectations E[v_q^T v_q] per eigenvoice column."""
-        return self.sum_cov(np.ones(self.d)).diagonal()[: self.n_y] \
+        return self._e_vq_vq
+
+    @cached_property
+    def _e_vq_vq(self):
+        e_vv = self.sum_cov(np.ones(self.d)).diagonal()[: self.n_y] \
             + np.einsum("rq,rq->q", self.vbar, self.vbar)
+        e_vv.flags.writeable = False
+        return e_vv
 
     def expected(self, wpost):
         """The parameter expectations the shared E-step reads under
@@ -96,28 +107,45 @@ class RowPosteriors(GaussianRows):
     def sigma_mu(self):
         """(d,) posterior variances of the mean components,
         tr(e e^T Sigma_r) for the unit vector e of the mu coordinate."""
-        return self.trace_cov(np.diag(np.eye(self.n_y + 1)[self.n_y]))
+        return self._sigma_mu
+
+    @cached_property
+    def _sigma_mu(self):
+        # ``trace_cov(e e^T)``: diag(P_g^T e e^T P_g) is row mu of P_g squared.
+        sigma = self._traces(self.basis[:, self.n_y, :] ** 2)
+        sigma.flags.writeable = False
+        return sigma
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaPosterior:
-    """Gamma posteriors over the column-scale hyperparameters alpha_q."""
+    """Gamma posteriors over the column-scale hyperparameters alpha_q.
+
+    The fields cannot be reassigned and ``b_prime`` is read-only, so
+    E[alpha] and E[ln alpha] are computed once and kept, read-only.
+    """
 
     a_prime: float
     b_prime: np.ndarray
 
     def __post_init__(self):
-        self.b_prime = np.asarray(self.b_prime, dtype=float)
-        if self.a_prime <= 0 or (self.b_prime <= 0).any():
+        b_prime = np.asarray(self.b_prime, dtype=float)
+        if self.a_prime <= 0 or (b_prime <= 0).any():
             raise ValueError("Gamma parameters must be positive")
+        b_prime.flags.writeable = False
+        object.__setattr__(self, "b_prime", b_prime)
 
-    @property
+    @cached_property
     def e_alpha(self):
-        return self.a_prime / self.b_prime
+        e_alpha = self.a_prime / self.b_prime
+        e_alpha.flags.writeable = False
+        return e_alpha
 
-    @property
+    @cached_property
     def e_ln_alpha(self):
-        return digamma(self.a_prime) - np.log(self.b_prime)
+        e_ln_alpha = digamma(self.a_prime) - np.log(self.b_prime)
+        e_ln_alpha.flags.writeable = False
+        return e_ln_alpha
 
 
 class WishartPosterior:
@@ -125,11 +153,12 @@ class WishartPosterior:
     ln B(K^-1, N') of the untempered q(W) that the lower bound needs.
 
     Constructed either from an inverse-scale accumulator K (``from_update``)
-    or as a point mass pinned at a given W (degenerate-reduction checks).
+    or as a point mass pinned at a given W (degenerate-reduction checks);
+    both symmetrize E[W], which ``__init__`` takes as it is.
     """
 
     def __init__(self, e_w, e_ln_w, k=None, dof=None, ln_b=None):
-        self.e_w = sym(np.asarray(e_w, dtype=float))
+        self.e_w = np.asarray(e_w, dtype=float)
         self.e_ln_w = float(e_ln_w)
         self.k = k
         self.dof = dof
@@ -138,7 +167,8 @@ class WishartPosterior:
     @classmethod
     def from_update(cls, k, dof, kappa=1.0):
         """q(W) from K and N', annealed: scale K^-1 / kappa and dof
-        N' - (1 - kappa)(N' - d - 1), both exact at kappa = 1."""
+        N' - (1 - kappa)(N' - d - 1), both exact at kappa = 1.  K is
+        symmetrized here; K^-1, and so E[W], is exactly symmetric."""
         k = sym(np.asarray(k, dtype=float))
         d = k.shape[0]
         dof = float(dof)
@@ -151,7 +181,7 @@ class WishartPosterior:
         k_inv = inv_pd(k)
         logdet_k_inv = logdet_pd(k_inv)
         e_ln_w = (
-            digamma(0.5 * (dof_eff + 1.0 - np.arange(1, d + 1))).sum()
+            _wishart_digamma_sum(dof_eff, d)
             + d * np.log(2.0)
             + logdet_k_inv - d * np.log(kappa)
         )
@@ -166,6 +196,13 @@ class WishartPosterior:
     @property
     def d(self):
         return self.e_w.shape[0]
+
+
+@lru_cache(maxsize=64)
+def _wishart_digamma_sum(dof, d):
+    """sum_{i=1..d} psi((dof + 1 - i) / 2), the dof part of E[ln|W|]; kept
+    per exact (dof, d), which holds while N' and kappa do."""
+    return digamma(0.5 * (dof + 1.0 - np.arange(1, d + 1))).sum()
 
 
 def update_q_y_bayes(stats, expected, kappa=1.0):
@@ -194,7 +231,10 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
     n_y = rowpost.n_y
     wbar = wpost.e_w
     mu0, beta = _mean_prior(hyper, d)
-    betas, group = np.unique(beta, return_inverse=True)
+    if np.ndim(hyper.beta) == 0:  # one group, as np.unique would find
+        betas, group = beta[:1], np.zeros(d, dtype=np.intp)
+    else:
+        betas, group = np.unique(beta, return_inverse=True)
     prior_diag = np.empty((betas.size, n_y + 1))  # D_g
     prior_diag[:, :n_y] = alphapost.e_alpha
     prior_diag[:, n_y] = betas
@@ -223,10 +263,10 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
     w_off.flat[:: d + 1] = 0.0
     mean = rowpost.mean.copy()
     # ndarray.dot has about half the call overhead of @ on operands this
-    # small, and the loop is d calls deep.
-    for r, (g, c_r, s_inv, w_r) in enumerate(
-            zip(group.tolist(), coords, 1.0 / s, w_off)):
-        mean[r] = bases[g].dot(c_r - p_t_rs[g].dot(w_r.dot(mean)) * s_inv)
+    # small, and the loop is d calls deep; each row is written in place.
+    for g, c_r, s_inv, w_r, m_r in zip(group.tolist(), coords, 1.0 / s,
+                                       w_off, mean):
+        bases[g].dot(c_r - p_t_rs[g].dot(w_r.dot(mean)) * s_inv, out=m_r)
     return RowPosteriors(mean=mean, basis=basis, group=group, s=s, kappa=kappa)
 
 
@@ -258,7 +298,7 @@ def update_q_wishart(s_p, c_p, r_p, rowpost, n_p, kappa=1.0):
     """Wishart posterior over W from the pooled statistics S' = S + eta S_d,
     C' = C + eta C_d, R' = R + eta R_d and N' = E[N] + eta N_d."""
     k = _scatter(s_p, c_p, r_p, rowpost.mean, rowpost.trace_cov(r_p))
-    return WishartPosterior.from_update(sym(k), n_p, kappa=kappa)
+    return WishartPosterior.from_update(k, n_p, kappa=kappa)
 
 
 def _ln_wishart_b(scale, dof, logdet_scale=None):
@@ -273,9 +313,11 @@ def _ln_wishart_b(scale, dof, logdet_scale=None):
     )
 
 
+@lru_cache(maxsize=64)
 def _ln_multigamma(a, d):
     """ln Gamma_d(a); the value of ``scipy.special.multigammaln`` without
-    its Python loop over the d factors."""
+    its Python loop over the d factors.  Kept per exact (a, d): the bound
+    reads it at a = N'/2, which holds while N' does."""
     if a <= 0.5 * (d - 1):
         raise ValueError(f"condition a ({a}) > 0.5 * (d-1) ({0.5 * (d - 1)}) not met")
     return (d * (d - 1) * 0.25) * np.log(np.pi) \
@@ -299,14 +341,15 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
         raise ValueError("elbo_bayes needs a proper Wishart posterior (invalid dof)")
     dof = wpost.dof
     vtbar, wbar, ln_w = rowpost.mean, wpost.e_w, wpost.e_ln_w
+    sum_ln_alpha = alphapost.e_ln_alpha.sum()
 
     extra = {
         "lnP(V|alpha)": -0.5 * n_y * d * LOG2PI
-        + 0.5 * d * alphapost.e_ln_alpha.sum()
+        + 0.5 * d * sum_ln_alpha
         - 0.5 * float(alphapost.e_alpha @ e_vv),
         "lnP(alpha)": n_y * (hyper.a_alpha * np.log(hyper.b_alpha)
                              - gammaln(hyper.a_alpha))
-        + (hyper.a_alpha - 1.0) * alphapost.e_ln_alpha.sum()
+        + (hyper.a_alpha - 1.0) * sum_ln_alpha
         - hyper.b_alpha * alphapost.e_alpha.sum(),
         "lnP(mu)": -0.5 * d * LOG2PI + 0.5 * np.log(beta).sum()
         - 0.5 * float(beta @ mu_quad),

@@ -12,7 +12,7 @@ Bayesian variant reuses these E-step and bound formulas.
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
@@ -83,10 +83,10 @@ class GaussianRows:
     group : (R,) group index of each row
     s     : (R, k) per-row scales
 
-    1/s, the (G, R) group one-hot and log|det P_g| are derived on first
-    use and kept (``from_pair`` hands a block the log-determinant with its
-    basis); the fields cannot be reassigned and ``basis``, ``group`` and
-    ``s`` are read-only, so the derived values cannot go stale.
+    1/s, the (G, R) group one-hot, log|det P_g| and the side-by-side bases
+    are derived on first use and kept (``from_pair`` hands a block the
+    log-determinant with its basis); the fields cannot be reassigned and
+    the arrays are read-only, so the derived values cannot go stale.
     """
 
     mean: np.ndarray
@@ -96,7 +96,7 @@ class GaussianRows:
     kappa: float = 1.0
 
     def __post_init__(self):
-        for a in (self.basis, self.group, self.s):
+        for a in (self.mean, self.basis, self.group, self.s):
             a.flags.writeable = False
 
     @cached_property
@@ -108,13 +108,21 @@ class GaussianRows:
         return self.group == np.arange(len(self.basis))[:, None]
 
     @cached_property
+    def _own(self):
+        """(R,) flat index of (r, group[r]) in an (R, G) array."""
+        return np.arange(len(self.group)) * len(self.basis) + self.group
+
+    @cached_property
     def _logdet_basis(self):
         """(G,) log|det P_g|."""
         return np.linalg.slogdet(self.basis)[1]
 
+    @cached_property
     def _flat_basis(self):
         """(k, G k) the bases side by side, [P_1 ... P_G]."""
-        return np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1)
+        p = np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1)
+        p.flags.writeable = False
+        return p
 
     @property
     def prec(self):
@@ -131,17 +139,20 @@ class GaussianRows:
         """sum_r w_r Cov(x_r) for weights w (R,)."""
         # sum_g P_g diag(c_g) P_g^T with c_g = sum_{r in g} w_r / s_r
         c = (self._onehot * w).dot(self._s_inv).ravel() / self.kappa
-        p = self._flat_basis()
+        p = self._flat_basis
         return (p * c).dot(p.T)
 
     def trace_cov(self, h):
         """(R,) traces tr(H Cov(x_r)) for a (k, k) matrix H."""
-        p = self._flat_basis()
+        p = self._flat_basis
         # row g: diag(P_g^T H P_g)
-        h_diag = (h.dot(p) * p).sum(axis=0).reshape(-1, p.shape[0])
+        return self._traces((h.dot(p) * p).sum(axis=0).reshape(-1, p.shape[0]))
+
+    def _traces(self, h_diag):
+        """(R,) sum_k h_diag[g, k] / s_rk / kappa with g = group[r], from
+        the (G, k) diagonals diag(P_g^T H P_g) of ``trace_cov``."""
         # (R, G) tr(H P_g diag(1/s_r) P_g^T) for every g; row r reads its own
-        traces = self._s_inv.dot(h_diag.T)
-        return traces[np.arange(len(self.group)), self.group] / self.kappa
+        return self._s_inv.dot(h_diag.T).take(self._own) / self.kappa
 
     def logdet_prec(self):
         """(R,) log|L_r| (untempered)."""
@@ -168,8 +179,10 @@ class SpeakerPosteriors(GaussianRows):
         """``(lam, P, log|det P|)`` with ``(lam, P) = np.linalg.eigh(g)``:
         the basis :meth:`from_pair` builds a block on and the (1,)
         log-determinant its ``logdet_prec`` reads.  A caller that builds
-        several blocks on one g computes it once and passes it to each."""
+        several blocks on one g computes it once and passes it to each.
+        P is read-only: every block built on it holds a view of it."""
         lam, basis = np.linalg.eigh(g)
+        basis.flags.writeable = False
         return lam, basis, np.linalg.slogdet(basis[None])[1]
 
     @classmethod
@@ -214,7 +227,7 @@ class SpeakerPosteriors(GaussianRows):
 
     def trace_e_yy(self, h):
         """(M,) traces tr(H E[y_i y_i^T]) for an (n_y, n_y) matrix H."""
-        return self.trace_cov(h) + np.sum((self.ybar @ h) * self.ybar, axis=1)
+        return self.trace_cov(h) + ((self.ybar @ h) * self.ybar).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -247,20 +260,25 @@ class Responsibilities:
         return float(-np.sum(terms))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirichletPosterior:
-    """q(pi) = Dir(tau) with the digamma expectation cached."""
+    """q(pi) = Dir(tau) with the digamma expectation cached: ``tau`` cannot
+    be reassigned and is read-only, and so is the cached ``e_ln_pi``."""
 
     tau: np.ndarray
 
     def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=float)
-        if (self.tau <= 0).any():
+        tau = np.asarray(self.tau, dtype=float)
+        if (tau <= 0).any():
             raise ValueError("Dirichlet parameters must be positive")
+        tau.flags.writeable = False
+        object.__setattr__(self, "tau", tau)
 
-    @property
+    @cached_property
     def e_ln_pi(self):
-        return digamma(self.tau) - digamma(self.tau.sum())
+        e_ln_pi = digamma(self.tau) - digamma(self.tau.sum())
+        e_ln_pi.flags.writeable = False
+        return e_ln_pi
 
 
 class ExpectedParams:
@@ -312,9 +330,10 @@ class ExpectedParams:
     def rhs(self, n, f):
         """(M, n_y) b_i = (f_i - n_i mu)^T W V - n_i u_{y mu}, with which
         q(y_i) of counts ``n`` and sums ``f`` has mean L_i^-1 b_i."""
-        b = (f - np.outer(n, self.model.mu)) @ self.wv
+        n = n[:, None]  # outer products by broadcasting, as np.outer
+        b = (f - n * self.model.mu) @ self.wv
         if self.has_u:
-            b -= np.outer(n, self.u[:-1, -1])
+            b -= n * self.u[:-1, -1]
         return b
 
 
@@ -464,8 +483,8 @@ def _block_terms(block, vtilde, w, ln_w, rho=0.0):
     stats, posts, (c, r) = block
     m_ny = posts.m * posts.n_y
     terms = (0.5 * stats.n_total * (ln_w - w.shape[0] * LOG2PI)
-             - 0.5 * np.sum(w * _scatter(stats.s, c, r, vtilde, rho)),
-             -0.5 * m_ny * LOG2PI - 0.5 * np.trace(posts.e_yy_total),
+             - 0.5 * (w * _scatter(stats.s, c, r, vtilde, rho)).sum(),
+             -0.5 * m_ny * LOG2PI - 0.5 * posts.e_yy_total.trace(),
              -(-0.5 * m_ny * (LOG2PI + 1.0) + 0.5 * posts.logdet_prec().sum()))
     # x + 0.0 is x for every x but -0.0: an empty block's terms read +0.0.
     return tuple(t + 0.0 for t in terms)
@@ -476,12 +495,20 @@ def _ln_dirichlet_c(tau):
     return float(gammaln(tau.sum()) - gammaln(tau).sum())
 
 
+@lru_cache(maxsize=64)
+def _ln_dirichlet_prior(m, tau0):
+    """ln C(tau0 1_m), the normaliser of the symmetric Dirichlet prior:
+    ``_ln_dirichlet_c`` of ``np.full(m, tau0)``, kept per exact (m, tau0)
+    because it is fixed while M and tau0 are."""
+    return _ln_dirichlet_c(np.full(m, tau0))
+
+
 def _cluster_terms(n, entropy, dirichlet, tau0):
     """lnP(theta|pi), lnP(pi), -lnq(theta) and -lnq(pi) of responsibilities
     with counts ``n`` and entropy ``entropy``, q(pi) = ``dirichlet``."""
     e_ln_pi, tau = dirichlet.e_ln_pi, dirichlet.tau
     return (float(n @ e_ln_pi),
-            _ln_dirichlet_c(np.full(tau.shape[0], tau0)) + (tau0 - 1.0) * e_ln_pi.sum(),
+            _ln_dirichlet_prior(tau.shape[0], float(tau0)) + (tau0 - 1.0) * e_ln_pi.sum(),
             entropy,
             -(_ln_dirichlet_c(tau) + float((tau - 1.0) @ e_ln_pi)))
 

@@ -1,6 +1,6 @@
 import types
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from spldavb.vbbayes import (
     WishartPosterior,
     _ln_multigamma,
     _ln_wishart_b,
+    _wishart_digamma_sum,
     elbo_bayes,
     optimize_hyper_alpha,
     optimize_hyper_mu,
@@ -34,8 +35,12 @@ from spldavb.vbpoint import (
     DirichletPosterior,
     Hyperparams,
     SpeakerPosteriors,
+    _cluster_terms,
+    _ln_dirichlet_c,
+    _ln_dirichlet_prior,
     accumulators,
     mstep_W,
+    mstep_tau0,
     update_q_pi,
     update_q_theta,
     update_q_y,
@@ -760,3 +765,224 @@ class TestHyperOpt:
 
         new_mu0, new_beta = optimize_hyper_mu(rowpost)
         assert term(new_mu0, new_beta) >= term(old_mu0, old_beta)
+
+
+def _row_inputs(rng, d, n_y):
+    """Random pooled accumulators and posteriors for one row sweep."""
+    k = n_y + 1
+    a = rng.standard_normal((d, d))
+    wpost = WishartPosterior.point_mass(a @ a.T + rng.uniform(0.1, 2.0) * np.eye(d))
+    b = rng.standard_normal((k, k + 2))
+    alphapost = AlphaPosterior(a_prime=rng.uniform(0.5, 3.0),
+                               b_prime=rng.uniform(0.2, 5.0, n_y))
+    return (rng.standard_normal((d, k)), b @ b.T, wpost, alphapost,
+            RowPosteriors.point_mass(rng.standard_normal((d, k))))
+
+
+def _assert_rows_equal(a, b):
+    for name in ("mean", "basis", "group", "s"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert a.kappa == b.kappa
+
+
+class TestOneGroupRows:
+    """A scalar beta forms one group of rows without ``np.unique``; it must
+    be the path a vector beta with equal entries takes."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.4])
+    def test_scalar_beta_equals_constant_vector(self, kappa):
+        rng = np.random.default_rng(61)
+        d, n_y = 7, 3
+        c_p, r_p, wpost, alphapost, start = _row_inputs(rng, d, n_y)
+        mu0 = rng.standard_normal(d)
+        rows = [update_q_vtilde_rows(c_p, r_p, wpost, alphapost,
+                                     Hyperparams(mu0=mu0, beta=beta), start,
+                                     kappa)
+                for beta in (0.7, np.full(d, 0.7))]
+        assert len(rows[0].basis) == 1
+        _assert_rows_equal(*rows)
+
+    def test_short_run_with_constant_vector_beta(self):
+        phi, labels, _ = generate(SynthSpec(d=6, n_y=2, m_true=5,
+                                            per_speaker=8,
+                                            eigenvoice_scale=3.0, seed=62))
+        dataset, _ = split_dataset(phi, labels, 0.5, seed=62)
+        model = train_supervised(dataset.phi_d, dataset.labels_d, 2,
+                                 seed=62).model
+        config = RunConfig(m_init=8, variant="bayes", init_method="random_y",
+                           anneal=True, max_iter=12, elbo_tol=0.0,
+                           hyper_opt_alpha=True, seed=62)
+        scalar, vector = (run_adaptation(dataset, model, Hyperparams(beta=beta),
+                                         config)
+                          for beta in (0.4, np.full(6, 0.4)))
+        np.testing.assert_array_equal(scalar.labels, vector.labels)
+        assert scalar.m_trace == vector.m_trace
+        assert scalar.kappa_trace == vector.kappa_trace
+        a, b = scalar.bayes_state, vector.bayes_state
+        _assert_rows_equal(a["rowpost"], b["rowpost"])
+        assert a["alphapost"].a_prime == b["alphapost"].a_prime
+        np.testing.assert_array_equal(a["alphapost"].b_prime,
+                                      b["alphapost"].b_prime)
+        for name in ("e_w", "e_ln_w", "k", "dof", "ln_b"):
+            np.testing.assert_array_equal(getattr(a["wpost"], name),
+                                          getattr(b["wpost"], name))
+        # beta @ E[(mu - mu0)^2] in lnP(mu) reads a broadcast (stride-0)
+        # beta for a scalar and a contiguous one for a vector; numpy sums
+        # the two in different orders, so that term and the total agree
+        # to rounding only.  Every other term is the same bits.
+        assert {k: v for k, v in scalar.elbo_terms.items() if k != "lnP(mu)"} \
+            == {k: v for k, v in vector.elbo_terms.items() if k != "lnP(mu)"}
+        np.testing.assert_allclose(scalar.elbo_trace, vector.elbo_trace,
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.4])
+    def test_two_valued_beta_from_hyper_opt_mu_matches_oracle(self, kappa):
+        # Rows of equal posterior variance of mu get equal beta from the
+        # per-row empirical-Bayes step (integer means cancel exactly).
+        rng = np.random.default_rng(63)
+        d, n_y = 6, 2
+        k = n_y + 1
+        mean = rng.standard_normal((d, k))
+        mean[:, n_y] = rng.integers(-3, 4, d)
+        cov = np.zeros((d, k, k))
+        cov[:] = np.eye(k)
+        cov[:, n_y, n_y] = np.where(np.arange(d) % 2, 0.5, 2.0)
+        mu0, beta = optimize_hyper_mu(rowpost_from_cov(mean, cov))
+        assert np.unique(beta).size == 2
+        hyper = Hyperparams(mu0=mu0, beta=beta)
+        c_p, r_p, wpost, alphapost, start = _row_inputs(rng, d, n_y)
+        rowpost = update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper,
+                                       start, kappa)
+        assert len(rowpost.basis) == 2
+        oracle_mean, oracle_cov, oracle_prec, oracle_logdet = \
+            update_q_vtilde_rows_batched(c_p, r_p, wpost, alphapost, hyper,
+                                         start, kappa)
+        _rel_check(rowpost.mean, oracle_mean)
+        _rel_check(dense_cov(rowpost), oracle_cov)
+        _rel_check(rowpost.prec, oracle_prec)
+        _rel_check(rowpost.logdet_prec(), oracle_logdet)
+
+
+def _rowposts(rng, kappa):
+    """Row posteriors of one group, of two groups and of one group per
+    row, at temperature ``kappa``."""
+    d, n_y = 5, 2
+    c_p, r_p, wpost, alphapost, start = _row_inputs(rng, d, n_y)
+    out = [update_q_vtilde_rows(c_p, r_p, wpost, alphapost,
+                                Hyperparams(mu0=np.zeros(d), beta=beta),
+                                start, kappa)
+           for beta in (0.3, np.where(np.arange(d) % 2, 0.3, 1.7))]
+    return out + [replace(random_rowpost(rng, d, n_y), kappa=kappa)]
+
+
+class TestCachedMoments:
+    """Each moment or constant kept on a posterior or per run is the same
+    bits as its direct evaluation, and cannot go stale."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.4])
+    def test_row_moments_equal_direct_evaluation(self, kappa):
+        rng = np.random.default_rng(64)
+        for rowpost in _rowposts(rng, kappa):
+            n_y, k = rowpost.n_y, rowpost.n_y + 1
+            e_vv = rowpost.sum_cov(np.ones(rowpost.d)).diagonal()[:n_y] \
+                + np.einsum("rq,rq->q", rowpost.vbar, rowpost.vbar)
+            np.testing.assert_array_equal(rowpost.e_vq_vq(), e_vv)
+            np.testing.assert_array_equal(
+                rowpost.sigma_mu(), rowpost.trace_cov(np.diag(np.eye(k)[n_y])))
+            np.testing.assert_array_equal(
+                rowpost._flat_basis,
+                np.swapaxes(rowpost.basis, 0, 1).reshape(k, -1))
+            assert rowpost.e_vq_vq() is rowpost.e_vq_vq()
+            assert rowpost.sigma_mu() is rowpost.sigma_mu()
+
+    def test_row_posteriors_cannot_go_stale(self):
+        rng = np.random.default_rng(65)
+        rowpost = _rowposts(rng, 1.0)[0]
+        e_vv, sigma = rowpost.e_vq_vq(), rowpost.sigma_mu()
+        for name in ("mean", "basis", "group", "s", "kappa"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(rowpost, name, getattr(rowpost, name))
+        for arr in (rowpost.mean, rowpost.vbar, rowpost.mubar, rowpost.basis,
+                    rowpost.s, rowpost._flat_basis, e_vv, sigma):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        # The arrays a posterior is built from are frozen with it.
+        mean = rng.standard_normal((3, 2))
+        RowPosteriors.point_mass(mean)
+        mean[0, 0] = 1.0  # point_mass keeps a copy
+        rowpost_from_cov(mean, np.broadcast_to(np.eye(2), (3, 2, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            mean[0, 0] = 2.0
+        # A q(Y) block's basis is a view of the eigenbasis of G that the
+        # E-step shares; that basis is read-only too.
+        model, _, stats = random_problem(rng, 12, 3, rowpost.d, rowpost.n_y)
+        expected = rowpost.expected(WishartPosterior.point_mass(model.w))
+        posts = update_q_y(stats, expected)
+        for arr in (expected.eig_g[1], posts.basis, posts._flat_basis):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+        # A new temperature is a new posterior with its own moments.
+        cooler = replace(rowpost, kappa=0.5)
+        np.testing.assert_array_equal(cooler.sigma_mu(), 2.0 * sigma)
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.4])
+    def test_wishart_dof_terms_equal_direct_evaluation(self, kappa):
+        rng = np.random.default_rng(66)
+        d = 5
+        a = rng.standard_normal((d, d))
+        k = sym(a @ a.T + np.eye(d))
+        for dof in (11.0, np.nextafter(11.0, 12.0), 11.0, 23.7):
+            post = WishartPosterior.from_update(k, dof, kappa)
+            dof_eff = dof - (1.0 - kappa) * (dof - d - 1.0)
+            k_inv = inv_pd(k)
+            logdet_k_inv = logdet_pd(k_inv)
+            assert post.e_ln_w == (
+                digamma(0.5 * (dof_eff + 1.0 - np.arange(1, d + 1))).sum()
+                + d * np.log(2.0) + logdet_k_inv - d * np.log(kappa))
+            assert post.ln_b == -0.5 * dof * logdet_k_inv \
+                - 0.5 * dof * d * np.log(2.0) - multigammaln(0.5 * dof, d)
+            np.testing.assert_array_equal(post.e_w, dof_eff * (k_inv / kappa))
+            np.testing.assert_array_equal(post.e_w, post.e_w.T)
+        assert _wishart_digamma_sum.cache_info().hits > 0
+        assert _ln_multigamma.cache_info().hits > 0
+        np.testing.assert_array_equal(post.k, k)
+
+    def test_dirichlet_prior_constant_follows_tau0(self):
+        rng = np.random.default_rng(67)
+        m, tau0 = 6, 1.0
+        for _ in range(4):
+            # q(pi) of new counts, and the tau0 the empirical-Bayes step
+            # sets from it, as in an adaptation with hyper_opt_tau0
+            dirichlet = update_q_pi(rng.uniform(0.0, 5.0, m), tau0)
+            e_ln_pi = dirichlet.e_ln_pi
+            new = mstep_tau0(e_ln_pi, tau0)
+            assert new != tau0
+            for t in (tau0, new, new):  # the last call reads the cache
+                prior = _cluster_terms(np.ones(m), 0.0, dirichlet, t)[1]
+                assert _ln_dirichlet_prior(m, t) \
+                    == _ln_dirichlet_c(np.full(m, t))
+                assert prior == _ln_dirichlet_c(np.full(m, t)) \
+                    + (t - 1.0) * e_ln_pi.sum()
+            tau0 = new
+        assert _ln_dirichlet_prior.cache_info().hits > 0
+
+    def test_posterior_expectations_are_kept_read_only(self):
+        rng = np.random.default_rng(68)
+        tau = rng.uniform(0.2, 3.0, 4)
+        dirichlet = DirichletPosterior(tau)
+        np.testing.assert_array_equal(
+            dirichlet.e_ln_pi, digamma(tau) - digamma(tau.sum()))
+        alpha = AlphaPosterior(a_prime=2.5, b_prime=rng.uniform(0.2, 3.0, 3))
+        np.testing.assert_array_equal(alpha.e_alpha, 2.5 / alpha.b_prime)
+        np.testing.assert_array_equal(
+            alpha.e_ln_alpha, digamma(2.5) - np.log(alpha.b_prime))
+        for post, name in ((dirichlet, "tau"), (alpha, "a_prime"),
+                           (alpha, "b_prime")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(post, name, getattr(post, name))
+        for arr in (tau, dirichlet.e_ln_pi, alpha.b_prime, alpha.e_alpha,
+                    alpha.e_ln_alpha):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
