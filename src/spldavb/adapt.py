@@ -549,11 +549,11 @@ class _Bayes(_Variant):
     precisions, updated inside every sweep."""
 
     def step(self, params, block, block_d, resp, dirichlet, kappa):
-        rowpost, wpost, alphapost = params
+        _, wpost, alphapost = params
         hyper = self.hyper
         c_p, r_p, n_p = self.pooled(block[0], block[2], block_d[2])
         rowpost = vbbayes.update_q_vtilde_rows(
-            c_p, r_p, wpost, alphapost, hyper, rowpost, kappa)
+            c_p, r_p, wpost, alphapost, hyper, kappa)
         alphapost = vbbayes.update_q_alpha(rowpost, hyper, kappa)
         wpost = vbbayes.update_q_wishart(
             self.s_p, c_p, r_p, rowpost, n_p, kappa)

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .linalg import inv_pd, logdet_pd, sym
+from .linalg import inv_logdet_pd, logdet_pd, sym
 from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
@@ -178,15 +178,15 @@ class WishartPosterior:
                 f"Wishart dof {dof_eff:.3g} <= d = {d} (N' = {dof:.3g}, "
                 f"kappa = {kappa:.3g}); more (weighted) data or a larger "
                 "kappa is needed for a valid q(W)")
-        k_inv = inv_pd(k)
-        logdet_k_inv = logdet_pd(k_inv)
+        k_inv, logdet_k = inv_logdet_pd(k)
+        logdet_k_inv = -logdet_k
         e_ln_w = (
             _wishart_digamma_sum(dof_eff, d)
             + d * np.log(2.0)
             + logdet_k_inv - d * np.log(kappa)
         )
         return cls(e_w=dof_eff * (k_inv / kappa), e_ln_w=e_ln_w, k=k, dof=dof,
-                   ln_b=_ln_wishart_b(k_inv, dof, logdet_k_inv))
+                   ln_b=_ln_wishart_b(logdet_k_inv, dof, d))
 
     @classmethod
     def point_mass(cls, w):
@@ -217,25 +217,32 @@ def update_q_theta_bayes(phi, posteriors, expected, dirichlet, kappa=1.0):
     return update_q_theta(phi, posteriors, expected, dirichlet, kappa)
 
 
-def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
-    """One Gauss-Seidel sweep over the row posteriors of [V | mu].
+def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
+    """The row posteriors of [V | mu] that maximise the bound jointly.
 
     c_p, r_p : pooled accumulators C' = C + eta C_d, R' = R + eta R_d
-    Rows are updated in ascending order using the latest neighbor means;
-    each row update is exact coordinate ascent with the others held fixed.
-    The row precisions wbar_rr R' + D_g do not depend on the means, so
-    they are factored once, before the sweep, with one eigh of
-    D_g^-1/2 R' D_g^-1/2 per distinct beta (see ``RowPosteriors``).
+    The row precisions wbar_rr R' + D_g do not depend on the means; they
+    are factored with one eigh of D_g^-1/2 R' D_g^-1/2 per distinct beta
+    (see ``RowPosteriors``).  The means M solve, for all rows at once,
+    Wbar M R' + [D_r m_r]_r = B = Wbar C' + [0 | beta mu0], so no result
+    depends on the order of the rows.  With Wbar = Q diag(omega) Q^T and
+    group 0's P and lam, solve0(X) = Q [(Q^T X P) / (1 + omega lam^T)] P^T
+    solves it for rows that all have group 0's prior.  The other rows
+    have beta = beta_0 + delta, delta > 0, and differ only in the mu
+    column: on them z = delta mu solves (diag(1/delta) + K) z = solve0(B)
+    e_mu, with K = Q diag(c) Q^T, c_i = sum_j p_j^2 / (1 + omega_i lam_j)
+    and p = P^T e_mu, and M = solve0(B - z e_mu^T).  A scalar beta leaves
+    that system empty.
     """
-    d = rowpost.d
-    n_y = rowpost.n_y
+    d, k = c_p.shape
+    n_y = k - 1
     wbar = wpost.e_w
     mu0, beta = _mean_prior(hyper, d)
     if np.ndim(hyper.beta) == 0:  # one group, as np.unique would find
         betas, group = beta[:1], np.zeros(d, dtype=np.intp)
     else:
         betas, group = np.unique(beta, return_inverse=True)
-    prior_diag = np.empty((betas.size, n_y + 1))  # D_g
+    prior_diag = np.empty((betas.size, k))  # D_g
     prior_diag[:, :n_y] = alphapost.e_alpha
     prior_diag[:, n_y] = betas
     d_inv_sqrt = prior_diag ** -0.5
@@ -246,37 +253,32 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, rowpost, kappa=1.0):
     if not (s > 0).all():
         row = np.flatnonzero(~(s > 0).all(axis=1))[0]
         raise np.linalg.LinAlgError(f"row {row} posterior precision is singular")
-    # sum_s wbar_rs (C_s^T - R' vbar_s) folded back to full sums; the part
-    # that does not involve the means is computed once, as the
-    # coordinates c_r = P_g^T rhs_r / s_r.
-    rhs = wbar @ c_p  # (d, n_y+1)
+    rhs = wbar @ c_p  # B
     rhs[:, n_y] += beta * mu0
-    coords = np.empty_like(rhs)
-    for g, p in enumerate(basis):
-        rows = group == g
-        coords[rows] = rhs[rows] @ p
-    coords /= s
-    # Row r: mean_r = P_g (c_r - (P_g^T R' v_r) / s_r) with the latest
-    # neighbour sum v_r = sum_{s != r} wbar_rs mean_s.
-    bases, p_t_rs = list(basis), list(np.swapaxes(basis, 1, 2) @ r_p)
-    w_off = wbar.copy()
-    w_off.flat[:: d + 1] = 0.0
-    mean = rowpost.mean.copy()
-    # ndarray.dot has about half the call overhead of @ on operands this
-    # small, and the loop is d calls deep; each row is written in place.
-    for g, c_r, s_inv, w_r, m_r in zip(group.tolist(), coords, 1.0 / s,
-                                       w_off, mean):
-        bases[g].dot(c_r - p_t_rs[g].dot(w_r.dot(mean)) * s_inv, out=m_r)
-    return RowPosteriors(mean=mean, basis=basis, group=group, s=s, kappa=kappa)
+    omega, q = np.linalg.eigh(wbar)
+    p, p_mu = basis[0], basis[0][n_y]
+    scale = 1.0 / (1.0 + omega[:, None] * lam[0])
+    coords = (q.T @ rhs @ p) * scale  # solve0(B) = q coords p^T
+    p_scale = scale * p_mu  # solve0(x e_mu^T) = q ((q^T x) p_scale^T) p^T
+    rows = group > 0  # beta = beta_0 + delta, delta > 0
+    q_s = q[rows]
+    z = np.linalg.solve(  # z = delta mu on those rows
+        np.diag(1.0 / (beta[rows] - betas[0])) + (q_s * (p_scale @ p_mu)) @ q_s.T,
+        q_s @ (coords @ p_mu))
+    coords -= (q_s.T @ z)[:, None] * p_scale
+    return RowPosteriors(mean=q @ coords @ p.T, basis=basis, group=group, s=s,
+                         kappa=kappa)
 
 
 def _mean_prior(hyper, d):
     """``(mu0, beta)`` of the prior N(mu0, diag(beta)^-1) over mu as (d,)
-    arrays; mu0 defaults to zero, beta has no default."""
+    arrays; mu0 defaults to zero, beta has no default.  beta is contiguous
+    either way, so a scalar and a constant vector give the same bits."""
     if hyper.beta is None:
         raise ValueError("Hyperparams.beta is unset; the mean prior needs a "
                          "precision (run_adaptation sets it from the data)")
-    beta = np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,))
+    beta = np.ascontiguousarray(
+        np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,)))
     mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
     return mu0, beta
 
@@ -301,11 +303,9 @@ def update_q_wishart(s_p, c_p, r_p, rowpost, n_p, kappa=1.0):
     return WishartPosterior.from_update(k, n_p, kappa=kappa)
 
 
-def _ln_wishart_b(scale, dof, logdet_scale=None):
-    """ln B(scale, dof), the Wishart normalizer."""
-    d = scale.shape[0]
-    if logdet_scale is None:
-        logdet_scale = logdet_pd(scale)
+def _ln_wishart_b(logdet_scale, dof, d):
+    """ln B(scale, dof), the Wishart normalizer of a d x d scale, from
+    log|scale|."""
     return float(
         -0.5 * dof * logdet_scale
         - 0.5 * dof * d * np.log(2.0)

@@ -158,30 +158,49 @@ def rowpost_from_cov(mean, cov):
                          group=np.arange(e.shape[0]), s=s)
 
 
-def update_q_vtilde_rows_batched(c_p, r_p, wpost, alphapost, hyper, rowpost,
+def update_q_vtilde_rows_batched(c_p, r_p, wpost, alphapost, hyper,
                                  kappa=1.0):
     """``update_q_vtilde_rows`` through the dense (d, k, k) precision stack
-    diag(E[alpha], beta_r) + wbar_rr R': one batched Cholesky, its batched
-    inverse and the Gauss-Seidel sweep over rows in ascending order.
+    diag(E[alpha], beta_r) + wbar_rr R': one batched Cholesky and its
+    batched inverse; the means solve the dense (d k, d k) system
+    (Wbar kron R' + block-diag(D_r)) vec(M) = vec(B) with row-major vec.
     Returns ``(mean, cov, prec, logdet)``."""
-    d, n_y = rowpost.d, rowpost.n_y
+    d, k = c_p.shape
     wbar = wpost.e_w
     mu0, beta = _mean_prior(hyper, d)
-    prec = np.diag(wbar)[:, None, None] * sym(r_p)
-    cols = np.arange(n_y)
-    prec[:, cols, cols] += alphapost.e_alpha
-    prec[:, n_y, n_y] += beta
+    prior = np.zeros((d, k, k))  # D_r
+    cols = np.arange(k - 1)
+    prior[:, cols, cols] = alphapost.e_alpha
+    prior[:, k - 1, k - 1] = beta
+    prec = np.diag(wbar)[:, None, None] * sym(r_p) + prior
     chol = np.linalg.cholesky(prec)
     chol_inv = np.linalg.inv(chol)
     prec_inv = np.swapaxes(chol_inv, 1, 2) @ chol_inv
-    rhs_fixed = wbar @ c_p
-    rhs_fixed[:, n_y] += beta * mu0
-    mean = rowpost.mean.copy()
-    for r in range(d):
-        v_w = mean.T @ wbar[r] - wbar[r, r] * mean[r]
-        mean[r] = prec_inv[r] @ (rhs_fixed[r] - r_p @ v_w)
+    rhs = wbar @ c_p
+    rhs[:, k - 1] += beta * mu0
+    system = np.kron(wbar, sym(r_p)) + scipy.linalg.block_diag(*prior)
+    mean = np.linalg.solve(system, rhs.ravel()).reshape(d, k)
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     return mean, sym(prec_inv / kappa), prec, logdet
+
+
+def gauss_seidel_row_means(c_p, r_p, wpost, alphapost, hyper, mean,
+                           order=None):
+    """One Gauss-Seidel pass over the row means of [V | mu] from ``mean``,
+    in the row order ``order`` (default ascending), the row update the
+    package used before its joint solve: row r solves its own
+    stationarity condition with the newest means of the other rows."""
+    d, k = c_p.shape
+    wbar = wpost.e_w
+    mu0, beta = _mean_prior(hyper, d)
+    rhs = wbar @ c_p
+    rhs[:, k - 1] += beta * mu0
+    mean = np.array(mean, dtype=float)
+    for r in range(d) if order is None else order:
+        l_r = np.diag(np.append(alphapost.e_alpha, beta[r])) + wbar[r, r] * r_p
+        v_w = mean.T @ wbar[r] - wbar[r, r] * mean[r]
+        mean[r] = np.linalg.solve(l_r, rhs[r] - r_p @ v_w)
+    return mean
 
 
 def inv_pd_two_solves(a):

@@ -555,7 +555,7 @@ class TestFactorizationBudget:
         # One prune/merge attempt, after iteration 3 of 0-4, which
         # restructures M 6 -> 5.  Its score and refresh sweep share one
         # ExpectedParams, so one eigh of G; the Bayesian refresh adds the
-        # eigh of its row update.
+        # two eighs of its row update, of the scaled R' and of E[W].
         dataset, model = split_problem(seed=0)
         events, attempts = [], []
         self.counting(monkeypatch, events, names=("eigh",))
@@ -575,7 +575,7 @@ class TestFactorizationBudget:
         run_adaptation(dataset, model, Hyperparams(), RunConfig(
             m_init=6, variant=variant, init_method="ahc", prune_merge=True,
             prune_every=3, elbo_tol=0.0, max_iter=5, seed=0))
-        assert attempts == [(True, 1 if variant == "point" else 2)]
+        assert attempts == [(True, 1 if variant == "point" else 3)]
 
 
 class TestAllocationBudget:
