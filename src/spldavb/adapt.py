@@ -573,7 +573,7 @@ class _Bayes(_Variant):
                 alphapost, hyper.a_alpha)
         if self.config.hyper_opt_mu:
             hyper.mu0, hyper.beta = vbbayes.optimize_hyper_mu(
-                rowpost, isotropic=np.isscalar(hyper.beta))
+                rowpost, isotropic=np.ndim(hyper.beta) == 0)
         return state["params"]
 
     def finish(self, params, report):

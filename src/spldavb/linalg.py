@@ -1,8 +1,10 @@
-"""Small shared linear-algebra helpers (Cholesky-based, with a jitter policy).
+"""Small shared linear-algebra helpers (Cholesky- or eigh-based, with one
+jitter policy).
 
 Each ``*_pd`` helper factors its matrix once; a caller that needs both
 the inverse and the log-determinant takes them from one factor with
-:func:`inv_logdet_pd`.
+:func:`inv_logdet_pd`, and one that needs the spectrum from
+:func:`eigh_pd`.
 """
 
 import numpy as np
@@ -18,23 +20,35 @@ def sym(a):
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def chol_with_jitter(a):
-    """Lower Cholesky factor of ``a``.
+def _with_jitter(a, factor, ok):
+    """``factor(a)``; if that fails ``ok``, ``factor(a + jitter I)`` with
+    jitter = ``1e-10 * tr(a)/dim``, and if that fails too,
+    :class:`NotPositiveDefiniteError`.  ``factor`` may also fail by raising
+    ``LinAlgError``."""
+    jitter = 0.0
+    for _ in range(2):  # a, then a + jitter I
+        try:
+            out = factor(a + jitter * np.eye(a.shape[0]) if jitter else a)
+            if ok(out):
+                return out
+        except np.linalg.LinAlgError:
+            pass
+        jitter = 1e-10 * np.trace(a) / a.shape[0]
+    raise NotPositiveDefiniteError(
+        f"matrix of shape {a.shape} is not positive definite (jitter {jitter:g} did not help)")
 
-    On failure, adds ``1e-10 * tr(a)/dim`` to the diagonal once and retries;
-    a second failure raises :class:`NotPositiveDefiniteError`.
-    """
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-10 * np.trace(a) / a.shape[0]
-    try:
-        return np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(
-            f"matrix of shape {a.shape} is not positive definite (jitter {jitter:g} did not help)"
-        ) from None
+
+def chol_with_jitter(a):
+    """Lower Cholesky factor of ``a``; see :func:`_with_jitter`."""
+    return _with_jitter(a, np.linalg.cholesky, lambda chol: True)
+
+
+def eigh_pd(a):
+    """``np.linalg.eigh(a)`` of a symmetric positive-definite ``a``, under
+    ``chol_with_jitter``'s rule: if an eigenvalue is not positive, the
+    eigendecomposition of ``a`` plus the jitter; if one still is not,
+    :class:`NotPositiveDefiniteError`."""
+    return _with_jitter(a, np.linalg.eigh, lambda eig: (eig[0] > 0).all())
 
 
 def logdet_chol(chol):

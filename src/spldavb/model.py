@@ -53,13 +53,15 @@ class SpldaModel:
         if v.shape[1] > d:
             raise ValueError(f"n_y={v.shape[1]} exceeds d={d}")
 
-    def _with_mu_v(self, mu, v):
-        """A model with new ``mu`` and ``V`` that shares this model's W
-        array and log|W|, so W is neither symmetrized nor factored again."""
-        new = object.__new__(type(self))
+    @classmethod
+    def _factored(cls, mu, v, w, logdet_w):
+        """A model on a symmetric positive-definite ``w`` whose log|W| is
+        known, ``logdet_w``, so W is neither symmetrized nor factored
+        again: another model's W, or an E[W] built from its eigenpair."""
+        new = object.__new__(cls)
         new.__dict__.update(mu=np.asarray(mu, dtype=float),
-                            v=np.asarray(v, dtype=float), w=self.w,
-                            _logdet_w=self._logdet_w)
+                            v=np.asarray(v, dtype=float), w=w,
+                            _logdet_w=logdet_w)
         new._check_shapes()
         return new
 

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .linalg import inv_logdet_pd, logdet_pd, sym
+from .linalg import eigh_pd, sym
 from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
@@ -97,8 +97,9 @@ class RowPosteriors(GaussianRows):
         q(Vtilde) q(W), as ``ExpectedParams``: the means as an
         ``SpldaModel``, E[ln|W|] and u = sum_r wbar_rr Sigma_r."""
         wbar = wpost.e_w
-        return ExpectedParams(SpldaModel(mu=self.mubar, v=self.vbar, w=wbar),
-                              wpost.e_ln_w, self.sum_cov(wbar.diagonal()))
+        model = SpldaModel._factored(self.mubar, self.vbar, wbar,
+                                     np.log(wpost.omega).sum())
+        return ExpectedParams(model, wpost.e_ln_w, self.sum_cov(wbar.diagonal()))
 
     def e_mu_quad(self, mu0):
         """(d,) E[(mu_r - mu0_r)^2] under the row posteriors."""
@@ -148,27 +149,40 @@ class AlphaPosterior:
         return e_ln_alpha
 
 
+@dataclass(frozen=True)
 class WishartPosterior:
-    """q(W) = Wishart(scale, dof) with E[W] and E[ln|W|] cached, and the
-    ln B(K^-1, N') of the untempered q(W) that the lower bound needs.
+    """q(W) = Wishart(scale, dof), kept as the eigendecomposition of E[W]:
+    E[W] = sym(Q diag(omega) Q^T), with E[ln|W|] and the ln B(K^-1, N') of
+    the untempered q(W) that the lower bound needs.  The row update of
+    [V | mu] reads (omega, Q) as its basis of E[W].
 
-    Constructed either from an inverse-scale accumulator K (``from_update``)
-    or as a point mass pinned at a given W (degenerate-reduction checks);
-    both symmetrize E[W], which ``__init__`` takes as it is.
+    Constructed either from an inverse-scale accumulator K by one ``eigh``
+    of K (``from_update``) or as a point mass pinned at a given W by one
+    ``eigh`` of W (``point_mass``, for degenerate-reduction checks), which
+    keeps E[W] = sym(W) and has no dof, scale or ln B.  The fields cannot
+    be reassigned and the arrays are read-only, so E[W] and its eigenpair
+    cannot drift apart.
     """
 
-    def __init__(self, e_w, e_ln_w, k=None, dof=None, ln_b=None):
-        self.e_w = np.asarray(e_w, dtype=float)
-        self.e_ln_w = float(e_ln_w)
-        self.k = k
-        self.dof = dof
-        self.ln_b = ln_b
+    e_w: np.ndarray
+    e_ln_w: float
+    omega: np.ndarray
+    q: np.ndarray
+    k: np.ndarray | None = None
+    dof: float | None = None
+    ln_b: float | None = None
+
+    def __post_init__(self):
+        for a in (self.e_w, self.omega, self.q, self.k):
+            if a is not None:
+                a.flags.writeable = False
 
     @classmethod
     def from_update(cls, k, dof, kappa=1.0):
         """q(W) from K and N', annealed: scale K^-1 / kappa and dof
         N' - (1 - kappa)(N' - d - 1), both exact at kappa = 1.  K is
-        symmetrized here; K^-1, and so E[W], is exactly symmetric."""
+        symmetrized here.  With K = Q diag(e) Q^T, E[W] has eigenvalues
+        omega = dof_eff / (kappa e) on Q, and log|K| = sum ln e."""
         k = sym(np.asarray(k, dtype=float))
         d = k.shape[0]
         dof = float(dof)
@@ -178,20 +192,22 @@ class WishartPosterior:
                 f"Wishart dof {dof_eff:.3g} <= d = {d} (N' = {dof:.3g}, "
                 f"kappa = {kappa:.3g}); more (weighted) data or a larger "
                 "kappa is needed for a valid q(W)")
-        k_inv, logdet_k = inv_logdet_pd(k)
-        logdet_k_inv = -logdet_k
+        e, q = eigh_pd(k)
+        logdet_k_inv = -np.log(e).sum()
         e_ln_w = (
             _wishart_digamma_sum(dof_eff, d)
             + d * np.log(2.0)
             + logdet_k_inv - d * np.log(kappa)
         )
-        return cls(e_w=dof_eff * (k_inv / kappa), e_ln_w=e_ln_w, k=k, dof=dof,
+        omega = dof_eff / (kappa * e)
+        return cls(sym((q * omega) @ q.T), float(e_ln_w), omega, q, k=k, dof=dof,
                    ln_b=_ln_wishart_b(logdet_k_inv, dof, d))
 
     @classmethod
     def point_mass(cls, w):
         w = sym(np.asarray(w, dtype=float))
-        return cls(e_w=w, e_ln_w=logdet_pd(w))
+        omega, q = eigh_pd(w)
+        return cls(w, float(np.log(omega).sum()), omega, q)
 
     @property
     def d(self):
@@ -225,7 +241,8 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
     are factored with one eigh of D_g^-1/2 R' D_g^-1/2 per distinct beta
     (see ``RowPosteriors``).  The means M solve, for all rows at once,
     Wbar M R' + [D_r m_r]_r = B = Wbar C' + [0 | beta mu0], so no result
-    depends on the order of the rows.  With Wbar = Q diag(omega) Q^T and
+    depends on the order of the rows.  With Wbar = Q diag(omega) Q^T, the
+    eigenpair that ``wpost`` keeps, and
     group 0's P and lam, solve0(X) = Q [(Q^T X P) / (1 + omega lam^T)] P^T
     solves it for rows that all have group 0's prior.  The other rows
     have beta = beta_0 + delta, delta > 0, and differ only in the mu
@@ -238,10 +255,7 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
     n_y = k - 1
     wbar = wpost.e_w
     mu0, beta = _mean_prior(hyper, d)
-    if np.ndim(hyper.beta) == 0:  # one group, as np.unique would find
-        betas, group = beta[:1], np.zeros(d, dtype=np.intp)
-    else:
-        betas, group = np.unique(beta, return_inverse=True)
+    betas, group = np.unique(beta, return_inverse=True)
     prior_diag = np.empty((betas.size, k))  # D_g
     prior_diag[:, :n_y] = alphapost.e_alpha
     prior_diag[:, n_y] = betas
@@ -255,7 +269,7 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
         raise np.linalg.LinAlgError(f"row {row} posterior precision is singular")
     rhs = wbar @ c_p  # B
     rhs[:, n_y] += beta * mu0
-    omega, q = np.linalg.eigh(wbar)
+    omega, q = wpost.omega, wpost.q
     p, p_mu = basis[0], basis[0][n_y]
     scale = 1.0 / (1.0 + omega[:, None] * lam[0])
     coords = (q.T @ rhs @ p) * scale  # solve0(B) = q coords p^T
@@ -266,8 +280,11 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
         np.diag(1.0 / (beta[rows] - betas[0])) + (q_s * (p_scale @ p_mu)) @ q_s.T,
         q_s @ (coords @ p_mu))
     coords -= (q_s.T @ z)[:, None] * p_scale
-    return RowPosteriors(mean=q @ coords @ p.T, basis=basis, group=group, s=s,
-                         kappa=kappa)
+    rowpost = RowPosteriors(mean=q @ coords @ p.T, basis=basis, group=group,
+                            s=s, kappa=kappa)
+    # log|det P_g| = -1/2 sum ln D_g, as det U_g = +-1
+    rowpost.__dict__["_logdet_basis"] = -0.5 * np.log(prior_diag).sum(axis=1)
+    return rowpost
 
 
 def _mean_prior(hyper, d):
@@ -337,8 +354,9 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
     mu0, beta = _mean_prior(hyper, d)
     mu_quad = rowpost.e_mu_quad(mu0)
 
-    if wpost.k is None or wpost.dof is None:
-        raise ValueError("elbo_bayes needs a proper Wishart posterior (invalid dof)")
+    if wpost.dof is None:
+        raise ValueError("elbo_bayes needs q(W) from update_q_wishart (from_update); "
+                         "this q(W) is a point mass, with no dof or scale")
     dof = wpost.dof
     vtbar, wbar, ln_w = rowpost.mean, wpost.e_w, wpost.e_ln_w
     sum_ln_alpha = alphapost.e_ln_alpha.sum()

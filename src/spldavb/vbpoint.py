@@ -84,9 +84,10 @@ class GaussianRows:
     s     : (R, k) per-row scales
 
     1/s, the (G, R) group one-hot, log|det P_g| and the side-by-side bases
-    are derived on first use and kept (``from_pair`` hands a block the
-    log-determinant with its basis); the fields cannot be reassigned and
-    the arrays are read-only, so the derived values cannot go stale.
+    are derived on first use and kept (``from_pair`` and the Bayesian row
+    update hand theirs the log-determinant with the bases); the fields
+    cannot be reassigned and the arrays are read-only, so the derived
+    values cannot go stale.
     """
 
     mean: np.ndarray
@@ -663,7 +664,8 @@ def min_divergence(blocks, model):
     sigma_y = sym(rho / denom - np.outer(mu_y, mu_y))
     t = np.linalg.cholesky(sigma_y)  # raises if Sigma_y is not PD
     # W is unchanged, so the new model shares it and its log-determinant.
-    return model._with_mu_v(model.mu + model.v @ mu_y, model.v @ t), (mu_y, t)
+    return type(model)._factored(model.mu + model.v @ mu_y, model.v @ t,
+                                 model.w, model.logdet_w()), (mu_y, t)
 
 
 def standardize_posteriors(posteriors, mu_y, t):

@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -540,6 +541,26 @@ class TestFactorizationBudget:
         # factor as without the sampler.
         assert events == ["slogdet"] + ["cholesky"] * 3
 
+    def test_bayes_sweep(self, monkeypatch):
+        variant, params, reduced, dirichlet = sweep_inputs("bayes")
+        # Parameters as a sweep leaves them, with q(W) from from_update.
+        params = variant.sweep(params, reduced, dirichlet, 1.0)["params"]
+        events = []
+        self.counting(monkeypatch, events,
+                      names=("cholesky", "eigh", "slogdet", "svd", "cond"))
+
+        def dpotrs(*args, _f=scipy.linalg.lapack.dpotrs, **kwargs):
+            events.append("dpotrs")
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", dpotrs)
+        variant.sweep(params, reduced, dirichlet, 1.0)
+        # The eigh of G and the log|det| of its basis; the row step's eigh
+        # of the scaled R' (one beta), whose bases take their log|det| from
+        # D_g; the eigh of K, which gives E[W], E[ln|W|], ln B and the
+        # next row step's basis of E[W].  Nothing factors E[W] again.
+        assert events == ["eigh", "slogdet", "eigh", "eigh"]
+
     def test_merge_score(self, monkeypatch):
         variant, model, reduced, _ = sweep_inputs("point")
         events = []
@@ -555,7 +576,8 @@ class TestFactorizationBudget:
         # One prune/merge attempt, after iteration 3 of 0-4, which
         # restructures M 6 -> 5.  Its score and refresh sweep share one
         # ExpectedParams, so one eigh of G; the Bayesian refresh adds the
-        # two eighs of its row update, of the scaled R' and of E[W].
+        # eigh of the scaled R' in its row update and the eigh of K in its
+        # q(W) update.
         dataset, model = split_problem(seed=0)
         events, attempts = [], []
         self.counting(monkeypatch, events, names=("eigh",))
@@ -1131,6 +1153,19 @@ class TestHyperparams:
         assert (used.eta, used.tau0) == (0.5, 0.7)
         assert used.mu0 is not None and used.a_alpha != hyper.a_alpha
         assert hyper == Hyperparams(eta=0.5, tau0=0.7)
+
+    def test_zero_dimensional_beta_is_a_scalar(self):
+        # A 0-d array beta keeps the isotropic hyper_opt_mu step, as a
+        # Python float does; it is not turned into a per-row vector.
+        dataset, model = split_problem(seed=3)
+        config = RunConfig(m_init=4, variant="bayes", init_method="ahc",
+                           hyper_opt_mu=True, elbo_tol=0.0, max_iter=5)
+        scalar, array = (run_adaptation(dataset, model, Hyperparams(beta=beta),
+                                        config)
+                         for beta in (0.5, np.array(0.5)))
+        np.testing.assert_array_equal(scalar.elbo_trace, array.elbo_trace)
+        np.testing.assert_array_equal(scalar.labels, array.labels)
+        assert np.ndim(array.bayes_state["hyper"].beta) == 0
 
 
 class TestTrainSupervised:

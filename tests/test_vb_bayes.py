@@ -1,6 +1,6 @@
 import types
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import wishart
 
 from spldavb.adapt import RunConfig, run_adaptation, train_supervised
-from spldavb.linalg import inv_logdet_pd, inv_pd, logdet_pd, sym
+from spldavb.linalg import NotPositiveDefiniteError, inv_pd, logdet_pd, sym
 from spldavb.model import SpldaModel, accumulate_stats, center_stats
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import (
@@ -570,6 +570,32 @@ class TestWishartPosterior:
             + d * np.log(2.0) + np.linalg.slogdet(np.linalg.inv(k) / kappa)[1]
         assert post.e_ln_w == pytest.approx(expected, rel=1e-12)
 
+    def test_singular_scale_takes_the_jitter(self):
+        a = np.random.default_rng(3).standard_normal((4, 4))
+        a[2] = 0.0  # a zero row and column: singular, PD after the jitter
+        k = a @ a.T
+        assert np.linalg.eigh(k)[0].min() <= 0.0
+        post = WishartPosterior.from_update(k, 9.0)
+        e, q = np.linalg.eigh(k + 1e-10 * np.trace(k) / 4 * np.eye(4))
+        np.testing.assert_array_equal(post.omega, 9.0 / e)
+        np.testing.assert_array_equal(post.q, q)
+        assert np.isfinite(post.e_ln_w) and np.isfinite(post.ln_b)
+
+    def test_indefinite_scale_is_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError, match="jitter"):
+            WishartPosterior.from_update(np.diag([1.0, -1.0, 2.0]), 9.0)
+
+    def test_point_mass_keeps_w_and_its_eigenpair(self):
+        a = np.random.default_rng(4).standard_normal((3, 5))
+        w = a @ a.T
+        w[0, 1] += 1e-9  # not quite symmetric
+        post = WishartPosterior.point_mass(w)
+        e, q = np.linalg.eigh(sym(w))
+        np.testing.assert_array_equal(post.e_w, sym(w))
+        np.testing.assert_array_equal(post.omega, e)
+        np.testing.assert_array_equal(post.q, q)
+        assert post.e_ln_w == np.log(e).sum()
+
     def test_annealed_low_dof_names_kappa(self):
         # N' - (1 - kappa)(N' - d - 1) = 2.5 <= d = 3
         with pytest.raises(ValueError, match="kappa"):
@@ -595,9 +621,13 @@ def test_kappa_one_gives_untempered_closed_forms(counts, tau0, a, d, extra_dof,
     k = sym(x @ x.T + np.eye(d))
     dof = d + extra_dof
     wpost = WishartPosterior.from_update(k, dof, kappa=1.0)
-    # K^-1 and log|K^-1| = -log|K| from one factor of K.
-    k_inv, logdet_k = inv_logdet_pd(k)
-    np.testing.assert_array_equal(wpost.e_w, sym(dof * k_inv))
+    # E[W] = Q diag(dof / e) Q^T and log|K^-1| = -sum ln e from one eigh
+    # of K = Q diag(e) Q^T.
+    e, q = np.linalg.eigh(k)
+    logdet_k = np.log(e).sum()
+    np.testing.assert_array_equal(wpost.omega, dof / e)
+    np.testing.assert_array_equal(wpost.q, q)
+    np.testing.assert_array_equal(wpost.e_w, sym((q * (dof / e)) @ q.T))
     assert wpost.e_ln_w == digamma(0.5 * (dof + 1.0 - np.arange(1, d + 1))).sum() \
         + d * np.log(2.0) - logdet_k
     assert wpost.ln_b == _ln_wishart_b(-logdet_k, dof, d)
@@ -649,6 +679,15 @@ class TestElboBayes:
                 state[9] = replace(state[9], beta=beta)
                 bounds.append(state_elbo(state))
             assert bounds[0] == bounds[1]
+
+    def test_point_mass_wishart_is_rejected(self):
+        rng = np.random.default_rng(49)
+        state = list(self._full_state(rng))
+        state[8] = WishartPosterior.point_mass(state[8].e_w)
+        with pytest.raises(ValueError, match=r"^elbo_bayes needs q\(W\) from "
+                           r"update_q_wishart \(from_update\); this q\(W\) is "
+                           r"a point mass, with no dof or scale$"):
+            state_elbo(state)
 
     def test_absent_labelled_block_equals_empty_one(self):
         rng = np.random.default_rng(47)
@@ -713,7 +752,7 @@ class TestSharedQuantities:
     def test_cached_wishart_normalizer(self, kappa):
         state, _ = self._state(kappa)
         wpost = state[8]
-        logdet_k_inv = -logdet_pd(wpost.k)
+        logdet_k_inv = -np.log(np.linalg.eigh(wpost.k)[0]).sum()
         assert wpost.ln_b == _ln_wishart_b(logdet_k_inv, wpost.dof, 4)
         if kappa == 1.0:
             assert wpost.e_ln_w == digamma(
@@ -967,14 +1006,16 @@ class TestCachedMoments:
         for dof in (11.0, np.nextafter(11.0, 12.0), 11.0, 23.7):
             post = WishartPosterior.from_update(k, dof, kappa)
             dof_eff = dof - (1.0 - kappa) * (dof - d - 1.0)
-            k_inv, logdet_k = inv_logdet_pd(k)
-            logdet_k_inv = -logdet_k
+            e, q = np.linalg.eigh(k)
+            logdet_k_inv = -np.log(e).sum()
             assert post.e_ln_w == (
                 digamma(0.5 * (dof_eff + 1.0 - np.arange(1, d + 1))).sum()
                 + d * np.log(2.0) + logdet_k_inv - d * np.log(kappa))
             assert post.ln_b == -0.5 * dof * logdet_k_inv \
                 - 0.5 * dof * d * np.log(2.0) - multigammaln(0.5 * dof, d)
-            np.testing.assert_array_equal(post.e_w, dof_eff * (k_inv / kappa))
+            omega = dof_eff / (kappa * e)
+            np.testing.assert_array_equal(post.omega, omega)
+            np.testing.assert_array_equal(post.e_w, sym((q * omega) @ q.T))
             np.testing.assert_array_equal(post.e_w, post.e_w.T)
         assert _wishart_digamma_sum.cache_info().hits > 0
         assert _ln_multigamma.cache_info().hits > 0
@@ -1013,7 +1054,20 @@ class TestCachedMoments:
                            (alpha, "b_prime")):
             with pytest.raises(FrozenInstanceError):
                 setattr(post, name, getattr(post, name))
+        a = rng.standard_normal((3, 3))
+        k = a @ a.T + np.eye(3)
+        wisharts = (WishartPosterior.from_update(k, 9.0),
+                    WishartPosterior.point_mass(k))
+        for post in wisharts:
+            for field in fields(post):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(post, field.name, getattr(post, field.name))
+        k_copy = k.copy()
+        k[0, 0] = 7.0  # the caller's K and W stay writable
         for arr in (tau, dirichlet.e_ln_pi, alpha.b_prime, alpha.e_alpha,
-                    alpha.e_ln_alpha):
+                    alpha.e_ln_alpha, *(post.e_w for post in wisharts),
+                    *(post.omega for post in wisharts),
+                    *(post.q for post in wisharts), wisharts[0].k):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
+        np.testing.assert_array_equal(wisharts[0].k, sym(k_copy))

@@ -580,9 +580,9 @@ class TestMinDivergence:
         assert new.logdet_w() == model.logdet_w() == logdet_pd(new.w)
         assert new.d == 5 and new.n_y == 2
         with pytest.raises(ValueError, match="inconsistent shapes"):
-            model._with_mu_v(model.mu[:-1], model.v)
+            SpldaModel._factored(model.mu[:-1], model.v, model.w, 0.0)
         with pytest.raises(ValueError, match="exceeds"):
-            model._with_mu_v(model.mu, np.zeros((5, 6)))
+            SpldaModel._factored(model.mu, np.zeros((5, 6)), model.w, 0.0)
 
     def test_reads_the_blocks_cached_second_moment(self):
         rng = np.random.default_rng(27)
