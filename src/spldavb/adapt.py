@@ -3,12 +3,11 @@ heuristics (pruning/merging), the VB+sampling hybrid and supervised
 maximum-likelihood training of the initial model.
 """
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.cluster.hierarchy
 import scipy.spatial.distance
-from scipy.special import entr
 
 from . import vbbayes, vbpoint
 from .model import (Dataset, SpldaModel, SuffStats, _hard_stats, _int_labels,
@@ -79,7 +78,10 @@ def _check_knobs(values):
 @dataclass
 class RunConfig:
     """Knobs of one adaptation run.  Defaults follow the library's policy
-    values; every heuristic constant is configurable."""
+    values; every heuristic constant is configurable, and a bool knob
+    takes only a bool.  ``init_method="uniform_pi"`` starts every cluster
+    identical and no update breaks the tie, so with ``m_init > 1`` every
+    i-vector ends in one cluster."""
 
     m_init: int = 1
     variant: str = "point"  # "point" | "bayes"
@@ -104,6 +106,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a truthy string such as "false" would do the opposite
+            if f.type is bool and not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a bool, got {value!r}")
         _check_knobs({k: getattr(self, k) for k in _LOWER_BOUNDS
                       if k != "n_y"})
         if self.init_method not in _INIT_METHODS:
@@ -258,8 +265,9 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     columns ``i < j`` merged into column ``i``.  A candidate is kept if its
     score does not drop more than ``elbo_tol`` relative to the current
     structure's score.  ``extra_pairs`` adds merge candidates beyond the
-    column-cosine rule (column-index pairs, e.g. clusters with
-    near-identical speaker posteriors).
+    column-cosine rule: pairs of column indices of ``r`` (e.g. clusters
+    with near-identical speaker posteriors), tried while both columns are
+    unmerged.
 
     ``refresh(r)`` must run one VB sweep from responsibilities ``r`` and
     return ``(elbo, state)``; it runs once, on the final structure, if a
@@ -277,41 +285,35 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     keep = r.sum(axis=0) >= config.prune_threshold
     if not keep.any():
         raise ValueError("prune threshold removed every cluster; lower it")
-    have_prune = bool((~keep).any())
-    if not have_prune and not extra_pairs \
-            and not _merge_pairs(r, config.merge_threshold):
-        return resp, current_elbo, None, False
 
     def holds(new, old):
         return new >= old - config.elbo_tol * max(1.0, abs(old))
 
     cur, cur_score = r, score(r)
-    # Column ids survive index shifts so a rejected pair is not retried
-    # within this call.  Ids equal the original column indices until a
-    # merge mints a fresh id, so ``extra_pairs`` stays valid as long as both
-    # of its columns are unmerged.
-    ids = list(range(r.shape[1]))
-    if have_prune:
+    # Each column is named by the set of original columns it holds, so a
+    # rejected pair is not retried within this call and ``extra_pairs``
+    # names a column for as long as it holds its original column alone.
+    names = [frozenset((i,)) for i in range(r.shape[1])]
+    if not keep.all():
         cand = cur[:, keep]
         cand = cand / cand.sum(axis=1, keepdims=True)
         cand_score = score(cand)
         if holds(cand_score, cur_score):
             cur, cur_score = cand, cand_score
-            ids = [i for i, k in enumerate(keep) if k]
+            names = [name for name, k in zip(names, keep) if k]
 
     # Greedy pairwise merging.  The pairs are listed afresh only after a
     # merge, since a rejection leaves ``cur`` as it was.
-    next_id = r.shape[1]
     tried = set()
     while True:
-        id_pairs = {frozenset((ids[i], ids[j])): (i, j)
-                    for i, j in _merge_pairs(cur, config.merge_threshold)}
+        pairs = _merge_pairs(cur, config.merge_threshold)
+        column = {name: i for i, name in enumerate(names)}
         for a, b in extra_pairs:
-            if a in ids and b in ids and a != b:
-                id_pairs.setdefault(
-                    frozenset((a, b)), (min(ids.index(a), ids.index(b)),
-                                        max(ids.index(a), ids.index(b))))
-        for key, (i, j) in id_pairs.items():
+            i, j = column.get(frozenset((a,))), column.get(frozenset((b,)))
+            if i is not None and j is not None and i != j:
+                pairs.append((min(i, j), max(i, j)))
+        for i, j in pairs:
+            key = frozenset((names[i], names[j]))
             if key in tried:
                 continue
             cand_score = score(cur, (i, j))
@@ -319,9 +321,7 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
                 cand = np.delete(cur, j, axis=1)
                 cand[:, i] = cur[:, i] + cur[:, j]
                 cur, cur_score = cand, cand_score
-                ids = ids[:j] + ids[j + 1:]
-                ids[i] = next_id
-                next_id += 1
+                names[i] |= names.pop(j)
                 break
             tried.add(key)
         else:  # no pair merged
@@ -398,7 +398,6 @@ class _FixedBound:
     def __init__(self, variant, params, reduced):
         self.expected = ex = variant.expected(params)
         mean, ln_w, u = ex
-        self.eig = ex.eig_g
         self.w_mu = mean.w @ mean.mu
         self.a_mumu = mean.mu @ self.w_mu + u[-1, -1]
         self.tau0 = variant.hyper.tau0
@@ -419,7 +418,7 @@ class _FixedBound:
     def _clusters(self, n, f):
         """(M,) the terms c_i of clusters with counts n and sums f."""
         b = self.expected.rhs(n, f)
-        posts = SpeakerPosteriors.from_pair(None, n, b, eig=self.eig)
+        posts = SpeakerPosteriors.from_pair(None, n, b, eig=self.expected.eig_g)
         return 0.5 * (b * posts.ybar).sum(axis=1) - 0.5 * posts.logdet_prec() \
             + f @ self.w_mu - 0.5 * self.a_mumu * n
 
@@ -431,7 +430,8 @@ class _FixedBound:
         stats = self.reduce(r).stats
         terms = self._terms.get(id(r))
         if terms is None:
-            c, h = self._clusters(stats.n, stats.f), entr(r).sum(axis=0)
+            c = self._clusters(stats.n, stats.f)
+            h = vbpoint._neg_xlogx(r).sum(axis=0)
             dirichlet = self._dirichlet(stats.n)
             total = self.const + c.sum() + dirichlet + h.sum()
             terms = self._terms[id(r)] = (c, h, dirichlet, total)
@@ -442,7 +442,7 @@ class _FixedBound:
         n = np.delete(stats.n, j)
         n[i] = stats.n[i] + stats.n[j]
         c_ij = self._clusters(n[i:i + 1], (stats.f[i] + stats.f[j])[None])[0]
-        h_ij = entr(r[:, i] + r[:, j]).sum()
+        h_ij = vbpoint._neg_xlogx(r[:, i] + r[:, j]).sum()
         return total + (c_ij - c[i] - c[j]) + (h_ij - h[i] - h[j]) \
             + (self._dirichlet(n) - dirichlet)
 
@@ -623,6 +623,13 @@ def run_adaptation(dataset, model_init, hyper, config):
     if dataset.d != model_init.d:
         raise ValueError(
             f"model dimension {model_init.d} does not match data {dataset.d}")
+    if hyper.mu0 is not None and np.shape(hyper.mu0) != (dataset.d,):
+        raise ValueError(f"Hyperparams.mu0 has shape {np.shape(hyper.mu0)}; "
+                         f"expected ({dataset.d},), one entry per dimension")
+    if hyper.beta is not None and (np.ndim(hyper.beta) > 1
+                                   or np.size(hyper.beta) not in (1, dataset.d)):
+        raise ValueError(f"Hyperparams.beta has shape {np.shape(hyper.beta)}; "
+                         f"expected 1 or {dataset.d} entries")
     if dataset.phi.shape[0] == 0:
         others = [name for name in RunConfig.__dataclass_fields__
                   if name not in ("variant", "max_iter", "elbo_tol")]

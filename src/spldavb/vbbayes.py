@@ -50,8 +50,9 @@ class RowPosteriors(GaussianRows):
     L_r = wbar_rr R' + D_g, with one shared R' and one diagonal
     D_g = diag(E[alpha], beta_g) per group g of rows with equal beta.  The
     row update sets P_g = D_g^-1/2 U for the eigenvectors U of
-    D_g^-1/2 R' D_g^-1/2 and s_r = 1 + wbar_rr lam for its eigenvalues lam.
-    A point mass has P = I and s = inf.
+    D_g^-1/2 R' D_g^-1/2, so log|det P_g| = -1/2 sum ln D_g, and
+    s_r = 1 + wbar_rr lam for its eigenvalues lam.  A point mass has P = I,
+    log|det P| = 0 and s = inf.
 
     ``e_vq_vq()`` and ``sigma_mu()`` are computed once per posterior and
     returned read-only: the q(alpha) update and the bound share one
@@ -63,7 +64,8 @@ class RowPosteriors(GaussianRows):
         vtilde = np.asarray(vtilde, dtype=float)
         d, k = vtilde.shape
         return cls(mean=vtilde.copy(), basis=np.eye(k)[None],
-                   group=np.zeros(d, dtype=int), s=np.full((d, k), np.inf))
+                   group=np.zeros(d, dtype=int), s=np.full((d, k), np.inf),
+                   logdet_basis=np.zeros(1))
 
     @property
     def d(self):
@@ -280,11 +282,9 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
         np.diag(1.0 / (beta[rows] - betas[0])) + (q_s * (p_scale @ p_mu)) @ q_s.T,
         q_s @ (coords @ p_mu))
     coords -= (q_s.T @ z)[:, None] * p_scale
-    rowpost = RowPosteriors(mean=q @ coords @ p.T, basis=basis, group=group,
-                            s=s, kappa=kappa)
-    # log|det P_g| = -1/2 sum ln D_g, as det U_g = +-1
-    rowpost.__dict__["_logdet_basis"] = -0.5 * np.log(prior_diag).sum(axis=1)
-    return rowpost
+    return RowPosteriors(mean=q @ coords @ p.T, basis=basis, group=group, s=s,
+                         logdet_basis=-0.5 * np.log(prior_diag).sum(axis=1),
+                         kappa=kappa)
 
 
 def _mean_prior(hyper, d):

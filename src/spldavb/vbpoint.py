@@ -62,6 +62,8 @@ class Hyperparams:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.beta is not None and not (np.asarray(self.beta) > 0).all():
             raise ValueError(f"beta must be > 0, got {self.beta!r}")
+        if self.mu0 is not None and not np.isfinite(self.mu0).all():
+            raise ValueError(f"mu0 must be finite, got {self.mu0!r}")
 
 
 @dataclass(frozen=True)
@@ -78,26 +80,27 @@ class GaussianRows:
     aggregates cost O(G R k + G k^3); the dense (R, k, k) ``prec`` is
     built on demand, for the model file.
 
-    mean  : (R, k) row means
-    basis : (G, k, k) shared bases P_g
-    group : (R,) group index of each row
-    s     : (R, k) per-row scales
+    mean         : (R, k) row means
+    basis        : (G, k, k) shared bases P_g
+    group        : (R,) group index of each row
+    s            : (R, k) per-row scales
+    logdet_basis : (G,) log|det P_g|, given by the code that builds the
+                   bases: 0 for an orthonormal basis
 
-    1/s, the (G, R) group one-hot, log|det P_g| and the side-by-side bases
-    are derived on first use and kept (``from_pair`` and the Bayesian row
-    update hand theirs the log-determinant with the bases); the fields
-    cannot be reassigned and the arrays are read-only, so the derived
-    values cannot go stale.
+    1/s, the (G, R) group one-hot and the side-by-side bases are derived
+    on first use and kept; the fields cannot be reassigned and the arrays
+    are read-only, so the derived values cannot go stale.
     """
 
     mean: np.ndarray
     basis: np.ndarray
     group: np.ndarray
     s: np.ndarray
+    logdet_basis: np.ndarray
     kappa: float = 1.0
 
     def __post_init__(self):
-        for a in (self.mean, self.basis, self.group, self.s):
+        for a in (self.mean, self.basis, self.group, self.s, self.logdet_basis):
             a.flags.writeable = False
 
     @cached_property
@@ -112,11 +115,6 @@ class GaussianRows:
     def _own(self):
         """(R,) flat index of (r, group[r]) in an (R, G) array."""
         return np.arange(len(self.group)) * len(self.basis) + self.group
-
-    @cached_property
-    def _logdet_basis(self):
-        """(G,) log|det P_g|."""
-        return np.linalg.slogdet(self.basis)[1]
 
     @cached_property
     def _flat_basis(self):
@@ -157,12 +155,13 @@ class GaussianRows:
 
     def logdet_prec(self):
         """(R,) log|L_r| (untempered)."""
-        return np.log(self.s).sum(axis=1) - 2.0 * self._logdet_basis[self.group]
+        return np.log(self.s).sum(axis=1) - 2.0 * self.logdet_basis[self.group]
 
     def mapped(self, a, b=0.0):
         """The rows of x' = A x + b: means A m_r + b, precisions
         A^-T L_r A^-1, that is bases A P_g with the same s."""
-        return replace(self, mean=self.mean @ a.T + b, basis=a @ self.basis)
+        return replace(self, mean=self.mean @ a.T + b, basis=a @ self.basis,
+                       logdet_basis=self.logdet_basis + np.linalg.slogdet(a)[1])
 
 
 class SpeakerPosteriors(GaussianRows):
@@ -170,33 +169,20 @@ class SpeakerPosteriors(GaussianRows):
 
     Every precision in the block is L_i = I + n_i G with one shared G
     (V^T W V, or E[V^T W V] in the Bayesian variant), so a block is
-    ``GaussianRows`` with one group: P is the eigenbasis of G and
-    s_i = 1 + n_i lam for its eigenvalues lam.  Build a block with
-    :meth:`from_pair`.
+    ``GaussianRows`` with one group: P is the orthonormal eigenbasis of G,
+    so log|det P| = 0, and s_i = 1 + n_i lam for its eigenvalues lam.
+    Build a block with :meth:`from_pair`.
     """
-
-    @staticmethod
-    def eigh(g):
-        """``(lam, P, log|det P|)`` with ``(lam, P) = np.linalg.eigh(g)``:
-        the basis :meth:`from_pair` builds a block on and the (1,)
-        log-determinant its ``logdet_prec`` reads.  A caller that builds
-        several blocks on one g computes it once and passes it to each.
-        P is read-only: every block built on it holds a view of it."""
-        lam, basis = np.linalg.eigh(g)
-        basis.flags.writeable = False
-        return lam, basis, np.linalg.slogdet(basis[None])[1]
 
     @classmethod
     def from_pair(cls, g, n, rhs, kappa=1.0, eig=None):
         """Posteriors with L_i = I + n_i g and means ybar_i = L_i^-1 rhs_i;
-        ``eig`` is ``SpeakerPosteriors.eigh(g)`` when the caller already
-        has it."""
-        lam, basis, logdet_basis = cls.eigh(g) if eig is None else eig
+        ``eig`` is ``np.linalg.eigh(g)`` when the caller already has it."""
+        lam, basis = np.linalg.eigh(g) if eig is None else eig
         s = 1.0 + n[:, None] * lam
         ybar = (rhs.dot(basis) / s).dot(basis.T)
-        posts = cls(ybar, basis[None], np.zeros(len(n), dtype=int), s, kappa)
-        posts.__dict__["_logdet_basis"] = logdet_basis
-        return posts
+        return cls(ybar, basis[None], np.zeros(len(n), dtype=int), s,
+                   np.zeros(1), kappa)
 
     @property
     def ybar(self):
@@ -249,16 +235,16 @@ class Responsibilities:
         return self.r.sum(axis=0)
 
     def entropy(self):
-        """-sum_ji r_ji ln r_ji, with 0 ln 0 = 0: the carried ``h`` if
-        there is one, else computed from ``r``."""
-        if self.h is not None:
-            return self.h
-        r = self.r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.log(r)
-            terms *= r  # 0 * -inf is nan where r == 0
-        terms[r == 0] = 0.0
-        return float(-np.sum(terms))
+        """-sum_ji r_ji ln r_ji: the carried ``h`` if there is one, else
+        the sum of ``_neg_xlogx(r)``."""
+        return float(_neg_xlogx(self.r).sum()) if self.h is None else self.h
+
+
+def _neg_xlogx(x):
+    """-x ln x elementwise, with 0 ln 0 = 0: the package's one entropy
+    formula.  It takes numpy's log, as the softmax does, and not
+    ``scipy.special.entr``, whose log can differ from it in the last bit."""
+    return -(x * np.log(x, out=np.zeros_like(x), where=x > 0))
 
 
 @dataclass(frozen=True)
@@ -293,8 +279,7 @@ class ExpectedParams:
 
     ``wv`` = Wbar Vbar, ``g`` = E[V^T W V] and its eigendecomposition
     ``eig_g`` are derived on first use and kept, so the two q(Y) blocks
-    and q(theta) of one sweep share one W V, one G, one ``eigh`` and one
-    log|det| of its basis.
+    and q(theta) of one sweep share one W V, one G and one ``eigh``.
     """
 
     def __init__(self, model, ln_w=None, u=None):
@@ -325,8 +310,11 @@ class ExpectedParams:
 
     @cached_property
     def eig_g(self):
-        """``SpeakerPosteriors.eigh(g)``, the shared basis of every q(y_i)."""
-        return SpeakerPosteriors.eigh(self.g)
+        """``np.linalg.eigh(g)``, the shared basis of every q(y_i); the
+        basis is read-only, as every block built on it holds a view of it."""
+        lam, basis = np.linalg.eigh(self.g)
+        basis.flags.writeable = False
+        return lam, basis
 
     def rhs(self, n, f):
         """(M, n_y) b_i = (f_i - n_i mu)^T W V - n_i u_{y mu}, with which

@@ -149,13 +149,15 @@ def e_vt_r_vt(rowpost, r):
 def rowpost_from_cov(mean, cov):
     """``RowPosteriors`` with row means ``mean`` (d, k) and covariances
     ``cov`` (d, k, k), factored row by row (one group per row): the basis
-    of row r holds the eigenvectors of cov_r and s_r the reciprocals of its
-    eigenvalues, inf where an eigenvalue is 0 (a point-mass direction)."""
+    of row r holds the eigenvectors of cov_r, with their log|det| taken by
+    ``slogdet``, and s_r the reciprocals of its eigenvalues, inf where an
+    eigenvalue is 0 (a point-mass direction)."""
     e, basis = np.linalg.eigh(cov)
     s = np.full_like(e, np.inf)
     np.divide(1.0, e, out=s, where=e > 0)
     return RowPosteriors(mean=np.asarray(mean, dtype=float), basis=basis,
-                         group=np.arange(e.shape[0]), s=s)
+                         group=np.arange(e.shape[0]), s=s,
+                         logdet_basis=np.linalg.slogdet(basis)[1])
 
 
 def update_q_vtilde_rows_batched(c_p, r_p, wpost, alphapost, hyper,

@@ -488,7 +488,8 @@ class TestSingleReduction:
 
 class TestFactorizationBudget:
     """Each positive-definite matrix is factored once per iteration, no
-    SVD tests R', and each shared eigenbasis gets one log-determinant."""
+    SVD tests R', and each basis gets its log-determinant from the code
+    that builds it: no q(Y) block, row posterior or merge score takes one."""
 
     @staticmethod
     def counting(monkeypatch, events,
@@ -509,9 +510,9 @@ class TestFactorizationBudget:
         train_supervised(dataset.phi_d, dataset.labels_d, model.n_y,
                          model_init=model, max_iter=4, elbo_tol=0.0)
         # Per iteration: the new W's scatter (inverted by mstep_W), the new
-        # W and Sigma_y; q(Y) gets one log|det| of its basis.
+        # W and Sigma_y; q(Y)'s orthonormal basis has log|det| = 0.
         assert events.count("cholesky") == 3 * 4
-        assert events.count("slogdet") == 4
+        assert "slogdet" not in events
         assert "svd" not in events and "cond" not in events  # R' by eigvalsh
 
     def test_point_sweep_and_update(self, monkeypatch):
@@ -519,14 +520,14 @@ class TestFactorizationBudget:
         events = []
         self.counting(monkeypatch, events)
         state = variant.sweep(model, reduced, dirichlet, 1.0)
-        # Both q(Y) blocks are built on one eigenbasis; the bound reads
-        # log|W| from the model.
-        assert events == ["slogdet"]
-        events.clear()
+        # Both q(Y) blocks are built on one orthonormal eigenbasis; the
+        # bound reads log|W| from the model.
+        assert events == []
         variant.update(state)
         # mstep_W's scatter, the new W and Sigma_y; min_divergence keeps W,
-        # and mstep_V takes no SVD.
-        assert events == ["cholesky"] * 3
+        # and mstep_V takes no SVD.  The standardized q(Y) adds log|det| of
+        # its map T^-1 to its basis's.
+        assert events == ["cholesky"] * 3 + ["slogdet"]
 
     @pytest.mark.parametrize("strategy", ["average_accumulators",
                                           "best_sample"])
@@ -537,9 +538,9 @@ class TestFactorizationBudget:
         events = []
         self.counting(monkeypatch, events)
         variant.update(state)
-        # The eight draws' q(Y) share one eigenbasis of G; then the M-steps
-        # factor as without the sampler.
-        assert events == ["slogdet"] + ["cholesky"] * 3
+        # The eight draws' q(Y) share one orthonormal eigenbasis of G; then
+        # the M-steps and the standardization factor as without the sampler.
+        assert events == ["cholesky"] * 3 + ["slogdet"]
 
     def test_bayes_sweep(self, monkeypatch):
         variant, params, reduced, dirichlet = sweep_inputs("bayes")
@@ -555,21 +556,21 @@ class TestFactorizationBudget:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", dpotrs)
         variant.sweep(params, reduced, dirichlet, 1.0)
-        # The eigh of G and the log|det| of its basis; the row step's eigh
+        # The eigh of G, whose basis has log|det| = 0; the row step's eigh
         # of the scaled R' (one beta), whose bases take their log|det| from
         # D_g; the eigh of K, which gives E[W], E[ln|W|], ln B and the
         # next row step's basis of E[W].  Nothing factors E[W] again.
-        assert events == ["eigh", "slogdet", "eigh", "eigh"]
+        assert events == ["eigh", "eigh", "eigh"]
 
     def test_merge_score(self, monkeypatch):
         variant, model, reduced, _ = sweep_inputs("point")
         events = []
         self.counting(monkeypatch, events)
         score = adapt._FixedBound(variant, model, reduced)
-        assert events == ["slogdet"]
+        assert events == []
         for pair in ((0, 1), (0, 3), (2, 3)):
             score(reduced.resp.r, pair)
-        assert events == ["slogdet"]
+        assert events == []
 
     @pytest.mark.parametrize("variant", ["point", "bayes"])
     def test_score_and_refresh_share_one_eigh(self, monkeypatch, variant):
@@ -989,6 +990,14 @@ class TestRuns:
         with pytest.raises(ValueError, match=rf"^{knob} must"):
             RunConfig(**READ_WITH.get(knob, {}), **{knob: float("nan")})
 
+    @pytest.mark.parametrize(
+        "knob", [f.name for f in fields(RunConfig) if f.type is bool])
+    def test_non_bool_bool_knob_rejected(self, knob):
+        # "false" is truthy: taken as a bool it would turn the knob on.
+        with pytest.raises(ValueError, match=rf"^{knob} must be a bool"):
+            RunConfig(**READ_WITH.get(knob, {}), **{knob: "false"})
+        RunConfig(**READ_WITH.get(knob, {}), **{knob: np.bool_(False)})
+
     @pytest.mark.parametrize("knob, settings", [
         # kappa would stay at 0.5 and never reach 1
         ("kappa_growth", dict(anneal=True, kappa0=0.5, kappa_growth=1.0)),
@@ -1121,10 +1130,46 @@ class TestHyperparams:
         ("beta", 0.0),
         ("beta", -1.0),
         ("beta", np.array([1.0, 0.0, 2.0])),
+        # every range check, NaN included
+        *((field, value) for field in ("tau0", "eta")
+          for value in (0.0, -1.0, float("nan"))),
+        *((field, float("nan")) for field in ("a_alpha", "b_alpha", "beta")),
+        ("eta", 1.5),
     ])
     def test_nonpositive_prior_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             Hyperparams(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu0_rejected(self, value):
+        mu0 = np.zeros(5)
+        mu0[2] = value
+        with pytest.raises(ValueError, match="^mu0 must be finite"):
+            Hyperparams(mu0=mu0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu0", np.zeros(3)),
+        ("mu0", np.zeros((1, 5))),
+        ("mu0", 0.0),
+        ("beta", np.ones(3)),
+        ("beta", np.ones((1, 5))),
+    ])
+    def test_mean_prior_of_wrong_size_rejected(self, field, value):
+        # d = 5: mu0 needs 5 entries, beta 1 or 5.
+        dataset, model = split_problem(seed=4)
+        with pytest.raises(ValueError, match=rf"^Hyperparams\.{field} has shape"):
+            run_adaptation(dataset, model, Hyperparams(**{field: value}),
+                           RunConfig(m_init=2, variant="bayes", max_iter=1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu0", np.zeros(5)),
+        ("beta", np.ones(1)),
+        ("beta", np.ones(5)),
+    ])
+    def test_mean_prior_of_right_size_accepted(self, field, value):
+        dataset, model = split_problem(seed=4)
+        run_adaptation(dataset, model, Hyperparams(**{field: value}),
+                       RunConfig(m_init=2, variant="bayes", max_iter=1))
 
     @pytest.mark.parametrize("field, value", [
         ("mu0", np.ones(5)),

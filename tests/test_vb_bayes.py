@@ -463,10 +463,11 @@ def test_mapped_rows_are_the_affine_image(kind, rows, k, kappa, seed):
         n_groups = rng.integers(1, 4)
         s = rng.uniform(0.1, 10.0, (rows, k))
         s[1:][rng.random(rows - 1) < 0.3] = np.inf  # point masses
+        basis = np.eye(k) + 0.4 * rng.standard_normal((n_groups, k, k))
         block = RowPosteriors(
-            mean=rng.standard_normal((rows, k)),
-            basis=np.eye(k) + 0.4 * rng.standard_normal((n_groups, k, k)),
-            group=rng.integers(0, n_groups, rows), s=s, kappa=kappa)
+            mean=rng.standard_normal((rows, k)), basis=basis,
+            group=rng.integers(0, n_groups, rows), s=s,
+            logdet_basis=np.linalg.slogdet(basis)[1], kappa=kappa)
     a = np.eye(k) + 0.4 * rng.standard_normal((k, k))
     b = rng.standard_normal(k)
     mapped = block.mapped(a, b)

@@ -1,0 +1,186 @@
+"""Compare the adaptation runs of this checkout with those of another
+revision, problem by problem.
+
+Usage: python3 tools/compare_runs.py BASE_REV [--seed N] [--workload NAME ...]
+
+Run from the repository root.  BASE_REV's ``src/`` is exported with
+``git archive`` into a temporary directory; this checkout's ``src/`` is
+used as it stands in the working tree.  One subprocess per tree, with one
+BLAS thread, runs the problems that each ``perfbench/workloads.py``
+workload draws from ``--seed`` (default 1) through the library: each
+problem is trained as its workload trains it (``train_supervised`` to
+convergence, as ``splda train`` does, for a CLI workload) and adapted by
+``run_adaptation`` with the workload's ``RunConfig``.
+
+For each workload it prints every ``RunReport`` field that differs between
+the two trees, with the number of problems it differs on, and the largest
+relative difference of the ELBO traces and of each ``elbo_terms`` entry
+(scaled by max(1, |term|)).  The exit status is 1 when any field other
+than ``elbo_trace`` and ``elbo_terms`` differs: labels, the M and kappa
+traces, diagnostics, convergence, the trained or adapted model, or a
+``bayes_state`` array that both trees have.  ``perfbench/`` is only read.
+"""
+
+import argparse
+import dataclasses
+import io
+import os
+import pickle
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+# Fields compared with ==; the ELBO trace and terms are compared in size.
+EXACT = ("labels", "m_trace", "kappa_trace", "diagnostics", "converged",
+         "trained", "model", "bayes_state")
+
+
+def _arrays(obj, prefix, out):
+    """Flatten the dataclasses and dicts of ``obj`` into ``out``: name ->
+    array (or None)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _arrays(value, f"{prefix}.{key}", out)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _arrays(getattr(obj, f.name), f"{prefix}.{f.name}", out)
+    else:
+        out[prefix] = None if obj is None else np.asarray(obj)
+
+
+def _run_tree(src, seed, names, out_path):
+    """Run every problem of the workloads ``names`` with the library at
+    ``src`` and pickle the outcomes to ``out_path``."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    import spldavb
+    if Path(src).resolve() not in Path(spldavb.__file__).resolve().parents:
+        raise SystemExit(f"error: spldavb imported from {spldavb.__file__}")
+    import workloads
+    from spldavb.adapt import train_supervised
+
+    results = {}
+    for name in names:
+        workload = dataclasses.replace(workloads.BY_NAME[name], via_cli=False)
+        train_kw = {} if workloads.BY_NAME[name].via_cli else workloads.API_TRAIN
+        runs = results[name] = []
+        for pseed in workloads.problem_seeds(seed):
+            problem = workloads.setup(workload, pseed, None)
+            ds = problem.dataset
+            trained = train_supervised(ds.phi_d, ds.labels_d, workload.n_y_fit,
+                                       seed=pseed, **train_kw).model
+            rep = workloads.adapt(workload, problem, trained)
+            flat = {}
+            _arrays(rep.bayes_state, "bayes_state", flat)
+            runs.append(dict(
+                labels=rep.labels, m_trace=rep.m_trace,
+                kappa_trace=rep.kappa_trace, diagnostics=rep.diagnostics,
+                converged=rep.converged, elbo_trace=np.array(rep.elbo_trace),
+                elbo_terms=dict(rep.elbo_terms),
+                trained={k: getattr(trained, k) for k in ("mu", "v", "w")},
+                model={k: getattr(rep.model, k) for k in ("mu", "v", "w")},
+                bayes_state=flat))
+    with open(out_path, "wb") as fh:
+        pickle.dump(results, fh)
+
+
+def _same(a, b):
+    if isinstance(a, dict) or isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(
+        a, b, equal_nan=a.dtype.kind == "f" and b.dtype.kind == "f")
+
+
+def _compare(name, base, head):
+    """Print the differences of one workload's runs; True if an exact
+    field differs."""
+    differs, one_sided = {}, set()
+    elbo_rel, term_rel = 0.0, {}
+    for b, h in zip(base, head):
+        shared = b["bayes_state"].keys() & h["bayes_state"].keys()
+        one_sided |= b["bayes_state"].keys() ^ h["bayes_state"].keys()
+        for run in (b, h):
+            run["bayes_state"] = {k: run["bayes_state"][k] for k in shared}
+        for field in EXACT + ("elbo_trace", "elbo_terms"):
+            if not _same(b[field], h[field]):
+                differs[field] = differs.get(field, 0) + 1
+        n = min(b["elbo_trace"].size, h["elbo_trace"].size)
+        eb, eh = b["elbo_trace"][:n], h["elbo_trace"][:n]
+        if n:
+            elbo_rel = max(elbo_rel, float(np.max(
+                np.abs(eh - eb) / np.maximum(np.abs(eb), np.finfo(float).tiny))))
+        for term in b["elbo_terms"].keys() & h["elbo_terms"].keys():
+            tb, th = b["elbo_terms"][term], h["elbo_terms"][term]
+            term_rel[term] = max(term_rel.get(term, 0.0),
+                                 abs(th - tb) / max(1.0, abs(tb)))
+    print(f"{name}: {len(base)} problems")
+    for field, count in differs.items():
+        print(f"  differs: {field} on {count} of {len(base)}")
+    if not differs:
+        print("  every field ==")
+    if one_sided:
+        print(f"  bayes_state arrays in one tree only: {', '.join(sorted(one_sided))}")
+    print(f"  max relative ELBO difference: {elbo_rel:.3g}")
+    moved = ", ".join(f"{term} {rel:.3g}" for term, rel in
+                      sorted(term_rel.items(), key=lambda kv: -kv[1]) if rel)
+    print(f"  max |difference| / max(1, |term|): {moved or 'none'}"
+          + ("; every other term ==" if moved else ""))
+    return any(field in EXACT for field in differs)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_rev")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", action="append",
+                        help="a perfbench workload name (default: all)")
+    parser.add_argument("--child", nargs=2, metavar=("SRC", "OUT"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        _run_tree(Path(args.child[0]), args.seed, args.workload, args.child[1])
+        return 0
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "src"))
+    import workloads
+    names = args.workload or [w.name for w in workloads.WORKLOADS]
+    unknown = set(names) - workloads.BY_NAME.keys()
+    if unknown:
+        parser.error(f"unknown workload {', '.join(sorted(unknown))}")
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": ""}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", args.base_rev,
+             "src"], check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "base", filter="data")
+        trees = {"base": tmp / "base" / "src", "head": ROOT / "src"}
+        workload_args = [a for name in names for a in ("--workload", name)]
+        procs = {tree: subprocess.Popen(
+            [sys.executable, __file__, args.base_rev, "--seed", str(args.seed),
+             *workload_args, "--child", str(src), str(tmp / f"{tree}.pkl")],
+            env=env) for tree, src in trees.items()}
+        if any([proc.wait() for proc in procs.values()]):  # wait for both
+            raise SystemExit("error: a run failed")
+        results = {}
+        for tree in trees:
+            with open(tmp / f"{tree}.pkl", "rb") as fh:
+                results[tree] = pickle.load(fh)
+    print(f"{args.base_rev} (base) against the working tree (head), seed {args.seed}")
+    failed = [name for name in names
+              if _compare(name, results["base"][name], results["head"][name])]
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
