@@ -1,52 +1,20 @@
-"""Semi-supervised variational Bayes adaptation of Simplified PLDA models."""
+"""Semi-supervised variational Bayes adaptation of Simplified PLDA models.
 
-from .adapt import (
-    RunConfig,
-    RunReport,
-    init_responsibilities,
-    prune_and_merge,
-    run_adaptation,
-    sampled_statistics,
-    sweep_m,
-    train_supervised,
-)
-from .model import (
-    Dataset,
-    SpldaModel,
-    SuffStats,
-    accumulate_stats,
-    center_stats,
-    marginal_params,
-)
-from .oracles import clustering_metrics, mc_expectation_oracle
-from .synth import SynthSpec, generate, pairwise_llr
-from .vbpoint import (
-    DirichletPosterior,
-    Hyperparams,
-    Responsibilities,
-    SpeakerPosteriors,
-    elbo_point,
-    min_divergence,
-    mstep_tau0,
-    mstep_V,
-    mstep_W,
-    update_q_pi,
-    update_q_theta,
-    update_q_y,
-)
-from .vbbayes import (
-    AlphaPosterior,
-    RowPosteriors,
-    WishartPosterior,
-    elbo_bayes,
-    optimize_hyper_alpha,
-    optimize_hyper_mu,
-    update_q_alpha,
-    update_q_theta_bayes,
-    update_q_vtilde_rows,
-    update_q_wishart,
-    update_q_y_bayes,
-)
+The names in ``__all__`` are the supported API.  Every other name stays
+importable from its submodule, but is internal and may change.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from . import fileio
+from .adapt import RunConfig, RunReport, run_adaptation, sweep_m, train_supervised
+from .model import Dataset, SpldaModel, marginal_params
+from .oracles import clustering_metrics
+from .synth import SynthSpec, generate, pairwise_llr, split_dataset
+from .vbpoint import Hyperparams
+
+__all__ = [
+    "run_adaptation", "train_supervised", "sweep_m",
+    "RunConfig", "RunReport", "Hyperparams", "Dataset", "SpldaModel",
+    "marginal_params", "pairwise_llr", "SynthSpec", "generate", "split_dataset",
+    "clustering_metrics", "fileio",
+]
 __version__ = "0.1.0"

@@ -15,17 +15,6 @@ from .model import (Dataset, SpldaModel, SuffStats, _hard_stats, _int_labels,
 from .synth import pairwise_llr_matrix
 from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
 
-__all__ = [
-    "RunConfig",
-    "RunReport",
-    "init_responsibilities",
-    "prune_and_merge",
-    "run_adaptation",
-    "sampled_statistics",
-    "sweep_m",
-    "train_supervised",
-]
-
 
 _INIT_METHODS = ("ahc", "random_y", "oracle", "uniform_pi")
 
@@ -190,6 +179,8 @@ def init_responsibilities(dataset, model, config, tau0=1.0):
         dirichlet = vbpoint.update_q_pi(np.full(m, n / m), tau0)
         return vbpoint.update_q_theta(phi, posts, model, dirichlet)
     if config.init_method == "ahc":
+        if n == 1:  # linkage needs two observations; the one forms column 0
+            return Responsibilities(r=np.eye(1, m))
         scores = pairwise_llr_matrix(model, phi)
         dist = scores.max() - scores
         np.fill_diagonal(dist, 0.0)
@@ -282,9 +273,9 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     False)``.
     """
     r = resp.r
-    keep = r.sum(axis=0) >= config.prune_threshold
-    if not keep.any():
-        raise ValueError("prune threshold removed every cluster; lower it")
+    counts = r.sum(axis=0)
+    keep = counts >= config.prune_threshold
+    keep[np.argmax(counts)] = True  # the heaviest column always stays
 
     def holds(new, old):
         return new >= old - config.elbo_tol * max(1.0, abs(old))

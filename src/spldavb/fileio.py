@@ -10,13 +10,6 @@ import numpy as np
 
 from .model import SpldaModel
 
-__all__ = [
-    "write_matrix", "read_matrix",
-    "write_model", "read_model",
-    "write_labels", "read_labels",
-    "read_config", "write_report",
-]
-
 _FMT = "%.17g"
 # The HYPER lines of a Bayesian model file, in order; a reader needs each
 # exactly once: mu0 with d values, beta with 1 or d, the others with 1.

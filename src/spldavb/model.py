@@ -11,15 +11,6 @@ import numpy as np
 
 from .linalg import chol_with_jitter, inv_pd, logdet_chol, sym
 
-__all__ = [
-    "SpldaModel",
-    "Dataset",
-    "SuffStats",
-    "accumulate_stats",
-    "center_stats",
-    "marginal_params",
-]
-
 
 @dataclass(frozen=True)
 class SpldaModel:

@@ -10,12 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import wishart
 
-__all__ = [
-    "MetricReport",
-    "clustering_metrics",
-    "mc_expectation_oracle",
-]
-
 
 @dataclass
 class MetricReport:

@@ -7,8 +7,6 @@ import numpy as np
 from .linalg import inv_logdet_pd, inv_pd, sym
 from .model import Dataset, SpldaModel
 
-__all__ = ["SynthSpec", "generate", "random_model", "pairwise_llr", "pairwise_llr_matrix"]
-
 
 @dataclass
 class SynthSpec:

@@ -29,20 +29,6 @@ from .vbpoint import (
     update_q_y,
 )
 
-__all__ = [
-    "RowPosteriors",
-    "AlphaPosterior",
-    "WishartPosterior",
-    "update_q_y_bayes",
-    "update_q_theta_bayes",
-    "update_q_vtilde_rows",
-    "update_q_alpha",
-    "update_q_wishart",
-    "elbo_bayes",
-    "optimize_hyper_alpha",
-    "optimize_hyper_mu",
-]
-
 
 class RowPosteriors(GaussianRows):
     """Row-wise Gaussian posteriors over the augmented [V | mu]:
@@ -188,12 +174,13 @@ class WishartPosterior:
         k = sym(np.asarray(k, dtype=float))
         d = k.shape[0]
         dof = float(dof)
-        dof_eff = dof - (1.0 - kappa) * (dof - d - 1.0)
-        if dof_eff <= d:
+        # N' > d is the kappa = 1 condition and gives dof_eff > d at every
+        # kappa in (0, 1], so a run that would fail at kappa = 1 fails at once.
+        if dof <= d:
             raise ValueError(
-                f"Wishart dof {dof_eff:.3g} <= d = {d} (N' = {dof:.3g}, "
-                f"kappa = {kappa:.3g}); more (weighted) data or a larger "
-                "kappa is needed for a valid q(W)")
+                f"Wishart dof N' = {dof:.3g} <= d = {d} (kappa = {kappa:.3g}); "
+                "more (weighted) data is needed for a valid q(W)")
+        dof_eff = dof - (1.0 - kappa) * (dof - d - 1.0)
         e, q = eigh_pd(k)
         logdet_k_inv = -np.log(e).sum()
         e_ln_w = (

@@ -19,24 +19,6 @@ from scipy.special import digamma, gammaln, polygamma
 
 from .linalg import inv_pd, sym
 
-__all__ = [
-    "Hyperparams",
-    "ExpectedParams",
-    "GaussianRows",
-    "SpeakerPosteriors",
-    "Responsibilities",
-    "DirichletPosterior",
-    "update_q_y",
-    "update_q_theta",
-    "update_q_pi",
-    "accumulators",
-    "elbo_point",
-    "mstep_V",
-    "mstep_W",
-    "mstep_tau0",
-    "min_divergence",
-]
-
 LOG2PI = np.log(2.0 * np.pi)
 
 

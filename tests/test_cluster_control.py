@@ -53,6 +53,15 @@ def split_problem(seed=0, d=5, n_y=2):
     return dataset, model
 
 
+def tiny_labelled_problem(phi):
+    """Four labelled speakers of three i-vectors each (d = 4), a model
+    briefly trained on them, and ``phi`` as the unlabelled set."""
+    phi_d = np.random.default_rng(0).standard_normal((12, 4))
+    labels_d = np.repeat(np.arange(4), 3)
+    model = train_supervised(phi_d, labels_d, 2, max_iter=5).model
+    return Dataset(phi=phi, phi_d=phi_d, labels_d=labels_d), model
+
+
 def sweep_inputs(variant, seed=5, **config):
     """A split problem's variant, its params at the trained model (point
     masses for the Bayesian variant), and random_y initial
@@ -125,6 +134,18 @@ class TestInit:
             dataset, model, RunConfig(m_init=4, init_method="ahc"))
         pred = np.argmax(resp.r, axis=1)
         assert clustering_metrics(pred, labels).ari == 1.0
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_ahc_with_one_unlabelled_vector(self, variant):
+        # Linkage needs two observations; the one i-vector forms column 0.
+        dataset, model = tiny_labelled_problem(
+            np.random.default_rng(5).standard_normal((1, 4)))
+        cfg = RunConfig(m_init=2, init_method="ahc", variant=variant)
+        np.testing.assert_array_equal(
+            init_responsibilities(dataset, model, cfg).r, [[1.0, 0.0]])
+        report = run_adaptation(dataset, model, Hyperparams(), cfg)
+        np.testing.assert_array_equal(report.labels, [0])
+        assert np.isfinite(report.elbo_trace).all()
 
 
 class TestSampledStatistics:
@@ -236,6 +257,26 @@ class TestPruneMerge:
             lambda m: (0.0, None), current_elbo=0.0,
             score=lambda r, merge=None: 0.0)
         assert not changed
+
+    def test_heaviest_column_stays_when_none_reaches_threshold(self):
+        r = np.array([[0.3, 0.45, 0.25]])
+        resp, elbo, state, changed = prune_and_merge(
+            Responsibilities(r=r), self._config(),
+            lambda m: (1.0, "state"), current_elbo=0.0,
+            score=lambda r, merge=None: 0.0)
+        assert changed
+        np.testing.assert_array_equal(resp.r, [[1.0]])
+
+    def test_run_goes_on_when_no_column_reaches_threshold(self):
+        # One i-vector spread over three columns, none of which holds 0.5.
+        dataset, model = tiny_labelled_problem(
+            np.random.default_rng(1004).standard_normal((1, 4)))
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=3, init_method="random_y", prune_merge=True, prune_every=1,
+            seed=4, max_iter=10))
+        assert report.m_trace[:3] == [3, 3, 1]
+        np.testing.assert_array_equal(report.labels, [0])
+        assert np.isfinite(report.elbo_trace).all()
 
 
 class TestScoreGate:

@@ -13,7 +13,7 @@ from scipy.stats import wishart
 
 from spldavb.adapt import RunConfig, run_adaptation, train_supervised
 from spldavb.linalg import NotPositiveDefiniteError, inv_pd, logdet_pd, sym
-from spldavb.model import SpldaModel, accumulate_stats, center_stats
+from spldavb.model import Dataset, SpldaModel, accumulate_stats, center_stats
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import (
     AlphaPosterior,
@@ -601,6 +601,19 @@ class TestWishartPosterior:
         # N' - (1 - kappa)(N' - d - 1) = 2.5 <= d = 3
         with pytest.raises(ValueError, match="kappa"):
             WishartPosterior.from_update(np.eye(3), 1.0, kappa=0.5)
+
+    def test_annealed_run_rejects_dof_at_most_d_up_front(self):
+        # N' = N + eta N_d = 2 + 0.1 * 6 = 2.6 <= d = 4, which kappa = 1
+        # never accepts, though the tempered dof at kappa = 0.2 is 4.52 > d.
+        phi_d = np.random.default_rng(0).standard_normal((6, 4))
+        labels_d = np.repeat(np.arange(3), 2)
+        model = train_supervised(phi_d, labels_d, 2, max_iter=5).model
+        dataset = Dataset(phi=np.random.default_rng(2).standard_normal((2, 4)),
+                          phi_d=phi_d, labels_d=labels_d)
+        with pytest.raises(ValueError,
+                           match=r"N' = 2\.6 <= d = 4 \(kappa = 0\.2\)"):
+            run_adaptation(dataset, model, Hyperparams(eta=0.1), RunConfig(
+                variant="bayes", init_method="random_y", m_init=1, anneal=True))
 
 
 @settings(deadline=None, max_examples=40)

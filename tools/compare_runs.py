@@ -15,10 +15,18 @@ convergence, as ``splda train`` does, for a CLI workload) and adapted by
 For each workload it prints every ``RunReport`` field that differs between
 the two trees, with the number of problems it differs on, and the largest
 relative difference of the ELBO traces and of each ``elbo_terms`` entry
-(scaled by max(1, |term|)).  The exit status is 1 when any field other
-than ``elbo_trace`` and ``elbo_terms`` differs: labels, the M and kappa
-traces, diagnostics, convergence, the trained or adapted model, or a
-``bayes_state`` array that both trees have.  ``perfbench/`` is only read.
+(scaled by max(1, |term|)).
+
+A CLI workload's problems are also run through the command line, as the
+benchmark runs them: ``splda train`` and ``splda adapt`` on text files,
+each tree in its own temporary directory.  Every input and output file
+that differs byte for byte between the two trees is printed.
+
+The exit status is 1 when any field other than ``elbo_trace`` and
+``elbo_terms`` differs (labels, the M and kappa traces, diagnostics,
+convergence, the trained or adapted model, or a ``bayes_state`` array that
+both trees have) or when any CLI file differs.  ``perfbench/`` is only
+read.
 """
 
 import argparse
@@ -53,9 +61,10 @@ def _arrays(obj, prefix, out):
         out[prefix] = None if obj is None else np.asarray(obj)
 
 
-def _run_tree(src, seed, names, out_path):
+def _run_tree(src, seed, names, out):
     """Run every problem of the workloads ``names`` with the library at
-    ``src`` and pickle the outcomes to ``out_path``."""
+    ``src``: pickle the outcomes to ``out/runs.pkl``, and run each CLI
+    workload's problems through the command line in ``out/cli``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import spldavb
     if Path(src).resolve() not in Path(spldavb.__file__).resolve().parents:
@@ -63,10 +72,12 @@ def _run_tree(src, seed, names, out_path):
     import workloads
     from spldavb.adapt import train_supervised
 
+    out.mkdir(parents=True)
     results = {}
     for name in names:
-        workload = dataclasses.replace(workloads.BY_NAME[name], via_cli=False)
-        train_kw = {} if workloads.BY_NAME[name].via_cli else workloads.API_TRAIN
+        as_run = workloads.BY_NAME[name]
+        workload = dataclasses.replace(as_run, via_cli=False)
+        train_kw = {} if as_run.via_cli else workloads.API_TRAIN
         runs = results[name] = []
         for pseed in workloads.problem_seeds(seed):
             problem = workloads.setup(workload, pseed, None)
@@ -84,7 +95,10 @@ def _run_tree(src, seed, names, out_path):
                 trained={k: getattr(trained, k) for k in ("mu", "v", "w")},
                 model={k: getattr(rep.model, k) for k in ("mu", "v", "w")},
                 bayes_state=flat))
-    with open(out_path, "wb") as fh:
+            if as_run.via_cli:
+                problem = workloads.setup(as_run, pseed, out / "cli" / name / str(pseed))
+                workloads.adapt(as_run, problem, workloads.train(as_run, problem))
+    with open(out / "runs.pkl", "wb") as fh:
         pickle.dump(results, fh)
 
 
@@ -135,6 +149,24 @@ def _compare(name, base, head):
     return any(field in EXACT for field in differs)
 
 
+def _compare_files(name, base, head):
+    """Print the CLI files of one workload that differ byte for byte
+    between the trees' directories ``base`` and ``head``; True if any
+    does."""
+    def content(path):
+        return path.read_bytes() if path.is_file() else None
+
+    files = sorted({p.relative_to(root) for root in (base, head)
+                    for p in root.rglob("*") if p.is_file()})
+    differ = [f for f in files if content(base / f) != content(head / f)]
+    print(f"{name} through the CLI: {len(files)} files")
+    for f in differ:
+        print(f"  differs: {f}")
+    if not differ:
+        print("  every file ==")
+    return bool(differ)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_rev")
@@ -145,7 +177,7 @@ def main(argv=None):
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        _run_tree(Path(args.child[0]), args.seed, args.workload, args.child[1])
+        _run_tree(Path(args.child[0]), args.seed, args.workload, Path(args.child[1]))
         return 0
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(ROOT / "src"))
@@ -166,19 +198,23 @@ def main(argv=None):
             tar.extractall(tmp / "base", filter="data")
         trees = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         workload_args = [a for name in names for a in ("--workload", name)]
+        out = {tree: tmp / f"{tree}-out" for tree in trees}
         procs = {tree: subprocess.Popen(
             [sys.executable, __file__, args.base_rev, "--seed", str(args.seed),
-             *workload_args, "--child", str(src), str(tmp / f"{tree}.pkl")],
+             *workload_args, "--child", str(src), str(out[tree])],
             env=env) for tree, src in trees.items()}
         if any([proc.wait() for proc in procs.values()]):  # wait for both
             raise SystemExit("error: a run failed")
         results = {}
         for tree in trees:
-            with open(tmp / f"{tree}.pkl", "rb") as fh:
+            with open(out[tree] / "runs.pkl", "rb") as fh:
                 results[tree] = pickle.load(fh)
-    print(f"{args.base_rev} (base) against the working tree (head), seed {args.seed}")
-    failed = [name for name in names
-              if _compare(name, results["base"][name], results["head"][name])]
+        print(f"{args.base_rev} (base) against the working tree (head), seed {args.seed}")
+        failed = [name for name in names
+                  if _compare(name, results["base"][name], results["head"][name])]
+        failed += [name for name in names if workloads.BY_NAME[name].via_cli
+                   and _compare_files(name, out["base"] / "cli" / name,
+                                      out["head"] / "cli" / name)]
     return 1 if failed else 0
 
 
