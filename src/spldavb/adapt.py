@@ -181,8 +181,8 @@ def init_responsibilities(dataset, model, config, tau0=1.0):
     if config.init_method == "ahc":
         if n == 1:  # linkage needs two observations; the one forms column 0
             return Responsibilities(r=np.eye(1, m))
-        scores = pairwise_llr_matrix(model, phi)
-        dist = scores.max() - scores
+        dist = pairwise_llr_matrix(model, phi)
+        np.subtract(dist.max(), dist, out=dist)  # the scores become distances
         np.fill_diagonal(dist, 0.0)
         condensed = scipy.spatial.distance.squareform(dist, checks=False)
         link = scipy.cluster.hierarchy.linkage(condensed, method="average")
@@ -276,6 +276,8 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     counts = r.sum(axis=0)
     keep = counts >= config.prune_threshold
     keep[np.argmax(counts)] = True  # the heaviest column always stays
+    # and so does each row's heaviest, if the kept ones hold none of its mass
+    keep[np.argmax(r[r @ keep == 0], axis=1)] = True
 
     def holds(new, old):
         return new >= old - config.elbo_tol * max(1.0, abs(old))
@@ -287,7 +289,7 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     names = [frozenset((i,)) for i in range(r.shape[1])]
     if not keep.all():
         cand = cur[:, keep]
-        cand = cand / cand.sum(axis=1, keepdims=True)
+        cand /= cand.sum(axis=1, keepdims=True)
         cand_score = score(cand)
         if holds(cand_score, cur_score):
             cur, cur_score = cand, cand_score
@@ -324,13 +326,22 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     return Responsibilities(r=cur), elbo, state, True
 
 
+# Pairs whose differences _closest_posterior_pairs holds at once.
+_PAIR_CHUNK = 1024
+
+
 def _closest_posterior_pairs(ybar, n_pairs=6):
     """Column-index pairs ``i < j`` of the clusters with the closest
-    posterior means, in ascending order of ``(distance, i, j)``."""
+    posterior means, in ascending order of ``(distance, i, j)``.  The
+    differences are formed ``_PAIR_CHUNK`` pairs at a time, so the working
+    memory is O(M^2) and not O(M^2 n_y)."""
     i, j = np.triu_indices(ybar.shape[0], 1)
-    diff = ybar[i] - ybar[j]
-    # One dot product per pair, rounded as np.linalg.norm of a vector is.
-    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    dist = np.empty(i.size)
+    for start in range(0, i.size, _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        diff = ybar[i[chunk]] - ybar[j[chunk]]
+        # One dot product per pair, rounded as np.linalg.norm of a vector is.
+        dist[chunk] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     order = np.lexsort((j, i, dist))[:n_pairs]
     return list(zip(i[order].tolist(), j[order].tolist()))
 
@@ -383,7 +394,10 @@ class _FixedBound:
     ``ExpectedParams``, ``expected``, which the refresh sweep reuses.
 
     ``reduce(r)`` reduces each matrix once, whether the score or a refresh
-    sweep asks first.
+    sweep asks first.  Only the first matrix's reduction and terms and the
+    latest other one's are kept, which is all ``prune_and_merge`` asks for
+    again: it moves on from the current structure, or back to the first
+    from a rejected prune.
     """
 
     def __init__(self, variant, params, reduced):
@@ -395,16 +409,23 @@ class _FixedBound:
         self.const = 0.5 * variant.phi.shape[0] * (ln_w - mean.d * LOG2PI) \
             - 0.5 * np.sum(mean.w * variant.s_phi)
         self.variant = variant
-        # id(r) -> reduction and per-column terms.  The reduction holds r,
-        # so no id is reused while it is stored.
-        self._reduced = {id(reduced.resp.r): reduced}
-        self._terms = {}
+        # id(r) -> [reduction, per-column terms or None], for the first r
+        # and the latest other one.  The reduction holds r, so no id is
+        # reused while it is stored.
+        self._first = id(reduced.resp.r)
+        self._entries = {self._first: [reduced, None]}
+
+    def _entry(self, r):
+        entry = self._entries.get(id(r))
+        if entry is None:
+            # Drop the latest other r first: it may be the last reference.
+            self._entries = {self._first: self._entries[self._first]}
+            entry = self._entries[id(r)] = [
+                self.variant.reduce(Responsibilities(r=r)), None]
+        return entry
 
     def reduce(self, r):
-        red = self._reduced.get(id(r))
-        if red is None:
-            red = self._reduced[id(r)] = self.variant.reduce(Responsibilities(r=r))
-        return red
+        return self._entry(r)[0]
 
     def _clusters(self, n, f):
         """(M,) the terms c_i of clusters with counts n and sums f."""
@@ -418,15 +439,15 @@ class _FixedBound:
             - vbpoint._ln_dirichlet_c(n + self.tau0)
 
     def __call__(self, r, merge=None):
-        stats = self.reduce(r).stats
-        terms = self._terms.get(id(r))
-        if terms is None:
+        entry = self._entry(r)
+        stats = entry[0].stats
+        if entry[1] is None:
             c = self._clusters(stats.n, stats.f)
             h = vbpoint._neg_xlogx(r).sum(axis=0)
             dirichlet = self._dirichlet(stats.n)
-            total = self.const + c.sum() + dirichlet + h.sum()
-            terms = self._terms[id(r)] = (c, h, dirichlet, total)
-        c, h, dirichlet, total = terms
+            entry[1] = (c, h, dirichlet,
+                        self.const + c.sum() + dirichlet + h.sum())
+        c, h, dirichlet, total = entry[1]
         if merge is None:
             return total
         i, j = merge
@@ -441,9 +462,10 @@ class _FixedBound:
 class _Variant:
     """The sweep both inference variants share, around the step of each.
 
-    ``sweep(params, reduced, dirichlet, kappa, expected=None)`` runs the
-    shared E-step from the ``_Reduced`` responsibilities (both q(Y) blocks,
-    q(theta), q(pi), the accumulators) on ``expected``, the
+    ``sweep(params, stats, dirichlet, kappa, expected=None)`` runs the
+    shared E-step (both q(Y) blocks, q(theta), q(pi), the accumulators)
+    from ``stats``, the unlabelled ``SuffStats`` under the last
+    responsibilities (the sweep needs no more of them), on ``expected``, the
     ``vbpoint.ExpectedParams`` of ``params`` built here unless passed; then
     ``step(params, block, block_d, resp, dirichlet, kappa)`` returns the
     params and ``(elbo, terms)``.  The state dict it returns holds
@@ -478,10 +500,10 @@ class _Variant:
         eta = self.hyper.eta
         return c + eta * c_d, r + eta * r_d, stats.n_total + self.eta_n_d
 
-    def sweep(self, params, reduced, dirichlet, kappa, expected=None):
+    def sweep(self, params, stats, dirichlet, kappa, expected=None):
         if expected is None:
             expected = self.expected(params)
-        posts = vbpoint.update_q_y(reduced.stats, expected, kappa)
+        posts = vbpoint.update_q_y(stats, expected, kappa)
         posts_d = vbpoint.update_q_y(self.stats_d, expected, kappa)
         reduced = self.reduce(vbpoint.update_q_theta(
             self.phi, posts, expected, dirichlet, kappa))
@@ -668,18 +690,22 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
     """The coordinate ascent both variants share: sweep, parameter step,
     tau0 step, annealing, score-gated prune/merge and the stopping rule."""
     report = RunReport()
-    reduced = variant.reduce(
-        init_responsibilities(dataset, model_init, config, tau0=hyper.tau0))
-    dirichlet = vbpoint.update_q_pi(reduced.stats.n, hyper.tau0)
+    stats = variant.reduce(init_responsibilities(
+        dataset, model_init, config, tau0=hyper.tau0)).stats
+    dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0)
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
     expected = None  # the ExpectedParams of params, when already built
 
     for it in range(config.max_iter):
-        state = variant.sweep(params, reduced, dirichlet, kappa, expected)
+        # The sweep reads only the statistics of the last responsibilities,
+        # so nothing holds those through it.
+        reduced = state = bound = resp2 = st2 = None
+        state = variant.sweep(params, stats, dirichlet, kappa, expected)
         expected = None
         reduced, dirichlet, elbo = \
             state["reduced"], state["dirichlet"], state["elbo"]
+        stats = reduced.stats
         params = variant.update(state)
         if config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
             hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
@@ -701,8 +727,9 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
             def refresh(r_matrix):
                 red = bound.reduce(r_matrix)
                 st = variant.sweep(
-                    params, red, vbpoint.update_q_pi(red.stats.n, hyper.tau0),
-                    1.0, bound.expected)
+                    params, red.stats,
+                    vbpoint.update_q_pi(red.stats.n, hyper.tau0), 1.0,
+                    bound.expected)
                 return st["elbo"], st
 
             resp2, _, st2, restructured = prune_and_merge(
@@ -716,6 +743,7 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                     f"{resp2.r.shape[1]}")
                 reduced, dirichlet, params = \
                     st2["reduced"], st2["dirichlet"], st2["params"]
+                stats = reduced.stats
             else:  # params are unchanged: the next sweep reuses their moments
                 expected = bound.expected
 

@@ -10,8 +10,9 @@ closed-form pair scores with every inverse and log-determinant from its
 own factorization, the responsibility log weights, softmax and entropy in their direct forms, the
 pair score as a ratio of joint-Gaussian densities, central finite
 differences, the whole lower bound at given responsibilities with the
-parameters held, and the text formats written one value at a time and
-parsed one row at a time.  None of this is needed to run an adaptation; each function follows its formula directly
+parameters held, the text formats written one value at a time and
+parsed one row at a time, and the closest pairs of speaker posterior
+means by a double loop.  None of this is needed to run an adaptation; each function follows its formula directly
 rather than the library's aggregate forms.
 """
 
@@ -415,3 +416,12 @@ def parse_matrix_rows(path):
     for i in range(rows):
         body[i] = lines[i + 1].split()
     return body
+
+
+def closest_pairs_oracle(ybar, n_pairs=6):
+    """Double-loop reference for ``adapt._closest_posterior_pairs``."""
+    m = ybar.shape[0]
+    dists = [(float(np.linalg.norm(ybar[i] - ybar[j])), i, j)
+             for i in range(m) for j in range(i + 1, m)]
+    dists.sort()
+    return [(i, j) for _, i, j in dists[:n_pairs]]

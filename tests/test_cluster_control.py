@@ -23,7 +23,8 @@ from spldavb.oracles import clustering_metrics
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import RowPosteriors, WishartPosterior, update_q_alpha
 from spldavb.vbpoint import Hyperparams, update_q_pi
-from splda_oracles import fixed_param_elbo, padded_hard_elbo
+from splda_oracles import (closest_pairs_oracle, fixed_param_elbo,
+                           padded_hard_elbo)
 
 
 # Settings under which RunConfig reads each gated knob, so that a bad value
@@ -267,6 +268,32 @@ class TestPruneMerge:
         assert changed
         np.testing.assert_array_equal(resp.r, [[1.0]])
 
+    def test_row_with_no_mass_in_kept_columns_keeps_its_heaviest(self):
+        # Row 4 lies wholly in columns 1 and 2, both below the threshold.
+        r = np.array([[1.0, 0.0, 0.0]] * 4 + [[0.0, 0.3, 0.7]])
+        resp, elbo, state, changed = prune_and_merge(
+            Responsibilities(r=r), replace(self._config(), prune_threshold=1.5),
+            lambda m: (1.0, "state"), current_elbo=0.0,
+            score=lambda r, merge=None: 0.0)
+        assert changed
+        np.testing.assert_array_equal(resp.r, [[1.0, 0.0]] * 4 + [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_run_with_a_row_alone_in_a_pruned_column(self, variant):
+        # AHC puts unlabelled i-vector 10 alone in a column that holds less
+        # than prune_threshold, and its other responsibilities are exact
+        # zeros.
+        phi, labels, _ = generate(SynthSpec(
+            d=10, n_y=3, m_true=16, per_speaker=(1, 8), eigenvoice_scale=6.0,
+            seed=13))
+        dataset, _ = split_dataset(phi, labels, 0.5, seed=13)
+        model = train_supervised(dataset.phi_d, dataset.labels_d, 3,
+                                 max_iter=10, seed=13).model
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=8, variant=variant, init_method="ahc", prune_merge=True,
+            prune_every=1, prune_threshold=1.5, max_iter=20))
+        assert np.isfinite(report.elbo_trace).all()
+
     def test_run_goes_on_when_no_column_reaches_threshold(self):
         # One i-vector spread over three columns, none of which holds 0.5.
         dataset, model = tiny_labelled_problem(
@@ -391,7 +418,7 @@ class TestScoreGate:
         r = self._random_resp(np.random.default_rng(seed), var.phi.shape[0],
                               np.ones(m, dtype=bool))
         reduced = var.reduce(Responsibilities(r=r))
-        refreshed = var.sweep(params, reduced, adapt.vbpoint.update_q_pi(
+        refreshed = var.sweep(params, reduced.stats, adapt.vbpoint.update_q_pi(
             reduced.stats.n, var.hyper.tau0), 1.0)["elbo"]
         fixed = fixed_param_elbo(var, params, r)
         assert refreshed >= fixed - 1e-9 * abs(fixed)
@@ -410,15 +437,6 @@ def merge_pairs_oracle(r, threshold):
                 pairs.append((cos[i, j], i, j))
     pairs.sort(reverse=True)
     return [(i, j) for _, i, j in pairs]
-
-
-def closest_pairs_oracle(ybar, n_pairs=6):
-    """Double-loop reference for ``adapt._closest_posterior_pairs``."""
-    m = ybar.shape[0]
-    dists = [(float(np.linalg.norm(ybar[i] - ybar[j])), i, j)
-             for i in range(m) for j in range(i + 1, m)]
-    dists.sort()
-    return [(i, j) for _, i, j in dists[:n_pairs]]
 
 
 class TestCandidatePairs:
@@ -466,8 +484,8 @@ def test_point_mass_bayes_sweep_is_the_point_sweep():
     # and q(pi).
     bayes, params, reduced, dirichlet = sweep_inputs("bayes")
     point, model, _, _ = sweep_inputs("point")
-    b = bayes.sweep(params, reduced, dirichlet, 1.0)
-    p = point.sweep(model, reduced, dirichlet, 1.0)
+    b = bayes.sweep(params, reduced.stats, dirichlet, 1.0)
+    p = point.sweep(model, reduced.stats, dirichlet, 1.0)
     assert (b["reduced"].resp.r == p["reduced"].resp.r).all()
     assert (b["posts"].ybar == p["posts"].ybar).all()
     assert (b["posts_d"].ybar == p["posts_d"].ybar).all()
@@ -499,7 +517,7 @@ class TestSingleReduction:
         fresh_stats = adapt.accumulate_stats
         events = []
         self.counting(monkeypatch, events)
-        state = var.sweep(params, reduced, dirichlet, 1.0)
+        state = var.sweep(params, reduced.stats, dirichlet, 1.0)
         assert events == ["q_theta", "stats"]
         carried = state["reduced"]
         fresh = fresh_stats(carried.resp.r, var.phi)
@@ -560,7 +578,7 @@ class TestFactorizationBudget:
         variant, model, reduced, dirichlet = sweep_inputs("point")
         events = []
         self.counting(monkeypatch, events)
-        state = variant.sweep(model, reduced, dirichlet, 1.0)
+        state = variant.sweep(model, reduced.stats, dirichlet, 1.0)
         # Both q(Y) blocks are built on one orthonormal eigenbasis; the
         # bound reads log|W| from the model.
         assert events == []
@@ -575,7 +593,7 @@ class TestFactorizationBudget:
     def test_point_update_with_sampler(self, monkeypatch, strategy):
         variant, model, reduced, dirichlet = sweep_inputs(
             "point", sampler_k=8, sampler_strategy=strategy)
-        state = variant.sweep(model, reduced, dirichlet, 1.0)
+        state = variant.sweep(model, reduced.stats, dirichlet, 1.0)
         events = []
         self.counting(monkeypatch, events)
         variant.update(state)
@@ -586,7 +604,7 @@ class TestFactorizationBudget:
     def test_bayes_sweep(self, monkeypatch):
         variant, params, reduced, dirichlet = sweep_inputs("bayes")
         # Parameters as a sweep leaves them, with q(W) from from_update.
-        params = variant.sweep(params, reduced, dirichlet, 1.0)["params"]
+        params = variant.sweep(params, reduced.stats, dirichlet, 1.0)["params"]
         events = []
         self.counting(monkeypatch, events,
                       names=("cholesky", "eigh", "slogdet", "svd", "cond"))
@@ -596,7 +614,7 @@ class TestFactorizationBudget:
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", dpotrs)
-        variant.sweep(params, reduced, dirichlet, 1.0)
+        variant.sweep(params, reduced.stats, dirichlet, 1.0)
         # The eigh of G, whose basis has log|det| = 0; the row step's eigh
         # of the scaled R' (one beta), whose bases take their log|det| from
         # D_g; the eigh of K, which gives E[W], E[ln|W|], ln B and the

@@ -15,7 +15,8 @@ convergence, as ``splda train`` does, for a CLI workload) and adapted by
 For each workload it prints every ``RunReport`` field that differs between
 the two trees, with the number of problems it differs on, and the largest
 relative difference of the ELBO traces and of each ``elbo_terms`` entry
-(scaled by max(1, |term|)).
+(scaled by max(1, |term|)), and in each tree the largest tracemalloc peak
+of one ``run_adaptation``: what the call allocates at once, in MB.
 
 A CLI workload's problems are also run through the command line, as the
 benchmark runs them: ``splda train`` and ``splda adapt`` on text files,
@@ -38,6 +39,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +65,8 @@ def _arrays(obj, prefix, out):
 
 def _run_tree(src, seed, names, out):
     """Run every problem of the workloads ``names`` with the library at
-    ``src``: pickle the outcomes to ``out/runs.pkl``, and run each CLI
+    ``src``: pickle the outcomes, with each workload's largest
+    ``run_adaptation`` peak, to ``out/runs.pkl``, and run each CLI
     workload's problems through the command line in ``out/cli``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import spldavb
@@ -73,18 +76,24 @@ def _run_tree(src, seed, names, out):
     from spldavb.adapt import train_supervised
 
     out.mkdir(parents=True)
-    results = {}
+    results, peaks = {}, {}
     for name in names:
         as_run = workloads.BY_NAME[name]
         workload = dataclasses.replace(as_run, via_cli=False)
         train_kw = {} if as_run.via_cli else workloads.API_TRAIN
         runs = results[name] = []
+        peaks[name] = 0
         for pseed in workloads.problem_seeds(seed):
             problem = workloads.setup(workload, pseed, None)
             ds = problem.dataset
             trained = train_supervised(ds.phi_d, ds.labels_d, workload.n_y_fit,
                                        seed=pseed, **train_kw).model
-            rep = workloads.adapt(workload, problem, trained)
+            tracemalloc.start()
+            try:
+                rep = workloads.adapt(workload, problem, trained)
+                peaks[name] = max(peaks[name], tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
             flat = {}
             _arrays(rep.bayes_state, "bayes_state", flat)
             runs.append(dict(
@@ -99,7 +108,7 @@ def _run_tree(src, seed, names, out):
                 problem = workloads.setup(as_run, pseed, out / "cli" / name / str(pseed))
                 workloads.adapt(as_run, problem, workloads.train(as_run, problem))
     with open(out / "runs.pkl", "wb") as fh:
-        pickle.dump(results, fh)
+        pickle.dump((results, peaks), fh)
 
 
 def _same(a, b):
@@ -205,13 +214,18 @@ def main(argv=None):
             env=env) for tree, src in trees.items()}
         if any([proc.wait() for proc in procs.values()]):  # wait for both
             raise SystemExit("error: a run failed")
-        results = {}
+        results, peaks = {}, {}
         for tree in trees:
             with open(out[tree] / "runs.pkl", "rb") as fh:
-                results[tree] = pickle.load(fh)
+                results[tree], peaks[tree] = pickle.load(fh)
         print(f"{args.base_rev} (base) against the working tree (head), seed {args.seed}")
-        failed = [name for name in names
-                  if _compare(name, results["base"][name], results["head"][name])]
+        failed = []
+        for name in names:
+            if _compare(name, results["base"][name], results["head"][name]):
+                failed.append(name)
+            print(f"  largest run_adaptation peak: "
+                  f"{peaks['base'][name] / 1e6:.2f} MB (base), "
+                  f"{peaks['head'][name] / 1e6:.2f} MB (head)")
         failed += [name for name in names if workloads.BY_NAME[name].via_cli
                    and _compare_files(name, out["base"] / "cli" / name,
                                       out["head"] / "cli" / name)]
