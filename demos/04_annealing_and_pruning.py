@@ -8,7 +8,8 @@ Two experiments on the same data:
 2. Over-provisioned clustering (twice as many initial clusters as
    speakers): periodic prune/merge steps shrink the model back to the
    true speaker count.  Each candidate is kept on its lower bound with
-   the parameters held, and the kept structure gets one refresh sweep.
+   the parameters held, and the next iteration's sweep starts from the
+   kept structure.
 """
 
 import numpy as np

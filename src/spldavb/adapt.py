@@ -134,10 +134,12 @@ class RunReport:
 
     Entry ``it`` of ``elbo_trace``, ``m_trace`` and ``kappa_trace`` records
     the sweep of iteration ``it``; ``labels`` and ``elbo_terms`` describe
-    the last recorded sweep.  No prune/merge attempt runs on the last
-    iteration, so no sweep runs past the traces.  The point ``model`` is
-    one parameter update past the last recorded bound; for the Bayesian
-    variant, ``bayes_state["hyper"]`` is one hyperparameter step past it.
+    the last recorded sweep.  A run makes one VB sweep per entry: a kept
+    prune/merge restructure runs no sweep of its own, and the next
+    iteration's sweep starts from it, so no attempt runs on the last
+    iteration.  The point ``model`` is one parameter update past the last
+    recorded bound; for the Bayesian variant, ``bayes_state["hyper"]`` is
+    one hyperparameter step past it.
     """
 
     elbo_trace: list = field(default_factory=list)
@@ -260,17 +262,17 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     with near-identical speaker posteriors), tried while both columns are
     unmerged.
 
-    ``refresh(r)`` must run one VB sweep from responsibilities ``r`` and
-    return ``(elbo, state)``; it runs once, on the final structure, if a
-    candidate was kept.  The sweep starts from the state the score scores
-    (q(Y) and q(pi) refit under the held parameters) and then only ascends,
-    so its bound is at least the score plus terms that do not depend on
-    ``r``: a kept restructure never ends below the current structure's
-    score, less ``elbo_tol``.
+    ``refresh(r)`` is called once, on the final structure, if a candidate
+    was kept, and returns ``(elbo, state)`` for it; ``run_adaptation``
+    passes the structure's score and its reduction, from which the next
+    iteration's sweep starts.  That sweep starts from the state the score
+    scores (q(Y) and q(pi) refit under the held parameters) and then only
+    ascends, so the bound it records is at least the score plus terms that
+    do not depend on ``r``: a kept restructure never ends below the
+    current structure's score, less ``elbo_tol``.
 
-    Returns ``(resp, elbo, state, changed)``: the new structure with its
-    refresh sweep's bound and state, or ``(resp, current_elbo, None,
-    False)``.
+    Returns ``(resp, elbo, state, changed)``: the new structure with what
+    ``refresh`` returned for it, or ``(resp, current_elbo, None, False)``.
     """
     r = resp.r
     counts = r.sum(axis=0)
@@ -391,13 +393,15 @@ class _FixedBound:
     merged column is one q(y) row on the shared eigenbasis of A_yy, the
     Dirichlet terms cost O(M) and the merged column's entropy O(N).
     b_i, A_yy = G and the eigenbasis of G are those of the variant's
-    ``ExpectedParams``, ``expected``, which the refresh sweep reuses.
+    ``ExpectedParams``, ``expected``, which the next iteration's sweep
+    reuses, as the parameters are held.
 
-    ``reduce(r)`` reduces each matrix once, whether the score or a refresh
-    sweep asks first.  Only the first matrix's reduction and terms and the
-    latest other one's are kept, which is all ``prune_and_merge`` asks for
-    again: it moves on from the current structure, or back to the first
-    from a rejected prune.
+    ``reduce(r)`` reduces each matrix once, whether the score or the
+    ``refresh`` of a kept structure asks first; the kept structure's
+    reduction is where the next iteration's sweep starts.  Only the first
+    matrix's reduction and terms and the latest other one's are kept,
+    which is all ``prune_and_merge`` asks for again: it moves on from the
+    current structure, or back to the first from a rejected prune.
     """
 
     def __init__(self, variant, params, reduced):
@@ -700,7 +704,7 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
     for it in range(config.max_iter):
         # The sweep reads only the statistics of the last responsibilities,
         # so nothing holds those through it.
-        reduced = state = bound = resp2 = st2 = None
+        reduced = state = bound = kept = None
         state = variant.sweep(params, stats, dirichlet, kappa, expected)
         expected = None
         reduced, dirichlet, elbo = \
@@ -723,29 +727,20 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                 and kappa == 1.0 and it + 1 < config.max_iter):
 
             bound = _FixedBound(variant, params, reduced)
-
-            def refresh(r_matrix):
-                red = bound.reduce(r_matrix)
-                st = variant.sweep(
-                    params, red.stats,
-                    vbpoint.update_q_pi(red.stats.n, hyper.tau0), 1.0,
-                    bound.expected)
-                return st["elbo"], st
-
-            resp2, _, st2, restructured = prune_and_merge(
-                reduced.resp, config, refresh, elbo,
-                extra_pairs=_closest_posterior_pairs(state["posts"].ybar),
+            # A kept structure is handed on with its score and reduction;
+            # the next iteration's sweep starts from the state it scores.
+            _, _, kept, restructured = prune_and_merge(
+                reduced.resp, config, lambda r: (bound(r), bound.reduce(r)),
+                elbo, extra_pairs=_closest_posterior_pairs(state["posts"].ybar),
                 score=bound)
             since_restructure = 0
+            expected = bound.expected  # params are unchanged
             if restructured:
+                stats = kept.stats
+                dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0)
                 report.diagnostics.append(
                     f"iter {it}: restructured M {reduced.resp.r.shape[1]} -> "
-                    f"{resp2.r.shape[1]}")
-                reduced, dirichlet, params = \
-                    st2["reduced"], st2["dirichlet"], st2["params"]
-                stats = reduced.stats
-            else:  # params are unchanged: the next sweep reuses their moments
-                expected = bound.expected
+                    f"{stats.n.shape[0]}")
 
         if kappa < 1.0:
             kappa = min(kappa * config.kappa_growth, 1.0)

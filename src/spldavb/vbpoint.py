@@ -35,15 +35,14 @@ class Hyperparams:
     b_alpha: float = 1e-3
 
     def __post_init__(self):
-        if not self.tau0 > 0:
-            raise ValueError("tau0 must be > 0")
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
-        for name in ("a_alpha", "b_alpha"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if self.beta is not None and not (np.asarray(self.beta) > 0).all():
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
+        positive = ("tau0", "a_alpha", "b_alpha") + (
+            () if self.beta is None else ("beta",))
+        for name in positive:
+            value = getattr(self, name)
+            if not ((np.asarray(value) > 0) & np.isfinite(value)).all():
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.mu0 is not None and not np.isfinite(self.mu0).all():
             raise ValueError(f"mu0 must be finite, got {self.mu0!r}")
 

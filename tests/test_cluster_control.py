@@ -308,8 +308,8 @@ class TestPruneMerge:
 
 class TestScoreGate:
     """The prune/merge gate: a candidate is kept only if its fixed-parameter
-    score holds against the current structure's, and one refresh sweep of
-    the final structure follows."""
+    score holds against the current structure's, and the final structure
+    is handed to ``refresh`` once."""
 
     @staticmethod
     def _config():
@@ -345,7 +345,7 @@ class TestScoreGate:
             lambda m: refreshed.append(m) or (-2.0, "refreshed"),
             current_elbo=-5.0, score=lambda m, merge=None: 0.0)
         # The prune and then the merge pass their scores; only the final
-        # structure is swept.
+        # structure is refreshed.
         assert changed
         assert len(refreshed) == 1 and refreshed[0] is resp.r
         np.testing.assert_array_equal(resp.r, np.eye(2)[[0, 0, 0, 1, 1, 1]])
@@ -411,9 +411,9 @@ class TestScoreGate:
     def test_refresh_sweep_ends_above_fixed_parameter_bound(self, variant, eta,
                                                             seed, m):
         # The one gate keeps a restructure on its score alone.  That holds
-        # the refreshed bound up because a refresh sweep starts from the
-        # state the score scores, q(Y) and q(pi) refit under the held
-        # parameters, and every later step of the sweep ascends.
+        # the next recorded bound up because the next iteration's sweep
+        # starts from the state the score scores, q(Y) and q(pi) refit
+        # under the held parameters, and every later step of it ascends.
         var, params = self._held_params(variant, eta, seed)
         r = self._random_resp(np.random.default_rng(seed), var.phi.shape[0],
                               np.ones(m, dtype=bool))
@@ -634,10 +634,9 @@ class TestFactorizationBudget:
     @pytest.mark.parametrize("variant", ["point", "bayes"])
     def test_score_and_refresh_share_one_eigh(self, monkeypatch, variant):
         # One prune/merge attempt, after iteration 3 of 0-4, which
-        # restructures M 6 -> 5.  Its score and refresh sweep share one
-        # ExpectedParams, so one eigh of G; the Bayesian refresh adds the
-        # eigh of the scaled R' in its row update and the eigh of K in its
-        # q(W) update.
+        # restructures M 6 -> 5.  Its score builds one ExpectedParams, so
+        # one eigh of G, and its refresh runs no sweep, so no row update or
+        # q(W) update adds an eigh.
         dataset, model = split_problem(seed=0)
         events, attempts = [], []
         self.counting(monkeypatch, events, names=("eigh",))
@@ -657,7 +656,7 @@ class TestFactorizationBudget:
         run_adaptation(dataset, model, Hyperparams(), RunConfig(
             m_init=6, variant=variant, init_method="ahc", prune_merge=True,
             prune_every=3, elbo_tol=0.0, max_iter=5, seed=0))
-        assert attempts == [(True, 1 if variant == "point" else 3)]
+        assert attempts == [(True, 1)]
 
 
 class TestAllocationBudget:
@@ -876,6 +875,25 @@ class TestRuns:
                 short.elbo_trace[-1], rel=1e-12)
             short = longer
         assert short.m_trace[-1] < 6  # the runs restructure
+
+    @pytest.mark.parametrize("variant", ["point", "bayes"])
+    def test_one_sweep_per_trace_entry(self, monkeypatch, variant):
+        # A kept restructure runs no sweep of its own: the next iteration's
+        # sweep starts from it and is recorded like every other.
+        sweeps = []
+        original = adapt._Variant.sweep
+
+        def counted(*args, **kwargs):
+            sweeps.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(adapt._Variant, "sweep", counted)
+        dataset, model = split_problem(seed=0)
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=6, variant=variant, init_method="ahc", prune_merge=True,
+            prune_every=1, elbo_tol=0.0, max_iter=12, seed=0))
+        assert report.diagnostics  # at least one kept restructure
+        assert len(sweeps) == len(report.elbo_trace) == 12
 
     def test_prune_merge_attempts_come_prune_every_apart(self, monkeypatch):
         calls = []
@@ -1194,6 +1212,10 @@ class TestHyperparams:
           for value in (0.0, -1.0, float("nan"))),
         *((field, float("nan")) for field in ("a_alpha", "b_alpha", "beta")),
         ("eta", 1.5),
+        # inf passes "> 0", and a run would fail deep inside without
+        # naming it
+        *((field, np.inf) for field in ("tau0", "a_alpha", "b_alpha", "beta")),
+        ("beta", np.array([1.0, np.inf, 2.0])),
     ])
     def test_nonpositive_prior_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -723,6 +723,22 @@ class TestCli:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_infinite_tau0_in_config_fails_cleanly(self, synth_files, tmp_path,
+                                                   capsys):
+        prefix = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau0 = inf\n")
+        code = _run(["adapt", "--model", prefix + ".true_model",
+                     "--sup-ivectors", prefix + ".phi_d",
+                     "--sup-labels", prefix + ".labels_d",
+                     "--unsup-ivectors", prefix + ".phi",
+                     "--config", str(cfg), "--m-init", "4",
+                     "--out-model", str(tmp_path / "o.splda"),
+                     "--out-labels", str(tmp_path / "o.labels")])
+        assert code == 1
+        assert "tau0 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.splda").exists()
+
     def test_missing_input_file_fails_cleanly(self, tmp_path, capsys):
         code = _run(["train", "--ivectors", str(tmp_path / "nope.ivec"),
                      "--labels", str(tmp_path / "nope.labels"), "--ny", "2",

@@ -16,7 +16,12 @@ For each workload it prints every ``RunReport`` field that differs between
 the two trees, with the number of problems it differs on, and the largest
 relative difference of the ELBO traces and of each ``elbo_terms`` entry
 (scaled by max(1, |term|)), and in each tree the largest tracemalloc peak
-of one ``run_adaptation``: what the call allocates at once, in MB.
+of one ``run_adaptation``: what the call allocates at once, in MB.  It
+then prints, in each tree, each problem's end-to-end quality as the
+benchmark gates it (``workloads.quality`` of ``workloads.outcome``): the
+ARI against the synthetic truth and ``neg_elbo_per_vec``, with their
+means over the problems, and the final M and bound.  A CLI workload's
+quality is that of its command-line run, which the benchmark measures.
 
 A CLI workload's problems are also run through the command line, as the
 benchmark runs them: ``splda train`` and ``splda adapt`` on text files,
@@ -107,6 +112,10 @@ def _run_tree(src, seed, names, out):
             if as_run.via_cli:
                 problem = workloads.setup(as_run, pseed, out / "cli" / name / str(pseed))
                 workloads.adapt(as_run, problem, workloads.train(as_run, problem))
+                rep = None
+            outcome = workloads.outcome(problem, rep)
+            runs[-1]["quality"] = dict(workloads.quality(problem, outcome),
+                                       seed=pseed, m_final=outcome.m[-1])
     with open(out / "runs.pkl", "wb") as fh:
         pickle.dump((results, peaks), fh)
 
@@ -156,6 +165,22 @@ def _compare(name, base, head):
     print(f"  max |difference| / max(1, |term|): {moved or 'none'}"
           + ("; every other term ==" if moved else ""))
     return any(field in EXACT for field in differs)
+
+
+def _print_quality(base, head):
+    """Print each problem's quality in both trees, and the means."""
+    print("  quality, base -> head:")
+    for b, h in zip(base, head):
+        b, h = b["quality"], h["quality"]
+        print(f"    problem {b['seed']}: ari {b['ari']:.4f} -> {h['ari']:.4f}, "
+              f"M {b['m_final']} -> {h['m_final']}, "
+              f"bound {b['elbo_final']:.10g} -> {h['elbo_final']:.10g}, "
+              f"neg_elbo_per_vec {b['neg_elbo_per_vec']:.6f} -> "
+              f"{h['neg_elbo_per_vec']:.6f}")
+    for key, fmt in (("ari", ".4f"), ("neg_elbo_per_vec", ".6f")):
+        means = [np.mean([run["quality"][key] for run in runs])
+                 for runs in (base, head)]
+        print(f"    mean {key}: {means[0]:{fmt}} -> {means[1]:{fmt}}")
 
 
 def _compare_files(name, base, head):
@@ -226,6 +251,7 @@ def main(argv=None):
             print(f"  largest run_adaptation peak: "
                   f"{peaks['base'][name] / 1e6:.2f} MB (base), "
                   f"{peaks['head'][name] / 1e6:.2f} MB (head)")
+            _print_quality(results["base"][name], results["head"][name])
         failed += [name for name in names if workloads.BY_NAME[name].via_cli
                    and _compare_files(name, out["base"] / "cli" / name,
                                       out["head"] / "cli" / name)]
