@@ -137,9 +137,12 @@ class RunReport:
     the last recorded sweep.  A run makes one VB sweep per entry: a kept
     prune/merge restructure runs no sweep of its own, and the next
     iteration's sweep starts from it, so no attempt runs on the last
-    iteration.  The point ``model`` is one parameter update past the last
-    recorded bound; for the Bayesian variant, ``bayes_state["hyper"]`` is
-    one hyperparameter step past it.
+    iteration.  Each entry, at kappa < 1 too, is the bound of the state the
+    run holds after that sweep, whose factors are tempered at its kappa: a
+    lower bound on ln p(Phi), up to the improper-prior constant of P(W)
+    that the Bayesian bound drops.  The point ``model`` is one parameter
+    update past the last recorded bound; for the Bayesian variant,
+    ``bayes_state["hyper"]`` is one hyperparameter step past it.
     """
 
     elbo_trace: list = field(default_factory=list)

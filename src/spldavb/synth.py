@@ -12,7 +12,8 @@ from .model import Dataset, SpldaModel
 class SynthSpec:
     """Recipe for a ground-truth synthetic dataset.
 
-    vectors-per-speaker may be a fixed int or an inclusive (low, high) range;
+    vectors-per-speaker may be a fixed int or an inclusive (low, high) range,
+    at least 1 either way, so every speaker has an i-vector;
     ``eigenvoice_scale / noise_scale >= 5`` gives the easy-separation regime.
     """
 
@@ -30,6 +31,10 @@ class SynthSpec:
             raise ValueError("all sizes must be >= 1")
         if self.eigenvoice_scale <= 0 or self.noise_scale <= 0:
             raise ValueError("scales must be > 0")
+        low, high = np.broadcast_to(self.per_speaker, 2)
+        if not 1 <= low <= high:
+            raise ValueError(f"per_speaker must be >= 1, or a range (low, high) "
+                             f"with 1 <= low <= high; got {self.per_speaker!r}")
 
 
 def random_model(d, n_y, eigenvoice_scale, noise_scale, rng):

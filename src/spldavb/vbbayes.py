@@ -140,16 +140,17 @@ class AlphaPosterior:
 @dataclass(frozen=True)
 class WishartPosterior:
     """q(W) = Wishart(scale, dof), kept as the eigendecomposition of E[W]:
-    E[W] = sym(Q diag(omega) Q^T), with E[ln|W|] and the ln B(K^-1, N') of
-    the untempered q(W) that the lower bound needs.  The row update of
-    [V | mu] reads (omega, Q) as its basis of E[W].
+    E[W] = sym(Q diag(omega) Q^T), with E[ln|W|] and the entropy of the
+    q(W) held, the -lnq(W) of the lower bound.  The row update of [V | mu]
+    reads (omega, Q) as its basis of E[W].  ``k`` and ``dof`` are the
+    untempered K and N', which the model file writes.
 
     Constructed either from an inverse-scale accumulator K by one ``eigh``
     of K (``from_update``) or as a point mass pinned at a given W by one
     ``eigh`` of W (``point_mass``, for degenerate-reduction checks), which
-    keeps E[W] = sym(W) and has no dof, scale or ln B.  The fields cannot
-    be reassigned and the arrays are read-only, so E[W] and its eigenpair
-    cannot drift apart.
+    keeps E[W] = sym(W) and has no dof, scale or entropy.  The fields
+    cannot be reassigned and the arrays are read-only, so E[W] and its
+    eigenpair cannot drift apart.
     """
 
     e_w: np.ndarray
@@ -158,7 +159,7 @@ class WishartPosterior:
     q: np.ndarray
     k: np.ndarray | None = None
     dof: float | None = None
-    ln_b: float | None = None
+    entropy: float | None = None
 
     def __post_init__(self):
         for a in (self.e_w, self.omega, self.q, self.k):
@@ -168,9 +169,11 @@ class WishartPosterior:
     @classmethod
     def from_update(cls, k, dof, kappa=1.0):
         """q(W) from K and N', annealed: scale K^-1 / kappa and dof
-        N' - (1 - kappa)(N' - d - 1), both exact at kappa = 1.  K is
-        symmetrized here.  With K = Q diag(e) Q^T, E[W] has eigenvalues
-        omega = dof_eff / (kappa e) on Q, and log|K| = sum ln e."""
+        dof_eff = N' - (1 - kappa)(N' - d - 1), both exact at kappa = 1.
+        K is symmetrized here.  With K = Q diag(e) Q^T, E[W] has
+        eigenvalues omega = dof_eff / (kappa e) on Q, and log|K| = sum ln e.
+        The entropy is -(ln B + 1/2 (dof_eff - d - 1) E[ln|W|]
+        - 1/2 dof_eff d), with ln B of that scale and dof."""
         k = sym(np.asarray(k, dtype=float))
         d = k.shape[0]
         dof = float(dof)
@@ -183,14 +186,13 @@ class WishartPosterior:
         dof_eff = dof - (1.0 - kappa) * (dof - d - 1.0)
         e, q = eigh_pd(k)
         logdet_k_inv = -np.log(e).sum()
-        e_ln_w = (
-            _wishart_digamma_sum(dof_eff, d)
-            + d * np.log(2.0)
-            + logdet_k_inv - d * np.log(kappa)
-        )
+        e_ln_w = float(_wishart_digamma_sum(dof_eff, d) + d * np.log(2.0)
+                       + logdet_k_inv - d * np.log(kappa))
+        entropy = -(_ln_wishart_b(logdet_k_inv - d * np.log(kappa), dof_eff, d)
+                    + 0.5 * (dof_eff - d - 1.0) * e_ln_w - 0.5 * dof_eff * d)
         omega = dof_eff / (kappa * e)
-        return cls(sym((q * omega) @ q.T), float(e_ln_w), omega, q, k=k, dof=dof,
-                   ln_b=_ln_wishart_b(logdet_k_inv, dof, d))
+        return cls(sym((q * omega) @ q.T), e_ln_w, omega, q, k=k, dof=dof,
+                   entropy=entropy)
 
     @classmethod
     def point_mass(cls, w):
@@ -320,8 +322,8 @@ def _ln_wishart_b(logdet_scale, dof, d):
 @lru_cache(maxsize=64)
 def _ln_multigamma(a, d):
     """ln Gamma_d(a); the value of ``scipy.special.multigammaln`` without
-    its Python loop over the d factors.  Kept per exact (a, d): the bound
-    reads it at a = N'/2, which holds while N' does."""
+    its Python loop over the d factors.  Kept per exact (a, d): q(W)'s
+    entropy reads it at a = dof_eff/2, which holds while N' and kappa do."""
     if a <= 0.5 * (d - 1):
         raise ValueError(f"condition a ({a}) > 0.5 * (d-1) ({0.5 * (d - 1)}) not met")
     return (d * (d - 1) * 0.25) * np.log(np.pi) \
@@ -333,7 +335,11 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
     """Variational lower bound of the Bayesian variant, with breakdown.
 
     The blocks are those of ``elbo_point``, whose terms this adds to; the
-    improper-prior constant of P(W) is dropped (additive constant).
+    improper-prior constant of P(W) is dropped (additive constant).  Like
+    ``elbo_point`` it is the bound of the state held: each -lnq term is
+    the entropy its factor computes at the temperature it holds, so an
+    entry at kappa < 1 is a lower bound on ln p(Phi) too, up to that
+    constant.
     """
     n_y = rowpost.n_y
     d = rowpost.d
@@ -341,10 +347,9 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
     mu0, beta = _mean_prior(hyper, d)
     mu_quad = rowpost.e_mu_quad(mu0)
 
-    if wpost.dof is None:
+    if wpost.entropy is None:
         raise ValueError("elbo_bayes needs q(W) from update_q_wishart (from_update); "
                          "this q(W) is a point mass, with no dof or scale")
-    dof = wpost.dof
     vtbar, wbar, ln_w = rowpost.mean, wpost.e_w, wpost.e_ln_w
     sum_ln_alpha = alphapost.e_ln_alpha.sum()
 
@@ -359,18 +364,13 @@ def elbo_bayes(block, resp, dirichlet, rowpost, alphapost, wpost, hyper,
         "lnP(mu)": -0.5 * d * LOG2PI + 0.5 * np.log(beta).sum()
         - 0.5 * float(beta @ mu_quad),
         "lnP(W)": -0.5 * (d + 1.0) * ln_w,
-        "-lnq(Vtilde)": 0.5 * d * (n_y + 1.0) * (LOG2PI + 1.0)
-        - 0.5 * rowpost.logdet_prec().sum(),
+        "-lnq(Vtilde)": rowpost.entropy(),
         "-lnq(alpha)": -(
             n_y * ((alphapost.a_prime - 1.0) * digamma(alphapost.a_prime)
                    - alphapost.a_prime - gammaln(alphapost.a_prime))
             + np.log(alphapost.b_prime).sum()
         ),
-        "-lnq(W)": -(
-            wpost.ln_b
-            + 0.5 * (dof - d - 1.0) * ln_w
-            - 0.5 * dof * d
-        ),
+        "-lnq(W)": wpost.entropy,
     }
 
     def block_terms(blk):

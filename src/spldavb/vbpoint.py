@@ -56,10 +56,12 @@ class GaussianRows:
         P_g^T L_r P_g = diag(s_r),   L_r^-1 = P_g diag(1/s_r) P_g^T,
         log|L_r| = sum_k log s_rk - 2 log|det P_g|.
 
-    Cov(x_r) = L_r^-1 / kappa.  A point mass has s = inf: its covariance is
-    zero and the aggregates read 0 without a floating-point warning.  The
-    aggregates cost O(G R k + G k^3); the dense (R, k, k) ``prec`` is
-    built on demand, for the model file.
+    Cov(x_r) = L_r^-1 / kappa: the rows held are those of the temperature
+    ``kappa``, and every aggregate, ``entropy()`` included, is of them.  A
+    point mass has s = inf: its covariance is zero and the aggregates read
+    0 without a floating-point warning.  The aggregates cost
+    O(G R k + G k^3); the dense (R, k, k) untempered ``prec`` is built on
+    demand, for the model file.
 
     mean         : (R, k) row means
     basis        : (G, k, k) shared bases P_g
@@ -137,6 +139,14 @@ class GaussianRows:
     def logdet_prec(self):
         """(R,) log|L_r| (untempered)."""
         return np.log(self.s).sum(axis=1) - 2.0 * self.logdet_basis[self.group]
+
+    def entropy(self):
+        """The entropy of the held rows, with Cov(x_r) = L_r^-1 / kappa:
+        sum_r k/2 (ln 2pi + 1 - ln kappa) - 1/2 log|L_r|, the -lnq term of
+        the bound.  A point mass gives -inf."""
+        r, k = self.s.shape
+        return 0.5 * r * k * (LOG2PI + 1.0 - np.log(self.kappa)) \
+            - 0.5 * self.logdet_prec().sum()
 
     def mapped(self, a, b=0.0):
         """The rows of x' = A x + b: means A m_r + b, precisions
@@ -455,7 +465,7 @@ def _block_terms(block, vtilde, w, ln_w, rho=0.0):
     terms = (0.5 * stats.n_total * (ln_w - w.shape[0] * LOG2PI)
              - 0.5 * (w * _scatter(stats.s, c, r, vtilde, rho)).sum(),
              -0.5 * m_ny * LOG2PI - 0.5 * posts.e_yy_total.trace(),
-             -(-0.5 * m_ny * (LOG2PI + 1.0) + 0.5 * posts.logdet_prec().sum()))
+             posts.entropy())
     # x + 0.0 is x for every x but -0.0: an empty block's terms read +0.0.
     return tuple(t + 0.0 for t in terms)
 
@@ -504,7 +514,9 @@ def elbo_point(block, resp, dirichlet, model, hyper, block_d=None):
     """Variational lower bound for the point-estimate model.
 
     Returns ``(total, breakdown)`` where ``breakdown`` maps term names to
-    values.  Defined for the untempered (kappa = 1) objective.  ``block``
+    values.  It is the bound of the state held: at kappa < 1 each factor
+    holds its tempered parameters and each -lnq term is that factor's own
+    entropy, so the total is still a lower bound on ln p(Phi).  ``block``
     and ``block_d`` are the unlabelled and labelled ``(stats, posteriors,
     acc)``.  The labelled block's terms carry the weight eta, so this is
     the objective the M-steps maximise and it does not fall at kappa = 1

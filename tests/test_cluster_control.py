@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spldavb import adapt, vbpoint
+from spldavb import adapt, vbbayes, vbpoint
 from spldavb.adapt import (
     RunConfig,
     Responsibilities,
@@ -778,6 +778,60 @@ class TestRuns:
                 continue
             drop = (elbo[it - 1] - elbo[it]) / max(1.0, abs(elbo[it - 1]))
             assert drop <= cfg.elbo_tol, f"bound fell by {drop:.3g} at {it}"
+
+    @staticmethod
+    def _tempered(terms, kappa):
+        """F_kappa = kappa * sum(lnP terms) + sum(-lnq terms) of a bound's
+        breakdown; at kappa = 1 it is the bound itself."""
+        return sum(value if name.startswith("-") else kappa * value
+                   for name, value in terms.items())
+
+    @pytest.mark.parametrize("variant, knobs", [
+        ("point", {}),
+        ("point", dict(min_div=False)),
+        ("point", dict(hyper_opt_tau0=True)),
+        ("point", dict(min_div=False, hyper_opt_tau0=True)),
+        ("bayes", {}),
+        ("bayes", dict(hyper_opt_tau0=True, hyper_opt_alpha=True,
+                       hyper_opt_mu=True)),
+    ])
+    def test_annealed_sweeps_ascend_the_tempered_objective(self, variant,
+                                                           knobs):
+        # A sweep at kappa updates each factor to the maximiser of F_kappa
+        # with the others held, and the parameter and hyperparameter steps
+        # maximise lnP terms, which F_kappa weights by kappa > 0.  So sweep
+        # t + 1 does not lower F at its own kappa below the state of sweep
+        # t, before and after kappa reaches 1.
+        recorded = []
+
+        def spy(f):
+            def recording(*args, **kwargs):
+                total, terms = f(*args, **kwargs)
+                recorded.append(terms)
+                return total, terms
+            return recording
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vbpoint, "elbo_point", spy(vbpoint.elbo_point))
+            mp.setattr(vbbayes, "elbo_bayes", spy(vbbayes.elbo_bayes))
+            for seed in range(6):
+                dataset, model = split_problem(seed=seed)
+                for eta in (1.0, 0.5):
+                    recorded.clear()
+                    cfg = RunConfig(m_init=6, variant=variant,
+                                    init_method="ahc", anneal=True,
+                                    elbo_tol=0.0, max_iter=40, seed=seed,
+                                    **knobs)
+                    report = run_adaptation(dataset, model,
+                                            Hyperparams(eta=eta), cfg)
+                    kappa = report.kappa_trace
+                    assert len(recorded) == len(kappa) == cfg.max_iter
+                    assert kappa[0] < 1.0 == kappa[-1]
+                    for t in range(len(kappa) - 1):
+                        before = self._tempered(recorded[t], kappa[t + 1])
+                        after = self._tempered(recorded[t + 1], kappa[t + 1])
+                        drop = (before - after) / max(1.0, abs(before))
+                        assert drop <= 1e-10, (seed, eta, t, drop)
 
     @staticmethod
     def _run_with_final_r(*args):

@@ -554,6 +554,14 @@ class TestCli:
                      "--out-labels", str(tmp_path / "pred.labels")]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_synth_rejects_zero_per_speaker(self, tmp_path, capsys):
+        assert _run(["synth", "--d", "3", "--ny", "1", "--speakers", "4",
+                     "--per-speaker", "0",
+                     "--out-prefix", str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: per_speaker must be >= 1")
+        assert not list(tmp_path.iterdir())
+
     def test_elbo_audit_rejects_zero_sweeps(self, synth_files, tmp_path,
                                             capsys):
         prefix = synth_files

@@ -62,6 +62,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthSpec(d=2, n_y=1, m_true=1, per_speaker=2, noise_scale=0.0)
 
+    @pytest.mark.parametrize("per_speaker", [0, -2, (0, 2), (5, 2), (-1, 3)])
+    def test_rejects_a_speaker_without_ivectors(self, per_speaker):
+        # (0, 2) would drop the speakers that draw 0; (5, 2) has no count.
+        with pytest.raises(ValueError, match="^per_speaker must be >= 1"):
+            SynthSpec(d=3, n_y=1, m_true=6, per_speaker=per_speaker, seed=3)
+
 
 class TestSplit:
     def test_split_covers_everything(self):

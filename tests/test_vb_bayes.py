@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma, multigammaln
+from scipy.stats import dirichlet as dirichlet_dist
+from scipy.stats import entropy as categorical_entropy
 from scipy.stats import gamma as gamma_dist
-from scipy.stats import wishart
+from scipy.stats import multivariate_normal, wishart
 
 from spldavb.adapt import RunConfig, run_adaptation, train_supervised
 from spldavb.linalg import NotPositiveDefiniteError, inv_pd, logdet_pd, sym
@@ -580,7 +582,7 @@ class TestWishartPosterior:
         e, q = np.linalg.eigh(k + 1e-10 * np.trace(k) / 4 * np.eye(4))
         np.testing.assert_array_equal(post.omega, 9.0 / e)
         np.testing.assert_array_equal(post.q, q)
-        assert np.isfinite(post.e_ln_w) and np.isfinite(post.ln_b)
+        assert np.isfinite(post.e_ln_w) and np.isfinite(post.entropy)
 
     def test_indefinite_scale_is_rejected(self):
         with pytest.raises(NotPositiveDefiniteError, match="jitter"):
@@ -644,7 +646,9 @@ def test_kappa_one_gives_untempered_closed_forms(counts, tau0, a, d, extra_dof,
     np.testing.assert_array_equal(wpost.e_w, sym((q * (dof / e)) @ q.T))
     assert wpost.e_ln_w == digamma(0.5 * (dof + 1.0 - np.arange(1, d + 1))).sum() \
         + d * np.log(2.0) - logdet_k
-    assert wpost.ln_b == _ln_wishart_b(-logdet_k, dof, d)
+    assert wpost.entropy == -(_ln_wishart_b(-logdet_k, dof, d)
+                              + 0.5 * (dof - d - 1.0) * wpost.e_ln_w
+                              - 0.5 * dof * d)
 
 
 class TestElboBayes:
@@ -750,6 +754,62 @@ class TestElboBayes:
         assert abs(vals.mean() - terms["-lnq(W)"]) < 3.0 * se
 
 
+def _gaussian_entropy(rows):
+    """sum_r of the scipy entropy of N(mean_r, L_r^-1 / kappa), from the
+    dense untempered precisions of a ``GaussianRows`` block."""
+    return sum(multivariate_normal(cov=np.linalg.inv(prec) / rows.kappa).entropy()
+               for prec in rows.prec)
+
+
+@pytest.mark.parametrize("kappa", [0.2, 0.5, 1.0])
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+@pytest.mark.parametrize("beta_kind", ["scalar", "two-valued"])
+def test_entropies_match_scipy_for_the_held_factors(beta_kind, eta, kappa):
+    # Every factor is updated at kappa, so each -lnq term of the bound is
+    # the entropy of the tempered factor the state holds.
+    rng = np.random.default_rng(70)
+    d, n_y, m, dof = 5, 2, 6, 12.0
+    _, phi, stats = random_problem(rng, 40, m, d, n_y)
+    phi_d = rng.standard_normal((9, d))
+    stats_d = accumulate_stats(np.eye(3)[np.arange(9) % 3], phi_d)
+    hyper = Hyperparams(mu0=rng.standard_normal(d),
+                        beta=_random_beta(rng, d, beta_kind), eta=eta)
+    a = rng.standard_normal((d, d))
+    k = sym(a @ a.T + d * np.eye(d))
+    wpost = WishartPosterior.from_update(k, dof, kappa)
+    rowpost = random_rowpost(rng, d, n_y)
+    expected = rowpost.expected(wpost)
+    dirichlet = update_q_pi(rng.uniform(1.0, 8.0, m), hyper.tau0, kappa)
+    resp = update_q_theta(phi, update_q_y(stats, expected, kappa), expected,
+                          dirichlet, kappa)
+    stats = accumulate_stats(resp.r, phi)
+    posts = update_q_y(stats, expected, kappa)
+    posts_d = update_q_y(stats_d, expected, kappa)
+    dirichlet = update_q_pi(stats.n, hyper.tau0, kappa)
+    acc, acc_d = accumulators(stats, posts), accumulators(stats_d, posts_d)
+    rowpost = update_q_vtilde_rows(acc[0] + eta * acc_d[0], acc[1] + eta * acc_d[1],
+                                   wpost, update_q_alpha(rowpost, hyper, kappa),
+                                   hyper, kappa)
+    assert len(rowpost.basis) == (2 if beta_kind == "two-valued" else 1)
+    alphapost = update_q_alpha(rowpost, hyper, kappa)
+    _, terms = elbo_bayes((stats, posts, acc), resp, dirichlet, rowpost,
+                          alphapost, wpost, hyper, (stats_d, posts_d, acc_d))
+
+    dof_eff = dof - (1.0 - kappa) * (dof - d - 1.0)
+    oracle = {
+        "-lnq(Y)": _gaussian_entropy(posts),
+        "-eta*lnq(Y_d)": eta * _gaussian_entropy(posts_d),
+        "-lnq(Vtilde)": _gaussian_entropy(rowpost),
+        "-lnq(W)": wishart(df=dof_eff, scale=np.linalg.inv(k) / kappa).entropy(),
+        "-lnq(pi)": dirichlet_dist(dirichlet.tau).entropy(),
+        "-lnq(alpha)": gamma_dist(alphapost.a_prime,
+                                  scale=1.0 / alphapost.b_prime).entropy().sum(),
+        "-lnq(theta)": categorical_entropy(resp.r, axis=1).sum(),
+    }
+    for name, value in oracle.items():
+        assert terms[name] == pytest.approx(value, rel=1e-10, abs=1e-10), name
+
+
 class TestSharedQuantities:
     """Precomputed inputs must give the recomputing path's bits."""
 
@@ -764,10 +824,14 @@ class TestSharedQuantities:
 
     @pytest.mark.parametrize("kappa", [1.0, 0.4])
     def test_cached_wishart_normalizer(self, kappa):
+        # The entropy of the held q(W): dof dof_eff and scale K^-1 / kappa.
         state, _ = self._state(kappa)
         wpost = state[8]
         logdet_k_inv = -np.log(np.linalg.eigh(wpost.k)[0]).sum()
-        assert wpost.ln_b == _ln_wishart_b(logdet_k_inv, wpost.dof, 4)
+        dof_eff = wpost.dof - (1.0 - kappa) * (wpost.dof - 5.0)
+        assert wpost.entropy == -(
+            _ln_wishart_b(logdet_k_inv - 4 * np.log(kappa), dof_eff, 4)
+            + 0.5 * (dof_eff - 5.0) * wpost.e_ln_w - 0.5 * dof_eff * 4)
         if kappa == 1.0:
             assert wpost.e_ln_w == digamma(
                 0.5 * (wpost.dof + 1.0 - np.arange(1, 5))).sum() \
@@ -916,7 +980,7 @@ class TestOneGroupRows:
         assert a["alphapost"].a_prime == b["alphapost"].a_prime
         np.testing.assert_array_equal(a["alphapost"].b_prime,
                                       b["alphapost"].b_prime)
-        for name in ("e_w", "e_ln_w", "k", "dof", "ln_b"):
+        for name in ("e_w", "e_ln_w", "k", "dof", "entropy"):
             np.testing.assert_array_equal(getattr(a["wpost"], name),
                                           getattr(b["wpost"], name))
         assert scalar.elbo_terms == vector.elbo_terms
@@ -1025,8 +1089,11 @@ class TestCachedMoments:
             assert post.e_ln_w == (
                 digamma(0.5 * (dof_eff + 1.0 - np.arange(1, d + 1))).sum()
                 + d * np.log(2.0) + logdet_k_inv - d * np.log(kappa))
-            assert post.ln_b == -0.5 * dof * logdet_k_inv \
-                - 0.5 * dof * d * np.log(2.0) - multigammaln(0.5 * dof, d)
+            logdet_scale = logdet_k_inv - d * np.log(kappa)
+            ln_b = -0.5 * dof_eff * logdet_scale \
+                - 0.5 * dof_eff * d * np.log(2.0) - multigammaln(0.5 * dof_eff, d)
+            assert post.entropy == -(ln_b + 0.5 * (dof_eff - d - 1.0) * post.e_ln_w
+                                     - 0.5 * dof_eff * d)
             omega = dof_eff / (kappa * e)
             np.testing.assert_array_equal(post.omega, omega)
             np.testing.assert_array_equal(post.e_w, sym((q * omega) @ q.T))

@@ -13,14 +13,16 @@ convergence, as ``splda train`` does, for a CLI workload) and adapted by
 ``run_adaptation`` with the workload's ``RunConfig``.
 
 For each workload it prints every ``RunReport`` field that differs between
-the two trees, with the number of problems it differs on, and the largest
-relative difference of the ELBO traces and of each ``elbo_terms`` entry
-(scaled by max(1, |term|)), and in each tree the largest tracemalloc peak
-of one ``run_adaptation``: what the call allocates at once, in MB.  It
-then prints, in each tree, each problem's end-to-end quality as the
-benchmark gates it (``workloads.quality`` of ``workloads.outcome``): the
-ARI against the synthetic truth and ``neg_elbo_per_vec``, with their
-means over the problems, and the final M and bound.  A CLI workload's
+the two trees, with the number of problems it differs on, the largest
+relative difference of the ELBO traces, apart over the entries at
+kappa = 1 and over the annealed ones at kappa < 1, and that of each
+``elbo_terms`` entry (scaled by max(1, |term|)), and in each tree the
+largest tracemalloc peak of one ``run_adaptation``: what the call
+allocates at once, in MB.  It then prints, in each tree, each problem's
+end-to-end quality as the benchmark gates it (``workloads.quality`` of
+``workloads.outcome``): the ARI against the synthetic truth and
+``neg_elbo_per_vec``, with their means over the problems, and the final M
+and bound.  A CLI workload's
 quality is that of its command-line run, which the benchmark measures.
 
 A CLI workload's problems are also run through the command line, as the
@@ -134,7 +136,7 @@ def _compare(name, base, head):
     """Print the differences of one workload's runs; True if an exact
     field differs."""
     differs, one_sided = {}, set()
-    elbo_rel, term_rel = 0.0, {}
+    elbo_rel, term_rel = {"kappa = 1": [], "kappa < 1": []}, {}
     for b, h in zip(base, head):
         shared = b["bayes_state"].keys() & h["bayes_state"].keys()
         one_sided |= b["bayes_state"].keys() ^ h["bayes_state"].keys()
@@ -145,9 +147,10 @@ def _compare(name, base, head):
                 differs[field] = differs.get(field, 0) + 1
         n = min(b["elbo_trace"].size, h["elbo_trace"].size)
         eb, eh = b["elbo_trace"][:n], h["elbo_trace"][:n]
-        if n:
-            elbo_rel = max(elbo_rel, float(np.max(
-                np.abs(eh - eb) / np.maximum(np.abs(eb), np.finfo(float).tiny))))
+        rel = np.abs(eh - eb) / np.maximum(np.abs(eb), np.finfo(float).tiny)
+        at_one = np.asarray(b["kappa_trace"][:n]) == 1.0
+        elbo_rel["kappa = 1"] += rel[at_one].tolist()
+        elbo_rel["kappa < 1"] += rel[~at_one].tolist()
         for term in b["elbo_terms"].keys() & h["elbo_terms"].keys():
             tb, th = b["elbo_terms"][term], h["elbo_terms"][term]
             term_rel[term] = max(term_rel.get(term, 0.0),
@@ -159,7 +162,9 @@ def _compare(name, base, head):
         print("  every field ==")
     if one_sided:
         print(f"  bayes_state arrays in one tree only: {', '.join(sorted(one_sided))}")
-    print(f"  max relative ELBO difference: {elbo_rel:.3g}")
+    for where, rel in elbo_rel.items():
+        print(f"  max relative ELBO difference at {where}: "
+              + (f"{max(rel):.3g}" if rel else "no entries"))
     moved = ", ".join(f"{term} {rel:.3g}" for term, rel in
                       sorted(term_rel.items(), key=lambda kv: -kv[1]) if rel)
     print(f"  max |difference| / max(1, |term|): {moved or 'none'}"
