@@ -251,8 +251,7 @@ def _merge_pairs(r, threshold):
     return list(zip(i[order].tolist(), j[order].tolist()))
 
 
-def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
-                    score):
+def prune_and_merge(resp, config, refresh, extra_pairs=(), *, score):
     """Speaker-count heuristics: drop empty clusters, merge duplicates.
 
     Candidate restructures are gated one at a time by ``score``:
@@ -266,16 +265,17 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
     unmerged.
 
     ``refresh(r)`` is called once, on the final structure, if a candidate
-    was kept, and returns ``(elbo, state)`` for it; ``run_adaptation``
-    passes the structure's score and its reduction, from which the next
-    iteration's sweep starts.  That sweep starts from the state the score
-    scores (q(Y) and q(pi) refit under the held parameters) and then only
-    ascends, so the bound it records is at least the score plus terms that
-    do not depend on ``r``: a kept restructure never ends below the
-    current structure's score, less ``elbo_tol``.
+    was kept, and returns its state; ``run_adaptation`` passes the
+    structure's reduction, from which the next iteration's sweep starts.
+    That sweep starts from the state the score scores (q(Y) and q(pi)
+    refit under the held parameters) and then only ascends, so the bound
+    it records is at least the score plus terms that do not depend on
+    ``r``: a kept restructure never ends below the current structure's
+    score, less ``elbo_tol``.
 
-    Returns ``(resp, elbo, state, changed)``: the new structure with what
-    ``refresh`` returned for it, or ``(resp, current_elbo, None, False)``.
+    Returns ``(resp, score, state, changed)``: the final structure, its
+    score and the state ``refresh`` returned for it, or
+    ``(resp, score(resp.r), None, False)`` if nothing was kept.
     """
     r = resp.r
     counts = r.sum(axis=0)
@@ -326,9 +326,8 @@ def prune_and_merge(resp, config, refresh, current_elbo, extra_pairs=(), *,
             break
 
     if cur is r:
-        return resp, current_elbo, None, False
-    elbo, state = refresh(cur)
-    return Responsibilities(r=cur), elbo, state, True
+        return resp, cur_score, None, False
+    return Responsibilities(r=cur), cur_score, refresh(cur), True
 
 
 # Pairs whose differences _closest_posterior_pairs holds at once.
@@ -730,11 +729,11 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                 and kappa == 1.0 and it + 1 < config.max_iter):
 
             bound = _FixedBound(variant, params, reduced)
-            # A kept structure is handed on with its score and reduction;
-            # the next iteration's sweep starts from the state it scores.
+            # A kept structure is handed on with its reduction; the next
+            # iteration's sweep starts from the state its score scores.
             _, _, kept, restructured = prune_and_merge(
-                reduced.resp, config, lambda r: (bound(r), bound.reduce(r)),
-                elbo, extra_pairs=_closest_posterior_pairs(state["posts"].ybar),
+                reduced.resp, config, bound.reduce,
+                extra_pairs=_closest_posterior_pairs(state["posts"].ybar),
                 score=bound)
             since_restructure = 0
             expected = bound.expected  # params are unchanged

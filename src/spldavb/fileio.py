@@ -132,33 +132,41 @@ def read_labels(path):
     return np.array(labels, dtype=int)
 
 
+def _sections(d, n_y):
+    """The blocks of a ``d x n_y`` model file, as ``(tag, name, rows,
+    cols)``: the model's, then the BAYES section's, each in file order.
+    A block follows the line ``tag``, or the block before it when ``tag``
+    is None; the reader's messages call it ``name``."""
+    k = n_y + 1
+    return ((("MU", "MU", 1, d), ("V", "V", d, n_y), ("W", "W", d, d)),
+            (("VT_MEAN", "VT_MEAN", d, k), ("VT_PREC", "VT_PREC", d * k, k),
+             ("ALPHA", "ALPHA", 1, 1), (None, "ALPHA_B", 1, n_y),
+             ("WISHART", "WISHART", 1, 1), (None, "WISHART_K", d, d)))
+
+
+def _write_blocks(fh, sections, values):
+    """Write each of ``values`` as the block of ``sections`` it pairs with."""
+    for (tag, _, rows, cols), x in zip(sections, values):
+        if tag:
+            fh.write(tag + "\n")
+        _write_rows(fh, np.reshape(x, (rows, cols)))
+
+
 def write_model(path, model, bayes_state=None):
-    """Write a model file; optional BAYES section carries the parameter
-    posteriors and hyperparameters of the Bayesian variant."""
-    d, n_y = model.d, model.n_y
+    """Write a model file; the optional BAYES section carries the
+    parameter posteriors the run holds, at its last kappa, and the
+    hyperparameters of the Bayesian variant."""
+    model_sections, bayes_sections = _sections(model.d, model.n_y)
     with open(path, "w") as fh:
-        fh.write(f"SPLDA {d} {n_y}\n")
-        fh.write("MU\n" + _format_row(model.mu) + "\n")
-        fh.write("V\n")
-        _write_rows(fh, model.v)
-        fh.write("W\n")
-        _write_rows(fh, model.w)
+        fh.write(f"SPLDA {model.d} {model.n_y}\n")
+        _write_blocks(fh, model_sections, (model.mu, model.v, model.w))
         if bayes_state is not None:
-            rowpost = bayes_state["rowpost"]
-            wpost = bayes_state["wpost"]
-            alphapost = bayes_state["alphapost"]
-            hyper = bayes_state["hyper"]
+            rowpost, alphapost, wpost, hyper = (bayes_state[key] for key in (
+                "rowpost", "alphapost", "wpost", "hyper"))
             fh.write("BAYES\n")
-            fh.write("VT_MEAN\n")
-            _write_rows(fh, rowpost.mean)
-            fh.write("VT_PREC\n")
-            _write_rows(fh, rowpost.prec.reshape(d * (n_y + 1), n_y + 1))
-            fh.write("ALPHA\n")
-            fh.write(_FMT % alphapost.a_prime + "\n")
-            fh.write(_format_row(alphapost.b_prime) + "\n")
-            fh.write("WISHART\n")
-            fh.write(_FMT % wpost.dof + "\n")
-            _write_rows(fh, wpost.k)
+            _write_blocks(fh, bayes_sections, (
+                rowpost.mean, rowpost.prec, alphapost.a_prime,
+                alphapost.b_prime, wpost.dof, wpost.k))
             fh.write("HYPER\n")
             for key in _HYPER_KEYS:
                 value = np.asarray(getattr(hyper, key), dtype=float)
@@ -171,6 +179,7 @@ def read_model(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
     d, n_y = _read_header(path, lines, "SPLDA", "d n_y")
+    model_sections, bayes_sections = _sections(d, n_y)
     pos = 1
 
     def expect(tag):
@@ -179,36 +188,25 @@ def read_model(path):
             raise ValueError(f"{path}: expected section {tag!r} at line {pos + 1}")
         pos += 1
 
-    def block(rows, cols, what):
+    def blocks(sections):
         nonlocal pos
-        out = _parse_matrix_body(path, lines, pos, rows, cols, what)
-        pos += rows
+        out = []
+        for tag, name, rows, cols in sections:
+            if tag:
+                expect(tag)
+            out.append(_parse_matrix_body(path, lines, pos, rows, cols, name))
+            pos += rows
         return out
 
-    expect("MU")
-    mu = block(1, d, "MU")[0]
-    expect("V")
-    v = block(d, n_y, "V")
-    expect("W")
-    w = block(d, d, "W")
+    mu, v, w = blocks(model_sections)
     asym = np.abs(w - w.T).max()
     if asym > 1e-12:
         warnings.warn(f"{path}: W asymmetry {asym:.3e} > 1e-12; re-symmetrizing")
-    model = SpldaModel(mu=mu, v=v, w=w)  # which symmetrizes W
+    model = SpldaModel(mu=mu[0], v=v, w=w)  # which symmetrizes W
     bayes = None
     if pos < len(lines) and lines[pos] == "BAYES":
         pos += 1
-        expect("VT_MEAN")
-        vt_mean = block(d, n_y + 1, "VT_MEAN")
-        expect("VT_PREC")
-        prec = block(d * (n_y + 1), n_y + 1, "VT_PREC").reshape(
-            d, n_y + 1, n_y + 1)
-        expect("ALPHA")
-        a_prime = float(block(1, 1, "ALPHA")[0, 0])
-        b_prime = block(1, n_y, "ALPHA_B")[0]
-        expect("WISHART")
-        dof = float(block(1, 1, "WISHART")[0, 0])
-        k = block(d, d, "WISHART_K")
+        vt_mean, prec, a_prime, b_prime, dof, k = blocks(bayes_sections)
         expect("HYPER")
         hyper = {}
         while pos < len(lines) and lines[pos].strip():
@@ -232,8 +230,9 @@ def read_model(path):
         if missing:
             raise ValueError(f"{path}:{pos + 1}: HYPER lacks "
                              f"{' '.join(missing)}")
-        bayes = dict(vt_mean=vt_mean, vt_prec=prec, a_prime=a_prime,
-                     b_prime=b_prime, wishart_dof=dof, wishart_k=k, hyper=hyper)
+        bayes = dict(vt_mean=vt_mean, vt_prec=prec.reshape(d, n_y + 1, n_y + 1),
+                     a_prime=float(a_prime[0, 0]), b_prime=b_prime[0],
+                     wishart_dof=float(dof[0, 0]), wishart_k=k, hyper=hyper)
     _check_tail(path, lines, pos)
     return model, bayes
 

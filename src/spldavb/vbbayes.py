@@ -143,7 +143,7 @@ class WishartPosterior:
     E[W] = sym(Q diag(omega) Q^T), with E[ln|W|] and the entropy of the
     q(W) held, the -lnq(W) of the lower bound.  The row update of [V | mu]
     reads (omega, Q) as its basis of E[W].  ``k`` and ``dof`` are the
-    untempered K and N', which the model file writes.
+    inverse scale and dof of the q(W) held, which the model file writes.
 
     Constructed either from an inverse-scale accumulator K by one ``eigh``
     of K (``from_update``) or as a point mass pinned at a given W by one
@@ -173,7 +173,8 @@ class WishartPosterior:
         K is symmetrized here.  With K = Q diag(e) Q^T, E[W] has
         eigenvalues omega = dof_eff / (kappa e) on Q, and log|K| = sum ln e.
         The entropy is -(ln B + 1/2 (dof_eff - d - 1) E[ln|W|]
-        - 1/2 dof_eff d), with ln B of that scale and dof."""
+        - 1/2 dof_eff d), with ln B of that scale and dof.  ``k`` keeps
+        the held inverse scale kappa K and ``dof`` keeps dof_eff."""
         k = sym(np.asarray(k, dtype=float))
         d = k.shape[0]
         dof = float(dof)
@@ -191,8 +192,8 @@ class WishartPosterior:
         entropy = -(_ln_wishart_b(logdet_k_inv - d * np.log(kappa), dof_eff, d)
                     + 0.5 * (dof_eff - d - 1.0) * e_ln_w - 0.5 * dof_eff * d)
         omega = dof_eff / (kappa * e)
-        return cls(sym((q * omega) @ q.T), e_ln_w, omega, q, k=k, dof=dof,
-                   entropy=entropy)
+        return cls(sym((q * omega) @ q.T), e_ln_w, omega, q, k=kappa * k,
+                   dof=dof_eff, entropy=entropy)
 
     @classmethod
     def point_mass(cls, w):

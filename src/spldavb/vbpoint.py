@@ -60,8 +60,8 @@ class GaussianRows:
     ``kappa``, and every aggregate, ``entropy()`` included, is of them.  A
     point mass has s = inf: its covariance is zero and the aggregates read
     0 without a floating-point warning.  The aggregates cost
-    O(G R k + G k^3); the dense (R, k, k) untempered ``prec`` is built on
-    demand, for the model file.
+    O(G R k + G k^3); the dense (R, k, k) held precisions ``prec`` are
+    built on demand, for the model file.
 
     mean         : (R, k) row means
     basis        : (G, k, k) shared bases P_g
@@ -108,11 +108,12 @@ class GaussianRows:
 
     @property
     def prec(self):
-        """(R, k, k) untempered precisions P^-T diag(s_r) P^-1.  A row with
-        an infinite scale is a point mass: +inf on the diagonal, 0 off it."""
+        """(R, k, k) precisions kappa L_r = P^-T diag(kappa s_r) P^-1 of the
+        rows held.  A row with an infinite scale is a point mass: +inf on
+        the diagonal, 0 off it."""
         p_inv = np.linalg.inv(self.basis)[self.group]
         finite = np.isfinite(self.s).all(axis=1)
-        s = np.where(finite[:, None], self.s, 0.0)  # no 0 * inf below
+        s = np.where(finite[:, None], self.kappa * self.s, 0.0)  # no 0 * inf
         prec = (np.swapaxes(p_inv, 1, 2) * s[:, None, :]) @ p_inv
         prec[~finite] = np.where(np.eye(self.s.shape[1], dtype=bool), np.inf, 0.0)
         return prec
@@ -219,11 +220,6 @@ class Responsibilities:
 
     r: np.ndarray  # (N, M)
     h: float | None = None
-
-    @property
-    def counts(self):
-        """Expected occupation counts E[N_i]."""
-        return self.r.sum(axis=0)
 
     def entropy(self):
         """-sum_ji r_ji ln r_ji: the carried ``h`` if there is one, else

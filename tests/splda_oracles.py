@@ -10,7 +10,8 @@ closed-form pair scores with every inverse and log-determinant from its
 own factorization, the responsibility log weights, softmax and entropy in their direct forms, the
 pair score as a ratio of joint-Gaussian densities, central finite
 differences, the whole lower bound at given responsibilities with the
-parameters held, the text formats written one value at a time and
+parameters held, a Monte Carlo estimate of the lower bound of a held
+state from draws of its factors, the text formats written one value at a time and
 parsed one row at a time, and the closest pairs of speaker posterior
 means by a double loop.  None of this is needed to run an adaptation; each function follows its formula directly
 rather than the library's aggregate forms.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.stats import dirichlet, gamma, multivariate_normal, norm, wishart
 
 from spldavb.linalg import chol_with_jitter, inv_pd, logdet_pd, sym
 from spldavb.model import Dataset, SuffStats, accumulate_stats
@@ -348,6 +350,82 @@ def fixed_param_elbo(variant, params, r):
     return elbo_point((stats, posts, accumulators(stats, posts)), resp,
                       dirichlet, params, hyper,
                       (stats_d, posts_d, accumulators(stats_d, posts_d)))[0]
+
+
+def _draw_rows(rows, n, rng):
+    """``n`` draws of the independent Gaussian rows of a ``GaussianRows``
+    block, as (n, R, k), and the (n,) ln q of each draw."""
+    dists = [multivariate_normal(mean, cov)
+             for mean, cov in zip(rows.mean, dense_cov(rows))]
+    x = np.stack([dist.rvs(size=n, random_state=rng).reshape(n, -1)
+                  for dist in dists], axis=1)
+    return x, sum(dist.logpdf(x[:, i]) for i, dist in enumerate(dists))
+
+
+def _gauss_loglik(x, mean, w):
+    """(n,) sum_j ln N(x_j | mean_j, W^-1) of each draw: ``mean`` is
+    (n, N, d) and ``w`` (n, d, d)."""
+    diff = x - mean
+    ln_w = np.linalg.slogdet(w)[1]
+    return 0.5 * x.shape[0] * (ln_w - x.shape[1] * np.log(2.0 * np.pi)) \
+        - 0.5 * np.einsum("snd,sde,sne->s", diff, w, diff)
+
+
+def monte_carlo_bound(dataset, bound_args, n, rng):
+    """(n,) draws of ln p(Phi, Z) - ln q(Z), whose mean is the lower bound
+    of a held state.  ``bound_args`` are the arguments a sweep passed to
+    ``elbo_point`` (block, resp, dirichlet, model, hyper, block_d) or to
+    ``elbo_bayes`` (block, resp, dirichlet, rowpost, alphapost, wpost,
+    hyper, block_d).  Z is drawn from the factors these hold: Y, Y_d,
+    theta and pi, and for the Bayesian variant also [V | mu], W and
+    alpha, with W ~ Wishart(dof, k^-1) from the posterior's ``dof`` and
+    ``k``.  The labelled terms carry the weight eta, and the improper
+    prior ln p(W) = -(d + 1)/2 ln|W| drops its constant, as the bound
+    does."""
+    (_, posts, _), resp, q_pi = bound_args[:3]
+    hyper, (_, posts_d, _) = bound_args[-2:]
+    y, lnq_y = _draw_rows(posts, n, rng)
+    y_d, lnq_y_d = _draw_rows(posts_d, n, rng)
+    r = resp.r
+    # theta_j by inverting row j's cumulative sums at a uniform draw
+    theta = np.minimum(
+        (np.cumsum(r, axis=1) < rng.random((n, r.shape[0], 1))).sum(axis=2),
+        r.shape[1] - 1)
+    pi = dirichlet(q_pi.tau).rvs(size=n, random_state=rng)
+    ln_p = norm.logpdf(y).sum(axis=(1, 2)) \
+        + np.log(np.take_along_axis(pi, theta, axis=1)).sum(axis=1) \
+        + dirichlet(np.full(r.shape[1], hyper.tau0)).logpdf(pi.T) \
+        + hyper.eta * norm.logpdf(y_d).sum(axis=(1, 2))
+    ln_q = lnq_y + hyper.eta * lnq_y_d \
+        + np.log(r[np.arange(r.shape[0]), theta]).sum(axis=1) \
+        + dirichlet(q_pi.tau).logpdf(pi.T)
+    if len(bound_args) == 6:  # point estimates of [V | mu] and W
+        model = bound_args[3]
+        vt = np.broadcast_to(model.vtilde, (n,) + model.vtilde.shape)
+        w = np.broadcast_to(model.w, (n,) + model.w.shape)
+    else:
+        rowpost, alphapost, wpost = bound_args[3:6]
+        d, n_y = rowpost.d, rowpost.n_y
+        vt, lnq_vt = _draw_rows(rowpost, n, rng)
+        q_w = wishart(df=wpost.dof, scale=np.linalg.inv(wpost.k))
+        w = q_w.rvs(size=n, random_state=rng).reshape(n, d, d)
+        q_alpha = gamma(alphapost.a_prime, scale=1.0 / alphapost.b_prime)
+        alpha = q_alpha.rvs(size=(n, n_y), random_state=rng)
+        mu0 = np.zeros(d) if hyper.mu0 is None else hyper.mu0
+        ln_p = ln_p + norm.logpdf(vt[:, :, :n_y],
+                                  scale=alpha[:, None, :] ** -0.5).sum(axis=(1, 2)) \
+            + gamma(hyper.a_alpha, scale=1.0 / hyper.b_alpha).logpdf(alpha).sum(axis=1) \
+            + norm.logpdf(vt[:, :, n_y], loc=mu0,
+                          scale=np.asarray(hyper.beta) ** -0.5).sum(axis=1) \
+            - 0.5 * (d + 1.0) * np.linalg.slogdet(w)[1]
+        ln_q = ln_q + lnq_vt + q_w.logpdf(w.transpose(1, 2, 0)) \
+            + q_alpha.logpdf(alpha).sum(axis=1)
+    v, mu = vt[:, :, :-1], vt[:, None, :, -1]
+    y_theta = np.take_along_axis(y, theta[:, :, None], axis=1)
+    ln_p = ln_p + _gauss_loglik(dataset.phi, mu + y_theta @ np.swapaxes(v, 1, 2), w) \
+        + hyper.eta * _gauss_loglik(
+            dataset.phi_d, mu + y_d[:, dataset.labels_d] @ np.swapaxes(v, 1, 2), w)
+    return ln_p - ln_q
 
 
 def empty_block(d, n_y):

@@ -355,7 +355,7 @@ class TestAcceptance:
         k = 10_000
         counts, fsums = sampled_statistics(resp, phi, k, seed=3)
         se = np.sqrt((resp.r * (1.0 - resp.r)).sum(axis=0) / k)
-        gap = np.abs(counts.mean(axis=0) - resp.counts)
+        gap = np.abs(counts.mean(axis=0) - resp.r.sum(axis=0))
         counts_ok = (gap <= 3.0 * np.maximum(se, 1e-12)).all()
         elbos = np.array([adapt._hard_elbo(smp, model, 1.0) for smp in
                           adapt._sample_accumulators(counts[:200], fsums[:200],

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import wishart
 
 from spldavb import cli, fileio
 from spldavb.adapt import RunConfig, run_adaptation
@@ -20,12 +21,14 @@ from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import AlphaPosterior, WishartPosterior
 from spldavb.vbpoint import Hyperparams
 from splda_oracles import (
+    dense_cov,
     labels_text,
     matrix_text,
     model_text,
     parse_matrix_rows,
     rowpost_from_cov,
 )
+from test_cluster_control import split_problem
 
 
 class TestMatrixIO:
@@ -169,6 +172,27 @@ class TestModelIO:
         assert bayes["hyper"]["tau0"] == 0.7
         assert bayes["hyper"]["eta"] == 0.5
         assert (bayes["hyper"]["mu0"] == hyper.mu0).all()
+
+    def test_annealed_bayes_file_records_the_held_posteriors(self, tmp_path):
+        # A run that stops at kappa = 0.3125 writes the tempered factors it
+        # holds: the q(W) of the WISHART section has the file's W as its
+        # mean and the bound's -lnq(W) as its entropy, and each VT_PREC
+        # block is the inverse of a held row covariance.
+        dataset, model = split_problem(seed=3)
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=6, variant="bayes", anneal=True, max_iter=3))
+        assert report.kappa_trace[-1] == 0.3125
+        path = tmp_path / "m.splda"
+        fileio.write_model(path, report.model, report.bayes_state)
+        loaded, bayes = fileio.read_model(path)
+        q_w = wishart(df=bayes["wishart_dof"],
+                      scale=np.linalg.inv(bayes["wishart_k"]))
+        np.testing.assert_allclose(q_w.mean(), loaded.w, rtol=1e-12, atol=0)
+        assert q_w.entropy() == pytest.approx(
+            report.elbo_terms["-lnq(W)"], rel=1e-12)
+        cov = dense_cov(report.bayes_state["rowpost"])
+        np.testing.assert_allclose(np.linalg.inv(bayes["vt_prec"]), cov,
+                                   rtol=1e-12, atol=1e-12 * np.abs(cov).max())
 
     def test_asymmetric_w_warns_and_symmetrizes(self, tmp_path):
         model = _random_model(3, 2, seed=7)

@@ -313,7 +313,8 @@ class TestRowUpdates:
                                            kappa)
             for r in range(d):
                 l_r = prior + wbar[r, r] * r_p
-                np.testing.assert_allclose(rowpost.prec[r], l_r, atol=1e-12)
+                np.testing.assert_allclose(rowpost.prec[r], kappa * l_r,
+                                           atol=1e-12)
                 np.testing.assert_allclose(dense_cov(rowpost)[r],
                                            np.linalg.inv(l_r) / kappa, atol=1e-10)
                 assert rowpost.logdet_prec()[r] == pytest.approx(
@@ -421,7 +422,7 @@ def test_factored_rows_match_batched_oracle(d, n_y, beta_kind, kappa, seed):
     wbar = wpost.e_w
     _rel_check(rowpost.mean, mean)
     _rel_check(dense_cov(rowpost), cov)
-    _rel_check(rowpost.prec, prec)
+    _rel_check(rowpost.prec, kappa * prec)
     _rel_check(rowpost.logdet_prec(), logdet)
     _rel_check(rowpost.sum_cov(wbar.diagonal()), np.einsum("r,rab->ab", np.diag(wbar), cov))
     _rel_check(rowpost.trace_cov(r_p), np.einsum("ab,rab->r", r_p, cov))
@@ -437,7 +438,7 @@ def test_factored_rows_match_batched_oracle(d, n_y, beta_kind, kappa, seed):
     ybar = np.linalg.solve(prec_y, c_p[:, :n_y, None])[:, :, 0]
     _rel_check(posts.ybar, ybar)
     _rel_check(dense_cov(posts), cov_y)
-    _rel_check(posts.prec, prec_y)
+    _rel_check(posts.prec, kappa * prec_y)
     _rel_check(posts.logdet_prec(), np.linalg.slogdet(prec_y)[1])
     _rel_check(posts.sum_cov(n), np.einsum("r,rab->ab", n, cov_y))
     _rel_check(posts.trace_cov(g), np.einsum("ab,rab->r", g, cov_y))
@@ -755,9 +756,9 @@ class TestElboBayes:
 
 
 def _gaussian_entropy(rows):
-    """sum_r of the scipy entropy of N(mean_r, L_r^-1 / kappa), from the
-    dense untempered precisions of a ``GaussianRows`` block."""
-    return sum(multivariate_normal(cov=np.linalg.inv(prec) / rows.kappa).entropy()
+    """sum_r of the scipy entropy of N(mean_r, (kappa L_r)^-1), from the
+    dense held precisions of a ``GaussianRows`` block."""
+    return sum(multivariate_normal(cov=np.linalg.inv(prec)).entropy()
                for prec in rows.prec)
 
 
@@ -814,27 +815,31 @@ class TestSharedQuantities:
     """Precomputed inputs must give the recomputing path's bits."""
 
     def _state(self, kappa):
+        """A full state whose q(W) is held at ``kappa``, with the K and N'
+        it was built from."""
         rng = np.random.default_rng(47)
         state = list(TestElboBayes()._full_state(rng, d=4, n_y=2))
-        stats, stats_d, posts, posts_d, resp, dirichlet, rowpost, alphapost, \
-            wpost, hyper = state
+        wpost = state[8]
         k = sym(wpost.k + np.diag(rng.random(4)))
         state[8] = WishartPosterior.from_update(k, wpost.dof, kappa=kappa)
-        return state, rng.standard_normal((30, 4))
+        return state, k, wpost.dof
 
     @pytest.mark.parametrize("kappa", [1.0, 0.4])
     def test_cached_wishart_normalizer(self, kappa):
-        # The entropy of the held q(W): dof dof_eff and scale K^-1 / kappa.
-        state, _ = self._state(kappa)
+        # The entropy of the held q(W): dof dof_eff and scale K^-1 / kappa,
+        # which the posterior keeps as its dof and inverse scale.
+        state, k, dof = self._state(kappa)
         wpost = state[8]
-        logdet_k_inv = -np.log(np.linalg.eigh(wpost.k)[0]).sum()
-        dof_eff = wpost.dof - (1.0 - kappa) * (wpost.dof - 5.0)
+        logdet_k_inv = -np.log(np.linalg.eigh(k)[0]).sum()
+        dof_eff = dof - (1.0 - kappa) * (dof - 5.0)
         assert wpost.entropy == -(
             _ln_wishart_b(logdet_k_inv - 4 * np.log(kappa), dof_eff, 4)
             + 0.5 * (dof_eff - 5.0) * wpost.e_ln_w - 0.5 * dof_eff * 4)
+        assert wpost.dof == dof_eff
+        np.testing.assert_array_equal(wpost.k, kappa * k)
         if kappa == 1.0:
             assert wpost.e_ln_w == digamma(
-                0.5 * (wpost.dof + 1.0 - np.arange(1, 5))).sum() \
+                0.5 * (dof + 1.0 - np.arange(1, 5))).sum() \
                 + 4 * np.log(2.0) + logdet_k_inv
 
     def test_ln_multigamma_matches_scipy(self):
@@ -1010,7 +1015,7 @@ class TestOneGroupRows:
                                          kappa)
         _rel_check(rowpost.mean, oracle_mean)
         _rel_check(dense_cov(rowpost), oracle_cov)
-        _rel_check(rowpost.prec, oracle_prec)
+        _rel_check(rowpost.prec, kappa * oracle_prec)
         _rel_check(rowpost.logdet_prec(), oracle_logdet)
 
 
@@ -1100,7 +1105,8 @@ class TestCachedMoments:
             np.testing.assert_array_equal(post.e_w, post.e_w.T)
         assert _wishart_digamma_sum.cache_info().hits > 0
         assert _ln_multigamma.cache_info().hits > 0
-        np.testing.assert_array_equal(post.k, k)
+        np.testing.assert_array_equal(post.k, kappa * k)
+        assert post.dof == dof_eff
 
     def test_dirichlet_prior_constant_follows_tau0(self):
         rng = np.random.default_rng(67)
