@@ -3,6 +3,7 @@ heuristics (pruning/merging), the VB+sampling hybrid and supervised
 maximum-likelihood training of the initial model.
 """
 
+from collections import namedtuple
 from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
@@ -141,8 +142,9 @@ class RunReport:
     run holds after that sweep, whose factors are tempered at its kappa: a
     lower bound on ln p(Phi), up to the improper-prior constant of P(W)
     that the Bayesian bound drops.  The point ``model`` is one parameter
-    update past the last recorded bound; for the Bayesian variant,
-    ``bayes_state["hyper"]`` is one hyperparameter step past it.
+    update past the last recorded bound; for the Bayesian variant, the
+    ``"hyper"`` entry of ``bayes_state`` is one hyperparameter step past
+    it.
     """
 
     elbo_trace: list = field(default_factory=list)
@@ -240,9 +242,11 @@ def _hard_elbo(sample, model, tau0):
 def _merge_pairs(r, threshold):
     """Column pairs ``i < j`` with cosine above ``threshold``, in descending
     order of ``(cos, i, j)``."""
-    norms = np.linalg.norm(r, axis=0)
+    gram = r.T @ r
+    # The squared norms are its diagonal: no N x M temporary.
+    norms = np.sqrt(gram.diagonal())
     norms = np.where(norms > 0, norms, 1.0)
-    cos = (r.T @ r) / np.outer(norms, norms)
+    cos = gram / np.outer(norms, norms)
     i, j = np.triu_indices(r.shape[1], 1)
     cos = cos[i, j]
     keep = cos > threshold
@@ -465,19 +469,26 @@ class _FixedBound:
             + (self._dirichlet(n) - dirichlet)
 
 
+# What one sweep hands the adaptation loop: the params for the next sweep,
+# the new responsibilities with their statistics (``_Reduced``), q(pi), the
+# bound and its terms, and the (M, n_y) q(Y) means that rank extra merge
+# candidates.
+_Sweep = namedtuple("_Sweep", "params reduced dirichlet elbo terms means")
+
+
 class _Variant:
     """The sweep both inference variants share, around the step of each.
 
-    ``sweep(params, stats, dirichlet, kappa, expected=None)`` runs the
+    ``sweep(params, stats, dirichlet, kappa, expected=None)`` makes every
+    update of one iteration and returns them as a ``_Sweep``.  It runs the
     shared E-step (both q(Y) blocks, q(theta), q(pi), the accumulators)
     from ``stats``, the unlabelled ``SuffStats`` under the last
     responsibilities (the sweep needs no more of them), on ``expected``, the
     ``vbpoint.ExpectedParams`` of ``params`` built here unless passed; then
-    ``step(params, block, block_d, resp, dirichlet, kappa)`` returns the
-    params and ``(elbo, terms)``.  The state dict it returns holds
-    ``params``, ``reduced`` (the new responsibilities), ``dirichlet``,
-    ``posts``, ``posts_d``, ``acc``, ``acc_d``, ``elbo`` and ``terms``.
-    ``update(state)`` returns the params for the next sweep;
+    ``step(params, block, block_d, resp, dirichlet, kappa)``, which makes
+    the variant's updates and evaluates the bound, and returns the params
+    for the next sweep, ``(elbo, terms)`` and the means; then the tau0
+    step, with ``hyper_opt_tau0`` and M >= 2.
     ``finish(params, report)`` stores the adapted model in the report.
 
     The parameter steps read the labelled block only through the pooled
@@ -516,17 +527,19 @@ class _Variant:
         dirichlet = vbpoint.update_q_pi(reduced.stats.n, self.hyper.tau0, kappa)
         acc = vbpoint.accumulators(reduced.stats, posts)
         acc_d = vbpoint.accumulators(self.stats_d, posts_d)
-        params, (elbo, terms) = self.step(
+        params, (elbo, terms), means = self.step(
             params, (reduced.stats, posts, acc), (self.stats_d, posts_d, acc_d),
             reduced.resp, dirichlet, kappa)
-        return dict(params=params, reduced=reduced, dirichlet=dirichlet,
-                    posts=posts, posts_d=posts_d, acc=acc, acc_d=acc_d,
-                    elbo=elbo, terms=terms)
+        hyper = self.hyper
+        if self.config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
+            hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
+        return _Sweep(params, reduced, dirichlet, elbo, terms, means)
 
 
 class _Point(_Variant):
-    """Point estimates: params are the ``SpldaModel``, re-estimated by
-    closed-form M-steps and minimum-divergence re-standardization."""
+    """Point estimates: params are the ``SpldaModel``, re-estimated after
+    the bound by closed-form M-steps and minimum-divergence
+    re-standardization."""
 
     def __init__(self, dataset, hyper, config):
         super().__init__(dataset, hyper, config)
@@ -534,27 +547,23 @@ class _Point(_Variant):
         self.sampler_seeds = np.random.SeedSequence(config.seed)
 
     def step(self, model, block, block_d, resp, dirichlet, kappa):
-        return model, vbpoint.elbo_point(block, resp, dirichlet, model,
-                                         self.hyper, block_d)
-
-    def update(self, state):
-        model, hyper, config = state["params"], self.hyper, self.config
-        if not config.do_msteps:
-            return model
-        reduced, acc = state["reduced"], state["acc"]
-        if config.sampler_k > 0:
-            acc = _sampler_accumulators(
-                reduced.resp, self.phi, model, hyper, config, self.s_phi,
-                self.sampler_seeds.spawn(1)[0])
-        model = _mstep(self.s_p,
-                       *self.pooled(reduced.stats, acc, state["acc_d"]))
-        if config.min_div:
-            model, (mu_y, t) = vbpoint.min_divergence(
-                [(state["posts"], 1.0), (state["posts_d"], hyper.eta)], model)
-            # Extra merge candidates are the closest standardized means.
-            state["posts"] = vbpoint.standardize_posteriors(
-                state["posts"], mu_y, t)
-        return model
+        hyper, config = self.hyper, self.config
+        bound = vbpoint.elbo_point(block, resp, dirichlet, model, hyper,
+                                   block_d)
+        stats, posts, acc = block
+        means = posts.ybar
+        if config.do_msteps:
+            if config.sampler_k > 0:
+                acc = _sampler_accumulators(
+                    resp, self.phi, model, hyper, config, self.s_phi,
+                    self.sampler_seeds.spawn(1)[0])
+            model = _mstep(self.s_p, *self.pooled(stats, acc, block_d[2]))
+            if config.min_div:
+                model, (mu_y, t) = vbpoint.min_divergence(
+                    [(posts, 1.0), (block_d[1], hyper.eta)], model)
+                # Extra merge candidates are the closest standardized means.
+                means = vbpoint.standardize_posteriors(posts, mu_y, t).ybar
+        return model, bound, means
 
     expected = staticmethod(vbpoint.ExpectedParams)
 
@@ -565,35 +574,32 @@ class _Point(_Variant):
 class _Bayes(_Variant):
     """Fully Bayesian: params are the posteriors ``(rowpost, wpost,
     alphapost)`` over the rows of [V | mu], W and the relevance
-    precisions, updated inside every sweep."""
+    precisions, updated inside every sweep before the bound; the
+    hyperparameter steps follow it."""
 
     def step(self, params, block, block_d, resp, dirichlet, kappa):
         _, wpost, alphapost = params
-        hyper = self.hyper
+        hyper, config = self.hyper, self.config
         c_p, r_p, n_p = self.pooled(block[0], block[2], block_d[2])
         rowpost = vbbayes.update_q_vtilde_rows(
             c_p, r_p, wpost, alphapost, hyper, kappa)
         alphapost = vbbayes.update_q_alpha(rowpost, hyper, kappa)
         wpost = vbbayes.update_q_wishart(
             self.s_p, c_p, r_p, rowpost, n_p, kappa)
-        return (rowpost, wpost, alphapost), vbbayes.elbo_bayes(
+        bound = vbbayes.elbo_bayes(
             block, resp, dirichlet, rowpost, alphapost, wpost, hyper, block_d)
+        if config.hyper_opt_alpha:
+            hyper.a_alpha, hyper.b_alpha = vbbayes.optimize_hyper_alpha(
+                alphapost, hyper.a_alpha)
+        if config.hyper_opt_mu:
+            hyper.mu0, hyper.beta = vbbayes.optimize_hyper_mu(
+                rowpost, isotropic=np.ndim(hyper.beta) == 0)
+        return (rowpost, wpost, alphapost), bound, block[1].ybar
 
     @staticmethod
     def expected(params):
         rowpost, wpost, _ = params
         return rowpost.expected(wpost)
-
-    def update(self, state):
-        rowpost, _, alphapost = state["params"]
-        hyper = self.hyper
-        if self.config.hyper_opt_alpha:
-            hyper.a_alpha, hyper.b_alpha = vbbayes.optimize_hyper_alpha(
-                alphapost, hyper.a_alpha)
-        if self.config.hyper_opt_mu:
-            hyper.mu0, hyper.beta = vbbayes.optimize_hyper_mu(
-                rowpost, isotropic=np.ndim(hyper.beta) == 0)
-        return state["params"]
 
     def finish(self, params, report):
         rowpost, wpost, alphapost = params
@@ -622,11 +628,13 @@ def _set_fields(obj, names):
 def run_adaptation(dataset, model_init, hyper, config):
     """Adapt an SPLDA model on a mixed labelled/unlabelled dataset.
 
-    Executes: init -> loop { q updates at the current kappa; optional
-    M-steps / hyperparameter optimization; ELBO; kappa growth; periodic
-    prune/merge } until the relative ELBO change falls below ``elbo_tol``.
+    Executes: init -> loop { q(Y), q(theta) and q(pi) at the current kappa,
+    then for the Bayesian variant q([V | mu]), q(alpha) and q(W); ELBO;
+    optional point M-steps or Bayesian hyperparameter steps; optional tau0
+    step; periodic prune/merge at kappa = 1; kappa growth } until, at
+    kappa = 1, the relative ELBO change falls below ``elbo_tol``.
     ``hyper`` is not modified; the Bayesian report carries the final
-    hyperparameters in ``bayes_state["hyper"]``.
+    hyperparameters as the ``"hyper"`` entry of ``bayes_state``.
 
     Without unlabelled i-vectors the run is ``train_supervised`` from
     ``model_init`` on the labelled set, which reads only ``max_iter`` and
@@ -693,8 +701,9 @@ def sweep_m(dataset, model_init, hyper, config, m_values):
 
 
 def _adapt(dataset, model_init, hyper, config, variant, params):
-    """The coordinate ascent both variants share: sweep, parameter step,
-    tau0 step, annealing, score-gated prune/merge and the stopping rule."""
+    """The coordinate ascent both variants share.  Each iteration's sweep
+    makes all of its updates; the loop records the sweep's bound, tries a
+    score-gated prune/merge, grows kappa and applies the stopping rule."""
     report = RunReport()
     stats = variant.reduce(init_responsibilities(
         dataset, model_init, config, tau0=hyper.tau0)).stats
@@ -706,18 +715,14 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
     for it in range(config.max_iter):
         # The sweep reads only the statistics of the last responsibilities,
         # so nothing holds those through it.
-        reduced = state = bound = kept = None
-        state = variant.sweep(params, stats, dirichlet, kappa, expected)
+        swept = bound = kept = None
+        swept = variant.sweep(params, stats, dirichlet, kappa, expected)
         expected = None
-        reduced, dirichlet, elbo = \
-            state["reduced"], state["dirichlet"], state["elbo"]
-        stats = reduced.stats
-        params = variant.update(state)
-        if config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
-            hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
+        params, dirichlet, elbo = swept.params, swept.dirichlet, swept.elbo
+        stats = swept.reduced.stats
 
         report.elbo_trace.append(elbo)
-        report.m_trace.append(reduced.resp.r.shape[1])
+        report.m_trace.append(stats.n.shape[0])
         report.kappa_trace.append(kappa)
         if not np.isfinite(elbo):
             raise FloatingPointError(
@@ -728,21 +733,21 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
         if (config.prune_merge and since_restructure >= config.prune_every
                 and kappa == 1.0 and it + 1 < config.max_iter):
 
-            bound = _FixedBound(variant, params, reduced)
+            bound = _FixedBound(variant, params, swept.reduced)
             # A kept structure is handed on with its reduction; the next
             # iteration's sweep starts from the state its score scores.
             _, _, kept, restructured = prune_and_merge(
-                reduced.resp, config, bound.reduce,
-                extra_pairs=_closest_posterior_pairs(state["posts"].ybar),
+                swept.reduced.resp, config, bound.reduce,
+                extra_pairs=_closest_posterior_pairs(swept.means),
                 score=bound)
             since_restructure = 0
             expected = bound.expected  # params are unchanged
             if restructured:
+                report.diagnostics.append(
+                    f"iter {it}: restructured M {stats.n.shape[0]} -> "
+                    f"{kept.stats.n.shape[0]}")
                 stats = kept.stats
                 dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0)
-                report.diagnostics.append(
-                    f"iter {it}: restructured M {reduced.resp.r.shape[1]} -> "
-                    f"{stats.n.shape[0]}")
 
         if kappa < 1.0:
             kappa = min(kappa * config.kappa_growth, 1.0)
@@ -753,8 +758,9 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
         else:  # count the iterations at kappa = 1
             since_restructure += 1
 
-    report.labels = np.argmax(reduced.resp.r, axis=1)  # ties: lowest index wins
-    report.elbo_terms = state["terms"]
+    # ties: lowest index wins
+    report.labels = np.argmax(swept.reduced.resp.r, axis=1)
+    report.elbo_terms = swept.terms
     variant.finish(params, report)
     return report
 

@@ -412,7 +412,7 @@ class TestScoreGate:
                               np.ones(m, dtype=bool))
         reduced = var.reduce(Responsibilities(r=r))
         refreshed = var.sweep(params, reduced.stats, adapt.vbpoint.update_q_pi(
-            reduced.stats.n, var.hyper.tau0), 1.0)["elbo"]
+            reduced.stats.n, var.hyper.tau0), 1.0).elbo
         fixed = fixed_param_elbo(var, params, r)
         assert refreshed >= fixed - 1e-9 * abs(fixed)
 
@@ -469,20 +469,68 @@ class TestCandidatePairs:
         assert pairs[:7] == [(0, 2), (0, 5), (0, 7), (1, 6), (2, 5), (2, 7),
                              (5, 7)]
 
+    @pytest.mark.parametrize("variant, config", [
+        ("point", {}), ("point", dict(do_msteps=False)), ("bayes", {})])
+    def test_closest_pairs_rank_the_sweeps_means(self, monkeypatch, variant,
+                                                 config):
+        # The extra merge candidates of an iteration rank the q(Y) means of
+        # its sweep: the standardized ones when min_div re-standardized
+        # them, otherwise the sweep's own.
+        dataset, model = split_problem(seed=2)
+        standardized = "do_msteps" not in config and variant == "point"
+        made, received = [], []  # means made by each sweep, means ranked
 
-def test_point_mass_bayes_sweep_is_the_point_sweep():
+        def recording(name):
+            def spy(*args, _f=getattr(adapt.vbpoint, name), **kwargs):
+                made.append((name, _f(*args, **kwargs)))
+                return made[-1][1]
+            monkeypatch.setattr(adapt.vbpoint, name, spy)
+
+        recording("update_q_y")
+        recording("standardize_posteriors")
+
+        def closest(ybar, *args, _f=adapt._closest_posterior_pairs):
+            # Each sweep makes the unlabelled q(Y), then the labelled one,
+            # then, with min_div, the standardized unlabelled block.
+            raw = made[-3 if standardized else -2]
+            means = made[-1] if standardized else raw
+            assert raw[0] == "update_q_y"
+            if standardized:
+                assert means[0] == "standardize_posteriors"
+                assert not np.array_equal(means[1].ybar, raw[1].ybar)
+            received.append((ybar, means[1].ybar))
+            return _f(ybar, *args)
+
+        monkeypatch.setattr(adapt, "_closest_posterior_pairs", closest)
+        run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=6, variant=variant, init_method="ahc", prune_merge=True,
+            prune_every=1, elbo_tol=0.0, max_iter=6, **config))
+        assert len(received) == 4  # iterations 1 to 4 attempt one each
+        for ybar, means in received:
+            np.testing.assert_array_equal(ybar, means)
+
+
+def test_point_mass_bayes_sweep_is_the_point_sweep(monkeypatch):
     # A point model is the Bayesian one with point-mass parameter
     # posteriors, so the shared E-step of a Bayesian sweep from point
     # masses at the model gives exactly the point sweep's q(Y), q(theta)
     # and q(pi).
     bayes, params, reduced, dirichlet = sweep_inputs("bayes")
     point, model, _, _ = sweep_inputs("point")
+    blocks = []  # each sweep's q(Y) of the unlabelled, then labelled block
+
+    def update_q_y(*args, _f=adapt.vbpoint.update_q_y, **kwargs):
+        blocks.append(_f(*args, **kwargs))
+        return blocks[-1]
+
+    monkeypatch.setattr(adapt.vbpoint, "update_q_y", update_q_y)
     b = bayes.sweep(params, reduced.stats, dirichlet, 1.0)
     p = point.sweep(model, reduced.stats, dirichlet, 1.0)
-    assert (b["reduced"].resp.r == p["reduced"].resp.r).all()
-    assert (b["posts"].ybar == p["posts"].ybar).all()
-    assert (b["posts_d"].ybar == p["posts_d"].ybar).all()
-    assert (b["dirichlet"].tau == p["dirichlet"].tau).all()
+    (b_posts, b_posts_d), (p_posts, p_posts_d) = blocks[:2], blocks[2:]
+    assert (b.reduced.resp.r == p.reduced.resp.r).all()
+    assert (b_posts.ybar == p_posts.ybar).all()
+    assert (b_posts_d.ybar == p_posts_d.ybar).all()
+    assert (b.dirichlet.tau == p.dirichlet.tau).all()
 
 
 class TestSingleReduction:
@@ -510,9 +558,9 @@ class TestSingleReduction:
         fresh_stats = adapt.accumulate_stats
         events = []
         self.counting(monkeypatch, events)
-        state = var.sweep(params, reduced.stats, dirichlet, 1.0)
+        swept = var.sweep(params, reduced.stats, dirichlet, 1.0)
         assert events == ["q_theta", "stats"]
-        carried = state["reduced"]
+        carried = swept.reduced
         fresh = fresh_stats(carried.resp.r, var.phi)
         for name in ("n", "f", "s"):
             np.testing.assert_array_equal(getattr(carried.stats, name),
@@ -567,37 +615,48 @@ class TestFactorizationBudget:
         assert "slogdet" not in events
         assert "svd" not in events and "cond" not in events  # R' by eigvalsh
 
+    @staticmethod
+    def marking_bound(monkeypatch, events):
+        """Record a ``"bound"`` event when the point sweep's bound runs."""
+
+        def elbo_point(*args, _f=adapt.vbpoint.elbo_point, **kwargs):
+            events.append("bound")
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(adapt.vbpoint, "elbo_point", elbo_point)
+
     def test_point_sweep_and_update(self, monkeypatch):
         variant, model, reduced, dirichlet = sweep_inputs("point")
         events = []
         self.counting(monkeypatch, events)
-        state = variant.sweep(model, reduced.stats, dirichlet, 1.0)
-        # Both q(Y) blocks are built on one orthonormal eigenbasis; the
-        # bound reads log|W| from the model.
-        assert events == []
-        variant.update(state)
+        self.marking_bound(monkeypatch, events)
+        variant.sweep(model, reduced.stats, dirichlet, 1.0)
+        # Before the bound: both q(Y) blocks are built on one orthonormal
+        # eigenbasis, and the bound reads log|W| from the model.  After it:
         # mstep_W's scatter, the new W and Sigma_y; min_divergence keeps W,
         # and mstep_V takes no SVD.  The standardized q(Y) adds log|det| of
         # its map T^-1 to its basis's.
-        assert events == ["cholesky"] * 3 + ["slogdet"]
+        assert events == ["bound"] + ["cholesky"] * 3 + ["slogdet"]
 
     @pytest.mark.parametrize("strategy", ["average_accumulators",
                                           "best_sample"])
     def test_point_update_with_sampler(self, monkeypatch, strategy):
         variant, model, reduced, dirichlet = sweep_inputs(
             "point", sampler_k=8, sampler_strategy=strategy)
-        state = variant.sweep(model, reduced.stats, dirichlet, 1.0)
         events = []
         self.counting(monkeypatch, events)
-        variant.update(state)
-        # The eight draws' q(Y) share one orthonormal eigenbasis of G; then
-        # the M-steps and the standardization factor as without the sampler.
-        assert events == ["cholesky"] * 3 + ["slogdet"]
+        self.marking_bound(monkeypatch, events)
+        variant.sweep(model, reduced.stats, dirichlet, 1.0)
+        # After the bound, the eight draws' q(Y) share one orthonormal
+        # eigenbasis of G; then the M-steps and the standardization factor
+        # as without the sampler.
+        assert events[events.index("bound") + 1:] \
+            == ["cholesky"] * 3 + ["slogdet"]
 
     def test_bayes_sweep(self, monkeypatch):
         variant, params, reduced, dirichlet = sweep_inputs("bayes")
         # Parameters as a sweep leaves them, with q(W) from from_update.
-        params = variant.sweep(params, reduced.stats, dirichlet, 1.0)["params"]
+        params = variant.sweep(params, reduced.stats, dirichlet, 1.0).params
         events = []
         self.counting(monkeypatch, events,
                       names=("cholesky", "eigh", "slogdet", "svd", "cond"))
