@@ -342,7 +342,9 @@ def _closest_posterior_pairs(ybar, n_pairs=6):
     """Column-index pairs ``i < j`` of the clusters with the closest
     posterior means, in ascending order of ``(distance, i, j)``.  The
     differences are formed ``_PAIR_CHUNK`` pairs at a time, so the working
-    memory is O(M^2) and not O(M^2 n_y)."""
+    memory is O(M^2) and not O(M^2 n_y).  Only the pairs no farther apart
+    than the ``n_pairs``-th closest are sorted; every tie at that cutoff is
+    among them, so the order is that of sorting all pairs."""
     i, j = np.triu_indices(ybar.shape[0], 1)
     dist = np.empty(i.size)
     for start in range(0, i.size, _PAIR_CHUNK):
@@ -350,6 +352,9 @@ def _closest_posterior_pairs(ybar, n_pairs=6):
         diff = ybar[i[chunk]] - ybar[j[chunk]]
         # One dot product per pair, rounded as np.linalg.norm of a vector is.
         dist[chunk] = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    if n_pairs < dist.size:
+        keep = dist <= np.partition(dist, n_pairs - 1)[n_pairs - 1]
+        i, j, dist = i[keep], j[keep], dist[keep]
     order = np.lexsort((j, i, dist))[:n_pairs]
     return list(zip(i[order].tolist(), j[order].tolist()))
 
@@ -593,7 +598,7 @@ class _Bayes(_Variant):
                 alphapost, hyper.a_alpha)
         if config.hyper_opt_mu:
             hyper.mu0, hyper.beta = vbbayes.optimize_hyper_mu(
-                rowpost, isotropic=np.ndim(hyper.beta) == 0)
+                rowpost, isotropic=np.size(hyper.beta) == 1)
         return (rowpost, wpost, alphapost), bound, block[1].ybar
 
     @staticmethod

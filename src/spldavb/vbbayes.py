@@ -240,14 +240,17 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
     have beta = beta_0 + delta, delta > 0, and differ only in the mu
     column: on them z = delta mu solves (diag(1/delta) + K) z = solve0(B)
     e_mu, with K = Q diag(c) Q^T, c_i = sum_j p_j^2 / (1 + omega_i lam_j)
-    and p = P^T e_mu, and M = solve0(B - z e_mu^T).  A scalar beta leaves
-    that system empty.
+    and p = P^T e_mu, and M = solve0(B - z e_mu^T).  When every row has
+    the same beta there is one group and no such system.
     """
     d, k = c_p.shape
     n_y = k - 1
     wbar = wpost.e_w
     mu0, beta = _mean_prior(hyper, d)
-    betas, group = np.unique(beta, return_inverse=True)
+    if (beta == beta[0]).all():
+        betas, group = beta[:1], np.zeros(d, np.intp)
+    else:
+        betas, group = np.unique(beta, return_inverse=True)
     prior_diag = np.empty((betas.size, k))  # D_g
     prior_diag[:, :n_y] = alphapost.e_alpha
     prior_diag[:, n_y] = betas
@@ -265,13 +268,14 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
     p, p_mu = basis[0], basis[0][n_y]
     scale = 1.0 / (1.0 + omega[:, None] * lam[0])
     coords = (q.T @ rhs @ p) * scale  # solve0(B) = q coords p^T
-    p_scale = scale * p_mu  # solve0(x e_mu^T) = q ((q^T x) p_scale^T) p^T
-    rows = group > 0  # beta = beta_0 + delta, delta > 0
-    q_s = q[rows]
-    z = np.linalg.solve(  # z = delta mu on those rows
-        np.diag(1.0 / (beta[rows] - betas[0])) + (q_s * (p_scale @ p_mu)) @ q_s.T,
-        q_s @ (coords @ p_mu))
-    coords -= (q_s.T @ z)[:, None] * p_scale
+    if betas.size > 1:
+        p_scale = scale * p_mu  # solve0(x e_mu^T) = q ((q^T x) p_scale^T) p^T
+        rows = group > 0  # beta = beta_0 + delta, delta > 0
+        q_s = q[rows]
+        z = np.linalg.solve(  # z = delta mu on those rows
+            np.diag(1.0 / (beta[rows] - betas[0])) + (q_s * (p_scale @ p_mu)) @ q_s.T,
+            q_s @ (coords @ p_mu))
+        coords -= (q_s.T @ z)[:, None] * p_scale
     return RowPosteriors(mean=q @ coords @ p.T, basis=basis, group=group, s=s,
                          logdet_basis=-0.5 * np.log(prior_diag).sum(axis=1),
                          kappa=kappa)
@@ -284,8 +288,11 @@ def _mean_prior(hyper, d):
     if hyper.beta is None:
         raise ValueError("Hyperparams.beta is unset; the mean prior needs a "
                          "precision (run_adaptation sets it from the data)")
-    beta = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,)))
+    if np.ndim(hyper.beta) == 0:
+        beta = np.full(d, hyper.beta, dtype=float)
+    else:
+        beta = np.ascontiguousarray(
+            np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,)))
     mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
     return mu0, beta
 

@@ -459,15 +459,18 @@ class TestCandidatePairs:
                     assert adapt._closest_posterior_pairs(ybar, n_pairs) \
                         == closest_pairs_oracle(ybar, n_pairs)
 
-    def test_closest_pairs_tie_order(self):
+    @pytest.mark.parametrize("n_pairs", [6, 7, 8])
+    def test_closest_pairs_tie_order(self, n_pairs):
+        # Seven zero distances: the n_pairs-th closest falls inside, at the
+        # end of, and just past the run of ties.
         rng = np.random.default_rng(13)
         ybar = rng.standard_normal((8, 3))
         ybar[[2, 5, 7]] = ybar[0]  # four identical means, six zero distances
         ybar[6] = ybar[1]
-        pairs = adapt._closest_posterior_pairs(ybar, 8)
-        assert pairs == closest_pairs_oracle(ybar, 8)
+        pairs = adapt._closest_posterior_pairs(ybar, n_pairs)
+        assert pairs == closest_pairs_oracle(ybar, n_pairs)
         assert pairs[:7] == [(0, 2), (0, 5), (0, 7), (1, 6), (2, 5), (2, 7),
-                             (5, 7)]
+                             (5, 7)][:n_pairs]
 
     @pytest.mark.parametrize("variant, config", [
         ("point", {}), ("point", dict(do_msteps=False)), ("bayes", {})])
@@ -653,13 +656,18 @@ class TestFactorizationBudget:
         assert events[events.index("bound") + 1:] \
             == ["cholesky"] * 3 + ["slogdet"]
 
-    def test_bayes_sweep(self, monkeypatch):
+    def bayes_sweep_events(self, monkeypatch, two_betas=False):
+        """The counted factorizations and solves of one Bayesian sweep, under
+        the default scalar beta or two distinct betas."""
         variant, params, reduced, dirichlet = sweep_inputs("bayes")
+        if two_betas:
+            variant.hyper.beta = variant.hyper.beta * np.where(
+                np.arange(reduced.stats.d) % 2, 1.0, 2.0)
         # Parameters as a sweep leaves them, with q(W) from from_update.
         params = variant.sweep(params, reduced.stats, dirichlet, 1.0).params
         events = []
-        self.counting(monkeypatch, events,
-                      names=("cholesky", "eigh", "slogdet", "svd", "cond"))
+        self.counting(monkeypatch, events, names=(
+            "cholesky", "eigh", "slogdet", "svd", "cond", "solve"))
 
         def dpotrs(*args, _f=scipy.linalg.lapack.dpotrs, **kwargs):
             events.append("dpotrs")
@@ -667,11 +675,21 @@ class TestFactorizationBudget:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", dpotrs)
         variant.sweep(params, reduced.stats, dirichlet, 1.0)
+        return events
+
+    def test_bayes_sweep(self, monkeypatch):
         # The eigh of G, whose basis has log|det| = 0; the row step's eigh
         # of the scaled R' (one beta), whose bases take their log|det| from
-        # D_g; the eigh of K, which gives E[W], E[ln|W|], ln B and the
-        # next row step's basis of E[W].  Nothing factors E[W] again.
-        assert events == ["eigh", "eigh", "eigh"]
+        # D_g, and no solve, since one group needs no correction; the eigh
+        # of K, which gives E[W], E[ln|W|], ln B and the next row step's
+        # basis of E[W].  Nothing factors E[W] again.
+        assert self.bayes_sweep_events(monkeypatch) == ["eigh", "eigh", "eigh"]
+
+    def test_bayes_sweep_with_two_betas(self, monkeypatch):
+        # Two row groups: one batched eigh of both scaled R', then the one
+        # solve that corrects the mu column of the second group's rows.
+        assert self.bayes_sweep_events(monkeypatch, two_betas=True) \
+            == ["eigh", "eigh", "solve", "eigh"]
 
     def test_merge_score(self, monkeypatch):
         variant, model, reduced, _ = sweep_inputs("point")
@@ -1431,6 +1449,24 @@ class TestHyperparams:
         np.testing.assert_array_equal(scalar.elbo_trace, array.elbo_trace)
         np.testing.assert_array_equal(scalar.labels, array.labels)
         assert np.ndim(array.bayes_state["hyper"].beta) == 0
+
+    def test_one_entry_beta_is_a_scalar(self):
+        # run_adaptation accepts a beta of 1 or d entries; one entry is the
+        # same prior as a scalar, so hyper_opt_mu keeps it isotropic and
+        # the rows stay in one group.
+        dataset, model = split_problem(seed=2, d=6)
+        config = RunConfig(m_init=6, variant="bayes", init_method="random_y",
+                           hyper_opt_mu=True, elbo_tol=0.0, max_iter=30,
+                           seed=2)
+        scalar, *others = (
+            run_adaptation(dataset, model, Hyperparams(beta=beta), config)
+            for beta in (0.01, np.float64(0.01), np.array(0.01),
+                         np.array([0.01])))
+        for other in others:
+            np.testing.assert_array_equal(scalar.elbo_trace, other.elbo_trace)
+            np.testing.assert_array_equal(scalar.labels, other.labels)
+            assert np.ndim(other.bayes_state["hyper"].beta) == 0
+            assert len(other.bayes_state["rowpost"].basis) == 1
 
 
 class TestTrainSupervised:

@@ -2,6 +2,7 @@
 revision, problem by problem.
 
 Usage: python3 tools/compare_runs.py BASE_REV [--seed N] [--workload NAME ...]
+                                     [--time K]
 
 Run from the repository root.  BASE_REV's ``src/`` is exported with
 ``git archive`` into a temporary directory; this checkout's ``src/`` is
@@ -35,17 +36,32 @@ The exit status is 1 when any field other than ``elbo_trace`` and
 convergence, the trained or adapted model, or a ``bayes_state`` array that
 both trees have) or when any CLI file differs.  ``perfbench/`` is only
 read.
+
+With ``--time K`` it times the two trees instead of comparing their
+outputs.  For each workload one worker subprocess per tree, with one
+BLAS thread, sets up and trains the workload's problems as above, adapts
+the first one once untimed, and then times ``run_adaptation`` on the
+problem it is sent.  Each of K rounds adapts every problem once in each
+tree, the two adaptations of a problem back to back and the tree that
+goes first alternating (ABBA); a tree's pass is the sum of its times in
+the round.  It prints each tree's median and quartiles per pass, the
+median over the rounds of the ratio head / base, and in how many rounds
+head was faster.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import io
+import json
 import os
 import pickle
+import select
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -55,6 +71,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Fields compared with ==; the ELBO trace and terms are compared in size.
 EXACT = ("labels", "m_trace", "kappa_trace", "diagnostics", "converged",
          "trained", "model", "bayes_state")
+# Seconds a --time worker may take to start (set up and train a workload's
+# problems), to answer one pass, or to exit.
+TIMING_TIMEOUT = 600
 
 
 def _arrays(obj, prefix, out):
@@ -70,31 +89,47 @@ def _arrays(obj, prefix, out):
         out[prefix] = None if obj is None else np.asarray(obj)
 
 
-def _run_tree(src, seed, names, out):
-    """Run every problem of the workloads ``names`` with the library at
-    ``src``: pickle the outcomes, with each workload's largest
-    ``run_adaptation`` peak, to ``out/runs.pkl``, and run each CLI
-    workload's problems through the command line in ``out/cli``."""
+def _import_workloads(src):
+    """Import the library at ``src`` and then ``perfbench/workloads.py``."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import spldavb
     if Path(src).resolve() not in Path(spldavb.__file__).resolve().parents:
         raise SystemExit(f"error: spldavb imported from {spldavb.__file__}")
     import workloads
+    return workloads
+
+
+def _trained_problems(workloads, name, seed):
+    """Yield ``(workload, problem, trained)`` for each problem of the
+    workload ``name`` drawn from ``seed``: the workload run through the
+    library, and the problem trained as its workload trains it."""
     from spldavb.adapt import train_supervised
 
+    as_run = workloads.BY_NAME[name]
+    workload = dataclasses.replace(as_run, via_cli=False)
+    train_kw = {} if as_run.via_cli else workloads.API_TRAIN
+    for pseed in workloads.problem_seeds(seed):
+        problem = workloads.setup(workload, pseed, None)
+        ds = problem.dataset
+        yield workload, problem, train_supervised(
+            ds.phi_d, ds.labels_d, workload.n_y_fit, seed=pseed,
+            **train_kw).model
+
+
+def _run_tree(src, seed, names, out):
+    """Run every problem of the workloads ``names`` with the library at
+    ``src``: pickle the outcomes, with each workload's largest
+    ``run_adaptation`` peak, to ``out/runs.pkl``, and run each CLI
+    workload's problems through the command line in ``out/cli``."""
+    workloads = _import_workloads(src)
     out.mkdir(parents=True)
     results, peaks = {}, {}
     for name in names:
         as_run = workloads.BY_NAME[name]
-        workload = dataclasses.replace(as_run, via_cli=False)
-        train_kw = {} if as_run.via_cli else workloads.API_TRAIN
         runs = results[name] = []
         peaks[name] = 0
-        for pseed in workloads.problem_seeds(seed):
-            problem = workloads.setup(workload, pseed, None)
-            ds = problem.dataset
-            trained = train_supervised(ds.phi_d, ds.labels_d, workload.n_y_fit,
-                                       seed=pseed, **train_kw).model
+        for workload, problem, trained in _trained_problems(workloads, name, seed):
+            pseed = problem.seed
             tracemalloc.start()
             try:
                 rep = workloads.adapt(workload, problem, trained)
@@ -120,6 +155,77 @@ def _run_tree(src, seed, names, out):
                                        seed=pseed, m_final=outcome.m[-1])
     with open(out / "runs.pkl", "wb") as fh:
         pickle.dump((results, peaks), fh)
+
+
+def _time_worker(src, seed, name):
+    """Serve timed adaptations of the problems of the workload ``name``
+    with the library at ``src``.  After setting up and training them and
+    one untimed adaptation of the first, print "ready"; then, for each
+    problem index read from stdin, adapt that problem and print the seconds
+    ``run_adaptation`` took."""
+    workloads = _import_workloads(src)
+    problems = list(_trained_problems(workloads, name, seed))
+    # Both workers time on one CPU: in A/A runs, unpinned workers each kept
+    # to their own CPU, and one tree read ~1 % slower in 9 of 10 rounds.
+    if hasattr(os, "sched_setaffinity"):  # Linux only
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    workloads.adapt(*problems[0])
+    print("ready", flush=True)
+    for line in sys.stdin:
+        start = time.perf_counter()
+        workloads.adapt(*problems[int(line)])
+        print(time.perf_counter() - start, flush=True)
+
+
+def _reply(proc, tree):
+    """The next line ``proc`` prints, within ``TIMING_TIMEOUT`` seconds."""
+    if not select.select([proc.stdout], [], [], TIMING_TIMEOUT)[0]:
+        raise SystemExit(f"error: the {tree} timing worker timed out")
+    line = proc.stdout.readline()
+    if not line:
+        raise SystemExit(f"error: the {tree} timing worker exited")
+    return line
+
+
+def _time_rounds(args, names, trees, env, n_problems):
+    """Time ``trees`` in ``args.time`` rounds per workload, one worker per
+    tree, and print the summary of each workload.  A round adapts every
+    problem once in each tree, the two adaptations of a problem back to
+    back and the tree that goes first alternating (ABBA), so that both
+    trees' passes see the same load on the machine."""
+    for name in names:
+        with contextlib.ExitStack() as stack:
+            procs = {tree: stack.enter_context(subprocess.Popen(
+                [sys.executable, __file__, args.base_rev, "--seed",
+                 str(args.seed), "--workload", name, "--time", str(args.time),
+                 "--child", str(src), "-"],
+                env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                text=True)) for tree, src in trees.items()}
+            for proc in procs.values():  # stop the workers on any error
+                stack.callback(proc.kill)
+            for tree, proc in procs.items():
+                if _reply(proc, tree) != "ready\n":
+                    raise SystemExit(f"error: the {tree} timing worker did not start")
+            passes = {tree: np.zeros(args.time) for tree in trees}
+            for round_ in range(args.time):
+                for problem in range(n_problems):
+                    first = (round_ + problem) % 2
+                    for tree in list(trees)[::-1 if first else 1]:
+                        procs[tree].stdin.write(f"{problem}\n")
+                        procs[tree].stdin.flush()
+                        passes[tree][round_] += float(_reply(procs[tree], tree))
+            for tree, proc in procs.items():
+                proc.stdin.close()
+                if proc.wait(timeout=TIMING_TIMEOUT):
+                    raise SystemExit(f"error: the {tree} timing worker failed")
+        base, head = passes.values()
+        print(f"{name}: run_adaptation seconds per pass over {n_problems} "
+              f"problems, {args.time} rounds, seed {args.seed}")
+        for tree, seconds in passes.items():
+            q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+            print(f"  {tree}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
+        print(f"  head / base: median ratio {np.median(head / base):.4f}; "
+              f"head faster in {int((head < base).sum())} of {args.time} rounds")
 
 
 def _same(a, b):
@@ -212,9 +318,17 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append",
                         help="a perfbench workload name (default: all)")
+    parser.add_argument("--time", type=int, metavar="K",
+                        help="time both trees in K rounds per workload "
+                             "instead of comparing their outputs")
     parser.add_argument("--child", nargs=2, metavar=("SRC", "OUT"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.time is not None and args.time < 1:
+        parser.error("--time needs K >= 1")
+    if args.child and args.time:
+        _time_worker(Path(args.child[0]), args.seed, args.workload[0])
+        return 0
     if args.child:
         _run_tree(Path(args.child[0]), args.seed, args.workload, Path(args.child[1]))
         return 0
@@ -236,6 +350,9 @@ def main(argv=None):
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "base", filter="data")
         trees = {"base": tmp / "base" / "src", "head": ROOT / "src"}
+        if args.time:
+            _time_rounds(args, names, trees, env, workloads.PROBLEMS)
+            return 0
         workload_args = [a for name in names for a in ("--workload", name)]
         out = {tree: tmp / f"{tree}-out" for tree in trees}
         procs = {tree: subprocess.Popen(
