@@ -247,10 +247,7 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
     n_y = k - 1
     wbar = wpost.e_w
     mu0, beta = _mean_prior(hyper, d)
-    if (beta == beta[0]).all():
-        betas, group = beta[:1], np.zeros(d, np.intp)
-    else:
-        betas, group = np.unique(beta, return_inverse=True)
+    betas, group = np.unique(beta, return_inverse=True)
     prior_diag = np.empty((betas.size, k))  # D_g
     prior_diag[:, :n_y] = alphapost.e_alpha
     prior_diag[:, n_y] = betas
@@ -288,11 +285,7 @@ def _mean_prior(hyper, d):
     if hyper.beta is None:
         raise ValueError("Hyperparams.beta is unset; the mean prior needs a "
                          "precision (run_adaptation sets it from the data)")
-    if np.ndim(hyper.beta) == 0:
-        beta = np.full(d, hyper.beta, dtype=float)
-    else:
-        beta = np.ascontiguousarray(
-            np.broadcast_to(np.asarray(hyper.beta, dtype=float), (d,)))
+    beta = np.full(d, hyper.beta, dtype=float)
     mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
     return mu0, beta
 
