@@ -65,13 +65,15 @@ def _check_knobs(values):
             raise ValueError(f"{knob} must be >= {low}, got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Knobs of one adaptation run.  Defaults follow the library's policy
     values; every heuristic constant is configurable, and a bool knob
-    takes only a bool.  ``init_method="uniform_pi"`` starts every cluster
-    identical and no update breaks the tie, so with ``m_init > 1`` every
-    i-vector ends in one cluster."""
+    takes only a bool.  The knobs are checked when the config is built, and
+    a field cannot be assigned after; ``dataclasses.replace`` checks again.
+    ``init_method="uniform_pi"`` starts every cluster identical and no
+    update breaks the tie, so with ``m_init > 1`` every i-vector ends in
+    one cluster."""
 
     m_init: int = 1
     variant: str = "point"  # "point" | "bayes"
@@ -185,17 +187,16 @@ def init_responsibilities(dataset, model, config, tau0=1.0):
             np.zeros((model.n_y, model.n_y)), np.zeros(m), ybar)
         dirichlet = vbpoint.update_q_pi(np.full(m, n / m), tau0)
         return vbpoint.update_q_theta(phi, posts, model, dirichlet)
-    if config.init_method == "ahc":
-        if n == 1:  # linkage needs two observations; the one forms column 0
-            return Responsibilities(r=np.eye(1, m))
-        dist = pairwise_llr_matrix(model, phi)
-        np.subtract(dist.max(), dist, out=dist)  # the scores become distances
-        np.fill_diagonal(dist, 0.0)
-        condensed = scipy.spatial.distance.squareform(dist, checks=False)
-        link = scipy.cluster.hierarchy.linkage(condensed, method="average")
-        labels = scipy.cluster.hierarchy.fcluster(link, t=m, criterion="maxclust") - 1
-        return Responsibilities(r=_one_hot(labels, m))
-    raise ValueError(f"unknown init method {config.init_method!r}")
+    # "ahc", the one method left: RunConfig admits no other.
+    if n == 1:  # linkage needs two observations; the one forms column 0
+        return Responsibilities(r=np.eye(1, m))
+    dist = pairwise_llr_matrix(model, phi)
+    np.subtract(dist.max(), dist, out=dist)  # the scores become distances
+    np.fill_diagonal(dist, 0.0)
+    condensed = scipy.spatial.distance.squareform(dist, checks=False)
+    link = scipy.cluster.hierarchy.linkage(condensed, method="average")
+    labels = scipy.cluster.hierarchy.fcluster(link, t=m, criterion="maxclust") - 1
+    return Responsibilities(r=_one_hot(labels, m))
 
 
 def sampled_statistics(resp, phi, k, seed=0):
@@ -493,7 +494,10 @@ class _Variant:
     ``step(params, block, block_d, resp, dirichlet, kappa)``, which makes
     the variant's updates and evaluates the bound, and returns the params
     for the next sweep, ``(elbo, terms)`` and the means; then the tau0
-    step, with ``hyper_opt_tau0`` and M >= 2.
+    step, with ``hyper_opt_tau0`` and M >= 2.  The variant alone holds the
+    run's current ``Hyperparams``, ``hyper``: each hyperparameter step
+    rebinds it with ``dataclasses.replace``, which checks the learned
+    values, starting from the latest one.
     ``finish(params, report)`` stores the adapted model in the report.
 
     The parameter steps read the labelled block only through the pooled
@@ -535,9 +539,9 @@ class _Variant:
         params, (elbo, terms), means = self.step(
             params, (reduced.stats, posts, acc), (self.stats_d, posts_d, acc_d),
             reduced.resp, dirichlet, kappa)
-        hyper = self.hyper
         if self.config.hyper_opt_tau0 and dirichlet.tau.shape[0] >= 2:
-            hyper.tau0 = vbpoint.mstep_tau0(dirichlet.e_ln_pi, hyper.tau0)
+            self.hyper = replace(self.hyper, tau0=vbpoint.mstep_tau0(
+                dirichlet.e_ln_pi, self.hyper.tau0))
         return _Sweep(params, reduced, dirichlet, elbo, terms, means)
 
 
@@ -559,9 +563,7 @@ class _Point(_Variant):
         means = posts.ybar
         if config.do_msteps:
             if config.sampler_k > 0:
-                acc = _sampler_accumulators(
-                    resp, self.phi, model, hyper, config, self.s_phi,
-                    self.sampler_seeds.spawn(1)[0])
+                acc = self.sampled_accumulators(resp, model)
             model = _mstep(self.s_p, *self.pooled(stats, acc, block_d[2]))
             if config.min_div:
                 model, (mu_y, t) = vbpoint.min_divergence(
@@ -569,6 +571,21 @@ class _Point(_Variant):
                 # Extra merge candidates are the closest standardized means.
                 means = vbpoint.standardize_posteriors(posts, mu_y, t).ybar
         return model, bound, means
+
+    def sampled_accumulators(self, resp, model):
+        """Mean of the (C, R) accumulators of ``sampler_k`` hard samples of
+        ``resp``, or those of the sample with the highest lower bound for
+        ``best_sample``, drawn from the next sampler stream."""
+        counts, fsums = sampled_statistics(resp, self.phi, self.config.sampler_k,
+                                           seed=self.sampler_seeds.spawn(1)[0])
+        samples = _sample_accumulators(counts, fsums, self.s_phi, model)
+        if self.config.sampler_strategy == "best_sample":
+            # max keeps the first of tied samples, as argmax does
+            samples = [max(samples, key=lambda smp: _hard_elbo(
+                smp, model, self.hyper.tau0))]
+        accs = [acc for *_, acc in samples]
+        return (sum(c for c, _ in accs) / len(accs),
+                sum(r for _, r in accs) / len(accs))
 
     expected = staticmethod(vbpoint.ExpectedParams)
 
@@ -594,11 +611,12 @@ class _Bayes(_Variant):
         bound = vbbayes.elbo_bayes(
             block, resp, dirichlet, rowpost, alphapost, wpost, hyper, block_d)
         if config.hyper_opt_alpha:
-            hyper.a_alpha, hyper.b_alpha = vbbayes.optimize_hyper_alpha(
-                alphapost, hyper.a_alpha)
+            a, b = vbbayes.optimize_hyper_alpha(alphapost, hyper.a_alpha)
+            self.hyper = replace(self.hyper, a_alpha=a, b_alpha=b)
         if config.hyper_opt_mu:
-            hyper.mu0, hyper.beta = vbbayes.optimize_hyper_mu(
+            mu0, beta = vbbayes.optimize_hyper_mu(
                 rowpost, isotropic=np.size(hyper.beta) == 1)
+            self.hyper = replace(self.hyper, mu0=mu0, beta=beta)
         return (rowpost, wpost, alphapost), bound, block[1].ybar
 
     @staticmethod
@@ -614,13 +632,34 @@ class _Bayes(_Variant):
 
 
 def _default_bayes_hyper(hyper, dataset):
+    """``hyper`` with an unset ``mu0`` or ``beta`` filled from the data."""
     ref = dataset.phi_d if dataset.phi_d.shape[0] else dataset.phi
     if hyper.mu0 is None:
-        hyper.mu0 = ref.mean(axis=0)
+        hyper = replace(hyper, mu0=ref.mean(axis=0))
     if hyper.beta is None:
         tr_cov = float(np.trace(np.atleast_2d(np.cov(ref.T)))) \
             if ref.shape[0] > 1 else 1.0
-        hyper.beta = 1e-2 * ref.shape[1] / max(tr_cov, 1e-12)
+        hyper = replace(hyper, beta=1e-2 * ref.shape[1] / max(tr_cov, 1e-12))
+    return hyper
+
+
+def _start(dataset, model_init, hyper, config):
+    """The start of a run, ``(variant, params, stats, dirichlet)``: the
+    variant, its params at ``model_init`` (point masses for the Bayesian
+    variant, whose unset ``mu0`` and ``beta`` are filled from the data),
+    and the statistics and q(pi) of the initial responsibilities, which
+    are not kept: the first sweep reads only their statistics."""
+    if config.variant == "bayes":
+        hyper = _default_bayes_hyper(hyper, dataset)
+        rowpost = vbbayes.RowPosteriors.point_mass(model_init.vtilde)
+        params = (rowpost, vbbayes.WishartPosterior.point_mass(model_init.w),
+                  vbbayes.update_q_alpha(rowpost, hyper))
+        variant = _Bayes(dataset, hyper, config)
+    else:
+        params, variant = model_init, _Point(dataset, hyper, config)
+    stats = variant.reduce(init_responsibilities(
+        dataset, model_init, config, tau0=hyper.tau0)).stats
+    return variant, params, stats, vbpoint.update_q_pi(stats.n, hyper.tau0)
 
 
 def _set_fields(obj, names):
@@ -637,9 +676,9 @@ def run_adaptation(dataset, model_init, hyper, config):
     then for the Bayesian variant q([V | mu]), q(alpha) and q(W); ELBO;
     optional point M-steps or Bayesian hyperparameter steps; optional tau0
     step; periodic prune/merge at kappa = 1; kappa growth } until, at
-    kappa = 1, the relative ELBO change falls below ``elbo_tol``.
-    ``hyper`` is not modified; the Bayesian report carries the final
-    hyperparameters as the ``"hyper"`` entry of ``bayes_state``.
+    kappa = 1, the relative ELBO change falls below ``elbo_tol``.  The
+    Bayesian report carries the final hyperparameters as the ``"hyper"``
+    entry of ``bayes_state``.
 
     Without unlabelled i-vectors the run is ``train_supervised`` from
     ``model_init`` on the labelled set, which reads only ``max_iter`` and
@@ -677,16 +716,7 @@ def run_adaptation(dataset, model_init, hyper, config):
     if dataset.phi_d.shape[0] == 0 and hyper.eta != type(hyper).eta:
         raise ValueError(f"Hyperparams.eta={hyper.eta!r} has no effect "
                          "without labelled i-vectors")
-    hyper = replace(hyper)
-    if config.variant == "bayes":
-        _default_bayes_hyper(hyper, dataset)
-        rowpost = vbbayes.RowPosteriors.point_mass(model_init.vtilde)
-        params = (rowpost, vbbayes.WishartPosterior.point_mass(model_init.w),
-                  vbbayes.update_q_alpha(rowpost, hyper))
-        variant = _Bayes(dataset, hyper, config)
-    else:
-        params, variant = model_init, _Point(dataset, hyper, config)
-    return _adapt(dataset, model_init, hyper, config, variant, params)
+    return _adapt(*_start(dataset, model_init, hyper, config))
 
 
 def sweep_m(dataset, model_init, hyper, config, m_values):
@@ -705,14 +735,12 @@ def sweep_m(dataset, model_init, hyper, config, m_values):
     return max(reports, key=lambda rep: rep.elbo_trace[-1]), reports
 
 
-def _adapt(dataset, model_init, hyper, config, variant, params):
-    """The coordinate ascent both variants share.  Each iteration's sweep
-    makes all of its updates; the loop records the sweep's bound, tries a
+def _adapt(variant, params, stats, dirichlet):
+    """The coordinate ascent both variants share, from the params, initial
+    statistics and q(pi) of ``_start``.  Each iteration's sweep makes all
+    of its updates; the loop records the sweep's bound, tries a
     score-gated prune/merge, grows kappa and applies the stopping rule."""
-    report = RunReport()
-    stats = variant.reduce(init_responsibilities(
-        dataset, model_init, config, tau0=hyper.tau0)).stats
-    dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0)
+    report, config = RunReport(), variant.config
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
     expected = None  # the ExpectedParams of params, when already built
@@ -752,7 +780,7 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
                     f"iter {it}: restructured M {stats.n.shape[0]} -> "
                     f"{kept.stats.n.shape[0]}")
                 stats = kept.stats
-                dirichlet = vbpoint.update_q_pi(stats.n, hyper.tau0)
+                dirichlet = vbpoint.update_q_pi(stats.n, variant.hyper.tau0)
 
         if kappa < 1.0:
             kappa = min(kappa * config.kappa_growth, 1.0)
@@ -768,19 +796,6 @@ def _adapt(dataset, model_init, hyper, config, variant, params):
     report.elbo_terms = swept.terms
     variant.finish(params, report)
     return report
-
-
-def _sampler_accumulators(resp, phi, model, hyper, config, s_global, seed):
-    """Mean of the per-sample (C, R) accumulators, or those of the sample
-    with the highest lower bound for ``best_sample``."""
-    counts, fsums = sampled_statistics(resp, phi, config.sampler_k, seed=seed)
-    samples = _sample_accumulators(counts, fsums, s_global, model)
-    if config.sampler_strategy == "best_sample":
-        # max keeps the first of tied samples, as argmax does
-        samples = [max(samples, key=lambda smp: _hard_elbo(smp, model, hyper.tau0))]
-    accs = [acc for *_, acc in samples]
-    return (sum(c for c, _ in accs) / len(accs),
-            sum(r for _, r in accs) / len(accs))
 
 
 def _mstep(s_p, c_p, r_p, n_p):

@@ -120,13 +120,20 @@ class Dataset:
         return int(self.labels_d.max()) + 1 if self.labels_d.size else 0
 
 
+def _as_ints(values, name):
+    """``values`` as an int array, checked to hold integers: a value such
+    as 0.5 raises a ValueError naming ``name``, and is never truncated."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+        ints = values.astype(int)
+    if not np.array_equal(ints, values):
+        raise ValueError(f"{name} must be integers, got {values[ints != values][0]}")
+    return ints
+
+
 def _int_labels(labels, name):
     """``labels`` as an int array, checked to hold integers >= 0."""
-    labels = np.asarray(labels)
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-        ints = labels.astype(int)
-    if not np.array_equal(ints, labels):
-        raise ValueError(f"{name} must be integers, got {labels[ints != labels][0]}")
+    ints = _as_ints(labels, name)
     if (ints < 0).any():
         raise ValueError(f"{name} has a negative speaker label")
     return ints

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import wishart
 
+from .model import _as_ints
+
 
 @dataclass
 class MetricReport:
@@ -20,8 +22,8 @@ class MetricReport:
 
 def clustering_metrics(pred_labels, true_labels):
     """Adjusted Rand index (pair counting) and majority-vote purity."""
-    pred = np.asarray(pred_labels, dtype=int)
-    true = np.asarray(true_labels, dtype=int)
+    pred = _as_ints(pred_labels, "pred_labels")
+    true = _as_ints(true_labels, "true_labels")
     if pred.shape != true.shape:
         raise ValueError("label vectors must have the same length")
     if pred.size == 0:

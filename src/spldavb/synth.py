@@ -1,5 +1,6 @@
 """Synthetic data generation and verification scoring for the SPLDA model."""
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,12 +9,14 @@ from .linalg import inv_logdet_pd, inv_pd, sym
 from .model import Dataset, SpldaModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
-    """Recipe for a ground-truth synthetic dataset.
+    """Recipe for a ground-truth synthetic dataset, checked when built; a
+    field cannot be assigned after.
 
-    vectors-per-speaker may be a fixed int or an inclusive (low, high) range,
-    at least 1 either way, so every speaker has an i-vector;
+    vectors-per-speaker may be a fixed integer or an inclusive (low, high)
+    range of integers, given as any pair and kept as a tuple, at least 1
+    either way, so every speaker has an i-vector;
     ``eigenvoice_scale / noise_scale >= 5`` gives the easy-separation regime.
     """
 
@@ -31,10 +34,16 @@ class SynthSpec:
             raise ValueError("all sizes must be >= 1")
         if self.eigenvoice_scale <= 0 or self.noise_scale <= 0:
             raise ValueError("scales must be > 0")
-        low, high = np.broadcast_to(self.per_speaker, 2)
-        if not 1 <= low <= high:
-            raise ValueError(f"per_speaker must be >= 1, or a range (low, high) "
-                             f"with 1 <= low <= high; got {self.per_speaker!r}")
+        per = self.per_speaker
+        with suppress(TypeError):  # an integer is not iterable
+            per = tuple(per)
+            object.__setattr__(self, "per_speaker", per)
+        low, high = per if isinstance(per, tuple) and len(per) == 2 else (per,) * 2
+        if not (all(np.issubdtype(type(n), np.integer) for n in (low, high))
+                and 1 <= low <= high):
+            raise ValueError(f"per_speaker must be >= 1: an integer, or a range "
+                             f"(low, high) of integers with 1 <= low <= high; "
+                             f"got {self.per_speaker!r}")
 
 
 def random_model(d, n_y, eigenvoice_scale, noise_scale, rng):

@@ -22,9 +22,11 @@ from .linalg import inv_pd, sym
 LOG2PI = np.log(2.0 * np.pi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
-    """Fixed hyperparameters shared by both inference variants."""
+    """Hyperparameters shared by both inference variants, checked when
+    built.  A field cannot be assigned after: an empirical-Bayes step makes
+    a new object with ``dataclasses.replace``, which checks again."""
 
     tau0: float = 1.0
     eta: float = 1.0

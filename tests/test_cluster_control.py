@@ -21,8 +21,7 @@ from spldavb.adapt import (
 from spldavb.model import Dataset, accumulate_stats
 from spldavb.oracles import clustering_metrics
 from spldavb.synth import SynthSpec, generate, split_dataset
-from spldavb.vbbayes import RowPosteriors, WishartPosterior, update_q_alpha
-from spldavb.vbpoint import Hyperparams, update_q_pi
+from spldavb.vbpoint import Hyperparams
 from splda_oracles import (closest_pairs_oracle, fixed_param_elbo,
                            monte_carlo_bound, padded_hard_elbo)
 
@@ -64,24 +63,14 @@ def tiny_labelled_problem(phi):
 
 
 def sweep_inputs(variant, seed=5, **config):
-    """A split problem's variant, its params at the trained model (point
-    masses for the Bayesian variant), and random_y initial
-    responsibilities, reduced, with their q(pi)."""
+    """A run's start on a split problem, as ``adapt._start`` makes it: the
+    variant, its params at the trained model (point masses for the
+    Bayesian variant), and the statistics and q(pi) of random_y initial
+    responsibilities."""
     dataset, model = split_problem(seed=seed)
-    hyper = Hyperparams()
-    cfg = RunConfig(m_init=4, variant=variant, init_method="random_y",
-                    seed=seed, **config)
-    if variant == "bayes":
-        adapt._default_bayes_hyper(hyper, dataset)
-        rowpost = RowPosteriors.point_mass(model.vtilde)
-        params = (rowpost, WishartPosterior.point_mass(model.w),
-                  update_q_alpha(rowpost, hyper))
-        var = adapt._Bayes(dataset, hyper, cfg)
-    else:
-        params, var = model, adapt._Point(dataset, hyper, cfg)
-    reduced = var.reduce(
-        init_responsibilities(dataset, model, cfg, tau0=hyper.tau0))
-    return var, params, reduced, update_q_pi(reduced.stats.n, hyper.tau0)
+    return adapt._start(dataset, model, Hyperparams(), RunConfig(
+        m_init=4, variant=variant, init_method="random_y", seed=seed,
+        **config))
 
 
 class TestInit:
@@ -518,7 +507,7 @@ def test_point_mass_bayes_sweep_is_the_point_sweep(monkeypatch):
     # posteriors, so the shared E-step of a Bayesian sweep from point
     # masses at the model gives exactly the point sweep's q(Y), q(theta)
     # and q(pi).
-    bayes, params, reduced, dirichlet = sweep_inputs("bayes")
+    bayes, params, stats, dirichlet = sweep_inputs("bayes")
     point, model, _, _ = sweep_inputs("point")
     blocks = []  # each sweep's q(Y) of the unlabelled, then labelled block
 
@@ -527,8 +516,8 @@ def test_point_mass_bayes_sweep_is_the_point_sweep(monkeypatch):
         return blocks[-1]
 
     monkeypatch.setattr(adapt.vbpoint, "update_q_y", update_q_y)
-    b = bayes.sweep(params, reduced.stats, dirichlet, 1.0)
-    p = point.sweep(model, reduced.stats, dirichlet, 1.0)
+    b = bayes.sweep(params, stats, dirichlet, 1.0)
+    p = point.sweep(model, stats, dirichlet, 1.0)
     (b_posts, b_posts_d), (p_posts, p_posts_d) = blocks[:2], blocks[2:]
     assert (b.reduced.resp.r == p.reduced.resp.r).all()
     assert (b_posts.ybar == p_posts.ybar).all()
@@ -557,11 +546,11 @@ class TestSingleReduction:
     @pytest.mark.parametrize("variant", ["point", "bayes"])
     def test_point_sweep_reduces_only_its_new_responsibilities(
             self, monkeypatch, variant):
-        var, params, reduced, dirichlet = sweep_inputs(variant)
+        var, params, stats, dirichlet = sweep_inputs(variant)
         fresh_stats = adapt.accumulate_stats
         events = []
         self.counting(monkeypatch, events)
-        swept = var.sweep(params, reduced.stats, dirichlet, 1.0)
+        swept = var.sweep(params, stats, dirichlet, 1.0)
         assert events == ["q_theta", "stats"]
         carried = swept.reduced
         fresh = fresh_stats(carried.resp.r, var.phi)
@@ -629,11 +618,11 @@ class TestFactorizationBudget:
         monkeypatch.setattr(adapt.vbpoint, "elbo_point", elbo_point)
 
     def test_point_sweep_and_update(self, monkeypatch):
-        variant, model, reduced, dirichlet = sweep_inputs("point")
+        variant, model, stats, dirichlet = sweep_inputs("point")
         events = []
         self.counting(monkeypatch, events)
         self.marking_bound(monkeypatch, events)
-        variant.sweep(model, reduced.stats, dirichlet, 1.0)
+        variant.sweep(model, stats, dirichlet, 1.0)
         # Before the bound: both q(Y) blocks are built on one orthonormal
         # eigenbasis, and the bound reads log|W| from the model.  After it:
         # mstep_W's scatter, the new W and Sigma_y; min_divergence keeps W,
@@ -644,12 +633,12 @@ class TestFactorizationBudget:
     @pytest.mark.parametrize("strategy", ["average_accumulators",
                                           "best_sample"])
     def test_point_update_with_sampler(self, monkeypatch, strategy):
-        variant, model, reduced, dirichlet = sweep_inputs(
+        variant, model, stats, dirichlet = sweep_inputs(
             "point", sampler_k=8, sampler_strategy=strategy)
         events = []
         self.counting(monkeypatch, events)
         self.marking_bound(monkeypatch, events)
-        variant.sweep(model, reduced.stats, dirichlet, 1.0)
+        variant.sweep(model, stats, dirichlet, 1.0)
         # After the bound, the eight draws' q(Y) share one orthonormal
         # eigenbasis of G; then the M-steps and the standardization factor
         # as without the sampler.
@@ -659,12 +648,12 @@ class TestFactorizationBudget:
     def bayes_sweep_events(self, monkeypatch, two_betas=False):
         """The counted factorizations and solves of one Bayesian sweep, under
         the default scalar beta or two distinct betas."""
-        variant, params, reduced, dirichlet = sweep_inputs("bayes")
+        variant, params, stats, dirichlet = sweep_inputs("bayes")
         if two_betas:
-            variant.hyper.beta = variant.hyper.beta * np.where(
-                np.arange(reduced.stats.d) % 2, 1.0, 2.0)
+            variant.hyper = replace(variant.hyper, beta=variant.hyper.beta
+                                    * np.where(np.arange(stats.d) % 2, 1.0, 2.0))
         # Parameters as a sweep leaves them, with q(W) from from_update.
-        params = variant.sweep(params, reduced.stats, dirichlet, 1.0).params
+        params = variant.sweep(params, stats, dirichlet, 1.0).params
         events = []
         self.counting(monkeypatch, events, names=(
             "cholesky", "eigh", "slogdet", "svd", "cond", "solve"))
@@ -674,7 +663,7 @@ class TestFactorizationBudget:
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpotrs", dpotrs)
-        variant.sweep(params, reduced.stats, dirichlet, 1.0)
+        variant.sweep(params, stats, dirichlet, 1.0)
         return events
 
     def test_bayes_sweep(self, monkeypatch):
@@ -692,7 +681,10 @@ class TestFactorizationBudget:
             == ["eigh", "eigh", "solve", "eigh"]
 
     def test_merge_score(self, monkeypatch):
-        variant, model, reduced, _ = sweep_inputs("point")
+        variant, model, stats, dirichlet = sweep_inputs("point")
+        # Any responsibilities will do: those of a sweep, scored with the
+        # parameters it started from.
+        reduced = variant.sweep(model, stats, dirichlet, 1.0).reduced
         events = []
         self.counting(monkeypatch, events)
         score = adapt._FixedBound(variant, model, reduced)
@@ -1425,6 +1417,51 @@ class TestHyperparams:
                 run_adaptation(data, model, hyper, RunConfig(m_init=2))
         run_adaptation(dataset, model, hyper,
                        RunConfig(m_init=2, variant="bayes", max_iter=1))
+
+    def test_learned_tau0_is_checked_at_its_step(self, monkeypatch):
+        # The tau0 step rebinds the variant's Hyperparams with
+        # dataclasses.replace, so an out-of-range tau0 fails there, at the
+        # first step, and reaches no later update.
+        steps = []
+
+        def zero(*args, **kwargs):
+            steps.append(args)
+            return 0.0
+
+        monkeypatch.setattr(adapt.vbpoint, "mstep_tau0", zero)
+        dataset, model = split_problem(seed=4)
+        with pytest.raises(ValueError, match="tau0"):
+            run_adaptation(dataset, model, Hyperparams(), RunConfig(
+                m_init=4, init_method="random_y", hyper_opt_tau0=True))
+        assert len(steps) == 1
+
+    def test_report_holds_the_last_sweeps_hyperparameters(self, monkeypatch):
+        # Each hyperparameter step rebinds the latest Hyperparams: the tau0
+        # step keeps the alpha and mu steps of its own sweep, and the
+        # report returns what the three steps of the last sweep returned.
+        returned = {}
+        for module, name in ((adapt.vbpoint, "mstep_tau0"),
+                             (adapt.vbbayes, "optimize_hyper_alpha"),
+                             (adapt.vbbayes, "optimize_hyper_mu")):
+
+            def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
+                returned.setdefault(_name, []).append(_f(*args, **kwargs))
+                return returned[_name][-1]
+
+            monkeypatch.setattr(module, name, spy)
+        dataset, model = split_problem(seed=4)
+        report = run_adaptation(dataset, model, Hyperparams(), RunConfig(
+            m_init=4, variant="bayes", init_method="ahc", max_iter=10,
+            hyper_opt_tau0=True, hyper_opt_alpha=True, hyper_opt_mu=True))
+        assert min(report.m_trace) >= 2  # the tau0 step ran in every sweep
+        assert {len(calls) for calls in returned.values()} \
+            == {len(report.elbo_trace)}
+        hyper = report.bayes_state["hyper"]
+        assert hyper.tau0 == returned["mstep_tau0"][-1]
+        assert (hyper.a_alpha, hyper.b_alpha) \
+            == returned["optimize_hyper_alpha"][-1]
+        mu0, beta = returned["optimize_hyper_mu"][-1]
+        assert hyper.mu0 is mu0 and hyper.beta is beta
 
     def test_caller_hyperparams_reach_run_unmodified(self):
         dataset, model = split_problem(seed=4)

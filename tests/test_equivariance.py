@@ -127,9 +127,9 @@ def test_bayes_run_under_signed_permutation(seed, init, mode, beta_kind):
         before = original(seed, "bayes", init, mode)
         after = run(*mapped, "bayes", init, mode)
     else:
-        hyper = Hyperparams()
-        adapt._default_bayes_hyper(hyper, dataset)
-        beta = hyper.beta * rng.uniform(0.5, 2.0, dataset.d)
+        variant = adapt._start(dataset, model, Hyperparams(),
+                               RunConfig(variant="bayes"))[0]
+        beta = variant.hyper.beta * rng.uniform(0.5, 2.0, dataset.d)
         before = run(dataset, model, "bayes", init, mode, beta)
         after = run(*mapped, "bayes", init, mode, beta[perm])
     assert_equivariant(before, after, n, 0.0)

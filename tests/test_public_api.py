@@ -3,6 +3,7 @@ and the README use no other name from the package namespace."""
 
 import ast
 import re
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,32 @@ SOURCES = {path.name: path.read_text()
 SOURCES.update(
     (f"README.md block {i}", block) for i, block in enumerate(re.findall(
         r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)))
+
+
+# One checked instance of each settings class.
+SETTINGS = {cls.__name__: obj for cls, obj in (
+    (spldavb.RunConfig, spldavb.RunConfig()),
+    (spldavb.Hyperparams, spldavb.Hyperparams()),
+    (spldavb.SynthSpec, spldavb.SynthSpec(d=2, n_y=1, m_true=1, per_speaker=1)))}
+
+
+@pytest.mark.parametrize("name, field", [
+    (name, f.name) for name, obj in SETTINGS.items() for f in fields(obj)])
+def test_settings_cannot_be_assigned(name, field):
+    # Their checks run when they are built: a later assignment would pass
+    # an unchecked value to a run or a data set.
+    obj = SETTINGS[name]
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("RunConfig", "variant", "bogus"),
+    ("Hyperparams", "tau0", 0.0),
+    ("SynthSpec", "per_speaker", 2.5)])
+def test_replace_checks_again(name, field, value):
+    with pytest.raises(ValueError, match=field):
+        replace(SETTINGS[name], **{field: value})
 
 
 def test_all_is_the_supported_api():

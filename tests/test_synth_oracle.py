@@ -68,6 +68,28 @@ class TestGenerate:
         with pytest.raises(ValueError, match="^per_speaker must be >= 1"):
             SynthSpec(d=3, n_y=1, m_true=6, per_speaker=per_speaker, seed=3)
 
+    @pytest.mark.parametrize("pair", [[4, 16], np.array([4, 16])])
+    @pytest.mark.parametrize("m_true", [2, 3])
+    def test_any_pair_is_a_range(self, pair, m_true):
+        # A pair is kept as a tuple, so that generate draws each count from
+        # the range, as it does for the tuple (4, 16).
+        spec = SynthSpec(d=3, n_y=1, m_true=m_true, per_speaker=pair, seed=0)
+        assert isinstance(spec.per_speaker, tuple) and spec.per_speaker == (4, 16)
+        phi, labels, _ = generate(spec)
+        phi_t, labels_t, _ = generate(SynthSpec(
+            d=3, n_y=1, m_true=m_true, per_speaker=(4, 16), seed=0))
+        np.testing.assert_array_equal(labels, labels_t)
+        np.testing.assert_array_equal(phi, phi_t)
+
+    @pytest.mark.parametrize("per_speaker", [
+        2.5, 2.0, np.float64(3.0), True, "ab", (4,), (4, 8, 16), (4.0, 16),
+        [2, 2.5], None])
+    def test_rejects_anything_but_integers(self, per_speaker):
+        # Nothing is rounded: a float count, even a whole one, is rejected
+        # where the spec is built, not in generate.
+        with pytest.raises(ValueError, match="^per_speaker must be >= 1"):
+            SynthSpec(d=3, n_y=1, m_true=2, per_speaker=per_speaker)
+
 
 class TestSplit:
     def test_split_covers_everything(self):
@@ -219,6 +241,19 @@ class TestClusteringMetrics:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             clustering_metrics([0, 1], [0, 1, 2])
+
+    def test_rejects_non_integer_labels(self):
+        # Truncation would read 0.5, 1.7, 1.2 as 0, 1, 1 and score ARI 1.
+        with pytest.raises(ValueError, match="^pred_labels must be integers"):
+            clustering_metrics([0.5, 1.7, 1.2], [0, 1, 1])
+        with pytest.raises(ValueError, match="^true_labels must be integers"):
+            clustering_metrics([0, 1, 1], [0, 1, np.nan])
+
+    def test_any_integer_ids_are_labels(self):
+        # Negative ids and whole floats name clusters as well as any others.
+        rep = clustering_metrics([-1, -1, 3, 3, 7], [0, 0, 1, 1, 2])
+        assert (rep.ari, rep.purity) == (1.0, 1.0)
+        assert clustering_metrics([0.0, 0.0, 1.0], [5, 5, -2]).ari == 1.0
 
 
 class TestFiniteDifferences:

@@ -45,8 +45,8 @@ problem it is sent.  Each of K rounds adapts every problem once in each
 tree, the two adaptations of a problem back to back and the tree that
 goes first alternating (ABBA); a tree's pass is the sum of its times in
 the round.  It prints each tree's median and quartiles per pass, the
-median over the rounds of the ratio head / base, and in how many rounds
-head was faster.
+median over the rounds of the ratio head / base with its 95 % bootstrap
+interval (``ratio_interval``), and in how many rounds head was faster.
 """
 
 import argparse
@@ -74,6 +74,9 @@ EXACT = ("labels", "m_trace", "kappa_trace", "diagnostics", "converged",
 # Seconds a --time worker may take to start (set up and train a workload's
 # problems), to answer one pass, or to exit.
 TIMING_TIMEOUT = 600
+# Bootstrap resamples of the paired rounds, drawn with a fixed seed.
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
 
 
 def _arrays(obj, prefix, out):
@@ -177,6 +180,18 @@ def _time_worker(src, seed, name):
         print(time.perf_counter() - start, flush=True)
 
 
+def ratio_interval(base, head):
+    """``(low, high)``, the 95 % percentile-bootstrap interval of the median
+    ratio head / base over paired rounds: the rounds, each a pair of
+    passes, are resampled with replacement ``BOOTSTRAP_RESAMPLES`` times
+    with a fixed seed, so the same passes always give the same interval."""
+    ratios = np.asarray(head, dtype=float) / np.asarray(base, dtype=float)
+    draws = np.random.default_rng(BOOTSTRAP_SEED).integers(
+        ratios.size, size=(BOOTSTRAP_RESAMPLES, ratios.size))
+    low, high = np.percentile(np.median(ratios[draws], axis=1), [2.5, 97.5])
+    return float(low), float(high)
+
+
 def _reply(proc, tree):
     """The next line ``proc`` prints, within ``TIMING_TIMEOUT`` seconds."""
     if not select.select([proc.stdout], [], [], TIMING_TIMEOUT)[0]:
@@ -224,7 +239,9 @@ def _time_rounds(args, names, trees, env, n_problems):
         for tree, seconds in passes.items():
             q1, median, q3 = np.percentile(seconds, [25, 50, 75])
             print(f"  {tree}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
-        print(f"  head / base: median ratio {np.median(head / base):.4f}; "
+        low, high = ratio_interval(base, head)
+        print(f"  head / base: median ratio {np.median(head / base):.4f}, "
+              f"95 % bootstrap interval {low:.4f} .. {high:.4f}; "
               f"head faster in {int((head < base).sum())} of {args.time} rounds")
 
 
