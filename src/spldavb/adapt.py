@@ -11,8 +11,9 @@ import scipy.cluster.hierarchy
 import scipy.spatial.distance
 
 from . import vbbayes, vbpoint
+from .linalg import freeze, freeze_fields
 from .model import (Dataset, SpldaModel, SuffStats, _hard_stats, _int_labels,
-                    _one_hot, accumulate_stats)
+                    _labelled_stats, _one_hot, accumulate_stats)
 from .synth import pairwise_llr_matrix
 from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
 
@@ -70,7 +71,8 @@ class RunConfig:
     """Knobs of one adaptation run.  Defaults follow the library's policy
     values; every heuristic constant is configurable, and a bool knob
     takes only a bool.  The knobs are checked when the config is built, and
-    a field cannot be assigned after; ``dataclasses.replace`` checks again.
+    a field cannot be assigned after (``oracle_labels`` is read-only);
+    ``dataclasses.replace`` checks again.
     ``init_method="uniform_pi"`` starts every cluster identical and no
     update breaks the tie, so with ``m_init > 1`` every i-vector ends in
     one cluster."""
@@ -98,6 +100,7 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        freeze_fields(self, ("oracle_labels",), borrowed=True)
         for f in fields(self):
             value = getattr(self, f.name)
             # a truthy string such as "false" would do the opposite
@@ -364,7 +367,7 @@ def _closest_posterior_pairs(ybar, n_pairs=6):
 class _Reduced:
     """Responsibilities and the raw statistics of the unlabelled set under
     them, reduced once by ``accumulate_stats``.  The statistics are
-    computed here, ``r`` is made read-only and neither field can be
+    computed here from the read-only ``r`` and neither field can be
     reassigned, so the pair cannot go stale."""
 
     resp: Responsibilities
@@ -373,7 +376,6 @@ class _Reduced:
     stats: SuffStats = field(init=False)
 
     def __post_init__(self, phi, s_phi):
-        self.resp.r.flags.writeable = False
         object.__setattr__(self, "stats",
                            accumulate_stats(self.resp.r, phi, s=s_phi))
 
@@ -510,9 +512,7 @@ class _Variant:
         self.hyper = hyper
         self.config = config
         self.s_phi = self.phi.T @ self.phi
-        self.stats_d = SuffStats(
-            *_hard_stats(dataset.labels_d, dataset.phi_d, dataset.m_d),
-            s=dataset.phi_d.T @ dataset.phi_d)
+        self.stats_d = _labelled_stats(dataset)
         self.s_p = self.s_phi + hyper.eta * self.stats_d.s
         self.eta_n_d = hyper.eta * self.stats_d.n_total
 
@@ -635,7 +635,7 @@ def _default_bayes_hyper(hyper, dataset):
     """``hyper`` with an unset ``mu0`` or ``beta`` filled from the data."""
     ref = dataset.phi_d if dataset.phi_d.shape[0] else dataset.phi
     if hyper.mu0 is None:
-        hyper = replace(hyper, mu0=ref.mean(axis=0))
+        hyper = replace(hyper, mu0=freeze(ref.mean(axis=0)))
     if hyper.beta is None:
         tr_cov = float(np.trace(np.atleast_2d(np.cov(ref.T)))) \
             if ref.shape[0] > 1 else 1.0
@@ -800,7 +800,7 @@ def _adapt(variant, params, stats, dirichlet):
 
 def _mstep(s_p, c_p, r_p, n_p):
     """The point M-steps from pooled statistics: [V | mu], then W."""
-    vtilde = vbpoint.mstep_V(c_p, r_p)
+    vtilde = freeze(vbpoint.mstep_V(c_p, r_p))  # the model holds views of it
     return SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1],
                       w=vbpoint.mstep_W(s_p, c_p, r_p, vtilde, n_p))
 
@@ -822,16 +822,15 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     if n_d <= d:
         raise ValueError(f"need N_d > d for a valid W (N_d={n_d}, d={d})")
     data = Dataset(phi=np.zeros((0, d)), phi_d=phi_d, labels_d=labels_d)
-    stats = SuffStats(*_hard_stats(data.labels_d, data.phi_d, data.m_d),
-                      s=data.phi_d.T @ data.phi_d)
+    stats = _labelled_stats(data)
     if model_init is None:
         rng = np.random.default_rng(seed)
         mu = phi_d.mean(axis=0)
         cov = np.cov(phi_d.T) + 1e-8 * np.eye(d)
         scale = np.sqrt(np.trace(cov) / d)
         model = SpldaModel(
-            mu=mu, v=scale * rng.standard_normal((d, n_y)) / np.sqrt(n_y),
-            w=np.linalg.inv(cov))
+            mu=freeze(mu), w=np.linalg.inv(cov),
+            v=freeze(scale * rng.standard_normal((d, n_y)) / np.sqrt(n_y)))
     elif (model_init.d, model_init.n_y) != (d, n_y):
         raise ValueError(f"model_init has d={model_init.d}, n_y={model_init.n_y}; "
                          f"expected d={d} (the data), n_y={n_y}")

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import fileio
 from .adapt import RunConfig, run_adaptation, train_supervised
+from .linalg import freeze
 from .model import Dataset
 from .oracles import clustering_metrics
 from .synth import SynthSpec, generate, split_dataset
@@ -74,7 +75,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    phi_d = fileio.read_matrix(args.ivectors)
+    phi_d = freeze(fileio.read_matrix(args.ivectors))
     labels = fileio.read_labels(args.labels)
     report = train_supervised(phi_d, labels, args.ny, seed=args.seed)
     fileio.write_model(args.out_model, report.model)
@@ -91,8 +92,8 @@ def _adapt(args, **overrides):
     options, with ``overrides`` added to their config overrides; returns
     ``(report, config, hyper)``."""
     model, _ = fileio.read_model(args.model)
-    dataset = Dataset(phi=fileio.read_matrix(args.unsup_ivectors),
-                      phi_d=fileio.read_matrix(args.sup_ivectors),
+    dataset = Dataset(phi=freeze(fileio.read_matrix(args.unsup_ivectors)),
+                      phi_d=freeze(fileio.read_matrix(args.sup_ivectors)),
                       labels_d=fileio.read_labels(args.sup_labels))
     config, hyper = _config_from_file(args.config, {
         "m_init": args.m_init, "variant": args.variant, "seed": args.seed,

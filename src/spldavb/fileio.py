@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 
+from .linalg import freeze
 from .model import SpldaModel
 
 _FMT = "%.17g"
@@ -202,7 +203,7 @@ def read_model(path):
     asym = np.abs(w - w.T).max()
     if asym > 1e-12:
         warnings.warn(f"{path}: W asymmetry {asym:.3e} > 1e-12; re-symmetrizing")
-    model = SpldaModel(mu=mu[0], v=v, w=w)  # which symmetrizes W
+    model = SpldaModel(mu=freeze(mu[0]), v=freeze(v), w=w)  # which symmetrizes W
     bayes = None
     if pos < len(lines) and lines[pos] == "BAYES":
         pos += 1

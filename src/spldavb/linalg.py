@@ -1,5 +1,6 @@
-"""Small shared linear-algebra helpers (Cholesky- or eigh-based, with one
-jitter policy).
+"""Small shared array helpers: the package's one immutability rule
+(:func:`freeze`), and linear algebra that is Cholesky- or eigh-based, with
+one jitter policy.
 
 Each ``*_pd`` helper factors its matrix once; a caller that needs both
 the inverse and the log-determinant takes them from one factor with
@@ -13,6 +14,34 @@ import scipy.linalg.lapack
 
 class NotPositiveDefiniteError(ValueError):
     pass
+
+
+def freeze(a, dtype=None, *, borrowed=False):
+    """``np.asarray(a, dtype)``, read-only: every array a frozen object
+    holds or caches passes through here.
+
+    An array the package built is made read-only in place, with no copy.
+    A ``borrowed`` one, which a caller handed to a public constructor, is
+    copied first if it is writable, so a caller's array never turns
+    read-only.  A read-only array keeps its identity either way.
+    """
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        if borrowed:
+            a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+def freeze_fields(obj, names, dtype=None, *, borrowed=False):
+    """Rebind each field in ``names`` of the frozen dataclass ``obj`` that
+    is not None to its :func:`freeze`, unless that is the array it holds."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None:
+            frozen = freeze(value, dtype, borrowed=borrowed)
+            if frozen is not value:
+                object.__setattr__(obj, name, frozen)
 
 
 def sym(a):

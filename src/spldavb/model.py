@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import chol_with_jitter, inv_pd, logdet_chol, sym
+from .linalg import chol_with_jitter, freeze, freeze_fields, inv_pd, logdet_chol, sym
 
 
 @dataclass(frozen=True)
@@ -19,6 +19,9 @@ class SpldaModel:
     mu : (d,) speaker-independent mean
     v  : (d, n_y) eigenvoice matrix
     w  : (d, d) within-class precision
+
+    The arrays are read-only (see ``linalg.freeze``), so the log|W| kept
+    from the factor that validated W cannot go stale.
     """
 
     mu: np.ndarray
@@ -26,9 +29,9 @@ class SpldaModel:
     w: np.ndarray
 
     def __post_init__(self):
-        self.__dict__.update(mu=np.asarray(self.mu, dtype=float),
-                             v=np.asarray(self.v, dtype=float),
-                             w=sym(np.asarray(self.w, dtype=float)))
+        self.__dict__.update(mu=freeze(self.mu, float, borrowed=True),
+                             v=freeze(self.v, float, borrowed=True),
+                             w=freeze(sym(np.asarray(self.w, dtype=float))))
         self._check_shapes()
         # Fails (with jitter) if W is not positive definite.  Only log|W|
         # is kept from the factor, for ``logdet_w``.
@@ -50,9 +53,8 @@ class SpldaModel:
         known, ``logdet_w``, so W is neither symmetrized nor factored
         again: another model's W, or an E[W] built from its eigenpair."""
         new = object.__new__(cls)
-        new.__dict__.update(mu=np.asarray(mu, dtype=float),
-                            v=np.asarray(v, dtype=float), w=w,
-                            _logdet_w=logdet_w)
+        new.__dict__.update(mu=freeze(mu, float), v=freeze(v, float),
+                            w=freeze(w), _logdet_w=logdet_w)
         new._check_shapes()
         return new
 
@@ -83,7 +85,8 @@ class Dataset:
     labels_d : (N_d,) integer speaker index per supervised i-vector
 
     An empty set is stored as (0, d), d from the other set, whatever shape
-    it is given in; at least one set must hold i-vectors.
+    it is given in; at least one set must hold i-vectors.  The arrays are
+    read-only.
     """
 
     phi: np.ndarray
@@ -91,14 +94,14 @@ class Dataset:
     labels_d: np.ndarray
 
     def __post_init__(self):
-        phi, phi_d = (np.atleast_2d(np.asarray(arr, dtype=float))
+        phi, phi_d = (np.atleast_2d(freeze(arr, float, borrowed=True))
                       for arr in (self.phi, self.phi_d))
         if not phi.size and not phi_d.size:
             raise ValueError("phi and phi_d are both empty")
         d = (phi if phi.size else phi_d).shape[1]
-        phi, phi_d = (arr if arr.size else np.zeros((0, d))
+        phi, phi_d = (arr if arr.size else freeze(np.zeros((0, d)))
                       for arr in (phi, phi_d))
-        labels = _int_labels(self.labels_d, "labels_d")
+        labels = freeze(_int_labels(self.labels_d, "labels_d"))
         self.__dict__.update(phi=phi, phi_d=phi_d, labels_d=labels)
         if phi.shape[1] != phi_d.shape[1]:
             raise ValueError("phi and phi_d dimension mismatch")
@@ -160,7 +163,7 @@ def _hard_stats(labels, phi, m):
     return n, f
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuffStats:
     """Per-speaker zeroth/first-order statistics plus the global second order.
 
@@ -168,12 +171,17 @@ class SuffStats:
     needs only this global sum, never per-speaker second-order matrices.
     ``fbar`` holds the first-order sums centered on a mean once the public
     helper ``center_stats`` has filled it; every update reads the raw sums.
+    The arrays are made read-only in place, as every sweep's statistics
+    share one ``s``.
     """
 
     n: np.ndarray  # (M,) soft counts
     f: np.ndarray  # (M, d) first-order sums
     s: np.ndarray | None = None  # (d, d) global second order
     fbar: np.ndarray | None = field(default=None, repr=False)  # (M, d)
+
+    def __post_init__(self):
+        freeze_fields(self, ("n", "f", "s", "fbar"))
 
     @property
     def d(self):
@@ -226,6 +234,13 @@ def center_stats(stats, mu):
         raise ValueError(f"mu shape {mu.shape} does not match d={stats.d}")
     return SuffStats(n=stats.n, f=stats.f, s=stats.s,
                      fbar=stats.f - np.outer(stats.n, mu))
+
+
+def _labelled_stats(dataset):
+    """The hard statistics of the labelled set of ``dataset``, with its
+    second order ``phi_d.T @ phi_d``."""
+    return SuffStats(*_hard_stats(dataset.labels_d, dataset.phi_d, dataset.m_d),
+                     s=dataset.phi_d.T @ dataset.phi_d)
 
 
 def marginal_params(model):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import inv_logdet_pd, inv_pd, sym
+from .linalg import freeze, inv_logdet_pd, inv_pd, sym
 from .model import Dataset, SpldaModel
 
 
@@ -51,7 +51,7 @@ def random_model(d, n_y, eigenvoice_scale, noise_scale, rng):
     mu = rng.standard_normal(d)
     v = eigenvoice_scale * rng.standard_normal((d, n_y)) / np.sqrt(n_y)
     w = np.eye(d) / noise_scale ** 2
-    return SpldaModel(mu=mu, v=v, w=w)
+    return SpldaModel(mu=freeze(mu), v=freeze(v), w=w)
 
 
 def generate(spec):
@@ -81,13 +81,17 @@ def generate(spec):
 
 
 def split_dataset(phi, labels, sup_fraction, seed=0):
-    """Split synthetic speakers into supervised and unsupervised subsets."""
+    """Split synthetic speakers into supervised and unsupervised subsets.
+
+    Returns ``(dataset, labels)``, the labels of ``dataset.phi``.  The
+    dataset holds the fresh subsets themselves, made read-only."""
     rng = np.random.default_rng(seed)
     speakers = np.unique(labels)
     n_sup = max(1, int(round(sup_fraction * speakers.size)))
     sup_mask = np.isin(labels, rng.choice(speakers, size=n_sup, replace=False))
     labels_d = np.unique(labels[sup_mask], return_inverse=True)[1]
-    dataset = Dataset(phi=phi[~sup_mask], phi_d=phi[sup_mask], labels_d=labels_d)
+    dataset = Dataset(phi=freeze(phi[~sup_mask]), phi_d=freeze(phi[sup_mask]),
+                      labels_d=labels_d)
     return dataset, labels[~sup_mask]
 
 

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .linalg import eigh_pd, sym
+from .linalg import eigh_pd, freeze, freeze_fields, sym
 from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
@@ -75,10 +75,8 @@ class RowPosteriors(GaussianRows):
 
     @cached_property
     def _e_vq_vq(self):
-        e_vv = self.sum_cov(np.ones(self.d)).diagonal()[: self.n_y] \
-            + np.einsum("rq,rq->q", self.vbar, self.vbar)
-        e_vv.flags.writeable = False
-        return e_vv
+        return freeze(self.sum_cov(np.ones(self.d)).diagonal()[: self.n_y]
+                      + np.einsum("rq,rq->q", self.vbar, self.vbar))
 
     def expected(self, wpost):
         """The parameter expectations the shared E-step reads under
@@ -101,9 +99,7 @@ class RowPosteriors(GaussianRows):
     @cached_property
     def _sigma_mu(self):
         # ``trace_cov(e e^T)``: diag(P_g^T e e^T P_g) is row mu of P_g squared.
-        sigma = self._traces(self.basis[:, self.n_y, :] ** 2)
-        sigma.flags.writeable = False
-        return sigma
+        return freeze(self._traces(self.basis[:, self.n_y, :] ** 2))
 
 
 @dataclass(frozen=True)
@@ -118,23 +114,17 @@ class AlphaPosterior:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        b_prime = np.asarray(self.b_prime, dtype=float)
-        if self.a_prime <= 0 or (b_prime <= 0).any():
+        freeze_fields(self, ("b_prime",), float)
+        if self.a_prime <= 0 or (self.b_prime <= 0).any():
             raise ValueError("Gamma parameters must be positive")
-        b_prime.flags.writeable = False
-        object.__setattr__(self, "b_prime", b_prime)
 
     @cached_property
     def e_alpha(self):
-        e_alpha = self.a_prime / self.b_prime
-        e_alpha.flags.writeable = False
-        return e_alpha
+        return freeze(self.a_prime / self.b_prime)
 
     @cached_property
     def e_ln_alpha(self):
-        e_ln_alpha = digamma(self.a_prime) - np.log(self.b_prime)
-        e_ln_alpha.flags.writeable = False
-        return e_ln_alpha
+        return freeze(digamma(self.a_prime) - np.log(self.b_prime))
 
 
 @dataclass(frozen=True)
@@ -162,9 +152,7 @@ class WishartPosterior:
     entropy: float | None = None
 
     def __post_init__(self):
-        for a in (self.e_w, self.omega, self.q, self.k):
-            if a is not None:
-                a.flags.writeable = False
+        freeze_fields(self, ("e_w", "omega", "q", "k"))
 
     @classmethod
     def from_update(cls, k, dof, kappa=1.0):
@@ -280,14 +268,13 @@ def update_q_vtilde_rows(c_p, r_p, wpost, alphapost, hyper, kappa=1.0):
 
 def _mean_prior(hyper, d):
     """``(mu0, beta)`` of the prior N(mu0, diag(beta)^-1) over mu as (d,)
-    arrays; mu0 defaults to zero, beta has no default.  beta is contiguous
-    either way, so a scalar and a constant vector give the same bits."""
-    if hyper.beta is None:
-        raise ValueError("Hyperparams.beta is unset; the mean prior needs a "
-                         "precision (run_adaptation sets it from the data)")
-    beta = np.full(d, hyper.beta, dtype=float)
-    mu0 = np.zeros(d) if hyper.mu0 is None else np.asarray(hyper.mu0, dtype=float)
-    return mu0, beta
+    arrays; neither has a default here.  beta is contiguous either way, so
+    a scalar and a constant vector give the same bits."""
+    for name, what in (("beta", "precision"), ("mu0", "mean")):
+        if getattr(hyper, name) is None:
+            raise ValueError(f"Hyperparams.{name} is unset; the mean prior needs "
+                             f"a {what} (run_adaptation sets it from the data)")
+    return hyper.mu0, np.full(d, hyper.beta, dtype=float)
 
 
 def update_q_alpha(rowpost, hyper, kappa=1.0):
@@ -421,11 +408,11 @@ def optimize_hyper_mu(rowpost, isotropic=False):
 
     mu0 is set to the posterior mean; with that substitution
     beta_r^-1 = Sigma_mu_r.  Isotropic mode averages the inverse over rows.
+    The arrays are returned read-only, so ``Hyperparams`` keeps them.
     """
-    mu0 = rowpost.mubar.copy()
+    mu0 = freeze(rowpost.mubar.copy())
     beta_inv = rowpost.e_mu_quad(mu0)
     if isotropic:
         beta = min(1.0 / max(float(beta_inv.mean()), 1.0 / _BETA_MAX), _BETA_MAX)
         return mu0, float(beta)
-    beta = 1.0 / np.maximum(beta_inv, 1.0 / _BETA_MAX)
-    return mu0, beta
+    return mu0, freeze(1.0 / np.maximum(beta_inv, 1.0 / _BETA_MAX))

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .linalg import inv_pd, sym
+from .linalg import freeze, freeze_fields, inv_pd, sym
 
 LOG2PI = np.log(2.0 * np.pi)
 
@@ -25,8 +25,9 @@ LOG2PI = np.log(2.0 * np.pi)
 @dataclass(frozen=True)
 class Hyperparams:
     """Hyperparameters shared by both inference variants, checked when
-    built.  A field cannot be assigned after: an empirical-Bayes step makes
-    a new object with ``dataclasses.replace``, which checks again."""
+    built.  A field cannot be assigned after, and an array ``mu0`` or
+    ``beta`` is read-only: an empirical-Bayes step makes a new object with
+    ``dataclasses.replace``, which checks again."""
 
     tau0: float = 1.0
     eta: float = 1.0
@@ -37,6 +38,8 @@ class Hyperparams:
     b_alpha: float = 1e-3
 
     def __post_init__(self):
+        arrays = ("mu0",) if np.isscalar(self.beta) else ("mu0", "beta")
+        freeze_fields(self, arrays, float, borrowed=True)
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
         positive = ("tau0", "a_alpha", "b_alpha") + (
@@ -85,28 +88,25 @@ class GaussianRows:
     kappa: float = 1.0
 
     def __post_init__(self):
-        for a in (self.mean, self.basis, self.group, self.s, self.logdet_basis):
-            a.flags.writeable = False
+        freeze_fields(self, ("mean", "basis", "group", "s", "logdet_basis"))
 
     @cached_property
     def _s_inv(self):
-        return 1.0 / self.s
+        return freeze(1.0 / self.s)
 
     @cached_property
     def _onehot(self):
-        return self.group == np.arange(len(self.basis))[:, None]
+        return freeze(self.group == np.arange(len(self.basis))[:, None])
 
     @cached_property
     def _own(self):
         """(R,) flat index of (r, group[r]) in an (R, G) array."""
-        return np.arange(len(self.group)) * len(self.basis) + self.group
+        return freeze(np.arange(len(self.group)) * len(self.basis) + self.group)
 
     @cached_property
     def _flat_basis(self):
         """(k, G k) the bases side by side, [P_1 ... P_G]."""
-        p = np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1)
-        p.flags.writeable = False
-        return p
+        return freeze(np.swapaxes(self.basis, 0, 1).reshape(self.basis.shape[1], -1))
 
     @property
     def prec(self):
@@ -202,9 +202,7 @@ class SpeakerPosteriors(GaussianRows):
     def e_yy_total(self):
         """sum_i E[y_i y_i^T], built once per block: the bound's lnP(Y)
         and ``min_divergence`` both read it.  Read-only, as it is shared."""
-        total = self.sum_e_yy(np.ones(self.m))
-        total.flags.writeable = False
-        return total
+        return freeze(self.sum_e_yy(np.ones(self.m)))
 
     def trace_e_yy(self, h):
         """(M,) traces tr(H E[y_i y_i^T]) for an (n_y, n_y) matrix H."""
@@ -217,11 +215,16 @@ class Responsibilities:
 
     ``h`` is the entropy -sum_ji r_ji ln r_ji when the q(theta) softmax
     that built ``r`` handed it back (it had every ln r_ji in hand), else
-    None; ``entropy()`` then computes it from ``r``.
+    None; ``entropy()`` then computes it from ``r``.  ``r`` is made
+    read-only in place, so ``h`` and the statistics reduced from ``r``
+    cannot go stale.
     """
 
     r: np.ndarray  # (N, M)
     h: float | None = None
+
+    def __post_init__(self):
+        freeze_fields(self, ("r",))
 
     def entropy(self):
         """-sum_ji r_ji ln r_ji: the carried ``h`` if there is one, else
@@ -244,17 +247,13 @@ class DirichletPosterior:
     tau: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        if (tau <= 0).any():
+        freeze_fields(self, ("tau",), float)
+        if (self.tau <= 0).any():
             raise ValueError("Dirichlet parameters must be positive")
-        tau.flags.writeable = False
-        object.__setattr__(self, "tau", tau)
 
     @cached_property
     def e_ln_pi(self):
-        e_ln_pi = digamma(self.tau) - digamma(self.tau.sum())
-        e_ln_pi.flags.writeable = False
-        return e_ln_pi
+        return freeze(digamma(self.tau) - digamma(self.tau.sum()))
 
 
 class ExpectedParams:
@@ -267,8 +266,9 @@ class ExpectedParams:
     ``(model, ln_w, u)``.
 
     ``wv`` = Wbar Vbar, ``g`` = E[V^T W V] and its eigendecomposition
-    ``eig_g`` are derived on first use and kept, so the two q(Y) blocks
-    and q(theta) of one sweep share one W V, one G and one ``eigh``.
+    ``eig_g`` are derived on first use and kept, read-only, so the two
+    q(Y) blocks and q(theta) of one sweep share one W V, one G and one
+    ``eigh``.
     """
 
     def __init__(self, model, ln_w=None, u=None):
@@ -289,21 +289,20 @@ class ExpectedParams:
     @cached_property
     def wv(self):
         """(d, n_y) W V."""
-        return self.model.w @ self.model.v
+        return freeze(self.model.w @ self.model.v)
 
     @cached_property
     def g(self):
         """(n_y, n_y) E[V^T W V] = V^T W V + u_yy."""
         n_y = self.model.n_y
-        return sym(self.model.v.T @ self.wv) + self.u[:n_y, :n_y]
+        return freeze(sym(self.model.v.T @ self.wv) + self.u[:n_y, :n_y])
 
     @cached_property
     def eig_g(self):
-        """``np.linalg.eigh(g)``, the shared basis of every q(y_i); the
-        basis is read-only, as every block built on it holds a view of it."""
+        """``np.linalg.eigh(g)``, the shared basis of every q(y_i); every
+        block built on it holds a view of the basis."""
         lam, basis = np.linalg.eigh(self.g)
-        basis.flags.writeable = False
-        return lam, basis
+        return freeze(lam), freeze(basis)
 
     def rhs(self, n, f):
         """(M, n_y) b_i = (f_i - n_i mu)^T W V - n_i u_{y mu}, with which

@@ -535,6 +535,7 @@ class TestSingleReduction:
         for module, name, event in (
                 (adapt, "accumulate_stats", "stats"),
                 (adapt, "_hard_stats", "stats"),
+                (adapt, "_labelled_stats", "stats"),
                 (adapt.vbpoint, "update_q_theta", "q_theta")):
 
             def recording(*args, _f=getattr(module, name), _e=event, **kwargs):

@@ -36,3 +36,10 @@ def test_ratio_interval_is_reproducible_and_brackets_the_median():
     low, high = ratio_interval(base, head)
     assert ratio_interval(base, head) == (low, high)
     assert low <= np.median(head / base) <= high
+
+
+def test_gain_is_claimed_only_when_every_interval_lies_below_one():
+    gain_claimed = load_compare_runs().gain_claimed
+    assert gain_claimed([(0.95, 0.98), (0.96, 0.99)])
+    assert not gain_claimed([(0.95, 0.98), (0.97, 1.0)])
+    assert not gain_claimed([(0.95, 0.98), (0.99, 1.02)])

@@ -348,7 +348,7 @@ class TestRowUpdates:
         with pytest.raises(np.linalg.LinAlgError, match="row 2 "):
             update_q_vtilde_rows(
                 np.zeros((d, n_y + 1)), -np.eye(n_y + 1), wpost, alphapost,
-                Hyperparams(beta=1.0))
+                Hyperparams(mu0=np.zeros(d), beta=1.0))
 
     def test_run_builds_no_dense_row_stack(self, monkeypatch):
         # Every sweep reads the rows through their factors: the package has
@@ -382,6 +382,19 @@ class TestRowUpdates:
         with pytest.raises(ValueError, match="beta"):
             update_q_vtilde_rows(c, r, wpost, alphapost, state[9])
         with pytest.raises(ValueError, match="beta"):
+            state_elbo(state)
+
+    def test_unset_mu0_is_named(self):
+        # run_adaptation fills mu0 from the data; called directly, the row
+        # update and the bound have no default for it, as for beta.
+        rng = np.random.default_rng(37)
+        state = list(TestElboBayes()._full_state(rng))
+        rowpost, alphapost, wpost = state[6:9]
+        (c, r), _ = block_accumulators(state)
+        state[9] = Hyperparams(beta=1.0)
+        with pytest.raises(ValueError, match="Hyperparams.mu0 is unset"):
+            update_q_vtilde_rows(c, r, wpost, alphapost, state[9])
+        with pytest.raises(ValueError, match="Hyperparams.mu0 is unset"):
             state_elbo(state)
 
 

@@ -1,14 +1,15 @@
 """Compare the adaptation runs of this checkout with those of another
 revision, problem by problem.
 
-Usage: python3 tools/compare_runs.py BASE_REV [--seed N] [--workload NAME ...]
+Usage: python3 tools/compare_runs.py BASE_REV [--seed N ...] [--workload NAME ...]
                                      [--time K]
 
 Run from the repository root.  BASE_REV's ``src/`` is exported with
 ``git archive`` into a temporary directory; this checkout's ``src/`` is
 used as it stands in the working tree.  One subprocess per tree, with one
 BLAS thread, runs the problems that each ``perfbench/workloads.py``
-workload draws from ``--seed`` (default 1) through the library: each
+workload draws from ``--seed`` (default 1; given more than once, each
+seed in turn) through the library: each
 problem is trained as its workload trains it (``train_supervised`` to
 convergence, as ``splda train`` does, for a CLI workload) and adapted by
 ``run_adaptation`` with the workload's ``RunConfig``.
@@ -31,11 +32,11 @@ benchmark runs them: ``splda train`` and ``splda adapt`` on text files,
 each tree in its own temporary directory.  Every input and output file
 that differs byte for byte between the two trees is printed.
 
-The exit status is 1 when any field other than ``elbo_trace`` and
-``elbo_terms`` differs (labels, the M and kappa traces, diagnostics,
-convergence, the trained or adapted model, or a ``bayes_state`` array that
-both trees have) or when any CLI file differs.  ``perfbench/`` is only
-read.
+The exit status is 1 when, on any seed, any field other than
+``elbo_trace`` and ``elbo_terms`` differs (labels, the M and kappa traces,
+diagnostics, convergence, the trained or adapted model, or a
+``bayes_state`` array that both trees have) or when any CLI file differs.
+``perfbench/`` is only read.
 
 With ``--time K`` it times the two trees instead of comparing their
 outputs.  For each workload one worker subprocess per tree, with one
@@ -44,9 +45,11 @@ the first one once untimed, and then times ``run_adaptation`` on the
 problem it is sent.  Each of K rounds adapts every problem once in each
 tree, the two adaptations of a problem back to back and the tree that
 goes first alternating (ABBA); a tree's pass is the sum of its times in
-the round.  It prints each tree's median and quartiles per pass, the
-median over the rounds of the ratio head / base with its 95 % bootstrap
-interval (``ratio_interval``), and in how many rounds head was faster.
+the round.  It prints, per seed, each tree's median and quartiles per
+pass, the median over the rounds of the ratio head / base with its 95 %
+bootstrap interval (``ratio_interval``), and in how many rounds head was
+faster.  Last, per workload, it claims a gain only when every seed's
+interval lies wholly below 1.
 """
 
 import argparse
@@ -202,17 +205,19 @@ def _reply(proc, tree):
     return line
 
 
-def _time_rounds(args, names, trees, env, n_problems):
-    """Time ``trees`` in ``args.time`` rounds per workload, one worker per
-    tree, and print the summary of each workload.  A round adapts every
+def _time_rounds(args, seed, names, trees, env, n_problems):
+    """Time ``trees`` in ``args.time`` rounds per workload on the problems
+    of ``seed``, one worker per tree, print the summary of each workload
+    and return its bootstrap interval, by name.  A round adapts every
     problem once in each tree, the two adaptations of a problem back to
     back and the tree that goes first alternating (ABBA), so that both
     trees' passes see the same load on the machine."""
+    intervals = {}
     for name in names:
         with contextlib.ExitStack() as stack:
             procs = {tree: stack.enter_context(subprocess.Popen(
                 [sys.executable, __file__, args.base_rev, "--seed",
-                 str(args.seed), "--workload", name, "--time", str(args.time),
+                 str(seed), "--workload", name, "--time", str(args.time),
                  "--child", str(src), "-"],
                 env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 text=True)) for tree, src in trees.items()}
@@ -235,14 +240,20 @@ def _time_rounds(args, names, trees, env, n_problems):
                     raise SystemExit(f"error: the {tree} timing worker failed")
         base, head = passes.values()
         print(f"{name}: run_adaptation seconds per pass over {n_problems} "
-              f"problems, {args.time} rounds, seed {args.seed}")
+              f"problems, {args.time} rounds, seed {seed}")
         for tree, seconds in passes.items():
             q1, median, q3 = np.percentile(seconds, [25, 50, 75])
             print(f"  {tree}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
-        low, high = ratio_interval(base, head)
+        low, high = intervals[name] = ratio_interval(base, head)
         print(f"  head / base: median ratio {np.median(head / base):.4f}, "
               f"95 % bootstrap interval {low:.4f} .. {high:.4f}; "
               f"head faster in {int((head < base).sum())} of {args.time} rounds")
+    return intervals
+
+
+def gain_claimed(intervals):
+    """Whether the ratio intervals of every seed lie wholly below 1."""
+    return all(high < 1.0 for _, high in intervals)
 
 
 def _same(a, b):
@@ -332,7 +343,8 @@ def _compare_files(name, base, head):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_rev")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="a workload seed; each is run in turn (default: 1)")
     parser.add_argument("--workload", action="append",
                         help="a perfbench workload name (default: all)")
     parser.add_argument("--time", type=int, metavar="K",
@@ -343,11 +355,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.time is not None and args.time < 1:
         parser.error("--time needs K >= 1")
+    seeds = args.seed or [1]
     if args.child and args.time:
-        _time_worker(Path(args.child[0]), args.seed, args.workload[0])
+        _time_worker(Path(args.child[0]), seeds[0], args.workload[0])
         return 0
     if args.child:
-        _run_tree(Path(args.child[0]), args.seed, args.workload, Path(args.child[1]))
+        _run_tree(Path(args.child[0]), seeds[0], args.workload, Path(args.child[1]))
         return 0
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.path.insert(0, str(ROOT / "src"))
@@ -368,33 +381,47 @@ def main(argv=None):
             tar.extractall(tmp / "base", filter="data")
         trees = {"base": tmp / "base" / "src", "head": ROOT / "src"}
         if args.time:
-            _time_rounds(args, names, trees, env, workloads.PROBLEMS)
+            intervals = [_time_rounds(args, seed, names, trees, env,
+                                      workloads.PROBLEMS) for seed in seeds]
+            for name in names:
+                print(f"{name}, seeds {', '.join(map(str, seeds))}: " + (
+                    "a gain is claimed: every interval lies wholly below 1"
+                    if gain_claimed([by_name[name] for by_name in intervals])
+                    else "no gain is claimed: some interval reaches 1"))
             return 0
-        workload_args = [a for name in names for a in ("--workload", name)]
-        out = {tree: tmp / f"{tree}-out" for tree in trees}
-        procs = {tree: subprocess.Popen(
-            [sys.executable, __file__, args.base_rev, "--seed", str(args.seed),
-             *workload_args, "--child", str(src), str(out[tree])],
-            env=env) for tree, src in trees.items()}
-        if any([proc.wait() for proc in procs.values()]):  # wait for both
-            raise SystemExit("error: a run failed")
-        results, peaks = {}, {}
-        for tree in trees:
-            with open(out[tree] / "runs.pkl", "rb") as fh:
-                results[tree], peaks[tree] = pickle.load(fh)
-        print(f"{args.base_rev} (base) against the working tree (head), seed {args.seed}")
-        failed = []
-        for name in names:
-            if _compare(name, results["base"][name], results["head"][name]):
-                failed.append(name)
-            print(f"  largest run_adaptation peak: "
-                  f"{peaks['base'][name] / 1e6:.2f} MB (base), "
-                  f"{peaks['head'][name] / 1e6:.2f} MB (head)")
-            _print_quality(results["base"][name], results["head"][name])
-        failed += [name for name in names if workloads.BY_NAME[name].via_cli
-                   and _compare_files(name, out["base"] / "cli" / name,
-                                      out["head"] / "cli" / name)]
+        cli_names = [name for name in names if workloads.BY_NAME[name].via_cli]
+        failed = [name for seed in seeds for name in _compare_trees(
+            args, seed, names, cli_names, trees, env, tmp)]
     return 1 if failed else 0
+
+
+def _compare_trees(args, seed, names, cli_names, trees, env, tmp):
+    """Run both trees on the problems of ``seed`` and print their
+    differences; return the workloads on which an exact field, or a file
+    of a CLI workload in ``cli_names``, differs."""
+    workload_args = [a for name in names for a in ("--workload", name)]
+    out = {tree: tmp / f"{tree}-out-{seed}" for tree in trees}
+    procs = {tree: subprocess.Popen(
+        [sys.executable, __file__, args.base_rev, "--seed", str(seed),
+         *workload_args, "--child", str(src), str(out[tree])],
+        env=env) for tree, src in trees.items()}
+    if any([proc.wait() for proc in procs.values()]):  # wait for both
+        raise SystemExit("error: a run failed")
+    results, peaks = {}, {}
+    for tree in trees:
+        with open(out[tree] / "runs.pkl", "rb") as fh:
+            results[tree], peaks[tree] = pickle.load(fh)
+    print(f"{args.base_rev} (base) against the working tree (head), seed {seed}")
+    failed = []
+    for name in names:
+        if _compare(name, results["base"][name], results["head"][name]):
+            failed.append(name)
+        print(f"  largest run_adaptation peak: "
+              f"{peaks['base'][name] / 1e6:.2f} MB (base), "
+              f"{peaks['head'][name] / 1e6:.2f} MB (head)")
+        _print_quality(results["base"][name], results["head"][name])
+    return failed + [name for name in cli_names if _compare_files(
+        name, out["base"] / "cli" / name, out["head"] / "cli" / name)]
 
 
 if __name__ == "__main__":
