@@ -226,7 +226,7 @@ def sampled_statistics(resp, phi, k, seed=0):
 def _sample_accumulators(counts, fsums, s_global, model):
     """Statistics, q(Y) and accumulators (C, R) of each hard sample, whose
     q(Y) share one ``ExpectedParams``; ``s_global`` is ``phi.T @ phi``."""
-    expected = vbpoint.ExpectedParams(model)
+    expected = vbpoint.ExpectedParams.from_model(model)
     for n, f in zip(counts, fsums):
         stats = SuffStats(n=n, f=f, s=s_global)
         posts = vbpoint.update_q_y(stats, expected)
@@ -407,8 +407,7 @@ class _FixedBound:
     merged column is one q(y) row on the shared eigenbasis of A_yy, the
     Dirichlet terms cost O(M) and the merged column's entropy O(N).
     b_i, A_yy = G and the eigenbasis of G are those of the variant's
-    ``ExpectedParams``, ``expected``, which the next iteration's sweep
-    reuses, as the parameters are held.
+    ``ExpectedParams`` of the held parameters, ``expected``.
 
     ``reduce(r)`` reduces each matrix once, whether the score or the
     ``refresh`` of a kept structure asks first; the kept structure's
@@ -420,12 +419,12 @@ class _FixedBound:
 
     def __init__(self, variant, params, reduced):
         self.expected = ex = variant.expected(params)
-        mean, ln_w, u = ex
-        self.w_mu = mean.w @ mean.mu
-        self.a_mumu = mean.mu @ self.w_mu + u[-1, -1]
+        self.w_mu = ex.w @ ex.mu
+        self.a_mumu = ex.mu @ self.w_mu + (0.0 if ex.u is None else ex.u[-1, -1])
         self.tau0 = variant.hyper.tau0
-        self.const = 0.5 * variant.phi.shape[0] * (ln_w - mean.d * LOG2PI) \
-            - 0.5 * np.sum(mean.w * variant.s_phi)
+        n, d = variant.phi.shape
+        self.const = 0.5 * n * (ex.ln_w - d * LOG2PI) \
+            - 0.5 * np.sum(ex.w * variant.s_phi)
         self.variant = variant
         # id(r) -> [reduction, per-column terms or None], for the first r
         # and the latest other one.  The reduction holds r, so no id is
@@ -487,12 +486,12 @@ _Sweep = namedtuple("_Sweep", "params reduced dirichlet elbo terms means")
 class _Variant:
     """The sweep both inference variants share, around the step of each.
 
-    ``sweep(params, stats, dirichlet, kappa, expected=None)`` makes every
-    update of one iteration and returns them as a ``_Sweep``.  It runs the
-    shared E-step (both q(Y) blocks, q(theta), q(pi), the accumulators)
-    from ``stats``, the unlabelled ``SuffStats`` under the last
-    responsibilities (the sweep needs no more of them), on ``expected``, the
-    ``vbpoint.ExpectedParams`` of ``params`` built here unless passed; then
+    ``sweep(params, stats, dirichlet, kappa)`` makes every update of one
+    iteration and returns them as a ``_Sweep``.  It runs the shared E-step
+    (both q(Y) blocks, q(theta), q(pi), the accumulators) from ``stats``,
+    the unlabelled ``SuffStats`` under the last responsibilities (the sweep
+    needs no more of them), on ``expected(params)``, the
+    ``vbpoint.ExpectedParams`` of ``params``; then
     ``step(params, block, block_d, resp, dirichlet, kappa)``, which makes
     the variant's updates and evaluates the bound, and returns the params
     for the next sweep, ``(elbo, terms)`` and the means; then the tau0
@@ -526,9 +525,8 @@ class _Variant:
         eta = self.hyper.eta
         return c + eta * c_d, r + eta * r_d, stats.n_total + self.eta_n_d
 
-    def sweep(self, params, stats, dirichlet, kappa, expected=None):
-        if expected is None:
-            expected = self.expected(params)
+    def sweep(self, params, stats, dirichlet, kappa):
+        expected = self.expected(params)
         posts = vbpoint.update_q_y(stats, expected, kappa)
         posts_d = vbpoint.update_q_y(self.stats_d, expected, kappa)
         reduced = self.reduce(vbpoint.update_q_theta(
@@ -564,10 +562,12 @@ class _Point(_Variant):
         if config.do_msteps:
             if config.sampler_k > 0:
                 acc = self.sampled_accumulators(resp, model)
-            model = _mstep(self.s_p, *self.pooled(stats, acc, block_d[2]))
+            mu, v, w = _mstep(self.s_p, *self.pooled(stats, acc, block_d[2]))
             if config.min_div:
-                model, (mu_y, t) = vbpoint.min_divergence(
-                    [(posts, 1.0), (block_d[1], hyper.eta)], model)
+                mu, v, (mu_y, t) = vbpoint.min_divergence(
+                    [(posts, 1.0), (block_d[1], hyper.eta)], mu, v)
+            model = SpldaModel(mu=mu, v=v, w=w)
+            if config.min_div:
                 # Extra merge candidates are the closest standardized means.
                 means = vbpoint.standardize_posteriors(posts, mu_y, t).ybar
         return model, bound, means
@@ -587,7 +587,7 @@ class _Point(_Variant):
         return (sum(c for c, _ in accs) / len(accs),
                 sum(r for _, r in accs) / len(accs))
 
-    expected = staticmethod(vbpoint.ExpectedParams)
+    expected = staticmethod(vbpoint.ExpectedParams.from_model)
 
     def finish(self, model, report):
         report.model = model
@@ -743,14 +743,12 @@ def _adapt(variant, params, stats, dirichlet):
     report, config = RunReport(), variant.config
     kappa = config.kappa0 if config.anneal else 1.0
     since_restructure = 0
-    expected = None  # the ExpectedParams of params, when already built
 
     for it in range(config.max_iter):
         # The sweep reads only the statistics of the last responsibilities,
         # so nothing holds those through it.
         swept = bound = kept = None
-        swept = variant.sweep(params, stats, dirichlet, kappa, expected)
-        expected = None
+        swept = variant.sweep(params, stats, dirichlet, kappa)
         params, dirichlet, elbo = swept.params, swept.dirichlet, swept.elbo
         stats = swept.reduced.stats
 
@@ -774,7 +772,6 @@ def _adapt(variant, params, stats, dirichlet):
                 extra_pairs=_closest_posterior_pairs(swept.means),
                 score=bound)
             since_restructure = 0
-            expected = bound.expected  # params are unchanged
             if restructured:
                 report.diagnostics.append(
                     f"iter {it}: restructured M {stats.n.shape[0]} -> "
@@ -799,10 +796,11 @@ def _adapt(variant, params, stats, dirichlet):
 
 
 def _mstep(s_p, c_p, r_p, n_p):
-    """The point M-steps from pooled statistics: [V | mu], then W."""
-    vtilde = freeze(vbpoint.mstep_V(c_p, r_p))  # the model holds views of it
-    return SpldaModel(mu=vtilde[:, -1], v=vtilde[:, :-1],
-                      w=vbpoint.mstep_W(s_p, c_p, r_p, vtilde, n_p))
+    """The point M-steps from pooled statistics: ``(mu, v, w)``, [V | mu]
+    then W."""
+    vtilde = freeze(vbpoint.mstep_V(c_p, r_p))  # a model may hold views of it
+    return vtilde[:, -1], vtilde[:, :-1], \
+        vbpoint.mstep_W(s_p, c_p, r_p, vtilde, n_p)
 
 
 def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
@@ -846,8 +844,9 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
         report.elbo_trace.append(float(elbo))
         report.m_trace.append(data.m_d)
         report.kappa_trace.append(1.0)
-        model = _mstep(stats.s, c_d, r_d, stats.n_total)
-        model, _ = vbpoint.min_divergence([(posts, 1.0)], model)
+        mu, v, w = _mstep(stats.s, c_d, r_d, stats.n_total)
+        mu, v, _ = vbpoint.min_divergence([(posts, 1.0)], mu, v)
+        model = SpldaModel(mu=mu, v=v, w=w)
         if _converged(report.elbo_trace, elbo_tol):
             report.converged = True
             break

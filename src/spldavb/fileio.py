@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from .linalg import freeze
-from .model import SpldaModel
+from .model import SpldaModel, _as_ints
 
 _FMT = "%.17g"
 # The HYPER lines of a Bayesian model file, in order; a reader needs each
@@ -114,7 +114,9 @@ def read_matrix(path):
 
 
 def write_labels(path, labels):
-    labels = np.asarray(labels, dtype=int).tolist()
+    """One integer label per line; a label that is not an integer, such
+    as 0.5, raises a ValueError and is never truncated."""
+    labels = _as_ints(labels, "labels").tolist()
     with open(path, "w") as fh:
         fh.write("".join([f"{l}\n" for l in labels]))
 

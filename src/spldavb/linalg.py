@@ -20,16 +20,26 @@ def freeze(a, dtype=None, *, borrowed=False):
     """``np.asarray(a, dtype)``, read-only: every array a frozen object
     holds or caches passes through here.
 
-    An array the package built is made read-only in place, with no copy.
-    A ``borrowed`` one, which a caller handed to a public constructor, is
-    copied first if it is writable, so a caller's array never turns
-    read-only.  A read-only array keeps its identity either way.
+    An array the package built is made read-only in place, with no copy,
+    together with every array in its ``.base`` chain, the arrays it is a
+    view of.  A ``borrowed`` one, which a caller handed to a public
+    constructor, is kept only if it and every array in that chain are
+    read-only, and copied otherwise, so a caller's array never turns
+    read-only and no write the caller can still make shows through it.
     """
     a = np.asarray(a, dtype=dtype)
+    base = a.base
+    if borrowed:
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if a.flags.writeable or isinstance(base, np.ndarray):
+            a, base = a.copy(), None
     if a.flags.writeable:
-        if borrowed:
-            a = a.copy()
         a.setflags(write=False)
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            base.setflags(write=False)
+        base = base.base
     return a
 
 

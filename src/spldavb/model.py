@@ -29,16 +29,8 @@ class SpldaModel:
     w: np.ndarray
 
     def __post_init__(self):
-        self.__dict__.update(mu=freeze(self.mu, float, borrowed=True),
-                             v=freeze(self.v, float, borrowed=True),
-                             w=freeze(sym(np.asarray(self.w, dtype=float))))
-        self._check_shapes()
-        # Fails (with jitter) if W is not positive definite.  Only log|W|
-        # is kept from the factor, for ``logdet_w``.
-        self.__dict__["_logdet_w"] = logdet_chol(chol_with_jitter(self.w))
-
-    def _check_shapes(self):
-        mu, v, w = self.mu, self.v, self.w
+        mu, v = (freeze(a, float, borrowed=True) for a in (self.mu, self.v))
+        w = freeze(sym(np.asarray(self.w, dtype=float)))
         d = mu.shape[0]
         if v.shape[0] != d or w.shape != (d, d):
             raise ValueError(
@@ -46,17 +38,10 @@ class SpldaModel:
             )
         if v.shape[1] > d:
             raise ValueError(f"n_y={v.shape[1]} exceeds d={d}")
-
-    @classmethod
-    def _factored(cls, mu, v, w, logdet_w):
-        """A model on a symmetric positive-definite ``w`` whose log|W| is
-        known, ``logdet_w``, so W is neither symmetrized nor factored
-        again: another model's W, or an E[W] built from its eigenpair."""
-        new = object.__new__(cls)
-        new.__dict__.update(mu=freeze(mu, float), v=freeze(v, float),
-                            w=freeze(w), _logdet_w=logdet_w)
-        new._check_shapes()
-        return new
+        # Fails (with jitter) if W is not positive definite.  Only log|W|
+        # is kept from the factor, for ``logdet_w``.
+        self.__dict__.update(mu=mu, v=v, w=w,
+                             _logdet_w=logdet_chol(chol_with_jitter(w)))
 
     @property
     def d(self):

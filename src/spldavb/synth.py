@@ -14,10 +14,13 @@ class SynthSpec:
     """Recipe for a ground-truth synthetic dataset, checked when built; a
     field cannot be assigned after.
 
+    The sizes are integers >= 1 and the scales finite and > 0.
     vectors-per-speaker may be a fixed integer or an inclusive (low, high)
     range of integers, given as any pair and kept as a tuple, at least 1
     either way, so every speaker has an i-vector;
     ``eigenvoice_scale / noise_scale >= 5`` gives the easy-separation regime.
+    With ``model`` set the data are drawn from it: ``d`` and ``n_y`` must be
+    the model's, and the scales, which are then not read, their defaults.
     """
 
     d: int
@@ -30,20 +33,39 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        model = self.model
+        for name in ("d", "n_y", "m_true"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if model is not None and name != "m_true" \
+                    and value != getattr(model, name):
+                raise ValueError(f"{name}={value} differs from the model's "
+                                 f"{name}={getattr(model, name)}")
         if min(self.d, self.n_y, self.m_true) < 1:
             raise ValueError("all sizes must be >= 1")
-        if self.eigenvoice_scale <= 0 or self.noise_scale <= 0:
-            raise ValueError("scales must be > 0")
+        for name in ("eigenvoice_scale", "noise_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            # A field's class attribute is its default.
+            if model is not None and value != getattr(SynthSpec, name):
+                raise ValueError(f"{name}={value!r} has no effect with a model, "
+                                 "which the data are drawn from")
         per = self.per_speaker
         with suppress(TypeError):  # an integer is not iterable
             per = tuple(per)
             object.__setattr__(self, "per_speaker", per)
         low, high = per if isinstance(per, tuple) and len(per) == 2 else (per,) * 2
-        if not (all(np.issubdtype(type(n), np.integer) for n in (low, high))
-                and 1 <= low <= high):
+        if not (_is_int(low) and _is_int(high) and 1 <= low <= high):
             raise ValueError(f"per_speaker must be >= 1: an integer, or a range "
                              f"(low, high) of integers with 1 <= low <= high; "
                              f"got {self.per_speaker!r}")
+
+
+def _is_int(value):
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return np.issubdtype(type(value), np.integer)
 
 
 def random_model(d, n_y, eigenvoice_scale, noise_scale, rng):
@@ -83,8 +105,13 @@ def generate(spec):
 def split_dataset(phi, labels, sup_fraction, seed=0):
     """Split synthetic speakers into supervised and unsupervised subsets.
 
-    Returns ``(dataset, labels)``, the labels of ``dataset.phi``.  The
-    dataset holds the fresh subsets themselves, made read-only."""
+    ``sup_fraction``, in [0, 1], is the share of the speakers labelled,
+    rounded to a whole speaker; at least one speaker is labelled, so 0
+    gives one.  Returns ``(dataset, labels)``, the labels of
+    ``dataset.phi``.  The dataset holds the fresh subsets themselves, made
+    read-only."""
+    if not 0 <= sup_fraction <= 1:  # NaN fails too
+        raise ValueError(f"sup_fraction must lie in [0, 1], got {sup_fraction!r}")
     rng = np.random.default_rng(seed)
     speakers = np.unique(labels)
     n_sup = max(1, int(round(sup_fraction * speakers.size)))

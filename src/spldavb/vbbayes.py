@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
 from .linalg import eigh_pd, freeze, freeze_fields, sym
-from .model import SpldaModel
 from .vbpoint import (
     LOG2PI,
     ExpectedParams,
@@ -80,12 +79,11 @@ class RowPosteriors(GaussianRows):
 
     def expected(self, wpost):
         """The parameter expectations the shared E-step reads under
-        q(Vtilde) q(W), as ``ExpectedParams``: the means as an
-        ``SpldaModel``, E[ln|W|] and u = sum_r wbar_rr Sigma_r."""
+        q(Vtilde) q(W), as ``ExpectedParams``: the row means, E[W],
+        E[ln|W|] and u = sum_r wbar_rr Sigma_r."""
         wbar = wpost.e_w
-        model = SpldaModel._factored(self.mubar, self.vbar, wbar,
-                                     np.log(wpost.omega).sum())
-        return ExpectedParams(model, wpost.e_ln_w, self.sum_cov(wbar.diagonal()))
+        return ExpectedParams(self.mubar, self.vbar, wbar, wpost.e_ln_w,
+                              self.sum_cov(wbar.diagonal()))
 
     def e_mu_quad(self, mu0):
         """(d,) E[(mu_r - mu0_r)^2] under the row posteriors."""

@@ -256,14 +256,14 @@ class DirichletPosterior:
         return freeze(digamma(self.tau) - digamma(self.tau.sum()))
 
 
+@dataclass(frozen=True)
 class ExpectedParams:
-    """The parameter expectations the shared E-step reads.
-
-    ``model`` holds the parameter means, ``ln_w`` is E[ln|W|] and ``u`` =
-    sum_r wbar_rr Sigma_r is what the row covariances Sigma_r of [V | mu]
-    add to E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u.  A point model has
-    u = 0 and E[ln|W|] = ln|W|, the defaults.  Unpacks as
-    ``(model, ln_w, u)``.
+    """The parameter expectations the shared E-step and the merge score
+    read: the means ``mu`` (d,), ``v`` (d, n_y) and ``w`` (d, d), E[ln|W|]
+    = ``ln_w`` and ``u`` = sum_r wbar_rr Sigma_r, what the row covariances
+    Sigma_r of [V | mu] add to E[Vt^T W Vt] = Vtbar^T Wbar Vtbar + u.  A
+    point model's rows have zero covariance: its view, ``from_model``, has
+    u = None, and the E-step skips the u terms.
 
     ``wv`` = Wbar Vbar, ``g`` = E[V^T W V] and its eigendecomposition
     ``eig_g`` are derived on first use and kept, read-only, so the two
@@ -271,31 +271,32 @@ class ExpectedParams:
     ``eigh``.
     """
 
-    def __init__(self, model, ln_w=None, u=None):
-        k = model.n_y + 1
-        self.model = model
-        self.has_u = u is not None  # else the E-step skips its u terms
-        self.u = np.zeros((k, k)) if u is None else u
-        if ln_w is not None:
-            self.ln_w = ln_w  # else derived on first use
+    mu: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    ln_w: float
+    u: np.ndarray | None = None
 
-    def __iter__(self):
-        return iter((self.model, self.ln_w, self.u))
+    def __post_init__(self):
+        freeze_fields(self, ("mu", "v", "w", "u"))
 
-    @cached_property
-    def ln_w(self):
-        return self.model.logdet_w()
+    @classmethod
+    def from_model(cls, model):
+        """The view of the point model ``model``: u = None, E[ln|W|] = ln|W|."""
+        return cls(model.mu, model.v, model.w, model.logdet_w())
 
     @cached_property
     def wv(self):
         """(d, n_y) W V."""
-        return freeze(self.model.w @ self.model.v)
+        return freeze(self.w @ self.v)
 
     @cached_property
     def g(self):
         """(n_y, n_y) E[V^T W V] = V^T W V + u_yy."""
-        n_y = self.model.n_y
-        return freeze(sym(self.model.v.T @ self.wv) + self.u[:n_y, :n_y])
+        g = sym(self.v.T @ self.wv)
+        if self.u is not None:
+            g += self.u[:-1, :-1]
+        return freeze(g)
 
     @cached_property
     def eig_g(self):
@@ -308,8 +309,8 @@ class ExpectedParams:
         """(M, n_y) b_i = (f_i - n_i mu)^T W V - n_i u_{y mu}, with which
         q(y_i) of counts ``n`` and sums ``f`` has mean L_i^-1 b_i."""
         n = n[:, None]  # outer products by broadcasting, as np.outer
-        b = (f - n * self.model.mu) @ self.wv
-        if self.has_u:
+        b = (f - n * self.mu) @ self.wv
+        if self.u is not None:
             b -= n * self.u[:-1, -1]
         return b
 
@@ -317,7 +318,8 @@ class ExpectedParams:
 def _expected(model):
     """``model`` as ``ExpectedParams``; an ``ExpectedParams`` passes
     through."""
-    return model if isinstance(model, ExpectedParams) else ExpectedParams(model)
+    return model if isinstance(model, ExpectedParams) \
+        else ExpectedParams.from_model(model)
 
 
 def update_q_y(stats, model, kappa=1.0):
@@ -354,12 +356,11 @@ def update_q_theta(phi, posteriors, model, dirichlet, kappa=1.0):
     their entropy, -lnq(theta) of the bound.
     """
     ex = _expected(model)
-    n_y = ex.model.n_y
     c = -0.5 * posteriors.trace_e_yy(ex.g)
-    if ex.has_u:
-        c -= posteriors.ybar @ ex.u[:n_y, n_y]
+    if ex.u is not None:
+        c -= posteriors.ybar @ ex.u[:-1, -1]
     c += dirichlet.e_ln_pi
-    log_rho = ((phi - ex.model.mu) @ ex.wv) @ posteriors.ybar.T  # (N, M)
+    log_rho = ((phi - ex.mu) @ ex.wv) @ posteriors.ybar.T  # (N, M)
     log_rho += c
     return _normalize_log_rho(log_rho, kappa)
 
@@ -626,24 +627,23 @@ def mstep_tau0(e_ln_pi, tau0_init=1.0, tol=1e-10):
     return _log_newton(fun, tau0, "tau0", tol=tol)
 
 
-def min_divergence(blocks, model):
+def min_divergence(blocks, mu, v):
     """Minimum-divergence re-standardization of the latent prior.
 
     Absorbs the aggregate posterior mean/covariance of the speaker factors
     into (mu, V) so that the prior stays N(0, I).  The i-vector marginal is
-    left invariant.  ``blocks`` are ``(posteriors, weight)`` pairs; each
-    speaker counts ``weight`` times in the aggregate.  Returns ``(model,
-    (mu_y, t))`` where ``t`` is the lower Cholesky factor of Sigma_y (used
-    to transform the speaker posteriors in step).
+    left invariant, W included, which is unchanged.  ``blocks`` are
+    ``(posteriors, weight)`` pairs; each speaker counts ``weight`` times in
+    the aggregate.  Returns ``(mu', v', (mu_y, t))``, the new arrays
+    read-only, where ``t`` is the lower Cholesky factor of Sigma_y (used to
+    transform the speaker posteriors in step).
     """
     denom = sum(w * p.m for p, w in blocks)
     mu_y = sum(w * p.ybar.sum(axis=0) for p, w in blocks) / denom
     rho = sum(w * p.e_yy_total for p, w in blocks)
     sigma_y = sym(rho / denom - np.outer(mu_y, mu_y))
     t = np.linalg.cholesky(sigma_y)  # raises if Sigma_y is not PD
-    # W is unchanged, so the new model shares it and its log-determinant.
-    return type(model)._factored(model.mu + model.v @ mu_y, model.v @ t,
-                                 model.w, model.logdet_w()), (mu_y, t)
+    return freeze(mu + v @ mu_y), freeze(v @ t), (mu_y, t)
 
 
 def standardize_posteriors(posteriors, mu_y, t):

@@ -261,8 +261,9 @@ class TestAcceptance:
             accumulate_stats(np.eye(4)[np.repeat(np.arange(4), 5)], phi_d),
             model.mu)
         posts_d = vbpoint.update_q_y(stats_d, model)
-        model2, (mu_y, t) = vbpoint.min_divergence(
-            [(posts, 1.0), (posts_d, 0.5)], model)
+        mu2, v2, (mu_y, t) = vbpoint.min_divergence(
+            [(posts, 1.0), (posts_d, 0.5)], model.mu, model.v)
+        model2 = SpldaModel(mu=mu2, v=v2, w=model.w)
         # The transform absorbs the aggregate posterior N(mu_y, T T') into
         # (mu, V); the standard marginal of the new model must equal the old
         # model's marginal under that absorbed prior.

@@ -16,7 +16,7 @@ from scipy.stats import wishart
 
 from spldavb import cli, fileio
 from spldavb.adapt import RunConfig, run_adaptation
-from spldavb.model import Dataset, SpldaModel
+from spldavb.model import SpldaModel
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbbayes import AlphaPosterior, WishartPosterior
 from spldavb.vbpoint import Hyperparams
@@ -100,6 +100,12 @@ class TestMatrixIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
             fileio.read_labels(path)
+
+    def test_fractional_labels_are_rejected_not_truncated(self, tmp_path):
+        path = tmp_path / "l.labels"
+        with pytest.raises(ValueError, match="^labels must be integers, got 0.7"):
+            fileio.write_labels(path, [0.7, 1.2])
+        assert not path.exists()
 
     def test_labels_trailing_blank_lines_accepted(self, tmp_path):
         path = tmp_path / "l.labels"
@@ -278,7 +284,7 @@ class TestWriterBytes:
         fileio.write_model(path, model, state)
         assert path.read_bytes() == model_text(model, state).encode()
 
-    @pytest.mark.parametrize("labels", [[3, 0, 0, 7, 2], [5], []])
+    @pytest.mark.parametrize("labels", [[3, 0, 0, 7, 2], [5], [], [4, -1, 0]])
     def test_labels(self, tmp_path, labels):
         path = tmp_path / "l.labels"
         fileio.write_labels(path, np.array(labels, dtype=int))
@@ -584,6 +590,16 @@ class TestCli:
                      "--out-prefix", str(tmp_path / "data")]) == 1
         assert capsys.readouterr().err.startswith(
             "error: per_speaker must be >= 1")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fraction", ["-2", "1.5", "nan"])
+    def test_synth_rejects_a_fraction_outside_zero_one(self, tmp_path, capsys,
+                                                       fraction):
+        assert _run(["synth", "--d", "3", "--ny", "1", "--speakers", "4",
+                     "--per-speaker", "2", "--sup-fraction", fraction,
+                     "--out-prefix", str(tmp_path / "data")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: sup_fraction must lie in [0, 1]")
         assert not list(tmp_path.iterdir())
 
     def test_elbo_audit_rejects_zero_sweeps(self, synth_files, tmp_path,

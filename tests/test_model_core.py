@@ -179,6 +179,13 @@ class TestCondLoglik:
             SpldaModel(mu=np.zeros(2), v=np.zeros((2, 1)),
                        w=np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    def test_rejects_inconsistent_shapes(self):
+        model = random_model(np.random.default_rng(26), 5, 2)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            SpldaModel(mu=model.mu[:-1], v=model.v, w=model.w)
+        with pytest.raises(ValueError, match="exceeds"):
+            SpldaModel(mu=model.mu, v=np.zeros((5, 6)), w=model.w)
+
 
 class TestMarginal:
     def test_no_speaker_variability(self):

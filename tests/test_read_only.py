@@ -39,9 +39,9 @@ def state():
     swept = var.sweep(params, stats, dirichlet, 1.0)
     rowpost, wpost, alphapost = (bayes.bayes_state[key] for key in (
         "rowpost", "wpost", "alphapost"))
-    expected = vbpoint.ExpectedParams(trained)
+    expected = rowpost.expected(wpost)
     return {
-        "SpldaModel": point.model,  # built by min_divergence, as _factored
+        "SpldaModel": point.model,
         "Dataset": dataset,
         "SuffStats": center_stats(swept.reduced.stats, trained.mu),
         "Hyperparams": bayes.bayes_state["hyper"],
@@ -69,6 +69,8 @@ FIELDS = [
     "AlphaPosterior.b_prime",
     "WishartPosterior.e_w", "WishartPosterior.omega", "WishartPosterior.q",
     "WishartPosterior.k",
+    "ExpectedParams.mu", "ExpectedParams.v", "ExpectedParams.w",
+    "ExpectedParams.u",
 ]
 # Arrays derived on first use and kept.
 CACHED = [
@@ -155,6 +157,34 @@ def test_read_only_array_keeps_its_identity():
     hyper = Hyperparams(mu0=mu0, beta=1.0)
     assert hyper.mu0 is mu0
     assert dataclasses.replace(hyper, tau0=2.0).mu0 is mu0
+
+
+def test_read_only_view_of_a_writable_array_is_copied():
+    # The caller can still write the view's base, and such a write would
+    # reach the checked prior.
+    mu0 = np.zeros(3)
+    view = mu0[:]
+    view.flags.writeable = False
+    hyper = Hyperparams(mu0=view, beta=1.0)
+    mu0[0] = np.nan
+    assert np.isfinite(hyper.mu0).all() and mu0.flags.writeable
+    # A read-only view of a read-only array is kept.
+    base = np.zeros(3)
+    base.flags.writeable = False
+    view = base[:]
+    assert Hyperparams(mu0=view, beta=1.0).mu0 is view
+
+
+def test_package_built_view_is_frozen_with_its_base():
+    # _mstep's vtilde is a transpose of a writable solve output; freezing
+    # it freezes that output too, so a model holds its views uncopied.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3))
+    mu, v, w = adapt._mstep(100.0 * np.eye(5), rng.standard_normal((5, 3)),
+                            a @ a.T + 3.0 * np.eye(3), 50.0)
+    assert mu.base is v.base and not mu.base.flags.writeable
+    model = SpldaModel(mu=mu, v=v, w=w)
+    assert model.mu is mu and model.v is v
 
 
 def test_package_built_arrays_are_not_copied(state, monkeypatch):

@@ -62,6 +62,32 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SynthSpec(d=2, n_y=1, m_true=1, per_speaker=2, noise_scale=0.0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("eigenvoice_scale", np.nan, "eigenvoice_scale must be finite"),
+        ("noise_scale", np.inf, "noise_scale must be finite"),
+        ("d", 2.5, "d must be an integer"),
+        ("n_y", 1.0, "n_y must be an integer"),
+        ("m_true", True, "m_true must be an integer"),
+    ])
+    def test_rejects_what_generate_cannot_read(self, field, value, match):
+        kwargs = dict(d=3, n_y=1, m_true=2, per_speaker=2)
+        with pytest.raises(ValueError, match=f"^{match}"):
+            SynthSpec(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("d", 2, "d=2 differs from the model's d=6"),
+        ("n_y", 1, "n_y=1 differs from the model's n_y=2"),
+        ("eigenvoice_scale", 9.0, "eigenvoice_scale=9.0 has no effect"),
+        ("noise_scale", 0.5, "noise_scale=0.5 has no effect"),
+    ])
+    def test_a_given_model_fixes_the_sizes_and_scales(self, field, value, match):
+        _, _, model = generate(SynthSpec(d=6, n_y=2, m_true=1, per_speaker=1))
+        kwargs = dict(d=6, n_y=2, m_true=3, per_speaker=4, model=model)
+        with pytest.raises(ValueError, match=f"^{match}"):
+            SynthSpec(**{**kwargs, field: value})
+        phi, _, drawn = generate(SynthSpec(**kwargs))
+        assert drawn is model and phi.shape == (12, 6)
+
     @pytest.mark.parametrize("per_speaker", [0, -2, (0, 2), (5, 2), (-1, 3)])
     def test_rejects_a_speaker_without_ivectors(self, per_speaker):
         # (0, 2) would drop the speakers that draw 0; (5, 2) has no count.
@@ -111,6 +137,12 @@ class TestSplit:
         # every supervised speaker keeps all its vectors together
         np.testing.assert_array_equal(np.bincount(dataset.labels_d),
                                       np.full(dataset.m_d, 5))
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, np.nan])
+    def test_rejects_a_fraction_outside_zero_one(self, fraction):
+        phi, labels, _ = generate(SynthSpec(d=3, n_y=1, m_true=4, per_speaker=2))
+        with pytest.raises(ValueError, match=r"^sup_fraction must lie in \[0, 1\]"):
+            split_dataset(phi, labels, fraction)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_permuted_sparse_labels_match_the_loop_split(self, seed):

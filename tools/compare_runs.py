@@ -56,7 +56,6 @@ import argparse
 import contextlib
 import dataclasses
 import io
-import json
 import os
 import pickle
 import select
