@@ -11,7 +11,7 @@ import scipy.cluster.hierarchy
 import scipy.spatial.distance
 
 from . import vbbayes, vbpoint
-from .linalg import freeze, freeze_fields
+from .linalg import check_settings, freeze, freeze_fields
 from .model import (Dataset, SpldaModel, SuffStats, _hard_stats, _int_labels,
                     _labelled_stats, _one_hot, accumulate_stats)
 from .synth import pairwise_llr_matrix
@@ -42,28 +42,6 @@ _UNREAD_UNDER = (
     ("merge_threshold", "prune_merge", False),
     ("prune_every", "prune_merge", False),
 )
-
-# Lower bounds of the numeric knobs, shared by RunConfig and train_supervised
-# (n_y is train_supervised's alone), and the knobs that must be integers.
-_LOWER_BOUNDS = {"m_init": 1, "max_iter": 1, "prune_every": 1, "sampler_k": 0,
-                 "seed": 0, "kappa_growth": 1, "prune_threshold": 0,
-                 "merge_threshold": 0, "elbo_tol": 0, "n_y": 1}
-_INTEGER_KNOBS = ("m_init", "max_iter", "prune_every", "sampler_k", "seed",
-                  "n_y")
-
-
-def _check_knobs(values):
-    """Raise a ValueError for the first ``knob: value`` that is not an
-    integer (a numpy integer will do, a bool will not) where
-    ``_INTEGER_KNOBS`` asks for one, or is below its bound in
-    ``_LOWER_BOUNDS``; the test is written so that NaN fails it."""
-    for knob, value in values.items():
-        # Python's bool is an int, but its dtype is not integral.
-        if knob in _INTEGER_KNOBS and not np.issubdtype(type(value), np.integer):
-            raise ValueError(f"{knob} must be an integer, got {value!r}")
-        low = _LOWER_BOUNDS[knob]
-        if not value >= low:
-            raise ValueError(f"{knob} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -101,13 +79,9 @@ class RunConfig:
 
     def __post_init__(self):
         freeze_fields(self, ("oracle_labels",), borrowed=True)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a truthy string such as "false" would do the opposite
-            if f.type is bool and not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{f.name} must be a bool, got {value!r}")
-        _check_knobs({k: getattr(self, k) for k in _LOWER_BOUNDS
-                      if k != "n_y"})
+        # Before _UNREAD_UNDER, whose != would not give a bool on an array.
+        check_settings(**{f.name: getattr(self, f.name) for f in fields(self)
+                          if f.type in (bool, int, float)})
         if self.init_method not in _INIT_METHODS:
             raise ValueError(f"unknown init_method {self.init_method!r}; "
                              f"expected one of {', '.join(_INIT_METHODS)}")
@@ -116,8 +90,6 @@ class RunConfig:
         if self.init_method != "oracle" and self.oracle_labels is not None:
             raise ValueError(f"oracle_labels is only read by init_method='oracle', "
                              f"not {self.init_method!r}")
-        if not 0 < self.kappa0 <= 1:
-            raise ValueError(f"kappa0 must lie in (0, 1], got {self.kappa0}")
         if self.variant not in ("point", "bayes"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.sampler_strategy not in ("best_sample", "average_accumulators"):
@@ -813,8 +785,7 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     """
     phi_d = np.asarray(phi_d, dtype=float)
     n_d, d = phi_d.shape
-    _check_knobs({"n_y": n_y, "max_iter": max_iter, "elbo_tol": elbo_tol,
-                  "seed": seed})
+    check_settings(n_y=n_y, max_iter=max_iter, elbo_tol=elbo_tol, seed=seed)
     if model_init is not None and seed != 0:
         raise ValueError(f"seed={seed!r} has no effect with model_init")
     if n_d <= d:

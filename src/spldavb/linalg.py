@@ -1,6 +1,7 @@
-"""Small shared array helpers: the package's one immutability rule
-(:func:`freeze`), and linear algebra that is Cholesky- or eigh-based, with
-one jitter policy.
+"""Small shared helpers: the package's one immutability rule
+(:func:`freeze`), its one rule for scalar settings
+(:func:`check_settings`), and linear algebra that is Cholesky- or
+eigh-based, with one jitter policy.
 
 Each ``*_pd`` helper factors its matrix once; a caller that needs both
 the inverse and the log-determinant takes them from one factor with
@@ -16,18 +17,74 @@ class NotPositiveDefiniteError(ValueError):
     pass
 
 
-def freeze(a, dtype=None, *, borrowed=False):
+def _at_least(low):
+    return f"be >= {low}", lambda value: value >= low
+
+
+_POSITIVE = "be finite and > 0", lambda value: 0 < value < np.inf
+_UNIT = "lie in [0, 1]", lambda value: 0 <= value <= 1
+_HALF_OPEN_UNIT = "lie in (0, 1]", lambda value: 0 < value <= 1
+
+# The kind of each scalar setting and its condition, (text, test), by name:
+# a name has one rule wherever it appears.  Every test fails NaN.  A name
+# not listed, such as RunConfig's anneal, is a bool with no condition.
+_SETTINGS = {
+    **dict.fromkeys(("m_init", "max_iter", "prune_every", "n_y", "d", "m_true"),
+                    (int, _at_least(1))),
+    **dict.fromkeys(("sampler_k", "seed"), (int, _at_least(0))),
+    **dict.fromkeys(("prune_threshold", "merge_threshold", "elbo_tol"),
+                    (float, _at_least(0))),
+    "kappa_growth": (float, _at_least(1)),
+    **dict.fromkeys(("kappa0", "eta"), (float, _HALF_OPEN_UNIT)),
+    "sup_fraction": (float, _UNIT),
+    **dict.fromkeys(("tau0", "a_alpha", "b_alpha", "beta", "eigenvoice_scale",
+                     "noise_scale"), (float, _POSITIVE)),
+}
+
+# What each kind accepts, by numpy type: Python's bool is an int, but its
+# type is not an np.integer, and an array, a list or a string is no kind.
+_KINDS = {bool: ("a bool", (np.bool_,)), int: ("an integer", (np.integer,)),
+          float: ("a real number", (np.integer, np.floating))}
+
+
+def check_settings(**values):
+    """Raise a ValueError naming the setting for the first ``name=value``
+    that is not of its kind in ``_SETTINGS`` (a numpy scalar will do, and
+    an integer for a real number) or fails its condition there."""
+    for name, value in values.items():
+        kind, condition = _SETTINGS.get(name, (bool, None))
+        noun, types = _KINDS[kind]
+        if not any(np.issubdtype(type(value), t) for t in types):
+            raise ValueError(f"{name} must be {noun}, got {value!r}")
+        if condition is not None and not condition[1](value):
+            raise ValueError(f"{name} must {condition[0]}, got {value!r}")
+
+
+def real_array(a, name):
+    """``np.asarray(a)``, checked to hold integers or floats: a bool,
+    string or object array raises a ValueError naming ``name``, and is
+    never read as numbers."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got an array of "
+                         f"dtype {a.dtype}")
+    return a
+
+
+def freeze(a, dtype=None, *, borrowed=None):
     """``np.asarray(a, dtype)``, read-only: every array a frozen object
     holds or caches passes through here.
 
     An array the package built is made read-only in place, with no copy,
     together with every array in its ``.base`` chain, the arrays it is a
     view of.  A ``borrowed`` one, which a caller handed to a public
-    constructor, is kept only if it and every array in that chain are
-    read-only, and copied otherwise, so a caller's array never turns
-    read-only and no write the caller can still make shows through it.
+    constructor as the field ``borrowed`` names, must pass
+    :func:`real_array`, and is kept only if it and every array in that
+    chain are read-only, and copied otherwise, so a caller's array never
+    turns read-only and no write the caller can still make shows through
+    it.
     """
-    a = np.asarray(a, dtype=dtype)
+    a = np.asarray(real_array(a, borrowed) if borrowed else a, dtype=dtype)
     base = a.base
     if borrowed:
         while isinstance(base, np.ndarray) and not base.flags.writeable:
@@ -45,11 +102,12 @@ def freeze(a, dtype=None, *, borrowed=False):
 
 def freeze_fields(obj, names, dtype=None, *, borrowed=False):
     """Rebind each field in ``names`` of the frozen dataclass ``obj`` that
-    is not None to its :func:`freeze`, unless that is the array it holds."""
+    is not None to its :func:`freeze`, borrowed under its own name if
+    ``borrowed``, unless that is the array it holds."""
     for name in names:
         value = getattr(obj, name)
         if value is not None:
-            frozen = freeze(value, dtype, borrowed=borrowed)
+            frozen = freeze(value, dtype, borrowed=borrowed and name)
             if frozen is not value:
                 object.__setattr__(obj, name, frozen)
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import chol_with_jitter, freeze, freeze_fields, inv_pd, logdet_chol, sym
+from .linalg import (chol_with_jitter, freeze, freeze_fields, inv_pd, logdet_chol,
+                     real_array, sym)
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,9 @@ class SpldaModel:
     w: np.ndarray
 
     def __post_init__(self):
-        mu, v = (freeze(a, float, borrowed=True) for a in (self.mu, self.v))
-        w = freeze(sym(np.asarray(self.w, dtype=float)))
+        mu, v = (freeze(getattr(self, name), float, borrowed=name)
+                 for name in ("mu", "v"))
+        w = freeze(sym(np.asarray(real_array(self.w, "w"), dtype=float)))
         d = mu.shape[0]
         if v.shape[0] != d or w.shape != (d, d):
             raise ValueError(
@@ -79,8 +81,9 @@ class Dataset:
     labels_d: np.ndarray
 
     def __post_init__(self):
-        phi, phi_d = (np.atleast_2d(freeze(arr, float, borrowed=True))
-                      for arr in (self.phi, self.phi_d))
+        phi, phi_d = (np.atleast_2d(freeze(getattr(self, name), float,
+                                           borrowed=name))
+                      for name in ("phi", "phi_d"))
         if not phi.size and not phi_d.size:
             raise ValueError("phi and phi_d are both empty")
         d = (phi if phi.size else phi_d).shape[1]

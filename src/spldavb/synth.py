@@ -1,11 +1,11 @@
 """Synthetic data generation and verification scoring for the SPLDA model."""
 
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import freeze, inv_logdet_pd, inv_pd, sym
+from .linalg import check_settings, freeze, inv_logdet_pd, inv_pd, sym
 from .model import Dataset, SpldaModel
 
 
@@ -14,7 +14,8 @@ class SynthSpec:
     """Recipe for a ground-truth synthetic dataset, checked when built; a
     field cannot be assigned after.
 
-    The sizes are integers >= 1 and the scales finite and > 0.
+    The sizes are integers >= 1, the seed an integer >= 0 and the scales
+    finite and > 0 (see ``linalg.check_settings``).
     vectors-per-speaker may be a fixed integer or an inclusive (low, high)
     range of integers, given as any pair and kept as a tuple, at least 1
     either way, so every speaker has an i-vector;
@@ -34,20 +35,15 @@ class SynthSpec:
 
     def __post_init__(self):
         model = self.model
-        for name in ("d", "n_y", "m_true"):
+        check_settings(**{f.name: getattr(self, f.name) for f in fields(self)
+                          if f.type in (int, float)})
+        for name in ("d", "n_y"):
             value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if model is not None and name != "m_true" \
-                    and value != getattr(model, name):
+            if model is not None and value != getattr(model, name):
                 raise ValueError(f"{name}={value} differs from the model's "
                                  f"{name}={getattr(model, name)}")
-        if min(self.d, self.n_y, self.m_true) < 1:
-            raise ValueError("all sizes must be >= 1")
         for name in ("eigenvoice_scale", "noise_scale"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             # A field's class attribute is its default.
             if model is not None and value != getattr(SynthSpec, name):
                 raise ValueError(f"{name}={value!r} has no effect with a model, "
@@ -57,15 +53,11 @@ class SynthSpec:
             per = tuple(per)
             object.__setattr__(self, "per_speaker", per)
         low, high = per if isinstance(per, tuple) and len(per) == 2 else (per,) * 2
-        if not (_is_int(low) and _is_int(high) and 1 <= low <= high):
+        if not (np.issubdtype(type(low), np.integer)
+                and np.issubdtype(type(high), np.integer) and 1 <= low <= high):
             raise ValueError(f"per_speaker must be >= 1: an integer, or a range "
                              f"(low, high) of integers with 1 <= low <= high; "
                              f"got {self.per_speaker!r}")
-
-
-def _is_int(value):
-    """Whether ``value`` is a Python or numpy integer; a bool is not."""
-    return np.issubdtype(type(value), np.integer)
 
 
 def random_model(d, n_y, eigenvoice_scale, noise_scale, rng):
@@ -110,8 +102,7 @@ def split_dataset(phi, labels, sup_fraction, seed=0):
     gives one.  Returns ``(dataset, labels)``, the labels of
     ``dataset.phi``.  The dataset holds the fresh subsets themselves, made
     read-only."""
-    if not 0 <= sup_fraction <= 1:  # NaN fails too
-        raise ValueError(f"sup_fraction must lie in [0, 1], got {sup_fraction!r}")
+    check_settings(sup_fraction=sup_fraction, seed=seed)
     rng = np.random.default_rng(seed)
     speakers = np.unique(labels)
     n_sup = max(1, int(round(sup_fraction * speakers.size)))

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import digamma, gammaln, polygamma
 
-from .linalg import freeze, freeze_fields, inv_pd, sym
+from .linalg import check_settings, freeze, freeze_fields, inv_pd, sym
 
 LOG2PI = np.log(2.0 * np.pi)
 
@@ -38,16 +38,15 @@ class Hyperparams:
     b_alpha: float = 1e-3
 
     def __post_init__(self):
-        arrays = ("mu0",) if np.isscalar(self.beta) else ("mu0", "beta")
-        freeze_fields(self, arrays, float, borrowed=True)
-        if not 0 < self.eta <= 1:
-            raise ValueError("eta must lie in (0, 1]")
-        positive = ("tau0", "a_alpha", "b_alpha") + (
-            () if self.beta is None else ("beta",))
-        for name in positive:
-            value = getattr(self, name)
-            if not ((np.asarray(value) > 0) & np.isfinite(value)).all():
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        scalar_beta = np.isscalar(self.beta)  # "1" too, which is rejected
+        check_settings(tau0=self.tau0, eta=self.eta, a_alpha=self.a_alpha,
+                       b_alpha=self.b_alpha,
+                       **({"beta": self.beta} if scalar_beta else {}))
+        freeze_fields(self, ("mu0",) if scalar_beta else ("mu0", "beta"),
+                      float, borrowed=True)
+        if not (scalar_beta or self.beta is None
+                or ((self.beta > 0) & np.isfinite(self.beta)).all()):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
         if self.mu0 is not None and not np.isfinite(self.mu0).all():
             raise ValueError(f"mu0 must be finite, got {self.mu0!r}")
 

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spldavb import adapt, vbbayes, vbpoint
+from spldavb import adapt, linalg, vbbayes, vbpoint
 from spldavb.adapt import (
     RunConfig,
     Responsibilities,
@@ -1217,6 +1217,25 @@ class TestRuns:
         with pytest.raises(ValueError, match=rf"^{knob} must"):
             RunConfig(**READ_WITH.get(knob, {}), **{knob: float("nan")})
 
+    @pytest.mark.parametrize("value", [True, np.array([0.5]), "0.5"])
+    @pytest.mark.parametrize(
+        "knob", [f.name for f in fields(RunConfig) if f.type is float])
+    def test_float_knob_of_another_kind_rejected(self, knob, value):
+        # A bool, an array or a string is not a real number, though a
+        # range check might read it as one.
+        with pytest.raises(ValueError, match=rf"^{knob} must be a real number"):
+            RunConfig(**READ_WITH.get(knob, {}), **{knob: value})
+
+    def test_every_scalar_setting_has_one_rule(self):
+        # One table checks every scalar setting, by name: an int or float
+        # field added later needs a rule there.
+        settings = [(f.name, f.type) for cls in (RunConfig, SynthSpec)
+                    for f in fields(cls) if f.type in (int, float)]
+        settings += [(f.name, float) for f in fields(Hyperparams)
+                     if f.name != "mu0"]
+        for name, kind in settings:
+            assert linalg._SETTINGS[name][0] is kind, name
+
     @pytest.mark.parametrize(
         "knob", [f.name for f in fields(RunConfig) if f.type is bool])
     def test_non_bool_bool_knob_rejected(self, knob):
@@ -1371,6 +1390,19 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=field):
             Hyperparams(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        *((field, value) for field in ("tau0", "eta", "a_alpha", "b_alpha")
+          for value in (True, [0.5], np.array([0.5]), "0.5")),
+        ("beta", True),
+        ("beta", "1"),
+    ])
+    def test_scalar_prior_of_another_kind_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number"):
+            Hyperparams(**{field: value})
+        # A list or array beta is a vector prior, one entry per dimension.
+        Hyperparams(beta=[0.5, 1.0])
+        Hyperparams(beta=np.array([0.5]))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_mu0_rejected(self, value):
         mu0 = np.zeros(5)
@@ -1507,6 +1539,7 @@ class TestTrainSupervised:
         ("fractional max_iter", "max_iter must be an integer, got 2.5"),
         ("fractional n_y", "n_y must be an integer, got 1.5"),
         ("negative seed", "seed must be >= 0, got -1"),
+        ("array elbo_tol", "^elbo_tol must be a real number"),
     ])
     def test_rejects_invalid_input(self, defect, message):
         phi, labels, _ = generate(SynthSpec(
@@ -1528,6 +1561,8 @@ class TestTrainSupervised:
             n_y = 1.5
         elif defect == "negative seed":
             seed = -1
+        elif defect == "array elbo_tol":
+            elbo_tol = np.array([1.0])
         else:
             phi[2, 1] = np.nan
         with pytest.raises(ValueError, match=message):

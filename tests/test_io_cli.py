@@ -567,6 +567,13 @@ class TestCli:
 
     def test_negative_seed_is_named(self, synth_files, tmp_path, capsys):
         prefix = synth_files
+        out = tmp_path / "out"
+        out.mkdir()
+        assert _run(["synth", "--d", "3", "--ny", "1", "--speakers", "4",
+                     "--per-speaker", "2", "--seed", "-1",
+                     "--out-prefix", str(out / "data")]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not list(out.iterdir())
         model_path = str(tmp_path / "sup.splda")
         assert _run(["train", "--ivectors", prefix + ".phi_d",
                      "--labels", prefix + ".labels_d", "--ny", "2",

@@ -151,6 +151,17 @@ def test_objects_hold_read_only_copies_of_caller_arrays():
         assert not any(np.shares_memory(arr, mine) for mine in given.values())
 
 
+@pytest.mark.parametrize("dtype", [bool, str, object])
+@pytest.mark.parametrize("name", ["mu", "v", "w", "phi", "phi_d", "mu0", "beta",
+                                  "oracle_labels"])
+def test_caller_arrays_must_hold_real_numbers(name, dtype):
+    # A float conversion would read True as 1.0 and "0.5" as 0.5.
+    given = _caller_arrays()
+    given[name] = given[name].astype(dtype)
+    with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+        _built_from(given)
+
+
 def test_read_only_array_keeps_its_identity():
     mu0 = np.zeros(3)
     mu0.flags.writeable = False

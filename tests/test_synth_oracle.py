@@ -68,6 +68,12 @@ class TestGenerate:
         ("d", 2.5, "d must be an integer"),
         ("n_y", 1.0, "n_y must be an integer"),
         ("m_true", True, "m_true must be an integer"),
+        ("seed", 2.5, "seed must be an integer, got 2.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", True, "seed must be an integer, got True"),
+        *((field, value, f"{field} must be a real number")
+          for field in ("eigenvoice_scale", "noise_scale")
+          for value in (True, np.array([1.0, 2.0]), "1")),
     ])
     def test_rejects_what_generate_cannot_read(self, field, value, match):
         kwargs = dict(d=3, n_y=1, m_true=2, per_speaker=2)
@@ -143,6 +149,17 @@ class TestSplit:
         phi, labels, _ = generate(SynthSpec(d=3, n_y=1, m_true=4, per_speaker=2))
         with pytest.raises(ValueError, match=r"^sup_fraction must lie in \[0, 1\]"):
             split_dataset(phi, labels, fraction)
+
+    @pytest.mark.parametrize("setting, value, match", [
+        ("seed", 2.5, r"seed must be an integer, got 2\.5"),
+        ("sup_fraction", True, "sup_fraction must be a real number, got True"),
+        ("sup_fraction", np.array([0.5]), "sup_fraction must be a real number"),
+    ])
+    def test_rejects_a_setting_of_another_kind(self, setting, value, match):
+        phi, labels, _ = generate(SynthSpec(d=3, n_y=1, m_true=4, per_speaker=2))
+        kwargs = dict(sup_fraction=0.5, seed=0)
+        with pytest.raises(ValueError, match=f"^{match}"):
+            split_dataset(phi, labels, **{**kwargs, setting: value})
 
     @pytest.mark.parametrize("seed", range(6))
     def test_permuted_sparse_labels_match_the_loop_split(self, seed):
