@@ -11,9 +11,9 @@ import scipy.cluster.hierarchy
 import scipy.spatial.distance
 
 from . import vbbayes, vbpoint
-from .linalg import check_settings, freeze, freeze_fields
-from .model import (Dataset, SpldaModel, SuffStats, _hard_stats, _int_labels,
-                    _labelled_stats, _one_hot, accumulate_stats)
+from .linalg import check_array, check_settings, freeze, freeze_fields
+from .model import (Dataset, SpldaModel, SuffStats, _hard_stats, _labelled_stats,
+                    _one_hot, accumulate_stats)
 from .synth import pairwise_llr_matrix
 from .vbpoint import LOG2PI, Responsibilities, SpeakerPosteriors
 
@@ -151,7 +151,7 @@ def init_responsibilities(dataset, model, config, tau0=1.0):
     if config.init_method == "uniform_pi":
         return Responsibilities(r=np.full((n, m), 1.0 / m))
     if config.init_method == "oracle":
-        labels = _int_labels(config.oracle_labels, "oracle_labels")
+        labels = config.oracle_labels
         if labels.shape != (n,):
             raise ValueError(f"oracle_labels has shape {labels.shape}; expected "
                              f"({n},), one label per unlabelled i-vector")
@@ -669,8 +669,7 @@ def run_adaptation(dataset, model_init, hyper, config):
     if hyper.mu0 is not None and np.shape(hyper.mu0) != (dataset.d,):
         raise ValueError(f"Hyperparams.mu0 has shape {np.shape(hyper.mu0)}; "
                          f"expected ({dataset.d},), one entry per dimension")
-    if hyper.beta is not None and (np.ndim(hyper.beta) > 1
-                                   or np.size(hyper.beta) not in (1, dataset.d)):
+    if hyper.beta is not None and np.size(hyper.beta) not in (1, dataset.d):
         raise ValueError(f"Hyperparams.beta has shape {np.shape(hyper.beta)}; "
                          f"expected 1 or {dataset.d} entries")
     if dataset.phi.shape[0] == 0:
@@ -783,7 +782,7 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     ``seed`` draws the random initial model, so it is rejected away from
     its default when ``model_init`` is given.
     """
-    phi_d = np.asarray(phi_d, dtype=float)
+    phi_d = np.atleast_2d(check_array(phi_d, "phi_d"))
     n_d, d = phi_d.shape
     check_settings(n_y=n_y, max_iter=max_iter, elbo_tol=elbo_tol, seed=seed)
     if model_init is not None and seed != 0:

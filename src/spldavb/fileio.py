@@ -8,8 +8,8 @@ import warnings
 
 import numpy as np
 
-from .linalg import freeze
-from .model import SpldaModel, _as_ints
+from .linalg import check_array, freeze
+from .model import SpldaModel
 
 _FMT = "%.17g"
 # The HYPER lines of a Bayesian model file, in order; a reader needs each
@@ -36,8 +36,9 @@ def _write_rows(fh, x):
 
 
 def write_matrix(path, x):
-    """Write a 1-D or 2-D array with an ``IVEC rows cols`` header."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """Write a 1-D or 2-D array with an ``IVEC rows cols`` header; a 1-D
+    array is one row."""
+    x = np.atleast_2d(check_array(x, "x"))
     with open(path, "w") as fh:
         fh.write(f"IVEC {x.shape[0]} {x.shape[1]}\n")
         _write_rows(fh, x)
@@ -116,7 +117,7 @@ def read_matrix(path):
 def write_labels(path, labels):
     """One integer label per line; a label that is not an integer, such
     as 0.5, raises a ValueError and is never truncated."""
-    labels = _as_ints(labels, "labels").tolist()
+    labels = check_array(labels, "labels").tolist()
     with open(path, "w") as fh:
         fh.write("".join([f"{l}\n" for l in labels]))
 

@@ -1,6 +1,7 @@
 """Small shared helpers: the package's one immutability rule
 (:func:`freeze`), its one rule for scalar settings
-(:func:`check_settings`), and linear algebra that is Cholesky- or
+(:func:`check_settings`) and for a caller's arrays
+(:func:`check_array`), and linear algebra that is Cholesky- or
 eigh-based, with one jitter policy.
 
 Each ``*_pd`` helper factors its matrix once; a caller that needs both
@@ -21,7 +22,9 @@ def _at_least(low):
     return f"be >= {low}", lambda value: value >= low
 
 
-_POSITIVE = "be finite and > 0", lambda value: 0 < value < np.inf
+# These two tests are elementwise, so the array rules below share them.
+_FINITE = "be finite", np.isfinite
+_POSITIVE = "be finite and > 0", lambda value: (0 < value) & (value < np.inf)
 _UNIT = "lie in [0, 1]", lambda value: 0 <= value <= 1
 _HALF_OPEN_UNIT = "lie in (0, 1]", lambda value: 0 < value <= 1
 
@@ -60,15 +63,47 @@ def check_settings(**values):
             raise ValueError(f"{name} must {condition[0]}, got {value!r}")
 
 
-def real_array(a, name):
-    """``np.asarray(a)``, checked to hold integers or floats: a bool,
-    string or object array raises a ValueError naming ``name``, and is
-    never read as numbers."""
+# The kind, the allowed numbers of dimensions and the condition of each
+# array a caller hands in, by name, as in _SETTINGS: a real array is read
+# as floats, labels (int) as ints that must be whole numbers, so 0.5 is
+# never truncated.  A 1-D phi, phi_d or x is one row; x, a matrix to
+# write, may hold any double, as the file round-trips every one.
+_ARRAYS = {
+    **dict.fromkeys(("phi", "phi_d"), (float, (1, 2), _FINITE)),
+    "x": (float, (1, 2), None),
+    **dict.fromkeys(("phi_a", "phi_b", "mu", "mu0"), (float, (1,), _FINITE)),
+    **dict.fromkeys(("v", "w"), (float, (2,), _FINITE)),
+    "beta": (float, (0, 1), _POSITIVE),
+    **dict.fromkeys(("labels", "pred_labels", "true_labels"), (int, (1,), None)),
+    **dict.fromkeys(("labels_d", "oracle_labels"), (int, (1,), (
+        "not hold a negative speaker label", lambda value: value >= 0))),
+}
+
+
+def check_array(a, name):
+    """``a`` as the floats or ints its rule in ``_ARRAYS`` reads, with no
+    copy when it already is.  Raise a ValueError naming ``name`` if ``a``
+    does not hold integers or floats (a bool, string, object or complex
+    array is never read as numbers), has a number of dimensions its rule
+    does not allow, holds a label that is not a whole number, or has an
+    entry that fails its condition."""
+    kind, dims, condition = _ARRAYS[name]
     a = np.asarray(a)
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold real numbers, got an array of "
                          f"dtype {a.dtype}")
-    return a
+    if a.ndim not in dims:
+        raise ValueError(f"{name} must be {' or '.join(f'{n}-D' for n in dims)}, "
+                         f"got shape {a.shape}")
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+        out = a.astype(kind, copy=False)
+    if kind is int and not np.array_equal(out, a):
+        raise ValueError(f"{name} must be integers, got {a[out != a][0]}")
+    if condition is not None:
+        ok = condition[1](out)
+        if not ok.all():
+            raise ValueError(f"{name} must {condition[0]}, got {out[~ok][0]}")
+    return out
 
 
 def freeze(a, dtype=None, *, borrowed=None):
@@ -78,13 +113,13 @@ def freeze(a, dtype=None, *, borrowed=None):
     An array the package built is made read-only in place, with no copy,
     together with every array in its ``.base`` chain, the arrays it is a
     view of.  A ``borrowed`` one, which a caller handed to a public
-    constructor as the field ``borrowed`` names, must pass
-    :func:`real_array`, and is kept only if it and every array in that
-    chain are read-only, and copied otherwise, so a caller's array never
-    turns read-only and no write the caller can still make shows through
-    it.
+    constructor as the field ``borrowed`` names, is
+    ``check_array(a, borrowed)``, whose rule sets its dtype in place of
+    ``dtype``.  It is kept only if it and every array in that chain are
+    read-only, and copied otherwise, so a caller's array never turns
+    read-only and no write the caller can still make shows through it.
     """
-    a = np.asarray(real_array(a, borrowed) if borrowed else a, dtype=dtype)
+    a = check_array(a, borrowed) if borrowed else np.asarray(a, dtype=dtype)
     base = a.base
     if borrowed:
         while isinstance(base, np.ndarray) and not base.flags.writeable:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (chol_with_jitter, freeze, freeze_fields, inv_pd, logdet_chol,
-                     real_array, sym)
+from .linalg import (check_array, chol_with_jitter, freeze, freeze_fields, inv_pd,
+                     logdet_chol, sym)
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ class SpldaModel:
     w: np.ndarray
 
     def __post_init__(self):
-        mu, v = (freeze(getattr(self, name), float, borrowed=name)
+        mu, v = (freeze(getattr(self, name), borrowed=name)
                  for name in ("mu", "v"))
-        w = freeze(sym(np.asarray(real_array(self.w, "w"), dtype=float)))
+        w = check_array(self.w, "w")
         d = mu.shape[0]
         if v.shape[0] != d or w.shape != (d, d):
             raise ValueError(
@@ -40,6 +40,7 @@ class SpldaModel:
             )
         if v.shape[1] > d:
             raise ValueError(f"n_y={v.shape[1]} exceeds d={d}")
+        w = freeze(sym(w))
         # Fails (with jitter) if W is not positive definite.  Only log|W|
         # is kept from the factor, for ``logdet_w``.
         self.__dict__.update(mu=mu, v=v, w=w,
@@ -81,15 +82,14 @@ class Dataset:
     labels_d: np.ndarray
 
     def __post_init__(self):
-        phi, phi_d = (np.atleast_2d(freeze(getattr(self, name), float,
-                                           borrowed=name))
+        phi, phi_d = (np.atleast_2d(freeze(getattr(self, name), borrowed=name))
                       for name in ("phi", "phi_d"))
         if not phi.size and not phi_d.size:
             raise ValueError("phi and phi_d are both empty")
         d = (phi if phi.size else phi_d).shape[1]
         phi, phi_d = (arr if arr.size else freeze(np.zeros((0, d)))
                       for arr in (phi, phi_d))
-        labels = freeze(_int_labels(self.labels_d, "labels_d"))
+        labels = freeze(self.labels_d, borrowed="labels_d")
         self.__dict__.update(phi=phi, phi_d=phi_d, labels_d=labels)
         if phi.shape[1] != phi_d.shape[1]:
             raise ValueError("phi and phi_d dimension mismatch")
@@ -98,9 +98,6 @@ class Dataset:
                              f"not ({phi_d.shape[0]},)")
         if (np.bincount(labels) == 0).any():
             raise ValueError("every supervised speaker index needs >= 1 i-vector")
-        for name, arr in (("phi", phi), ("phi_d", phi_d)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains NaN/Inf")
 
     @property
     def d(self):
@@ -109,25 +106,6 @@ class Dataset:
     @property
     def m_d(self):
         return int(self.labels_d.max()) + 1 if self.labels_d.size else 0
-
-
-def _as_ints(values, name):
-    """``values`` as an int array, checked to hold integers: a value such
-    as 0.5 raises a ValueError naming ``name``, and is never truncated."""
-    values = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-        ints = values.astype(int)
-    if not np.array_equal(ints, values):
-        raise ValueError(f"{name} must be integers, got {values[ints != values][0]}")
-    return ints
-
-
-def _int_labels(labels, name):
-    """``labels`` as an int array, checked to hold integers >= 0."""
-    ints = _as_ints(labels, name)
-    if (ints < 0).any():
-        raise ValueError(f"{name} has a negative speaker label")
-    return ints
 
 
 def _one_hot(labels, m):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import wishart
 
-from .model import _as_ints
+from .linalg import check_array
 
 
 @dataclass
@@ -22,8 +22,8 @@ class MetricReport:
 
 def clustering_metrics(pred_labels, true_labels):
     """Adjusted Rand index (pair counting) and majority-vote purity."""
-    pred = _as_ints(pred_labels, "pred_labels")
-    true = _as_ints(true_labels, "true_labels")
+    pred = check_array(pred_labels, "pred_labels")
+    true = check_array(true_labels, "true_labels")
     if pred.shape != true.shape:
         raise ValueError("label vectors must have the same length")
     if pred.size == 0:

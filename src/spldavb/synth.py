@@ -5,7 +5,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import check_settings, freeze, inv_logdet_pd, inv_pd, sym
+from .linalg import check_array, check_settings, freeze, inv_logdet_pd, inv_pd, sym
 from .model import Dataset, SpldaModel
 
 
@@ -103,6 +103,7 @@ def split_dataset(phi, labels, sup_fraction, seed=0):
     ``dataset.phi``.  The dataset holds the fresh subsets themselves, made
     read-only."""
     check_settings(sup_fraction=sup_fraction, seed=seed)
+    phi, labels = check_array(phi, "phi"), check_array(labels, "labels")
     rng = np.random.default_rng(seed)
     speakers = np.unique(labels)
     n_sup = max(1, int(round(sup_fraction * speakers.size)))
@@ -119,7 +120,13 @@ def pairwise_llr(model, phi_a, phi_b):
     ln p(a, b | same) - ln p(a) p(b); the two-cover verification score of
     the point model, by the closed form of :func:`pairwise_llr_matrix`.
     """
-    return float(pairwise_llr_matrix(model, np.stack([phi_a, phi_b]))[0, 1])
+    pair = []
+    for name, phi in (("phi_a", phi_a), ("phi_b", phi_b)):
+        pair.append(check_array(phi, name))
+        if pair[-1].shape != (model.d,):
+            raise ValueError(f"{name} has {pair[-1].size} entries; expected "
+                             f"the model's d = {model.d}")
+    return float(pairwise_llr_matrix(model, np.stack(pair))[0, 1])
 
 
 def pairwise_llr_matrix(model, phi):

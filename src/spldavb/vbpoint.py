@@ -43,12 +43,7 @@ class Hyperparams:
                        b_alpha=self.b_alpha,
                        **({"beta": self.beta} if scalar_beta else {}))
         freeze_fields(self, ("mu0",) if scalar_beta else ("mu0", "beta"),
-                      float, borrowed=True)
-        if not (scalar_beta or self.beta is None
-                or ((self.beta > 0) & np.isfinite(self.beta)).all()):
-            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
-        if self.mu0 is not None and not np.isfinite(self.mu0).all():
-            raise ValueError(f"mu0 must be finite, got {self.mu0!r}")
+                      borrowed=True)
 
 
 @dataclass(frozen=True)

@@ -1418,9 +1418,13 @@ class TestHyperparams:
         ("beta", np.ones((1, 5))),
     ])
     def test_mean_prior_of_wrong_size_rejected(self, field, value):
-        # d = 5: mu0 needs 5 entries, beta 1 or 5.
+        # d = 5: mu0 needs 5 entries, beta 1 or 5.  A wrong number of
+        # dimensions is rejected when the Hyperparams is built, a wrong
+        # length, which needs d, by run_adaptation.
         dataset, model = split_problem(seed=4)
-        with pytest.raises(ValueError, match=rf"^Hyperparams\.{field} has shape"):
+        message = (rf"^Hyperparams\.{field} has shape" if np.ndim(value) == 1
+                   else rf"^{field} must be (0-D or )?1-D, got shape")
+        with pytest.raises(ValueError, match=message):
             run_adaptation(dataset, model, Hyperparams(**{field: value}),
                            RunConfig(m_init=2, variant="bayes", max_iter=1))
 
@@ -1532,7 +1536,7 @@ class TestTrainSupervised:
     @pytest.mark.parametrize("defect, message", [
         ("negative", "negative speaker label"),
         ("gap", "every supervised speaker index needs >= 1 i-vector"),
-        ("nan", "phi_d contains NaN/Inf"),
+        ("nan", "^phi_d must be finite, got nan"),
         ("fractional", "labels_d must be integers, got 0.5"),
         ("elbo_tol", "elbo_tol must be >= 0"),
         ("max_iter", "max_iter must be >= 1"),  # would return the init

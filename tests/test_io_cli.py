@@ -591,6 +591,22 @@ class TestCli:
                      "--out-labels", str(tmp_path / "pred.labels")]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_adapt_names_a_non_finite_model_array(self, synth_files, tmp_path,
+                                                  capsys):
+        prefix = synth_files
+        lines = open(prefix + ".true_model").read().splitlines()
+        lines[lines.index("MU") + 1] = " ".join(["nan"] * 6)
+        model_path = tmp_path / "nan.splda"
+        model_path.write_text("\n".join(lines) + "\n")
+        assert _run(["adapt", "--model", str(model_path),
+                     "--sup-ivectors", prefix + ".phi_d",
+                     "--sup-labels", prefix + ".labels_d",
+                     "--unsup-ivectors", prefix + ".phi", "--m-init", "3",
+                     "--out-model", str(tmp_path / "adapted.splda"),
+                     "--out-labels", str(tmp_path / "pred.labels")]) == 1
+        assert capsys.readouterr().err == "error: mu must be finite, got nan\n"
+        assert not (tmp_path / "adapted.splda").exists()
+
     def test_synth_rejects_zero_per_speaker(self, tmp_path, capsys):
         assert _run(["synth", "--d", "3", "--ny", "1", "--speakers", "4",
                      "--per-speaker", "0",

@@ -288,7 +288,7 @@ class TestDataset:
     def test_rejects_nan(self):
         bad = np.ones((2, 2))
         bad[0, 0] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="^phi must be finite, got nan"):
             Dataset(phi=bad, phi_d=np.ones((1, 2)), labels_d=np.array([0]))
 
     def test_rejects_labels_without_vectors(self):

@@ -46,10 +46,12 @@ problem it is sent.  Each of K rounds adapts every problem once in each
 tree, the two adaptations of a problem back to back and the tree that
 goes first alternating (ABBA); a tree's pass is the sum of its times in
 the round.  It prints, per seed, each tree's median and quartiles per
-pass, the median over the rounds of the ratio head / base with its 95 %
-bootstrap interval (``ratio_interval``), and in how many rounds head was
-faster.  Last, per workload, it claims a gain only when every seed's
-interval lies wholly below 1.
+pass and its median minor page faults per pass (the ``ru_minflt`` the
+worker gains during its ``run_adaptation`` calls), the median over the
+rounds of the ratio head / base with its 95 % bootstrap interval
+(``ratio_interval``), and in how many rounds head was faster.  Last, per
+workload, it claims a gain only when every seed's interval lies wholly
+below 1.
 """
 
 import argparse
@@ -58,6 +60,7 @@ import dataclasses
 import io
 import os
 import pickle
+import resource
 import select
 import subprocess
 import sys
@@ -167,7 +170,7 @@ def _time_worker(src, seed, name):
     with the library at ``src``.  After setting up and training them and
     one untimed adaptation of the first, print "ready"; then, for each
     problem index read from stdin, adapt that problem and print the seconds
-    ``run_adaptation`` took."""
+    ``run_adaptation`` took and the minor page faults it caused."""
     workloads = _import_workloads(src)
     problems = list(_trained_problems(workloads, name, seed))
     # Both workers time on one CPU: in A/A runs, unpinned workers each kept
@@ -177,9 +180,12 @@ def _time_worker(src, seed, name):
     workloads.adapt(*problems[0])
     print("ready", flush=True)
     for line in sys.stdin:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         workloads.adapt(*problems[int(line)])
-        print(time.perf_counter() - start, flush=True)
+        seconds = time.perf_counter() - start
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        print(seconds, faults, flush=True)
 
 
 def ratio_interval(base, head):
@@ -226,13 +232,16 @@ def _time_rounds(args, seed, names, trees, env, n_problems):
                 if _reply(proc, tree) != "ready\n":
                     raise SystemExit(f"error: the {tree} timing worker did not start")
             passes = {tree: np.zeros(args.time) for tree in trees}
+            faults = {tree: np.zeros(args.time) for tree in trees}
             for round_ in range(args.time):
                 for problem in range(n_problems):
                     first = (round_ + problem) % 2
                     for tree in list(trees)[::-1 if first else 1]:
                         procs[tree].stdin.write(f"{problem}\n")
                         procs[tree].stdin.flush()
-                        passes[tree][round_] += float(_reply(procs[tree], tree))
+                        seconds, minflt = _reply(procs[tree], tree).split()
+                        passes[tree][round_] += float(seconds)
+                        faults[tree][round_] += int(minflt)
             for tree, proc in procs.items():
                 proc.stdin.close()
                 if proc.wait(timeout=TIMING_TIMEOUT):
@@ -242,7 +251,8 @@ def _time_rounds(args, seed, names, trees, env, n_problems):
               f"problems, {args.time} rounds, seed {seed}")
         for tree, seconds in passes.items():
             q1, median, q3 = np.percentile(seconds, [25, 50, 75])
-            print(f"  {tree}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
+            print(f"  {tree}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}; "
+                  f"median minor page faults {np.median(faults[tree]):.0f}")
         low, high = intervals[name] = ratio_interval(base, head)
         print(f"  head / base: median ratio {np.median(head / base):.4f}, "
               f"95 % bootstrap interval {low:.4f} .. {high:.4f}; "
