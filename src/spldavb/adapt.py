@@ -774,13 +774,52 @@ def _mstep(s_p, c_p, r_p, n_p):
         vbpoint.mstep_W(s_p, c_p, r_p, vtilde, n_p)
 
 
+def _moment_start(phi_d, stats, n_y, seed):
+    """The two-covariance moment estimate that starts supervised EM.
+
+    The total covariance ``cov`` (``np.cov`` plus 1e-8 I) splits into a
+    within-class part and the between-class scatter B = sum_i n_i (m_i -
+    mu)(m_i - mu)^T / (N_d - 1) of the speaker means m_i = f_i / n_i.  The
+    first k = min(n_y, M_d - 1, rank B) columns of V are U_k L_k^1/2 Q, from
+    the top eigenpairs of B, and W = (cov - V_k V_k^T)^-1.  ``seed`` draws
+    a Gaussian (d, n_y) matrix: Q is the orthogonal factor of its leading
+    k x k block, with the signs fixed, and its columns past k are V's.
+    With k = 0 (one labelled speaker) V is that draw and W = cov^-1.
+    """
+    n_d, d = phi_d.shape
+    rng = np.random.default_rng(seed)
+    mu = phi_d.mean(axis=0)
+    cov = np.cov(phi_d.T) + 1e-8 * np.eye(d)
+    scale = np.sqrt(np.trace(cov) / d)
+    v = scale * rng.standard_normal((d, n_y)) / np.sqrt(n_y)
+    dev = stats.f / stats.n[:, None] - mu
+    eig, basis = np.linalg.eigh((dev.T * stats.n) @ dev / (n_d - 1))
+    eig, basis = eig[::-1], basis[:, ::-1]
+    # Eigenvalues at B's rounding level are its null space, as matrix_rank
+    # counts them: an all-but-zero column of V is a saddle EM leaves slowly.
+    rank = int((eig > eig[0] * d * np.finfo(float).eps).sum())
+    k = min(n_y, stats.n.size - 1, rank)
+    q, r = np.linalg.qr(v[:k, :k])
+    v[:, :k] = (basis[:, :k] * np.sqrt(eig[:k])) @ (q * np.sign(np.diag(r)))
+    return SpldaModel(mu=freeze(mu), w=np.linalg.inv(cov - v[:, :k] @ v[:, :k].T),
+                      v=freeze(v))
+
+
 def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
                      elbo_tol=1e-7, seed=0):
     """Supervised maximum-likelihood SPLDA (EM on hard labels).
 
     Used to build the initial model before adaptation; requires N_d > d.
-    ``seed`` draws the random initial model, so it is rejected away from
-    its default when ``model_init`` is given.
+    Without ``model_init``, EM starts at the two-covariance moment estimate
+    of the labelled set (:func:`_moment_start`): V spans the top
+    eigenvectors of the between-speaker scatter, and W inverts what is left
+    of the total covariance.  ``seed`` draws the rotation of those columns
+    and any columns of V past M_d - 1, which the scatter cannot fill.  The
+    likelihood fixes V only up to a rotation, so with n_y < M_d the seed
+    changes the trained V but not its bound.  With one labelled speaker
+    the start is a random V and W = the inverse total covariance.  As
+    ``seed`` only draws the start, it is rejected away from its default
+    when ``model_init`` is given.
     """
     phi_d = np.atleast_2d(check_array(phi_d, "phi_d"))
     n_d, d = phi_d.shape
@@ -792,13 +831,7 @@ def train_supervised(phi_d, labels_d, n_y, model_init=None, max_iter=200,
     data = Dataset(phi=np.zeros((0, d)), phi_d=phi_d, labels_d=labels_d)
     stats = _labelled_stats(data)
     if model_init is None:
-        rng = np.random.default_rng(seed)
-        mu = phi_d.mean(axis=0)
-        cov = np.cov(phi_d.T) + 1e-8 * np.eye(d)
-        scale = np.sqrt(np.trace(cov) / d)
-        model = SpldaModel(
-            mu=freeze(mu), w=np.linalg.inv(cov),
-            v=freeze(scale * rng.standard_normal((d, n_y)) / np.sqrt(n_y)))
+        model = _moment_start(phi_d, stats, n_y, seed)
     elif (model_init.d, model_init.n_y) != (d, n_y):
         raise ValueError(f"model_init has d={model_init.d}, n_y={model_init.n_y}; "
                          f"expected d={d} (the data), n_y={n_y}")

@@ -83,7 +83,8 @@ def cmd_train(args):
         fileio.write_report(args.trace, report, header={"command": "train"})
     print(f"trained SPLDA (d={report.model.d}, n_y={report.model.n_y}) "
           f"in {len(report.elbo_trace)} iterations, "
-          f"final ELBO {report.elbo_trace[-1]:.6f}")
+          f"final ELBO {report.elbo_trace[-1]:.6f}"
+          + ("" if report.converged else ", not converged"))
     return 0
 
 

@@ -25,7 +25,8 @@ def clustering_metrics(pred_labels, true_labels):
     pred = check_array(pred_labels, "pred_labels")
     true = check_array(true_labels, "true_labels")
     if pred.shape != true.shape:
-        raise ValueError("label vectors must have the same length")
+        raise ValueError(f"pred_labels has {pred.size} entries and true_labels "
+                         f"{true.size}; expected the same length")
     if pred.size == 0:
         raise ValueError("empty labelings")
     _, pred_idx = np.unique(pred, return_inverse=True)

@@ -103,7 +103,11 @@ def split_dataset(phi, labels, sup_fraction, seed=0):
     ``dataset.phi``.  The dataset holds the fresh subsets themselves, made
     read-only."""
     check_settings(sup_fraction=sup_fraction, seed=seed)
-    phi, labels = check_array(phi, "phi"), check_array(labels, "labels")
+    phi = np.atleast_2d(check_array(phi, "phi"))
+    labels = check_array(labels, "labels")
+    if phi.shape[0] != labels.size:
+        raise ValueError(f"phi has {phi.shape[0]} rows and labels {labels.size} "
+                         f"entries; expected one label per row")
     rng = np.random.default_rng(seed)
     speakers = np.unique(labels)
     n_sup = max(1, int(round(sup_fraction * speakers.size)))

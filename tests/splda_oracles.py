@@ -12,8 +12,9 @@ pair score as a ratio of joint-Gaussian densities, central finite
 differences, the whole lower bound at given responsibilities with the
 parameters held, a Monte Carlo estimate of the lower bound of a held
 state from draws of its factors, the text formats written one value at a time and
-parsed one row at a time, and the closest pairs of speaker posterior
-means by a double loop.  None of this is needed to run an adaptation; each function follows its formula directly
+parsed one row at a time, the closest pairs of speaker posterior
+means by a double loop, the random start of supervised EM and the
+between-speaker scatter one speaker at a time.  None of this is needed to run an adaptation; each function follows its formula directly
 rather than the library's aggregate forms.
 """
 
@@ -24,7 +25,7 @@ import scipy.linalg
 from scipy.stats import dirichlet, gamma, multivariate_normal, norm, wishart
 
 from spldavb.linalg import chol_with_jitter, inv_pd, logdet_pd, sym
-from spldavb.model import Dataset, SuffStats, accumulate_stats
+from spldavb.model import Dataset, SpldaModel, SuffStats, accumulate_stats
 from spldavb.vbbayes import (
     RowPosteriors,
     _mean_prior,
@@ -229,6 +230,30 @@ def split_dataset_loops(phi, labels, sup_fraction, seed=0):
     labels_d = np.array([remap[l] for l in sup_labels_raw], dtype=int)
     dataset = Dataset(phi=phi[~sup_mask], phi_d=phi[sup_mask], labels_d=labels_d)
     return dataset, labels[~sup_mask]
+
+
+def random_start(phi_d, n_y, seed=0):
+    """The random start of supervised EM, which the moment estimate
+    replaced: the mean, W the inverse of ``np.cov`` plus 1e-8 I, and V a
+    seeded Gaussian draw, each entry of variance tr(cov) / (d n_y)."""
+    d = phi_d.shape[1]
+    cov = np.cov(phi_d.T) + 1e-8 * np.eye(d)
+    scale = np.sqrt(np.trace(cov) / d)
+    draw = np.random.default_rng(seed).standard_normal((d, n_y))
+    return SpldaModel(mu=phi_d.mean(axis=0), w=np.linalg.inv(cov),
+                      v=scale * draw / np.sqrt(n_y))
+
+
+def between_scatter_loop(phi_d, labels_d):
+    """sum_i n_i (m_i - mu)(m_i - mu)^T / (N_d - 1), one speaker at a time,
+    with each speaker's mean m_i taken over its own rows."""
+    mu = phi_d.mean(axis=0)
+    scatter = np.zeros((mu.size, mu.size))
+    for speaker in np.unique(labels_d):
+        rows = phi_d[labels_d == speaker]
+        dev = rows.mean(axis=0) - mu
+        scatter += len(rows) * np.outer(dev, dev)
+    return scatter / (len(phi_d) - 1)
 
 
 def pairwise_llr_matrix_separate(model, phi):

@@ -135,3 +135,15 @@ def test_no_kind_takes_bools_strings_objects_or_complex(name, dtype):
     dims = _ARRAYS[name][1]
     with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
         check_array(np.ones((1,) * max(dims), dtype=dtype), name)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: split_dataset(np.ones((5, 2)), np.arange(4), 0.5),
+     "phi has 5 rows and labels 4 entries; expected one label per row"),
+    (lambda: clustering_metrics([0, 1, 0], [0, 1]),
+     "pred_labels has 3 entries and true_labels 2; expected the same length"),
+], ids=["split_dataset", "clustering_metrics"])
+def test_arrays_of_different_lengths_are_named_with_their_lengths(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -18,12 +18,13 @@ from spldavb.adapt import (
     sweep_m,
     train_supervised,
 )
-from spldavb.model import Dataset, accumulate_stats
+from spldavb.model import Dataset, _labelled_stats, accumulate_stats
 from spldavb.oracles import clustering_metrics
 from spldavb.synth import SynthSpec, generate, split_dataset
 from spldavb.vbpoint import Hyperparams
-from splda_oracles import (closest_pairs_oracle, fixed_param_elbo,
-                           monte_carlo_bound, padded_hard_elbo)
+from splda_oracles import (between_scatter_loop, closest_pairs_oracle,
+                           fixed_param_elbo, monte_carlo_bound,
+                           padded_hard_elbo, random_start)
 
 
 # Settings under which RunConfig reads each gated knob, so that a bad value
@@ -1528,6 +1529,23 @@ class TestHyperparams:
             assert len(other.bayes_state["rowpost"].basis) == 1
 
 
+# The first problems that perfbench's ahc-cli and point-many workloads draw
+# from seed 1, as they draw them: well-posed labelled sets, each fitted
+# with the generating n_y = 20 from 35 or 150 labelled speakers.
+SPEAKERS = {"ahc-cli": dict(m_true=70, per_speaker=10),
+            "point-many": dict(m_true=300, per_speaker=(4, 16))}
+WELL_POSED = [*(("ahc-cli", seed) for seed in (1641411168, 1454127163, 2749604155)),
+              *(("point-many", seed) for seed in (1641411168, 1454127163))]
+
+
+def well_posed_problem(workload, seed):
+    """``(phi_d, labels_d)`` of one ``WELL_POSED`` problem at d = 60."""
+    phi, labels, _ = generate(SynthSpec(d=60, n_y=20, eigenvoice_scale=3.0,
+                                        seed=seed, **SPEAKERS[workload]))
+    dataset, _ = split_dataset(phi, labels, 0.5, seed=seed)
+    return dataset.phi_d, dataset.labels_d
+
+
 class TestTrainSupervised:
     def test_requires_enough_data(self):
         with pytest.raises(ValueError, match="N_d"):
@@ -1600,6 +1618,56 @@ class TestTrainSupervised:
         floor = -1e-8 * np.maximum(1.0, np.abs(np.array(report.elbo_trace[:-1])))
         assert (diffs >= floor).all()
         assert report.converged
+
+    @pytest.mark.parametrize("workload, seed", WELL_POSED)
+    def test_converges_fast_to_the_bound_of_the_random_start(self, workload, seed):
+        phi_d, labels_d = well_posed_problem(workload, seed)
+        report = train_supervised(phi_d, labels_d, 20, seed=seed)
+        reference = train_supervised(phi_d, labels_d, 20,
+                                     model_init=random_start(phi_d, 20, seed))
+        assert report.converged and len(report.elbo_trace) <= 7
+        bound = reference.elbo_trace[-1]
+        assert report.elbo_trace[-1] >= bound - 1e-8 * abs(bound)
+
+    def test_seed_rotates_v_but_leaves_the_bound(self):
+        phi_d, labels_d = well_posed_problem(*WELL_POSED[0])
+        one, two = (train_supervised(phi_d, labels_d, 20, seed=seed)
+                    for seed in (3, 4))
+        assert not np.allclose(one.model.v, two.model.v)
+        assert two.elbo_trace[-1] == pytest.approx(one.elbo_trace[-1], rel=1e-9)
+
+    def test_one_labelled_speaker_starts_at_the_random_draw(self):
+        phi_d = np.random.default_rng(5).standard_normal((12, 4))
+        labels_d = np.zeros(12, int)
+        report = train_supervised(phi_d, labels_d, 2, seed=7, max_iter=3)
+        reference = train_supervised(phi_d, labels_d, 2, max_iter=3,
+                                     model_init=random_start(phi_d, 2, 7))
+        assert report.elbo_trace == reference.elbo_trace
+        for name in ("mu", "v", "w"):
+            np.testing.assert_array_equal(getattr(report.model, name),
+                                          getattr(reference.model, name))
+
+    @pytest.mark.parametrize("m_d, n_y", [(3, 5), (6, 2)])
+    def test_moment_start_splits_the_total_covariance(self, m_d, n_y):
+        # V V^T takes the top k = min(n_y, M_d - 1) eigenpairs of the
+        # between-speaker scatter, W^-1 the rest; V's columns past k are
+        # the seeded draw of the random start.
+        phi_d, labels_d, _ = generate(SynthSpec(
+            d=6, n_y=2, m_true=m_d, per_speaker=(5, 9), seed=4))
+        dataset = Dataset(phi=np.zeros((0, 6)), phi_d=phi_d, labels_d=labels_d)
+        start = adapt._moment_start(phi_d, _labelled_stats(dataset), n_y, 8)
+        draw = random_start(phi_d, n_y, 8)
+        k = min(n_y, m_d - 1)
+        np.testing.assert_array_equal(start.mu, draw.mu)
+        np.testing.assert_array_equal(start.v[:, k:], draw.v[:, k:])
+        eig, basis = np.linalg.eigh(between_scatter_loop(phi_d, labels_d))
+        top = (basis[:, -k:] * eig[-k:]) @ basis[:, -k:].T
+        v_k = start.v[:, :k]
+        np.testing.assert_allclose(v_k @ v_k.T, top, rtol=0,
+                                   atol=1e-10 * eig[-1])
+        total = np.cov(phi_d.T) + 1e-8 * np.eye(6)
+        np.testing.assert_allclose(np.linalg.inv(start.w) + v_k @ v_k.T, total,
+                                   rtol=0, atol=1e-10 * np.abs(total).max())
 
     def test_recovers_generating_marginal(self):
         phi, labels, true_model = generate(SynthSpec(

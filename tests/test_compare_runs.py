@@ -43,3 +43,16 @@ def test_gain_is_claimed_only_when_every_interval_lies_below_one():
     assert gain_claimed([(0.95, 0.98), (0.96, 0.99)])
     assert not gain_claimed([(0.95, 0.98), (0.97, 1.0)])
     assert not gain_claimed([(0.95, 0.98), (0.99, 1.02)])
+
+
+def test_print_timing_prints_both_trees_and_returns_the_interval(capsys):
+    rng = np.random.default_rng(3)
+    passes = {"base": rng.uniform(1.0, 2.0, 6), "head": rng.uniform(1.0, 2.0, 6)}
+    compare_runs = load_compare_runs()
+    interval = compare_runs._print_timing("train_supervised", passes, 12, 6, 4)
+    assert interval == compare_runs.ratio_interval(passes["base"], passes["head"])
+    title, base, head, ratio = capsys.readouterr().out.splitlines()
+    assert title == "  train_supervised seconds per pass over 12 problems, 6 rounds, seed 4"
+    assert base.startswith("    base: median ") and "page faults" not in base
+    assert head.startswith("    head: median ")
+    assert ratio.startswith("    head / base: median ratio ")

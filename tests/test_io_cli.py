@@ -554,6 +554,25 @@ class TestCli:
         audit = capsys.readouterr().out
         assert "total" in audit
 
+    def test_train_says_when_it_did_not_converge(self, synth_files, tmp_path,
+                                                 capsys):
+        # 12 labelled speakers of 2 i-vectors at d = 20: the within-speaker
+        # scatter has rank 12 < d, and the bound still rises at the 200th
+        # iteration.
+        ill_posed = str(tmp_path / "ill")
+        assert _run(["synth", "--d", "20", "--ny", "5", "--speakers", "24",
+                     "--per-speaker", "2", "--sup-fraction", "0.5", "--seed",
+                     "0", "--out-prefix", ill_posed]) == 0
+        for prefix, n_y in ((synth_files, 2), (ill_posed, 5)):
+            assert _run(["train", "--ivectors", prefix + ".phi_d",
+                         "--labels", prefix + ".labels_d", "--ny", str(n_y),
+                         "--out-model", str(tmp_path / "sup.splda")]) == 0
+        converged, ill = capsys.readouterr().out.splitlines()[-2:]
+        assert converged.startswith("trained SPLDA (d=6, n_y=2) in ")
+        assert not converged.endswith("not converged")
+        assert re.fullmatch(r"trained SPLDA \(d=20, n_y=5\) in 200 iterations, "
+                            r"final ELBO -?\d+\.\d{6}, not converged", ill)
+
     def test_train_rejects_negative_label(self, synth_files, tmp_path,
                                           capsys):
         labels = fileio.read_labels(synth_files + ".labels_d")

@@ -40,18 +40,21 @@ diagnostics, convergence, the trained or adapted model, or a
 
 With ``--time K`` it times the two trees instead of comparing their
 outputs.  For each workload one worker subprocess per tree, with one
-BLAS thread, sets up and trains the workload's problems as above, adapts
-the first one once untimed, and then times ``run_adaptation`` on the
-problem it is sent.  Each of K rounds adapts every problem once in each
-tree, the two adaptations of a problem back to back and the tree that
-goes first alternating (ABBA); a tree's pass is the sum of its times in
-the round.  It prints, per seed, each tree's median and quartiles per
-pass and its median minor page faults per pass (the ``ru_minflt`` the
-worker gains during its ``run_adaptation`` calls), the median over the
+BLAS thread, sets up and trains the workload's problems as above, trains
+and adapts the first one once untimed, and then times the training (as
+above: ``API_TRAIN``, or to convergence for a CLI workload) and
+``run_adaptation`` of the problem it is sent.  Each of K rounds trains
+and adapts every problem once in each tree, the two trees' turns at a
+problem back to back and the tree that goes first alternating (ABBA); a
+tree's pass is the sum of its times in the round.  It prints, per seed
+and per workload, for ``run_adaptation`` and then for
+``train_supervised``: each tree's median and quartiles per pass (and for
+``run_adaptation`` its median minor page faults per pass, the
+``ru_minflt`` the worker gains during those calls), the median over the
 rounds of the ratio head / base with its 95 % bootstrap interval
 (``ratio_interval``), and in how many rounds head was faster.  Last, per
-workload, it claims a gain only when every seed's interval lies wholly
-below 1.
+workload and for each of the two, it claims a gain only when every
+seed's interval lies wholly below 1.
 """
 
 import argparse
@@ -82,6 +85,9 @@ TIMING_TIMEOUT = 600
 # Bootstrap resamples of the paired rounds, drawn with a fixed seed.
 BOOTSTRAP_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 0
+# What --time times, in the order a worker reports it, before the page
+# faults of the adaptation.
+TIMED = ("run_adaptation", "train_supervised")
 
 
 def _arrays(obj, prefix, out):
@@ -107,21 +113,27 @@ def _import_workloads(src):
     return workloads
 
 
+def _train(workloads, name, problem):
+    """Train ``problem`` of the workload ``name`` as its workload trains
+    it: ``API_TRAIN`` through the library, or to convergence, as ``splda
+    train`` does, for a CLI workload.  Returns the ``RunReport``."""
+    from spldavb.adapt import train_supervised
+
+    as_run = workloads.BY_NAME[name]
+    ds = problem.dataset
+    return train_supervised(
+        ds.phi_d, ds.labels_d, as_run.n_y_fit, seed=problem.seed,
+        **({} if as_run.via_cli else workloads.API_TRAIN))
+
+
 def _trained_problems(workloads, name, seed):
     """Yield ``(workload, problem, trained)`` for each problem of the
     workload ``name`` drawn from ``seed``: the workload run through the
     library, and the problem trained as its workload trains it."""
-    from spldavb.adapt import train_supervised
-
-    as_run = workloads.BY_NAME[name]
-    workload = dataclasses.replace(as_run, via_cli=False)
-    train_kw = {} if as_run.via_cli else workloads.API_TRAIN
+    workload = dataclasses.replace(workloads.BY_NAME[name], via_cli=False)
     for pseed in workloads.problem_seeds(seed):
         problem = workloads.setup(workload, pseed, None)
-        ds = problem.dataset
-        yield workload, problem, train_supervised(
-            ds.phi_d, ds.labels_d, workload.n_y_fit, seed=pseed,
-            **train_kw).model
+        yield workload, problem, _train(workloads, name, problem).model
 
 
 def _run_tree(src, seed, names, out):
@@ -166,26 +178,32 @@ def _run_tree(src, seed, names, out):
 
 
 def _time_worker(src, seed, name):
-    """Serve timed adaptations of the problems of the workload ``name``
-    with the library at ``src``.  After setting up and training them and
-    one untimed adaptation of the first, print "ready"; then, for each
-    problem index read from stdin, adapt that problem and print the seconds
-    ``run_adaptation`` took and the minor page faults it caused."""
+    """Serve timed trainings and adaptations of the problems of the
+    workload ``name`` with the library at ``src``.  After setting up and
+    training them, and one untimed training and adaptation of the first,
+    print "ready"; then, for each problem index read from stdin, train and
+    adapt that problem and print the seconds ``run_adaptation`` and the
+    training took and the minor page faults the adaptation caused."""
     workloads = _import_workloads(src)
     problems = list(_trained_problems(workloads, name, seed))
     # Both workers time on one CPU: in A/A runs, unpinned workers each kept
     # to their own CPU, and one tree read ~1 % slower in 9 of 10 rounds.
     if hasattr(os, "sched_setaffinity"):  # Linux only
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    _train(workloads, name, problems[0][1])
     workloads.adapt(*problems[0])
     print("ready", flush=True)
     for line in sys.stdin:
+        workload, problem, trained = problems[int(line)]
+        start = time.perf_counter()
+        _train(workloads, name, problem)
+        train_seconds = time.perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        workloads.adapt(*problems[int(line)])
+        workloads.adapt(workload, problem, trained)
         seconds = time.perf_counter() - start
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        print(seconds, faults, flush=True)
+        print(seconds, train_seconds, faults, flush=True)
 
 
 def ratio_interval(base, head):
@@ -210,11 +228,32 @@ def _reply(proc, tree):
     return line
 
 
+def _print_timing(what, passes, n_problems, rounds, seed, faults=None):
+    """Print each tree's median and quartiles of the seconds ``what`` took
+    per pass (and its median minor page faults per pass, when given), and
+    the median ratio head / base with its bootstrap interval; return the
+    interval."""
+    print(f"  {what} seconds per pass over {n_problems} problems, "
+          f"{rounds} rounds, seed {seed}")
+    for tree, seconds in passes.items():
+        q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+        print(f"    {tree}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}"
+              + (f"; median minor page faults {np.median(faults[tree]):.0f}"
+                 if faults else ""))
+    base, head = passes.values()
+    low, high = ratio_interval(base, head)
+    print(f"    head / base: median ratio {np.median(head / base):.4f}, "
+          f"95 % bootstrap interval {low:.4f} .. {high:.4f}; "
+          f"head faster in {int((head < base).sum())} of {rounds} rounds")
+    return low, high
+
+
 def _time_rounds(args, seed, names, trees, env, n_problems):
     """Time ``trees`` in ``args.time`` rounds per workload on the problems
     of ``seed``, one worker per tree, print the summary of each workload
-    and return its bootstrap interval, by name.  A round adapts every
-    problem once in each tree, the two adaptations of a problem back to
+    and return the bootstrap intervals of its adaptations and its
+    trainings, by ``(name, TIMED entry)``.  A round trains and adapts every
+    problem once in each tree, the two trees' turns at a problem back to
     back and the tree that goes first alternating (ABBA), so that both
     trees' passes see the same load on the machine."""
     intervals = {}
@@ -231,32 +270,26 @@ def _time_rounds(args, seed, names, trees, env, n_problems):
             for tree, proc in procs.items():
                 if _reply(proc, tree) != "ready\n":
                     raise SystemExit(f"error: the {tree} timing worker did not start")
-            passes = {tree: np.zeros(args.time) for tree in trees}
-            faults = {tree: np.zeros(args.time) for tree in trees}
+            # Each round's sums, by what a worker reports and by tree.
+            sums = {key: {tree: np.zeros(args.time) for tree in trees}
+                    for key in (*TIMED, "faults")}
             for round_ in range(args.time):
                 for problem in range(n_problems):
                     first = (round_ + problem) % 2
                     for tree in list(trees)[::-1 if first else 1]:
                         procs[tree].stdin.write(f"{problem}\n")
                         procs[tree].stdin.flush()
-                        seconds, minflt = _reply(procs[tree], tree).split()
-                        passes[tree][round_] += float(seconds)
-                        faults[tree][round_] += int(minflt)
+                        for key, value in zip(sums, _reply(procs[tree], tree).split()):
+                            sums[key][tree][round_] += float(value)
             for tree, proc in procs.items():
                 proc.stdin.close()
                 if proc.wait(timeout=TIMING_TIMEOUT):
                     raise SystemExit(f"error: the {tree} timing worker failed")
-        base, head = passes.values()
-        print(f"{name}: run_adaptation seconds per pass over {n_problems} "
-              f"problems, {args.time} rounds, seed {seed}")
-        for tree, seconds in passes.items():
-            q1, median, q3 = np.percentile(seconds, [25, 50, 75])
-            print(f"  {tree}: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}; "
-                  f"median minor page faults {np.median(faults[tree]):.0f}")
-        low, high = intervals[name] = ratio_interval(base, head)
-        print(f"  head / base: median ratio {np.median(head / base):.4f}, "
-              f"95 % bootstrap interval {low:.4f} .. {high:.4f}; "
-              f"head faster in {int((head < base).sum())} of {args.time} rounds")
+        print(f"{name}:")
+        for what in TIMED:
+            intervals[name, what] = _print_timing(
+                what, sums[what], n_problems, args.time, seed,
+                sums["faults"] if what == "run_adaptation" else None)
     return intervals
 
 
@@ -393,10 +426,11 @@ def main(argv=None):
             intervals = [_time_rounds(args, seed, names, trees, env,
                                       workloads.PROBLEMS) for seed in seeds]
             for name in names:
-                print(f"{name}, seeds {', '.join(map(str, seeds))}: " + (
-                    "a gain is claimed: every interval lies wholly below 1"
-                    if gain_claimed([by_name[name] for by_name in intervals])
-                    else "no gain is claimed: some interval reaches 1"))
+                for what in TIMED:
+                    print(f"{name} {what}, seeds {', '.join(map(str, seeds))}: " + (
+                        "a gain is claimed: every interval lies wholly below 1"
+                        if gain_claimed([by_key[name, what] for by_key in intervals])
+                        else "no gain is claimed: some interval reaches 1"))
             return 0
         cli_names = [name for name in names if workloads.BY_NAME[name].via_cli]
         failed = [name for seed in seeds for name in _compare_trees(
