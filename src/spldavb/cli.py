@@ -115,7 +115,8 @@ def cmd_adapt(args):
         })
     print(f"adapted model: M={report.m_trace[-1]}, "
           f"{len(report.elbo_trace)} iterations, "
-          f"final ELBO {report.elbo_trace[-1]:.6f}")
+          f"final ELBO {report.elbo_trace[-1]:.6f}"
+          + ("" if report.converged else ", not converged"))
     return 0
 
 

@@ -5,8 +5,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import check_array, check_settings, freeze, inv_logdet_pd, inv_pd, sym
+from .linalg import check_array, check_settings, freeze, inv_pd
 from .model import Dataset, SpldaModel
+from .vbpoint import ExpectedParams
 
 
 @dataclass(frozen=True)
@@ -137,20 +138,23 @@ def pairwise_llr_matrix(model, phi):
     """(N, N) same-speaker vs independent-speakers log-likelihood ratios
     ln p(a, b | same) - ln p(a) p(b) of every pair of rows of ``phi``.
 
-    Two-covariance closed form (Ioffe 2006): with B = V V^T, T = B + W^-1,
-    Q1 = (T - B T^-1 B)^-1 and P = T^-1 B Q1, the score of centred rows
-    (a, b) is c + q(a) + q(b) + a^T P b, where
-    c = (ln|T| - ln|T - B T^-1 B|) / 2 and q(x) = x^T (T^-1 - Q1) x / 2.
-    All pairs cost one GEMM plus a per-row quadratic form; T and the Schur
-    complement are each factored once, for both the inverse and ln|.|.
+    Closed form in the n_y-dimensional latent space (Ioffe 2006): with
+    G = V^T W V = E diag(g) E^T, the ``eig_g`` of the point model's
+    ``ExpectedParams``, and u = (x - mu) W V E, the score of rows (a, b) is
+    c + q(a) + q(b) + sum_k u_ak u_bk / (1 + 2 g_k), where
+    q(x) = sum_k u_k^2 (1 / (1 + 2 g_k) - 1 / (1 + g_k)) / 2 and
+    c = sum_k ln(1 + g_k) - ln(1 + 2 g_k) / 2.  All pairs cost one
+    symmetric product A A^T, A = u (1 + 2 g)^-1/2, plus a per-row sum; no
+    d x d matrix is factored.  q(a) + q(b) and A A^T are each exactly
+    symmetric, and so is the matrix.
     """
-    between = model.v @ model.v.T
-    total = between + inv_pd(model.w)
-    total_inv, logdet_total = inv_logdet_pd(total)
-    schur = sym(total - between @ total_inv @ between)
-    q1, logdet_schur = inv_logdet_pd(schur)
-    cross = sym(total_inv @ between @ q1)
-    const = 0.5 * (logdet_total - logdet_schur)
-    x = phi - model.mu
-    q = 0.5 * ((x @ (total_inv - q1)) * x).sum(axis=1)
-    return sym(const + q[:, None] + q[None, :] + x @ cross @ x.T)
+    ex = ExpectedParams.from_model(model)
+    g, basis = ex.eig_g
+    u = (phi - model.mu) @ (ex.wv @ basis)
+    g1, g2 = 1.0 + g, 1.0 + 2.0 * g
+    q = 0.5 * (u * u) @ (1.0 / g2 - 1.0 / g1)
+    a = u / np.sqrt(g2)
+    scores = q[:, None] + q[None, :]
+    scores += a @ a.T
+    scores += np.sum(np.log(g1) - 0.5 * np.log(g2))
+    return scores

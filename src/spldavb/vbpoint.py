@@ -370,14 +370,19 @@ def _normalize_log_rho(log_rho, kappa):
 
     Overwrites ``log_rho``, in which it works.  Shifted weights below
     ln(tiny) are dropped: their responsibility is an exact 0 instead of a
-    subnormal (which exp and the BLAS handle far more slowly).  Their mask
-    is built only when some weight falls below ln(tiny), and kappa = 1
-    skips the tempering products, which are exact there.
-    Every responsibility >= tiny keeps the bits of the untruncated softmax,
-    and so does each row's normaliser: the dropped terms are below tiny
-    while the row sum is at least 1.  The last buffer holds ln r, and 0
-    where r is 0, so the entropy -sum r ln r is one dot product, carried
-    as ``Responsibilities.h``.
+    subnormal, which the BLAS handles far more slowly.  ``exp`` never sees
+    -inf or an argument below ln(tiny), on which it takes a slow path.
+    When some weight drops, the first ``exp``, for the row normalisers,
+    reads the weights clamped at -700: each term the clamp raises stays
+    below exp(-700) ~ 1e-304 while the row sum is at least 1, so every
+    normaliser keeps its bits.  The second reads 0 for each dropped weight
+    and its result is zeroed there by a product with the kept mask; -inf
+    weights are first raised to the most negative double, as -inf times 0
+    is NaN.  The masks are built only when some weight drops, and kappa =
+    1 skips the tempering products, which are exact there.  Every
+    responsibility >= tiny keeps the bits of the untruncated softmax.  The
+    last buffer holds ln r, and 0 where r is 0, so the entropy -sum r ln r
+    is one dot product, carried as ``Responsibilities.h``.
     """
     row_max = log_rho.max(axis=1, keepdims=True)
     if not np.isfinite(row_max).all():
@@ -392,18 +397,22 @@ def _normalize_log_rho(log_rho, kappa):
     z -= row_max
     low = z.min(initial=0.0)  # every z <= 0 now
     if low < _LN_TINY:
-        np.copyto(z, -np.inf, where=z < _LN_TINY)
-    r = np.exp(z)
+        r = np.maximum(z, -700.0)
+        np.exp(r, out=r)
+    else:
+        r = np.exp(z)
     ln_norm = np.log(r.sum(axis=1, keepdims=True))
     z -= ln_norm
     # fl(x - c) is monotone in x and in c, so no z falls below ln(tiny)
     # now unless low less the largest ln normaliser does; that holds too
-    # when the first pass dropped an entry, which is still -inf here.
+    # when the first pass dropped an entry.
     if low - ln_norm.max(initial=0.0) < _LN_TINY:
-        dropped = z < _LN_TINY
-        np.copyto(z, -np.inf, where=dropped)
+        if low == -np.inf:
+            np.maximum(z, np.finfo(float).min, out=z)
+        keep = z >= _LN_TINY
+        z *= keep  # 0 ln 0 = 0 where r is an exact 0
         np.exp(z, out=r)
-        np.copyto(z, 0.0, where=dropped)  # 0 ln 0 = 0 where r is an exact 0
+        r *= keep
     else:
         np.exp(z, out=r)
     return Responsibilities(r=r, h=-float(np.vdot(r, z)))

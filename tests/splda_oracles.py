@@ -257,7 +257,11 @@ def between_scatter_loop(phi_d, labels_d):
 
 
 def pairwise_llr_matrix_separate(model, phi):
-    """``synth.pairwise_llr_matrix`` with T and the Schur complement each
+    """The pair scores of ``synth.pairwise_llr_matrix`` in the d x d
+    two-covariance form (Ioffe 2006): with B = V V^T, T = B + W^-1,
+    Q1 = (T - B T^-1 B)^-1 and P = T^-1 B Q1, the score of centred rows
+    (a, b) is c + q(a) + q(b) + a^T P b, c = (ln|T| - ln|T - B T^-1 B|) / 2
+    and q(x) = x^T (T^-1 - Q1) x / 2.  T and the Schur complement are each
     factored twice, once by ``inv_pd`` and once by ``logdet_pd``."""
     between = model.v @ model.v.T
     total = between + inv_pd(model.w)

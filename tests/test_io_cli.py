@@ -573,6 +573,31 @@ class TestCli:
         assert re.fullmatch(r"trained SPLDA \(d=20, n_y=5\) in 200 iterations, "
                             r"final ELBO -?\d+\.\d{6}, not converged", ill)
 
+    def test_adapt_says_when_it_did_not_converge(self, synth_files, tmp_path,
+                                                 capsys):
+        # Two iterations cannot reach elbo_tol; the default 200 do.
+        prefix = synth_files
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("max_iter = 2\n")
+        lines = []
+        for config in ([], ["--config", str(cfg)]):
+            report = tmp_path / "adapt.report"
+            assert _run(["adapt", "--model", prefix + ".true_model",
+                         "--sup-ivectors", prefix + ".phi_d",
+                         "--sup-labels", prefix + ".labels_d",
+                         "--unsup-ivectors", prefix + ".phi",
+                         "--m-init", "3", *config,
+                         "--out-model", str(tmp_path / "out.splda"),
+                         "--out-labels", str(tmp_path / "out.labels"),
+                         "--out-report", str(report)]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+            assert f"# converged {not config}" in report.read_text()
+        converged, short = lines
+        assert re.fullmatch(r"adapted model: M=3, \d+ iterations, "
+                            r"final ELBO -?\d+\.\d{6}", converged)
+        assert re.fullmatch(r"adapted model: M=3, 2 iterations, "
+                            r"final ELBO -?\d+\.\d{6}, not converged", short)
+
     def test_train_rejects_negative_label(self, synth_files, tmp_path,
                                           capsys):
         labels = fileio.read_labels(synth_files + ".labels_d")

@@ -248,21 +248,27 @@ class TestPairwiseLlr:
                             for j in range(n)] for i in range(n)])
         np.testing.assert_array_equal(mat, mat.T)
         scale = np.abs(oracle).max()
-        np.testing.assert_allclose(mat, oracle, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(mat, oracle, rtol=0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_factor_per_matrix_keeps_the_bits(self, seed):
-        # The inverse and log-determinant of T and of its Schur complement
-        # come from one factorization each, with the bits of two.
+    def test_latent_form_matches_the_joint_and_the_d_space_forms(self, seed):
+        # The n_y-dimensional form against the 2d-dimensional joint
+        # Gaussian (measured: <= 2.0e-14 x scale) and against the d x d
+        # two-covariance form it replaced (measured: <= 2.7e-13 x scale).
         rng = np.random.default_rng(seed)
-        d, n_y = 9, 4
+        d, n_y, n = 9, 4, 25
         a = rng.standard_normal((d, d))
         model = SpldaModel(mu=rng.standard_normal(d),
                            v=rng.standard_normal((d, n_y)),
                            w=a @ a.T + 0.1 * np.eye(d))
-        phi = rng.standard_normal((25, d))
-        assert (pairwise_llr_matrix(model, phi)
-                == pairwise_llr_matrix_separate(model, phi)).all()
+        phi = rng.standard_normal((n, d))
+        mat = pairwise_llr_matrix(model, phi)
+        oracle = np.array([[pairwise_llr_joint(model, phi[i], phi[j])
+                            for j in range(n)] for i in range(n)])
+        scale = np.abs(oracle).max()
+        np.testing.assert_allclose(mat, oracle, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(mat, pairwise_llr_matrix_separate(model, phi),
+                                   rtol=0, atol=1e-12 * scale)
 
 
 class TestClusteringMetrics:

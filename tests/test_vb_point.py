@@ -706,6 +706,69 @@ def test_softmax_branches_keep_the_untruncated_bits(case):
     assert abs(resp.h - want) <= 1e-12 * want + resp.r.size * np.finfo(float).eps
 
 
+# Kinds of shifted log weight beside a row max of 0: near 0 (several of
+# them raise the row's ln normaliser), just above ln(tiny) (dropped by the
+# second pass alone once that normaliser is taken off), kept entries in
+# [ln(tiny), -707.5), entries the first pass drops, and -inf.
+_WEIGHT_KINDS = {
+    "near 0": st.floats(min_value=-1.0, max_value=0.0),
+    "second pass": st.floats(min_value=LN_TINY, max_value=LN_TINY + 3.0),
+    "kept low": st.floats(min_value=LN_TINY, max_value=-707.5,
+                          exclude_max=True),
+    "first pass": st.floats(min_value=-2000.0, max_value=LN_TINY,
+                            exclude_max=True),
+    "-inf": st.just(-np.inf),
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([0.2, 0.6, 1.0]), st.data())
+def test_softmax_keeps_the_untruncated_bits_on_every_kind_of_weight(
+        kappa, data):
+    # A random subset of the kinds per matrix, so that matrices in which
+    # only the second pass drops an entry are common.
+    kinds = data.draw(st.sets(st.sampled_from(sorted(_WEIGHT_KINDS)),
+                              min_size=1))
+    entries = st.one_of(*(_WEIGHT_KINDS[kind] for kind in sorted(kinds)))
+    rows = data.draw(st.lists(st.lists(entries, max_size=7),
+                              min_size=1, max_size=5))
+    m = 1 + max(len(row) for row in rows)
+    log_rho = data.draw(st.floats(min_value=-1e3, max_value=1e3)) + np.array(
+        [[0.0] + row + [-1e4] * (m - 1 - len(row)) for row in rows]) / kappa
+    oracle = softmax_untruncated(log_rho, kappa)
+    resp = _normalize_log_rho(log_rho.copy(), kappa)
+    np.testing.assert_array_equal(resp.r, np.where(oracle >= TINY, oracle, 0.0))
+    assert resp.entropy() == resp.h
+    want = entropy_nested_where(resp.r)
+    assert abs(resp.h - want) <= 1e-12 * want + resp.r.size * np.finfo(float).eps
+
+
+class _ExpGuard:
+    """numpy, but ``exp`` records the smallest value of each argument."""
+
+    def __init__(self):
+        self.lows = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.lows.append(np.min(x))
+        return np.exp(x, *args, **kwargs)
+
+
+def test_softmax_exp_never_sees_an_argument_below_ln_tiny(monkeypatch):
+    # exp is several times slower on -inf and on arguments below ln(tiny).
+    guard = _ExpGuard()
+    monkeypatch.setattr("spldavb.vbpoint.np", guard)
+    cases = [*_SOFTMAX_CASES.values(),
+             (1.0, [[0.0, -707.9, -1e4], [LN_TINY, 0.0, -np.inf]])]
+    for kappa, rows in cases:
+        _normalize_log_rho(17.25 + np.array(rows) / kappa, kappa)
+    assert len(guard.lows) == 2 * len(cases)
+    assert min(guard.lows) >= LN_TINY
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_softmax_names_a_nan_or_inf_row(bad):
     with pytest.raises(ValueError, match="NaN or \\+inf"):
